@@ -22,6 +22,7 @@ from .errors import (
     FieldMismatch,
     InfiniteField,
     InseparableTower,
+    InternalInvariantError,
     NotIrreducible,
     ParseError,
     RankWeightError,

@@ -26,6 +26,7 @@ from .errors import (
     BadR,
     EquivalenceViolation,
     InfiniteField,
+    InternalInvariantError,
     ParseError,
     RankWeightError,
     SearchExhausted,
@@ -326,7 +327,7 @@ def main(argv=None) -> int:
     except InfiniteField as e:
         print(f"inapplicable: {e}", file=sys.stderr)
         return 3
-    except EquivalenceViolation as e:
+    except (EquivalenceViolation, InternalInvariantError) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 2
     except (ParseError, RankWeightError, OSError, ValueError) as e:

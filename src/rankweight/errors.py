@@ -53,6 +53,10 @@ class EquivalenceViolation(RankWeightError):
     """The four generalized-weight values disagree where they are provably equal."""
 
 
+class InternalInvariantError(RankWeightError):
+    """An internal cross-check failed: a bug in this package, never bad input."""
+
+
 class ParseError(RankWeightError):
     """Malformed code document or element string."""
 

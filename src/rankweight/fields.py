@@ -627,7 +627,8 @@ def format_element(x: FieldElement) -> str:
     field = x.field
     if isinstance(field, (Rationals, PrimeField)):
         return str(x.payload)
-    assert isinstance(field, ExtensionField)
+    if not isinstance(field, ExtensionField):
+        raise TypeError(f"cannot format an element of {field!r}")
     base = field.base
     sym = field.symbol
     terms = []

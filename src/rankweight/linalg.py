@@ -4,9 +4,9 @@ Subspaces of F^n are kept in reduced row echelon form with no zero rows, so
 two subspaces are equal iff their canonical matrices are identical; that
 makes deduplication and equality checks O(1) after one reduction.
 
-Intersection is computed through the double orthogonal complement
-(a ∩ b = (a^⊥ + b^⊥)^⊥ for the standard bilinear form), which reuses the
-complement path instead of a separate Zassenhaus routine.
+Intersection is Zassenhaus's sum-intersection algorithm: one reduction of
+the stacked rows [a | a] and [b | 0] yields a + b in the rows pivoting in the
+left half and the canonical basis of a ∩ b in the right halves of the rest.
 
 ``enumerate_subspaces`` streams every r-dimensional subspace of F^n exactly
 once, ordered by pivot profile and then lexicographically on the free
@@ -184,11 +184,25 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
+    """a ∩ b by Zassenhaus: one reduction of [a | a] stacked on [b | 0]."""
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise AmbientMismatch("subspace intersection needs a common ambient space")
-    return orthogonal_complement(
-        subspace_sum(orthogonal_complement(a), orthogonal_complement(b))
-    )
+    n = a.ambient_dim
+    zeros = (a.field.zero(),) * n
+    stacked = [r + r for r in a.rows] + [r + zeros for r in b.rows]
+    return tail_subspace(a.field, stacked, 2 * n, n)
+
+
+def tail_subspace(field: Field, rows, num_cols: int, start: int) -> Subspace:
+    """The row-space vectors that vanish before column start, cut to columns start..
+
+    One reduction: the reduced rows pivoting at or past start span exactly
+    those vectors, and as their pivot columns are cleared in every other row,
+    their tails are already the canonical basis of the result.
+    """
+    reduced, pivot_cols = _rref_rows(field, rows, num_cols)
+    tails = tuple(row[start:] for row, p in zip(reduced, pivot_cols) if p >= start)
+    return Subspace(field, num_cols - start, tails)
 
 
 def contains(a: Subspace, v: Sequence[FieldElement]) -> bool:
@@ -265,26 +279,3 @@ def invert(m: Matrix) -> Matrix:
         raise ValueError("matrix is singular")
     return Matrix(field, [list(row[n:]) for row in reduced], n)
 
-
-def vec_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def vec_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def vec_scale(c, v):
-    return [c * x for x in v]
-
-
-def vec_dot(a, b):
-    acc = None
-    for x, y in zip(a, b):
-        term = x * y
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def zero_vector(field: Field, n: int):
-    return [field.zero()] * n

@@ -38,10 +38,6 @@ def degree(p):
     return len(p) - 1
 
 
-def is_monic(field, p):
-    return bool(p) and p[-1] == field.one()
-
-
 def add(field, p, q):
     if len(p) < len(q):
         p, q = q, p

@@ -11,15 +11,15 @@ support, and ``closure_oracle`` recomputes it literally as the intersection
 of all extended superspaces for cross-checking on finite fields.
 
 ``restriction`` runs two independent computations (the dual-support identity
-Res(C) = Rsupp(C^perp)^perp, and a direct k-linear system inside k^(mn)) and
-asserts they agree in debug runs.
+Res(C) = Rsupp(C^perp)^perp, and a direct k-linear system inside k^(mn)) on
+every call and raises ``InternalInvariantError`` when they disagree.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .errors import InfiniteField, InseparableTower, TowerMismatch
+from .errors import InfiniteField, InseparableTower, InternalInvariantError, TowerMismatch
 from .fields import ExtensionTower, FieldElement, is_separable_tower
 from .linalg import (
     Matrix,
@@ -27,7 +27,7 @@ from .linalg import (
     enumerate_subspaces,
     orthogonal_complement,
     subspace_intersection,
-    subspace_sum,
+    tail_subspace,
 )
 
 
@@ -236,34 +236,30 @@ def dual(C: LinearCode) -> LinearCode:
 
 
 def restriction(C: LinearCode) -> KSubspace:
-    """Res(C) = C ∩ k^n, via the dual-support identity, cross-checked directly."""
+    """Res(C) = C ∩ k^n, via the dual-support identity, cross-checked directly.
+
+    Raises InternalInvariantError when the two routes disagree.
+    """
     primary = orthogonal_complement(rank_support_code(dual(C)).space)
-    assert primary == _restriction_direct(C), "restriction paths disagree"
+    if primary != _restriction_direct(C):
+        raise InternalInvariantError("restriction paths disagree")
     return KSubspace(C.tower, C.length, primary)
 
 
 def _restriction_direct(C: LinearCode) -> Subspace:
-    """C as a k-space inside k^(mn), intersected with the embedded k^n."""
+    """C as a k-space inside k^(mn), met with the embedded k^n in one reduction.
+
+    Each alpha*g is flattened with its coordinates on basis element 1 last,
+    so C ∩ k^n is the part of that k-space vanishing on the other m-1 blocks.
+    """
     t = C.tower
-    k = t.k
     m, n = t.degree, C.length
     flat_rows = []
     for g in C.space.rows:
         for alpha in t.basis:
             rows = expansion_rows(t, [alpha * gj for gj in g])
-            flat_rows.append([e for row in rows for e in row])
-    code_flat = Subspace.from_vectors(k, m * n, flat_rows)
-    zero, one = k.zero(), k.one()
-    embedded = Subspace(
-        k,
-        m * n,
-        tuple(
-            tuple(one if idx == j else zero for idx in range(m * n))
-            for j in range(n)
-        ),
-    )
-    meet = subspace_intersection(code_flat, embedded)
-    return Subspace.from_vectors(k, n, [list(row[:n]) for row in meet.rows])
+            flat_rows.append([e for row in rows[1:] + rows[:1] for e in row])
+    return tail_subspace(t.k, flat_rows, m * n, (m - 1) * n)
 
 
 def extend_to_L(D: KSubspace) -> LinearCode:
@@ -297,7 +293,8 @@ def trace_image(C: LinearCode) -> KSubspace:
 def is_rank_degenerate(C: LinearCode) -> bool:
     """True iff Rsupp(C) != k^n; cross-checked against Res(C^perp) != 0."""
     primary = rank_support_code(C).dim < C.length
-    assert primary == (restriction(dual(C)).dim > 0), "degeneracy criteria disagree"
+    if primary != (restriction(dual(C)).dim > 0):
+        raise InternalInvariantError("degeneracy criteria disagree")
     return primary
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .documents import document_from_code, document_to_json
-from .errors import InfiniteField, RankWeightError, SearchExhausted
+from .errors import InfiniteField, InternalInvariantError, RankWeightError, SearchExhausted
 from .fields import BaseFieldDescriptor, make_tower
 from .linalg import (
     enumerate_subspaces,
@@ -139,13 +139,14 @@ def standard_plan(theorem: str = "all", workers: int = 1, seed: int = 0) -> Veri
 
 
 def exhaustive_codes(tower, n: int) -> List[LinearCode]:
-    """Every L-subspace of L^n; the census is asserted against Gaussian binomials."""
+    """Every L-subspace of L^n; the census is checked against Gaussian binomials."""
     out = []
     for r in range(n + 1):
         for s in enumerate_subspaces(tower.L, n, r):
             out.append(LinearCode(tower, n, s))
     expected = sum(gaussian_binomial(n, r, tower.L.order) for r in range(n + 1))
-    assert len(out) == expected, "subspace census disagrees with the Gaussian binomials"
+    if len(out) != expected:
+        raise InternalInvariantError("subspace census disagrees with the Gaussian binomials")
     return out
 
 
@@ -393,22 +394,26 @@ def run_verify(plan: VerifyPlan) -> dict:
 
     The worker count changes only the wall time, never the summary: work is
     generated and reduced in deterministic order, with all randomness drawn
-    from the plan seed before any dispatch.
+    from the plan seed before any dispatch.  The items of every tower go to
+    one ``_execute`` call, so a parallel run starts one pool.
     """
     from .documents import tower_to_json
 
     rng = random.Random(plan.seed)
+    built = []
+    for task in plan.towers:
+        tower = task.build()
+        built.append((task, tower) + _build_items(plan, tower, task, rng))
+    results = iter(_execute([it for _, _, items, _ in built for it in items], plan.workers))
     tower_reports = []
     ok = True
     grand_codes = 0
     grand_assertions = 0
-    for task in plan.towers:
-        tower = task.build()
-        items, ncodes = _build_items(plan, tower, task, rng)
-        results = _execute(items, plan.workers)
+    for task, tower, items, ncodes in built:
         checks = {}
         failures = []
         assertions = 0
+        # zip stops at the end of items before drawing from results
         for (name, _, _), (passed, count, failure) in zip(items, results):
             entry = checks.setdefault(name, {"items": 0, "assertions": 0, "failures": 0})
             entry["items"] += 1

@@ -33,6 +33,7 @@ from .errors import (
     BadR,
     EquivalenceViolation,
     InfiniteField,
+    InternalInvariantError,
     SearchExhausted,
     ZeroCode,
 )
@@ -221,7 +222,7 @@ def extend_witness_by_rational(tower: ExtensionTower, c, e) -> list:
         if Subspace.from_vectors(k, n, rows[:l] + rows[l + 1 :]).dim == sup.dim:
             break
     else:
-        raise AssertionError("unreachable: rank < m forces a dependent row")
+        raise InternalInvariantError("unreachable: rank < m forces a dependent row")
     add = [tower.basis[l] * x for x in embed_vector(tower, e)]
     return [a + b for a, b in zip(c, add)]
 
@@ -238,7 +239,8 @@ def _witness_extended(C: LinearCode) -> Optional[list]:
     c = [t.L.zero()] * n
     for alpha, e in zip(t.basis, res.space.rows):
         c = [x + alpha * y for x, y in zip(c, embed_vector(t, e))]
-    assert verify_witness(C, c), "constructive extended witness failed verification"
+    if not verify_witness(C, c):
+        raise InternalInvariantError("constructive extended witness failed verification")
     return c
 
 
@@ -275,8 +277,10 @@ def _witness_split(C: LinearCode, seed, height: int, rounds: int) -> Optional[li
             continue
         c = extend_witness_by_rational(t, c, e)
         cur = subspace_sum(cur, Subspace.from_vectors(t.L, n, [e_l]))
-    assert cur == C.space, "split decomposition did not rebuild C"
-    assert verify_witness(C, c), "split witness failed verification"
+    if cur != C.space:
+        raise InternalInvariantError("split decomposition did not rebuild C")
+    if not verify_witness(C, c):
+        raise InternalInvariantError("split witness failed verification")
     return c
 
 
@@ -436,7 +440,8 @@ def weight_report(C: LinearCode, witness_seed: int = 0) -> WeightReport:
             )
         report.hierarchy.append(WeightRow(r, *values))
     if report.rank_distance is not None and report.hierarchy:
-        assert report.rank_distance == report.hierarchy[0].d_Rr
+        if report.rank_distance != report.hierarchy[0].d_Rr:
+            raise InternalInvariantError("rank distance differs from d_R1")
     try:
         w = find_witness(C, strategy="auto", seed=witness_seed)
         report.witness = w

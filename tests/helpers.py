@@ -5,7 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from rankweight.fields import BaseFieldDescriptor, make_tower
+from rankweight.fields import BaseFieldDescriptor, build_base_field, make_tower
 from rankweight.linalg import enumerate_subspaces
 from rankweight.ranksupport import LinearCode
 
@@ -23,6 +23,23 @@ def gf8():
 @functools.lru_cache(maxsize=None)
 def gf9():
     return make_tower(BaseFieldDescriptor(3), [1, 0, 1])
+
+
+@functools.lru_cache(maxsize=None)
+def gf16_over_gf4():
+    # nested base GF(4) = GF(2)[u]/(u^2+u+1); extension x^2 + x + u over it
+    base = BaseFieldDescriptor(2, base_degree=2, base_modulus=(1, 1, 1))
+    return make_tower(base, [build_base_field(base).generator(), 1, 1])
+
+
+@functools.lru_cache(maxsize=None)
+def gf16_over_gf2():
+    return make_tower(BaseFieldDescriptor(2), [1, 1, 0, 0, 1])
+
+
+@functools.lru_cache(maxsize=None)
+def gf3_degree_one():
+    return make_tower(BaseFieldDescriptor(3), [1, 1])
 
 
 @functools.lru_cache(maxsize=None)

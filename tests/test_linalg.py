@@ -1,5 +1,6 @@
 """Echelon forms, kernels, complements, lattice operations, enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -140,6 +141,53 @@ def test_dimension_formula_random_pairs():
             assert total.dim + meet.dim == a.dim + b.dim
             assert total.contains_space(a) and total.contains_space(b)
             assert a.contains_space(meet) and b.contains_space(meet)
+
+
+def _span_set(space):
+    """Every vector of a subspace over a finite field, listed literally."""
+    field = space.field
+    out = set()
+    for coeffs in itertools.product(list(field.elements()), repeat=space.dim):
+        v = [field.zero()] * space.ambient_dim
+        for c, row in zip(coeffs, space.rows):
+            v = [x + c * y for x, y in zip(v, row)]
+        out.add(tuple(v))
+    return out
+
+
+def test_intersection_matches_literal_span_sets():
+    rng = random.Random(43)
+    for field in (GF2, GF3, GF4):
+        pool = list(field.elements())
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            a, b = (
+                Subspace.from_vectors(
+                    field, n, [[rng.choice(pool) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+                )
+                for _ in range(2)
+            )
+            meet = subspace_intersection(a, b)
+            assert meet == rref_canonical(Matrix(field, [list(r) for r in meet.rows], n))
+            assert _span_set(meet) == _span_set(a) & _span_set(b)
+
+
+def test_intersection_over_q_matches_double_complement():
+    # the reference is the double-complement formula a ∩ b = (a^⊥ + b^⊥)^⊥
+    rng = random.Random(47)
+    pool = [QQ.from_int(i) for i in range(-3, 4)] + [QQ.from_int(1) / QQ.from_int(d) for d in (2, 3)]
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        a, b = (
+            Subspace.from_vectors(
+                QQ, n, [[rng.choice(pool) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+            )
+            for _ in range(2)
+        )
+        reference = orthogonal_complement(
+            subspace_sum(orthogonal_complement(a), orthogonal_complement(b))
+        )
+        assert subspace_intersection(a, b) == reference
 
 
 def test_contains():

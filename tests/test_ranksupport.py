@@ -1,10 +1,23 @@
 """Expansion matrices, rank supports, restriction, duals, closure."""
 
+import itertools
 import random
 
 import pytest
 
-from helpers import all_codes, all_vectors, gf4, gf8, gf9, qtheta, random_q_codes, vec
+from helpers import (
+    all_codes,
+    all_vectors,
+    gf3_degree_one,
+    gf4,
+    gf8,
+    gf9,
+    gf16_over_gf2,
+    gf16_over_gf4,
+    qtheta,
+    random_q_codes,
+    vec,
+)
 from rankweight.errors import InseparableTower, TowerMismatch
 from rankweight.fields import (
     BaseFieldDescriptor,
@@ -16,6 +29,7 @@ from rankweight.linalg import Subspace, orthogonal_complement, subspace_sum
 from rankweight.ranksupport import (
     KSubspace,
     LinearCode,
+    _restriction_direct,
     closure,
     closure_oracle,
     dual,
@@ -134,6 +148,39 @@ def test_restriction_examples():
     assert restriction(LinearCode.from_generators(t, 2, [vec(t, 1, w)])).dim == 0
     assert restriction(LinearCode.from_generators(t, 2, [vec(t, 1, 1)])) == k_space(t, 2, [[1, 1]])
     assert restriction(LinearCode.full(t, 2)).space == Subspace.full(t.k, 2)
+
+
+def _literal_restriction(C):
+    """C ∩ k^n by scanning every vector of k^n (finite k)."""
+    t, n = C.tower, C.length
+    hits = [
+        list(v)
+        for v in itertools.product(list(t.k.elements()), repeat=n)
+        if C.space.contains(embed_vector(t, v))
+    ]
+    return Subspace.from_vectors(t.k, n, hits)
+
+
+def test_restriction_direct_route_matches_dual_route_and_literal_scan():
+    rng = random.Random(19)
+    cases = [(gf16_over_gf4, 2), (gf16_over_gf2, 2), (gf3_degree_one, 3), (gf9, 2)]
+    for make, n in cases:
+        t = make()
+        codes = all_codes(t, n)
+        codes += [LinearCode.zero(t, n + 1), LinearCode.full(t, n + 1)]
+        pool = list(t.L.elements())
+        codes += [
+            LinearCode.from_generators(t, n + 1, [[rng.choice(pool) for _ in range(n + 1)]])
+            for _ in range(10)
+        ]
+        for C in codes:
+            direct = _restriction_direct(C)
+            assert direct == orthogonal_complement(rank_support_code(dual(C)).space)
+            assert direct == _literal_restriction(C)
+    for C in random_q_codes(60, seed=23):
+        direct = _restriction_direct(C)
+        assert direct == orthogonal_complement(rank_support_code(dual(C)).space)
+        assert all(C.space.contains(embed_vector(C.tower, r)) for r in direct.rows)
 
 
 def test_extend_and_is_extended():
