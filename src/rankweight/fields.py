@@ -614,6 +614,17 @@ def enumerate_elements(tower: ExtensionTower) -> Iterator[FieldElement]:
     return tower.L.elements()
 
 
+def random_rational_element(tower: ExtensionTower, rng, height: int) -> FieldElement:
+    """An element of L over Q with coordinates a/b, |a| <= height, 1 <= b <= height.
+
+    Draws rng.randint for a, then for b, coordinate by coordinate, so a seeded
+    generator always yields the same sequence of elements.
+    """
+    return tower.element_from_coords(
+        [Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(tower.degree)]
+    )
+
+
 def _is_scalar_payload(field: Field, payload) -> bool:
     """True when the payload sits in the prime subfield (renders as a number)."""
     if not isinstance(field, ExtensionField):

@@ -10,9 +10,13 @@ vectors of k^n that contains C; it equals the L-extension of the rank
 support, and ``closure_oracle`` recomputes it literally as the intersection
 of all extended superspaces for cross-checking on finite fields.
 
+Rsupp(C), C^perp and Res(C) are computed once per code: ``rank_support_code``,
+``dual`` and ``restriction`` fill write-once slots on the ``LinearCode`` the
+first time they are asked, and return the stored value after that.
 ``restriction`` runs two independent computations (the dual-support identity
-Res(C) = Rsupp(C^perp)^perp, and a direct k-linear system inside k^(mn)) on
-every call and raises ``InternalInvariantError`` when they disagree.
+Res(C) = Rsupp(C^perp)^perp, and a direct k-linear system inside k^(mn)) the
+first time Res(C) is needed, and raises ``InternalInvariantError`` when they
+disagree; a result that fails the comparison is never stored.
 """
 
 from __future__ import annotations
@@ -60,9 +64,16 @@ class KSubspace:
 
 
 class LinearCode:
-    """An L-linear subspace C of L^n in canonical reduced echelon form."""
+    """An L-linear subspace C of L^n in canonical reduced echelon form.
 
-    __slots__ = ("tower", "length", "space")
+    A code is immutable: ``tower``, ``length`` and ``space`` fix it, and only
+    they take part in equality and hashing.  The slots ``_rsupp``, ``_dual``
+    and ``_res`` hold Rsupp(C), C^perp and Res(C); each is None until
+    ``rank_support_code``, ``dual`` or ``restriction`` first computes it, and
+    is never written again after that.
+    """
+
+    __slots__ = ("tower", "length", "space", "_rsupp", "_dual", "_res")
 
     def __init__(self, tower: ExtensionTower, length: int, space: Subspace):
         if space.ambient_dim != length or space.field != tower.L:
@@ -70,6 +81,7 @@ class LinearCode:
         self.tower = tower
         self.length = length
         self.space = space
+        self._rsupp = self._dual = self._res = None
 
     @classmethod
     def from_generators(cls, tower: ExtensionTower, length: int, vectors) -> "LinearCode":
@@ -211,7 +223,9 @@ def weight_of_vector(tower: ExtensionTower, c: Sequence[FieldElement]) -> int:
 
 def rank_support_code(C: LinearCode) -> KSubspace:
     """Rank support of a code: the k-sum of the supports of its generators."""
-    return KSubspace(C.tower, C.length, support_space(C.tower, C.space.rows, C.length))
+    if C._rsupp is None:
+        C._rsupp = KSubspace(C.tower, C.length, support_space(C.tower, C.space.rows, C.length))
+    return C._rsupp
 
 
 def embed_vector(tower: ExtensionTower, v) -> list:
@@ -232,18 +246,24 @@ def rational_part(tower: ExtensionTower, v) -> Optional[list]:
 
 def dual(C: LinearCode) -> LinearCode:
     """Orthogonal complement for the standard bilinear form on L^n."""
-    return LinearCode(C.tower, C.length, orthogonal_complement(C.space))
+    if C._dual is None:
+        C._dual = LinearCode(C.tower, C.length, orthogonal_complement(C.space))
+    return C._dual
 
 
 def restriction(C: LinearCode) -> KSubspace:
     """Res(C) = C ∩ k^n, via the dual-support identity, cross-checked directly.
 
-    Raises InternalInvariantError when the two routes disagree.
+    Both routes run once per code, on the first call.  Raises
+    InternalInvariantError when they disagree, before anything is stored, so
+    every later call runs the comparison again.
     """
-    primary = orthogonal_complement(rank_support_code(dual(C)).space)
-    if primary != _restriction_direct(C):
-        raise InternalInvariantError("restriction paths disagree")
-    return KSubspace(C.tower, C.length, primary)
+    if C._res is None:
+        primary = orthogonal_complement(rank_support_code(dual(C)).space)
+        if primary != _restriction_direct(C):
+            raise InternalInvariantError("restriction paths disagree")
+        C._res = KSubspace(C.tower, C.length, primary)
+    return C._res
 
 
 def _restriction_direct(C: LinearCode) -> Subspace:
@@ -263,10 +283,14 @@ def _restriction_direct(C: LinearCode) -> Subspace:
 
 
 def extend_to_L(D: KSubspace) -> LinearCode:
-    """The L-span D_L of a k-subspace of k^n; dim_L D_L = dim_k D."""
+    """The L-span D_L of a k-subspace of k^n; dim_L D_L = dim_k D.
+
+    A canonical RREF basis over k embeds entry by entry to the canonical RREF
+    basis over L, so no reduction is needed.
+    """
     t = D.tower
-    vectors = [embed_vector(t, row) for row in D.space.rows]
-    return LinearCode.from_generators(t, D.length, vectors)
+    rows = tuple(tuple(embed_vector(t, row)) for row in D.space.rows)
+    return LinearCode(t, D.length, Subspace(t.L, D.length, rows))
 
 
 def is_extended(C: LinearCode) -> bool:

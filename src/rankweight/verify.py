@@ -32,7 +32,7 @@ from typing import List, Optional
 
 from .documents import document_from_code, document_to_json
 from .errors import InfiniteField, InternalInvariantError, RankWeightError, SearchExhausted
-from .fields import BaseFieldDescriptor, make_tower
+from .fields import BaseFieldDescriptor, make_tower, random_rational_element
 from .linalg import (
     enumerate_subspaces,
     gaussian_binomial,
@@ -163,17 +163,7 @@ def random_codes(tower, max_n: int, count: int, rng: random.Random, height: int 
             if finite:
                 gens.append([rng.choice(pool) for _ in range(n)])
             else:
-                gens.append(
-                    [
-                        tower.element_from_coords(
-                            [
-                                Fraction(rng.randint(-height, height), rng.randint(1, height))
-                                for _ in range(tower.degree)
-                            ]
-                        )
-                        for _ in range(n)
-                    ]
-                )
+                gens.append([random_rational_element(tower, rng, height) for _ in range(n)])
         out.append(LinearCode.from_generators(tower, n, gens))
     return out
 

@@ -37,11 +37,13 @@ from .errors import (
     SearchExhausted,
     ZeroCode,
 )
-from .fields import ExtensionTower, FieldElement
+from .fields import ExtensionTower, FieldElement, random_rational_element
 from .linalg import Subspace, enumerate_subspaces, subspace_sum
 from .ranksupport import (
+    KSubspace,
     LinearCode,
     embed_vector,
+    extend_to_L,
     expansion_rows,
     is_rank_degenerate,
     rank_support_code,
@@ -70,15 +72,6 @@ def _combine(coeffs, gens, L, n: int):
         if a:
             out = [x + a * y for x, y in zip(out, g)]
     return out
-
-
-def _extended_space(tower: ExtensionTower, kspace: Subspace) -> Subspace:
-    # canonical RREF over k embeds to canonical RREF over L entry by entry
-    return Subspace(
-        tower.L,
-        kspace.ambient_dim,
-        tuple(tuple(tower.embed(x) for x in row) for row in kspace.rows),
-    )
 
 
 def _require_finite(C: LinearCode, what: str):
@@ -157,7 +150,7 @@ def weight_Mr(C: LinearCode, r: int) -> int:
     t, n = C.tower, C.length
     for d in range(r, n + 1):  # dim(C ∩ V) <= dim V, so start at r
         for w in enumerate_subspaces(t.k, n, d):
-            v = _extended_space(t, w)
+            v = extend_to_L(KSubspace(t, n, w)).space
             meet_dim = C.dim + d - subspace_sum(C.space, v).dim
             if meet_dim >= r:
                 return d
@@ -199,7 +192,7 @@ def verify_witness(C: LinearCode, c: Sequence[FieldElement]) -> bool:
     """Closure criterion: c is a support witness iff c ∈ C and C ⊆ (Lc)*."""
     if not C.space.contains(c):
         return False
-    star = _extended_space(C.tower, rank_support_vec(C.tower, c).space)
+    star = extend_to_L(rank_support_vec(C.tower, c)).space
     return all(star.contains(g) for g in C.space.rows)
 
 
@@ -252,7 +245,7 @@ def _witness_split(C: LinearCode, seed, height: int, rounds: int) -> Optional[li
     res = restriction(C)
     if res.dim == 0:
         return None
-    res_l = _extended_space(t, res.space)
+    res_l = extend_to_L(res).space
     cur = res_l
     c1_gens = []
     for g in C.space.rows:
@@ -307,7 +300,6 @@ def _witness_random(C: LinearCode, rng: random.Random, height: int, rounds: int)
     L = t.L
     target = rank_support_code(C).dim
     finite_pool = list(L.elements()) if L.order is not None else None
-    from fractions import Fraction
 
     h = height
     for _ in range(rounds):
@@ -315,15 +307,7 @@ def _witness_random(C: LinearCode, rng: random.Random, height: int, rounds: int)
             if finite_pool is not None:
                 coeffs = [rng.choice(finite_pool) for _ in range(C.dim)]
             else:
-                coeffs = [
-                    t.element_from_coords(
-                        [
-                            Fraction(rng.randint(-h, h), rng.randint(1, h))
-                            for _ in range(t.degree)
-                        ]
-                    )
-                    for _ in range(C.dim)
-                ]
+                coeffs = [random_rational_element(t, rng, h) for _ in range(C.dim)]
             if not any(coeffs):
                 continue
             c = _combine(coeffs, C.space.rows, L, n)
@@ -356,24 +340,15 @@ def find_witness(
         return [t.L.zero()] * C.length
     if rank_support_code(C).dim > t.degree:
         return None
-    if strategy == "auto":
+    if strategy in ("auto", "constructive"):
         c = _witness_extended(C)
+        if c is None:
+            c = _witness_split(C, seed, height, rounds)
         if c is not None:
             return c
-        c = _witness_split(C, seed, height, rounds)
-        if c is not None:
-            return c
-        if t.L.order is not None:
-            return _witness_exhaustive(C)
-        return _witness_random(C, random.Random(seed), height, rounds)
-    if strategy == "constructive":
-        c = _witness_extended(C)
-        if c is not None:
-            return c
-        c = _witness_split(C, seed, height, rounds)
-        if c is not None:
-            return c
-        raise SearchExhausted("constructive strategies do not apply to this code")
+        if strategy == "constructive":
+            raise SearchExhausted("constructive strategies do not apply to this code")
+        strategy = "exhaustive" if t.L.order is not None else "random"
     if strategy == "exhaustive":
         return _witness_exhaustive(C)
     if strategy == "random":

@@ -3,11 +3,10 @@
 import functools
 import itertools
 import random
-from fractions import Fraction
 
-from rankweight.fields import BaseFieldDescriptor, build_base_field, make_tower
-from rankweight.linalg import enumerate_subspaces
+from rankweight.fields import BaseFieldDescriptor, build_base_field, make_tower, random_rational_element
 from rankweight.ranksupport import LinearCode
+from rankweight.verify import exhaustive_codes
 
 
 @functools.lru_cache(maxsize=None)
@@ -57,11 +56,7 @@ def vec(tower, *entries):
 
 def all_codes(tower, n):
     """Every L-subspace of L^n as a LinearCode, all dimensions."""
-    out = []
-    for r in range(n + 1):
-        for s in enumerate_subspaces(tower.L, n, r):
-            out.append(LinearCode(tower, n, s))
-    return out
+    return exhaustive_codes(tower, n)
 
 
 def all_vectors(tower, n):
@@ -70,14 +65,7 @@ def all_vectors(tower, n):
 
 
 def random_rational_vector(rng, tower, n, height=5):
-    out = []
-    for _ in range(n):
-        coords = [
-            Fraction(rng.randint(-height, height), rng.randint(1, height))
-            for _ in range(tower.degree)
-        ]
-        out.append(tower.element_from_coords(coords))
-    return out
+    return [random_rational_element(tower, rng, height) for _ in range(n)]
 
 
 def random_q_codes(count, seed, max_n=3, max_dim=2, height=5):

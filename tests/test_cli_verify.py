@@ -253,14 +253,20 @@ def test_resolve_workers(monkeypatch):
 def test_console_entry_point():
     """Runs `python -m rankweight.cli` (the `__main__` guard in cli.py) in a fresh interpreter against the source tree under test, not the installed `rankweight` console script."""
     # the child imports rankweight from where this process imported it, so
-    # neither a relative PYTHONPATH nor an installed copy decides what runs
+    # neither a relative PYTHONPATH nor an installed copy decides what runs,
+    # and it writes no bytecode cache into that source tree
     source_root = pathlib.Path(rankweight.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "rankweight.cli", "verify", "--char", "2",
          "--ext-modulus", "1,1,1", "--max-n", "1", "--theorem", "trace"],
         capture_output=True,
         text=True,
-        env={"RANKWEIGHT_WORKERS": "1", "PATH": "/usr/bin:/bin", "PYTHONPATH": str(source_root)},
+        env={
+            "RANKWEIGHT_WORKERS": "1",
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": str(source_root),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
     )
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout

@@ -19,6 +19,7 @@ from rankweight.fields import (
     format_element,
     is_separable_tower,
     make_tower,
+    random_rational_element,
 )
 
 
@@ -164,8 +165,7 @@ def test_enumeration_is_deterministic_and_exhaustive():
 def _random_element(rng, t, elems, height=9):
     if elems is not None:
         return rng.choice(elems)
-    coords = [Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(t.degree)]
-    return t.element_from_coords(coords)
+    return random_rational_element(t, rng, height)
 
 
 def test_field_axioms_random_triples():

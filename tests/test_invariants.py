@@ -74,8 +74,12 @@ def test_restriction_raises_when_routes_disagree(monkeypatch):
     t = gf4()
     C = LinearCode.from_generators(t, 2, [vec(t, 1, 1)])
     monkeypatch.setattr(ranksupport, "_restriction_direct", lambda C: Subspace.zero(t.k, 2))
-    with pytest.raises(InternalInvariantError):
-        restriction(C)
+    # a result that fails the comparison is never stored, so it fails again
+    for _ in range(2):
+        with pytest.raises(InternalInvariantError):
+            restriction(C)
+    monkeypatch.undo()
+    assert restriction(C).dim == 1
 
 
 def test_restriction_cross_check_survives_optimize():

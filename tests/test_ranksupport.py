@@ -1,6 +1,7 @@
 """Expansion matrices, rank supports, restriction, duals, closure."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from helpers import (
     random_q_codes,
     vec,
 )
+from rankweight import ranksupport
 from rankweight.errors import InseparableTower, TowerMismatch
 from rankweight.fields import (
     BaseFieldDescriptor,
@@ -25,7 +27,7 @@ from rankweight.fields import (
     ExtensionTower,
     PrimeField,
 )
-from rankweight.linalg import Subspace, orthogonal_complement, subspace_sum
+from rankweight.linalg import Subspace, enumerate_subspaces, orthogonal_complement, subspace_sum
 from rankweight.ranksupport import (
     KSubspace,
     LinearCode,
@@ -45,6 +47,7 @@ from rankweight.ranksupport import (
     trace_image,
     weight_of_vector,
 )
+from rankweight.verify import check_delsarte, check_trace, check_witness
 
 SMALL_SWEEPS = [(gf4, 1), (gf4, 2), (gf8, 1), (gf8, 2), (gf9, 1), (gf9, 2)]
 
@@ -194,6 +197,56 @@ def test_extend_and_is_extended():
     assert not is_extended(LinearCode.from_generators(t, 2, [vec(t, 1, w)]))
     assert is_extended(LinearCode.full(t, 2))
     assert is_extended(LinearCode.zero(t, 2))
+
+
+def test_extend_to_L_matches_reduction_over_L():
+    # the embedded canonical basis over k is already the canonical basis over L
+    for t in (gf4(), gf9(), gf16_over_gf4()):
+        for n in (1, 2):
+            for d in range(n + 1):
+                for w in enumerate_subspaces(t.k, n, d):
+                    literal = Subspace.from_vectors(t.L, n, [embed_vector(t, r) for r in w.rows])
+                    assert extend_to_L(KSubspace(t, n, w)).space == literal
+
+
+def _memo_codes():
+    t, q = gf4(), qtheta()
+    w, theta = t.generator(), q.generator()
+    return [
+        LinearCode.from_generators(t, 2, [vec(t, 1, w)]),
+        # Res(C) = Q·e1 is nonzero, so the split witness path asks for it too
+        LinearCode.from_generators(q, 3, [vec(q, 1, 0, 0), vec(q, 0, 1, theta)]),
+    ]
+
+
+def test_restriction_routes_run_once_per_code(monkeypatch):
+    direct = ranksupport._restriction_direct
+    calls = []
+
+    def counting(C):
+        calls.append(C)
+        return direct(C)
+
+    monkeypatch.setattr(ranksupport, "_restriction_direct", counting)
+    for C in _memo_codes():
+        check_witness(C, {"seed": 0})
+        check_delsarte(C, {})
+        check_trace(C, {})
+        is_rank_degenerate(C)
+        assert sum(1 for D in calls if D is C) == 1
+        assert restriction(C) is restriction(C)
+        assert dual(C) is dual(C)
+        assert rank_support_code(C) is rank_support_code(C)
+
+
+def test_code_with_filled_slots_survives_pickle():
+    for C in _memo_codes():
+        invariants = (rank_support_code(C), dual(C), restriction(C), is_rank_degenerate(C))
+        copy = pickle.loads(pickle.dumps(C))
+        assert copy == C and hash(copy) == hash(C)
+        assert (rank_support_code(copy), dual(copy), restriction(copy), is_rank_degenerate(copy)) == invariants
+        fresh = LinearCode(C.tower, C.length, C.space)
+        assert (rank_support_code(fresh), dual(fresh), restriction(fresh)) == invariants[:3]
 
 
 def test_trace_image_examples():
