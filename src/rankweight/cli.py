@@ -281,7 +281,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("witness", help="find a codeword with the support of the code")
     p.add_argument("file")
     p.add_argument("--strategy", choices=("auto", "constructive", "exhaustive", "random"), default="auto")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="seed for the random search")
     p.add_argument("--height", type=int, default=5, help="coordinate height for random search over Q")
     add_format(p)
     p.set_defaults(func=cmd_witness)

@@ -291,7 +291,7 @@ def parse_code_file(text: str) -> CodeDocument:
     return parse_code_document(data)
 
 
-def tower_to_json(doc_or_tower, generator_name=None, base_generator_name=None) -> dict:
+def tower_to_json(doc_or_tower) -> dict:
     """The canonical tower block, key order fixed."""
     if isinstance(doc_or_tower, CodeDocument):
         doc = doc_or_tower
@@ -307,11 +307,11 @@ def tower_to_json(doc_or_tower, generator_name=None, base_generator_name=None) -
     out = {"characteristic": desc.characteristic, "base_degree": desc.base_degree}
     if desc.base_modulus is not None:
         out["base_modulus"] = list(desc.base_modulus)
-        out["base_generator_name"] = base_generator_name or getattr(tower.k, "symbol", "u")
+        out["base_generator_name"] = getattr(tower.k, "symbol", "u")
     out["extension_modulus"] = [
         _render_coefficient(FieldElement(tower.k, c)) for c in tower.L.modulus
     ]
-    out["generator_name"] = generator_name or tower.L.symbol
+    out["generator_name"] = tower.L.symbol
     return out
 
 

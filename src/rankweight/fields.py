@@ -228,9 +228,6 @@ class Rationals(Field):
     def _payloads(self):
         raise InfiniteField("Q is infinite")
 
-    def from_fraction(self, value) -> FieldElement:
-        return FieldElement(self, Fraction(value))
-
     def __repr__(self):
         return "Q"
 

@@ -12,7 +12,8 @@ Suites:
 * ``witness``   -- existence for m >= n with double verification, and the
   maxwt(C) = wt_R(C) equivalence (plus guaranteed absence on nondegenerate
   codes when m < n);
-* ``delsarte``  -- Res(C)^perp = Rsupp(C^perp);
+* ``delsarte``  -- Res(C)^perp = Rsupp(C^perp), comparing the direct Res(C)
+  of ``restriction`` with the rank support of ``dual``;
 * ``closure``   -- closure laws including the literal-intersection oracle and
   the sum rule on pairs;
 * ``trace``     -- Tr(C) = Rsupp(C) and the Res(C) = Tr(C) criterion;

@@ -154,7 +154,7 @@ def weight_Mr(C: LinearCode, r: int) -> int:
             meet_dim = C.dim + d - subspace_sum(C.space, v).dim
             if meet_dim >= r:
                 return d
-    raise AssertionError("unreachable: the full space always meets C in dim C")
+    raise InternalInvariantError("unreachable: the full space always meets C in dim C")
 
 
 def weight_OSr(C: LinearCode, r: int) -> int:

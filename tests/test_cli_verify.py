@@ -113,6 +113,15 @@ def test_witness_command(sample_file, q_file, capsys):
     assert json.loads(out)["status"] == "found"
 
 
+def test_witness_without_seed_is_reproducible_over_q(capsys):
+    # the random search over Q draws from --seed, which defaults to 0
+    path = str(pathlib.Path(__file__).resolve().parent.parent / "samples" / "qtheta.json")
+    outputs = [run_cli(capsys, "witness", path) for _ in range(2)]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and "status: found" in outputs[0][1]
+    assert run_cli(capsys, "witness", path, "--seed", "0") == outputs[0]
+
+
 def test_dual_closure_roundtrip(sample_file, capsys):
     code, out, _ = run_cli(capsys, "dual", sample_file)
     assert code == 0

@@ -6,34 +6,26 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 import rankweight
 from rankweight import cli, ranksupport
-from rankweight.errors import InternalInvariantError
+from rankweight.documents import document_from_code, document_to_json
 from rankweight.linalg import Subspace
-from rankweight.ranksupport import LinearCode, restriction
-from rankweight.verify import run_verify, standard_plan
-
-from helpers import gf4, vec
+from rankweight.ranksupport import restriction
+from rankweight.verify import exhaustive_codes, run_verify, standard_plan
 
 PACKAGE_DIR = pathlib.Path(rankweight.__file__).resolve().parent
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
-# restriction(C) with the direct route replaced by one that returns the zero space
-WRONG_DIRECT_ROUTE = """
+# restriction's one elimination (its only tail_subspace call) made to return
+# the zero space, so every Res(C) comes out as 0
+WRONG_RESTRICTION = """
+import json
 from rankweight import ranksupport
-from rankweight.errors import InternalInvariantError
-from rankweight.fields import BaseFieldDescriptor, make_tower
 from rankweight.linalg import Subspace
-from rankweight.ranksupport import LinearCode, restriction
+from rankweight.verify import run_verify, standard_plan
 
-t = make_tower(BaseFieldDescriptor(2), [1, 1, 1])
-C = LinearCode.from_generators(t, 2, [[t.L.one(), t.L.one()]])
-ranksupport._restriction_direct = lambda C: Subspace.zero(t.k, 2)
-try:
-    restriction(C)
-except InternalInvariantError:
-    print("raised")
+ranksupport.tail_subspace = lambda field, rows, num_cols, start: Subspace.zero(field, num_cols - start)
+print(json.dumps(run_verify(standard_plan(theorem="delsarte"))))
 """
 
 DELSARTE_SUMMARY = """
@@ -60,30 +52,55 @@ def run_optimized(script):
     return proc.stdout
 
 
+def _raises_assertion_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements_in_src():
+    """No `assert` and no `raise AssertionError`: checks raise InternalInvariantError."""
     offenders = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert offenders == []
 
 
-def test_restriction_raises_when_routes_disagree(monkeypatch):
-    t = gf4()
-    C = LinearCode.from_generators(t, 2, [vec(t, 1, 1)])
-    monkeypatch.setattr(ranksupport, "_restriction_direct", lambda C: Subspace.zero(t.k, 2))
-    # a result that fails the comparison is never stored, so it fails again
-    for _ in range(2):
-        with pytest.raises(InternalInvariantError):
-            restriction(C)
-    monkeypatch.undo()
-    assert restriction(C).dim == 1
+def _zero_restriction(monkeypatch):
+    monkeypatch.setattr(
+        ranksupport,
+        "tail_subspace",
+        lambda field, rows, num_cols, start: Subspace.zero(field, num_cols - start),
+    )
 
 
-def test_restriction_cross_check_survives_optimize():
-    assert run_optimized(WRONG_DIRECT_ROUTE).split() == ["raised"]
+def test_wrong_restriction_fails_delsarte_suite(monkeypatch):
+    # the codes with Res(C) != 0, for which Res(C) = 0 is wrong, in plan order
+    expected = []
+    for task in standard_plan().towers:
+        tower = task.build()
+        codes = [c for n in range(1, task.max_n + 1) for c in exhaustive_codes(tower, n)]
+        expected.append([document_to_json(document_from_code(c)) for c in codes if restriction(c).dim])
+    _zero_restriction(monkeypatch)
+    summary = run_verify(standard_plan(theorem="delsarte"))
+    assert not summary["ok"]
+    for rep, docs in zip(summary["towers"], expected):
+        entry = rep["checks"]["delsarte"]
+        assert entry["failures"] == len(docs) > 0
+        assert entry["assertions"] == entry["items"] - len(docs)
+        assert {f["message"] for f in rep["failures"]} == {"Res(C)^perp != Rsupp(C^perp)"}
+        assert [f["documents"][0] for f in rep["failures"]] == docs
+
+
+def test_wrong_restriction_fails_delsarte_under_optimize(monkeypatch):
+    _zero_restriction(monkeypatch)
+    in_process = run_verify(standard_plan(theorem="delsarte"))
+    assert not in_process["ok"]
+    assert json.loads(run_optimized(WRONG_RESTRICTION)) == in_process
 
 
 def test_delsarte_summary_same_under_optimize():
@@ -91,8 +108,16 @@ def test_delsarte_summary_same_under_optimize():
     assert json.loads(run_optimized(DELSARTE_SUMMARY)) == in_process
 
 
+def test_verify_delsarte_exits_2_on_wrong_restriction(monkeypatch, capsys):
+    monkeypatch.setenv("RANKWEIGHT_WORKERS", "1")
+    _zero_restriction(monkeypatch)
+    assert cli.main(["verify", "--theorem", "delsarte"]) == 2
+    assert "FAILURE [delsarte]: Res(C)^perp != Rsupp(C^perp)" in capsys.readouterr().out
+
+
 def test_cli_maps_internal_invariant_error_to_exit_2(monkeypatch, capsys):
-    doc = pathlib.Path(__file__).resolve().parent.parent / "samples" / "gf4_rational.json"
-    monkeypatch.setattr(ranksupport, "_restriction_direct", lambda C: Subspace.zero(C.tower.k, C.length))
-    assert cli.main(["analyze", str(doc)]) == 2
-    assert "restriction paths disagree" in capsys.readouterr().err
+    # C is rank-degenerate, so Res(C^perp) != 0 and its zero stand-in
+    # contradicts Rsupp(C) != k^n inside is_rank_degenerate
+    _zero_restriction(monkeypatch)
+    assert cli.main(["analyze", str(SAMPLES / "gf4_rational.json")]) == 2
+    assert "degeneracy criteria disagree" in capsys.readouterr().err

@@ -31,7 +31,6 @@ from rankweight.linalg import Subspace, enumerate_subspaces, orthogonal_compleme
 from rankweight.ranksupport import (
     KSubspace,
     LinearCode,
-    _restriction_direct,
     closure,
     closure_oracle,
     dual,
@@ -164,7 +163,7 @@ def _literal_restriction(C):
     return Subspace.from_vectors(t.k, n, hits)
 
 
-def test_restriction_direct_route_matches_dual_route_and_literal_scan():
+def test_restriction_matches_dual_formula_and_literal_scan():
     rng = random.Random(19)
     cases = [(gf16_over_gf4, 2), (gf16_over_gf2, 2), (gf3_degree_one, 3), (gf9, 2)]
     for make, n in cases:
@@ -177,13 +176,13 @@ def test_restriction_direct_route_matches_dual_route_and_literal_scan():
             for _ in range(10)
         ]
         for C in codes:
-            direct = _restriction_direct(C)
-            assert direct == orthogonal_complement(rank_support_code(dual(C)).space)
-            assert direct == _literal_restriction(C)
+            res = restriction(C).space
+            assert res == orthogonal_complement(rank_support_code(dual(C)).space)
+            assert res == _literal_restriction(C)
     for C in random_q_codes(60, seed=23):
-        direct = _restriction_direct(C)
-        assert direct == orthogonal_complement(rank_support_code(dual(C)).space)
-        assert all(C.space.contains(embed_vector(C.tower, r)) for r in direct.rows)
+        res = restriction(C).space
+        assert res == orthogonal_complement(rank_support_code(dual(C)).space)
+        assert all(C.space.contains(embed_vector(C.tower, r)) for r in res.rows)
 
 
 def test_extend_and_is_extended():
@@ -219,24 +218,46 @@ def _memo_codes():
     ]
 
 
-def test_restriction_routes_run_once_per_code(monkeypatch):
-    direct = ranksupport._restriction_direct
+def _count_calls(monkeypatch, name):
+    """Rebind ranksupport.<name> so that each call is recorded in the returned list."""
+    real = getattr(ranksupport, name)
     calls = []
 
-    def counting(C):
-        calls.append(C)
-        return direct(C)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(ranksupport, "_restriction_direct", counting)
-    for C in _memo_codes():
+    monkeypatch.setattr(ranksupport, name, counting)
+    return calls
+
+
+def test_restriction_routes_run_once_per_code(monkeypatch):
+    # restriction's one elimination is the only tail_subspace call in ranksupport
+    calls = _count_calls(monkeypatch, "tail_subspace")
+    # Res(C) and Res(C^perp); the split witness path of the Q(t) code also
+    # restricts the code C1 it splits off, a fresh code on every search
+    for C, eliminations in zip(_memo_codes(), (2, 3)):
+        calls.clear()
         check_witness(C, {"seed": 0})
         check_delsarte(C, {})
         check_trace(C, {})
         is_rank_degenerate(C)
-        assert sum(1 for D in calls if D is C) == 1
+        assert len(calls) == eliminations
+        check_delsarte(C, {})
+        check_trace(C, {})
+        is_rank_degenerate(C)
         assert restriction(C) is restriction(C)
         assert dual(C) is dual(C)
         assert rank_support_code(C) is rank_support_code(C)
+        assert len(calls) == eliminations
+
+
+def test_is_rank_degenerate_takes_one_complement_per_code(monkeypatch):
+    calls = _count_calls(monkeypatch, "orthogonal_complement")
+    codes = all_codes(gf4(), 2)
+    for C in codes:
+        is_rank_degenerate(C)
+    assert len(codes) == 7 and len(calls) == 7
 
 
 def test_code_with_filled_slots_survives_pickle():
