@@ -40,7 +40,7 @@ from .ranksupport import (
     rank_support_code,
     restriction,
 )
-from .verify import TowerTask, VerifyPlan, resolve_workers, run_verify, standard_plan, summary_to_text
+from .verify import THEOREMS, TowerTask, VerifyPlan, resolve_workers, run_verify, standard_plan, summary_to_text
 from .weights import find_witness, weight_report
 
 
@@ -53,11 +53,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _k_rows(kspace):
-    return [[format_element(x) for x in row] for row in kspace.space.rows]
-
-
-def _l_rows(space):
+def _rows(space):
     return [[format_element(x) for x in row] for row in space.rows]
 
 
@@ -114,10 +110,10 @@ def cmd_analyze(args) -> int:
         "tower": tower_to_json(doc),
         "n": code.length,
         "dim": code.dim,
-        "rank_support": _k_rows(rank_support_code(code)),
-        "restriction": _k_rows(restriction(code)),
-        "dual": _l_rows(dual(code).space),
-        "closure": _l_rows(closure(code).space),
+        "rank_support": _rows(rank_support_code(code).space),
+        "restriction": _rows(restriction(code).space),
+        "dual": _rows(dual(code).space),
+        "closure": _rows(closure(code).space),
         "degenerate": is_rank_degenerate(code),
         "extended": is_extended(code),
     }
@@ -182,20 +178,17 @@ def cmd_witness(args) -> int:
     return 0
 
 
-def _emit_code(doc: CodeDocument, transformed) -> int:
-    out = document_from_code(transformed)
-    print(render_code_document(out))
+def _emit_code(transformed) -> int:
+    print(render_code_document(document_from_code(transformed)))
     return 0
 
 
 def cmd_dual(args) -> int:
-    doc = _load(args.file)
-    return _emit_code(doc, dual(doc.to_code()))
+    return _emit_code(dual(_load(args.file).to_code()))
 
 
 def cmd_closure(args) -> int:
-    doc = _load(args.file)
-    return _emit_code(doc, closure(doc.to_code()))
+    return _emit_code(closure(_load(args.file).to_code()))
 
 
 def _parse_csv_modulus(text: str, characteristic: int):
@@ -304,7 +297,7 @@ def build_parser() -> _Parser:
         help="CSV over the base, low to high; use --ext-modulus=-2,0,0,1 for a leading minus",
     )
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--theorem", choices=("equivdef", "witness", "delsarte", "closure", "trace", "all"), default="all")
+    p.add_argument("--theorem", choices=THEOREMS, default="all")
     p.add_argument("--random", type=int, default=None, metavar="COUNT")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true", help="override the resource guards")

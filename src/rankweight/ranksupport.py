@@ -22,7 +22,7 @@ does the cross-check in ``is_rank_degenerate``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .errors import InfiniteField, InseparableTower, InternalInvariantError, TowerMismatch
 from .fields import ExtensionTower, FieldElement, is_separable_tower
@@ -201,14 +201,6 @@ def expand_vector(tower: ExtensionTower, c: Sequence[FieldElement], basis=None) 
     return ExpandedMatrix(tower, tuple(tuple(r) for r in rows))
 
 
-def support_space(tower: ExtensionTower, vectors, length: int) -> Subspace:
-    """Row space over k of the stacked expansions of the given L-vectors."""
-    stacked = []
-    for v in vectors:
-        stacked.extend(expansion_rows(tower, v))
-    return Subspace.from_vectors(tower.k, length, stacked)
-
-
 def rank_support_vec(tower: ExtensionTower, c: Sequence[FieldElement], basis=None) -> KSubspace:
     """Rank support of a vector: the k-row space of its expansion matrix."""
     _check_vector(tower, c)
@@ -227,24 +219,15 @@ def weight_of_vector(tower: ExtensionTower, c: Sequence[FieldElement]) -> int:
 def rank_support_code(C: LinearCode) -> KSubspace:
     """Rank support of a code: the k-sum of the supports of its generators."""
     if C._rsupp is None:
-        C._rsupp = KSubspace(C.tower, C.length, support_space(C.tower, C.space.rows, C.length))
+        t, n = C.tower, C.length
+        stacked = [row for g in C.space.rows for row in expansion_rows(t, g)]
+        C._rsupp = KSubspace(t, n, Subspace.from_vectors(t.k, n, stacked))
     return C._rsupp
 
 
 def embed_vector(tower: ExtensionTower, v) -> list:
     """Coordinatewise embedding k^n -> L^n."""
     return [tower.embed(x) for x in v]
-
-
-def rational_part(tower: ExtensionTower, v) -> Optional[list]:
-    """The k-vector equal to v when v lies in k^n, else None."""
-    k = tower.k
-    out = []
-    for x in v:
-        if any(not k._is_zero(c) for c in x.payload[1:]):
-            return None
-        out.append(FieldElement(k, x.payload[0]))
-    return out
 
 
 def dual(C: LinearCode) -> LinearCode:

@@ -56,10 +56,7 @@ from .weights import (
     find_witness,
     maxwt,
     verify_witness,
-    weight_Dr,
-    weight_Mr,
-    weight_OSr,
-    weight_dRr,
+    weight_values,
 )
 
 THEOREMS = ("equivdef", "witness", "delsarte", "closure", "trace", "all")
@@ -179,12 +176,7 @@ def check_equivdef(code: LinearCode, params) -> int:
         return 0  # the theorem is stated for n <= m
     assertions = 0
     for r in range(1, code.dim + 1):
-        values = (
-            weight_dRr(code, r),
-            weight_Mr(code, r),
-            weight_OSr(code, r),
-            weight_Dr(code, r),
-        )
+        values = weight_values(code, r)
         if len(set(values)) != 1:
             raise CheckFailure(
                 f"four definitions disagree at r={r}: (d_Rr, M_r, OS_r, D_r) = {values}",

@@ -3,17 +3,18 @@ support-witness search.
 
 The four r-th weights of a code C (1 <= r <= dim C):
 
-* ``weight_dRr``  -- min over r-dim subcodes D of wt_R(D);
+* ``weight_dRr``  -- min over r-dim subcodes D of wt_R(D) = dim Rsupp(D);
 * ``weight_Mr``   -- min dim of an extended subspace V = W_L meeting C in
   dimension >= r, scanned by increasing dim W;
-* ``weight_OSr``  -- min over r-dim subcodes of maxwt_R(D);
-* ``weight_Dr``   -- min over r-dim subcodes of maxwt_R(D*).
+* ``weight_OSr``  -- min over r-dim subcodes D of maxwt(D);
+* ``weight_Dr``   -- min over r-dim subcodes D of maxwt(D*).
 
 All four provably coincide when n <= m; the implementations here stay
 independent of that theorem (no cross-definition shortcuts), so the
 equivalence can be checked rather than assumed.  The only short-circuits are
-elementary bounds: wt_R(D) >= dim D for d_Rr, dim V >= r for M_r, and
-wt_R(c) <= min(m, n) inside maxwt scans.
+elementary bounds: a minimum stops at wt_R(D) = dim D for d_Rr, at weight 1
+(a nonzero codeword has weight >= 1) for the rank distance, OS_r and D_r,
+and at dim V = r for M_r; a maxwt scan stops at wt_R(c) = min(m, n).
 
 Witness search is constructive-first: extended codes get the explicit
 sum-of-basis witness, codes with rational directions get the split-lemma
@@ -42,6 +43,7 @@ from .linalg import Subspace, enumerate_subspaces, subspace_sum
 from .ranksupport import (
     KSubspace,
     LinearCode,
+    closure,
     embed_vector,
     extend_to_L,
     expansion_rows,
@@ -49,21 +51,10 @@ from .ranksupport import (
     rank_support_code,
     rank_support_vec,
     restriction,
-    support_space,
     weight_of_vector,
 )
 
 _RANDOM_TRIES_PER_ROUND = 200
-
-
-def projective_coefficients(field, dim: int):
-    """One representative per projective point of field^dim (first nonzero = 1)."""
-    elems = list(field.elements())
-    zero, one = field.zero(), field.one()
-    for lead in range(dim):
-        head = (zero,) * lead + (one,)
-        for tail in itertools.product(elems, repeat=dim - lead - 1):
-            yield head + tail
 
 
 def _combine(coeffs, gens, L, n: int):
@@ -72,6 +63,48 @@ def _combine(coeffs, gens, L, n: int):
         if a:
             out = [x + a * y for x, y in zip(out, g)]
     return out
+
+
+def _codewords(tower: ExtensionTower, gens, n: int):
+    """One codeword of span(gens) per projective point of the coefficients.
+
+    The first nonzero coefficient is 1, so each nonzero codeword appears once
+    up to an L^x multiple, which has the same rank weight.
+    """
+    L = tower.L
+    elems = list(L.elements())
+    zero, one = L.zero(), L.one()
+    for lead in range(len(gens)):
+        head = (zero,) * lead + (one,)
+        for tail in itertools.product(elems, repeat=len(gens) - lead - 1):
+            yield _combine(head + tail, gens, L, n)
+
+
+def _least(values, floor: int) -> int:
+    """The minimum of values, stopping at the first one equal to floor,
+    a proven lower bound."""
+    best = None
+    for v in values:
+        if v == floor:
+            return v
+        if best is None or v < best:
+            best = v
+    return best
+
+
+def _subcodes(C: LinearCode, r: int):
+    """Every r-dimensional subcode of C, one per r-dim subspace of L^(dim C).
+
+    No reduction is needed: if S is an RREF coefficient matrix with pivots
+    p_i and G is C's RREF generator matrix with pivots q_j, then row i of SG
+    starts with a 1 in column q_(p_i), and column q_(p_j) of SG is column p_j
+    of S, which is zero outside row j.  So SG is again in canonical RREF.
+    """
+    t, n = C.tower, C.length
+    G = C.space.rows
+    for s in enumerate_subspaces(t.L, C.dim, r):
+        rows = tuple(tuple(_combine(row, G, t.L, n)) for row in s.rows)
+        yield LinearCode(t, n, Subspace(t.L, n, rows))
 
 
 def _require_finite(C: LinearCode, what: str):
@@ -89,58 +122,28 @@ def rank_distance(C: LinearCode) -> int:
     if C.dim == 0:
         raise ZeroCode("the zero code has no nonzero codeword")
     _require_finite(C, "rank_distance")
-    L, n = C.tower.L, C.length
-    best = None
-    for coeffs in projective_coefficients(L, C.dim):
-        wt = weight_of_vector(C.tower, _combine(coeffs, C.space.rows, L, n))
-        if best is None or wt < best:
-            best = wt
-            if best == 1:
-                break
-    return best
-
-
-def _maxwt_gens(tower: ExtensionTower, gens, n: int) -> int:
-    if not gens:
-        return 0
-    cap = min(tower.degree, n)
-    best = 0
-    for coeffs in projective_coefficients(tower.L, len(gens)):
-        wt = weight_of_vector(tower, _combine(coeffs, gens, tower.L, n))
-        if wt > best:
-            best = wt
-            if best == cap:
-                break
-    return best
+    t = C.tower
+    return _least((weight_of_vector(t, c) for c in _codewords(t, C.space.rows, C.length)), 1)
 
 
 def maxwt(D: LinearCode) -> int:
     """Maximum rank weight over the codewords of D (0 for the zero code)."""
     _require_finite(D, "maxwt")
-    return _maxwt_gens(D.tower, D.space.rows, D.length)
-
-
-def _subcode_generators(C: LinearCode, r: int):
-    """Generator lists of every r-dimensional subcode of C, via coefficient space."""
-    L, n = C.tower.L, C.length
-    G = C.space.rows
-    for s in enumerate_subspaces(L, C.dim, r):
-        yield [_combine(row, G, L, n) for row in s.rows]
+    t = D.tower
+    cap = min(t.degree, D.length)
+    best = 0
+    for c in _codewords(t, D.space.rows, D.length):
+        best = max(best, weight_of_vector(t, c))
+        if best == cap:
+            break
+    return best
 
 
 def weight_dRr(C: LinearCode, r: int) -> int:
     """Min support dimension of an r-dimensional subcode."""
     _check_r(C, r)
     _require_finite(C, "weight_dRr")
-    t, n = C.tower, C.length
-    best = None
-    for gens in _subcode_generators(C, r):
-        wt = support_space(t, gens, n).dim
-        if best is None or wt < best:
-            best = wt
-            if best == r:  # wt_R(D) >= dim D always
-                break
-    return best
+    return _least((rank_support_code(D).dim for D in _subcodes(C, r)), r)
 
 
 def weight_Mr(C: LinearCode, r: int) -> int:
@@ -161,31 +164,19 @@ def weight_OSr(C: LinearCode, r: int) -> int:
     """Min over r-dimensional subcodes of the maximum codeword weight."""
     _check_r(C, r)
     _require_finite(C, "weight_OSr")
-    t, n = C.tower, C.length
-    best = None
-    for gens in _subcode_generators(C, r):
-        wt = _maxwt_gens(t, gens, n)
-        if best is None or wt < best:
-            best = wt
-            if best == 1:  # a nonzero codeword has weight >= 1
-                break
-    return best
+    return _least((maxwt(D) for D in _subcodes(C, r)), 1)
 
 
 def weight_Dr(C: LinearCode, r: int) -> int:
     """Min over r-dimensional subcodes of the maximum weight of the closure."""
     _check_r(C, r)
     _require_finite(C, "weight_Dr")
-    t, n = C.tower, C.length
-    best = None
-    for gens in _subcode_generators(C, r):
-        star_rows = [embed_vector(t, row) for row in support_space(t, gens, n).rows]
-        wt = _maxwt_gens(t, star_rows, n)
-        if best is None or wt < best:
-            best = wt
-            if best == 1:
-                break
-    return best
+    return _least((maxwt(closure(D)) for D in _subcodes(C, r)), 1)
+
+
+def weight_values(C: LinearCode, r: int) -> tuple:
+    """(d_Rr, M_r, OS_r, D_r) at r, each by its own definition."""
+    return weight_dRr(C, r), weight_Mr(C, r), weight_OSr(C, r), weight_Dr(C, r)
 
 
 def verify_witness(C: LinearCode, c: Sequence[FieldElement]) -> bool:
@@ -228,10 +219,7 @@ def _witness_extended(C: LinearCode) -> Optional[list]:
     res = restriction(C)
     if res.dim != C.dim:
         return None
-    n = C.length
-    c = [t.L.zero()] * n
-    for alpha, e in zip(t.basis, res.space.rows):
-        c = [x + alpha * y for x, y in zip(c, embed_vector(t, e))]
+    c = _combine(t.basis, extend_to_L(res).space.rows, t.L, C.length)
     if not verify_witness(C, c):
         raise InternalInvariantError("constructive extended witness failed verification")
     return c
@@ -280,11 +268,9 @@ def _witness_split(C: LinearCode, seed, height: int, rounds: int) -> Optional[li
 def _witness_exhaustive(C: LinearCode) -> Optional[list]:
     """Scan projective points of C; None proves no witness exists."""
     _require_finite(C, "exhaustive witness search")
-    t, n = C.tower, C.length
-    L = t.L
+    t = C.tower
     target = rank_support_code(C).dim
-    for coeffs in projective_coefficients(L, C.dim):
-        c = _combine(coeffs, C.space.rows, L, n)
+    for c in _codewords(t, C.space.rows, C.length):
         if weight_of_vector(t, c) == target and verify_witness(C, c):
             return c
     return None
@@ -403,12 +389,7 @@ def weight_report(C: LinearCode, witness_seed: int = 0) -> WeightReport:
                           reason="requires finite enumeration")
             )
             continue
-        values = (
-            weight_dRr(C, r),
-            weight_Mr(C, r),
-            weight_OSr(C, r),
-            weight_Dr(C, r),
-        )
+        values = weight_values(C, r)
         if C.length <= t.degree and len(set(values)) != 1:
             raise EquivalenceViolation(
                 f"n = {C.length} <= m = {t.degree} but (d_Rr, M_r, OS_r, D_r) = {values} at r = {r}"

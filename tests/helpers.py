@@ -4,7 +4,13 @@ import functools
 import itertools
 import random
 
-from rankweight.fields import BaseFieldDescriptor, build_base_field, make_tower, random_rational_element
+from rankweight.fields import (
+    BaseFieldDescriptor,
+    FieldElement,
+    build_base_field,
+    make_tower,
+    random_rational_element,
+)
 from rankweight.ranksupport import LinearCode
 from rankweight.verify import exhaustive_codes
 
@@ -51,6 +57,17 @@ def vec(tower, *entries):
     out = []
     for e in entries:
         out.append(tower.L.from_int(e) if isinstance(e, int) else e)
+    return out
+
+
+def rational_part(tower, v):
+    """The k-vector equal to v when v lies in k^n, else None."""
+    k = tower.k
+    out = []
+    for x in v:
+        if any(not k._is_zero(c) for c in x.payload[1:]):
+            return None
+        out.append(FieldElement(k, x.payload[0]))
     return out
 
 

@@ -17,6 +17,7 @@ from helpers import (
     gf16_over_gf4,
     qtheta,
     random_q_codes,
+    rational_part,
     vec,
 )
 from rankweight import ranksupport
@@ -41,7 +42,6 @@ from rankweight.ranksupport import (
     is_rank_degenerate,
     rank_support_code,
     rank_support_vec,
-    rational_part,
     restriction,
     trace_image,
     weight_of_vector,

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from helpers import all_codes, gf4, gf8, gf9, qtheta, random_q_codes, vec
+from helpers import all_codes, gf4, gf8, gf9, gf16_over_gf4, qtheta, random_q_codes, vec
+from rankweight import weights
 from rankweight.errors import BadR, InfiniteField, SearchExhausted, ZeroCode
+from rankweight.linalg import Subspace, gaussian_binomial
 from rankweight.ranksupport import (
     LinearCode,
     embed_vector,
@@ -15,6 +17,7 @@ from rankweight.ranksupport import (
     restriction,
 )
 from rankweight.weights import (
+    _subcodes,
     extend_witness_by_rational,
     find_witness,
     maxwt,
@@ -229,6 +232,45 @@ def test_equivalence_and_bounds_small_sweep():
                 prev = vals[0]
             if c.dim:
                 assert rank_distance(c) == weight_dRr(c, 1)
+
+
+def test_subcodes_are_canonical_and_counted():
+    # Subspace trusts its rows, so the claim that S·G is already in RREF is checked here
+    total = 0
+    for build, max_n in ((gf4, 3), (gf9, 2), (gf8, 3)):
+        t = build()
+        for n in range(1, max_n + 1):
+            for c in all_codes(t, n):
+                for r in range(1, c.dim + 1):
+                    subs = list(_subcodes(c, r))
+                    assert len(subs) == gaussian_binomial(c.dim, r, t.L.order)
+                    assert len(set(subs)) == len(subs)
+                    for d in subs:
+                        assert d.space == Subspace.from_vectors(t.L, n, d.space.rows)
+                        assert all(c.space.contains(g) for g in d.space.rows)
+                    total += len(subs)
+    assert total == 1194
+
+
+WEIGHT_NAMES = ("weight_dRr", "weight_Mr", "weight_OSr", "weight_Dr")
+
+
+def test_each_weight_is_computed_without_the_other_three(monkeypatch):
+    # check_equivdef compares four computations only if no definition calls another
+    codes = [c for build, n in ((gf4, 3), (gf8, 2), (gf16_over_gf4, 2)) for c in all_codes(build(), n)]
+    cases = [(c, r) for c in codes for r in range(1, c.dim + 1)]
+    expected = {name: [getattr(weights, name)(c, r) for c, r in cases] for name in WEIGHT_NAMES}
+
+    def refuse(*args):
+        raise AssertionError("a weight definition called another one")
+
+    for name in WEIGHT_NAMES:
+        with monkeypatch.context() as mp:
+            for other in WEIGHT_NAMES:
+                if other != name:
+                    mp.setattr(weights, other, refuse)
+            fn = getattr(weights, name)
+            assert [fn(c, r) for c, r in cases] == expected[name], name
 
 
 def test_witness_sweep_small_towers():
