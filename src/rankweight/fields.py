@@ -20,11 +20,29 @@ immutable after construction; all operations are pure.
 
 ``ExtensionTower`` bundles the base field k, the extension L, and the
 coordinate map between them; ``make_tower`` is the validated constructor.
+
+Every finite field of order q <= 4096 also has a private int-coded kernel
+(``Field._kernel``), built on its first use and never at import or by
+``make_tower`` itself.  An element's code is its index in ``_payloads()``
+order, so 0 is zero and 1 is one, and the base-p digits of a code are the
+element's prime-field coordinates, nested bases included: in characteristic
+2 addition is XOR, in odd characteristic it goes through Zech logarithms.
+Products and inverses use exp/log tables of one primitive element
+(Lidl-Niederreiter, *Finite Fields*, ch. 9).  Building a kernel costs
+log_p(q) field multiplications per candidate primitive element, O(q) integer
+operations and O(q) memory; there are no q-by-q tables and no product or
+inverse caches.  ``ExtensionField`` products
+and inverses go through it, and ``linalg`` and ``weights`` run their
+finite-field inner loops on codes, decoding to ``FieldElement`` only at
+their boundary.  A kernel lives on its field object and is left out of the
+pickle, so a worker process rebuilds it; the same holds for the cached hash.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -37,7 +55,7 @@ from .errors import (
     NotIrreducible,
 )
 
-_MUL_CACHE_LIMIT = 4096  # cache products/inverses only for small finite fields
+_KERNEL_LIMIT = 4096  # finite fields up to this order get an int-coded kernel
 
 
 class FieldElement:
@@ -146,6 +164,21 @@ class Field:
 
     characteristic: int
     order: Optional[int]
+    _kern = None  # the int-coded kernel: None until first asked for, then a _Kernel or False
+
+    def _kernel(self):
+        """This field's _Kernel, built on first use; False for Q, q > 4096 and non-fields."""
+        kern = self._kern
+        if kern is None:
+            kern = self._kern = _make_kernel(self)
+        return kern
+
+    def __getstate__(self):
+        # the kernel and the hash are rebuilt where the copy is loaded
+        state = dict(self.__dict__)
+        state.pop("_kern", None)
+        state.pop("_hash", None)
+        return state
 
     def _identity(self) -> tuple:
         raise NotImplementedError
@@ -256,6 +289,8 @@ class PrimeField(Field):
     def _mul(self, a, b):
         return (a * b) % self.p
 
+    _mul_raw = _mul  # what a kernel builds its tables with
+
     def _inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("0 has no inverse")
@@ -291,9 +326,6 @@ class ExtensionField(Field):
         self._fold = tuple(base._neg(c) for c in self.modulus[:-1])
         self._zero = (base._zero,) * self.degree
         self._one = (base._one,) + (base._zero,) * (self.degree - 1)
-        small = self.order is not None and self.order <= _MUL_CACHE_LIMIT
-        self._mul_cache = {} if small else None
-        self._inv_cache = {} if small else None
 
     def _identity(self):
         return ("ext", self.base._identity(), self.modulus)
@@ -328,31 +360,24 @@ class ExtensionField(Field):
         return tuple(prod[:m])
 
     def _mul(self, a, b):
-        cache = self._mul_cache
-        if cache is None:
+        kern = self._kernel()
+        if not kern:
             return self._mul_raw(a, b)
-        key = (a, b)
-        out = cache.get(key)
-        if out is None:
-            out = self._mul_raw(a, b)
-            cache[key] = out
-        return out
+        return kern.decode[kern.mul(kern.index[a], kern.index[b])].payload
 
     def _inv(self, a):
-        if self._is_zero(a):
+        kern = self._kernel()
+        if not kern:
+            if self._is_zero(a):
+                raise ZeroDivisionError("0 has no inverse")
+            return self._inv_raw(a)
+        i = kern.index[a]
+        if not i:
             raise ZeroDivisionError("0 has no inverse")
-        cache = self._inv_cache
-        if cache is not None:
-            out = cache.get(a)
-            if out is not None:
-                return out
-        out = self._inv_raw(a)
-        if cache is not None:
-            cache[a] = out
-        return out
+        return kern.decode[kern.inv(i)].payload
 
     def _inv_raw(self, a):
-        # extended Euclid in base[x] against the modulus
+        # extended Euclid in base[x] against the modulus; fields without a kernel only
         base = self.base
         f = polys.normalize(base, [FieldElement(base, c) for c in self.modulus])
         g = polys.normalize(base, [FieldElement(base, c) for c in a])
@@ -412,6 +437,129 @@ def _is_prime(p: int) -> bool:
             return False
         d += 2
     return True
+
+
+class _Kernel:
+    """Int-coded arithmetic of one finite field; see the module docstring.
+
+    ``add`` adds two codes; ``mul``, ``inv``, ``scale`` and ``sub_scaled``
+    work on codes and rows of codes.  ``decode`` holds the field's elements
+    by code, ``index`` maps a payload to its code, and for an extension
+    ``coords[c]`` holds the base-field codes of the coordinates of c (None
+    for a prime field).
+
+    With n1 = q - 1 and g the primitive element, ``exp[e]`` is the code of
+    g^e for 0 <= e < 2*n1 (the powers twice over, so a sum of two logs needs
+    no modulo), followed by zeros up to index 4*n1; ``log[0]`` is 2*n1, so a
+    product with zero lands among those zeros without a test.  ``neg_log``
+    is the log of -1.
+    """
+
+    __slots__ = ("q", "n1", "exp", "log", "neg_log", "add", "index", "decode", "coords")
+
+    def __init__(self, q, exp, log, neg_log, add, index, decode, coords):
+        self.q = q
+        self.n1 = q - 1
+        self.exp = exp
+        self.log = log
+        self.neg_log = neg_log
+        self.add = add
+        self.index = index
+        self.decode = decode
+        self.coords = coords
+
+    def mul(self, a: int, b: int) -> int:
+        return self.exp[self.log[a] + self.log[b]]
+
+    def inv(self, a: int) -> int:
+        """1/a for a nonzero code a."""
+        return self.exp[self.n1 - self.log[a]]
+
+    def scale(self, row, a: int) -> list:
+        """a * row."""
+        exp, log = self.exp, self.log
+        la = log[a]
+        return [exp[la + log[x]] for x in row]
+
+    def sub_scaled(self, row, a: int, other) -> list:
+        """row - a * other."""
+        exp, log, add = self.exp, self.log, self.add
+        s = (log[a] + self.neg_log) % self.n1  # log of -a, for a != 0
+        return [add(x, exp[s + log[y]]) for x, y in zip(row, other)]
+
+
+def _add_digits(p: int, a: int, b: int) -> int:
+    """The sum of two codes in characteristic p: their base-p digits add mod p."""
+    out, unit = 0, 1
+    while a or b:
+        out += (a + b) % p * unit
+        a, b, unit = a // p, b // p, unit * p
+    return out
+
+
+def _make_kernel(field: Field):
+    """The _Kernel of a finite field of order <= _KERNEL_LIMIT, else False.
+
+    x -> x*g is linear over GF(p), so for a candidate g the images of the
+    codes p^i under it, one multiplication each, give the code of every
+    product by g as a sum of images.  g is primitive when its powers, walked
+    through that table, first return to 1 after q - 1 steps; the candidates
+    run in code order.  No candidate passes in a quotient by a reducible
+    modulus (not a field), whose arithmetic then stays generic.
+    """
+    q = field.order
+    if q is None or q > _KERNEL_LIMIT:
+        return False
+    p, n1 = field.characteristic, q - 1
+    payloads = list(field._payloads())
+    index = {x: i for i, x in enumerate(payloads)}
+    units = [1]  # the codes p^i: the prime-field basis
+    while units[-1] * p < q:
+        units.append(units[-1] * p)
+    plus = operator.xor if p == 2 else functools.partial(_add_digits, p)
+    # the codes below the base order are the base field, a proper subfield
+    # when the degree is above 1, so none of them is primitive
+    first = field.base.order if isinstance(field, ExtensionField) and field.degree > 1 else min(2, n1)
+    for g in payloads[first:]:
+        times_g = [0]  # times_g[c] is the code of (element c) * g
+        for u in units:
+            image = index[field._mul_raw(payloads[u], g)]
+            for d in range(1, p):  # codes c + d*u from codes c + (d-1)*u, c < u
+                times_g += [plus(x, image) for x in times_g[(d - 1) * u : d * u]]
+        powers = [1]
+        x = times_g[1]
+        while x != 1 and len(powers) < n1:
+            powers.append(x)
+            x = times_g[x]
+        if x == 1 and len(powers) == n1:
+            break
+    else:
+        return False
+    exp = powers + powers + [0] * (2 * n1 + 1)
+    log = [2 * n1] * q
+    for e, c in enumerate(powers):
+        log[c] = e
+    if p == 2:
+        add, neg_log = operator.xor, 0
+    else:
+        # Zech logarithms: zech[e] = log(1 + g^e); 1 + x adds 1 to the lowest digit
+        zech = [log[c - c % p + (c + 1) % p] for c in exp[:n1]]
+
+        def add(a, b):
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            return exp[la + zech[log[b] - la]]  # a negative index wraps mod n1
+
+        neg_log = n1 // 2
+    coords = None
+    if isinstance(field, ExtensionField):
+        # the same digit order as _payloads: the lowest coordinate varies fastest
+        coords = [c[::-1] for c in itertools.product(range(field.base.order), repeat=field.degree)]
+    decode = tuple(FieldElement(field, x) for x in payloads)
+    return _Kernel(q, exp, log, neg_log, add, index, decode, coords)
 
 
 class BaseFieldDescriptor:
@@ -479,19 +627,20 @@ def build_base_field(desc: BaseFieldDescriptor, symbol: str = "u") -> Field:
 class ExtensionTower:
     """A finite extension L = k[x]/(f) with its power basis and coordinate map."""
 
-    __slots__ = ("base_descriptor", "k", "L", "degree", "basis")
+    __slots__ = ("base_descriptor", "k", "L", "degree", "basis", "_separable")
 
     def __init__(self, base_descriptor, k, L):
         self.base_descriptor = base_descriptor
         self.k = k
         self.L = L
         self.degree = L.degree
-        w = L.generator()
-        # power basis 1, w, ..., w^(m-1)
-        basis = [L.one()]
-        for _ in range(self.degree - 1):
-            basis.append(basis[-1] * w)
-        self.basis = tuple(basis)
+        # power basis 1, w, ..., w^(m-1): the unit coordinate vectors
+        m = self.degree
+        self.basis = tuple(
+            FieldElement(L, tuple(k._one if j == i else k._zero for j in range(m)))
+            for i in range(m)
+        )
+        self._separable = None  # is_separable_tower fills it on first use
 
     @property
     def modulus(self):
@@ -597,11 +746,16 @@ def make_tower(base, modulus, symbol: str = "w", base_symbol: str = "u") -> Exte
 
 
 def is_separable_tower(tower: ExtensionTower) -> bool:
-    """True iff gcd(f, f') = 1; always true in characteristic 0 and over finite fields."""
-    k = tower.k
-    f = [FieldElement(k, c) for c in tower.L.modulus]
-    fprime = polys.derivative(k, f)
-    return polys.degree(polys.gcd(k, f, fprime)) == 0
+    """True iff gcd(f, f') = 1; always true in characteristic 0 and over finite fields.
+
+    Computed once per tower, on first use.
+    """
+    if tower._separable is None:
+        k = tower.k
+        f = [FieldElement(k, c) for c in tower.L.modulus]
+        fprime = polys.derivative(k, f)
+        tower._separable = polys.degree(polys.gcd(k, f, fprime)) == 0
+    return tower._separable
 
 
 def enumerate_elements(tower: ExtensionTower) -> Iterator[FieldElement]:

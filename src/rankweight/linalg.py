@@ -11,6 +11,13 @@ left half and the canonical basis of a ∩ b in the right halves of the rest.
 ``enumerate_subspaces`` streams every r-dimensional subspace of F^n exactly
 once, ordered by pivot profile and then lexicographically on the free
 entries; the census equals the Gaussian binomial coefficient.
+
+Over a finite field with a kernel (``fields``: order <= 4096), ``_rref_rows``
+and ``contains`` encode each row once into element codes, eliminate on ints
+and decode at the end into elements of the field they were called with.  The
+RREF is unique, so this gives the same rows and pivots as the generic
+elimination on ``FieldElement``s, which Q, Q(t) and larger fields keep.
+Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, List, Sequence
 
-from .errors import AmbientMismatch, InfiniteField
+from .errors import AmbientMismatch, FieldMismatch, InfiniteField
 from .fields import Field, FieldElement
 
 
@@ -111,8 +118,57 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.field}^{self.ambient_dim})"
 
 
+def _encode(kern, rows, num_cols: int) -> List[List[int]]:
+    """Rows of elements as lists of kernel codes."""
+    index = kern.index
+    work = []
+    for r in rows:
+        if len(r) != num_cols:
+            raise ValueError(f"row of length {len(r)} in an ambient of {num_cols}")
+        try:
+            work.append([index[e.payload] for e in r])
+        except KeyError:
+            raise FieldMismatch("row entry from a foreign field") from None
+    return work
+
+
 def _rref_rows(field: Field, rows, num_cols: int):
-    """In-place Gaussian elimination to unique RREF; returns (rows, pivot_cols)."""
+    """Gaussian elimination to unique RREF; returns (rows, pivot_cols)."""
+    kern = field._kernel()
+    if not kern:
+        return _rref_generic(field, rows, num_cols)
+    reduced, pivot_cols = _rref_coded(kern, _encode(kern, rows, num_cols), num_cols)
+    decode = kern.decode
+    return [tuple([decode[e] for e in row]) for row in reduced], pivot_cols
+
+
+def _rref_coded(kern, work: List[List[int]], num_cols: int):
+    """_rref_rows on kernel codes; ``work`` is reduced in place."""
+    pivot_cols: List[int] = []
+    r = 0
+    for col in range(num_cols):
+        for pivot in range(r, len(work)):
+            if work[pivot][col]:
+                break
+        else:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        row = work[r]
+        lead = row[col]
+        if lead != 1:
+            row = work[r] = kern.scale(row, kern.inv(lead))
+        for i, other in enumerate(work):
+            if other[col] and i != r:
+                work[i] = kern.sub_scaled(other, other[col], row)
+        pivot_cols.append(col)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivot_cols
+
+
+def _rref_generic(field: Field, rows, num_cols: int):
+    """In-place Gaussian elimination on elements; fields without a kernel."""
     work: List[List[FieldElement]] = [list(r) for r in rows]
     for r in work:
         if len(r) != num_cols:
@@ -207,8 +263,17 @@ def tail_subspace(field: Field, rows, num_cols: int, start: int) -> Subspace:
 
 def contains(a: Subspace, v: Sequence[FieldElement]) -> bool:
     """True iff v reduces to zero against a's canonical basis."""
-    if len(v) != a.ambient_dim:
-        raise AmbientMismatch(f"vector has length {len(v)}, ambient is {a.ambient_dim}")
+    n = a.ambient_dim
+    if len(v) != n:
+        raise AmbientMismatch(f"vector has length {len(v)}, ambient is {n}")
+    kern = a.field._kernel()
+    if kern:
+        [residue] = _encode(kern, [v], n)
+        for row in _encode(kern, a.rows, n):
+            c = residue[next(j for j, e in enumerate(row) if e)]
+            if c:
+                residue = kern.sub_scaled(residue, c, row)
+        return not any(residue)
     residue = list(v)
     for row in a.rows:
         pivot = next(j for j, e in enumerate(row) if e)

@@ -16,6 +16,14 @@ elementary bounds: a minimum stops at wt_R(D) = dim D for d_Rr, at weight 1
 (a nonzero codeword has weight >= 1) for the rank distance, OS_r and D_r,
 and at dim V = r for M_r; a maxwt scan stops at wt_R(c) = min(m, n).
 
+Every codeword scan (rank distance, maxwt, exhaustive witness search) goes
+through ``_codewords``.  Over a field with a kernel (see ``fields``) it walks
+codewords as tuples of element codes and takes each rank weight on ints:
+over GF(2) a code's bits are its k-coordinates, so the weight is the rank of
+the entries packed one per int; otherwise it eliminates the entries'
+k-coordinates over k's kernel.  Only a candidate of the target weight in
+witness search is decoded to elements.
+
 Witness search is constructive-first: extended codes get the explicit
 sum-of-basis witness, codes with rational directions get the split-lemma
 extension, and only the remainder falls back to exhaustive (finite base) or
@@ -39,7 +47,7 @@ from .errors import (
     ZeroCode,
 )
 from .fields import ExtensionTower, FieldElement, random_rational_element
-from .linalg import Subspace, enumerate_subspaces, subspace_sum
+from .linalg import Subspace, _rref_coded, enumerate_subspaces, subspace_sum
 from .ranksupport import (
     KSubspace,
     LinearCode,
@@ -66,18 +74,66 @@ def _combine(coeffs, gens, L, n: int):
 
 
 def _codewords(tower: ExtensionTower, gens, n: int):
-    """One codeword of span(gens) per projective point of the coefficients.
+    """(wt_R(c), c) for one codeword c of span(gens) per projective point.
 
-    The first nonzero coefficient is 1, so each nonzero codeword appears once
-    up to an L^x multiple, which has the same rank weight.
+    The first nonzero coefficient is 1 and the later ones run through L in
+    element order, the last fastest, so each nonzero codeword appears once
+    up to an L^x multiple, which has the same rank weight.  When L has a
+    kernel, c is a tuple of element codes (``_decode`` turns it into
+    elements), built from precomputed multiples of the generators, and its
+    weight is the rank over k of the entries' k-coordinates; otherwise c is
+    a list of elements and its weight is ``weight_of_vector``.
     """
     L = tower.L
-    elems = list(L.elements())
-    zero, one = L.zero(), L.one()
-    for lead in range(len(gens)):
-        head = (zero,) * lead + (one,)
-        for tail in itertools.product(elems, repeat=len(gens) - lead - 1):
-            yield _combine(head + tail, gens, L, n)
+    kern = L._kernel()
+    if not kern:
+        elems = list(L.elements())
+        zero, one = L.zero(), L.one()
+        for lead in range(len(gens)):
+            head = (zero,) * lead + (one,)
+            for tail in itertools.product(elems, repeat=len(gens) - lead - 1):
+                c = _combine(head + tail, gens, L, n)
+                yield weight_of_vector(tower, c), c
+        return
+    add = kern.add
+    coded = [tuple(kern.index[e.payload] for e in g) for g in gens]
+    # multiples[i][a] = a * gens[i]; gens[0] only ever leads
+    multiples = [None] + [[tuple(kern.scale(g, a)) for a in range(kern.q)] for g in coded[1:]]
+    if tower.k.order == 2:
+        weight = _rank_gf2  # a code's bits are its coordinates over GF(2)
+    else:
+        kk, coords, m = tower.k._kernel(), kern.coords, tower.degree
+
+        def weight(c):
+            return len(_rref_coded(kk, [list(coords[e]) for e in c], m)[0])
+
+    for lead in range(len(coded)):
+        for tail in itertools.product(*multiples[lead + 1 :]):
+            c = coded[lead]
+            for t in tail:
+                c = tuple(map(add, c, t))
+            yield weight(c), c
+
+
+def _rank_gf2(vectors) -> int:
+    """Rank over GF(2) of vectors packed one per int (the M4RI row layout).
+
+    Each kept vector is reduced by the earlier ones, so its leading bit is
+    set in none of them, and min(v, v ^ b) clears b's leading bit from v.
+    """
+    basis = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
+
+
+def _decode(L, c) -> list:
+    """A codeword from ``_codewords`` as a list of elements of L."""
+    kern = L._kernel()
+    return [kern.decode[e] for e in c] if kern else list(c)
 
 
 def _least(values, floor: int) -> int:
@@ -122,8 +178,7 @@ def rank_distance(C: LinearCode) -> int:
     if C.dim == 0:
         raise ZeroCode("the zero code has no nonzero codeword")
     _require_finite(C, "rank_distance")
-    t = C.tower
-    return _least((weight_of_vector(t, c) for c in _codewords(t, C.space.rows, C.length)), 1)
+    return _least((w for w, _ in _codewords(C.tower, C.space.rows, C.length)), 1)
 
 
 def maxwt(D: LinearCode) -> int:
@@ -132,8 +187,8 @@ def maxwt(D: LinearCode) -> int:
     t = D.tower
     cap = min(t.degree, D.length)
     best = 0
-    for c in _codewords(t, D.space.rows, D.length):
-        best = max(best, weight_of_vector(t, c))
+    for w, _ in _codewords(t, D.space.rows, D.length):
+        best = max(best, w)
         if best == cap:
             break
     return best
@@ -270,9 +325,11 @@ def _witness_exhaustive(C: LinearCode) -> Optional[list]:
     _require_finite(C, "exhaustive witness search")
     t = C.tower
     target = rank_support_code(C).dim
-    for c in _codewords(t, C.space.rows, C.length):
-        if weight_of_vector(t, c) == target and verify_witness(C, c):
-            return c
+    for w, c in _codewords(t, C.space.rows, C.length):
+        if w == target:
+            c = _decode(t.L, c)
+            if verify_witness(C, c):
+                return c
     return None
 
 

@@ -204,12 +204,14 @@ def test_verify_failure_exit_2_and_reproduction(capsys, monkeypatch):
 
 
 def test_run_verify_reproducible_across_workers():
-    plans = [
-        VerifyPlan(towers=[TowerTask(2, (1, 1, 1), max_n=2)], theorem="all", workers=w, seed=7)
-        for w in (1, 2)
-    ]
-    summaries = [run_verify(p) for p in plans]
-    assert summaries[0] == summaries[1]
+    nested = TowerTask(2, ("u", "1", "1"), base_degree=2, base_modulus=(1, 1, 1), max_n=2)
+    for task in (TowerTask(2, (1, 1, 1), max_n=2), nested):
+        plans = [
+            VerifyPlan(towers=[task], theorem="all", workers=w, seed=7, force=True)
+            for w in (1, 2)
+        ]
+        summaries = [run_verify(p) for p in plans]
+        assert summaries[0] == summaries[1]
 
 
 def test_run_verify_random_source_deterministic():
