@@ -21,21 +21,33 @@ immutable after construction; all operations are pure.
 ``ExtensionTower`` bundles the base field k, the extension L, and the
 coordinate map between them; ``make_tower`` is the validated constructor.
 
-Every finite field of order q <= 4096 also has a private int-coded kernel
-(``Field._kernel``), built on its first use and never at import or by
-``make_tower`` itself.  An element's code is its index in ``_payloads()``
-order, so 0 is zero and 1 is one, and the base-p digits of a code are the
-element's prime-field coordinates, nested bases included: in characteristic
-2 addition is XOR, in odd characteristic it goes through Zech logarithms.
-Products and inverses use exp/log tables of one primitive element
-(Lidl-Niederreiter, *Finite Fields*, ch. 9).  Building a kernel costs
-log_p(q) field multiplications per candidate primitive element, O(q) integer
-operations and O(q) memory; there are no q-by-q tables and no product or
-inverse caches.  ``ExtensionField`` products
-and inverses go through it, and ``linalg`` and ``weights`` run their
-finite-field inner loops on codes, decoding to ``FieldElement`` only at
-their boundary.  A kernel lives on its field object and is left out of the
-pickle, so a worker process rebuilds it; the same holds for the cached hash.
+Q, every Q[x]/(f) and every finite field of order q <= 4096 also have a
+private int-coded kernel (``Field._kernel``), built on its first use and
+never at import or by ``make_tower`` itself.
+
+* In a finite field, an element's code is its index in ``_payloads()``
+  order, so 0 is zero and 1 is one, and the base-p digits of a code are the
+  element's prime-field coordinates, nested bases included: in
+  characteristic 2 addition is XOR, in odd characteristic it goes through
+  Zech logarithms.  Products and inverses use exp/log tables of one
+  primitive element (Lidl-Niederreiter, *Finite Fields*, ch. 9).  Building
+  a kernel costs log_p(q) field multiplications per candidate primitive
+  element, O(q) integer operations and O(q) memory; there are no q-by-q
+  tables and no product or inverse caches.
+* Over Q and Q[x]/(f), a nonzero element's code is its integer coordinates
+  over one positive denominator, divided by their common gcd, so equal
+  elements get equal codes (the representation of FLINT's ``fmpq_poly``);
+  zero is 0.  Products are integer polynomial products folded by the
+  modulus, with the denominators of a non-integral f cleared exactly, and
+  an inverse is one fraction-free solve of the multiplication matrix
+  (Bareiss, Math. Comp. 1968); a zero divisor raises ZeroDivisionError.
+
+``ExtensionField`` products and inverses go through the kernel, and
+``linalg`` (and, over finite fields, ``weights``) run their inner loops on
+codes, decoding to ``FieldElement`` only at their boundary, where payloads
+keep their usual form (``Fraction`` coordinates over Q).  A kernel lives on its field object
+and is left out of the pickle, so a worker process rebuilds it; the same
+holds for the cached hash.
 """
 
 from __future__ import annotations
@@ -44,6 +56,7 @@ import functools
 import itertools
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from . import polys
@@ -164,10 +177,15 @@ class Field:
 
     characteristic: int
     order: Optional[int]
-    _kern = None  # the int-coded kernel: None until first asked for, then a _Kernel or False
+    _kern = None  # the int-coded kernel: None until first asked for, then a kernel or False
 
     def _kernel(self):
-        """This field's _Kernel, built on first use; False for Q, q > 4096 and non-fields."""
+        """This field's kernel, built on first use.
+
+        A _Kernel for a finite field of order <= 4096, a _RationalKernel for Q
+        and Q[x]/(f); False for larger finite fields, finite non-fields and
+        extensions of extensions of Q.
+        """
         kern = self._kern
         if kern is None:
             kern = self._kern = _make_kernel(self)
@@ -363,7 +381,7 @@ class ExtensionField(Field):
         kern = self._kernel()
         if not kern:
             return self._mul_raw(a, b)
-        return kern.decode[kern.mul(kern.index[a], kern.index[b])].payload
+        return kern.mul_payloads(a, b)
 
     def _inv(self, a):
         kern = self._kernel()
@@ -371,10 +389,7 @@ class ExtensionField(Field):
             if self._is_zero(a):
                 raise ZeroDivisionError("0 has no inverse")
             return self._inv_raw(a)
-        i = kern.index[a]
-        if not i:
-            raise ZeroDivisionError("0 has no inverse")
-        return kern.decode[kern.inv(i)].payload
+        return kern.inv_payload(a)
 
     def _inv_raw(self, a):
         # extended Euclid in base[x] against the modulus; fields without a kernel only
@@ -442,11 +457,12 @@ def _is_prime(p: int) -> bool:
 class _Kernel:
     """Int-coded arithmetic of one finite field; see the module docstring.
 
-    ``add`` adds two codes; ``mul``, ``inv``, ``scale`` and ``sub_scaled``
-    work on codes and rows of codes.  ``decode`` holds the field's elements
-    by code, ``index`` maps a payload to its code, and for an extension
-    ``coords[c]`` holds the base-field codes of the coordinates of c (None
-    for a prime field).
+    ``add`` adds two codes; ``inv``, ``scale`` and ``sub_scaled`` work on
+    codes and rows of codes, as in ``_RationalKernel``, and ``mul_payloads``
+    and ``inv_payload`` on payloads.  ``decode`` holds the
+    field's elements by code, ``index`` maps a payload to its code, and for
+    an extension ``coords[c]`` holds the base-field codes of the coordinates
+    of c (None for a prime field).
 
     With n1 = q - 1 and g the primitive element, ``exp[e]`` is the code of
     g^e for 0 <= e < 2*n1 (the powers twice over, so a sum of two logs needs
@@ -456,6 +472,7 @@ class _Kernel:
     """
 
     __slots__ = ("q", "n1", "exp", "log", "neg_log", "add", "index", "decode", "coords")
+    one = 1
 
     def __init__(self, q, exp, log, neg_log, add, index, decode, coords):
         self.q = q
@@ -468,12 +485,24 @@ class _Kernel:
         self.decode = decode
         self.coords = coords
 
-    def mul(self, a: int, b: int) -> int:
-        return self.exp[self.log[a] + self.log[b]]
+    def decode_rows(self, reduced, rows, coded) -> list:
+        """Rows of codes as tuples of elements; ``rows`` and ``coded`` are not needed here."""
+        decode = self.decode
+        return [tuple([decode[e] for e in row]) for row in reduced]
 
     def inv(self, a: int) -> int:
         """1/a for a nonzero code a."""
         return self.exp[self.n1 - self.log[a]]
+
+    def mul_payloads(self, a, b):
+        log = self.log
+        return self.decode[self.exp[log[self.index[a]] + log[self.index[b]]]].payload
+
+    def inv_payload(self, a):
+        i = self.index[a]
+        if not i:
+            raise ZeroDivisionError("0 has no inverse")
+        return self.decode[self.exp[self.n1 - self.log[i]]].payload
 
     def scale(self, row, a: int) -> list:
         """a * row."""
@@ -498,17 +527,24 @@ def _add_digits(p: int, a: int, b: int) -> int:
 
 
 def _make_kernel(field: Field):
-    """The _Kernel of a finite field of order <= _KERNEL_LIMIT, else False.
+    """The kernel of Q, of Q[x]/(f) or of a finite field of order <= _KERNEL_LIMIT;
+    else False.
 
-    x -> x*g is linear over GF(p), so for a candidate g the images of the
-    codes p^i under it, one multiplication each, give the code of every
-    product by g as a sum of images.  g is primitive when its powers, walked
-    through that table, first return to 1 after q - 1 steps; the candidates
-    run in code order.  No candidate passes in a quotient by a reducible
-    modulus (not a field), whose arithmetic then stays generic.
+    For a finite field, x -> x*g is linear over GF(p), so for a candidate g
+    the images of the codes p^i under it, one multiplication each, give the
+    code of every product by g as a sum of images.  g is primitive when its
+    powers, walked through that table, first return to 1 after q - 1 steps;
+    the candidates run in code order.  No candidate passes in a quotient by
+    a reducible modulus (not a field), whose arithmetic then stays generic.
     """
+    if isinstance(field, Rationals):
+        return _QKernel(field)
+    if field.characteristic == 0:
+        if not isinstance(field.base, Rationals):
+            return False  # an extension of an extension of Q
+        return (_RationalKernel1 if field.degree == 1 else _RationalKernel)(field)
     q = field.order
-    if q is None or q > _KERNEL_LIMIT:
+    if q > _KERNEL_LIMIT:
         return False
     p, n1 = field.characteristic, q - 1
     payloads = list(field._payloads())
@@ -560,6 +596,268 @@ def _make_kernel(field: Field):
         coords = [c[::-1] for c in itertools.product(range(field.base.order), repeat=field.degree)]
     decode = tuple(FieldElement(field, x) for x in payloads)
     return _Kernel(q, exp, log, neg_log, add, index, decode, coords)
+
+
+def _rational_code(nums, den: int):
+    """The code of the element with coordinates nums[i] / den, for den > 0."""
+    if not any(nums):
+        return 0
+    g = gcd(*nums, den)
+    if g == 1:
+        return (*nums, den)
+    return (*[x // g for x in nums], den // g)
+
+
+class _RationalKernel:
+    """Int-coded arithmetic of Q[x]/(f) over Q, degree m >= 2; see the module docstring.
+
+    A nonzero element with coordinates n_i/d is coded as the tuple
+    (n_0, ..., n_(m-1), d) with d > 0 and gcd(n_0, ..., n_(m-1), d) = 1, so
+    equal elements get equal codes; zero is coded as 0.  ``mul``, ``inv``,
+    ``scale`` and ``sub_scaled`` work on codes and rows of codes, skipping
+    zero entries, and ``mul_payloads`` and ``inv_payload`` on payloads.
+    ``index[p]`` (the kernel itself) is the code of the payload p, as for a
+    finite field, and ``payload`` goes back.  With D the least common
+    denominator of the coefficients c_i of f,
+    x^m = sum(r * x^i for i, r in fold) / D, where ``fold`` lists the pairs
+    (i, -D*c_i) with c_i != 0 and ``fold_den`` is D.
+    """
+
+    __slots__ = ("field", "m", "one", "fold", "fold_den", "index", "zero_element", "one_element")
+
+    def __init__(self, field):
+        self.field = field
+        self.m = field.degree if isinstance(field, ExtensionField) else 1
+        coeffs = field.modulus[:-1] if isinstance(field, ExtensionField) else ()
+        self.one = (1,) + (0,) * (self.m - 1) + (1,)
+        den = self.fold_den = lcm(*[c.denominator for c in coeffs])
+        self.fold = tuple((i, -c.numerator * (den // c.denominator)) for i, c in enumerate(coeffs) if c)
+        self.index = self
+        self.zero_element = field.zero()
+        self.one_element = field.one()
+
+    def __getitem__(self, p):
+        """The code of the payload p, a tuple of m Fractions."""
+        nums = [x.numerator for x in p]
+        if len(nums) != self.m:
+            raise FieldMismatch(f"payload of length {len(nums)} in {self.field}")
+        if not any(nums):
+            return 0
+        dens = [x.denominator for x in p]
+        d = lcm(*dens)
+        if d == 1:
+            return (*nums, 1)
+        # the coordinates are in lowest terms, so no prime divides d and every n_i*(d/d_i)
+        return (*[n * (d // e) for n, e in zip(nums, dens)], d)
+
+    def payload(self, c):
+        if not c:
+            return self.field._zero
+        zero, d = Rationals._zero, c[-1]
+        return tuple([Fraction(n, d) if n else zero for n in c[:-1]])
+
+    def _product(self, a, b):
+        """(nums, den) of a*b for nonzero codes, not yet normalized."""
+        m = self.m
+        prod = [0] * (2 * m - 1)
+        for i in range(m):
+            x = a[i]
+            if x:
+                for j in range(m):
+                    y = b[j]
+                    if y:
+                        prod[i + j] += x * y
+        den = a[m] * b[m]
+        fold_den = self.fold_den
+        for d in range(2 * m - 2, m - 1, -1):  # x^d = x^(d-m) * x^m, from the top down
+            c = prod[d]
+            if c:
+                if fold_den != 1:
+                    for i in range(d):
+                        prod[i] *= fold_den
+                    den *= fold_den
+                for i, r in self.fold:
+                    prod[d - m + i] += c * r
+        del prod[m:]
+        return prod, den
+
+    def mul(self, a, b):
+        if not a or not b:
+            return 0
+        return _rational_code(*self._product(a, b))
+
+    def mul_payloads(self, a, b):
+        return self.payload(self.mul(self[a], self[b]))
+
+    def inv_payload(self, a):
+        c = self[a]
+        if not c:
+            raise ZeroDivisionError("0 has no inverse")
+        return self.payload(self.inv(c))
+
+    def inv(self, a):
+        """1/a for a nonzero code a, by one fraction-free solve of M(A) v = e_0.
+
+        With a = A/d_a, column j of the multiplication matrix of A is
+        A*x^j = N_j / s_j with N_j integer.  Solving N y = det * e_0 by
+        Bareiss gives 1/a = d_a * (s_j * y_j)_j / det.
+        """
+        m, fold_den = self.m, self.fold_den
+        col, s = list(a[:m]), 1
+        cols, scales = [col], [s]
+        while len(cols) < m:
+            top = col[-1]
+            col = [0] + col[:-1]  # times x
+            if top:
+                if fold_den != 1:
+                    col = [fold_den * v for v in col]
+                    s *= fold_den
+                for i, r in self.fold:
+                    col[i] += top * r
+            cols.append(col)
+            scales.append(s)
+        rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(m)]
+        y, det = _bareiss_solve(rows)
+        if det < 0:
+            y, det = [-v for v in y], -det
+        da = a[m]
+        return _rational_code([da * s * v for s, v in zip(scales, y)], det)
+
+    def scale(self, row, a) -> list:
+        """a * row."""
+        mul = self.mul
+        return [mul(a, x) for x in row]
+
+    def sub_scaled(self, row, a, other) -> list:
+        """row - a * other."""
+        m = self.m
+        neg = (*[-x for x in a[:m]], a[m])
+        product = self._product
+        out = []
+        for x, y in zip(row, other):
+            if not y:
+                out.append(x)
+                continue
+            nums, den = product(neg, y)
+            if x:
+                xd = x[m]
+                nums = [x[i] * den + nums[i] * xd for i in range(m)]
+                den *= xd
+            out.append(_rational_code(nums, den))
+        return out
+
+    def decode_rows(self, reduced, rows, coded) -> list:
+        """Rows of codes as tuples of elements.
+
+        An entry whose code is that of an input element of this field object
+        (``rows`` and their codes ``coded``) reuses that element.
+        """
+        field = self.field
+        memo = {0: self.zero_element, self.one: self.one_element}
+        for r, codes in zip(rows, coded):
+            for e, c in zip(r, codes):
+                if c and e.field is field:
+                    memo[c] = e
+        out = []
+        for row in reduced:
+            elems = []
+            for c in row:
+                e = memo.get(c)
+                if e is None:
+                    e = memo[c] = FieldElement(field, self.payload(c))
+                elems.append(e)
+            out.append(tuple(elems))
+        return out
+
+
+class _RationalKernel1(_RationalKernel):
+    """_RationalKernel for degree 1, such as Q[x]/(x - c); codes are (n, d)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def mul(a, b):
+        if not a or not b:
+            return 0
+        n, d = a[0] * b[0], a[1] * b[1]
+        g = gcd(n, d)
+        return (n // g, d // g)
+
+    @staticmethod
+    def inv(a):
+        n, d = a
+        return (d, n) if n > 0 else (-d, -n)
+
+    def sub_scaled(self, row, a, other) -> list:
+        an, ad = a
+        out = []
+        for x, y in zip(row, other):
+            if not y:
+                out.append(x)
+                continue
+            yn, yd = y
+            if x:
+                xn, xd = x
+                d = ad * yd
+                n = xn * d - an * yn * xd
+                if not n:
+                    out.append(0)
+                    continue
+                d *= xd
+            else:
+                n, d = -an * yn, ad * yd
+            g = gcd(n, d)
+            out.append((n // g, d // g))
+        return out
+
+
+class _QKernel(_RationalKernel1):
+    """_RationalKernel1 for Q itself, whose payloads are Fractions."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def __getitem__(x):
+        n = x.numerator
+        return (n, x.denominator) if n else 0
+
+    @staticmethod
+    def payload(c):
+        return Fraction(c[0], c[1]) if c else Rationals._zero
+
+
+def _bareiss_solve(rows):
+    """(y, det) with N y = det * b, for the rows [N | b] of a square integer N.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 1968): every division is
+    exact, and det is the last pivot, +-det(N).  Raises ZeroDivisionError
+    when N is singular.  ``rows`` is overwritten.
+    """
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        if not rows[k][k]:
+            for i in range(k + 1, n):
+                if rows[i][k]:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    break
+            else:
+                raise ZeroDivisionError("element is a zero divisor; modulus not irreducible?")
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            c = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (row[j] * p - c * pivot_row[j]) // prev
+            row[k] = 0
+        prev = p
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = prev * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
+        y[i] = acc // row[i]
+    return y, prev
 
 
 class BaseFieldDescriptor:
@@ -627,7 +925,7 @@ def build_base_field(desc: BaseFieldDescriptor, symbol: str = "u") -> Field:
 class ExtensionTower:
     """A finite extension L = k[x]/(f) with its power basis and coordinate map."""
 
-    __slots__ = ("base_descriptor", "k", "L", "degree", "basis", "_separable")
+    __slots__ = ("base_descriptor", "k", "L", "degree", "basis", "_separable", "_traces")
 
     def __init__(self, base_descriptor, k, L):
         self.base_descriptor = base_descriptor
@@ -641,6 +939,7 @@ class ExtensionTower:
             for i in range(m)
         )
         self._separable = None  # is_separable_tower fills it on first use
+        self._traces = None  # trace fills it with the k-payloads of Tr(w^i) on first use
 
     @property
     def modulus(self):
@@ -680,9 +979,24 @@ class ExtensionTower:
         return FieldElement(self.L, (c.payload,) + (self.k._zero,) * (self.degree - 1))
 
     def trace(self, x: FieldElement) -> FieldElement:
-        """Field trace L -> k: the trace of the multiplication-by-x matrix."""
+        """Field trace L -> k, by linearity: sum(x_i * Tr(w^i)).
+
+        Tr(w^i) is the trace of the multiplication-by-w^i matrix, computed
+        for each i once per tower, on first use.
+        """
         if not (x.field is self.L or x.field == self.L):
             raise FieldMismatch(f"element of {x.field} is not in {self.L}")
+        k = self.k
+        if self._traces is None:
+            self._traces = tuple(self._matrix_trace(b) for b in self.basis)
+        acc = k._zero
+        for c, t in zip(x.payload, self._traces):
+            if not k._is_zero(c) and not k._is_zero(t):
+                acc = k._add(acc, k._mul(c, t))
+        return FieldElement(k, acc)
+
+    def _matrix_trace(self, x: FieldElement):
+        """The k-payload of the trace of the multiplication-by-x matrix: sum_i (x*w^i)_i."""
         k = self.k
         acc = k._zero
         y = x
@@ -691,7 +1005,7 @@ class ExtensionTower:
             acc = k._add(acc, y.payload[i])
             if i + 1 < self.degree:
                 y = y * w
-        return FieldElement(k, acc)
+        return acc
 
     def __eq__(self, other):
         if not isinstance(other, ExtensionTower):

@@ -12,12 +12,14 @@ left half and the canonical basis of a ∩ b in the right halves of the rest.
 once, ordered by pivot profile and then lexicographically on the free
 entries; the census equals the Gaussian binomial coefficient.
 
-Over a finite field with a kernel (``fields``: order <= 4096), ``_rref_rows``
-and ``contains`` encode each row once into element codes, eliminate on ints
-and decode at the end into elements of the field they were called with.  The
-RREF is unique, so this gives the same rows and pivots as the generic
-elimination on ``FieldElement``s, which Q, Q(t) and larger fields keep.
-Nothing is cached between calls.
+Over a field with a kernel (``fields``: Q, Q[x]/(f) and finite fields of
+order <= 4096), ``_rref_rows`` and ``contains`` encode each row once into
+element codes, run one coded elimination or reduction that serves both kinds
+of kernel, and decode at the end into elements of the field they were called
+with.  The RREF is unique, so this gives the same rows and pivots as the
+generic elimination on ``FieldElement``s, which larger finite fields and
+finite non-fields keep.  ``contains`` tests any number of vectors against
+one encoding of the subspace.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ class Subspace:
     def contains_space(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim or other.field != self.field:
             raise AmbientMismatch("subspaces live in different ambient spaces")
-        return all(self.contains(r) for r in other.rows)
+        return contains(self, *other.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -118,7 +120,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.field}^{self.ambient_dim})"
 
 
-def _encode(kern, rows, num_cols: int) -> List[List[int]]:
+def _encode(kern, rows, num_cols: int) -> list:
     """Rows of elements as lists of kernel codes."""
     index = kern.index
     work = []
@@ -127,23 +129,24 @@ def _encode(kern, rows, num_cols: int) -> List[List[int]]:
             raise ValueError(f"row of length {len(r)} in an ambient of {num_cols}")
         try:
             work.append([index[e.payload] for e in r])
-        except KeyError:
+        except (KeyError, TypeError, AttributeError):
             raise FieldMismatch("row entry from a foreign field") from None
     return work
 
 
-def _rref_rows(field: Field, rows, num_cols: int):
+def _rref_rows(field: Field, rows: Sequence, num_cols: int):
     """Gaussian elimination to unique RREF; returns (rows, pivot_cols)."""
     kern = field._kernel()
     if not kern:
         return _rref_generic(field, rows, num_cols)
-    reduced, pivot_cols = _rref_coded(kern, _encode(kern, rows, num_cols), num_cols)
-    decode = kern.decode
-    return [tuple([decode[e] for e in row]) for row in reduced], pivot_cols
+    coded = _encode(kern, rows, num_cols)
+    reduced, pivot_cols = _rref_coded(kern, list(coded), num_cols)
+    return kern.decode_rows(reduced, rows, coded), pivot_cols
 
 
-def _rref_coded(kern, work: List[List[int]], num_cols: int):
+def _rref_coded(kern, work: list, num_cols: int):
     """_rref_rows on kernel codes; ``work`` is reduced in place."""
+    one = kern.one
     pivot_cols: List[int] = []
     r = 0
     for col in range(num_cols):
@@ -155,7 +158,7 @@ def _rref_coded(kern, work: List[List[int]], num_cols: int):
         work[r], work[pivot] = work[pivot], work[r]
         row = work[r]
         lead = row[col]
-        if lead != 1:
+        if lead != one:
             row = work[r] = kern.scale(row, kern.inv(lead))
         for i, other in enumerate(work):
             if other[col] and i != r:
@@ -261,26 +264,39 @@ def tail_subspace(field: Field, rows, num_cols: int, start: int) -> Subspace:
     return Subspace(field, num_cols - start, tails)
 
 
-def contains(a: Subspace, v: Sequence[FieldElement]) -> bool:
-    """True iff v reduces to zero against a's canonical basis."""
+def contains(a: Subspace, *vectors: Sequence[FieldElement]) -> bool:
+    """True iff every vector reduces to zero against a's canonical basis.
+
+    a's rows are encoded once for all the vectors; no vector at all gives True.
+    """
     n = a.ambient_dim
-    if len(v) != n:
-        raise AmbientMismatch(f"vector has length {len(v)}, ambient is {n}")
+    for v in vectors:
+        if len(v) != n:
+            raise AmbientMismatch(f"vector has length {len(v)}, ambient is {n}")
+    if not vectors:
+        return True
     kern = a.field._kernel()
     if kern:
-        [residue] = _encode(kern, [v], n)
-        for row in _encode(kern, a.rows, n):
-            c = residue[next(j for j, e in enumerate(row) if e)]
+        one = kern.one  # a canonical row's first nonzero entry, its pivot, is one
+        rows = [(row.index(one), row) for row in _encode(kern, a.rows, n)]
+        for residue in _encode(kern, vectors, n):
+            for pivot, row in rows:
+                c = residue[pivot]
+                if c:
+                    residue = kern.sub_scaled(residue, c, row)
+            if any(residue):
+                return False
+        return True
+    rows = [(next(j for j, e in enumerate(row) if e), row) for row in a.rows]
+    for v in vectors:
+        residue = list(v)
+        for pivot, row in rows:
+            c = residue[pivot]
             if c:
-                residue = kern.sub_scaled(residue, c, row)
-        return not any(residue)
-    residue = list(v)
-    for row in a.rows:
-        pivot = next(j for j, e in enumerate(row) if e)
-        c = residue[pivot]
-        if c:
-            residue = [x - c * y for x, y in zip(residue, row)]
-    return not any(residue)
+                residue = [x - c * y for x, y in zip(residue, row)]
+        if any(residue):
+            return False
+    return True
 
 
 def enumerate_subspaces(field: Field, ambient_dim: int, dim: int) -> Iterator[Subspace]:

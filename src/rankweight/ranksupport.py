@@ -317,6 +317,6 @@ def closure_oracle(C: LinearCode) -> LinearCode:
     for d in range(0, n + 1):
         for w in enumerate_subspaces(t.k, n, d):
             wl = Subspace.from_vectors(t.L, n, [embed_vector(t, row) for row in w.rows])
-            if all(wl.contains(g) for g in C.space.rows):
+            if wl.contains_space(C.space):
                 result = subspace_intersection(result, wl)
     return LinearCode(t, n, result)

@@ -232,7 +232,7 @@ def check_delsarte(code: LinearCode, params) -> int:
 def check_closure(code: LinearCode, params) -> int:
     star = closure(code)
     assertions = 0
-    if not all(star.space.contains(g) for g in code.space.rows):
+    if not star.space.contains_space(code.space):
         raise CheckFailure("C not contained in its closure", [code])
     if closure(star) != star:
         raise CheckFailure("closure is not idempotent", [code])

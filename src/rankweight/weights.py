@@ -17,10 +17,10 @@ elementary bounds: a minimum stops at wt_R(D) = dim D for d_Rr, at weight 1
 and at dim V = r for M_r; a maxwt scan stops at wt_R(c) = min(m, n).
 
 Every codeword scan (rank distance, maxwt, exhaustive witness search) goes
-through ``_codewords``.  Over a field with a kernel (see ``fields``) it walks
-codewords as tuples of element codes and takes each rank weight on ints:
-over GF(2) a code's bits are its k-coordinates, so the weight is the rank of
-the entries packed one per int; otherwise it eliminates the entries'
+through ``_codewords``.  Over a finite field with a kernel (see ``fields``)
+it walks codewords as tuples of element codes and takes each rank weight on
+ints: over GF(2) a code's bits are its k-coordinates, so the weight is the
+rank of the entries packed one per int; otherwise it eliminates the entries'
 k-coordinates over k's kernel.  Only a candidate of the target weight in
 witness search is decoded to elements.
 
@@ -78,14 +78,14 @@ def _codewords(tower: ExtensionTower, gens, n: int):
 
     The first nonzero coefficient is 1 and the later ones run through L in
     element order, the last fastest, so each nonzero codeword appears once
-    up to an L^x multiple, which has the same rank weight.  When L has a
-    kernel, c is a tuple of element codes (``_decode`` turns it into
+    up to an L^x multiple, which has the same rank weight.  When L is finite
+    and has a kernel, c is a tuple of element codes (``_decode`` turns it into
     elements), built from precomputed multiples of the generators, and its
     weight is the rank over k of the entries' k-coordinates; otherwise c is
     a list of elements and its weight is ``weight_of_vector``.
     """
     L = tower.L
-    kern = L._kernel()
+    kern = L.order is not None and L._kernel()
     if not kern:
         elems = list(L.elements())
         zero, one = L.zero(), L.one()
@@ -132,7 +132,7 @@ def _rank_gf2(vectors) -> int:
 
 def _decode(L, c) -> list:
     """A codeword from ``_codewords`` as a list of elements of L."""
-    kern = L._kernel()
+    kern = L.order is not None and L._kernel()
     return [kern.decode[e] for e in c] if kern else list(c)
 
 
@@ -239,7 +239,7 @@ def verify_witness(C: LinearCode, c: Sequence[FieldElement]) -> bool:
     if not C.space.contains(c):
         return False
     star = extend_to_L(rank_support_vec(C.tower, c)).space
-    return all(star.contains(g) for g in C.space.rows)
+    return star.contains_space(C.space)
 
 
 def extend_witness_by_rational(tower: ExtensionTower, c, e) -> list:

@@ -205,9 +205,10 @@ def test_verify_failure_exit_2_and_reproduction(capsys, monkeypatch):
 
 def test_run_verify_reproducible_across_workers():
     nested = TowerTask(2, ("u", "1", "1"), base_degree=2, base_modulus=(1, 1, 1), max_n=2)
-    for task in (TowerTask(2, (1, 1, 1), max_n=2), nested):
+    qt = TowerTask(0, (-2, 0, 0, 1), max_n=3)
+    for task, source in ((TowerTask(2, (1, 1, 1), max_n=2), "exhaustive"), (nested, "exhaustive"), (qt, "random")):
         plans = [
-            VerifyPlan(towers=[task], theorem="all", workers=w, seed=7, force=True)
+            VerifyPlan(towers=[task], theorem="all", source=source, random_count=40, workers=w, seed=7, force=True)
             for w in (1, 2)
         ]
         summaries = [run_verify(p) for p in plans]

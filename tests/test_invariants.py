@@ -70,6 +70,42 @@ def test_no_assert_statements_in_src():
     assert offenders == []
 
 
+# math functions with exact integer values; every other one returns a float
+EXACT_MATH = {"isqrt", "gcd", "lcm", "comb"}
+
+
+def _is_float(node):
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (float, complex))
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "float"
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "math" and node.attr not in EXACT_MATH
+    if isinstance(node, ast.ImportFrom) and node.module == "math":
+        return any(alias.name not in EXACT_MATH for alias in node.names)
+    return False
+
+
+def test_no_floats_in_src():
+    """Everything stays exact: no float literal, float() call or float-valued math function."""
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _is_float(node)
+    ]
+    assert offenders == []
+
+
+def test_float_gate_flags_each_kind():
+    flagged = [
+        any(_is_float(node) for node in ast.walk(ast.parse(src)))
+        for src in ("x = 0.5", "y = float(3)", "import math\nz = math.sqrt(2)", "from math import log",
+                    "w = 2j", "from math import gcd, lcm\nv = math.isqrt(9) // math.comb(4, 2)", "u = 7 // 2")
+    ]
+    assert flagged == [True, True, True, True, True, False, False]
+
+
 def _zero_restriction(monkeypatch):
     monkeypatch.setattr(
         ranksupport,

@@ -1,26 +1,32 @@
-"""The int-coded finite-field kernel against the generic element arithmetic."""
+"""The int-coded kernels (finite fields, Q and Q[x]/(f)) against the generic
+element arithmetic; the trace by linearity; multi-vector membership."""
 
 import itertools
 import pickle
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from rankweight import polys
+from rankweight import linalg, polys
 from rankweight.fields import (
     BaseFieldDescriptor,
     ExtensionField,
+    FieldElement,
     PrimeField,
+    Rationals,
     build_base_field,
     format_element,
     is_separable_tower,
     make_tower,
+    random_rational_element,
 )
 from rankweight.linalg import Subspace, _rref_generic, _rref_rows, contains
 from rankweight.ranksupport import LinearCode, rank_support_code, trace_image, weight_of_vector
 from rankweight.weights import _codewords, _decode, rank_distance
 
-from helpers import gf3_degree_one, gf4, gf8, gf9, gf16_over_gf2, gf16_over_gf4
+from helpers import gf3_degree_one, gf4, gf8, gf9, gf16_over_gf2, gf16_over_gf4, qtheta
 
 
 def gf2_degree_one():
@@ -74,7 +80,7 @@ def test_kernel_arithmetic_matches_generic(name, field):
         for y in elems:
             b = kern.index[y.payload]
             assert kern.decode[kern.add(a, b)] == x + y
-            assert kern.decode[kern.mul(a, b)].payload == mul(x.payload, y.payload)
+            assert kern.mul_payloads(x.payload, y.payload) == mul(x.payload, y.payload)
             assert [kern.decode[c] for c in kern.scale([a, b], b)] == [x * y, y * y]
             if y:
                 assert [kern.decode[c] for c in kern.sub_scaled([a, b], b, [a, 1])] == [x - y * x, y - y]
@@ -201,3 +207,219 @@ def test_separability_is_computed_once_per_tower(monkeypatch):
     first = trace_image(code)
     assert trace_image(code) == first and is_separable_tower(fresh)
     assert len(calls) == 1 and fresh._separable is True
+
+
+# ---------------------------------------------------------------------------
+# the rational kernel: Q and Q[x]/(f)
+# ---------------------------------------------------------------------------
+
+
+def q_third():
+    # x^2 - 1/3: a monic modulus whose coefficients are not all integers
+    return make_tower(BaseFieldDescriptor(0), [Fraction(-1, 3), 0, 1], symbol="s")
+
+
+def q_degree_one():
+    return make_tower(BaseFieldDescriptor(0), [Fraction(-3, 2), 1], symbol="h")
+
+
+RATIONAL_FIELDS = [
+    ("Q", Rationals()),
+    ("Q(t)", qtheta().L),
+    ("Q[x]/(x^2-1/3)", q_third().L),
+    ("Q[x]/(x-3/2)", q_degree_one().L),
+]
+
+
+def random_rational(rng, field, big=False, sparse=0.3):
+    """An element with coordinates a/b, |a|, b up to 10^30 when big, else 9; some zero."""
+    h = 10**30 if big else 9
+
+    def coord():
+        return Fraction(0) if rng.random() < sparse else Fraction(rng.randint(-h, h), rng.randint(1, h))
+
+    if isinstance(field, Rationals):
+        return field.element(coord())
+    return field.element(tuple(coord() for _ in range(field.degree)))
+
+
+def assert_canonical(kern, c):
+    """Zero is 0; any other code is (n_0, ..., d) with d > 0, gcd 1, and is its payload's code."""
+    if c == 0:
+        return
+    assert c[-1] > 0 and gcd(*c) == 1 and any(c[:-1])
+    assert kern.index[kern.payload(c)] == c
+
+
+@pytest.mark.parametrize("name,field", RATIONAL_FIELDS, ids=[n for n, _ in RATIONAL_FIELDS])
+def test_rational_kernel_arithmetic_matches_generic(name, field):
+    kern = field._kernel()
+    assert kern and field._kernel() is kern
+    rng = random.Random(name)
+    one = field.one()
+    extension = isinstance(field, ExtensionField)
+    assert kern.index[field._zero] == 0 and kern.index[field._one] == kern.one
+    for i in range(300):
+        x, y = (random_rational(rng, field, big=i % 3 == 0) for _ in range(2))
+        a, b = kern.index[x.payload], kern.index[y.payload]
+        assert_canonical(kern, a)
+        assert kern.payload(a) == x.payload and (a == 0) == (not x)
+        product = field._mul_raw(x.payload, y.payload) if extension else x.payload * y.payload
+        c = kern.mul(a, b)
+        assert_canonical(kern, c)
+        assert c == kern.index[product] and (x * y).payload == product
+        assert kern.scale([a, b, 0], b) == [kern.index[(x * y).payload], kern.index[(y * y).payload], 0]
+        if y:
+            row = kern.sub_scaled([a, b, 0], b, [a, 0, b])
+            for code in row:
+                assert_canonical(kern, code)
+            assert row == [kern.index[v.payload] for v in (x - y * x, y, -(y * y))]
+        if x:
+            inv = kern.inv(a)
+            assert_canonical(kern, inv)
+            assert kern.payload(inv) == (field._inv_raw(x.payload) if extension else 1 / x.payload)
+            assert x * x.inverse() == one and x.inverse().payload == kern.payload(inv)
+    with pytest.raises(ZeroDivisionError):
+        field.zero().inverse()
+
+
+def test_rational_kernel_refuses_zero_divisors():
+    # Q[x]/(x^2 - 1) built directly: not a field, x - 1 divides zero
+    field = ExtensionField(Rationals(), (Fraction(-1), Fraction(0), Fraction(1)))
+    assert field._kernel()
+    x_minus_1 = field.element((Fraction(-1), Fraction(1)))
+    assert x_minus_1 * field.element((Fraction(1), Fraction(1))) == field.zero()
+    with pytest.raises(ZeroDivisionError):
+        x_minus_1.inverse()
+    with pytest.raises(ZeroDivisionError):
+        _rref_rows(field, [[x_minus_1, field.one()]], 2)
+    assert field.generator().inverse() == field.generator()  # x^2 = 1
+
+
+@pytest.mark.parametrize("name,field", RATIONAL_FIELDS, ids=[n for n, _ in RATIONAL_FIELDS])
+def test_rational_elimination_and_membership_match_generic(name, field):
+    rng = random.Random(name)
+    for i in range(60):
+        n = rng.randint(1, 5)
+        rows = [[random_rational(rng, field, big=i % 4 == 0, sparse=0.5) for _ in range(n)]
+                for _ in range(rng.randint(0, 4))]
+        if rows and rng.random() < 0.3:  # a dependent row
+            rows.append([u + v for u, v in zip(rows[0], rows[-1])])
+        coded = _rref_rows(field, rows, n)
+        assert coded == _rref_generic(field, rows, n)
+        assert all(x.field is field for row in coded[0] for x in row)
+        space = Subspace(field, n, tuple(coded[0]))
+        for _ in range(4):
+            if rng.random() < 0.5 or not rows:
+                v = [random_rational(rng, field) for _ in range(n)]
+            else:  # a combination of the rows, so that members are tested too
+                coeffs = [random_rational(rng, field) for _ in rows]
+                v = [sum((c * r[j] for c, r in zip(coeffs, rows)), field.zero()) for j in range(n)]
+            expected = len(_rref_generic(field, list(space.rows) + [v], n)[0]) == space.dim
+            assert contains(space, v) == expected
+
+
+def test_warm_rational_tower_pickles_like_a_cold_one():
+    cold = make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="t")
+    warm = make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="t")
+    code = LinearCode.from_generators(warm, 2, [[warm.L.one(), warm.generator()]])
+    rank_support_code(code)
+    assert warm.generator() * warm.generator().inverse() == warm.L.one()
+    assert warm.L._kern and warm.k._kern
+    assert pickle.dumps(warm) == pickle.dumps(cold)
+    loaded = pickle.loads(pickle.dumps(warm))
+    assert loaded.L._kern is None and loaded.k._kern is None and loaded == warm
+    again = LinearCode.from_generators(loaded, 2, [[loaded.L.one(), loaded.generator()]])
+    assert again.space == code.space and rank_support_code(again).space == rank_support_code(code).space
+    assert all(x.field is loaded.L for x in again.space.rows[0])
+
+
+# ---------------------------------------------------------------------------
+# the trace by linearity, multi-vector membership
+# ---------------------------------------------------------------------------
+
+
+def trace_by_powers(t, x):
+    """The trace as sum_i (x * w^i)_i, multiplying by w on every call."""
+    acc, y, w = t.k.zero(), x, t.generator()
+    for i in range(t.degree):
+        acc = acc + FieldElement(t.k, y.payload[i])
+        y = y * w
+    return acc
+
+
+@pytest.mark.parametrize("name", ["GF(4)", "GF(8)", "GF(9)", "GF(16)/GF(4)", "GF(16)/GF(2)"])
+def test_trace_by_linearity_on_finite_towers(name):
+    t = TOWERS[name]()
+    for x in t.L.elements():
+        assert t.trace(x) == trace_by_powers(t, x)
+
+
+@pytest.mark.parametrize("make", [qtheta, q_third, q_degree_one])
+def test_trace_by_linearity_over_q(make):
+    t = make()
+    rng = random.Random(500)
+    for _ in range(500):
+        x = random_rational_element(t, rng, 9)
+        assert t.trace(x) == trace_by_powers(t, x)
+    assert t.trace(t.L.one()) == t.k.from_int(t.degree)
+
+
+MEMBERSHIP_FIELDS = [
+    ("GF(4)", gf4().L),
+    ("GF(16)/GF(4)", gf16_over_gf4().L),
+    ("GF(4099)", PrimeField(4099)),  # no kernel: the generic reduction
+] + RATIONAL_FIELDS[:2]
+
+
+def _sample(rng, field):
+    if field.order is None:
+        return random_rational(rng, field, sparse=0.5)
+    return field.from_int(rng.randrange(field.order)) if field.order > 16 else rng.choice(list(field.elements()))
+
+
+@pytest.mark.parametrize("name,field", MEMBERSHIP_FIELDS, ids=[n for n, _ in MEMBERSHIP_FIELDS])
+def test_multi_vector_contains_matches_the_loop(name, field):
+    rng = random.Random(name)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        rows = [[_sample(rng, field) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        space = Subspace.from_vectors(field, n, rows)
+        vectors = []
+        for _ in range(rng.randint(0, 4)):
+            if rows and rng.random() < 0.6:
+                coeffs = [_sample(rng, field) for _ in rows]
+                vectors.append([sum((c * r[j] for c, r in zip(coeffs, rows)), field.zero()) for j in range(n)])
+            else:
+                vectors.append([_sample(rng, field) for _ in range(n)])
+        assert contains(space, *vectors) == all(contains(space, v) for v in vectors)
+        zero = Subspace.zero(field, n)
+        assert contains(zero, *vectors) == all(not any(v) for v in vectors)
+        assert contains(space) and contains(zero)
+        other = Subspace.from_vectors(field, n, vectors)
+        assert space.contains_space(other) == all(contains(space, v) for v in other.rows)
+
+
+def test_contains_encodes_the_subspace_once(monkeypatch):
+    t = qtheta()
+    one, theta = t.L.one(), t.generator()
+    space = Subspace.from_vectors(t.L, 3, [[one, theta, one], [theta, one, theta * theta]])
+    calls = []
+    encode = linalg._encode
+    monkeypatch.setattr(linalg, "_encode", lambda kern, rows, n: calls.append(len(rows)) or encode(kern, rows, n))
+    members = [[x * a + b for a, b in zip(*space.rows)] for x in (one, theta, t.L.from_int(3))]
+    assert contains(space, *members) and space.contains_space(space)
+    assert not contains(space, *members, [one, one, one])
+    assert calls == [2, 3, 2, 2, 2, 4]
+
+
+def test_rational_decode_gives_elements_of_the_callers_field_object():
+    a = make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="t")
+    b = make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="z")
+    assert a.L == b.L and a.L is not b.L
+    theta = a.generator()
+    rows = [[a.L.one(), theta, theta * theta], [a.L.zero(), theta, a.L.from_int(2)]]
+    for field, symbol in ((b.L, "z"), (a.L, "t")):
+        space = Subspace.from_vectors(field, 3, rows)
+        assert all(x.field is field for row in space.rows for x in row)
+        assert [format_element(x) for x in space.rows[1]] == ["0", "1", f"{symbol}^2"]
