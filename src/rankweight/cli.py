@@ -262,14 +262,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="rank support, restriction, dual, closure, flags")
     p.add_argument("file")
     add_format(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("weights", help="rank distance and the four generalized weights")
     p.add_argument("file")
     p.add_argument("--r", type=int, default=None, help="report a single row r")
     p.add_argument("--seed", type=int, default=0, help="seed for the witness search")
     add_format(p)
-    p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("witness", help="find a codeword with the support of the code")
     p.add_argument("file")
@@ -277,15 +275,12 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="seed for the random search")
     p.add_argument("--height", type=int, default=5, help="coordinate height for random search over Q")
     add_format(p)
-    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("dual", help="emit the dual code as a code document")
     p.add_argument("file")
-    p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("closure", help="emit the generalized closure as a code document")
     p.add_argument("file")
-    p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("verify", help="run theorem verification suites")
     p.add_argument("--char", type=int, default=None, help="tower characteristic (0 for Q)")
@@ -302,18 +297,29 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true", help="override the resource guards")
     add_format(p)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
+_PARSER = None  # the grammar, built by the first main() call
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit code; callable any number of times.
+
+    The argument grammar is built by the first call and reused.  Each call
+    looks its ``cmd_<command>`` handler up by name, so a handler rebound on
+    this module is honoured.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -11,8 +11,12 @@ Moduli are low-to-high coefficient lists over the base; coefficients are
 integers, "a/b" strings, or (when base_degree > 1) polynomial strings in the
 base generator.  Elements are polynomial strings in the declared generator
 ("w^2+w+1"), rationals ("3/2"), with parenthesized base coefficients such as
-"(u+1)*w" for nested bases.  Rendering is canonical: descending powers,
-coefficient 1 omitted, '+-' folded to '-'; parse(render(x)) == x.
+"(u+1)*w" for nested bases; each parenthesis goes one base down.  Rendering
+is canonical: descending powers, coefficient 1 omitted, '+-' folded to '-';
+parse(render(x)) == x.
+
+The element parser evaluates on payloads with each field's raw operations
+and wraps one FieldElement per element string, at the end.
 """
 
 from __future__ import annotations
@@ -59,7 +63,11 @@ def _tokenize(text: str):
 
 
 class _ElementParser:
-    """Recursive-descent parser for polynomial element strings."""
+    """Recursive-descent parser for polynomial element strings.
+
+    Evaluation runs on payloads with each field's raw operations; only the
+    final value is wrapped as a FieldElement.
+    """
 
     def __init__(self, field: Field, tokens, text: str):
         self.field = field
@@ -82,9 +90,9 @@ class _ElementParser:
         value = self.expression(self.field)
         if self.pos != len(self.tokens):
             self.fail(f"trailing input at token {self.pos}")
-        return value
+        return FieldElement(self.field, value)
 
-    def expression(self, fld: Field) -> FieldElement:
+    def expression(self, fld: Field):
         sign = 1
         kind, val = self.peek()
         if kind == "sym" and val in "+-":
@@ -92,27 +100,27 @@ class _ElementParser:
             sign = -1 if val == "-" else 1
         acc = self.term(fld)
         if sign < 0:
-            acc = -acc
+            acc = fld._neg(acc)
         while True:
             kind, val = self.peek()
             if kind == "sym" and val in "+-":
                 self.take()
                 nxt = self.term(fld)
-                acc = acc - nxt if val == "-" else acc + nxt
+                acc = fld._add(acc, fld._neg(nxt) if val == "-" else nxt)
             else:
                 return acc
 
-    def term(self, fld: Field) -> FieldElement:
+    def term(self, fld: Field):
         acc = self.factor(fld)
         while True:
             kind, val = self.peek()
             if kind == "sym" and val == "*":
                 self.take()
-                acc = acc * self.factor(fld)
+                acc = fld._mul(acc, self.factor(fld))
             else:
                 return acc
 
-    def factor(self, fld: Field) -> FieldElement:
+    def factor(self, fld: Field):
         base = self.atom(fld)
         kind, val = self.peek()
         if kind == "sym" and val == "^":
@@ -120,10 +128,17 @@ class _ElementParser:
             kind, exp = self.take()
             if kind != "num":
                 self.fail("exponent must be a nonnegative integer")
-            return base**exp
+            result = fld._one
+            while exp:
+                if exp & 1:
+                    result = fld._mul(result, base)
+                exp >>= 1
+                if exp:
+                    base = fld._mul(base, base)
+            return result
         return base
 
-    def atom(self, fld: Field) -> FieldElement:
+    def atom(self, fld: Field):
         kind, val = self.take()
         if kind == "num":
             nxt_kind, nxt_val = self.peek()
@@ -132,13 +147,13 @@ class _ElementParser:
                 dkind, den = self.take()
                 if dkind != "num":
                     self.fail("denominator must be an integer")
-                if fld.characteristic == 0:
-                    return FieldElement(fld, fld._from_fraction(Fraction(val, den)))
-                denom = fld.from_int(den)
-                if not denom:
+                denom = fld._from_int(den)
+                if fld._is_zero(denom):
                     self.fail(f"denominator {den} vanishes in {fld}")
-                return fld.from_int(val) / denom
-            return fld.from_int(val)
+                if fld.characteristic == 0:
+                    return fld._from_fraction(Fraction(val, den))
+                return fld._mul(fld._from_int(val), fld._inv(denom))
+            return fld._from_int(val)
         if kind == "name":
             resolved = _resolve_name(fld, val)
             if resolved is not None:
@@ -151,20 +166,20 @@ class _ElementParser:
             kind, val = self.take()
             if not (kind == "sym" and val == ")"):
                 self.fail("unbalanced parentheses")
-            return FieldElement(fld, (inner.payload,) + (fld.base._zero,) * (fld.degree - 1))
+            return (inner,) + (fld.base._zero,) * (fld.degree - 1)
         self.fail(f"unexpected token {val!r}")
 
 
-def _resolve_name(fld: Field, val: str) -> Optional[FieldElement]:
-    """A generator name anywhere down the base chain, embedded upward."""
+def _resolve_name(fld: Field, val: str):
+    """The payload of a generator name anywhere down the base chain, embedded upward."""
     if not isinstance(fld, ExtensionField):
         return None
     if val == fld.symbol:
-        return fld.generator()
+        return fld._generator_payload()
     inner = _resolve_name(fld.base, val)
     if inner is None:
         return None
-    return FieldElement(fld, (inner.payload,) + (fld.base._zero,) * (fld.degree - 1))
+    return (inner,) + (fld.base._zero,) * (fld.degree - 1)
 
 
 def parse_element(fld: Field, text: str) -> FieldElement:

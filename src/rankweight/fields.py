@@ -23,7 +23,8 @@ coordinate map between them; ``make_tower`` is the validated constructor.
 
 Q, every Q[x]/(f) and every finite field of order q <= 4096 also have a
 private int-coded kernel (``Field._kernel``), built on its first use and
-never at import or by ``make_tower`` itself.
+never at import.  ``make_tower`` builds none for L; over a nested base such
+as GF(4) its gcd irreducibility test multiplies in k, which builds k's.
 
 * In a finite field, an element's code is its index in ``_payloads()``
   order, so 0 is zero and 1 is one, and the base-p digits of a code are the
@@ -394,18 +395,15 @@ class ExtensionField(Field):
     def _inv_raw(self, a):
         # extended Euclid in base[x] against the modulus; fields without a kernel only
         base = self.base
-        f = polys.normalize(base, [FieldElement(base, c) for c in self.modulus])
-        g = polys.normalize(base, [FieldElement(base, c) for c in a])
-        r0, r1 = f, g
-        s0, s1 = [], [base.one()]
+        r0, r1 = list(self.modulus), polys.normalize(base, a)
+        s0, s1 = [], [base._one]
         while polys.degree(r1) > 0:
             q, r = polys.divmod_poly(base, r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, polys.sub(base, s0, polys.mul(base, q, s1))
         if not r1:
             raise ZeroDivisionError("element is a zero divisor; modulus not irreducible?")
-        inv_coeffs = polys.scale(base, s1, r1[0].inverse())
-        out = [c.payload for c in inv_coeffs]
+        out = polys.scale(base, s1, base._inv(r1[0]))
         out += [base._zero] * (self.degree - len(out))
         return tuple(out)
 
@@ -459,10 +457,10 @@ class _Kernel:
 
     ``add`` adds two codes; ``inv``, ``scale`` and ``sub_scaled`` work on
     codes and rows of codes, as in ``_RationalKernel``, and ``mul_payloads``
-    and ``inv_payload`` on payloads.  ``decode`` holds the
-    field's elements by code, ``index`` maps a payload to its code, and for
-    an extension ``coords[c]`` holds the base-field codes of the coordinates
-    of c (None for a prime field).
+    and ``inv_payload`` on payloads.  ``field`` is the field object the
+    kernel belongs to, ``decode`` holds its elements by code, ``index`` maps
+    a payload to its code, and for an extension ``coords[c]`` holds the
+    base-field codes of the coordinates of c (None for a prime field).
 
     With n1 = q - 1 and g the primitive element, ``exp[e]`` is the code of
     g^e for 0 <= e < 2*n1 (the powers twice over, so a sum of two logs needs
@@ -471,10 +469,11 @@ class _Kernel:
     is the log of -1.
     """
 
-    __slots__ = ("q", "n1", "exp", "log", "neg_log", "add", "index", "decode", "coords")
+    __slots__ = ("field", "q", "n1", "exp", "log", "neg_log", "add", "index", "decode", "coords")
     one = 1
 
-    def __init__(self, q, exp, log, neg_log, add, index, decode, coords):
+    def __init__(self, field, q, exp, log, neg_log, add, index, decode, coords):
+        self.field = field
         self.q = q
         self.n1 = q - 1
         self.exp = exp
@@ -595,7 +594,7 @@ def _make_kernel(field: Field):
         # the same digit order as _payloads: the lowest coordinate varies fastest
         coords = [c[::-1] for c in itertools.product(range(field.base.order), repeat=field.degree)]
     decode = tuple(FieldElement(field, x) for x in payloads)
-    return _Kernel(q, exp, log, neg_log, add, index, decode, coords)
+    return _Kernel(field, q, exp, log, neg_log, add, index, decode, coords)
 
 
 def _rational_code(nums, den: int):
@@ -916,8 +915,7 @@ def build_base_field(desc: BaseFieldDescriptor, symbol: str = "u") -> Field:
         )
     if coeffs[-1] != prime._one:
         raise BadModulus("base modulus must be monic")
-    poly = [FieldElement(prime, c) for c in coeffs]
-    if not polys.is_irreducible_bruteforce(prime, poly):
+    if not polys.is_irreducible_bruteforce(prime, coeffs):
         raise NotIrreducible(f"base modulus is reducible over GF({desc.characteristic})")
     return ExtensionField(prime, coeffs, symbol=symbol)
 
@@ -1048,12 +1046,11 @@ def make_tower(base, modulus, symbol: str = "w", base_symbol: str = "u") -> Exte
         raise BadModulus("extension modulus must have degree >= 1")
     if coeffs[-1] != k._one:
         raise BadModulus("extension modulus must be monic")
-    poly = [FieldElement(k, c) for c in coeffs]
     if k.order is None:
-        if not polys.is_irreducible_rationals([c.payload for c in poly]):
+        if not polys.is_irreducible_rationals(coeffs):
             raise NotIrreducible("extension modulus is reducible over Q")
     else:
-        if not polys.is_irreducible_gcd(k, poly):
+        if not polys.is_irreducible_gcd(k, coeffs):
             raise NotIrreducible(f"extension modulus is reducible over {k}")
     L = ExtensionField(k, tuple(coeffs), symbol=symbol)
     return ExtensionTower(base, k, L)
@@ -1066,7 +1063,7 @@ def is_separable_tower(tower: ExtensionTower) -> bool:
     """
     if tower._separable is None:
         k = tower.k
-        f = [FieldElement(k, c) for c in tower.L.modulus]
+        f = list(tower.L.modulus)
         fprime = polys.derivative(k, f)
         tower._separable = polys.degree(polys.gcd(k, f, fprime)) == 0
     return tower._separable

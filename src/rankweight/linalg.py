@@ -120,15 +120,33 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.field}^{self.ambient_dim})"
 
 
+def _payload_in(field: Field, e):
+    """e's payload when e lies in a field equal to field, else FieldMismatch.
+
+    Callers test ``e.field is field`` first and come here only on a miss, so
+    an equal field built separately (other symbols included) still passes.
+    """
+    if getattr(e, "field", None) != field:
+        raise FieldMismatch("row entry from a foreign field")
+    return e.payload
+
+
+def _check_entries(field: Field, rows) -> None:
+    for r in rows:
+        for e in r:
+            if getattr(e, "field", None) is not field:
+                _payload_in(field, e)
+
+
 def _encode(kern, rows, num_cols: int) -> list:
-    """Rows of elements as lists of kernel codes."""
-    index = kern.index
+    """Rows of elements of the kernel's field as lists of kernel codes."""
+    field, index = kern.field, kern.index
     work = []
     for r in rows:
         if len(r) != num_cols:
             raise ValueError(f"row of length {len(r)} in an ambient of {num_cols}")
         try:
-            work.append([index[e.payload] for e in r])
+            work.append([index[e.payload if e.field is field else _payload_in(field, e)] for e in r])
         except (KeyError, TypeError, AttributeError):
             raise FieldMismatch("row entry from a foreign field") from None
     return work
@@ -176,6 +194,7 @@ def _rref_generic(field: Field, rows, num_cols: int):
     for r in work:
         if len(r) != num_cols:
             raise ValueError(f"row of length {len(r)} in an ambient of {num_cols}")
+    _check_entries(field, work)
     pivot_cols: List[int] = []
     r = 0
     for col in range(num_cols):
@@ -287,6 +306,7 @@ def contains(a: Subspace, *vectors: Sequence[FieldElement]) -> bool:
             if any(residue):
                 return False
         return True
+    _check_entries(a.field, vectors)
     rows = [(next(j for j, e in enumerate(row) if e), row) for row in a.rows]
     for v in vectors:
         residue = list(v)

@@ -1,14 +1,16 @@
 """Dense univariate polynomial helpers over an arbitrary exact field.
 
-Polynomials are plain Python lists of field elements, lowest degree first,
-normalized so the last entry is nonzero; ``[]`` is the zero polynomial.
-Every function takes the coefficient field explicitly (needed to mint zeros
-and ones); coefficient arithmetic goes through the elements' own operators.
+Polynomials are plain Python lists of field payloads (the raw values a field
+object computes on: ints mod p, Fractions, coordinate tuples), lowest degree
+first, normalized so the last entry is nonzero; ``[]`` is the zero
+polynomial.  Every function takes the coefficient field explicitly, and all
+coefficient arithmetic goes through its raw operations (``_add``, ``_neg``,
+``_mul``, ``_inv``, ``_is_zero``), so no element object is built on the way.
 
-The two irreducibility tests live here as well:
+The irreducibility tests live here as well:
 
 * ``is_irreducible_gcd`` -- gcd(f, x^(q^i) - x) = 1 for i <= deg(f)/2, the
-  standard finite-field criterion.
+  standard finite-field criterion (Rabin; Lidl-Niederreiter, *Finite Fields*).
 * ``is_irreducible_bruteforce`` -- exhaustive root search plus trial division
   by every monic polynomial of degree <= deg(f)/2; finite fields only, used
   for base moduli and as an independent cross-check of the gcd method.
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .errors import BadModulus, InfiniteField
 
@@ -28,7 +29,7 @@ from .errors import BadModulus, InfiniteField
 def normalize(field, coeffs):
     """Strip trailing zeros; [] is the zero polynomial."""
     coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
+    while coeffs and field._is_zero(coeffs[-1]):
         coeffs.pop()
     return coeffs
 
@@ -43,12 +44,12 @@ def add(field, p, q):
         p, q = q, p
     out = list(p)
     for i, c in enumerate(q):
-        out[i] = out[i] + c
+        out[i] = field._add(out[i], c)
     return normalize(field, out)
 
 
 def neg(field, p):
-    return [-c for c in p]
+    return [field._neg(c) for c in p]
 
 
 def sub(field, p, q):
@@ -56,21 +57,21 @@ def sub(field, p, q):
 
 
 def scale(field, p, c):
-    if not c:
+    if field._is_zero(c):
         return []
-    return normalize(field, [a * c for a in p])
+    return normalize(field, [field._mul(a, c) for a in p])
 
 
 def mul(field, p, q):
     if not p or not q:
         return []
-    zero = field.zero()
-    out = [zero] * (len(p) + len(q) - 1)
+    fadd, fmul, is_zero = field._add, field._mul, field._is_zero
+    out = [field._zero] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if not a:
+        if is_zero(a):
             continue
         for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
+            out[i + j] = fadd(out[i + j], fmul(a, b))
     return normalize(field, out)
 
 
@@ -78,18 +79,20 @@ def divmod_poly(field, p, q):
     """Quotient and remainder of p by q (q nonzero)."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
+    fadd, fneg, fmul, is_zero = field._add, field._neg, field._mul, field._is_zero
     rem = list(p)
     dq = degree(q)
-    lead_inv = q[-1].inverse()
-    quot = [field.zero()] * max(0, len(p) - dq)
+    lead_inv = field._inv(q[-1])
+    quot = [field._zero] * max(0, len(p) - dq)
     for d in range(degree(p), dq - 1, -1):
         c = rem[d]
-        if not c:
+        if is_zero(c):
             continue
-        factor = c * lead_inv
+        factor = fmul(c, lead_inv)
         quot[d - dq] = factor
+        minus = fneg(factor)
         for i, b in enumerate(q):
-            rem[d - dq + i] = rem[d - dq + i] - factor * b
+            rem[d - dq + i] = fadd(rem[d - dq + i], fmul(minus, b))
     return normalize(field, quot), normalize(field, rem)
 
 
@@ -100,7 +103,7 @@ def mod(field, p, q):
 def monic(field, p):
     if not p:
         return []
-    return scale(field, p, p[-1].inverse())
+    return scale(field, p, field._inv(p[-1]))
 
 
 def gcd(field, p, q):
@@ -111,19 +114,19 @@ def gcd(field, p, q):
 
 
 def derivative(field, p):
-    return normalize(field, [c * i for i, c in enumerate(p)][1:])
+    return normalize(field, [field._mul(c, field._from_int(i)) for i, c in enumerate(p)][1:])
 
 
 def evaluate(field, p, x):
-    acc = field.zero()
+    acc = field._zero
     for c in reversed(p):
-        acc = acc * x + c
+        acc = field._add(field._mul(acc, x), c)
     return acc
 
 
 def pow_mod(field, p, e, modulus):
     """p^e mod modulus by square and multiply (e >= 0)."""
-    result = [field.one()]
+    result = [field._one]
     base = mod(field, p, modulus)
     while e > 0:
         if e & 1:
@@ -134,7 +137,7 @@ def pow_mod(field, p, e, modulus):
 
 
 def x_poly(field):
-    return [field.zero(), field.one()]
+    return [field._zero, field._one]
 
 
 def is_irreducible_gcd(field, p):
@@ -158,8 +161,8 @@ def is_irreducible_gcd(field, p):
 
 def _monic_polys(field, d):
     """All monic degree-d polynomials over a finite field."""
-    elems = list(field.elements())
-    one = field.one()
+    elems = list(field._payloads())
+    one = field._one
     for lower in itertools.product(elems, repeat=d):
         yield list(lower) + [one]
 
@@ -173,8 +176,8 @@ def is_irreducible_bruteforce(field, p):
         raise BadModulus("irreducibility is about polynomials of degree >= 1")
     if m == 1:
         return True
-    for x in field.elements():
-        if not evaluate(field, p, x):
+    for x in field._payloads():
+        if field._is_zero(evaluate(field, p, x)):
             return False
     for d in range(2, m // 2 + 1):
         for cand in _monic_polys(field, d):

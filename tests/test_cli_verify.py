@@ -282,3 +282,68 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one cli.main call; SystemExit counts as its code."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as e:
+        code = ("SystemExit", e.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_is_reentrant_on_one_grammar(tmp_path, capsys, monkeypatch, sample_file, q_file):
+    sequence = [
+        ["analyze", sample_file, "--format", "json"],
+        ["weights", q_file, "--bogus"],  # usage error
+        ["witness", q_file, "--strategy", "random", "--seed", "3"],
+        ["dual", str(tmp_path / "missing.json")],  # missing file
+        ["--help"],
+        ["weights", sample_file, "--format", "json", "--seed", "2", "--r", "1"],
+        ["weights", sample_file, "--help"],
+        [],  # no command
+        ["closure", sample_file],
+        ["weights", sample_file],  # the defaults again, after a call that set every option
+    ]
+    monkeypatch.setattr(cli, "_PARSER", None)
+    warm = [_outcome(capsys, argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(_outcome(capsys, argv))
+    assert warm == fresh
+    assert [code for code, _, _ in warm] == [
+        0, 1, 0, 1, ("SystemExit", 0), 0, ("SystemExit", 0), 1, 0, 0]
+    assert warm[4][1].startswith("usage: rankweight") and "hierarchy:" in warm[9][1]
+
+
+def test_grammar_is_built_once_per_process(capsys, monkeypatch, sample_file):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for _ in range(4):
+        assert cli.main(["dual", sample_file]) == 0
+        assert cli.main(["analyze", sample_file, "--bogus"]) == 1
+    capsys.readouterr()
+    assert len(built) == 1
+    # and importing the package does not build it
+    source_root = pathlib.Path(rankweight.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", "import rankweight, rankweight.cli as c; assert c._PARSER is None"],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(source_root), "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_handler_rebound_after_first_call_is_honoured(capsys, monkeypatch, sample_file):
+    assert cli.main(["dual", sample_file]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_dual", lambda args: seen.append(args.file) or 0)
+    assert cli.main(["dual", sample_file]) == 0
+    assert seen == [sample_file]
+    assert capsys.readouterr().out.count('"generators"') == 1  # only the first call printed

@@ -1,10 +1,11 @@
 """Code-document parsing, element grammar, canonical rendering, round-trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from helpers import gf4, gf8, qtheta, vec
+from helpers import gf4, gf8, gf9, gf16_over_gf2, gf16_over_gf4, qtheta, random_rational_vector, vec
 from rankweight.documents import (
     document_from_code,
     document_to_json,
@@ -93,16 +94,90 @@ def test_element_grammar():
 def test_render_parse_roundtrip_elements():
     import random
 
-    rng = random.Random(4)
-    for t in (gf4(), gf8()):
+    for t in (gf4(), gf8(), gf9(), gf16_over_gf4(), gf16_over_gf2()):
         for x in t.L.elements():
-            assert parse_element(t.L, format_element(x)) == x
+            y = parse_element(t.L, format_element(x))
+            assert y == x and y.field is t.L and y.payload == x.payload
     q = qtheta()
-    from helpers import random_rational_vector
-
-    for _ in range(40):
-        (x,) = random_rational_vector(rng, q, 1)
+    rng = random.Random(4)
+    for _ in range(500):
+        (x,) = random_rational_vector(rng, q, 1, height=rng.choice((1, 5, 40)))
         assert parse_element(q.L, format_element(x)) == x
+
+
+def test_noncanonical_strings_match_element_operators():
+    t4 = gf4()
+    w = t4.generator()
+    one = t4.L.one()
+    cases = [
+        (t4, "w*w", w * w),
+        (t4, "w*w*w", w * w * w),
+        (t4, "w^0", one),
+        (t4, "w^5", w * w * w * w * w),
+        (t4, "-w-1", -w - one),
+        (t4, "w+w", w + w),
+        (t4, "1+w^2", one + w * w),
+        (t4, "(1)^3*w", w),
+    ]
+    t9 = gf9()
+    v = t9.generator()
+    cases += [
+        (t9, "3/2", t9.L.from_int(3) / t9.L.from_int(2)),
+        (t9, "1/2*w", t9.L.from_int(1) / t9.L.from_int(2) * v),
+        (t9, "-w^2+2", -(v * v) + 2),
+        (t9, "4", t9.L.from_int(4)),
+    ]
+    t16 = gf16_over_gf4()
+    x = t16.generator()
+    u = t16.embed(t16.k.generator())
+    cases += [
+        (t16, "(u+1)*w", (u + 1) * x),
+        (t16, "(u)^2*w", u * u * x),
+        (t16, "((1))*w", x),  # each parenthesis goes one base down: GF(16), GF(4), GF(2)
+        (t16, "u*w+u^2", u * x + u * u),
+        (t16, "w^4-w", x * x * x * x - x),
+    ]
+    q = qtheta()
+    theta = q.generator()
+    cases += [
+        (q, "-1/2*t+3", theta * Fraction(-1, 2) + 3),
+        (q, "t^3", q.L.from_int(2)),
+        (q, "6/4*t*t", theta * theta * Fraction(3, 2)),
+        (q, "(1/3)*t-(2)", theta / 3 - 2),
+    ]
+    for t, text, expected in cases:
+        got = parse_element(t.L, text)
+        assert got == expected and got.payload == expected.payload, text
+
+
+def test_element_parser_error_messages():
+    L = gf4().L
+    qL = qtheta().L
+    cases = [
+        (L, "1/2", ParseError, "bad element string '1/2': denominator 2 vanishes in GF(4)"),
+        (qL, "1/0", ParseError, "bad element string '1/0': denominator 0 vanishes in Q(t)"),
+        (L, "w^x", ParseError, "bad element string 'w^x': exponent must be a nonnegative integer"),
+        (L, "w^", ParseError, "bad element string 'w^': exponent must be a nonnegative integer"),
+        (L, "(1", ParseError, "bad element string '(1': unbalanced parentheses"),
+        (L, "z", UnknownSymbol, "element string 'z' uses undeclared symbol 'z'"),
+        # parentheses hold a base coefficient, so w is unknown inside them
+        (L, "(w+1)^3", UnknownSymbol, "element string '(w+1)^3' uses undeclared symbol 'w'"),
+        (gf16_over_gf4().L, "((u+1))*w", UnknownSymbol,
+         "element string '((u+1))*w' uses undeclared symbol 'u'"),
+        (L, "w w", ParseError, "bad element string 'w w': trailing input at token 1"),
+        (L, "w)", ParseError, "bad element string 'w)': trailing input at token 1"),
+        (L, "w +", ParseError, "bad element string 'w +': unexpected token None"),
+        (L, "1/w", ParseError, "bad element string '1/w': denominator must be an integer"),
+        (L, "w$", ParseError, "cannot tokenize element string 'w$' at offset 1"),
+        (L, "", ParseError, "empty element string"),
+        (L, "  ", ParseError, "cannot tokenize element string '  ' at offset 0"),
+        (L, 3, ParseError, "element must be a string, got 3"),
+        (gf4().k, "(1)", ParseError, "bad element string '(1)': parenthesized coefficients need an extension field"),
+    ]
+    for field, text, kind, message in cases:
+        with pytest.raises(kind) as e:
+            parse_element(field, text)
+        assert str(e.value) == message
 
 
 def test_document_roundtrip():

@@ -1,5 +1,6 @@
 """Tower construction, coordinates, trace, enumeration, field axioms."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -226,14 +227,48 @@ def test_trace_form_nondegenerate_on_separable_towers():
 
 
 def test_irreducibility_methods_agree():
-    for p in (2, 3):
-        k = PrimeField(p)
-        for deg in (2, 3, 4):
-            import itertools
+    # polys works on payload lists; GF(4) is the base of GF(16)/GF(4).
+    # The counts are the monic irreducibles, (1/n) * sum_{d | n} mu(d) q^(n/d).
+    census = {
+        "GF(2)": (PrimeField(2), {2: 1, 3: 2, 4: 3}),
+        "GF(3)": (PrimeField(3), {2: 3, 3: 8, 4: 18}),
+        "GF(4)": (gf16_over_gf4().k, {2: 6, 3: 20}),
+    }
+    for name, (k, expected) in census.items():
+        payloads = list(k._payloads())
+        for deg, count in expected.items():
+            irreducible = 0
+            for lower in itertools.product(payloads, repeat=deg):
+                poly = list(lower) + [k._one]
+                verdict = polys.is_irreducible_gcd(k, poly)
+                assert verdict == polys.is_irreducible_bruteforce(k, poly), (name, poly)
+                irreducible += verdict
+            assert irreducible == count, (name, deg)
 
-            for lower in itertools.product(range(p), repeat=deg):
-                poly = [k.from_int(c) for c in lower] + [k.one()]
-                assert polys.is_irreducible_gcd(k, poly) == polys.is_irreducible_bruteforce(k, poly)
+
+def test_inverse_by_euclid_on_fields_without_a_kernel():
+    # _inv_raw, the one polys caller inside the arithmetic, runs only without a kernel
+    gf8192 = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1, 1] + [0] * 8 + [1]).L
+    qt = qtheta().L
+    t = qt.generator()
+    # Q(t)[y]/(y^2 - t): t is not a square in Q(t), as its norm 2 is not a rational square
+    over_qt = ExtensionField(qt, ((-t).payload, qt._zero, qt._one), symbol="y")
+    rng = random.Random(13)
+    for field, draw in (
+        (gf8192, lambda: tuple(rng.randrange(2) for _ in range(13))),
+        (over_qt, lambda: tuple(
+            tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3)) for _ in range(2))),
+    ):
+        assert field._kernel() is False
+        for _ in range(25):
+            x = draw()
+            if field._is_zero(x):
+                continue
+            inv = field._inv_raw(x)
+            assert field._mul(x, inv) == field._one
+            assert field.element(x) * field.element(x).inverse() == field.one()
+        with pytest.raises(ZeroDivisionError):
+            field.zero().inverse()
 
 
 def test_rational_irreducibility_known_cases():

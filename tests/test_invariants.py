@@ -106,6 +106,49 @@ def test_float_gate_flags_each_kind():
     assert flagged == [True, True, True, True, True, False, False]
 
 
+# the Field and FieldElement methods that return or take wrapped elements
+ELEMENT_METHODS = {"zero", "one", "from_int", "element", "elements", "generator", "inverse"}
+
+
+def _uses_field_element(node):
+    """A name, import or element-returning method call that brings FieldElement in."""
+    if isinstance(node, ast.Name):
+        return node.id == "FieldElement"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "FieldElement"
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Attribute) and node.func.attr in ELEMENT_METHODS
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+        return any(name.split(".")[-1] in ("FieldElement", "fields") for name in names)
+    return False
+
+
+def test_polys_works_on_payloads_only():
+    """polys computes with a field's raw operations: it neither imports nor names FieldElement,
+    nor calls the methods that build one."""
+    path = PACKAGE_DIR / "polys.py"
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _uses_field_element(node)
+    ]
+    assert offenders == []
+
+
+def test_field_element_gate_flags_each_kind():
+    flagged = [
+        any(_uses_field_element(node) for node in ast.walk(ast.parse(src)))
+        for src in ("from .fields import FieldElement", "from rankweight.fields import make_tower",
+                    "from . import fields", "import rankweight.fields as f",
+                    "x = FieldElement(k, 1)", "y = fields.FieldElement", "isinstance(c, FieldElement)",
+                    "z = field.zero()", "inv = q[-1].inverse()", "e = list(field.elements())",
+                    "z = field._mul(a, b)", "o = field._one", "from .errors import BadModulus",
+                    "s = 'FieldElement'")
+    ]
+    assert flagged == [True] * 10 + [False] * 4
+
+
 def _zero_restriction(monkeypatch):
     monkeypatch.setattr(
         ranksupport,

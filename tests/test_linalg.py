@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from rankweight.errors import AmbientMismatch, InfiniteField
+from rankweight.errors import AmbientMismatch, FieldMismatch, InfiniteField
 from rankweight.fields import PrimeField, Rationals, BaseFieldDescriptor, make_tower
 from rankweight.linalg import (
     Matrix,
@@ -271,3 +271,32 @@ def test_zero_dimensional_spaces_are_first_class():
     assert subspace_intersection(z, full) == z
     assert orthogonal_complement(z) == full
     assert z.contains([GF3.zero()] * 3)
+
+
+def test_foreign_entries_raise_field_mismatch():
+    qt = make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="t").L
+    gf8192 = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1, 1] + [0] * 8 + [1]).L
+    # the rational kernel used to read the GF(8) payload's ints as coordinates
+    # and return a Q(t) subspace with rows (1, 1/2*t^2)
+    cases = [
+        (qt, [GF8.generator(), GF8.one()]),
+        (GF8, [qt.generator(), qt.one()]),
+        (GF2, [GF3.one(), GF3.zero()]),  # GF(3)'s payloads 0 and 1 are GF(2) codes too
+        (gf8192, [GF2.one(), GF2.one()]),  # no kernel: the generic elimination
+        (QQ, [QQ.one(), 1]),
+    ]
+    for field, row in cases:
+        with pytest.raises(FieldMismatch):
+            Subspace.from_vectors(field, 2, [row])
+        with pytest.raises(FieldMismatch):
+            contains(Subspace.full(field, 2), row)
+        mixed = [field.one(), row[-1]]
+        with pytest.raises(FieldMismatch):
+            Subspace.from_vectors(field, 2, [mixed])
+    # an equal field built separately, other symbol included, is not foreign
+    qz = make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="z").L
+    assert qz == qt and qz is not qt
+    space = Subspace.from_vectors(qt, 2, [[qz.generator(), qz.one()]])
+    assert space.dim == 1 and contains(space, [qz.generator(), qz.one()])
+    gf8192_again = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1, 1] + [0] * 8 + [1], symbol="v").L
+    assert Subspace.from_vectors(gf8192, 1, [[gf8192_again.generator()]]).dim == 1
