@@ -15,9 +15,7 @@ import sys
 from fractions import Fraction
 
 from .documents import (
-    CodeDocument,
     document_from_code,
-    document_to_json,
     parse_code_file,
     render_code_document,
     tower_to_json,
@@ -33,6 +31,7 @@ from .errors import (
 )
 from .fields import format_element
 from .ranksupport import (
+    LinearCode,
     closure,
     dual,
     is_extended,
@@ -98,32 +97,33 @@ def _report_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _load(path: str) -> CodeDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_code_file(fh.read())
+def _load(args) -> LinearCode:
+    """The code of the document named on the command line."""
+    with open(args.file, "r", encoding="utf-8") as fh:
+        return parse_code_file(fh.read()).to_code()
+
+
+def _header(code: LinearCode) -> dict:
+    """The tower/n/dim block that opens every report."""
+    return {"tower": tower_to_json(code.tower), "n": code.length, "dim": code.dim}
 
 
 def cmd_analyze(args) -> int:
-    doc = _load(args.file)
-    code = doc.to_code()
-    report = {
-        "tower": tower_to_json(doc),
-        "n": code.length,
-        "dim": code.dim,
-        "rank_support": _rows(rank_support_code(code).space),
-        "restriction": _rows(restriction(code).space),
-        "dual": _rows(dual(code).space),
-        "closure": _rows(closure(code).space),
-        "degenerate": is_rank_degenerate(code),
-        "extended": is_extended(code),
-    }
+    code = _load(args)
+    report = _header(code)
+    report["rank_support"] = _rows(rank_support_code(code).space)
+    report["restriction"] = _rows(restriction(code).space)
+    report["dual"] = _rows(dual(code).space)
+    report["closure"] = _rows(closure(code).space)
+    report["degenerate"] = is_rank_degenerate(code)
+    report["extended"] = is_extended(code)
     print(emit_report(report, args.format))
     return 0
 
 
 def cmd_weights(args) -> int:
-    doc = _load(args.file)
-    code = doc.to_code()
+    code = _load(args)
+    report = _header(code)
     rep = weight_report(code, witness_seed=args.seed)
     rows = rep.hierarchy
     if args.r is not None:
@@ -136,12 +136,7 @@ def cmd_weights(args) -> int:
         if not row.applicable:
             entry["reason"] = row.reason
         hierarchy.append(entry)
-    report = {
-        "tower": tower_to_json(doc),
-        "n": code.length,
-        "dim": code.dim,
-        "rank_distance": rep.rank_distance,
-    }
+    report["rank_distance"] = rep.rank_distance
     if rep.rank_distance is None:
         report["rank_distance_reason"] = rep.rank_distance_reason
     report["hierarchy"] = hierarchy
@@ -154,8 +149,8 @@ def cmd_weights(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    doc = _load(args.file)
-    code = doc.to_code()
+    code = _load(args)
+    report = _header(code)
     status = "found"
     witness = None
     try:
@@ -166,14 +161,9 @@ def cmd_witness(args) -> int:
             status = "none_exists"
     except SearchExhausted as e:
         status = f"undecided: {e}"
-    report = {
-        "tower": tower_to_json(doc),
-        "n": code.length,
-        "dim": code.dim,
-        "strategy": args.strategy,
-        "status": status,
-        "witness": None if witness is None else [format_element(x) for x in witness],
-    }
+    report["strategy"] = args.strategy
+    report["status"] = status
+    report["witness"] = None if witness is None else [format_element(x) for x in witness]
     print(emit_report(report, args.format))
     return 0
 
@@ -184,11 +174,11 @@ def _emit_code(transformed) -> int:
 
 
 def cmd_dual(args) -> int:
-    return _emit_code(dual(_load(args.file).to_code()))
+    return _emit_code(dual(_load(args)))
 
 
 def cmd_closure(args) -> int:
-    return _emit_code(closure(_load(args.file).to_code()))
+    return _emit_code(closure(_load(args)))
 
 
 def _parse_csv_modulus(text: str, characteristic: int):

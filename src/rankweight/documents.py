@@ -15,6 +15,14 @@ base generator.  Elements are polynomial strings in the declared generator
 is canonical: descending powers, coefficient 1 omitted, '+-' folded to '-';
 parse(render(x)) == x.
 
+A parsed ``CodeDocument`` holds only the tower, the length and the rows; the
+tower block is rendered from the tower itself (``tower_to_json``), so a
+modulus written with trailing zero coefficients comes back without them.
+Two documents are equal iff they render the same: same tower, generator
+names included, same length and the same rows in the same order.
+``build_tower`` is the one reader of a tower description, for documents and
+for verify's ``TowerTask`` alike.
+
 The element parser evaluates on payloads with each field's raw operations
 and wraps one FieldElement per element string, at the end.
 """
@@ -23,9 +31,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import ParseError, RowLengthMismatch, UnknownSymbol
 from .fields import (
@@ -36,29 +43,33 @@ from .fields import (
     FieldElement,
     PrimeField,
     Rationals,
+    build_base_field,
     format_element,
     make_tower,
 )
 from .ranksupport import LinearCode
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
+_KINDS = (None, "num", "name", "sym")  # by the index of the group that matched
 
 
 def _tokenize(text: str):
+    """(kind, value) tokens, read in one pass.
+
+    An error gives the offset where the rest that no token covers begins,
+    its leading whitespace included.
+    """
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"cannot tokenize element string {text!r} at offset {pos}")
-        num, name, sym = m.groups()
-        if num is not None:
-            tokens.append(("num", int(num)))
-        elif name is not None:
-            tokens.append(("name", name))
-        else:
-            tokens.append(("sym", sym))
+    for m in _TOKEN.finditer(text):
+        if m.start() != pos:
+            break
+        kind = _KINDS[m.lastindex]
+        value = m.group(m.lastindex)
+        tokens.append((kind, int(value) if kind == "num" else value))
         pos = m.end()
+    if pos != len(text):
+        raise ParseError(f"cannot tokenize element string {text!r} at offset {pos}")
     return tokens
 
 
@@ -192,38 +203,60 @@ def parse_element(fld: Field, text: str) -> FieldElement:
     return _ElementParser(fld, tokens, text).parse()
 
 
-def _parse_coefficient(fld: Field, spec, where: str):
-    """Modulus coefficient: JSON int, or a string in the base element grammar."""
-    if isinstance(spec, int):
-        return fld.from_int(spec)
+def _parse_coefficient(k: Field, spec, where: str):
+    """Modulus coefficient: an int or Fraction as given, or a string in k's element grammar."""
+    if isinstance(spec, (int, Fraction)):
+        return spec
     if isinstance(spec, str):
-        return parse_element(fld, spec)
+        return parse_element(k, spec)
     raise ParseError(f"{where}: expected integer or string coefficient, got {spec!r}")
 
 
-def _render_coefficient(x: FieldElement):
-    """Canonical JSON form of a modulus coefficient: int when possible, else string."""
-    fld = x.field
-    if isinstance(fld, PrimeField):
-        return x.payload
-    if isinstance(fld, Rationals):
-        return int(x.payload) if x.payload.denominator == 1 else str(x.payload)
-    return format_element(x)
+def build_tower(
+    characteristic: int,
+    extension_modulus,
+    base_degree: int = 1,
+    base_modulus=None,
+    symbol: str = "w",
+    base_symbol: str = "u",
+) -> ExtensionTower:
+    """The tower k[x]/(f) named by a document's tower block or a verify task.
+
+    ``extension_modulus`` lists f's coefficients over k, low to high: ints,
+    Fractions (over Q), or element strings in ``base_symbol``.
+    """
+    desc = BaseFieldDescriptor(characteristic, base_degree, base_modulus)
+    k = build_base_field(desc, symbol=base_symbol)
+    coeffs = [
+        _parse_coefficient(k, c, f"tower.extension_modulus[{i}]") for i, c in enumerate(extension_modulus)
+    ]
+    return make_tower(desc, coeffs, symbol=symbol, base_symbol=base_symbol)
 
 
-@dataclass
+def _render_coefficient(k: Field, c):
+    """Canonical JSON form of a modulus coefficient payload: int when possible, else string."""
+    if isinstance(k, PrimeField):
+        return c
+    if isinstance(k, Rationals):
+        return int(c) if c.denominator == 1 else str(c)
+    return format_element(FieldElement(k, c))
+
+
+@dataclass(eq=False)
 class CodeDocument:
-    """Parsed form of one code file; generators keep their original row order."""
+    """One code file: its tower, length and generator rows in their original order.
 
-    characteristic: int
-    base_degree: int
-    base_modulus: Optional[tuple]
-    extension_modulus: tuple  # FieldElements over k
-    generator_name: str
-    base_generator_name: Optional[str]
+    Two documents are equal iff they render the same, generator names included.
+    """
+
+    tower: ExtensionTower
     length: int
     rows: tuple  # tuples of FieldElements over L
-    tower: ExtensionTower = field(compare=False, repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, CodeDocument):
+            return NotImplemented
+        return document_to_json(self) == document_to_json(other)
 
     def to_code(self) -> LinearCode:
         return LinearCode.from_generators(self.tower, self.length, [list(r) for r in self.rows])
@@ -262,14 +295,9 @@ def parse_code_document(data) -> CodeDocument:
         raise ParseError("tower: generator_name and base_generator_name must differ")
     ext_spec = _expect(tower_spec, "extension_modulus", list, "tower")
 
-    desc = BaseFieldDescriptor(characteristic, base_degree, base_modulus)
-    from .fields import build_base_field
-
-    k = build_base_field(desc, symbol=base_generator_name or "u")
-    ext_coeffs = [
-        _parse_coefficient(k, c, f"tower.extension_modulus[{i}]") for i, c in enumerate(ext_spec)
-    ]
-    tower = make_tower(desc, ext_coeffs, symbol=generator_name, base_symbol=base_generator_name or "u")
+    tower = build_tower(
+        characteristic, ext_spec, base_degree, base_modulus, generator_name, base_generator_name or "u"
+    )
 
     length = _expect(data, "length", int, "document")
     if length < 1:
@@ -284,17 +312,7 @@ def parse_code_document(data) -> CodeDocument:
                 f"generators[{i}] has length {len(row)}, document says {length}"
             )
         rows.append(tuple(parse_element(tower.L, e) for e in row))
-    return CodeDocument(
-        characteristic=characteristic,
-        base_degree=base_degree,
-        base_modulus=base_modulus,
-        extension_modulus=tuple(ext_coeffs),
-        generator_name=generator_name,
-        base_generator_name=base_generator_name,
-        length=length,
-        rows=tuple(rows),
-        tower=tower,
-    )
+    return CodeDocument(tower, length, tuple(rows))
 
 
 def parse_code_file(text: str) -> CodeDocument:
@@ -306,33 +324,21 @@ def parse_code_file(text: str) -> CodeDocument:
     return parse_code_document(data)
 
 
-def tower_to_json(doc_or_tower) -> dict:
+def tower_to_json(tower: ExtensionTower) -> dict:
     """The canonical tower block, key order fixed."""
-    if isinstance(doc_or_tower, CodeDocument):
-        doc = doc_or_tower
-        out = {"characteristic": doc.characteristic, "base_degree": doc.base_degree}
-        if doc.base_modulus is not None:
-            out["base_modulus"] = list(doc.base_modulus)
-            out["base_generator_name"] = doc.base_generator_name
-        out["extension_modulus"] = [_render_coefficient(c) for c in doc.extension_modulus]
-        out["generator_name"] = doc.generator_name
-        return out
-    tower = doc_or_tower
     desc = tower.base_descriptor
     out = {"characteristic": desc.characteristic, "base_degree": desc.base_degree}
     if desc.base_modulus is not None:
         out["base_modulus"] = list(desc.base_modulus)
-        out["base_generator_name"] = getattr(tower.k, "symbol", "u")
-    out["extension_modulus"] = [
-        _render_coefficient(FieldElement(tower.k, c)) for c in tower.L.modulus
-    ]
+        out["base_generator_name"] = tower.k.symbol
+    out["extension_modulus"] = [_render_coefficient(tower.k, c) for c in tower.L.modulus]
     out["generator_name"] = tower.L.symbol
     return out
 
 
 def document_to_json(doc: CodeDocument) -> dict:
     return {
-        "tower": tower_to_json(doc),
+        "tower": tower_to_json(doc.tower),
         "length": doc.length,
         "generators": [[format_element(e) for e in row] for row in doc.rows],
     }
@@ -345,16 +351,4 @@ def render_code_document(doc: CodeDocument) -> str:
 
 def document_from_code(code: LinearCode) -> CodeDocument:
     """Standalone document reproducing a code (canonical generators)."""
-    tower = code.tower
-    desc = tower.base_descriptor
-    return CodeDocument(
-        characteristic=desc.characteristic,
-        base_degree=desc.base_degree,
-        base_modulus=desc.base_modulus,
-        extension_modulus=tuple(FieldElement(tower.k, c) for c in tower.L.modulus),
-        generator_name=tower.L.symbol,
-        base_generator_name=getattr(tower.k, "symbol", None) if desc.base_degree > 1 else None,
-        length=code.length,
-        rows=tuple(tuple(row) for row in code.space.rows),
-        tower=tower,
-    )
+    return CodeDocument(code.tower, code.length, tuple(code.space.rows))

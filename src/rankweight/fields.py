@@ -541,7 +541,7 @@ def _make_kernel(field: Field):
     if field.characteristic == 0:
         if not isinstance(field.base, Rationals):
             return False  # an extension of an extension of Q
-        return (_RationalKernel1 if field.degree == 1 else _RationalKernel)(field)
+        return _RationalKernel(field)
     q = field.order
     if q > _KERNEL_LIMIT:
         return False
@@ -608,7 +608,7 @@ def _rational_code(nums, den: int):
 
 
 class _RationalKernel:
-    """Int-coded arithmetic of Q[x]/(f) over Q, degree m >= 2; see the module docstring.
+    """Int-coded arithmetic of Q[x]/(f) over Q, degree m >= 1; see the module docstring.
 
     A nonzero element with coordinates n_i/d is coded as the tuple
     (n_0, ..., n_(m-1), d) with d > 0 and gcd(n_0, ..., n_(m-1), d) = 1, so
@@ -769,10 +769,20 @@ class _RationalKernel:
         return out
 
 
-class _RationalKernel1(_RationalKernel):
-    """_RationalKernel for degree 1, such as Q[x]/(x - c); codes are (n, d)."""
+class _QKernel(_RationalKernel):
+    """_RationalKernel for Q itself: payloads are Fractions, codes are (n, d),
+    and products, inverses and row updates take a degree-1 fast path."""
 
     __slots__ = ()
+
+    @staticmethod
+    def __getitem__(x):
+        n = x.numerator
+        return (n, x.denominator) if n else 0
+
+    @staticmethod
+    def payload(c):
+        return Fraction(c[0], c[1]) if c else Rationals._zero
 
     @staticmethod
     def mul(a, b):
@@ -808,21 +818,6 @@ class _RationalKernel1(_RationalKernel):
             g = gcd(n, d)
             out.append((n // g, d // g))
         return out
-
-
-class _QKernel(_RationalKernel1):
-    """_RationalKernel1 for Q itself, whose payloads are Fractions."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def __getitem__(x):
-        n = x.numerator
-        return (n, x.denominator) if n else 0
-
-    @staticmethod
-    def payload(c):
-        return Fraction(c[0], c[1]) if c else Rationals._zero
 
 
 def _bareiss_solve(rows):

@@ -133,26 +133,6 @@ class ExpandedMatrix:
         self.tower = tower
         self.rows = rows
 
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def num_cols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def reassemble(self) -> list:
-        """Rebuild the L-vector: coordinate j is sum_i rows[i][j] * basis_i."""
-        t = self.tower
-        n = self.num_cols
-        out = []
-        for j in range(n):
-            acc = t.L.zero()
-            for i, alpha in enumerate(t.basis):
-                acc = acc + t.embed(self.rows[i][j]) * alpha
-            out.append(acc)
-        return out
-
 
 def _check_vector(tower: ExtensionTower, c: Sequence[FieldElement]):
     for e in c:

@@ -28,12 +28,11 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional
 
-from .documents import document_from_code, document_to_json
+from .documents import build_tower, document_from_code, document_to_json, tower_to_json
 from .errors import InfiniteField, InternalInvariantError, RankWeightError, SearchExhausted
-from .fields import BaseFieldDescriptor, make_tower, random_rational_element
+from .fields import random_rational_element
 from .linalg import (
     enumerate_subspaces,
     gaussian_binomial,
@@ -89,20 +88,7 @@ class TowerTask:
     max_n: int = 2
 
     def build(self):
-        from .documents import parse_element
-        from .fields import build_base_field
-
-        desc = BaseFieldDescriptor(self.characteristic, self.base_degree, self.base_modulus)
-        k = build_base_field(desc)
-        coeffs = []
-        for c in self.extension_modulus:
-            if isinstance(c, str):
-                coeffs.append(parse_element(k, c))
-            elif isinstance(c, int):
-                coeffs.append(c)
-            else:
-                coeffs.append(Fraction(c))
-        return make_tower(desc, coeffs)
+        return build_tower(self.characteristic, self.extension_modulus, self.base_degree, self.base_modulus)
 
 
 @dataclass
@@ -380,8 +366,6 @@ def run_verify(plan: VerifyPlan) -> dict:
     from the plan seed before any dispatch.  The items of every tower go to
     one ``_execute`` call, so a parallel run starts one pool.
     """
-    from .documents import tower_to_json
-
     rng = random.Random(plan.seed)
     built = []
     for task in plan.towers:

@@ -60,6 +60,19 @@ def vec(tower, *entries):
     return out
 
 
+def reassemble(expanded):
+    """Rebuild the L-vector of an ExpandedMatrix: coordinate j is sum_i rows[i][j] * basis_i."""
+    t = expanded.tower
+    n = len(expanded.rows[0]) if expanded.rows else 0
+    out = []
+    for j in range(n):
+        acc = t.L.zero()
+        for i, alpha in enumerate(t.basis):
+            acc = acc + t.embed(expanded.rows[i][j]) * alpha
+        out.append(acc)
+    return out
+
+
 def rational_part(tower, v):
     """The k-vector equal to v when v lies in k^n, else None."""
     k = tower.k

@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 from helpers import gf4, gf8, gf9, gf16_over_gf2, gf16_over_gf4, qtheta, random_rational_vector, vec
+from rankweight import cli
 from rankweight.documents import (
+    build_tower,
     document_from_code,
     document_to_json,
     parse_code_file,
     parse_element,
     render_code_document,
+    tower_to_json,
 )
 from rankweight.errors import (
     NotIrreducible,
@@ -21,11 +24,13 @@ from rankweight.errors import (
 )
 from rankweight.fields import format_element
 from rankweight.ranksupport import LinearCode
+from rankweight.verify import TowerTask
 
 SAMPLE = (
     '{"tower": {"characteristic": 2, "base_degree": 1, "extension_modulus": [1,1,1],'
     ' "generator_name": "w"}, "length": 2, "generators": [["1", "w"]]}'
 )
+TRAILING_ZERO = SAMPLE.replace("[1,1,1]", "[1,1,1,0]")  # renders as [1, 1, 1]
 
 
 def test_parse_sample_document():
@@ -169,8 +174,13 @@ def test_element_parser_error_messages():
         (L, "w +", ParseError, "bad element string 'w +': unexpected token None"),
         (L, "1/w", ParseError, "bad element string '1/w': denominator must be an integer"),
         (L, "w$", ParseError, "cannot tokenize element string 'w$' at offset 1"),
+        # the offset is where the untokenizable rest starts, its leading whitespace included
+        (L, "w$+1", ParseError, "cannot tokenize element string 'w$+1' at offset 1"),
+        (L, "w + $ + 1", ParseError, "cannot tokenize element string 'w + $ + 1' at offset 3"),
+        (L, "w+1  ", ParseError, "cannot tokenize element string 'w+1  ' at offset 3"),
         (L, "", ParseError, "empty element string"),
         (L, "  ", ParseError, "cannot tokenize element string '  ' at offset 0"),
+        (L, " \t\n", ParseError, "cannot tokenize element string ' \\t\\n' at offset 0"),
         (L, 3, ParseError, "element must be a string, got 3"),
         (gf4().k, "(1)", ParseError, "bad element string '(1)': parenthesized coefficients need an extension field"),
     ]
@@ -183,6 +193,7 @@ def test_element_parser_error_messages():
 def test_document_roundtrip():
     docs = [
         SAMPLE,
+        TRAILING_ZERO,
         json.dumps(
             {
                 "tower": {
@@ -239,3 +250,39 @@ def test_shipped_samples_parse_and_roundtrip():
         code = doc.to_code()
         assert code.length == doc.length
         assert parse_code_file(render_code_document(doc)) == doc
+
+
+def test_trailing_zero_modulus_tower_block_is_canonical(tmp_path, capsys):
+    doc = parse_code_file(TRAILING_ZERO)
+    assert doc == parse_code_file(SAMPLE)
+    block = tower_to_json(doc.tower)
+    assert block["extension_modulus"] == [1, 1, 1]
+    path = tmp_path / "trailing.json"
+    path.write_text(TRAILING_ZERO)
+    assert cli.main(["analyze", str(path), "--format", "json"]) == 0
+    analyzed = json.loads(capsys.readouterr().out)
+    assert cli.main(["dual", str(path)]) == 0
+    dualized = json.loads(capsys.readouterr().out)
+    assert analyzed["tower"] == dualized["tower"] == block
+
+
+def test_documents_differing_in_generator_name_are_unequal():
+    doc = parse_code_file(TRAILING_ZERO)
+    renamed = parse_code_file(
+        TRAILING_ZERO.replace('"generator_name": "w"', '"generator_name": "x"').replace('"w"]]', '"x"]]')
+    )
+    assert renamed.tower == doc.tower and renamed.to_code() == doc.to_code()
+    assert renamed != doc
+
+
+def test_build_tower_coefficient_forms():
+    """Ints, element strings and Fractions name the same modulus, for documents and TowerTask alike."""
+    q = build_tower(0, (-2, 0, 0, 1), symbol="t")
+    assert q == qtheta()
+    assert build_tower(0, ("-2", Fraction(0), "0", 1)) == q
+    assert build_tower(0, (Fraction(-1, 2), 0, 1)).L.modulus == (Fraction(-1, 2), 0, 1)
+    nested = build_tower(2, ("u", "1", 1), base_degree=2, base_modulus=(1, 1, 1))
+    assert nested == gf16_over_gf4()
+    assert TowerTask(2, ("u", "1", 1), base_degree=2, base_modulus=(1, 1, 1)).build() == nested
+    with pytest.raises(ParseError, match=r"tower.extension_modulus\[1\]: expected integer or string"):
+        build_tower(2, (1, None, 1))

@@ -18,6 +18,7 @@ from helpers import (
     qtheta,
     random_q_codes,
     rational_part,
+    reassemble,
     vec,
 )
 from rankweight import ranksupport
@@ -78,7 +79,7 @@ def test_expand_reassembles():
         pool = list(t.L.elements())
         for _ in range(30):
             c = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
-            assert expand_vector(t, c).reassemble() == c
+            assert reassemble(expand_vector(t, c)) == c
 
 
 def test_expand_rejects_foreign_entries():
