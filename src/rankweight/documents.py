@@ -205,7 +205,7 @@ def parse_element(fld: Field, text: str) -> FieldElement:
 
 def _parse_coefficient(k: Field, spec, where: str):
     """Modulus coefficient: an int or Fraction as given, or a string in k's element grammar."""
-    if isinstance(spec, (int, Fraction)):
+    if isinstance(spec, (int, Fraction)) and not isinstance(spec, bool):
         return spec
     if isinstance(spec, str):
         return parse_element(k, spec)
@@ -289,8 +289,12 @@ def parse_code_document(data) -> CodeDocument:
         base_modulus = tuple(base_modulus)
     generator_name = tower_spec.get("generator_name", "w")
     base_generator_name = tower_spec.get("base_generator_name", "u") if base_degree > 1 else None
-    if not isinstance(generator_name, str) or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", generator_name):
-        raise ParseError("tower.generator_name: expected an identifier string")
+    names = {"generator_name": generator_name}
+    if base_degree > 1:
+        names["base_generator_name"] = base_generator_name
+    for key, name in names.items():
+        if not isinstance(name, str) or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+            raise ParseError(f"tower.{key}: expected an identifier string")
     if base_generator_name is not None and base_generator_name == generator_name:
         raise ParseError("tower: generator_name and base_generator_name must differ")
     ext_spec = _expect(tower_spec, "extension_modulus", list, "tower")

@@ -44,11 +44,16 @@ as GF(4) its gcd irreducibility test multiplies in k, which builds k's.
   (Bareiss, Math. Comp. 1968); a zero divisor raises ZeroDivisionError.
 
 ``ExtensionField`` products and inverses go through the kernel, and
-``linalg`` (and, over finite fields, ``weights``) run their inner loops on
-codes, decoding to ``FieldElement`` only at their boundary, where payloads
-keep their usual form (``Fraction`` coordinates over Q).  A kernel lives on its field object
-and is left out of the pickle, so a worker process rebuilds it; the same
-holds for the cached hash.
+``linalg`` (and, over finite fields, ``weights`` and ``ranksupport``) run
+their inner loops on codes, decoding to ``FieldElement`` only at their
+boundary, where payloads keep their usual form (``Fraction`` coordinates
+over Q).  Over finite fields a ``linalg.Subspace`` keeps its rows' codes
+between eliminations.  Since the base-|k| digits of an L-code are its
+k-coordinates, lowest first, ``coords`` gives expansions over k without
+elements, and a k-code is also the L-code of its embedding.  A kernel lives
+on its field object and is left out of the pickle, so a worker process
+rebuilds it; the same holds for the cached hash, and for the superspaces
+``closure_oracle`` keeps on an ``ExtensionTower``.
 """
 
 from __future__ import annotations
@@ -918,7 +923,7 @@ def build_base_field(desc: BaseFieldDescriptor, symbol: str = "u") -> Field:
 class ExtensionTower:
     """A finite extension L = k[x]/(f) with its power basis and coordinate map."""
 
-    __slots__ = ("base_descriptor", "k", "L", "degree", "basis", "_separable", "_traces")
+    __slots__ = ("base_descriptor", "k", "L", "degree", "basis", "_separable", "_traces", "_superspaces")
 
     def __init__(self, base_descriptor, k, L):
         self.base_descriptor = base_descriptor
@@ -933,6 +938,16 @@ class ExtensionTower:
         )
         self._separable = None  # is_separable_tower fills it on first use
         self._traces = None  # trace fills it with the k-payloads of Tr(w^i) on first use
+        self._superspaces = None  # ranksupport.closure_oracle: n -> every W_L of k^n, on first use
+
+    def __getstate__(self):
+        # the oracle's superspaces are rebuilt where the copy is loaded
+        return None, {s: getattr(self, s) for s in self.__slots__ if s != "_superspaces"}
+
+    def __setstate__(self, state):
+        for s, value in state[1].items():
+            setattr(self, s, value)
+        self._superspaces = None
 
     @property
     def modulus(self):

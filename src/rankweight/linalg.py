@@ -19,7 +19,14 @@ of kernel, and decode at the end into elements of the field they were called
 with.  The RREF is unique, so this gives the same rows and pivots as the
 generic elimination on ``FieldElement``s, which larger finite fields and
 finite non-fields keep.  ``contains`` tests any number of vectors against
-one encoding of the subspace.  Nothing is cached between calls.
+one encoding of the subspace.
+
+Over a finite field with a kernel a subspace also keeps its rows' codes
+(``Subspace._codes``) between calls: the reductions fill them from the codes
+they already hold, and ``contains``, ``contains_space`` and ``subspace_sum``
+read them instead of encoding the rows again.  ``Subspace.from_codes``
+builds a subspace from rows of codes.  Over Q and Q[x]/(f) nothing is kept:
+a rational code is as large as its element, and every call encodes afresh.
 """
 
 from __future__ import annotations
@@ -65,14 +72,26 @@ class Subspace:
 
     The constructor trusts its input; build through ``rref_canonical`` or the
     classmethods unless the rows are canonical by construction.
+
+    ``_codes`` holds the rows as codes of the field's kernel, on finite fields
+    only: None until a reduction or the first membership test fills it, and
+    never written again.  Code rows are lists or tuples of ints that nothing
+    mutates.  A code depends only on its element's payload, so the codes
+    serve every equal field object.  They take no part in equality, hashing
+    or pickling.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows")
+    __slots__ = ("field", "ambient_dim", "rows", "_codes")
 
-    def __init__(self, field: Field, ambient_dim: int, rows: tuple):
+    def __init__(self, field: Field, ambient_dim: int, rows: tuple, codes=None):
         self.field = field
         self.ambient_dim = ambient_dim
         self.rows = rows
+        self._codes = codes
+
+    def __reduce__(self):
+        # the codes are left out; the copy fills its own on first use
+        return type(self), (self.field, self.ambient_dim, self.rows)
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -89,8 +108,20 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors) -> "Subspace":
-        rows, _ = _rref_rows(field, vectors, ambient_dim)
-        return cls(field, ambient_dim, tuple(rows))
+        return _span(field, ambient_dim, vectors)
+
+    @classmethod
+    def from_codes(cls, field: Field, ambient_dim: int, codes, canonical: bool = False) -> "Subspace":
+        """The span of rows of codes of field's kernel, decoded through that kernel.
+
+        So every entry is an element of this field object.  With canonical
+        set, the rows are already the canonical basis and are not reduced.
+        """
+        kern = field._kernel()
+        if not canonical:
+            codes, _ = _rref_coded(kern, list(codes), ambient_dim)
+        rows = tuple(kern.decode_rows(codes, (), ()))
+        return cls(field, ambient_dim, rows, codes if field.order is not None else None)
 
     @property
     def dim(self) -> int:
@@ -102,6 +133,9 @@ class Subspace:
     def contains_space(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim or other.field != self.field:
             raise AmbientMismatch("subspaces live in different ambient spaces")
+        kern = _finite_kernel(self.field)
+        if kern:
+            return _reduces_to_zero(kern, _row_codes(self, kern), _row_codes(other, kern))
         return contains(self, *other.rows)
 
     def __eq__(self, other):
@@ -152,14 +186,41 @@ def _encode(kern, rows, num_cols: int) -> list:
     return work
 
 
+def _finite_kernel(field: Field):
+    """field's kernel when field is finite and has one, else False."""
+    return field.order is not None and field._kernel()
+
+
+def _row_codes(s: Subspace, kern) -> list:
+    """s's rows as codes of kern, a kernel of s's field; kept on s over a finite field."""
+    codes = s._codes
+    if codes is None:
+        codes = _encode(kern, s.rows, s.ambient_dim)
+        if s.field.order is not None:
+            s._codes = codes
+    return codes
+
+
+def _span(field: Field, ambient_dim: int, vectors) -> Subspace:
+    """The canonical subspace spanned by vectors, with its codes where they are kept."""
+    rows, _, codes = _reduce(field, vectors, ambient_dim)
+    return Subspace(field, ambient_dim, tuple(rows), codes)
+
+
 def _rref_rows(field: Field, rows: Sequence, num_cols: int):
     """Gaussian elimination to unique RREF; returns (rows, pivot_cols)."""
+    reduced, pivot_cols, _ = _reduce(field, rows, num_cols)
+    return reduced, pivot_cols
+
+
+def _reduce(field: Field, rows: Sequence, num_cols: int):
+    """_rref_rows plus the reduced rows' codes on a finite field with a kernel, else None."""
     kern = field._kernel()
     if not kern:
-        return _rref_generic(field, rows, num_cols)
+        return (*_rref_generic(field, rows, num_cols), None)
     coded = _encode(kern, rows, num_cols)
     reduced, pivot_cols = _rref_coded(kern, list(coded), num_cols)
-    return kern.decode_rows(reduced, rows, coded), pivot_cols
+    return kern.decode_rows(reduced, rows, coded), pivot_cols, reduced if field.order is not None else None
 
 
 def _rref_coded(kern, work: list, num_cols: int):
@@ -223,8 +284,7 @@ def _rref_generic(field: Field, rows, num_cols: int):
 
 def rref_canonical(m: Matrix) -> Subspace:
     """Row space of m as a canonical subspace; idempotent."""
-    rows, _ = _rref_rows(m.field, m.rows, m.num_cols)
-    return Subspace(m.field, m.num_cols, tuple(rows))
+    return _span(m.field, m.num_cols, m.rows)
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -243,8 +303,7 @@ def kernel(m: Matrix) -> Subspace:
         for i, p in enumerate(pivot_cols):
             v[p] = -rows[i][j]
         basis.append(v)
-    reduced, _ = _rref_rows(field, basis, n)
-    return Subspace(field, n, tuple(reduced))
+    return _span(field, n, basis)
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:
@@ -257,8 +316,10 @@ def orthogonal_complement(s: Subspace) -> Subspace:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise AmbientMismatch("subspace sum needs a common ambient space")
-    rows, _ = _rref_rows(a.field, list(a.rows) + list(b.rows), a.ambient_dim)
-    return Subspace(a.field, a.ambient_dim, tuple(rows))
+    kern = _finite_kernel(a.field)
+    if kern:
+        return Subspace.from_codes(a.field, a.ambient_dim, [*_row_codes(a, kern), *_row_codes(b, kern)])
+    return _span(a.field, a.ambient_dim, list(a.rows) + list(b.rows))
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -296,16 +357,7 @@ def contains(a: Subspace, *vectors: Sequence[FieldElement]) -> bool:
         return True
     kern = a.field._kernel()
     if kern:
-        one = kern.one  # a canonical row's first nonzero entry, its pivot, is one
-        rows = [(row.index(one), row) for row in _encode(kern, a.rows, n)]
-        for residue in _encode(kern, vectors, n):
-            for pivot, row in rows:
-                c = residue[pivot]
-                if c:
-                    residue = kern.sub_scaled(residue, c, row)
-            if any(residue):
-                return False
-        return True
+        return _reduces_to_zero(kern, _row_codes(a, kern), _encode(kern, vectors, n))
     _check_entries(a.field, vectors)
     rows = [(next(j for j, e in enumerate(row) if e), row) for row in a.rows]
     for v in vectors:
@@ -314,6 +366,20 @@ def contains(a: Subspace, *vectors: Sequence[FieldElement]) -> bool:
             c = residue[pivot]
             if c:
                 residue = [x - c * y for x, y in zip(residue, row)]
+        if any(residue):
+            return False
+    return True
+
+
+def _reduces_to_zero(kern, rows, vectors) -> bool:
+    """True iff every coded vector reduces to zero against coded canonical rows."""
+    one = kern.one  # a canonical row's first nonzero entry, its pivot, is one
+    rows = [(row.index(one), row) for row in rows]
+    for residue in vectors:
+        for pivot, row in rows:
+            c = residue[pivot]
+            if c:
+                residue = kern.sub_scaled(residue, c, row)
         if any(residue):
             return False
     return True

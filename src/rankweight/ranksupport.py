@@ -29,7 +29,10 @@ from .fields import ExtensionTower, FieldElement, is_separable_tower
 from .linalg import (
     Matrix,
     Subspace,
+    _finite_kernel,
+    _row_codes,
     enumerate_subspaces,
+    gaussian_binomial,
     orthogonal_complement,
     subspace_intersection,
     tail_subspace,
@@ -181,14 +184,30 @@ def expand_vector(tower: ExtensionTower, c: Sequence[FieldElement], basis=None) 
     return ExpandedMatrix(tower, tuple(tuple(r) for r in rows))
 
 
+def _coded_expansion(kern, codes) -> list:
+    """The expansion rows of coded vectors over L, as rows of k-codes.
+
+    The base-|k| digits of an L-code are its k-coordinates, lowest first, so
+    ``kern.coords`` reads the expansion off without building elements.
+    """
+    coords = kern.coords
+    return [row for c in codes for row in zip(*[coords[e] for e in c])]
+
+
 def rank_support_vec(tower: ExtensionTower, c: Sequence[FieldElement], basis=None) -> KSubspace:
     """Rank support of a vector: the k-row space of its expansion matrix."""
     _check_vector(tower, c)
+    n = len(c)
     if basis is None:
+        kern = _finite_kernel(tower.L)
+        if kern:
+            index = kern.index
+            rows = _coded_expansion(kern, [[index[e.payload] for e in c]])
+            return KSubspace(tower, n, Subspace.from_codes(tower.k, n, rows))
         rows = expansion_rows(tower, c)
     else:
         rows = [list(r) for r in expand_vector(tower, c, basis).rows]
-    return KSubspace(tower, len(c), Subspace.from_vectors(tower.k, len(c), rows))
+    return KSubspace(tower, n, Subspace.from_vectors(tower.k, n, rows))
 
 
 def weight_of_vector(tower: ExtensionTower, c: Sequence[FieldElement]) -> int:
@@ -200,8 +219,13 @@ def rank_support_code(C: LinearCode) -> KSubspace:
     """Rank support of a code: the k-sum of the supports of its generators."""
     if C._rsupp is None:
         t, n = C.tower, C.length
-        stacked = [row for g in C.space.rows for row in expansion_rows(t, g)]
-        C._rsupp = KSubspace(t, n, Subspace.from_vectors(t.k, n, stacked))
+        kern = _finite_kernel(t.L)
+        if kern:
+            space = Subspace.from_codes(t.k, n, _coded_expansion(kern, _row_codes(C.space, kern)))
+        else:
+            stacked = [row for g in C.space.rows for row in expansion_rows(t, g)]
+            space = Subspace.from_vectors(t.k, n, stacked)
+        C._rsupp = KSubspace(t, n, space)
     return C._rsupp
 
 
@@ -242,11 +266,18 @@ def extend_to_L(D: KSubspace) -> LinearCode:
     """The L-span D_L of a k-subspace of k^n; dim_L D_L = dim_k D.
 
     A canonical RREF basis over k embeds entry by entry to the canonical RREF
-    basis over L, so no reduction is needed.
+    basis over L, so no reduction is needed.  Over a finite L with a kernel
+    the embedding is the identity on codes: an L-code below |k| has its
+    k-code as first coordinate and zeros above, so D's k-codes are D_L's
+    L-codes.
     """
-    t = D.tower
-    rows = tuple(tuple(embed_vector(t, row)) for row in D.space.rows)
-    return LinearCode(t, D.length, Subspace(t.L, D.length, rows))
+    t, n = D.tower, D.length
+    kern = _finite_kernel(t.L)
+    if kern:
+        space = Subspace.from_codes(t.L, n, _row_codes(D.space, t.k._kernel()), canonical=True)
+    else:
+        space = Subspace(t.L, n, tuple(tuple(embed_vector(t, row)) for row in D.space.rows))
+    return LinearCode(t, n, space)
 
 
 def is_extended(C: LinearCode) -> bool:
@@ -283,20 +314,46 @@ def closure(C: LinearCode) -> LinearCode:
     return extend_to_L(rank_support_code(C))
 
 
+# closure_oracle keeps every W_L of k^n on the tower while there are at most
+# this many subspaces W; above it, they are built again for each code.  A
+# kept W_L takes about 0.8 KB (2,825 of them, all of GF(2)^6 in GF(8)^6,
+# take 2.4 MB), so the list stays under about 3.5 MB per (tower, n).
+_SUPERSPACE_LIMIT = 4096
+
+
 def closure_oracle(C: LinearCode) -> LinearCode:
     """Literal closure: intersect every extended superspace W_L over all W ⊆ k^n.
 
     Finite base fields only; this is the independent cross-check for
-    ``closure`` and is kept deliberately naive.
+    ``closure`` and is kept deliberately naive: it never uses a rank support
+    or ``closure``.  The list of all W_L is built once per (tower, n) and
+    held on the tower (``ExtensionTower._superspaces``, left out of the
+    pickle) while k^n has at most _SUPERSPACE_LIMIT subspaces, the sum of
+    the Gaussian binomials [n choose d]_q; above that it is streamed again
+    for each code.
     """
     t = C.tower
     if t.k.order is None:
         raise InfiniteField("closure_oracle enumerates k-subspaces; k is infinite")
     n = C.length
     result = Subspace.full(t.L, n)
-    for d in range(0, n + 1):
-        for w in enumerate_subspaces(t.k, n, d):
-            wl = Subspace.from_vectors(t.L, n, [embed_vector(t, row) for row in w.rows])
-            if wl.contains_space(C.space):
-                result = subspace_intersection(result, wl)
+    for wl in _extended_superspaces(t, n):
+        if wl.contains_space(C.space):
+            result = subspace_intersection(result, wl)
     return LinearCode(t, n, result)
+
+
+def _extended_superspaces(t: ExtensionTower, n: int):
+    """W_L for every W ⊆ k^n in enumeration order, each embedded and reduced literally."""
+    if t._superspaces is None:
+        t._superspaces = {}
+    spaces = t._superspaces.get(n)
+    if spaces is None:
+        spaces = (
+            Subspace.from_vectors(t.L, n, [embed_vector(t, row) for row in w.rows])
+            for d in range(n + 1)
+            for w in enumerate_subspaces(t.k, n, d)
+        )
+        if sum(gaussian_binomial(n, d, t.k.order) for d in range(n + 1)) <= _SUPERSPACE_LIMIT:
+            spaces = t._superspaces[n] = tuple(spaces)
+    return spaces

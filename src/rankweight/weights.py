@@ -47,7 +47,7 @@ from .errors import (
     ZeroCode,
 )
 from .fields import ExtensionTower, FieldElement, random_rational_element
-from .linalg import Subspace, _rref_coded, enumerate_subspaces, subspace_sum
+from .linalg import Subspace, _finite_kernel, _row_codes, _rref_coded, enumerate_subspaces, subspace_sum
 from .ranksupport import (
     KSubspace,
     LinearCode,
@@ -85,7 +85,7 @@ def _codewords(tower: ExtensionTower, gens, n: int):
     a list of elements and its weight is ``weight_of_vector``.
     """
     L = tower.L
-    kern = L.order is not None and L._kernel()
+    kern = _finite_kernel(L)
     if not kern:
         elems = list(L.elements())
         zero, one = L.zero(), L.one()
@@ -132,7 +132,7 @@ def _rank_gf2(vectors) -> int:
 
 def _decode(L, c) -> list:
     """A codeword from ``_codewords`` as a list of elements of L."""
-    kern = L.order is not None and L._kernel()
+    kern = _finite_kernel(L)
     return [kern.decode[e] for e in c] if kern else list(c)
 
 
@@ -155,12 +155,29 @@ def _subcodes(C: LinearCode, r: int):
     p_i and G is C's RREF generator matrix with pivots q_j, then row i of SG
     starts with a 1 in column q_(p_i), and column q_(p_j) of SG is column p_j
     of S, which is zero outside row j.  So SG is again in canonical RREF.
+    Over a finite L with a kernel the rows of SG are combined on codes.
     """
     t, n = C.tower, C.length
-    G = C.space.rows
-    for s in enumerate_subspaces(t.L, C.dim, r):
-        rows = tuple(tuple(_combine(row, G, t.L, n)) for row in s.rows)
-        yield LinearCode(t, n, Subspace(t.L, n, rows))
+    L = t.L
+    kern = _finite_kernel(L)
+    if not kern:
+        for s in enumerate_subspaces(L, C.dim, r):
+            rows = tuple(tuple(_combine(row, C.space.rows, L, n)) for row in s.rows)
+            yield LinearCode(t, n, Subspace(L, n, rows))
+        return
+    G = _row_codes(C.space, kern)
+    index, add, scale = kern.index, kern.add, kern.scale
+    for s in enumerate_subspaces(L, C.dim, r):
+        rows = []
+        for coeffs in s.rows:
+            acc = None
+            for e, g in zip(coeffs, G):
+                a = index[e.payload]
+                if a:
+                    term = g if a == 1 else scale(g, a)
+                    acc = term if acc is None else list(map(add, acc, term))
+            rows.append(acc)  # an RREF row is nonzero
+        yield LinearCode(t, n, Subspace.from_codes(L, n, rows, canonical=True))
 
 
 def _require_finite(C: LinearCode, what: str):

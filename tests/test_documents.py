@@ -286,3 +286,28 @@ def test_build_tower_coefficient_forms():
     assert TowerTask(2, ("u", "1", 1), base_degree=2, base_modulus=(1, 1, 1)).build() == nested
     with pytest.raises(ParseError, match=r"tower.extension_modulus\[1\]: expected integer or string"):
         build_tower(2, (1, None, 1))
+
+
+def test_boolean_modulus_coefficient_is_rejected(tmp_path, capsys):
+    """JSON true is not the integer 1: the document exits 1 with the coefficient message."""
+    bad = SAMPLE.replace("[1,1,1]", "[true, 1, 1]")  # over GF(2)
+    with pytest.raises(ParseError, match=r"tower.extension_modulus\[0\]: expected integer or string coefficient, got True"):
+        parse_code_file(bad)
+    path = tmp_path / "bool.json"
+    path.write_text(bad)
+    assert cli.main(["analyze", str(path)]) == 1
+    assert "expected integer or string coefficient" in capsys.readouterr().err
+
+
+def test_base_generator_name_must_be_an_identifier():
+    doc = {
+        "tower": {"characteristic": 2, "base_degree": 2, "base_modulus": [1, 1, 1],
+                  "base_generator_name": "u u", "extension_modulus": ["u", "1", "1"],
+                  "generator_name": "w"},
+        "length": 2,
+        "generators": [["1", "w"]],
+    }
+    with pytest.raises(ParseError, match=r"^tower.base_generator_name: expected an identifier string$"):
+        parse_code_file(json.dumps(doc))
+    doc["tower"].update(base_generator_name="u1", extension_modulus=["u1", "1", "1"])
+    assert parse_code_file(json.dumps(doc)).tower.k.symbol == "u1"

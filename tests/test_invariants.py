@@ -7,10 +7,10 @@ import subprocess
 import sys
 
 import rankweight
-from rankweight import cli, ranksupport
+from rankweight import cli, ranksupport, verify
 from rankweight.documents import document_from_code, document_to_json
-from rankweight.linalg import Subspace
-from rankweight.ranksupport import restriction
+from rankweight.linalg import Subspace, subspace_sum
+from rankweight.ranksupport import KSubspace, is_extended, rank_support_code, restriction
 from rankweight.verify import exhaustive_codes, run_verify, standard_plan
 
 PACKAGE_DIR = pathlib.Path(rankweight.__file__).resolve().parent
@@ -149,6 +149,62 @@ def test_field_element_gate_flags_each_kind():
     assert flagged == [True] * 10 + [False] * 4
 
 
+# what closure_oracle is checked against; it must reach none of them
+ORACLE_BANNED = {"closure", "rank_support_code", "restriction", "extend_to_L"}
+
+
+def _oracle_offences(source):
+    """Where closure_oracle in source stops being a literal, independent check.
+
+    The oracle and every function of its module that it reaches by name (its
+    list builder) may name none of ORACLE_BANNED, and one of them must build
+    each W_L with ``Subspace.from_vectors``.
+    """
+    functions = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["closure_oracle"]
+    while todo:
+        name = todo.pop()
+        if name in functions and name not in reached:
+            reached.add(name)
+            todo += [node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)]
+    if not reached:
+        return ["no closure_oracle"]
+    offences, builds = [], False
+    for name in sorted(reached):
+        for node in ast.walk(functions[name]):
+            ident = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if ident in ORACLE_BANNED:
+                offences.append(f"{name}:{node.lineno} names {ident}")
+            if ident == "from_vectors" and isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "Subspace":
+                builds = True
+    if not builds:
+        offences.append("no W_L is built with Subspace.from_vectors")
+    return offences
+
+
+def test_closure_oracle_stays_literal():
+    assert _oracle_offences((PACKAGE_DIR / "ranksupport.py").read_text()) == []
+
+
+def test_oracle_gate_flags_each_kind():
+    literal = "def closure_oracle(C):\n    return [w for w in _spaces(C)]\n" \
+              "def _spaces(C):\n    return [Subspace.from_vectors(L, n, embed(r)) for r in rows]\n"
+    flagged = [
+        bool(_oracle_offences(src))
+        for src in (
+            literal,
+            literal + "def elsewhere(C):\n    return closure(C)\n",  # not reached from the oracle
+            literal.replace("[w for w in _spaces(C)]", "closure(C)"),
+            literal.replace("embed(r)", "restriction(C).rows"),
+            literal.replace("Subspace.from_vectors(L, n, embed(r))", "extend_to_L(r).space"),
+            literal.replace("embed(r)", "ranksupport.rank_support_code(C).space.rows"),
+            literal.replace("Subspace.from_vectors(L, n, embed(r))", "Subspace(L, n, r)"),
+            "def oracle(C):\n    return Subspace.from_vectors(L, n, [])\n",
+        )
+    ]
+    assert flagged == [False, False, True, True, True, True, True, True]
+
+
 def _zero_restriction(monkeypatch):
     monkeypatch.setattr(
         ranksupport,
@@ -200,3 +256,47 @@ def test_cli_maps_internal_invariant_error_to_exit_2(monkeypatch, capsys):
     _zero_restriction(monkeypatch)
     assert cli.main(["analyze", str(SAMPLES / "gf4_rational.json")]) == 2
     assert "degeneracy criteria disagree" in capsys.readouterr().err
+
+
+ORACLE_MESSAGE = "closure differs from the literal intersection oracle"
+EXTENDEDNESS_MESSAGE = "C = C* does not match extendedness"
+
+
+def _support_plus_last_unit(C):
+    """Rsupp(C) + k·e_n: a wrong rank support, and through it a wrong closure."""
+    t, n = C.tower, C.length
+    unit = Subspace.from_vectors(t.k, n, [[t.k.zero()] * (n - 1) + [t.k.one()]])
+    return KSubspace(t, n, subspace_sum(rank_support_code(C).space, unit))
+
+
+def test_wrong_closure_fails_the_closure_suite_on_the_oracle(monkeypatch):
+    """closure_oracle never asks for a rank support, so it catches a closure built on a wrong one.
+
+    The wrong closure (Rsupp(C) + k·e_n)_L passes every other closure law
+    checked with the same wrong support: only extendedness (for extended C)
+    and the oracle (for the rest) can tell.
+    """
+    expected = []
+    for task in standard_plan().towers:
+        tower = task.build()
+        codes = [c for n in range(1, task.max_n + 1) for c in exhaustive_codes(tower, n)]
+        messages = []
+        for c in codes:
+            if _support_plus_last_unit(c).space != rank_support_code(c).space:
+                messages.append(EXTENDEDNESS_MESSAGE if is_extended(c) else ORACLE_MESSAGE)
+        expected.append(messages)
+    for module in (ranksupport, verify):
+        monkeypatch.setattr(module, "rank_support_code", _support_plus_last_unit)
+    summary = run_verify(standard_plan(theorem="closure"))
+    assert not summary["ok"]
+    # over GF(4) and GF(9), n <= 2, every code that is not extended has full support
+    assert [messages.count(ORACLE_MESSAGE) > 0 for messages in expected] == [False, True, False]
+    for rep, messages in zip(summary["towers"], expected):
+        assert [f["message"] for f in rep["failures"]] == messages
+        assert rep["checks"]["closure"]["failures"] == len(messages)
+        assert rep["checks"]["closure_pair"]["failures"] == 0
+
+
+def test_closure_summaries_match_across_workers():
+    summaries = [run_verify(standard_plan(theorem="closure", workers=w)) for w in (1, 2)]
+    assert summaries[0]["ok"] and json.dumps(summaries[0]) == json.dumps(summaries[1])

@@ -22,11 +22,28 @@ from rankweight.fields import (
     make_tower,
     random_rational_element,
 )
-from rankweight.linalg import Subspace, _rref_generic, _rref_rows, contains
-from rankweight.ranksupport import LinearCode, rank_support_code, trace_image, weight_of_vector
-from rankweight.weights import _codewords, _decode, rank_distance
+from rankweight.linalg import (
+    Subspace,
+    _rref_generic,
+    _rref_rows,
+    contains,
+    enumerate_subspaces,
+    subspace_intersection,
+    subspace_sum,
+)
+from rankweight.ranksupport import (
+    KSubspace,
+    LinearCode,
+    closure_oracle,
+    extend_to_L,
+    rank_support_code,
+    rank_support_vec,
+    trace_image,
+    weight_of_vector,
+)
+from rankweight.weights import _codewords, _combine, _decode, _subcodes, rank_distance
 
-from helpers import gf3_degree_one, gf4, gf8, gf9, gf16_over_gf2, gf16_over_gf4, qtheta
+from helpers import all_codes, gf3_degree_one, gf4, gf8, gf9, gf16_over_gf2, gf16_over_gf4, qtheta
 
 
 def gf2_degree_one():
@@ -186,11 +203,13 @@ def test_pickle_leaves_the_kernel_out():
     warm = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 0, 1])
     code = LinearCode.from_generators(warm, 2, [[warm.L.one(), warm.generator()]])
     rank_support_code(code)
+    closure_oracle(code)
     hash(warm.L)
-    assert warm.L._kern and warm.k._kern
+    assert warm.L._kern and warm.k._kern and warm._superspaces
     assert pickle.dumps(warm) == pickle.dumps(cold)
     loaded = pickle.loads(pickle.dumps(warm))
-    assert loaded.L._kern is None and loaded == warm
+    assert loaded.L._kern is None and loaded._superspaces is None and loaded == warm
+    assert closure_oracle(LinearCode(loaded, 2, code.space)) == closure_oracle(code)
     again = LinearCode.from_generators(loaded, 2, [[loaded.L.one(), loaded.generator()]])
     assert again.space == code.space and rank_distance(again) == rank_distance(code)
     assert all(x.field is loaded.L for x in again.space.rows[0])
@@ -401,16 +420,21 @@ def test_multi_vector_contains_matches_the_loop(name, field):
 
 
 def test_contains_encodes_the_subspace_once(monkeypatch):
-    t = qtheta()
-    one, theta = t.L.one(), t.generator()
-    space = Subspace.from_vectors(t.L, 3, [[one, theta, one], [theta, one, theta * theta]])
     calls = []
     encode = linalg._encode
     monkeypatch.setattr(linalg, "_encode", lambda kern, rows, n: calls.append(len(rows)) or encode(kern, rows, n))
-    members = [[x * a + b for a, b in zip(*space.rows)] for x in (one, theta, t.L.from_int(3))]
-    assert contains(space, *members) and space.contains_space(space)
-    assert not contains(space, *members, [one, one, one])
-    assert calls == [2, 3, 2, 2, 2, 4]
+    # a finite subspace keeps the codes its reduction made, so only the
+    # vectors are encoded, and contains_space reads both sides' codes; over
+    # Q(t) nothing is kept, so each call encodes the subspace once
+    for t, expected in ((gf16_over_gf4(), [3, 4]), (qtheta(), [2, 3, 2, 2, 2, 4])):
+        one, theta = t.L.one(), t.generator()
+        space = Subspace.from_vectors(t.L, 3, [[one, theta, one], [theta, one, theta * theta]])
+        assert (space._codes is not None) == (t.L.order is not None)
+        calls.clear()
+        members = [[x * a + b for a, b in zip(*space.rows)] for x in (one, theta, t.L.from_int(3))]
+        assert contains(space, *members) and space.contains_space(space)
+        assert not contains(space, *members, [one, one, one])
+        assert calls == expected
 
 
 def test_rational_decode_gives_elements_of_the_callers_field_object():
@@ -423,3 +447,101 @@ def test_rational_decode_gives_elements_of_the_callers_field_object():
         space = Subspace.from_vectors(field, 3, rows)
         assert all(x.field is field for row in space.rows for x in row)
         assert [format_element(x) for x in space.rows[1]] == ["0", "1", f"{symbol}^2"]
+
+
+# ---------------------------------------------------------------------------
+# subspaces kept coded between eliminations
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", list(TOWERS))
+def test_k_codes_are_the_l_codes_of_their_embeddings(name):
+    # extend_to_L relies on it: an L-code below |k| is (k-code, 0, ..., 0)
+    t = TOWERS[name]()
+    kern, k_kern = t.L._kernel(), t.k._kernel()
+    for x in t.k.elements():
+        a = k_kern.index[x.payload]
+        assert kern.coords[a] == (a,) + (0,) * (t.degree - 1)
+        assert kern.index[t.embed(x).payload] == a
+
+
+@pytest.mark.parametrize("name", list(TOWERS))
+def test_coded_subcodes_match_the_element_combination(name):
+    t = TOWERS[name]()
+    rng = random.Random(name)
+    elems = list(t.L.elements())
+    for _ in range(3):
+        n = rng.randint(1, 3)
+        code = LinearCode.from_generators(t, n, [[rng.choice(elems) for _ in range(n)] for _ in range(n)])
+        for r in range(1, code.dim + 1):
+            coefficient_spaces = enumerate_subspaces(t.L, code.dim, r)
+            for sub, s in zip(_subcodes(code, r), coefficient_spaces, strict=True):
+                expected = tuple(tuple(_combine(row, code.space.rows, t.L, n)) for row in s.rows)
+                assert sub.space.rows == expected
+                assert all(x.field is t.L for row in sub.space.rows for x in row)
+                assert sub.space._codes == [[t.L._kernel().index[x.payload] for x in row] for row in expected]
+
+
+@pytest.mark.parametrize("name", list(TOWERS))
+def test_coded_rank_supports_match_the_element_expansion(name):
+    t = TOWERS[name]()
+    rng = random.Random(name)
+    elems = list(t.L.elements())
+    for _ in range(10):
+        n = rng.randint(1, 3)
+        c = [rng.choice(elems) for _ in range(n)]
+        rows = [[FieldElement(t.k, x.payload[i]) for x in c] for i in range(t.degree)]
+        assert rank_support_vec(t, c).space == Subspace.from_vectors(t.k, n, rows)
+        code = LinearCode.from_generators(t, n, [c, [rng.choice(elems) for _ in range(n)]])
+        stacked = [[FieldElement(t.k, x.payload[i]) for x in g] for g in code.space.rows for i in range(t.degree)]
+        assert rank_support_code(code).space == Subspace.from_vectors(t.k, n, stacked)
+
+
+def test_codes_change_neither_equality_hash_nor_pickle():
+    t = gf16_over_gf2()
+    rows = [[t.L.one(), t.generator(), t.L.zero()], [t.L.zero(), t.L.one(), t.generator()]]
+    coded = Subspace.from_vectors(t.L, 3, rows)
+    plain = Subspace(t.L, 3, coded.rows)
+    assert coded._codes is not None and plain._codes is None
+    assert coded == plain and hash(coded) == hash(plain)
+    assert pickle.dumps(coded) == pickle.dumps(plain)
+    loaded = pickle.loads(pickle.dumps(coded))
+    assert loaded == coded and loaded._codes is None
+    assert contains(plain, rows[0]) and plain._codes == coded._codes  # filled on first use
+
+
+def test_coded_results_belong_to_the_callers_field_object():
+    warm, cold = nested("w", "u"), nested("z", "v")
+    closure_oracle(LinearCode.from_generators(warm, 2, [[warm.L.one(), warm.generator()]]))
+    gens = lambda t: [[t.L.one(), t.generator()], [t.embed(t.k.generator()), t.L.zero()]]  # noqa: E731
+    a = Subspace.from_vectors(warm.L, 2, gens(warm)[:1])
+    b = Subspace.from_vectors(cold.L, 2, gens(cold)[1:])
+    for space, field in (
+        (subspace_sum(a, b), warm.L),
+        (subspace_sum(b, a), cold.L),
+        (subspace_intersection(b, subspace_sum(a, b)), cold.L),
+        (Subspace.from_codes(cold.L, 2, a._codes), cold.L),
+        (extend_to_L(KSubspace(cold, 2, Subspace.from_vectors(warm.k, 2, [[warm.k.one(), warm.k.generator()]]))).space,
+         cold.L),
+        (rank_support_code(LinearCode(cold, 2, a)).space, cold.k),
+    ):
+        assert space.rows and all(x.field is field for row in space.rows for x in row)
+    assert [format_element(x) for x in Subspace.from_codes(cold.L, 2, a._codes).rows[0]] == ["1", "z"]
+
+
+@pytest.mark.parametrize("make,max_n", [(gf4, 2), (gf8, 2), (gf16_over_gf2, 2), (gf9, 2), (gf16_over_gf4, 1)])
+def test_coded_sum_and_intersection_match_the_element_reductions(make, max_n):
+    t = make()
+    spaces = [c.space for n in range(1, max_n + 1) for c in all_codes(t, n)]
+    rng = random.Random(repr(t))
+    for _ in range(60):
+        a, b = rng.choice(spaces), rng.choice(spaces)
+        if a.ambient_dim != b.ambient_dim:
+            continue
+        n = a.ambient_dim
+        assert subspace_sum(a, b) == Subspace(t.L, n, tuple(_rref_generic(t.L, a.rows + b.rows, n)[0]))
+        zeros = (t.L.zero(),) * n
+        reduced, pivots = _rref_generic(t.L, [r + r for r in a.rows] + [r + zeros for r in b.rows], 2 * n)
+        meet = tuple(row[n:] for row, p in zip(reduced, pivots) if p >= n)
+        assert subspace_intersection(a, b) == Subspace(t.L, n, meet)
+        assert a.contains_space(b) == (subspace_sum(a, b) == a)

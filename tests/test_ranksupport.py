@@ -28,6 +28,7 @@ from rankweight.fields import (
     ExtensionField,
     ExtensionTower,
     PrimeField,
+    make_tower,
 )
 from rankweight.linalg import Subspace, enumerate_subspaces, orthogonal_complement, subspace_sum
 from rankweight.ranksupport import (
@@ -200,13 +201,16 @@ def test_extend_and_is_extended():
 
 
 def test_extend_to_L_matches_reduction_over_L():
-    # the embedded canonical basis over k is already the canonical basis over L
-    for t in (gf4(), gf9(), gf16_over_gf4()):
-        for n in (1, 2):
+    # the embedded canonical basis over k is already the canonical basis over L,
+    # and D's k-codes are D_L's L-codes
+    for t, max_n in ((gf4(), 2), (gf9(), 2), (gf16_over_gf4(), 2), (gf8(), 3), (gf16_over_gf2(), 3)):
+        for n in range(1, max_n + 1):
             for d in range(n + 1):
                 for w in enumerate_subspaces(t.k, n, d):
                     literal = Subspace.from_vectors(t.L, n, [embed_vector(t, r) for r in w.rows])
-                    assert extend_to_L(KSubspace(t, n, w)).space == literal
+                    extended = extend_to_L(KSubspace(t, n, w)).space
+                    assert extended == literal and extended._codes == literal._codes == w._codes
+                    assert all(x.field is t.L for row in extended.rows for x in row)
 
 
 def _memo_codes():
@@ -322,6 +326,54 @@ def test_closure_examples():
     assert closure_oracle(c) == LinearCode.full(t, 2)
     assert closure_oracle(ext) == ext
     assert closure_oracle(z) == z
+
+
+def _count_k_enumerations(monkeypatch, tower):
+    """Rebind ranksupport.enumerate_subspaces; the list counts its calls over tower's k."""
+    real = ranksupport.enumerate_subspaces
+    calls = []
+
+    def counting(field, ambient_dim, dim):
+        if field == tower.k:
+            calls.append((ambient_dim, dim))
+        return real(field, ambient_dim, dim)
+
+    monkeypatch.setattr(ranksupport, "enumerate_subspaces", counting)
+    return calls
+
+
+def _fresh_gf4():
+    return make_tower(BaseFieldDescriptor(2), [1, 1, 1])
+
+
+def test_closure_oracle_builds_the_superspaces_once_per_tower_and_length(monkeypatch):
+    t = _fresh_gf4()
+    calls = _count_k_enumerations(monkeypatch, t)
+    codes = all_codes(t, 2) + all_codes(t, 3)
+    for c in codes + codes:
+        assert closure_oracle(c) == closure(c)
+    # one enumeration per dimension d = 0..n, for n = 2 and n = 3
+    assert calls == [(2, d) for d in range(3)] + [(3, d) for d in range(4)]
+    assert [len(t._superspaces[n]) for n in (2, 3)] == [1 + 3 + 1, 1 + 7 + 7 + 1]
+    # an equal tower built apart holds its own list: the cache follows the tower object
+    fresh = _fresh_gf4()
+    assert fresh == t and fresh._superspaces is None
+    calls.clear()
+    c = LinearCode(fresh, 2, codes[1].space)
+    assert closure_oracle(c) == closure(c) and len(calls) == 3
+    assert fresh._superspaces[2] is not t._superspaces[2]
+
+
+def test_closure_oracle_streams_above_the_bound(monkeypatch):
+    t = _fresh_gf4()
+    calls = _count_k_enumerations(monkeypatch, t)
+    # GF(2)^1 has 2 subspaces, kept; GF(2)^2 has 1 + 3 + 1 = 5, streamed for each code
+    monkeypatch.setattr(ranksupport, "_SUPERSPACE_LIMIT", 4)
+    codes = all_codes(t, 2)
+    for c in all_codes(t, 1) + codes:
+        assert closure_oracle(c) == closure(c)
+    assert set(t._superspaces) == {1}
+    assert len(calls) == 2 + 3 * len(codes)
 
 
 def test_basis_independence_of_rank_support():
