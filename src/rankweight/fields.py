@@ -44,16 +44,20 @@ as GF(4) its gcd irreducibility test multiplies in k, which builds k's.
   (Bareiss, Math. Comp. 1968); a zero divisor raises ZeroDivisionError.
 
 ``ExtensionField`` products and inverses go through the kernel, and
-``linalg`` (and, over finite fields, ``weights`` and ``ranksupport``) run
-their inner loops on codes, decoding to ``FieldElement`` only at their
-boundary, where payloads keep their usual form (``Fraction`` coordinates
-over Q).  Over finite fields a ``linalg.Subspace`` keeps its rows' codes
-between eliminations.  Since the base-|k| digits of an L-code are its
-k-coordinates, lowest first, ``coords`` gives expansions over k without
-elements, and a k-code is also the L-code of its embedding.  A kernel lives
-on its field object and is left out of the pickle, so a worker process
-rebuilds it; the same holds for the cached hash, and for the superspaces
-``closure_oracle`` keeps on an ``ExtensionTower``.
+``linalg``, ``ranksupport`` and (over finite fields) ``weights`` run their
+inner loops on codes, decoding to ``FieldElement`` only at their boundary,
+where payloads keep their usual form (``Fraction`` coordinates over Q).
+Codes are the stored form of every ``linalg.Subspace`` over a field with a
+kernel; its element rows are decoded on first read.  ``expand`` gives an
+L-code's k-coordinates as k-codes without elements: over a finite field
+they are the base-|k| digits of the code, lowest first, and over Q[x]/(f) the
+numerators over the common denominator, each reduced.  ``embed_row``
+gives the L-codes of embedded k-codes: over a finite field a k-code is
+also the L-code of its embedding, and over Q the code (n, d) becomes
+(n, 0, ..., 0, d).  A kernel lives on its field object and is left out of
+the pickle, so a worker process rebuilds it; the same holds for the cached
+hash, and for the superspaces ``closure_oracle`` keeps on an
+``ExtensionTower``.
 """
 
 from __future__ import annotations
@@ -460,12 +464,14 @@ def _is_prime(p: int) -> bool:
 class _Kernel:
     """Int-coded arithmetic of one finite field; see the module docstring.
 
-    ``add`` adds two codes; ``inv``, ``scale`` and ``sub_scaled`` work on
-    codes and rows of codes, as in ``_RationalKernel``, and ``mul_payloads``
-    and ``inv_payload`` on payloads.  ``field`` is the field object the
-    kernel belongs to, ``decode`` holds its elements by code, ``index`` maps
-    a payload to its code, and for an extension ``coords[c]`` holds the
-    base-field codes of the coordinates of c (None for a prime field).
+    ``add`` adds two codes; ``mul``, ``neg``, ``inv``, ``scale``,
+    ``sub_scaled``, ``expand``, ``embed_row`` and ``decode_rows`` work on
+    codes and rows of codes, as in ``_RationalKernel``, and
+    ``mul_payloads`` and ``inv_payload`` on payloads.  ``field`` is the
+    field object the kernel belongs to, ``decode`` holds its elements by
+    code, ``index`` maps a payload to its code, and for an extension
+    ``coords[c]`` (also ``expand(c)``) holds the base-field codes of the
+    coordinates of c (None for a prime field).
 
     With n1 = q - 1 and g the primitive element, ``exp[e]`` is the code of
     g^e for 0 <= e < 2*n1 (the powers twice over, so a sum of two logs needs
@@ -474,7 +480,7 @@ class _Kernel:
     is the log of -1.
     """
 
-    __slots__ = ("field", "q", "n1", "exp", "log", "neg_log", "add", "index", "decode", "coords")
+    __slots__ = ("field", "q", "n1", "exp", "log", "neg_log", "add", "index", "decode", "coords", "expand")
     one = 1
 
     def __init__(self, field, q, exp, log, neg_log, add, index, decode, coords):
@@ -488,11 +494,24 @@ class _Kernel:
         self.index = index
         self.decode = decode
         self.coords = coords
+        self.expand = coords.__getitem__ if coords is not None else None
 
-    def decode_rows(self, reduced, rows, coded) -> list:
-        """Rows of codes as tuples of elements; ``rows`` and ``coded`` are not needed here."""
+    def decode_rows(self, codes) -> tuple:
+        """Rows of codes as tuples of elements of this kernel's field."""
         decode = self.decode
-        return [tuple([decode[e] for e in row]) for row in reduced]
+        return tuple([tuple([decode[e] for e in row]) for row in codes])
+
+    @staticmethod
+    def embed_row(row) -> tuple:
+        """Base-field codes as the codes of their embeddings: the same ints."""
+        return row
+
+    def neg(self, a: int) -> int:
+        """-a; log[0] lands among the zeros of exp, so 0 needs no test."""
+        return self.exp[self.log[a] + self.neg_log]
+
+    def mul(self, a: int, b: int) -> int:
+        return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
         """1/a for a nonzero code a."""
@@ -617,9 +636,13 @@ class _RationalKernel:
 
     A nonzero element with coordinates n_i/d is coded as the tuple
     (n_0, ..., n_(m-1), d) with d > 0 and gcd(n_0, ..., n_(m-1), d) = 1, so
-    equal elements get equal codes; zero is coded as 0.  ``mul``, ``inv``,
-    ``scale`` and ``sub_scaled`` work on codes and rows of codes, skipping
-    zero entries, and ``mul_payloads`` and ``inv_payload`` on payloads.
+    equal elements get equal codes; zero is coded as 0.  ``mul``, ``neg``,
+    ``inv``, ``scale`` and ``sub_scaled`` work on codes and rows of codes,
+    skipping zero entries, and ``mul_payloads`` and ``inv_payload`` on
+    payloads.  ``expand`` gives the Q-codes of a code's coordinates, n_i/d
+    as (n_i/g, d/g) with g = gcd(n_i, d); ``embed_row`` turns Q-codes
+    (n, d) into the codes (n, 0, ..., 0, d) of their embeddings; and
+    ``decode_rows`` builds elements of ``field``.
     ``index[p]`` (the kernel itself) is the code of the payload p, as for a
     finite field, and ``payload`` goes back.  With D the least common
     denominator of the coefficients c_i of f,
@@ -627,7 +650,7 @@ class _RationalKernel:
     (i, -D*c_i) with c_i != 0 and ``fold_den`` is D.
     """
 
-    __slots__ = ("field", "m", "one", "fold", "fold_den", "index", "zero_element", "one_element")
+    __slots__ = ("field", "m", "one", "fold", "fold_den", "index", "zero_element", "one_element", "zeros")
 
     def __init__(self, field):
         self.field = field
@@ -639,6 +662,7 @@ class _RationalKernel:
         self.index = self
         self.zero_element = field.zero()
         self.one_element = field.one()
+        self.zeros = (0,) * self.m
 
     def __getitem__(self, p):
         """The code of the payload p, a tuple of m Fractions."""
@@ -750,20 +774,37 @@ class _RationalKernel:
             out.append(_rational_code(nums, den))
         return out
 
-    def decode_rows(self, reduced, rows, coded) -> list:
-        """Rows of codes as tuples of elements.
+    def neg(self, a):
+        if not a:
+            return 0
+        m = self.m
+        return (*[-x for x in a[:m]], a[m])
 
-        An entry whose code is that of an input element of this field object
-        (``rows`` and their codes ``coded``) reuses that element.
-        """
+    def expand(self, c) -> tuple:
+        """The Q-codes of the coordinates of the code c."""
+        if not c:
+            return self.zeros
+        d = c[-1]
+        out = []
+        for x in c[:-1]:
+            if x:
+                g = gcd(x, d)
+                out.append((x // g, d // g))
+            else:
+                out.append(0)
+        return tuple(out)
+
+    def embed_row(self, row) -> tuple:
+        """Q-codes (n, d) as the codes (n, 0, ..., 0, d) of their embeddings."""
+        pad = self.zeros[1:]
+        return tuple([(e[0], *pad, e[1]) if e else 0 for e in row])
+
+    def decode_rows(self, codes) -> tuple:
+        """Rows of codes as tuples of elements of this kernel's field."""
         field = self.field
         memo = {0: self.zero_element, self.one: self.one_element}
-        for r, codes in zip(rows, coded):
-            for e, c in zip(r, codes):
-                if c and e.field is field:
-                    memo[c] = e
         out = []
-        for row in reduced:
+        for row in codes:
             elems = []
             for c in row:
                 e = memo.get(c)
@@ -771,7 +812,7 @@ class _RationalKernel:
                     e = memo[c] = FieldElement(field, self.payload(c))
                 elems.append(e)
             out.append(tuple(elems))
-        return out
+        return tuple(out)
 
 
 class _QKernel(_RationalKernel):
@@ -923,7 +964,8 @@ def build_base_field(desc: BaseFieldDescriptor, symbol: str = "u") -> Field:
 class ExtensionTower:
     """A finite extension L = k[x]/(f) with its power basis and coordinate map."""
 
-    __slots__ = ("base_descriptor", "k", "L", "degree", "basis", "_separable", "_traces", "_superspaces")
+    __slots__ = ("base_descriptor", "k", "L", "degree", "basis", "_separable", "_traces", "_trace_codes",
+                 "_superspaces")
 
     def __init__(self, base_descriptor, k, L):
         self.base_descriptor = base_descriptor
@@ -938,6 +980,7 @@ class ExtensionTower:
         )
         self._separable = None  # is_separable_tower fills it on first use
         self._traces = None  # trace fills it with the k-payloads of Tr(w^i) on first use
+        self._trace_codes = None  # ranksupport.trace_image: Tr of every code of a finite L, on first use
         self._superspaces = None  # ranksupport.closure_oracle: n -> every W_L of k^n, on first use
 
     def __getstate__(self):

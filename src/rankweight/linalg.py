@@ -13,25 +13,23 @@ once, ordered by pivot profile and then lexicographically on the free
 entries; the census equals the Gaussian binomial coefficient.
 
 Over a field with a kernel (``fields``: Q, Q[x]/(f) and finite fields of
-order <= 4096), ``_rref_rows`` and ``contains`` encode each row once into
-element codes, run one coded elimination or reduction that serves both kinds
-of kernel, and decode at the end into elements of the field they were called
-with.  The RREF is unique, so this gives the same rows and pivots as the
-generic elimination on ``FieldElement``s, which larger finite fields and
-finite non-fields keep.  ``contains`` tests any number of vectors against
-one encoding of the subspace.
-
-Over a finite field with a kernel a subspace also keeps its rows' codes
-(``Subspace._codes``) between calls: the reductions fill them from the codes
-they already hold, and ``contains``, ``contains_space`` and ``subspace_sum``
-read them instead of encoding the rows again.  ``Subspace.from_codes``
-builds a subspace from rows of codes.  Over Q and Q[x]/(f) nothing is kept:
-a rational code is as large as its element, and every call encodes afresh.
+order <= 4096) a subspace is stored as its canonical rows in element codes
+(``Subspace._codes``).  Every reduction encodes its element inputs once,
+eliminates on codes and keeps the result coded; ``dim``, equality, hashing,
+``contains``, ``contains_space``, sums, intersections, orthogonal
+complements and subspace enumeration work on the codes, and
+``Subspace.from_codes`` builds from rows of codes.  ``Subspace.rows`` is
+decoded on its first read, through the subspace's own field object, so its
+entries are elements of that object.  The RREF is unique, so every route
+gives the same codes, and decoding them gives the rows of the generic
+elimination on ``FieldElement``s, which larger finite fields and finite
+non-fields keep.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterator, List, Sequence
 
 from .errors import AmbientMismatch, FieldMismatch, InfiniteField
@@ -71,27 +69,41 @@ class Subspace:
     """A subspace of F^n held as a canonical RREF basis matrix.
 
     The constructor trusts its input; build through ``rref_canonical`` or the
-    classmethods unless the rows are canonical by construction.
+    classmethods unless the rows are canonical by construction.  It takes the
+    rows as elements (``rows``), as codes of the field's kernel (``codes``),
+    or both.
 
-    ``_codes`` holds the rows as codes of the field's kernel, on finite fields
-    only: None until a reduction or the first membership test fills it, and
-    never written again.  Code rows are lists or tuples of ints that nothing
-    mutates.  A code depends only on its element's payload, so the codes
-    serve every equal field object.  They take no part in equality, hashing
-    or pickling.
+    Over a field with a kernel the codes are the stored form: rows given as
+    elements are encoded on first use, and ``rows`` of a subspace given as
+    codes is decoded on its first read, through this subspace's field
+    object.  A code depends only on its element's payload, so the codes
+    serve every equal field object, and canonical codes are unique, so
+    ``==`` and the hash read them; ``==`` compares element rows instead
+    only when both sides hold rows and one of them has no codes yet.  Code
+    rows are tuples of codes held in a tuple, like ``rows``.  A pickle holds
+    the rows as elements.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows", "_codes")
+    __slots__ = ("field", "ambient_dim", "_rows", "_codes")
 
-    def __init__(self, field: Field, ambient_dim: int, rows: tuple, codes=None):
+    def __init__(self, field: Field, ambient_dim: int, rows: tuple | None = None, codes: tuple | None = None):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.rows = rows
+        self._rows = rows
         self._codes = codes
 
     def __reduce__(self):
-        # the codes are left out; the copy fills its own on first use
-        return type(self), (self.field, self.ambient_dim, self.rows)
+        rows = self._rows
+        if rows is None:  # decoded for the pickle only: the codes stay the stored form
+            rows = self.field._kernel().decode_rows(self._codes)
+        return type(self), (self.field, self.ambient_dim, rows)
+
+    @property
+    def rows(self) -> tuple:
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self.field._kernel().decode_rows(self._codes)
+        return rows
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -99,12 +111,13 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        zero, one = field.zero(), field.one()
+        kern = field._kernel()
+        zero, one = (0, kern.one) if kern else (field.zero(), field.one())
         rows = tuple(
             tuple(one if i == j else zero for j in range(ambient_dim))
             for i in range(ambient_dim)
         )
-        return cls(field, ambient_dim, rows)
+        return cls(field, ambient_dim, None, rows) if kern else cls(field, ambient_dim, rows)
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors) -> "Subspace":
@@ -112,20 +125,19 @@ class Subspace:
 
     @classmethod
     def from_codes(cls, field: Field, ambient_dim: int, codes, canonical: bool = False) -> "Subspace":
-        """The span of rows of codes of field's kernel, decoded through that kernel.
+        """The span of rows of codes of field's kernel.
 
-        So every entry is an element of this field object.  With canonical
-        set, the rows are already the canonical basis and are not reduced.
+        With canonical set, ``codes`` is already the canonical basis, a tuple
+        of tuples, and is kept as it is; otherwise it is reduced.
         """
-        kern = field._kernel()
         if not canonical:
-            codes, _ = _rref_coded(kern, list(codes), ambient_dim)
-        rows = tuple(kern.decode_rows(codes, (), ()))
-        return cls(field, ambient_dim, rows, codes if field.order is not None else None)
+            codes, _ = _rref_coded(field._kernel(), list(codes), ambient_dim)
+        return cls(field, ambient_dim, None, codes)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        rows = self._rows
+        return len(self._codes if rows is None else rows)
 
     def contains(self, v: Sequence[FieldElement]) -> bool:
         return contains(self, v)
@@ -133,7 +145,7 @@ class Subspace:
     def contains_space(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim or other.field != self.field:
             raise AmbientMismatch("subspaces live in different ambient spaces")
-        kern = _finite_kernel(self.field)
+        kern = self.field._kernel()
         if kern:
             return _reduces_to_zero(kern, _row_codes(self, kern), _row_codes(other, kern))
         return contains(self, *other.rows)
@@ -141,13 +153,20 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.field == other.field
-            and self.rows == other.rows
-        )
+        if self.ambient_dim != other.ambient_dim or self.field != other.field:
+            return False
+        a, b = self._codes, other._codes
+        if a is None or b is None:
+            if self._rows is not None and other._rows is not None:
+                return self._rows == other._rows  # canonical rows are unique too
+            kern = (self if b is None else other).field._kernel()  # the coded side's field has one
+            a, b = _row_codes(self, kern), _row_codes(other, kern)
+        return a == b
 
     def __hash__(self):
+        kern = self.field._kernel()
+        if kern:
+            return hash((self.field, self.ambient_dim, _row_codes(self, kern)))
         return hash((self.field, self.ambient_dim, self.rows))
 
     def __repr__(self):
@@ -173,14 +192,14 @@ def _check_entries(field: Field, rows) -> None:
 
 
 def _encode(kern, rows, num_cols: int) -> list:
-    """Rows of elements of the kernel's field as lists of kernel codes."""
+    """Rows of elements of the kernel's field as tuples of kernel codes, in a list."""
     field, index = kern.field, kern.index
     work = []
     for r in rows:
         if len(r) != num_cols:
             raise ValueError(f"row of length {len(r)} in an ambient of {num_cols}")
         try:
-            work.append([index[e.payload if e.field is field else _payload_in(field, e)] for e in r])
+            work.append(tuple([index[e.payload if e.field is field else _payload_in(field, e)] for e in r]))
         except (KeyError, TypeError, AttributeError):
             raise FieldMismatch("row entry from a foreign field") from None
     return work
@@ -191,40 +210,34 @@ def _finite_kernel(field: Field):
     return field.order is not None and field._kernel()
 
 
-def _row_codes(s: Subspace, kern) -> list:
-    """s's rows as codes of kern, a kernel of s's field; kept on s over a finite field."""
+def _row_codes(s: Subspace, kern) -> tuple:
+    """s's rows as codes of kern, a kernel of s's field; encoded once and kept on s."""
     codes = s._codes
     if codes is None:
-        codes = _encode(kern, s.rows, s.ambient_dim)
-        if s.field.order is not None:
-            s._codes = codes
+        codes = s._codes = tuple(_encode(kern, s._rows, s.ambient_dim))
     return codes
 
 
 def _span(field: Field, ambient_dim: int, vectors) -> Subspace:
-    """The canonical subspace spanned by vectors, with its codes where they are kept."""
-    rows, _, codes = _reduce(field, vectors, ambient_dim)
-    return Subspace(field, ambient_dim, tuple(rows), codes)
+    """The canonical subspace spanned by vectors, coded over a field with a kernel."""
+    kern = field._kernel()
+    if kern:
+        return Subspace.from_codes(field, ambient_dim, _encode(kern, vectors, ambient_dim))
+    return Subspace(field, ambient_dim, tuple(_rref_generic(field, vectors, ambient_dim)[0]))
 
 
 def _rref_rows(field: Field, rows: Sequence, num_cols: int):
-    """Gaussian elimination to unique RREF; returns (rows, pivot_cols)."""
-    reduced, pivot_cols, _ = _reduce(field, rows, num_cols)
-    return reduced, pivot_cols
-
-
-def _reduce(field: Field, rows: Sequence, num_cols: int):
-    """_rref_rows plus the reduced rows' codes on a finite field with a kernel, else None."""
+    """Gaussian elimination to unique RREF; returns (rows, pivot_cols), rows as tuples of elements."""
     kern = field._kernel()
     if not kern:
-        return (*_rref_generic(field, rows, num_cols), None)
-    coded = _encode(kern, rows, num_cols)
-    reduced, pivot_cols = _rref_coded(kern, list(coded), num_cols)
-    return kern.decode_rows(reduced, rows, coded), pivot_cols, reduced if field.order is not None else None
+        return _rref_generic(field, rows, num_cols)
+    reduced, pivot_cols = _rref_coded(kern, _encode(kern, rows, num_cols), num_cols)
+    return list(kern.decode_rows(reduced)), pivot_cols
 
 
 def _rref_coded(kern, work: list, num_cols: int):
-    """_rref_rows on kernel codes; ``work`` is reduced in place."""
+    """_rref_rows on kernel codes; ``work`` is reduced in place, and the
+    reduced rows come back as a tuple of tuples."""
     one = kern.one
     pivot_cols: List[int] = []
     r = 0
@@ -239,6 +252,7 @@ def _rref_coded(kern, work: list, num_cols: int):
         lead = row[col]
         if lead != one:
             row = work[r] = kern.scale(row, kern.inv(lead))
+            row[col] = one  # the kernel's own one: pivots share it
         for i, other in enumerate(work):
             if other[col] and i != r:
                 work[i] = kern.sub_scaled(other, other[col], row)
@@ -246,7 +260,7 @@ def _rref_coded(kern, work: list, num_cols: int):
         r += 1
         if r == len(work):
             break
-    return work[:r], pivot_cols
+    return tuple(map(tuple, work[:r])), pivot_cols
 
 
 def _rref_generic(field: Field, rows, num_cols: int):
@@ -287,36 +301,53 @@ def rref_canonical(m: Matrix) -> Subspace:
     return _span(m.field, m.num_cols, m.rows)
 
 
-def kernel(m: Matrix) -> Subspace:
-    """{v : m v^T = 0}; dim = cols - rank."""
-    field = m.field
-    n = m.num_cols
-    rows, pivot_cols = _rref_rows(field, m.rows, n)
+def _null_basis(reduced, pivot_cols, n: int, zero, one, neg) -> list:
+    """A basis of {v : reduced v^T = 0} for RREF rows with those pivots, one vector per free column."""
     pivot_set = set(pivot_cols)
-    zero, one = field.zero(), field.one()
     basis = []
     for j in range(n):
         if j in pivot_set:
             continue
         v = [zero] * n
         v[j] = one
-        for i, p in enumerate(pivot_cols):
-            v[p] = -rows[i][j]
-        basis.append(v)
-    return _span(field, n, basis)
+        for row, p in zip(reduced, pivot_cols):
+            v[p] = neg(row[j])
+        basis.append(tuple(v))
+    return basis
+
+
+def kernel(m: Matrix) -> Subspace:
+    """{v : m v^T = 0}; dim = cols - rank."""
+    field, n = m.field, m.num_cols
+    kern = field._kernel()
+    if kern:
+        reduced, pivot_cols = _rref_coded(kern, _encode(kern, m.rows, n), n)
+        return Subspace.from_codes(field, n, _null_basis(reduced, pivot_cols, n, 0, kern.one, kern.neg))
+    rows, pivot_cols = _rref_generic(field, m.rows, n)
+    return _span(field, n, _null_basis(rows, pivot_cols, n, field.zero(), field.one(), operator.neg))
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:
-    """Complement for the standard bilinear form; dim s + dim s^⊥ = n."""
+    """Complement for the standard bilinear form; dim s + dim s^⊥ = n.
+
+    s's canonical rows are already reduced, so over a field with a kernel
+    the complement is read off their codes with no elimination of s.
+    """
+    field, n = s.field, s.ambient_dim
     if s.dim == 0:
-        return Subspace.full(s.field, s.ambient_dim)
-    return kernel(Matrix(s.field, [list(r) for r in s.rows], s.ambient_dim))
+        return Subspace.full(field, n)
+    kern = field._kernel()
+    if kern:
+        codes = _row_codes(s, kern)
+        pivot_cols = [row.index(kern.one) for row in codes]  # a canonical row's first nonzero entry is one
+        return Subspace.from_codes(field, n, _null_basis(codes, pivot_cols, n, 0, kern.one, kern.neg))
+    return kernel(Matrix(field, [list(r) for r in s.rows], n))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise AmbientMismatch("subspace sum needs a common ambient space")
-    kern = _finite_kernel(a.field)
+    kern = a.field._kernel()
     if kern:
         return Subspace.from_codes(a.field, a.ambient_dim, [*_row_codes(a, kern), *_row_codes(b, kern)])
     return _span(a.field, a.ambient_dim, list(a.rows) + list(b.rows))
@@ -327,27 +358,40 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise AmbientMismatch("subspace intersection needs a common ambient space")
     n = a.ambient_dim
-    zeros = (a.field.zero(),) * n
-    stacked = [r + r for r in a.rows] + [r + zeros for r in b.rows]
+    kern = a.field._kernel()
+    if kern:
+        zeros = (0,) * n
+        stacked = [r + r for r in _row_codes(a, kern)] + [r + zeros for r in _row_codes(b, kern)]
+    else:
+        zeros = (a.field.zero(),) * n
+        stacked = [r + r for r in a.rows] + [r + zeros for r in b.rows]
     return tail_subspace(a.field, stacked, 2 * n, n)
 
 
 def tail_subspace(field: Field, rows, num_cols: int, start: int) -> Subspace:
     """The row-space vectors that vanish before column start, cut to columns start..
 
-    One reduction: the reduced rows pivoting at or past start span exactly
-    those vectors, and as their pivot columns are cleared in every other row,
-    their tails are already the canonical basis of the result.
+    ``rows`` holds elements of field or, over a field with a kernel, tuples
+    of its codes.  One reduction: the reduced rows pivoting at or past start
+    span exactly those vectors, and as their pivot columns are cleared in
+    every other row, their tails are already the canonical basis of the
+    result.
     """
-    reduced, pivot_cols = _rref_rows(field, rows, num_cols)
+    kern = field._kernel()
+    if not kern:
+        reduced, pivot_cols = _rref_generic(field, rows, num_cols)
+    elif rows and num_cols and not isinstance(rows[0][0], FieldElement):
+        reduced, pivot_cols = _rref_coded(kern, list(rows), num_cols)
+    else:
+        reduced, pivot_cols = _rref_coded(kern, _encode(kern, rows, num_cols), num_cols)
     tails = tuple(row[start:] for row, p in zip(reduced, pivot_cols) if p >= start)
-    return Subspace(field, num_cols - start, tails)
+    return Subspace(field, num_cols - start, None, tails) if kern else Subspace(field, num_cols - start, tails)
 
 
 def contains(a: Subspace, *vectors: Sequence[FieldElement]) -> bool:
     """True iff every vector reduces to zero against a's canonical basis.
 
-    a's rows are encoded once for all the vectors; no vector at all gives True.
+    a's rows are encoded at most once, and kept; no vector at all gives True.
     """
     n = a.ambient_dim
     for v in vectors:
@@ -390,7 +434,8 @@ def enumerate_subspaces(field: Field, ambient_dim: int, dim: int) -> Iterator[Su
 
     Ordered by pivot profile (lexicographic column combinations), then by the
     free entries in row-major position order, each running through the field
-    enumeration order.
+    enumeration order.  Over a field with a kernel that order is the code
+    order 0..q-1, pivots are the code 1, and the subspaces are built coded.
     """
     if field.order is None:
         raise InfiniteField("subspace enumeration needs a finite field")
@@ -399,8 +444,11 @@ def enumerate_subspaces(field: Field, ambient_dim: int, dim: int) -> Iterator[Su
     if dim == 0:
         yield Subspace.zero(field, ambient_dim)
         return
-    elems = list(field.elements())
-    zero, one = field.zero(), field.one()
+    kern = field._kernel()
+    if kern:
+        values, zero, one = range(field.order), 0, kern.one
+    else:
+        values, zero, one = list(field.elements()), field.zero(), field.one()
     for pivots in itertools.combinations(range(ambient_dim), dim):
         pivot_set = set(pivots)
         free = [
@@ -409,13 +457,14 @@ def enumerate_subspaces(field: Field, ambient_dim: int, dim: int) -> Iterator[Su
             for j in range(pivots[i] + 1, ambient_dim)
             if j not in pivot_set
         ]
-        for values in itertools.product(elems, repeat=len(free)):
+        for entries in itertools.product(values, repeat=len(free)):
             rows = [[zero] * ambient_dim for _ in range(dim)]
             for i, p in enumerate(pivots):
                 rows[i][p] = one
-            for (i, j), val in zip(free, values):
+            for (i, j), val in zip(free, entries):
                 rows[i][j] = val
-            yield Subspace(field, ambient_dim, tuple(tuple(r) for r in rows))
+            rows = tuple(tuple(r) for r in rows)
+            yield Subspace(field, ambient_dim, None, rows) if kern else Subspace(field, ambient_dim, rows)
 
 
 def gaussian_binomial(n: int, r: int, q: int) -> int:

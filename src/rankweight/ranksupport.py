@@ -18,10 +18,20 @@ generators' coordinates; it never touches C^perp or a rank support.  The
 Delsarte identity Res(C)^perp = Rsupp(C^perp) therefore compares two
 independent computations (the ``delsarte`` verify suite checks it), and so
 does the cross-check in ``is_rank_degenerate``.
+
+Over an L with a kernel (``fields``: finite L of order <= 4096, and Q(θ))
+these work on the codes that ``linalg.Subspace`` stores: an L-code expands
+straight into the k-codes of its coordinates (``kern.expand``), a k-code
+embeds as an L-code (``kern.embed_row``; over a finite L the same int),
+and ``rank_support_code``, ``restriction``, ``extend_to_L`` and
+``trace_image`` reduce those codes without building elements.  Only
+``closure_oracle`` stays on elements, embedding and reducing literally.
 """
 
 from __future__ import annotations
 
+import operator
+from math import gcd, lcm
 from typing import List, Sequence
 
 from .errors import InfiniteField, InseparableTower, InternalInvariantError, TowerMismatch
@@ -29,7 +39,6 @@ from .fields import ExtensionTower, FieldElement, is_separable_tower
 from .linalg import (
     Matrix,
     Subspace,
-    _finite_kernel,
     _row_codes,
     enumerate_subspaces,
     gaussian_binomial,
@@ -185,13 +194,14 @@ def expand_vector(tower: ExtensionTower, c: Sequence[FieldElement], basis=None) 
 
 
 def _coded_expansion(kern, codes) -> list:
-    """The expansion rows of coded vectors over L, as rows of k-codes.
+    """The expansion rows of coded vectors over L, as tuples of k-codes.
 
-    The base-|k| digits of an L-code are its k-coordinates, lowest first, so
-    ``kern.coords`` reads the expansion off without building elements.
+    ``kern.expand`` reads an element's k-coordinates off its code: over a
+    finite L the base-|k| digits of the code, lowest first; over Q(θ) the
+    numerators over the common denominator, each reduced to a Q-code.
     """
-    coords = kern.coords
-    return [row for c in codes for row in zip(*[coords[e] for e in c])]
+    expand = kern.expand
+    return [row for c in codes for row in zip(*map(expand, c))]
 
 
 def rank_support_vec(tower: ExtensionTower, c: Sequence[FieldElement], basis=None) -> KSubspace:
@@ -199,7 +209,7 @@ def rank_support_vec(tower: ExtensionTower, c: Sequence[FieldElement], basis=Non
     _check_vector(tower, c)
     n = len(c)
     if basis is None:
-        kern = _finite_kernel(tower.L)
+        kern = tower.L._kernel()
         if kern:
             index = kern.index
             rows = _coded_expansion(kern, [[index[e.payload] for e in c]])
@@ -219,7 +229,7 @@ def rank_support_code(C: LinearCode) -> KSubspace:
     """Rank support of a code: the k-sum of the supports of its generators."""
     if C._rsupp is None:
         t, n = C.tower, C.length
-        kern = _finite_kernel(t.L)
+        kern = t.L._kernel()
         if kern:
             space = Subspace.from_codes(t.k, n, _coded_expansion(kern, _row_codes(C.space, kern)))
         else:
@@ -254,10 +264,12 @@ def restriction(C: LinearCode) -> KSubspace:
     if C._res is None:
         t = C.tower
         m, n = t.degree, C.length
-        flat_rows = []
-        for g in C.space.rows:
-            rows = expansion_rows(t, g)
-            flat_rows.append([e for row in rows[1:] + rows[:1] for e in row])
+        kern = t.L._kernel()
+        if kern:
+            expansions = [_coded_expansion(kern, [g]) for g in _row_codes(C.space, kern)]
+        else:
+            expansions = [expansion_rows(t, g) for g in C.space.rows]
+        flat_rows = [tuple(e for row in rows[1:] + rows[:1] for e in row) for rows in expansions]
         C._res = KSubspace(t, n, tail_subspace(t.k, flat_rows, m * n, (m - 1) * n))
     return C._res
 
@@ -266,15 +278,16 @@ def extend_to_L(D: KSubspace) -> LinearCode:
     """The L-span D_L of a k-subspace of k^n; dim_L D_L = dim_k D.
 
     A canonical RREF basis over k embeds entry by entry to the canonical RREF
-    basis over L, so no reduction is needed.  Over a finite L with a kernel
-    the embedding is the identity on codes: an L-code below |k| has its
-    k-code as first coordinate and zeros above, so D's k-codes are D_L's
-    L-codes.
+    basis over L, so no reduction is needed.  Over an L with a kernel the
+    embedding works on codes: over a finite L it is the identity, since an
+    L-code below |k| has its k-code as first coordinate and zeros above, and
+    over Q(θ) the Q-code (n, d) becomes the L-code (n, 0, ..., 0, d).
     """
     t, n = D.tower, D.length
-    kern = _finite_kernel(t.L)
+    kern = t.L._kernel()
     if kern:
-        space = Subspace.from_codes(t.L, n, _row_codes(D.space, t.k._kernel()), canonical=True)
+        codes = tuple(kern.embed_row(row) for row in _row_codes(D.space, t.k._kernel()))
+        space = Subspace.from_codes(t.L, n, codes, canonical=True)
     else:
         space = Subspace(t.L, n, tuple(tuple(embed_vector(t, row)) for row in D.space.rows))
     return LinearCode(t, n, space)
@@ -290,15 +303,51 @@ def trace_image(C: LinearCode) -> KSubspace:
 
     Requires a separable tower: outside that hypothesis Tr may vanish and the
     identity with the rank support fails, so inseparable input is refused.
+    Over an L with a kernel the products and traces run on codes.
     """
     t = C.tower
     if not is_separable_tower(t):
         raise InseparableTower(f"trace image needs a separable extension, got {t}")
+    kern = t.L._kernel()
+    if kern:
+        n, trace = C.length, _coded_trace(t, kern)
+        powers = [kern.index[alpha.payload] for alpha in t.basis]
+        rows = [tuple([trace(kern.mul(p, x)) for x in g]) for g in _row_codes(C.space, kern) for p in powers]
+        return KSubspace(t, n, Subspace.from_codes(t.k, n, rows))
     rows = []
     for g in C.space.rows:
         for alpha in t.basis:
             rows.append([t.trace(alpha * gj) for gj in g])
     return KSubspace(t, C.length, Subspace.from_vectors(t.k, C.length, rows))
+
+
+def _coded_trace(t: ExtensionTower, kern):
+    """Tr: L -> k on codes of kern, L's kernel, as a function from code to k-code.
+
+    Over a finite L it is a table by code, filled once per tower from
+    ``ExtensionTower.trace`` on the elements.  Over Q(θ) it is
+    sum_l n_l * Tr(w^l) / d, read off a code's numerators n_l and its
+    denominator d.
+    """
+    if t.L.order is not None:
+        if t._trace_codes is None:
+            index = t.k._kernel().index
+            t._trace_codes = [index[t.trace(e).payload] for e in kern.decode]
+        return t._trace_codes.__getitem__
+    traces = [t.trace(alpha).payload for alpha in t.basis]
+    den = lcm(*[x.denominator for x in traces])
+    scaled = [x.numerator * (den // x.denominator) for x in traces]  # Tr(w^l) * den
+
+    def trace(c):
+        if not c:
+            return 0
+        num, d = sum(map(operator.mul, scaled, c)), c[-1] * den  # map stops before c's d
+        if not num:
+            return 0
+        g = gcd(num, d)
+        return num // g, d // g
+
+    return trace
 
 
 def is_rank_degenerate(C: LinearCode) -> bool:

@@ -66,11 +66,34 @@ _RANDOM_TRIES_PER_ROUND = 200
 
 
 def _combine(coeffs, gens, L, n: int):
+    """sum(a_i * g_i) on elements: the reference, and the path of an L without a kernel."""
     out = [L.zero()] * n
     for a, g in zip(coeffs, gens):
         if a:
             out = [x + a * y for x, y in zip(out, g)]
     return out
+
+
+def _combine_codes(kern, coeffs, gens, n: int) -> list:
+    """sum(a_i * g_i) on codes of L's kernel."""
+    out = [0] * n
+    for a, g in zip(coeffs, gens):
+        if a:
+            out = kern.sub_scaled(out, kern.neg(a), g)
+    return out
+
+
+def _coded_weight(tower: ExtensionTower, kern):
+    """wt_R of a vector of codes of kern, L's kernel: the rank over k of its
+    entries' k-coordinates."""
+    if tower.k.order == 2 and tower.L.order is not None:
+        return _rank_gf2  # a code's bits are its coordinates over GF(2)
+    kk, expand, m = tower.k._kernel(), kern.expand, tower.degree
+
+    def weight(c):
+        return len(_rref_coded(kk, list(map(expand, c)), m)[0])
+
+    return weight
 
 
 def _codewords(tower: ExtensionTower, gens, n: int):
@@ -99,14 +122,7 @@ def _codewords(tower: ExtensionTower, gens, n: int):
     coded = [tuple(kern.index[e.payload] for e in g) for g in gens]
     # multiples[i][a] = a * gens[i]; gens[0] only ever leads
     multiples = [None] + [[tuple(kern.scale(g, a)) for a in range(kern.q)] for g in coded[1:]]
-    if tower.k.order == 2:
-        weight = _rank_gf2  # a code's bits are its coordinates over GF(2)
-    else:
-        kk, coords, m = tower.k._kernel(), kern.coords, tower.degree
-
-        def weight(c):
-            return len(_rref_coded(kk, [list(coords[e]) for e in c], m)[0])
-
+    weight = _coded_weight(tower, kern)
     for lead in range(len(coded)):
         for tail in itertools.product(*multiples[lead + 1 :]):
             c = coded[lead]
@@ -131,9 +147,10 @@ def _rank_gf2(vectors) -> int:
 
 
 def _decode(L, c) -> list:
-    """A codeword from ``_codewords`` as a list of elements of L."""
-    kern = _finite_kernel(L)
-    return [kern.decode[e] for e in c] if kern else list(c)
+    """A vector of codes of L's kernel as a list of elements of L; over an L
+    without a kernel ``_codewords`` yields elements, listed as they are."""
+    kern = L._kernel()
+    return list(kern.decode_rows([c])[0]) if kern else list(c)
 
 
 def _least(values, floor: int) -> int:
@@ -155,7 +172,8 @@ def _subcodes(C: LinearCode, r: int):
     p_i and G is C's RREF generator matrix with pivots q_j, then row i of SG
     starts with a 1 in column q_(p_i), and column q_(p_j) of SG is column p_j
     of S, which is zero outside row j.  So SG is again in canonical RREF.
-    Over a finite L with a kernel the rows of SG are combined on codes.
+    Over a finite L with a kernel the rows of SG are combined on codes,
+    read straight off the coded coefficient subspaces.
     """
     t, n = C.tower, C.length
     L = t.L
@@ -166,18 +184,17 @@ def _subcodes(C: LinearCode, r: int):
             yield LinearCode(t, n, Subspace(L, n, rows))
         return
     G = _row_codes(C.space, kern)
-    index, add, scale = kern.index, kern.add, kern.scale
+    add, scale = kern.add, kern.scale
     for s in enumerate_subspaces(L, C.dim, r):
         rows = []
-        for coeffs in s.rows:
+        for coeffs in _row_codes(s, kern):
             acc = None
-            for e, g in zip(coeffs, G):
-                a = index[e.payload]
+            for a, g in zip(coeffs, G):
                 if a:
                     term = g if a == 1 else scale(g, a)
-                    acc = term if acc is None else list(map(add, acc, term))
-            rows.append(acc)  # an RREF row is nonzero
-        yield LinearCode(t, n, Subspace.from_codes(L, n, rows, canonical=True))
+                    acc = term if acc is None else tuple(map(add, acc, term))
+            rows.append(tuple(acc))  # an RREF row is nonzero
+        yield LinearCode(t, n, Subspace.from_codes(L, n, tuple(rows), canonical=True))
 
 
 def _require_finite(C: LinearCode, what: str):
@@ -291,14 +308,25 @@ def _witness_extended(C: LinearCode) -> Optional[list]:
     res = restriction(C)
     if res.dim != C.dim:
         return None
-    c = _combine(t.basis, extend_to_L(res).space.rows, t.L, C.length)
+    space = extend_to_L(res).space
+    kern = t.L._kernel()
+    if kern:
+        basis = [kern.index[b.payload] for b in t.basis]
+        c = _decode(t.L, _combine_codes(kern, basis, _row_codes(space, kern), C.length))
+    else:
+        c = _combine(t.basis, space.rows, t.L, C.length)
     if not verify_witness(C, c):
         raise InternalInvariantError("constructive extended witness failed verification")
     return c
 
 
 def _witness_split(C: LinearCode, seed, height: int, rounds: int) -> Optional[list]:
-    """Split C = C1 ⊕ Res(C)_L, find a witness for C1, extend it rationally."""
+    """Split C = C1 ⊕ Res(C)_L, find a witness for C1, extend it rationally.
+
+    C1 is searched with the fallback strategy directly, as the constructive
+    paths need Res(C1) != 0 and Res(C1) = 0: Res(C1) = C1 ∩ k^n lies in
+    C ∩ k^n = Res(C) ⊆ Res(C)_L, and C1 meets Res(C)_L only in 0.
+    """
     t, n = C.tower, C.length
     if rank_support_code(C).dim > t.degree:
         return None
@@ -314,8 +342,9 @@ def _witness_split(C: LinearCode, seed, height: int, rounds: int) -> Optional[li
             cur = subspace_sum(cur, Subspace.from_vectors(t.L, n, [g]))
     if c1_gens:
         c1_code = LinearCode.from_generators(t, n, c1_gens)
+        fallback = "exhaustive" if t.L.order is not None else "random"
         try:
-            c = find_witness(c1_code, strategy="auto", seed=seed, height=height, rounds=rounds)
+            c = find_witness(c1_code, strategy=fallback, seed=seed, height=height, rounds=rounds)
         except SearchExhausted:
             return None
         if c is None:
@@ -360,6 +389,9 @@ def _witness_random(C: LinearCode, rng: random.Random, height: int, rounds: int)
     L = t.L
     target = rank_support_code(C).dim
     finite_pool = list(L.elements()) if L.order is not None else None
+    kern = L._kernel()
+    if kern:
+        gens, weight = _row_codes(C.space, kern), _coded_weight(t, kern)
 
     h = height
     for _ in range(rounds):
@@ -370,8 +402,16 @@ def _witness_random(C: LinearCode, rng: random.Random, height: int, rounds: int)
                 coeffs = [random_rational_element(t, rng, h) for _ in range(C.dim)]
             if not any(coeffs):
                 continue
-            c = _combine(coeffs, C.space.rows, L, n)
-            if weight_of_vector(t, c) == target and verify_witness(C, c):
+            if kern:
+                c = _combine_codes(kern, [kern.index[a.payload] for a in coeffs], gens, n)
+                if weight(c) != target:
+                    continue
+                c = _decode(L, c)
+            else:
+                c = _combine(coeffs, C.space.rows, L, n)
+                if weight_of_vector(t, c) != target:
+                    continue
+            if verify_witness(C, c):
                 return c
         h *= 2
     raise SearchExhausted(

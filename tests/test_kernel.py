@@ -1,5 +1,6 @@
 """The int-coded kernels (finite fields, Q and Q[x]/(f)) against the generic
-element arithmetic; the trace by linearity; multi-vector membership."""
+element arithmetic; the trace by linearity; multi-vector membership; codes as
+the stored form of a subspace, against towers with their kernels disabled."""
 
 import itertools
 import pickle
@@ -16,6 +17,7 @@ from rankweight.fields import (
     FieldElement,
     PrimeField,
     Rationals,
+    _RationalKernel,
     build_base_field,
     format_element,
     is_separable_tower,
@@ -23,27 +25,36 @@ from rankweight.fields import (
     random_rational_element,
 )
 from rankweight.linalg import (
+    Matrix,
     Subspace,
     _rref_generic,
     _rref_rows,
     contains,
     enumerate_subspaces,
+    kernel,
+    orthogonal_complement,
     subspace_intersection,
     subspace_sum,
+    tail_subspace,
 )
 from rankweight.ranksupport import (
     KSubspace,
     LinearCode,
+    closure,
     closure_oracle,
+    dual,
     extend_to_L,
+    is_extended,
     rank_support_code,
     rank_support_vec,
+    restriction,
     trace_image,
     weight_of_vector,
 )
+from rankweight.verify import check_closure_pair
 from rankweight.weights import _codewords, _combine, _decode, _subcodes, rank_distance
 
-from helpers import all_codes, gf3_degree_one, gf4, gf8, gf9, gf16_over_gf2, gf16_over_gf4, qtheta
+from helpers import all_codes, gf3_degree_one, gf4, gf8, gf9, gf16_over_gf2, gf16_over_gf4, qtheta, random_q_codes
 
 
 def gf2_degree_one():
@@ -423,13 +434,13 @@ def test_contains_encodes_the_subspace_once(monkeypatch):
     calls = []
     encode = linalg._encode
     monkeypatch.setattr(linalg, "_encode", lambda kern, rows, n: calls.append(len(rows)) or encode(kern, rows, n))
-    # a finite subspace keeps the codes its reduction made, so only the
-    # vectors are encoded, and contains_space reads both sides' codes; over
-    # Q(t) nothing is kept, so each call encodes the subspace once
-    for t, expected in ((gf16_over_gf4(), [3, 4]), (qtheta(), [2, 3, 2, 2, 2, 4])):
+    # a subspace keeps the codes its reduction made, over a finite field and
+    # over Q(t) alike, so only the vectors are encoded, and contains_space
+    # reads both sides' codes
+    for t, expected in ((gf16_over_gf4(), [3, 4]), (qtheta(), [3, 4])):
         one, theta = t.L.one(), t.generator()
         space = Subspace.from_vectors(t.L, 3, [[one, theta, one], [theta, one, theta * theta]])
-        assert (space._codes is not None) == (t.L.order is not None)
+        assert space._codes is not None and space._rows is None
         calls.clear()
         members = [[x * a + b for a, b in zip(*space.rows)] for x in (one, theta, t.L.from_int(3))]
         assert contains(space, *members) and space.contains_space(space)
@@ -479,7 +490,7 @@ def test_coded_subcodes_match_the_element_combination(name):
                 expected = tuple(tuple(_combine(row, code.space.rows, t.L, n)) for row in s.rows)
                 assert sub.space.rows == expected
                 assert all(x.field is t.L for row in sub.space.rows for x in row)
-                assert sub.space._codes == [[t.L._kernel().index[x.payload] for x in row] for row in expected]
+                assert sub.space._codes == tuple(tuple(t.L._kernel().index[x.payload] for x in row) for row in expected)
 
 
 @pytest.mark.parametrize("name", list(TOWERS))
@@ -545,3 +556,170 @@ def test_coded_sum_and_intersection_match_the_element_reductions(make, max_n):
         meet = tuple(row[n:] for row, p in zip(reduced, pivots) if p >= n)
         assert subspace_intersection(a, b) == Subspace(t.L, n, meet)
         assert a.contains_space(b) == (subspace_sum(a, b) == a)
+
+
+# ---------------------------------------------------------------------------
+# codes as the stored form of a subspace
+# ---------------------------------------------------------------------------
+
+
+def _q_towers():
+    return (make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="t"),
+            make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="z"))
+
+
+def _payloads(space):
+    return [[x.payload for x in row] for row in space.rows]
+
+
+@pytest.mark.parametrize("towers", [lambda: (nested("w", "u"), nested("z", "v")), _q_towers],
+                         ids=["GF(16)/GF(4)", "Q(t)"])
+def test_lazily_decoded_rows_belong_to_the_subspaces_field_object(towers):
+    warm, cold = towers()
+    assert warm.L == cold.L and warm.L is not cold.L
+    gens = [[warm.L.one(), warm.generator(), warm.L.zero()],
+            [warm.L.zero(), warm.L.zero(), warm.generator() * warm.generator()]]
+    space = Subspace.from_vectors(warm.L, 3, gens)
+    moved = Subspace.from_codes(cold.L, 3, space._codes, canonical=True)
+    assert space._rows is None and moved._rows is None
+    assert all(x.field is cold.L for row in moved.rows for x in row)
+    assert all(x.field is warm.L for row in space.rows for x in row)
+    assert [format_element(x) for x in moved.rows[0]] == ["1", "z", "0"]
+    code = LinearCode(cold, 3, moved)
+    for result, field in ((rank_support_code(code).space, cold.k), (restriction(code).space, cold.k),
+                          (dual(code).space, cold.L), (closure(code).space, cold.L),
+                          (trace_image(code).space, cold.k)):
+        assert result._rows is None and result.dim
+        assert all(x.field is field for row in result.rows for x in row)
+
+
+@pytest.mark.parametrize("make", [gf16_over_gf4, qtheta, gf9])
+def test_coded_and_element_subspaces_are_equal_and_hash_alike(make):
+    t = make()
+    theta, one = t.generator(), t.L.one()
+    vectors = [[one, theta, theta * theta], [theta, one, theta], [one + theta, one + theta, theta * theta + theta]]
+    for count in range(len(vectors) + 1):
+        coded = Subspace.from_vectors(t.L, 3, vectors[:count])
+        plain = Subspace(t.L, 3, tuple(_rref_generic(t.L, vectors[:count], 3)[0]))
+        assert coded._rows is None and plain._codes is None
+        assert hash(coded) == hash(plain)
+        assert coded == plain and plain == coded
+        assert Subspace(t.L, 3, plain.rows) == Subspace.from_codes(t.L, 3, coded._codes, canonical=True)
+    assert Subspace.from_vectors(t.L, 3, vectors[:1]) != Subspace(t.L, 3, tuple(_rref_generic(t.L, vectors[1:2], 3)[0]))
+
+
+@pytest.mark.parametrize("make", [gf16_over_gf4, qtheta])
+def test_a_never_decoded_subspace_survives_a_pickle_round_trip(make):
+    t = make()
+    theta = t.generator()
+    code = LinearCode.from_generators(t, 2, [[t.L.one(), theta]])
+    spaces = [code.space, rank_support_code(code).space, dual(code).space, closure(code).space]
+    assert all(s._rows is None for s in spaces)
+    for s in spaces:
+        loaded = pickle.loads(pickle.dumps(s))
+        assert loaded == s and hash(loaded) == hash(s) and loaded.dim == s.dim
+        assert all(x.field is loaded.field for row in loaded.rows for x in row)
+    copy = pickle.loads(pickle.dumps(code))
+    assert copy == code and rank_support_code(copy) == rank_support_code(code)
+
+
+def test_closure_pair_on_q_codes_decodes_nothing(monkeypatch):
+    calls = []
+    decode = _RationalKernel.decode_rows
+    monkeypatch.setattr(_RationalKernel, "decode_rows", lambda kern, codes: calls.append(kern) or decode(kern, codes))
+    codes = random_q_codes(8, seed=31)
+    for a, b in zip(codes, codes[1:]):
+        if a.length == b.length:
+            assert check_closure_pair((a, b), {}) == 1
+    assert calls == []
+    assert rank_support_code(codes[0]).space.rows is not None and calls  # decoding is counted
+
+
+@pytest.mark.parametrize("make", [gf9, gf16_over_gf4, qtheta])
+def test_code_rows_are_tuples_on_every_route(make):
+    t = make()
+    theta, one, zero = t.generator(), t.L.one(), t.L.zero()
+    code = LinearCode.from_generators(t, 3, [[one, theta, zero], [zero, theta, theta * theta]])
+    line = LinearCode.from_generators(t, 3, [[one, one, theta]])
+    k_vectors = [[t.k.one(), t.k.zero(), t.k.one()]]
+    k_line = KSubspace(t, 3, Subspace.from_vectors(t.k, 3, k_vectors))
+    spaces = [
+        code.space,
+        Subspace.from_codes(t.L, 3, code.space._codes[::-1]),
+        subspace_sum(code.space, line.space),
+        subspace_intersection(code.space, subspace_sum(line.space, extend_to_L(k_line).space)),
+        tail_subspace(t.L, [list(r) + [one] for r in code.space.rows], 4, 1),
+        tail_subspace(t.k, [[t.k.one(), t.k.zero(), t.k.one()]], 3, 0),
+        orthogonal_complement(code.space),
+        kernel(Matrix(t.L, code.space.rows, 3)),
+        rank_support_vec(t, [one, theta, zero]).space,
+        rank_support_code(code).space,
+        restriction(line).space,
+        extend_to_L(k_line).space,
+        trace_image(code).space,
+        dual(code).space,
+        closure(line).space,
+    ]
+    if t.L.order is not None:
+        spaces += [s.space for s in _subcodes(code, 1)]
+        spaces += list(enumerate_subspaces(t.k, 3, 2))
+    for s in spaces:  # each route stored codes, and stored them as tuples
+        assert type(s._codes) is tuple and all(type(r) is tuple for r in s._codes)
+    one = t.L._kernel().one
+    assert linalg._row_codes(Subspace.full(t.L, 2), t.L._kernel()) == ((one, 0), (0, one))
+
+
+def _kernel_off(make):
+    t = make.__wrapped__()  # a tower of its own, not the cached one
+    t.L._kern = t.k._kern = False
+    return t
+
+
+def _moved(code, tower):
+    rows = [[FieldElement(tower.L, x.payload) for x in row] for row in code.space.rows]
+    return LinearCode.from_generators(tower, code.length, rows)
+
+
+def _invariants(code):
+    return (_payloads(rank_support_code(code).space), _payloads(restriction(code).space),
+            _payloads(dual(code).space), _payloads(closure(code).space),
+            _payloads(trace_image(code).space), is_extended(code))
+
+
+@pytest.mark.parametrize("make", [gf4, gf9])
+def test_coded_results_match_towers_without_kernels_on_finite_codes(make):
+    on, off = make(), _kernel_off(make)
+    for n in (1, 2):
+        codes = all_codes(on, n)
+        generic = all_codes(off, n)  # enumerated on elements, in the same order
+        assert [_payloads(c.space) for c in codes] == [_payloads(c.space) for c in generic]
+        for c, g in zip(codes, generic):
+            assert g.space._codes is None
+            assert _invariants(c) == _invariants(g)
+            assert rank_support_code(g).space._codes is None  # the element path ran
+
+
+def _degenerate_q_codes(count, seed):
+    """Seeded Q(t) codes whose generators are L-combinations of n - 1 rational
+    vectors, so that their rank supports are proper subspaces of Q^n."""
+    t, rng = qtheta(), random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 3)
+        directions = [[t.embed(t.k.element(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))) for _ in range(n)]
+                      for _ in range(n - 1)]
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            coeffs = [random_rational_element(t, rng, 5) for _ in directions]
+            gens.append([sum((a * v[j] for a, v in zip(coeffs, directions)), t.L.zero()) for j in range(n)])
+        out.append(LinearCode.from_generators(t, n, gens))
+    return out
+
+
+def test_coded_results_match_towers_without_kernels_on_q_codes():
+    off = _kernel_off(qtheta)
+    for c in random_q_codes(40, seed=77) + _degenerate_q_codes(30, seed=78):
+        g = _moved(c, off)
+        assert _payloads(g.space) == _payloads(c.space)
+        assert _invariants(c) == _invariants(g)
+        assert restriction(g).space._codes is None  # the element path ran

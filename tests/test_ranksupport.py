@@ -239,9 +239,9 @@ def _count_calls(monkeypatch, name):
 def test_restriction_routes_run_once_per_code(monkeypatch):
     # restriction's one elimination is the only tail_subspace call in ranksupport
     calls = _count_calls(monkeypatch, "tail_subspace")
-    # Res(C) and Res(C^perp); the split witness path of the Q(t) code also
-    # restricts the code C1 it splits off, a fresh code on every search
-    for C, eliminations in zip(_memo_codes(), (2, 3)):
+    # Res(C) and Res(C^perp); the split witness path of the Q(t) code searches
+    # the code C1 it splits off without restricting it, as Res(C1) = 0
+    for C, eliminations in zip(_memo_codes(), (2, 2)):
         calls.clear()
         check_witness(C, {"seed": 0})
         check_delsarte(C, {})
