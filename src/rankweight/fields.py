@@ -11,6 +11,8 @@ Three backends share one element interface:
 
 Bases may nest: GF(p^a) with a > 1 is an ``ExtensionField`` over GF(p), and a
 tower over it reduces coefficients through the base modulus automatically.
+An extension of Q takes Q itself as its base; a base that is an extension of
+Q is refused with ``BadBase``.
 
 ``FieldElement`` wraps (field, payload) and overloads the ring operators, so
 vectors and matrices elsewhere in the package are ordinary Python sequences
@@ -21,20 +23,26 @@ immutable after construction; all operations are pure.
 ``ExtensionTower`` bundles the base field k, the extension L, and the
 coordinate map between them; ``make_tower`` is the validated constructor.
 
-Q, every Q[x]/(f) and every finite field of order q <= 4096 also have a
-private int-coded kernel (``Field._kernel``), built on its first use and
-never at import.  ``make_tower`` builds none for L; over a nested base such
-as GF(4) its gcd irreducibility test multiplies in k, which builds k's.
+Every field a tower can hold has a private int-coded kernel
+(``Field._kernel``), built on its first use and never at import.
+``make_tower`` builds none for L; over a nested base such as GF(4) its gcd
+irreducibility test multiplies in k, which builds k's.
 
-* In a finite field, an element's code is its index in ``_payloads()``
+* In a finite ring, an element's code is its index in ``_payloads()``
   order, so 0 is zero and 1 is one, and the base-p digits of a code are the
   element's prime-field coordinates, nested bases included: in
-  characteristic 2 addition is XOR, in odd characteristic it goes through
-  Zech logarithms.  Products and inverses use exp/log tables of one
-  primitive element (Lidl-Niederreiter, *Finite Fields*, ch. 9).  Building
-  a kernel costs log_p(q) field multiplications per candidate primitive
-  element, O(q) integer operations and O(q) memory; there are no q-by-q
-  tables and no product or inverse caches.
+  characteristic 2 addition is XOR, and otherwise it adds digits mod p.
+  Every finite quotient gets a table-free ``_FiniteKernel``: ``index`` and
+  ``payload`` convert through the digits, and products and inverses go
+  through the field's own ``_mul_raw`` and ``_inv_raw``, so a quotient that
+  is not a field raises ZeroDivisionError on a zero divisor.  A finite field
+  of order q <= 4096 gets its subclass ``_Kernel`` instead, with the same
+  codes: odd-characteristic addition goes through Zech logarithms, and
+  products and inverses through exp/log tables of one primitive element
+  (Lidl-Niederreiter, *Finite Fields*, ch. 9).  Building one costs log_p(q)
+  field multiplications per candidate primitive element, O(q) integer
+  operations and O(q) memory; there are no q-by-q tables and no product or
+  inverse caches.
 * Over Q and Q[x]/(f), a nonzero element's code is its integer coordinates
   over one positive denominator, divided by their common gcd, so equal
   elements get equal codes (the representation of FLINT's ``fmpq_poly``);
@@ -44,19 +52,18 @@ as GF(4) its gcd irreducibility test multiplies in k, which builds k's.
   (Bareiss, Math. Comp. 1968); a zero divisor raises ZeroDivisionError.
 
 ``ExtensionField`` products and inverses go through the kernel, and
-``linalg``, ``ranksupport`` and (over finite fields) ``weights`` run their
-inner loops on codes, decoding to ``FieldElement`` only at their boundary,
-where payloads keep their usual form (``Fraction`` coordinates over Q).
-Codes are the stored form of every ``linalg.Subspace`` over a field with a
-kernel; its element rows are decoded on first read.  ``expand`` gives an
-L-code's k-coordinates as k-codes without elements: over a finite field
-they are the base-|k| digits of the code, lowest first, and over Q[x]/(f) the
-numerators over the common denominator, each reduced.  ``embed_row``
-gives the L-codes of embedded k-codes: over a finite field a k-code is
-also the L-code of its embedding, and over Q the code (n, d) becomes
-(n, 0, ..., 0, d).  A kernel lives on its field object and is left out of
-the pickle, so a worker process rebuilds it; the same holds for the cached
-hash, and for the superspaces ``closure_oracle`` keeps on an
+``linalg``, ``ranksupport`` and ``weights`` run on codes alone, decoding to
+``FieldElement`` only at their boundary, where payloads keep their usual
+form (``Fraction`` coordinates over Q).  Codes are the stored form of every
+``linalg.Subspace``; its element rows are decoded on first read.  ``expand``
+gives an L-code's k-coordinates as k-codes without elements: over a finite
+field they are the base-|k| digits of the code, lowest first, and over
+Q[x]/(f) the numerators over the common denominator, each reduced.
+``embed_row`` gives the L-codes of embedded k-codes: over a finite field a
+k-code is also the L-code of its embedding, and over Q the code (n, d)
+becomes (n, 0, ..., 0, d).  A kernel lives on its field object and is left
+out of the pickle, so a worker process rebuilds it; the same holds for the
+cached hash, and for the superspaces ``closure_oracle`` keeps on an
 ``ExtensionTower``.
 """
 
@@ -78,7 +85,7 @@ from .errors import (
     NotIrreducible,
 )
 
-_KERNEL_LIMIT = 4096  # finite fields up to this order get an int-coded kernel
+_KERNEL_LIMIT = 4096  # finite fields up to this order get exp/log tables
 
 
 class FieldElement:
@@ -187,14 +194,14 @@ class Field:
 
     characteristic: int
     order: Optional[int]
-    _kern = None  # the int-coded kernel: None until first asked for, then a kernel or False
+    _kern = None  # the int-coded kernel: None until first asked for
 
     def _kernel(self):
         """This field's kernel, built on first use.
 
-        A _Kernel for a finite field of order <= 4096, a _RationalKernel for Q
-        and Q[x]/(f); False for larger finite fields, finite non-fields and
-        extensions of extensions of Q.
+        A _Kernel for a finite field of order <= 4096, a _FiniteKernel for a
+        larger one or a finite quotient that is not a field, and a
+        _RationalKernel for Q and Q[x]/(f).
         """
         kern = self._kern
         if kern is None:
@@ -324,6 +331,8 @@ class PrimeField(Field):
             raise ZeroDivisionError("0 has no inverse")
         return pow(a, self.p - 2, self.p)
 
+    _inv_raw = _inv
+
     def _is_zero(self, a):
         return a == 0
 
@@ -342,6 +351,8 @@ class ExtensionField(Field):
 
     def __init__(self, base: Field, modulus: Sequence, symbol: str = "w"):
         # modulus: payload coefficients, low to high, monic, degree >= 1
+        if base.characteristic == 0 and not isinstance(base, Rationals):
+            raise BadBase("an extension of Q takes Q itself as its base")
         self.base = base
         self.modulus = tuple(modulus)
         self.degree = len(self.modulus) - 1
@@ -388,21 +399,13 @@ class ExtensionField(Field):
         return tuple(prod[:m])
 
     def _mul(self, a, b):
-        kern = self._kernel()
-        if not kern:
-            return self._mul_raw(a, b)
-        return kern.mul_payloads(a, b)
+        return self._kernel().mul_payloads(a, b)
 
     def _inv(self, a):
-        kern = self._kernel()
-        if not kern:
-            if self._is_zero(a):
-                raise ZeroDivisionError("0 has no inverse")
-            return self._inv_raw(a)
-        return kern.inv_payload(a)
+        return self._kernel().inv_payload(a)
 
     def _inv_raw(self, a):
-        # extended Euclid in base[x] against the modulus; fields without a kernel only
+        # extended Euclid in base[x] against the modulus, for a table-free kernel
         base = self.base
         r0, r1 = list(self.modulus), polys.normalize(base, a)
         s0, s1 = [], [base._one]
@@ -461,17 +464,122 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class _Kernel:
-    """Int-coded arithmetic of one finite field; see the module docstring.
+class _FiniteKernel:
+    """Table-free int-coded arithmetic of a finite quotient; see the module docstring.
 
     ``add`` adds two codes; ``mul``, ``neg``, ``inv``, ``scale``,
     ``sub_scaled``, ``expand``, ``embed_row`` and ``decode_rows`` work on
-    codes and rows of codes, as in ``_RationalKernel``, and
-    ``mul_payloads`` and ``inv_payload`` on payloads.  ``field`` is the
-    field object the kernel belongs to, ``decode`` holds its elements by
-    code, ``index`` maps a payload to its code, and for an extension
-    ``coords[c]`` (also ``expand(c)``) holds the base-field codes of the
-    coordinates of c (None for a prime field).
+    codes and rows of codes, as in ``_RationalKernel``, ``multiples(x)``
+    lists a * x for every code a, and ``mul_payloads`` and ``inv_payload``
+    work on payloads.  ``field`` is the field object the kernel belongs to
+    and ``q`` its order.  ``index[p]``
+    (the kernel itself) is the code of the payload p and ``payload`` goes
+    back, through ``base``, the kernel of an extension's base (None for a
+    prime field), whose order ``bq`` is the radix of the digits; ``m`` is
+    the number of digits, and ``units`` lists the codes p^i below q, the
+    prime-field basis.  ``mul`` and ``inv`` go through payloads and the
+    field's ``_mul_raw`` and ``_inv_raw``, so no table of size q is built.
+    """
+
+    __slots__ = ("field", "q", "p", "m", "bq", "base", "add", "index", "units")
+    one = 1
+
+    def __init__(self, field):
+        self.field = field
+        self.q = field.order
+        self.p = field.characteristic
+        if isinstance(field, ExtensionField):
+            self.m, self.bq, self.base = field.degree, field.base.order, field.base._kernel()
+        else:
+            self.m, self.bq, self.base = 1, field.order, None
+        self.add = operator.xor if self.p == 2 else functools.partial(_add_digits, self.p)
+        self.index = self
+        self.units = [1]
+        while self.units[-1] * self.p < self.q:
+            self.units.append(self.units[-1] * self.p)
+
+    def __getitem__(self, payload) -> int:
+        """The code of a payload: the base codes of its coordinates as digits, lowest first."""
+        if self.base is None:
+            return payload
+        index, code = self.base.index, 0
+        for c in reversed(payload):
+            code = code * self.bq + index[c]
+        return code
+
+    def expand(self, c) -> tuple:
+        """The base codes of the coordinates of the code c: its base-|base| digits, lowest first."""
+        out = []
+        for _ in range(self.m):
+            c, d = divmod(c, self.bq)
+            out.append(d)
+        return tuple(out)
+
+    def payload(self, c):
+        if self.base is None:
+            return c
+        return tuple(map(self.base.payload, self.expand(c)))
+
+    def decode_rows(self, codes) -> tuple:
+        """Rows of codes as tuples of elements of this kernel's field."""
+        field, payload = self.field, self.payload
+        return tuple([tuple([FieldElement(field, payload(e)) for e in row]) for row in codes])
+
+    @staticmethod
+    def embed_row(row) -> tuple:
+        """Base-field codes as the codes of their embeddings: the same ints."""
+        return row
+
+    def neg(self, a: int) -> int:
+        """-a: each base-p digit d becomes -d mod p."""
+        p = self.p
+        if p == 2:
+            return a
+        out, unit = 0, 1
+        while a:
+            out += -a % p * unit
+            a, unit = a // p, unit * p
+        return out
+
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        return self[self.field._mul_raw(self.payload(a), self.payload(b))]
+
+    def inv(self, a: int) -> int:
+        """1/a for a nonzero code a; ZeroDivisionError for a zero divisor."""
+        return self[self.field._inv_raw(self.payload(a))]
+
+    def mul_payloads(self, a, b):
+        return self.field._mul_raw(a, b)
+
+    def inv_payload(self, a):
+        if not self[a]:
+            raise ZeroDivisionError("0 has no inverse")
+        return self.field._inv_raw(a)
+
+    def scale(self, row, a: int) -> list:
+        """a * row."""
+        mul = self.mul
+        return [mul(a, x) for x in row]
+
+    def multiples(self, x: int) -> list:
+        """a * x for every code a, in code order, from one product per code p^i."""
+        return _linear_table(self.p, self.add, [self.mul(u, x) for u in self.units])
+
+    def sub_scaled(self, row, a: int, other) -> list:
+        """row - a * other."""
+        add, mul, na = self.add, self.mul, self.neg(a)
+        return [add(x, mul(na, y)) if y else x for x, y in zip(row, other)]
+
+
+class _Kernel(_FiniteKernel):
+    """_FiniteKernel of a finite field of order <= _KERNEL_LIMIT, with tables.
+
+    The codes are those of _FiniteKernel, and ``index`` becomes a dict from
+    payload to code; ``decode`` holds the field's elements by code, and for
+    an extension ``coords[c]`` (also ``expand(c)``) holds the base-field
+    codes of the coordinates of c (None for a prime field).
 
     With n1 = q - 1 and g the primitive element, ``exp[e]`` is the code of
     g^e for 0 <= e < 2*n1 (the powers twice over, so a sum of two logs needs
@@ -480,13 +588,11 @@ class _Kernel:
     is the log of -1.
     """
 
-    __slots__ = ("field", "q", "n1", "exp", "log", "neg_log", "add", "index", "decode", "coords", "expand")
-    one = 1
+    __slots__ = ("n1", "exp", "log", "neg_log", "decode", "coords", "expand")
 
-    def __init__(self, field, q, exp, log, neg_log, add, index, decode, coords):
-        self.field = field
-        self.q = q
-        self.n1 = q - 1
+    def __init__(self, field, exp, log, neg_log, add, index, decode, coords):
+        super().__init__(field)
+        self.n1 = self.q - 1
         self.exp = exp
         self.log = log
         self.neg_log = neg_log
@@ -496,15 +602,13 @@ class _Kernel:
         self.coords = coords
         self.expand = coords.__getitem__ if coords is not None else None
 
+    def payload(self, c):
+        return self.decode[c].payload
+
     def decode_rows(self, codes) -> tuple:
         """Rows of codes as tuples of elements of this kernel's field."""
         decode = self.decode
         return tuple([tuple([decode[e] for e in row]) for row in codes])
-
-    @staticmethod
-    def embed_row(row) -> tuple:
-        """Base-field codes as the codes of their embeddings: the same ints."""
-        return row
 
     def neg(self, a: int) -> int:
         """-a; log[0] lands among the zeros of exp, so 0 needs no test."""
@@ -516,6 +620,11 @@ class _Kernel:
     def inv(self, a: int) -> int:
         """1/a for a nonzero code a."""
         return self.exp[self.n1 - self.log[a]]
+
+    def multiples(self, x: int) -> list:
+        """a * x for every code a, in code order: ``log`` lists the logs in code order."""
+        exp, lx = self.exp, self.log[x]
+        return [exp[lx + la] for la in self.log]
 
     def mul_payloads(self, a, b):
         log = self.log
@@ -540,6 +649,18 @@ class _Kernel:
         return [add(x, exp[s + log[y]]) for x, y in zip(row, other)]
 
 
+def _linear_table(p: int, add, images) -> list:
+    """The values at every code, in code order, of a map that is linear over GF(p),
+    from its values ``images`` at the codes p^i: the codes c + d * p^i with
+    c < p^i come from the codes c + (d-1) * p^i."""
+    out, unit = [0], 1
+    for image in images:
+        for d in range(1, p):
+            out += [add(y, image) for y in out[(d - 1) * unit : d * unit]]
+        unit *= p
+    return out
+
+
 def _add_digits(p: int, a: int, b: int) -> int:
     """The sum of two codes in characteristic p: their base-p digits add mod p."""
     out, unit = 0, 1
@@ -550,41 +671,32 @@ def _add_digits(p: int, a: int, b: int) -> int:
 
 
 def _make_kernel(field: Field):
-    """The kernel of Q, of Q[x]/(f) or of a finite field of order <= _KERNEL_LIMIT;
-    else False.
+    """The kernel of Q, of Q[x]/(f) or of a finite quotient.
 
-    For a finite field, x -> x*g is linear over GF(p), so for a candidate g
-    the images of the codes p^i under it, one multiplication each, give the
-    code of every product by g as a sum of images.  g is primitive when its
-    powers, walked through that table, first return to 1 after q - 1 steps;
-    the candidates run in code order.  No candidate passes in a quotient by
-    a reducible modulus (not a field), whose arithmetic then stays generic.
+    A finite field of order <= _KERNEL_LIMIT gets a _Kernel.  x -> x*g is
+    linear over GF(p), so for a candidate g the images of the codes p^i
+    under it, one multiplication each, give the code of every product by g
+    (``_linear_table``).  g is primitive when its powers, walked through
+    that table, first return to 1 after q - 1 steps; the candidates run in
+    code order.  No candidate passes in a quotient by a reducible modulus
+    (not a field), which keeps its _FiniteKernel, as does every larger
+    finite field.
     """
     if isinstance(field, Rationals):
         return _QKernel(field)
     if field.characteristic == 0:
-        if not isinstance(field.base, Rationals):
-            return False  # an extension of an extension of Q
         return _RationalKernel(field)
-    q = field.order
+    q, free = field.order, _FiniteKernel(field)
     if q > _KERNEL_LIMIT:
-        return False
+        return free
     p, n1 = field.characteristic, q - 1
     payloads = list(field._payloads())
     index = {x: i for i, x in enumerate(payloads)}
-    units = [1]  # the codes p^i: the prime-field basis
-    while units[-1] * p < q:
-        units.append(units[-1] * p)
-    plus = operator.xor if p == 2 else functools.partial(_add_digits, p)
     # the codes below the base order are the base field, a proper subfield
     # when the degree is above 1, so none of them is primitive
-    first = field.base.order if isinstance(field, ExtensionField) and field.degree > 1 else min(2, n1)
-    for g in payloads[first:]:
-        times_g = [0]  # times_g[c] is the code of (element c) * g
-        for u in units:
-            image = index[field._mul_raw(payloads[u], g)]
-            for d in range(1, p):  # codes c + d*u from codes c + (d-1)*u, c < u
-                times_g += [plus(x, image) for x in times_g[(d - 1) * u : d * u]]
+    for g in payloads[free.bq if free.m > 1 else min(2, n1):]:
+        # times_g[c] is the code of (element c) * g
+        times_g = _linear_table(p, free.add, [index[field._mul_raw(payloads[u], g)] for u in free.units])
         powers = [1]
         x = times_g[1]
         while x != 1 and len(powers) < n1:
@@ -593,7 +705,7 @@ def _make_kernel(field: Field):
         if x == 1 and len(powers) == n1:
             break
     else:
-        return False
+        return free
     exp = powers + powers + [0] * (2 * n1 + 1)
     log = [2 * n1] * q
     for e, c in enumerate(powers):
@@ -618,7 +730,7 @@ def _make_kernel(field: Field):
         # the same digit order as _payloads: the lowest coordinate varies fastest
         coords = [c[::-1] for c in itertools.product(range(field.base.order), repeat=field.degree)]
     decode = tuple(FieldElement(field, x) for x in payloads)
-    return _Kernel(field, q, exp, log, neg_log, add, index, decode, coords)
+    return _Kernel(field, exp, log, neg_log, add, index, decode, coords)
 
 
 def _rational_code(nums, den: int):
@@ -964,8 +1076,7 @@ def build_base_field(desc: BaseFieldDescriptor, symbol: str = "u") -> Field:
 class ExtensionTower:
     """A finite extension L = k[x]/(f) with its power basis and coordinate map."""
 
-    __slots__ = ("base_descriptor", "k", "L", "degree", "basis", "_separable", "_traces", "_trace_codes",
-                 "_superspaces")
+    __slots__ = ("base_descriptor", "k", "L", "degree", "basis", "_separable", "_traces", "_superspaces")
 
     def __init__(self, base_descriptor, k, L):
         self.base_descriptor = base_descriptor
@@ -980,7 +1091,6 @@ class ExtensionTower:
         )
         self._separable = None  # is_separable_tower fills it on first use
         self._traces = None  # trace fills it with the k-payloads of Tr(w^i) on first use
-        self._trace_codes = None  # ranksupport.trace_image: Tr of every code of a finite L, on first use
         self._superspaces = None  # ranksupport.closure_oracle: n -> every W_L of k^n, on first use
 
     def __getstate__(self):

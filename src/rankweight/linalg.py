@@ -12,24 +12,19 @@ left half and the canonical basis of a ∩ b in the right halves of the rest.
 once, ordered by pivot profile and then lexicographically on the free
 entries; the census equals the Gaussian binomial coefficient.
 
-Over a field with a kernel (``fields``: Q, Q[x]/(f) and finite fields of
-order <= 4096) a subspace is stored as its canonical rows in element codes
-(``Subspace._codes``).  Every reduction encodes its element inputs once,
-eliminates on codes and keeps the result coded; ``dim``, equality, hashing,
-``contains``, ``contains_space``, sums, intersections, orthogonal
-complements and subspace enumeration work on the codes, and
-``Subspace.from_codes`` builds from rows of codes.  ``Subspace.rows`` is
-decoded on its first read, through the subspace's own field object, so its
-entries are elements of that object.  The RREF is unique, so every route
-gives the same codes, and decoding them gives the rows of the generic
-elimination on ``FieldElement``s, which larger finite fields and finite
-non-fields keep.
+Every field has a kernel (``fields``), and a subspace is stored as its
+canonical rows in element codes (``Subspace._codes``).  A reduction encodes
+its element inputs once, eliminates on codes and keeps the result coded;
+``dim``, equality, hashing, pickling, ``contains``, ``contains_space``,
+sums, intersections, orthogonal complements and subspace enumeration work
+on the codes, and ``Subspace.from_codes`` builds from rows of codes.
+``Subspace.rows`` is a cache, decoded on its first read through the
+subspace's own field object, so its entries are elements of that object.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import Iterator, List, Sequence
 
 from .errors import AmbientMismatch, FieldMismatch, InfiniteField
@@ -66,37 +61,27 @@ class Matrix:
 
 
 class Subspace:
-    """A subspace of F^n held as a canonical RREF basis matrix.
+    """A subspace of F^n held as a canonical RREF basis, in codes of F's kernel.
 
-    The constructor trusts its input; build through ``rref_canonical`` or the
-    classmethods unless the rows are canonical by construction.  It takes the
-    rows as elements (``rows``), as codes of the field's kernel (``codes``),
-    or both.
-
-    Over a field with a kernel the codes are the stored form: rows given as
-    elements are encoded on first use, and ``rows`` of a subspace given as
-    codes is decoded on its first read, through this subspace's field
-    object.  A code depends only on its element's payload, so the codes
-    serve every equal field object, and canonical codes are unique, so
-    ``==`` and the hash read them; ``==`` compares element rows instead
-    only when both sides hold rows and one of them has no codes yet.  Code
-    rows are tuples of codes held in a tuple, like ``rows``.  A pickle holds
-    the rows as elements.
+    The constructor trusts its input, the canonical rows as a tuple of
+    tuples of codes; build through ``rref_canonical`` or the classmethods
+    unless the rows are canonical by construction.  A code depends only on
+    its element's payload, so the codes serve every equal field object, and
+    canonical codes are unique, so ``==``, the hash and the pickle read
+    them.  ``rows`` decodes them to elements on its first read and keeps
+    the result.
     """
 
-    __slots__ = ("field", "ambient_dim", "_rows", "_codes")
+    __slots__ = ("field", "ambient_dim", "_codes", "_rows")
 
-    def __init__(self, field: Field, ambient_dim: int, rows: tuple | None = None, codes: tuple | None = None):
+    def __init__(self, field: Field, ambient_dim: int, codes: tuple):
         self.field = field
         self.ambient_dim = ambient_dim
-        self._rows = rows
         self._codes = codes
+        self._rows = None
 
     def __reduce__(self):
-        rows = self._rows
-        if rows is None:  # decoded for the pickle only: the codes stay the stored form
-            rows = self.field._kernel().decode_rows(self._codes)
-        return type(self), (self.field, self.ambient_dim, rows)
+        return type(self), (self.field, self.ambient_dim, self._codes)
 
     @property
     def rows(self) -> tuple:
@@ -111,13 +96,10 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        kern = field._kernel()
-        zero, one = (0, kern.one) if kern else (field.zero(), field.one())
-        rows = tuple(
-            tuple(one if i == j else zero for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return cls(field, ambient_dim, None, rows) if kern else cls(field, ambient_dim, rows)
+        one = field._kernel().one
+        return cls(field, ambient_dim, tuple(
+            tuple(one if i == j else 0 for j in range(ambient_dim)) for i in range(ambient_dim)
+        ))
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors) -> "Subspace":
@@ -132,12 +114,11 @@ class Subspace:
         """
         if not canonical:
             codes, _ = _rref_coded(field._kernel(), list(codes), ambient_dim)
-        return cls(field, ambient_dim, None, codes)
+        return cls(field, ambient_dim, codes)
 
     @property
     def dim(self) -> int:
-        rows = self._rows
-        return len(self._codes if rows is None else rows)
+        return len(self._codes)
 
     def contains(self, v: Sequence[FieldElement]) -> bool:
         return contains(self, v)
@@ -145,29 +126,15 @@ class Subspace:
     def contains_space(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim or other.field != self.field:
             raise AmbientMismatch("subspaces live in different ambient spaces")
-        kern = self.field._kernel()
-        if kern:
-            return _reduces_to_zero(kern, _row_codes(self, kern), _row_codes(other, kern))
-        return contains(self, *other.rows)
+        return _reduces_to_zero(self.field._kernel(), self._codes, other._codes)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        if self.ambient_dim != other.ambient_dim or self.field != other.field:
-            return False
-        a, b = self._codes, other._codes
-        if a is None or b is None:
-            if self._rows is not None and other._rows is not None:
-                return self._rows == other._rows  # canonical rows are unique too
-            kern = (self if b is None else other).field._kernel()  # the coded side's field has one
-            a, b = _row_codes(self, kern), _row_codes(other, kern)
-        return a == b
+        return self.ambient_dim == other.ambient_dim and self.field == other.field and self._codes == other._codes
 
     def __hash__(self):
-        kern = self.field._kernel()
-        if kern:
-            return hash((self.field, self.ambient_dim, _row_codes(self, kern)))
-        return hash((self.field, self.ambient_dim, self.rows))
+        return hash((self.field, self.ambient_dim, self._codes))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.field}^{self.ambient_dim})"
@@ -184,13 +151,6 @@ def _payload_in(field: Field, e):
     return e.payload
 
 
-def _check_entries(field: Field, rows) -> None:
-    for r in rows:
-        for e in r:
-            if getattr(e, "field", None) is not field:
-                _payload_in(field, e)
-
-
 def _encode(kern, rows, num_cols: int) -> list:
     """Rows of elements of the kernel's field as tuples of kernel codes, in a list."""
     field, index = kern.field, kern.index
@@ -205,32 +165,14 @@ def _encode(kern, rows, num_cols: int) -> list:
     return work
 
 
-def _finite_kernel(field: Field):
-    """field's kernel when field is finite and has one, else False."""
-    return field.order is not None and field._kernel()
-
-
-def _row_codes(s: Subspace, kern) -> tuple:
-    """s's rows as codes of kern, a kernel of s's field; encoded once and kept on s."""
-    codes = s._codes
-    if codes is None:
-        codes = s._codes = tuple(_encode(kern, s._rows, s.ambient_dim))
-    return codes
-
-
 def _span(field: Field, ambient_dim: int, vectors) -> Subspace:
-    """The canonical subspace spanned by vectors, coded over a field with a kernel."""
-    kern = field._kernel()
-    if kern:
-        return Subspace.from_codes(field, ambient_dim, _encode(kern, vectors, ambient_dim))
-    return Subspace(field, ambient_dim, tuple(_rref_generic(field, vectors, ambient_dim)[0]))
+    """The canonical subspace spanned by vectors of elements."""
+    return Subspace.from_codes(field, ambient_dim, _encode(field._kernel(), vectors, ambient_dim))
 
 
 def _rref_rows(field: Field, rows: Sequence, num_cols: int):
     """Gaussian elimination to unique RREF; returns (rows, pivot_cols), rows as tuples of elements."""
     kern = field._kernel()
-    if not kern:
-        return _rref_generic(field, rows, num_cols)
     reduced, pivot_cols = _rref_coded(kern, _encode(kern, rows, num_cols), num_cols)
     return list(kern.decode_rows(reduced)), pivot_cols
 
@@ -263,52 +205,19 @@ def _rref_coded(kern, work: list, num_cols: int):
     return tuple(map(tuple, work[:r])), pivot_cols
 
 
-def _rref_generic(field: Field, rows, num_cols: int):
-    """In-place Gaussian elimination on elements; fields without a kernel."""
-    work: List[List[FieldElement]] = [list(r) for r in rows]
-    for r in work:
-        if len(r) != num_cols:
-            raise ValueError(f"row of length {len(r)} in an ambient of {num_cols}")
-    _check_entries(field, work)
-    pivot_cols: List[int] = []
-    r = 0
-    for col in range(num_cols):
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        lead = work[r][col]
-        if lead != field.one():
-            inv = lead.inverse()
-            work[r] = [e * inv for e in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]], pivot_cols
-
-
 def rref_canonical(m: Matrix) -> Subspace:
     """Row space of m as a canonical subspace; idempotent."""
     return _span(m.field, m.num_cols, m.rows)
 
 
-def _null_basis(reduced, pivot_cols, n: int, zero, one, neg) -> list:
-    """A basis of {v : reduced v^T = 0} for RREF rows with those pivots, one vector per free column."""
-    pivot_set = set(pivot_cols)
+def _null_basis(kern, reduced, pivot_cols, n: int) -> list:
+    """A basis of {v : reduced v^T = 0} for coded RREF rows with those pivots, one vector per free column."""
+    pivot_set, one, neg = set(pivot_cols), kern.one, kern.neg
     basis = []
     for j in range(n):
         if j in pivot_set:
             continue
-        v = [zero] * n
+        v = [0] * n
         v[j] = one
         for row, p in zip(reduced, pivot_cols):
             v[p] = neg(row[j])
@@ -320,37 +229,29 @@ def kernel(m: Matrix) -> Subspace:
     """{v : m v^T = 0}; dim = cols - rank."""
     field, n = m.field, m.num_cols
     kern = field._kernel()
-    if kern:
-        reduced, pivot_cols = _rref_coded(kern, _encode(kern, m.rows, n), n)
-        return Subspace.from_codes(field, n, _null_basis(reduced, pivot_cols, n, 0, kern.one, kern.neg))
-    rows, pivot_cols = _rref_generic(field, m.rows, n)
-    return _span(field, n, _null_basis(rows, pivot_cols, n, field.zero(), field.one(), operator.neg))
+    reduced, pivot_cols = _rref_coded(kern, _encode(kern, m.rows, n), n)
+    return Subspace.from_codes(field, n, _null_basis(kern, reduced, pivot_cols, n))
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:
     """Complement for the standard bilinear form; dim s + dim s^⊥ = n.
 
-    s's canonical rows are already reduced, so over a field with a kernel
-    the complement is read off their codes with no elimination of s.
+    s's canonical rows are already reduced, so the complement is read off
+    their codes with no elimination of s.
     """
     field, n = s.field, s.ambient_dim
     if s.dim == 0:
         return Subspace.full(field, n)
     kern = field._kernel()
-    if kern:
-        codes = _row_codes(s, kern)
-        pivot_cols = [row.index(kern.one) for row in codes]  # a canonical row's first nonzero entry is one
-        return Subspace.from_codes(field, n, _null_basis(codes, pivot_cols, n, 0, kern.one, kern.neg))
-    return kernel(Matrix(field, [list(r) for r in s.rows], n))
+    codes = s._codes
+    pivot_cols = [row.index(kern.one) for row in codes]  # a canonical row's first nonzero entry is one
+    return Subspace.from_codes(field, n, _null_basis(kern, codes, pivot_cols, n))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise AmbientMismatch("subspace sum needs a common ambient space")
-    kern = a.field._kernel()
-    if kern:
-        return Subspace.from_codes(a.field, a.ambient_dim, [*_row_codes(a, kern), *_row_codes(b, kern)])
-    return _span(a.field, a.ambient_dim, list(a.rows) + list(b.rows))
+    return Subspace.from_codes(a.field, a.ambient_dim, [*a._codes, *b._codes])
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -358,40 +259,27 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise AmbientMismatch("subspace intersection needs a common ambient space")
     n = a.ambient_dim
-    kern = a.field._kernel()
-    if kern:
-        zeros = (0,) * n
-        stacked = [r + r for r in _row_codes(a, kern)] + [r + zeros for r in _row_codes(b, kern)]
-    else:
-        zeros = (a.field.zero(),) * n
-        stacked = [r + r for r in a.rows] + [r + zeros for r in b.rows]
+    zeros = (0,) * n
+    stacked = [r + r for r in a._codes] + [r + zeros for r in b._codes]
     return tail_subspace(a.field, stacked, 2 * n, n)
 
 
 def tail_subspace(field: Field, rows, num_cols: int, start: int) -> Subspace:
     """The row-space vectors that vanish before column start, cut to columns start..
 
-    ``rows`` holds elements of field or, over a field with a kernel, tuples
-    of its codes.  One reduction: the reduced rows pivoting at or past start
-    span exactly those vectors, and as their pivot columns are cleared in
-    every other row, their tails are already the canonical basis of the
-    result.
+    ``rows`` holds rows of codes of field's kernel.  One reduction: the
+    reduced rows pivoting at or past start span exactly those vectors, and
+    as their pivot columns are cleared in every other row, their tails are
+    already the canonical basis of the result.
     """
-    kern = field._kernel()
-    if not kern:
-        reduced, pivot_cols = _rref_generic(field, rows, num_cols)
-    elif rows and num_cols and not isinstance(rows[0][0], FieldElement):
-        reduced, pivot_cols = _rref_coded(kern, list(rows), num_cols)
-    else:
-        reduced, pivot_cols = _rref_coded(kern, _encode(kern, rows, num_cols), num_cols)
-    tails = tuple(row[start:] for row, p in zip(reduced, pivot_cols) if p >= start)
-    return Subspace(field, num_cols - start, None, tails) if kern else Subspace(field, num_cols - start, tails)
+    reduced, pivot_cols = _rref_coded(field._kernel(), list(rows), num_cols)
+    return Subspace(field, num_cols - start, tuple(row[start:] for row, p in zip(reduced, pivot_cols) if p >= start))
 
 
 def contains(a: Subspace, *vectors: Sequence[FieldElement]) -> bool:
     """True iff every vector reduces to zero against a's canonical basis.
 
-    a's rows are encoded at most once, and kept; no vector at all gives True.
+    Only the vectors are encoded; no vector at all gives True.
     """
     n = a.ambient_dim
     for v in vectors:
@@ -400,19 +288,7 @@ def contains(a: Subspace, *vectors: Sequence[FieldElement]) -> bool:
     if not vectors:
         return True
     kern = a.field._kernel()
-    if kern:
-        return _reduces_to_zero(kern, _row_codes(a, kern), _encode(kern, vectors, n))
-    _check_entries(a.field, vectors)
-    rows = [(next(j for j, e in enumerate(row) if e), row) for row in a.rows]
-    for v in vectors:
-        residue = list(v)
-        for pivot, row in rows:
-            c = residue[pivot]
-            if c:
-                residue = [x - c * y for x, y in zip(residue, row)]
-        if any(residue):
-            return False
-    return True
+    return _reduces_to_zero(kern, a._codes, _encode(kern, vectors, n))
 
 
 def _reduces_to_zero(kern, rows, vectors) -> bool:
@@ -434,8 +310,7 @@ def enumerate_subspaces(field: Field, ambient_dim: int, dim: int) -> Iterator[Su
 
     Ordered by pivot profile (lexicographic column combinations), then by the
     free entries in row-major position order, each running through the field
-    enumeration order.  Over a field with a kernel that order is the code
-    order 0..q-1, pivots are the code 1, and the subspaces are built coded.
+    enumeration order, which is the code order 0..q-1; pivots are the code 1.
     """
     if field.order is None:
         raise InfiniteField("subspace enumeration needs a finite field")
@@ -444,11 +319,7 @@ def enumerate_subspaces(field: Field, ambient_dim: int, dim: int) -> Iterator[Su
     if dim == 0:
         yield Subspace.zero(field, ambient_dim)
         return
-    kern = field._kernel()
-    if kern:
-        values, zero, one = range(field.order), 0, kern.one
-    else:
-        values, zero, one = list(field.elements()), field.zero(), field.one()
+    one = field._kernel().one
     for pivots in itertools.combinations(range(ambient_dim), dim):
         pivot_set = set(pivots)
         free = [
@@ -457,14 +328,13 @@ def enumerate_subspaces(field: Field, ambient_dim: int, dim: int) -> Iterator[Su
             for j in range(pivots[i] + 1, ambient_dim)
             if j not in pivot_set
         ]
-        for entries in itertools.product(values, repeat=len(free)):
-            rows = [[zero] * ambient_dim for _ in range(dim)]
+        for entries in itertools.product(range(field.order), repeat=len(free)):
+            rows = [[0] * ambient_dim for _ in range(dim)]
             for i, p in enumerate(pivots):
                 rows[i][p] = one
             for (i, j), val in zip(free, entries):
                 rows[i][j] = val
-            rows = tuple(tuple(r) for r in rows)
-            yield Subspace(field, ambient_dim, None, rows) if kern else Subspace(field, ambient_dim, rows)
+            yield Subspace(field, ambient_dim, tuple(tuple(r) for r in rows))
 
 
 def gaussian_binomial(n: int, r: int, q: int) -> int:

@@ -19,13 +19,13 @@ Delsarte identity Res(C)^perp = Rsupp(C^perp) therefore compares two
 independent computations (the ``delsarte`` verify suite checks it), and so
 does the cross-check in ``is_rank_degenerate``.
 
-Over an L with a kernel (``fields``: finite L of order <= 4096, and Q(θ))
-these work on the codes that ``linalg.Subspace`` stores: an L-code expands
-straight into the k-codes of its coordinates (``kern.expand``), a k-code
-embeds as an L-code (``kern.embed_row``; over a finite L the same int),
-and ``rank_support_code``, ``restriction``, ``extend_to_L`` and
-``trace_image`` reduce those codes without building elements.  Only
-``closure_oracle`` stays on elements, embedding and reducing literally.
+Every field has a kernel (``fields``), and these work on the codes that
+``linalg.Subspace`` stores: an L-code expands straight into the k-codes of
+its coordinates (``kern.expand``), a k-code embeds as an L-code
+(``kern.embed_row``; over a finite L the same int), and
+``rank_support_code``, ``restriction``, ``extend_to_L`` and ``trace_image``
+reduce those codes without building elements.  Only ``closure_oracle``
+stays on elements, embedding and reducing literally.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .fields import ExtensionTower, FieldElement, is_separable_tower
 from .linalg import (
     Matrix,
     Subspace,
-    _row_codes,
     enumerate_subspaces,
     gaussian_binomial,
     orthogonal_complement,
@@ -208,16 +207,12 @@ def rank_support_vec(tower: ExtensionTower, c: Sequence[FieldElement], basis=Non
     """Rank support of a vector: the k-row space of its expansion matrix."""
     _check_vector(tower, c)
     n = len(c)
-    if basis is None:
-        kern = tower.L._kernel()
-        if kern:
-            index = kern.index
-            rows = _coded_expansion(kern, [[index[e.payload] for e in c]])
-            return KSubspace(tower, n, Subspace.from_codes(tower.k, n, rows))
-        rows = expansion_rows(tower, c)
-    else:
+    if basis is not None:
         rows = [list(r) for r in expand_vector(tower, c, basis).rows]
-    return KSubspace(tower, n, Subspace.from_vectors(tower.k, n, rows))
+        return KSubspace(tower, n, Subspace.from_vectors(tower.k, n, rows))
+    kern = tower.L._kernel()
+    rows = _coded_expansion(kern, [[kern.index[e.payload] for e in c]])
+    return KSubspace(tower, n, Subspace.from_codes(tower.k, n, rows))
 
 
 def weight_of_vector(tower: ExtensionTower, c: Sequence[FieldElement]) -> int:
@@ -229,12 +224,7 @@ def rank_support_code(C: LinearCode) -> KSubspace:
     """Rank support of a code: the k-sum of the supports of its generators."""
     if C._rsupp is None:
         t, n = C.tower, C.length
-        kern = t.L._kernel()
-        if kern:
-            space = Subspace.from_codes(t.k, n, _coded_expansion(kern, _row_codes(C.space, kern)))
-        else:
-            stacked = [row for g in C.space.rows for row in expansion_rows(t, g)]
-            space = Subspace.from_vectors(t.k, n, stacked)
+        space = Subspace.from_codes(t.k, n, _coded_expansion(t.L._kernel(), C.space._codes))
         C._rsupp = KSubspace(t, n, space)
     return C._rsupp
 
@@ -263,12 +253,8 @@ def restriction(C: LinearCode) -> KSubspace:
     """
     if C._res is None:
         t = C.tower
-        m, n = t.degree, C.length
-        kern = t.L._kernel()
-        if kern:
-            expansions = [_coded_expansion(kern, [g]) for g in _row_codes(C.space, kern)]
-        else:
-            expansions = [expansion_rows(t, g) for g in C.space.rows]
+        m, n, kern = t.degree, C.length, t.L._kernel()
+        expansions = [_coded_expansion(kern, [g]) for g in C.space._codes]
         flat_rows = [tuple(e for row in rows[1:] + rows[:1] for e in row) for rows in expansions]
         C._res = KSubspace(t, n, tail_subspace(t.k, flat_rows, m * n, (m - 1) * n))
     return C._res
@@ -278,19 +264,15 @@ def extend_to_L(D: KSubspace) -> LinearCode:
     """The L-span D_L of a k-subspace of k^n; dim_L D_L = dim_k D.
 
     A canonical RREF basis over k embeds entry by entry to the canonical RREF
-    basis over L, so no reduction is needed.  Over an L with a kernel the
-    embedding works on codes: over a finite L it is the identity, since an
-    L-code below |k| has its k-code as first coordinate and zeros above, and
-    over Q(θ) the Q-code (n, d) becomes the L-code (n, 0, ..., 0, d).
+    basis over L, so no reduction is needed.  The embedding works on codes:
+    over a finite L it is the identity, since an L-code below |k| has its
+    k-code as first coordinate and zeros above, and over Q(θ) the Q-code
+    (n, d) becomes the L-code (n, 0, ..., 0, d).
     """
     t, n = D.tower, D.length
-    kern = t.L._kernel()
-    if kern:
-        codes = tuple(kern.embed_row(row) for row in _row_codes(D.space, t.k._kernel()))
-        space = Subspace.from_codes(t.L, n, codes, canonical=True)
-    else:
-        space = Subspace(t.L, n, tuple(tuple(embed_vector(t, row)) for row in D.space.rows))
-    return LinearCode(t, n, space)
+    embed_row = t.L._kernel().embed_row
+    codes = tuple(embed_row(row) for row in D.space._codes)
+    return LinearCode(t, n, Subspace.from_codes(t.L, n, codes, canonical=True))
 
 
 def is_extended(C: LinearCode) -> bool:
@@ -303,38 +285,39 @@ def trace_image(C: LinearCode) -> KSubspace:
 
     Requires a separable tower: outside that hypothesis Tr may vanish and the
     identity with the rank support fails, so inseparable input is refused.
-    Over an L with a kernel the products and traces run on codes.
+    The products and traces run on codes.
     """
     t = C.tower
     if not is_separable_tower(t):
         raise InseparableTower(f"trace image needs a separable extension, got {t}")
     kern = t.L._kernel()
-    if kern:
-        n, trace = C.length, _coded_trace(t, kern)
-        powers = [kern.index[alpha.payload] for alpha in t.basis]
-        rows = [tuple([trace(kern.mul(p, x)) for x in g]) for g in _row_codes(C.space, kern) for p in powers]
-        return KSubspace(t, n, Subspace.from_codes(t.k, n, rows))
-    rows = []
-    for g in C.space.rows:
-        for alpha in t.basis:
-            rows.append([t.trace(alpha * gj) for gj in g])
-    return KSubspace(t, C.length, Subspace.from_vectors(t.k, C.length, rows))
+    n, trace = C.length, _coded_trace(t, kern)
+    powers = [kern.index[alpha.payload] for alpha in t.basis]
+    rows = [tuple([trace(kern.mul(p, x)) for x in g]) for g in C.space._codes for p in powers]
+    return KSubspace(t, n, Subspace.from_codes(t.k, n, rows))
 
 
 def _coded_trace(t: ExtensionTower, kern):
-    """Tr: L -> k on codes of kern, L's kernel, as a function from code to k-code.
+    """Tr: L -> k on codes of kern, L's kernel, by linearity: sum_l x_l * Tr(w^l).
 
-    Over a finite L it is a table by code, filled once per tower from
-    ``ExtensionTower.trace`` on the elements.  Over Q(θ) it is
-    sum_l n_l * Tr(w^l) / d, read off a code's numerators n_l and its
-    denominator d.
+    Over a finite L the k-codes x_l are the digits ``kern.expand`` reads off
+    a code, multiplied and added in k's kernel, so no table of size |L| is
+    built.  Over Q(θ) it is sum_l n_l * Tr(w^l) / d, read off a code's
+    numerators n_l and its denominator d.
     """
-    if t.L.order is not None:
-        if t._trace_codes is None:
-            index = t.k._kernel().index
-            t._trace_codes = [index[t.trace(e).payload] for e in kern.decode]
-        return t._trace_codes.__getitem__
     traces = [t.trace(alpha).payload for alpha in t.basis]
+    if t.L.order is not None:
+        kk = t.k._kernel()
+        expand, add, mul, trace_codes = kern.expand, kk.add, kk.mul, [kk.index[x] for x in traces]
+
+        def finite_trace(c):
+            acc = 0
+            for x, tr in zip(expand(c), trace_codes):
+                if x and tr:
+                    acc = add(acc, mul(x, tr))
+            return acc
+
+        return finite_trace
     den = lcm(*[x.denominator for x in traces])
     scaled = [x.numerator * (den // x.denominator) for x in traces]  # Tr(w^l) * den
 

@@ -16,13 +16,14 @@ elementary bounds: a minimum stops at wt_R(D) = dim D for d_Rr, at weight 1
 (a nonzero codeword has weight >= 1) for the rank distance, OS_r and D_r,
 and at dim V = r for M_r; a maxwt scan stops at wt_R(c) = min(m, n).
 
-Every codeword scan (rank distance, maxwt, exhaustive witness search) goes
-through ``_codewords``.  Over a finite field with a kernel (see ``fields``)
-it walks codewords as tuples of element codes and takes each rank weight on
-ints: over GF(2) a code's bits are its k-coordinates, so the weight is the
-rank of the entries packed one per int; otherwise it eliminates the entries'
-k-coordinates over k's kernel.  Only a candidate of the target weight in
-witness search is decoded to elements.
+Every field has a kernel (see ``fields``), and subcodes, codeword scans and
+witness candidates are built on its codes.  Every codeword scan (rank
+distance, maxwt, exhaustive witness search) goes through ``_codewords``,
+which walks codewords as tuples of element codes and takes each rank weight
+on ints: over GF(2) a code's bits are its k-coordinates, so the weight is
+the rank of the entries packed one per int; otherwise it eliminates the
+entries' k-coordinates over k's kernel.  Only a candidate of the target
+weight in witness search is decoded to elements.
 
 Witness search is constructive-first: extended codes get the explicit
 sum-of-basis witness, codes with rational directions get the split-lemma
@@ -47,7 +48,7 @@ from .errors import (
     ZeroCode,
 )
 from .fields import ExtensionTower, FieldElement, random_rational_element
-from .linalg import Subspace, _finite_kernel, _row_codes, _rref_coded, enumerate_subspaces, subspace_sum
+from .linalg import Subspace, _rref_coded, enumerate_subspaces, subspace_sum
 from .ranksupport import (
     KSubspace,
     LinearCode,
@@ -59,19 +60,9 @@ from .ranksupport import (
     rank_support_code,
     rank_support_vec,
     restriction,
-    weight_of_vector,
 )
 
 _RANDOM_TRIES_PER_ROUND = 200
-
-
-def _combine(coeffs, gens, L, n: int):
-    """sum(a_i * g_i) on elements: the reference, and the path of an L without a kernel."""
-    out = [L.zero()] * n
-    for a, g in zip(coeffs, gens):
-        if a:
-            out = [x + a * y for x, y in zip(out, g)]
-    return out
 
 
 def _combine_codes(kern, coeffs, gens, n: int) -> list:
@@ -96,36 +87,25 @@ def _coded_weight(tower: ExtensionTower, kern):
     return weight
 
 
-def _codewords(tower: ExtensionTower, gens, n: int):
+def _codewords(tower: ExtensionTower, gens):
     """(wt_R(c), c) for one codeword c of span(gens) per projective point.
 
-    The first nonzero coefficient is 1 and the later ones run through L in
-    element order, the last fastest, so each nonzero codeword appears once
-    up to an L^x multiple, which has the same rank weight.  When L is finite
-    and has a kernel, c is a tuple of element codes (``_decode`` turns it into
-    elements), built from precomputed multiples of the generators, and its
-    weight is the rank over k of the entries' k-coordinates; otherwise c is
-    a list of elements and its weight is ``weight_of_vector``.
+    ``gens`` are rows of codes of a finite L's kernel.  The first nonzero
+    coefficient is 1 and the later ones run through L in element order, the
+    last fastest, so each nonzero codeword appears once up to an L^x
+    multiple, which has the same rank weight.  c is a tuple of element codes
+    (``_decode`` turns it into elements), built from precomputed multiples
+    of the generators, and its weight is the rank over k of the entries'
+    k-coordinates.
     """
-    L = tower.L
-    kern = _finite_kernel(L)
-    if not kern:
-        elems = list(L.elements())
-        zero, one = L.zero(), L.one()
-        for lead in range(len(gens)):
-            head = (zero,) * lead + (one,)
-            for tail in itertools.product(elems, repeat=len(gens) - lead - 1):
-                c = _combine(head + tail, gens, L, n)
-                yield weight_of_vector(tower, c), c
-        return
+    kern = tower.L._kernel()
     add = kern.add
-    coded = [tuple(kern.index[e.payload] for e in g) for g in gens]
     # multiples[i][a] = a * gens[i]; gens[0] only ever leads
-    multiples = [None] + [[tuple(kern.scale(g, a)) for a in range(kern.q)] for g in coded[1:]]
+    multiples = [None] + [list(zip(*map(kern.multiples, g))) for g in gens[1:]]
     weight = _coded_weight(tower, kern)
-    for lead in range(len(coded)):
+    for lead in range(len(gens)):
         for tail in itertools.product(*multiples[lead + 1 :]):
-            c = coded[lead]
+            c = gens[lead]
             for t in tail:
                 c = tuple(map(add, c, t))
             yield weight(c), c
@@ -147,10 +127,8 @@ def _rank_gf2(vectors) -> int:
 
 
 def _decode(L, c) -> list:
-    """A vector of codes of L's kernel as a list of elements of L; over an L
-    without a kernel ``_codewords`` yields elements, listed as they are."""
-    kern = L._kernel()
-    return list(kern.decode_rows([c])[0]) if kern else list(c)
+    """A vector of codes of L's kernel as a list of elements of L."""
+    return list(L._kernel().decode_rows([c])[0])
 
 
 def _least(values, floor: int) -> int:
@@ -172,22 +150,16 @@ def _subcodes(C: LinearCode, r: int):
     p_i and G is C's RREF generator matrix with pivots q_j, then row i of SG
     starts with a 1 in column q_(p_i), and column q_(p_j) of SG is column p_j
     of S, which is zero outside row j.  So SG is again in canonical RREF.
-    Over a finite L with a kernel the rows of SG are combined on codes,
-    read straight off the coded coefficient subspaces.
+    The rows of SG are combined on codes, read straight off the coded
+    coefficient subspaces.
     """
     t, n = C.tower, C.length
     L = t.L
-    kern = _finite_kernel(L)
-    if not kern:
-        for s in enumerate_subspaces(L, C.dim, r):
-            rows = tuple(tuple(_combine(row, C.space.rows, L, n)) for row in s.rows)
-            yield LinearCode(t, n, Subspace(L, n, rows))
-        return
-    G = _row_codes(C.space, kern)
+    kern, G = L._kernel(), C.space._codes
     add, scale = kern.add, kern.scale
     for s in enumerate_subspaces(L, C.dim, r):
         rows = []
-        for coeffs in _row_codes(s, kern):
+        for coeffs in s._codes:
             acc = None
             for a, g in zip(coeffs, G):
                 if a:
@@ -212,7 +184,7 @@ def rank_distance(C: LinearCode) -> int:
     if C.dim == 0:
         raise ZeroCode("the zero code has no nonzero codeword")
     _require_finite(C, "rank_distance")
-    return _least((w for w, _ in _codewords(C.tower, C.space.rows, C.length)), 1)
+    return _least((w for w, _ in _codewords(C.tower, C.space._codes)), 1)
 
 
 def maxwt(D: LinearCode) -> int:
@@ -221,7 +193,7 @@ def maxwt(D: LinearCode) -> int:
     t = D.tower
     cap = min(t.degree, D.length)
     best = 0
-    for w, _ in _codewords(t, D.space.rows, D.length):
+    for w, _ in _codewords(t, D.space._codes):
         best = max(best, w)
         if best == cap:
             break
@@ -310,11 +282,8 @@ def _witness_extended(C: LinearCode) -> Optional[list]:
         return None
     space = extend_to_L(res).space
     kern = t.L._kernel()
-    if kern:
-        basis = [kern.index[b.payload] for b in t.basis]
-        c = _decode(t.L, _combine_codes(kern, basis, _row_codes(space, kern), C.length))
-    else:
-        c = _combine(t.basis, space.rows, t.L, C.length)
+    basis = [kern.index[b.payload] for b in t.basis]
+    c = _decode(t.L, _combine_codes(kern, basis, space._codes, C.length))
     if not verify_witness(C, c):
         raise InternalInvariantError("constructive extended witness failed verification")
     return c
@@ -371,7 +340,7 @@ def _witness_exhaustive(C: LinearCode) -> Optional[list]:
     _require_finite(C, "exhaustive witness search")
     t = C.tower
     target = rank_support_code(C).dim
-    for w, c in _codewords(t, C.space.rows, C.length):
+    for w, c in _codewords(t, C.space._codes):
         if w == target:
             c = _decode(t.L, c)
             if verify_witness(C, c):
@@ -388,10 +357,10 @@ def _witness_random(C: LinearCode, rng: random.Random, height: int, rounds: int)
     t, n = C.tower, C.length
     L = t.L
     target = rank_support_code(C).dim
-    finite_pool = list(L.elements()) if L.order is not None else None
     kern = L._kernel()
-    if kern:
-        gens, weight = _row_codes(C.space, kern), _coded_weight(t, kern)
+    gens, weight, index = C.space._codes, _coded_weight(t, kern), kern.index
+    # a finite L's codes in element order, so a draw picks what choice(L.elements()) would
+    finite_pool = range(kern.q) if L.order is not None else None
 
     h = height
     for _ in range(rounds):
@@ -399,18 +368,13 @@ def _witness_random(C: LinearCode, rng: random.Random, height: int, rounds: int)
             if finite_pool is not None:
                 coeffs = [rng.choice(finite_pool) for _ in range(C.dim)]
             else:
-                coeffs = [random_rational_element(t, rng, h) for _ in range(C.dim)]
+                coeffs = [index[random_rational_element(t, rng, h).payload] for _ in range(C.dim)]
             if not any(coeffs):
                 continue
-            if kern:
-                c = _combine_codes(kern, [kern.index[a.payload] for a in coeffs], gens, n)
-                if weight(c) != target:
-                    continue
-                c = _decode(L, c)
-            else:
-                c = _combine(coeffs, C.space.rows, L, n)
-                if weight_of_vector(t, c) != target:
-                    continue
+            c = _combine_codes(kern, coeffs, gens, n)
+            if weight(c) != target:
+                continue
+            c = _decode(L, c)
             if verify_witness(C, c):
                 return c
         h *= 2

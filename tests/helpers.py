@@ -1,4 +1,5 @@
-"""Towers, code populations and vector pools shared across the test modules."""
+"""Towers, code populations and vector pools shared across the test modules,
+and literal element references for the coded computations of the package."""
 
 import functools
 import itertools
@@ -50,6 +51,18 @@ def gf3_degree_one():
 @functools.lru_cache(maxsize=None)
 def qtheta():
     return make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="t")
+
+
+@functools.lru_cache(maxsize=None)
+def gf8192():
+    # x^13 + x^4 + x^3 + x + 1 over GF(2): above 4096 elements, no exp/log tables
+    return make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1, 1] + [0] * 8 + [1])
+
+
+@functools.lru_cache(maxsize=None)
+def gf4099_squared():
+    # x^2 + 1 is irreducible over GF(4099) since 4099 = 3 mod 4; both fields are table-free
+    return make_tower(BaseFieldDescriptor(4099), [1, 0, 1])
 
 
 def vec(tower, *entries):
@@ -109,3 +122,111 @@ def random_q_codes(count, seed, max_n=3, max_dim=2, height=5):
         gens = [random_rational_vector(rng, t, n, height) for _ in range(dim)]
         out.append(LinearCode.from_generators(t, n, gens))
     return out
+
+
+# ---------------------------------------------------------------------------
+# literal element references: Gaussian elimination on FieldElement operators
+# ---------------------------------------------------------------------------
+
+
+def rref_reference(field, rows, num_cols):
+    """Gaussian elimination to the unique RREF on elements: (rows as tuples, pivot columns)."""
+    work = [list(r) for r in rows]
+    assert all(len(r) == num_cols for r in work)
+    pivot_cols = []
+    r = 0
+    for col in range(num_cols):
+        pivot = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        lead = work[r][col]
+        if lead != field.one():
+            inv = lead.inverse()
+            work[r] = [e * inv for e in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivot_cols.append(col)
+        r += 1
+        if r == len(work):
+            break
+    return [tuple(row) for row in work[:r]], pivot_cols
+
+
+def span_reference(field, rows, n):
+    """The canonical rows of span(rows), as a tuple of tuples of elements."""
+    return tuple(rref_reference(field, rows, n)[0])
+
+
+def null_space_reference(field, rows, n):
+    """The canonical rows of {v : rows v^T = 0}."""
+    reduced, pivots = rref_reference(field, rows, n)
+    basis = []
+    for j in range(n):
+        if j not in pivots:
+            v = [field.zero()] * n
+            v[j] = field.one()
+            for row, p in zip(reduced, pivots):
+                v[p] = -row[j]
+            basis.append(v)
+    return span_reference(field, basis, n)
+
+
+def combine(coeffs, gens, L, n):
+    """sum(a_i * g_i) on elements."""
+    out = [L.zero()] * n
+    for a, g in zip(coeffs, gens):
+        if a:
+            out = [x + a * y for x, y in zip(out, g)]
+    return out
+
+
+def expansion(tower, v):
+    """The m rows over k of the coordinate expansion of an L-vector."""
+    return [[FieldElement(tower.k, x.payload[i]) for x in v] for i in range(tower.degree)]
+
+
+def support_reference(code):
+    """Rsupp(C): the k-span of the expansion rows of C's generators."""
+    t, n = code.tower, code.length
+    return span_reference(t.k, [row for g in code.generators for row in expansion(t, g)], n)
+
+
+def restriction_reference(code):
+    """Res(C) = C ∩ k^n: the k-combinations sum(a_i g_i) whose coordinates lie in k.
+
+    The canonical generators have pivot entries 1, so a member of k^n has
+    k-coefficients; those solve the k-linear system that every coordinate's
+    expansion vanishes off the basis element 1.
+    """
+    t, n, gens = code.tower, code.length, code.generators
+    conditions = [[expansion(t, g)[i][j] for g in gens] for i in range(1, t.degree) for j in range(n)]
+    coefficients = null_space_reference(t.k, conditions, len(gens))
+    members = [combine([t.embed(a) for a in coeffs], gens, t.L, n) for coeffs in coefficients]
+    return span_reference(t.k, [[FieldElement(t.k, x.payload[0]) for x in v] for v in members], n)
+
+
+def dual_reference(code):
+    return null_space_reference(code.tower.L, code.generators, code.length)
+
+
+def closure_reference(code):
+    """C* = Rsupp(C)_L, each support row embedded and the span reduced over L."""
+    t = code.tower
+    return span_reference(t.L, [[t.embed(x) for x in row] for row in support_reference(code)], code.length)
+
+
+def trace_reference(code):
+    """Tr(C): the k-span of Tr(alpha * g) over the basis alpha and the generators g."""
+    t = code.tower
+    return span_reference(t.k, [[t.trace(alpha * x) for x in g] for g in code.generators for alpha in t.basis],
+                          code.length)
+
+
+def is_witness_reference(code, c):
+    """c ∈ C and Rsupp(c) = Rsupp(C), both by elimination on elements."""
+    t, n = code.tower, code.length
+    return (span_reference(t.L, list(code.generators) + [c], n) == code.generators
+            and span_reference(t.k, expansion(t, c), n) == support_reference(code))

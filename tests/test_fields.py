@@ -15,6 +15,7 @@ from rankweight.fields import (
     FieldElement,
     PrimeField,
     Rationals,
+    _FiniteKernel,
     build_base_field,
     enumerate_elements,
     format_element,
@@ -246,20 +247,17 @@ def test_irreducibility_methods_agree():
             assert irreducible == count, (name, deg)
 
 
-def test_inverse_by_euclid_on_fields_without_a_kernel():
-    # _inv_raw, the one polys caller inside the arithmetic, runs only without a kernel
+def test_inverse_by_euclid_in_table_free_kernels():
+    # _inv_raw, the one polys caller inside the arithmetic, runs in the table-free kernel
     gf8192 = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1, 1] + [0] * 8 + [1]).L
-    qt = qtheta().L
-    t = qt.generator()
-    # Q(t)[y]/(y^2 - t): t is not a square in Q(t), as its norm 2 is not a rational square
-    over_qt = ExtensionField(qt, ((-t).payload, qt._zero, qt._one), symbol="y")
+    gf4099_squared = make_tower(BaseFieldDescriptor(4099), [1, 0, 1]).L
     rng = random.Random(13)
     for field, draw in (
         (gf8192, lambda: tuple(rng.randrange(2) for _ in range(13))),
-        (over_qt, lambda: tuple(
-            tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3)) for _ in range(2))),
+        (gf4099_squared, lambda: (rng.randrange(4099), rng.randrange(4099))),
     ):
-        assert field._kernel() is False
+        kern = field._kernel()
+        assert type(kern) is _FiniteKernel
         for _ in range(25):
             x = draw()
             if field._is_zero(x):
@@ -267,8 +265,17 @@ def test_inverse_by_euclid_on_fields_without_a_kernel():
             inv = field._inv_raw(x)
             assert field._mul(x, inv) == field._one
             assert field.element(x) * field.element(x).inverse() == field.one()
+            assert kern.mul(kern.index[x], kern.inv(kern.index[x])) == kern.one
         with pytest.raises(ZeroDivisionError):
             field.zero().inverse()
+
+
+def test_extensions_of_extensions_of_q_are_refused():
+    # make_tower never builds one: an extension of Q takes Q itself as its base
+    qt = qtheta().L
+    t = qt.generator()
+    with pytest.raises(BadBase):
+        ExtensionField(qt, ((-t).payload, qt._zero, qt._one), symbol="y")
 
 
 def test_rational_irreducibility_known_cases():

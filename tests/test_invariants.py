@@ -106,6 +106,93 @@ def test_float_gate_flags_each_kind():
     assert flagged == [True, True, True, True, True, False, False]
 
 
+# the helpers of the element path that ran beside the coded one while some fields had no kernel
+FORK_NAMES = {"_rref_generic", "_finite_kernel", "_row_codes", "_combine"}
+
+
+def _is_kernel(expr, bound):
+    """A ``_kernel()`` call, or a name bound to one."""
+    if isinstance(expr, ast.Call):
+        return isinstance(expr.func, ast.Attribute) and expr.func.attr == "_kernel"
+    return isinstance(expr, ast.Name) and expr.id in bound
+
+
+def _kernel_fork_offences(source):
+    """Where source forks on whether a field has a kernel.
+
+    Every field has one, so a truth test of a ``_kernel()`` result, made
+    directly or through a name assigned from one, picks a branch that cannot
+    run; and no module names a helper of FORK_NAMES.
+    """
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                bound.update(t.id for t, v in pairs if isinstance(t, ast.Name) and _is_kernel(v, ()))
+    offences = []
+    for node in ast.walk(tree):
+        tested = []
+        if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+            tested = [node.test]
+        elif isinstance(node, ast.BoolOp):
+            tested = node.values
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            tested = [node.operand]
+        elif isinstance(node, ast.comprehension):
+            tested = node.ifs
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "bool":
+            tested = node.args
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Constant) and type(x.value) in (bool, type(None)) for x in operands):
+                tested = operands
+        offences += [f"{x.lineno}: truth test of a kernel" for x in tested if _is_kernel(x, bound)]
+        names = [getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)]
+        if isinstance(node, ast.ImportFrom):
+            names += [alias.name for alias in node.names]
+        offences += [f"{node.lineno}: names {name}" for name in names if name in FORK_NAMES]
+    return offences
+
+
+def test_no_module_forks_on_a_kernel():
+    """Every tower field has a kernel: outside fields.py nothing tests for one."""
+    offenders = [
+        f"{path.name}:{offence}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "fields.py"
+        for offence in _kernel_fork_offences(path.read_text())
+    ]
+    assert offenders == []
+
+
+def test_kernel_fork_gate_flags_each_kind():
+    flagged = [
+        bool(_kernel_fork_offences(src))
+        for src in (
+            "kern = f._kernel()\nif kern:\n    pass",
+            "kern = f._kernel()\nif not kern:\n    pass",
+            "kern, g = f._kernel(), 1\nx = 1 if kern else 2",
+            "def k(f):\n    return f.order is not None and f._kernel()",
+            "if f._kernel():\n    pass",
+            "assert f._kernel() is not False",
+            "x = [r for r in rows if f._kernel()]",
+            "rows, _ = _rref_generic(f, rows, n)",
+            "from .linalg import _row_codes",
+            "c = weights._combine(a, g, L, n)",
+            "def _finite_kernel(field):\n    return field",
+            "kern = f._kernel()\nz = kern.one if x else 0",
+            "kern = f._kernel()\nif x:\n    kern.mul(a, b)",
+            "c = _combine_codes(kern, a, g, n)",
+            "s = '_combine'",
+        )
+    ]
+    assert flagged == [True] * 11 + [False] * 4
+
+
 # the Field and FieldElement methods that return or take wrapped elements
 ELEMENT_METHODS = {"zero", "one", "from_int", "element", "elements", "generator", "inverse"}
 

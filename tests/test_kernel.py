@@ -1,6 +1,8 @@
-"""The int-coded kernels (finite fields, Q and Q[x]/(f)) against the generic
-element arithmetic; the trace by linearity; multi-vector membership; codes as
-the stored form of a subspace, against towers with their kernels disabled."""
+"""The int-coded kernels (finite fields with and without tables, Q and
+Q[x]/(f)) against the generic element arithmetic; the trace by linearity;
+multi-vector membership; codes as the stored form of a subspace, against
+towers with their tables off and against the literal element references of
+``helpers``, on small towers and on towers above 4096 elements."""
 
 import itertools
 import pickle
@@ -11,12 +13,15 @@ from math import gcd
 import pytest
 
 from rankweight import linalg, polys
+from rankweight.errors import SearchExhausted
 from rankweight.fields import (
     BaseFieldDescriptor,
     ExtensionField,
     FieldElement,
     PrimeField,
     Rationals,
+    _FiniteKernel,
+    _Kernel,
     _RationalKernel,
     build_base_field,
     format_element,
@@ -27,7 +32,6 @@ from rankweight.fields import (
 from rankweight.linalg import (
     Matrix,
     Subspace,
-    _rref_generic,
     _rref_rows,
     contains,
     enumerate_subspaces,
@@ -45,6 +49,7 @@ from rankweight.ranksupport import (
     dual,
     extend_to_L,
     is_extended,
+    is_rank_degenerate,
     rank_support_code,
     rank_support_vec,
     restriction,
@@ -52,9 +57,30 @@ from rankweight.ranksupport import (
     weight_of_vector,
 )
 from rankweight.verify import check_closure_pair
-from rankweight.weights import _codewords, _combine, _decode, _subcodes, rank_distance
+from rankweight.weights import _codewords, _decode, _subcodes, find_witness, rank_distance
 
-from helpers import all_codes, gf3_degree_one, gf4, gf8, gf9, gf16_over_gf2, gf16_over_gf4, qtheta, random_q_codes
+from helpers import (
+    all_codes,
+    closure_reference,
+    combine,
+    dual_reference,
+    gf3_degree_one,
+    gf4,
+    gf8,
+    gf9,
+    gf16_over_gf2,
+    gf16_over_gf4,
+    gf4099_squared,
+    gf8192,
+    is_witness_reference,
+    qtheta,
+    random_q_codes,
+    restriction_reference,
+    rref_reference,
+    span_reference,
+    support_reference,
+    trace_reference,
+)
 
 
 def gf2_degree_one():
@@ -131,15 +157,15 @@ def test_coded_elimination_and_membership_match_generic(name, field):
         rows = [[rng.choice(elems if rng.random() < 0.7 else [zero]) for _ in range(n)]
                 for _ in range(rng.randint(0, 4))]
         coded = _rref_rows(field, rows, n)
-        assert coded == _rref_generic(field, rows, n)
-        space = Subspace(field, n, tuple(coded[0]))
+        assert coded == rref_reference(field, rows, n)
+        space = Subspace.from_vectors(field, n, coded[0])
         for _ in range(4):
             if rng.random() < 0.5:
                 v = [rng.choice(elems) for _ in range(n)]
             else:  # a combination of the rows, so that members are tested too
                 coeffs = [rng.choice(elems) for _ in rows]
                 v = [sum((c * r[j] for c, r in zip(coeffs, rows)), zero) for j in range(n)]
-            expected = len(_rref_generic(field, list(space.rows) + [v], n)[0]) == space.dim
+            expected = len(rref_reference(field, list(space.rows) + [v], n)[0]) == space.dim
             assert contains(space, v) == expected
 
 
@@ -160,29 +186,31 @@ def test_codeword_walk_matches_weight_of_vector(name):
             for tail in itertools.product(elems, repeat=len(gens) - lead - 1):
                 coeffs = (zero,) * lead + (one,) + tail
                 expected.append([sum((a * g[j] for a, g in zip(coeffs, gens)), zero) for j in range(n)])
-        walked = [(w, _decode(L, c)) for w, c in _codewords(t, gens, n)]
+        coded = [tuple(L._kernel().index[x.payload] for x in g) for g in gens]
+        walked = [(w, _decode(L, c)) for w, c in _codewords(t, coded)]
         assert [c for _, c in walked] == expected
         for w, c in walked:
             assert all(x.field is L for x in c)
             assert w == weight_of_vector(t, c)
 
 
-def test_fields_without_a_kernel():
+def test_large_fields_and_non_fields_get_table_free_kernels():
     big_prime = PrimeField(4099)
-    assert big_prime._kernel() is False
+    assert type(big_prime._kernel()) is _FiniteKernel
     a = big_prime.from_int(1234)
     assert _rref_rows(big_prime, [[a, a]], 2)[0] == [(big_prime.one(), big_prime.one())]
-    # GF(2^13) = GF(2)[x]/(x^13 + x^4 + x^3 + x + 1)
-    t = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1, 1] + [0] * 8 + [1])
-    assert t.L.order == 8192 and t.L._kernel() is False
+    t = gf8192()
+    assert t.L.order == 8192 and type(t.L._kernel()) is _FiniteKernel and type(t.k._kernel()) is _Kernel
     x = t.generator() + 1
     assert x * x.inverse() == t.L.one()
     rows = [[x, t.L.one()], [x * x, x]]
-    assert _rref_rows(t.L, rows, 2) == _rref_generic(t.L, rows, 2)
-    [(w, c)] = _codewords(t, [rows[0]], 2)  # one generator: one projective point
-    assert c == rows[0] and w == weight_of_vector(t, c) == 2
-    # GF(2)[x]/(x^2) is not a field: no element of order 3, so no kernel
-    assert ExtensionField(PrimeField(2), (0, 0, 1))._kernel() is False
+    assert _rref_rows(t.L, rows, 2) == rref_reference(t.L, rows, 2)
+    kern = t.L._kernel()
+    coded = tuple(kern.index[e.payload] for e in rows[0])
+    [(w, c)] = _codewords(t, [coded])  # one generator: one projective point
+    assert c == coded and _decode(t.L, c) == rows[0] and w == weight_of_vector(t, rows[0]) == 2
+    # GF(2)[x]/(x^2) is not a field: no element of order 3, so no tables
+    assert type(ExtensionField(PrimeField(2), (0, 0, 1))._kernel()) is _FiniteKernel
 
 
 def test_kernel_is_built_on_first_use_not_by_make_tower():
@@ -205,7 +233,7 @@ def test_kernel_belongs_to_the_callers_field_object():
     assert all(x.field is cold.L for x in space.rows[0])
     assert [format_element(x) for x in space.rows[0]] == ["1", "(v+1)*z"]
     assert contains(space, rows(cold)[0]) and not contains(space, [cold.L.one(), cold.L.one()])
-    for _, c in _codewords(cold, rows(cold), 2):
+    for _, c in _codewords(cold, space._codes):
         assert all(x.field is cold.L for x in _decode(cold.L, c))
 
 
@@ -336,16 +364,16 @@ def test_rational_elimination_and_membership_match_generic(name, field):
         if rows and rng.random() < 0.3:  # a dependent row
             rows.append([u + v for u, v in zip(rows[0], rows[-1])])
         coded = _rref_rows(field, rows, n)
-        assert coded == _rref_generic(field, rows, n)
+        assert coded == rref_reference(field, rows, n)
         assert all(x.field is field for row in coded[0] for x in row)
-        space = Subspace(field, n, tuple(coded[0]))
+        space = Subspace.from_vectors(field, n, coded[0])
         for _ in range(4):
             if rng.random() < 0.5 or not rows:
                 v = [random_rational(rng, field) for _ in range(n)]
             else:  # a combination of the rows, so that members are tested too
                 coeffs = [random_rational(rng, field) for _ in rows]
                 v = [sum((c * r[j] for c, r in zip(coeffs, rows)), field.zero()) for j in range(n)]
-            expected = len(_rref_generic(field, list(space.rows) + [v], n)[0]) == space.dim
+            expected = len(rref_reference(field, list(space.rows) + [v], n)[0]) == space.dim
             assert contains(space, v) == expected
 
 
@@ -398,7 +426,7 @@ def test_trace_by_linearity_over_q(make):
 MEMBERSHIP_FIELDS = [
     ("GF(4)", gf4().L),
     ("GF(16)/GF(4)", gf16_over_gf4().L),
-    ("GF(4099)", PrimeField(4099)),  # no kernel: the generic reduction
+    ("GF(4099)", PrimeField(4099)),  # a table-free kernel
 ] + RATIONAL_FIELDS[:2]
 
 
@@ -487,7 +515,7 @@ def test_coded_subcodes_match_the_element_combination(name):
         for r in range(1, code.dim + 1):
             coefficient_spaces = enumerate_subspaces(t.L, code.dim, r)
             for sub, s in zip(_subcodes(code, r), coefficient_spaces, strict=True):
-                expected = tuple(tuple(_combine(row, code.space.rows, t.L, n)) for row in s.rows)
+                expected = tuple(tuple(combine(row, code.space.rows, t.L, n)) for row in s.rows)
                 assert sub.space.rows == expected
                 assert all(x.field is t.L for row in sub.space.rows for x in row)
                 assert sub.space._codes == tuple(tuple(t.L._kernel().index[x.payload] for x in row) for row in expected)
@@ -509,16 +537,15 @@ def test_coded_rank_supports_match_the_element_expansion(name):
 
 
 def test_codes_change_neither_equality_hash_nor_pickle():
+    # decoding the rows fills a cache: it changes neither ==, the hash nor the pickle
     t = gf16_over_gf2()
     rows = [[t.L.one(), t.generator(), t.L.zero()], [t.L.zero(), t.L.one(), t.generator()]]
     coded = Subspace.from_vectors(t.L, 3, rows)
-    plain = Subspace(t.L, 3, coded.rows)
-    assert coded._codes is not None and plain._codes is None
-    assert coded == plain and hash(coded) == hash(plain)
-    assert pickle.dumps(coded) == pickle.dumps(plain)
-    loaded = pickle.loads(pickle.dumps(coded))
-    assert loaded == coded and loaded._codes is None
-    assert contains(plain, rows[0]) and plain._codes == coded._codes  # filled on first use
+    decoded = Subspace.from_vectors(t.L, 3, rows[::-1])
+    assert decoded.rows and coded._rows is None
+    assert coded == decoded and hash(coded) == hash(decoded)
+    assert pickle.dumps(coded) == pickle.dumps(decoded)
+    assert contains(decoded, rows[0]) and decoded._codes == coded._codes
 
 
 def test_coded_results_belong_to_the_callers_field_object():
@@ -550,11 +577,11 @@ def test_coded_sum_and_intersection_match_the_element_reductions(make, max_n):
         if a.ambient_dim != b.ambient_dim:
             continue
         n = a.ambient_dim
-        assert subspace_sum(a, b) == Subspace(t.L, n, tuple(_rref_generic(t.L, a.rows + b.rows, n)[0]))
+        assert subspace_sum(a, b).rows == span_reference(t.L, a.rows + b.rows, n)
         zeros = (t.L.zero(),) * n
-        reduced, pivots = _rref_generic(t.L, [r + r for r in a.rows] + [r + zeros for r in b.rows], 2 * n)
+        reduced, pivots = rref_reference(t.L, [r + r for r in a.rows] + [r + zeros for r in b.rows], 2 * n)
         meet = tuple(row[n:] for row, p in zip(reduced, pivots) if p >= n)
-        assert subspace_intersection(a, b) == Subspace(t.L, n, meet)
+        assert subspace_intersection(a, b).rows == meet
         assert a.contains_space(b) == (subspace_sum(a, b) == a)
 
 
@@ -600,12 +627,12 @@ def test_coded_and_element_subspaces_are_equal_and_hash_alike(make):
     vectors = [[one, theta, theta * theta], [theta, one, theta], [one + theta, one + theta, theta * theta + theta]]
     for count in range(len(vectors) + 1):
         coded = Subspace.from_vectors(t.L, 3, vectors[:count])
-        plain = Subspace(t.L, 3, tuple(_rref_generic(t.L, vectors[:count], 3)[0]))
-        assert coded._rows is None and plain._codes is None
+        plain = Subspace.from_vectors(t.L, 3, span_reference(t.L, vectors[:count], 3))  # canonical element rows
+        assert coded._rows is None and coded.rows == plain.rows
         assert hash(coded) == hash(plain)
         assert coded == plain and plain == coded
-        assert Subspace(t.L, 3, plain.rows) == Subspace.from_codes(t.L, 3, coded._codes, canonical=True)
-    assert Subspace.from_vectors(t.L, 3, vectors[:1]) != Subspace(t.L, 3, tuple(_rref_generic(t.L, vectors[1:2], 3)[0]))
+        assert plain == Subspace.from_codes(t.L, 3, coded._codes, canonical=True)
+    assert Subspace.from_vectors(t.L, 3, vectors[:1]) != Subspace.from_vectors(t.L, 3, span_reference(t.L, vectors[1:2], 3))
 
 
 @pytest.mark.parametrize("make", [gf16_over_gf4, qtheta])
@@ -617,6 +644,7 @@ def test_a_never_decoded_subspace_survives_a_pickle_round_trip(make):
     assert all(s._rows is None for s in spaces)
     for s in spaces:
         loaded = pickle.loads(pickle.dumps(s))
+        assert loaded._rows is None and loaded._codes == s._codes
         assert loaded == s and hash(loaded) == hash(s) and loaded.dim == s.dim
         assert all(x.field is loaded.field for row in loaded.rows for x in row)
     copy = pickle.loads(pickle.dumps(code))
@@ -643,13 +671,14 @@ def test_code_rows_are_tuples_on_every_route(make):
     line = LinearCode.from_generators(t, 3, [[one, one, theta]])
     k_vectors = [[t.k.one(), t.k.zero(), t.k.one()]]
     k_line = KSubspace(t, 3, Subspace.from_vectors(t.k, 3, k_vectors))
+    one_code, k_one = t.L._kernel().one, t.k._kernel().one
     spaces = [
         code.space,
         Subspace.from_codes(t.L, 3, code.space._codes[::-1]),
         subspace_sum(code.space, line.space),
         subspace_intersection(code.space, subspace_sum(line.space, extend_to_L(k_line).space)),
-        tail_subspace(t.L, [list(r) + [one] for r in code.space.rows], 4, 1),
-        tail_subspace(t.k, [[t.k.one(), t.k.zero(), t.k.one()]], 3, 0),
+        tail_subspace(t.L, [r + (one_code,) for r in code.space._codes], 4, 1),
+        tail_subspace(t.k, [(k_one, 0, k_one)], 3, 0),
         orthogonal_complement(code.space),
         kernel(Matrix(t.L, code.space.rows, 3)),
         rank_support_vec(t, [one, theta, zero]).space,
@@ -665,38 +694,39 @@ def test_code_rows_are_tuples_on_every_route(make):
         spaces += list(enumerate_subspaces(t.k, 3, 2))
     for s in spaces:  # each route stored codes, and stored them as tuples
         assert type(s._codes) is tuple and all(type(r) is tuple for r in s._codes)
-    one = t.L._kernel().one
-    assert linalg._row_codes(Subspace.full(t.L, 2), t.L._kernel()) == ((one, 0), (0, one))
+    assert Subspace.full(t.L, 2)._codes == ((one_code, 0), (0, one_code))
 
 
-def _kernel_off(make):
-    t = make.__wrapped__()  # a tower of its own, not the cached one
-    t.L._kern = t.k._kern = False
+def _tables_off(make):
+    """A tower of its own, not the cached one, whose fields have table-free kernels."""
+    t = make.__wrapped__()
+    t.k._kern = _FiniteKernel(t.k)
+    t.L._kern = _FiniteKernel(t.L)  # over k's table-free kernel
     return t
 
 
-def _moved(code, tower):
-    rows = [[FieldElement(tower.L, x.payload) for x in row] for row in code.space.rows]
-    return LinearCode.from_generators(tower, code.length, rows)
-
-
-def _invariants(code):
-    return (_payloads(rank_support_code(code).space), _payloads(restriction(code).space),
-            _payloads(dual(code).space), _payloads(closure(code).space),
-            _payloads(trace_image(code).space), is_extended(code))
+def _codes(code):
+    return (code.space._codes, rank_support_code(code).space._codes, restriction(code).space._codes,
+            dual(code).space._codes, closure(code).space._codes, trace_image(code).space._codes, is_extended(code))
 
 
 @pytest.mark.parametrize("make", [gf4, gf9])
-def test_coded_results_match_towers_without_kernels_on_finite_codes(make):
-    on, off = make(), _kernel_off(make)
+def test_coded_results_match_towers_with_tables_off(make):
+    on, off = make(), _tables_off(make)
+    assert type(on.L._kernel()) is _Kernel and type(off.L._kernel()) is type(off.k._kernel()) is _FiniteKernel
+    kern, free = on.L._kernel(), off.L._kernel()
+    for x in on.L.elements():  # the same codes, and the same arithmetic on them
+        a = kern.index[x.payload]
+        assert free.index[x.payload] == a and free.payload(a) == x.payload and free.expand(a) == kern.expand(a)
+        assert free.neg(a) == kern.neg(a) and (not a or free.inv(a) == kern.inv(a))
+        assert all(free.mul(a, b) == kern.mul(a, b) and free.add(a, b) == kern.add(a, b) for b in range(kern.q))
+        assert free.multiples(a) == kern.multiples(a) == [kern.mul(b, a) for b in range(kern.q)]
     for n in (1, 2):
-        codes = all_codes(on, n)
-        generic = all_codes(off, n)  # enumerated on elements, in the same order
-        assert [_payloads(c.space) for c in codes] == [_payloads(c.space) for c in generic]
-        for c, g in zip(codes, generic):
-            assert g.space._codes is None
-            assert _invariants(c) == _invariants(g)
-            assert rank_support_code(g).space._codes is None  # the element path ran
+        codes, free_codes = all_codes(on, n), all_codes(off, n)  # enumerated in the same order
+        assert len(codes) == len(free_codes)
+        for c, f in zip(codes, free_codes):
+            assert _codes(c) == _codes(f)
+        assert [rank_distance(c) for c in codes if c.dim] == [rank_distance(c) for c in free_codes if c.dim]
 
 
 def _degenerate_q_codes(count, seed):
@@ -716,10 +746,100 @@ def _degenerate_q_codes(count, seed):
     return out
 
 
-def test_coded_results_match_towers_without_kernels_on_q_codes():
-    off = _kernel_off(qtheta)
+def _check_against_references(code):
+    """The coded results on code equal the literal element references of helpers."""
+    t, n = code.tower, code.length
+    assert code.space.rows == span_reference(t.L, code.generators, n)
+    support = support_reference(code)
+    assert rank_support_code(code).space.rows == support
+    assert restriction(code).space.rows == restriction_reference(code)
+    assert dual(code).space.rows == dual_reference(code)
+    assert closure(code).space.rows == closure_reference(code)
+    assert trace_image(code).space.rows == trace_reference(code)
+    assert is_rank_degenerate(code) == (len(support) < n)
+    return support
+
+
+def test_q_code_results_match_the_literal_references():
     for c in random_q_codes(40, seed=77) + _degenerate_q_codes(30, seed=78):
-        g = _moved(c, off)
-        assert _payloads(g.space) == _payloads(c.space)
-        assert _invariants(c) == _invariants(g)
-        assert restriction(g).space._codes is None  # the element path ran
+        _check_against_references(c)
+
+
+# ---------------------------------------------------------------------------
+# every field a tower holds has a kernel: towers above 4096 elements
+# ---------------------------------------------------------------------------
+
+
+def _large_codes(t, seed):
+    """Seeded codes of length <= 3: generic, extended (rational generators) and
+    split (a rational generator beside a generic one)."""
+    rng = random.Random(seed)
+    L, q = t.L, t.L.order
+    kern = L._kernel()
+
+    def element():
+        return FieldElement(L, kern.payload(rng.randrange(q)))
+
+    def rational():
+        return t.embed(FieldElement(t.k, t.k._kernel().payload(rng.randrange(t.k.order))))
+
+    codes = []
+    for n in (1, 2, 3):
+        codes.append(LinearCode.from_generators(t, n, [[element() for _ in range(n)]]))
+        codes.append(LinearCode.from_generators(t, n, [[rational() for _ in range(n)] for _ in range(min(n, 2))]))
+        if n > 1:
+            codes.append(LinearCode.from_generators(t, n, [[rational() for _ in range(n)],
+                                                           [element() for _ in range(n)]]))
+    codes.append(LinearCode.from_generators(t, 2, [[L.one(), t.generator()]]))
+    return codes
+
+
+@pytest.mark.parametrize("make", [gf8192, gf4099_squared])
+def test_large_towers_are_coded_and_match_the_literal_references(make):
+    t = make()
+    assert type(t.L._kernel()) is _FiniteKernel
+    for code in _large_codes(t, seed=5):
+        assert all(type(e) is int for row in code.space._codes for e in row)
+        support = _check_against_references(code)
+        if len(support) > t.degree:
+            assert find_witness(code, strategy="constructive") is None
+        elif restriction_reference(code) or code.dim == 0:
+            c = find_witness(code, strategy="constructive")
+            assert is_witness_reference(code, c)
+            if len(restriction_reference(code)) == code.dim:  # extended: sum(basis_i * e_i)
+                e = [[t.embed(x) for x in row] for row in restriction_reference(code)]
+                assert c == combine(t.basis, e, t.L, code.length)
+        else:
+            with pytest.raises(SearchExhausted):
+                find_witness(code, strategy="constructive")
+
+
+@pytest.mark.parametrize("make", [gf8192, gf4, qtheta])
+def test_a_pickled_subspace_holds_its_codes_and_decodes_nothing(make, monkeypatch):
+    t = make()
+    code = LinearCode.from_generators(t, 2, [[t.L.one(), t.generator()]])
+    spaces = [code.space, rank_support_code(code).space, dual(code).space]
+    calls = []
+    for cls in (_FiniteKernel, _Kernel, _RationalKernel):
+        decode = cls.decode_rows
+        monkeypatch.setattr(cls, "decode_rows", lambda kern, codes, decode=decode: calls.append(kern) or decode(kern, codes))
+    for s in spaces:
+        data = pickle.dumps(s)
+        assert b"FieldElement" not in data
+        loaded = pickle.loads(data)
+        assert loaded._rows is None and loaded._codes == s._codes
+        assert loaded == s and hash(loaded) == hash(s)
+    assert calls == []
+    assert spaces[0].rows and calls  # decoding is counted
+
+
+def test_a_zero_divisor_pivot_still_raises():
+    # GF(2)[x]/(x^2) is not a field: x * x = 0, so x has no inverse
+    ring = ExtensionField(PrimeField(2), (0, 0, 1))
+    x = ring.generator()
+    assert type(ring._kernel()) is _FiniteKernel and x * x == ring.zero()
+    with pytest.raises(ZeroDivisionError):
+        _rref_rows(ring, [[x, ring.one()]], 2)
+    with pytest.raises(ZeroDivisionError):
+        x.inverse()
+    assert _rref_rows(ring, [[x + 1, x]], 2)[0] == [(ring.one(), x)]  # (x + 1)^2 = 1
