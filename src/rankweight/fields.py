@@ -51,14 +51,18 @@ irreducibility test multiplies in k, which builds k's.
   an inverse is one fraction-free solve of the multiplication matrix
   (Bareiss, Math. Comp. 1968); a zero divisor raises ZeroDivisionError.
 
-``ExtensionField`` products and inverses go through the kernel, and
-``linalg``, ``ranksupport`` and ``weights`` run on codes alone, decoding to
-``FieldElement`` only at their boundary, where payloads keep their usual
-form (``Fraction`` coordinates over Q).  Codes are the stored form of every
-``linalg.Subspace``; its element rows are decoded on first read.  ``expand``
-gives an L-code's k-coordinates as k-codes without elements: over a finite
-field they are the base-|k| digits of the code, lowest first, and over
-Q[x]/(f) the numerators over the common denominator, each reduced.
+A kernel takes and returns codes and payloads only, and never builds a
+``FieldElement``.  ``ExtensionField._mul`` and ``_inv`` are the one bridge
+from payloads to it: ``index`` codes the operands, ``mul`` or ``inv``
+computes, and ``payload`` reads the result back.  ``linalg``, ``ranksupport``
+and ``weights`` run on codes alone; ``linalg._encode`` is the one path from
+elements to codes and ``linalg.decode_rows`` the one path back, so payloads
+keep their usual form (``Fraction`` coordinates over Q) at the boundary.
+Codes are the stored form of every ``linalg.Subspace``; its element rows
+are decoded on first read.  ``expand`` gives an L-code's k-coordinates as
+k-codes without elements: over a finite field they are the base-|k| digits
+of the code, lowest first, and over Q[x]/(f) the numerators over the common
+denominator, each reduced.
 ``embed_row`` gives the L-codes of embedded k-codes: over a finite field a
 k-code is also the L-code of its embedding, and over Q the code (n, d)
 becomes (n, 0, ..., 0, d).  A kernel lives on its field object and is left
@@ -398,11 +402,18 @@ class ExtensionField(Field):
                     prod[d - m + i] = base._add(prod[d - m + i], base._mul(c, r))
         return tuple(prod[:m])
 
+    # the one bridge from payloads to the kernel: code, compute, decode
     def _mul(self, a, b):
-        return self._kernel().mul_payloads(a, b)
+        kern = self._kern or self._kernel()
+        index = kern.index
+        return kern.payload(kern.mul(index[a], index[b]))
 
     def _inv(self, a):
-        return self._kernel().inv_payload(a)
+        kern = self._kern or self._kernel()
+        c = kern.index[a]
+        if not c:
+            raise ZeroDivisionError("0 has no inverse")
+        return kern.payload(kern.inv(c))
 
     def _inv_raw(self, a):
         # extended Euclid in base[x] against the modulus, for a table-free kernel
@@ -468,16 +479,14 @@ class _FiniteKernel:
     """Table-free int-coded arithmetic of a finite quotient; see the module docstring.
 
     ``add`` adds two codes; ``mul``, ``neg``, ``inv``, ``scale``,
-    ``sub_scaled``, ``expand``, ``embed_row`` and ``decode_rows`` work on
-    codes and rows of codes, as in ``_RationalKernel``, ``multiples(x)``
-    lists a * x for every code a, and ``mul_payloads`` and ``inv_payload``
-    work on payloads.  ``field`` is the field object the kernel belongs to
-    and ``q`` its order.  ``index[p]``
-    (the kernel itself) is the code of the payload p and ``payload`` goes
-    back, through ``base``, the kernel of an extension's base (None for a
-    prime field), whose order ``bq`` is the radix of the digits; ``m`` is
-    the number of digits, and ``units`` lists the codes p^i below q, the
-    prime-field basis.  ``mul`` and ``inv`` go through payloads and the
+    ``sub_scaled``, ``expand`` and ``embed_row`` work on codes and rows of
+    codes, as in ``_RationalKernel``, and ``multiples(x)`` lists a * x for
+    every code a.  ``field`` is the field object the kernel belongs to and
+    ``q`` its order.  ``index[p]`` (the kernel itself) is the code of the
+    payload p and ``payload`` goes back, through ``base``, the kernel of an
+    extension's base (None for a prime field), whose order ``bq`` is the
+    radix of the digits; ``m`` is the number of digits, and ``units`` lists
+    the codes p^i below q, the prime-field basis.  ``mul`` and ``inv`` go through payloads and the
     field's ``_mul_raw`` and ``_inv_raw``, so no table of size q is built.
     """
 
@@ -520,11 +529,6 @@ class _FiniteKernel:
             return c
         return tuple(map(self.base.payload, self.expand(c)))
 
-    def decode_rows(self, codes) -> tuple:
-        """Rows of codes as tuples of elements of this kernel's field."""
-        field, payload = self.field, self.payload
-        return tuple([tuple([FieldElement(field, payload(e)) for e in row]) for row in codes])
-
     @staticmethod
     def embed_row(row) -> tuple:
         """Base-field codes as the codes of their embeddings: the same ints."""
@@ -550,14 +554,6 @@ class _FiniteKernel:
         """1/a for a nonzero code a; ZeroDivisionError for a zero divisor."""
         return self[self.field._inv_raw(self.payload(a))]
 
-    def mul_payloads(self, a, b):
-        return self.field._mul_raw(a, b)
-
-    def inv_payload(self, a):
-        if not self[a]:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.field._inv_raw(a)
-
     def scale(self, row, a: int) -> list:
         """a * row."""
         mul = self.mul
@@ -577,7 +573,7 @@ class _Kernel(_FiniteKernel):
     """_FiniteKernel of a finite field of order <= _KERNEL_LIMIT, with tables.
 
     The codes are those of _FiniteKernel, and ``index`` becomes a dict from
-    payload to code; ``decode`` holds the field's elements by code, and for
+    payload to code and ``payload`` reads the field's payloads by code; for
     an extension ``coords[c]`` (also ``expand(c)``) holds the base-field
     codes of the coordinates of c (None for a prime field).
 
@@ -588,9 +584,9 @@ class _Kernel(_FiniteKernel):
     is the log of -1.
     """
 
-    __slots__ = ("n1", "exp", "log", "neg_log", "decode", "coords", "expand")
+    __slots__ = ("n1", "exp", "log", "neg_log", "payload", "coords", "expand")
 
-    def __init__(self, field, exp, log, neg_log, add, index, decode, coords):
+    def __init__(self, field, exp, log, neg_log, add, index, payloads, coords):
         super().__init__(field)
         self.n1 = self.q - 1
         self.exp = exp
@@ -598,17 +594,9 @@ class _Kernel(_FiniteKernel):
         self.neg_log = neg_log
         self.add = add
         self.index = index
-        self.decode = decode
+        self.payload = payloads.__getitem__
         self.coords = coords
         self.expand = coords.__getitem__ if coords is not None else None
-
-    def payload(self, c):
-        return self.decode[c].payload
-
-    def decode_rows(self, codes) -> tuple:
-        """Rows of codes as tuples of elements of this kernel's field."""
-        decode = self.decode
-        return tuple([tuple([decode[e] for e in row]) for row in codes])
 
     def neg(self, a: int) -> int:
         """-a; log[0] lands among the zeros of exp, so 0 needs no test."""
@@ -625,16 +613,6 @@ class _Kernel(_FiniteKernel):
         """a * x for every code a, in code order: ``log`` lists the logs in code order."""
         exp, lx = self.exp, self.log[x]
         return [exp[lx + la] for la in self.log]
-
-    def mul_payloads(self, a, b):
-        log = self.log
-        return self.decode[self.exp[log[self.index[a]] + log[self.index[b]]]].payload
-
-    def inv_payload(self, a):
-        i = self.index[a]
-        if not i:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.decode[self.exp[self.n1 - self.log[i]]].payload
 
     def scale(self, row, a: int) -> list:
         """a * row."""
@@ -729,8 +707,7 @@ def _make_kernel(field: Field):
     if isinstance(field, ExtensionField):
         # the same digit order as _payloads: the lowest coordinate varies fastest
         coords = [c[::-1] for c in itertools.product(range(field.base.order), repeat=field.degree)]
-    decode = tuple(FieldElement(field, x) for x in payloads)
-    return _Kernel(field, exp, log, neg_log, add, index, decode, coords)
+    return _Kernel(field, exp, log, neg_log, add, index, payloads, coords)
 
 
 def _rational_code(nums, den: int):
@@ -750,19 +727,17 @@ class _RationalKernel:
     (n_0, ..., n_(m-1), d) with d > 0 and gcd(n_0, ..., n_(m-1), d) = 1, so
     equal elements get equal codes; zero is coded as 0.  ``mul``, ``neg``,
     ``inv``, ``scale`` and ``sub_scaled`` work on codes and rows of codes,
-    skipping zero entries, and ``mul_payloads`` and ``inv_payload`` on
-    payloads.  ``expand`` gives the Q-codes of a code's coordinates, n_i/d
-    as (n_i/g, d/g) with g = gcd(n_i, d); ``embed_row`` turns Q-codes
-    (n, d) into the codes (n, 0, ..., 0, d) of their embeddings; and
-    ``decode_rows`` builds elements of ``field``.
-    ``index[p]`` (the kernel itself) is the code of the payload p, as for a
-    finite field, and ``payload`` goes back.  With D the least common
-    denominator of the coefficients c_i of f,
+    skipping zero entries.  ``expand`` gives the Q-codes of a code's
+    coordinates, n_i/d as (n_i/g, d/g) with g = gcd(n_i, d), and
+    ``embed_row`` turns Q-codes (n, d) into the codes (n, 0, ..., 0, d) of
+    their embeddings.  ``index[p]`` (the kernel itself) is the code of the
+    payload p, as for a finite field, and ``payload`` goes back.  With D the
+    least common denominator of the coefficients c_i of f,
     x^m = sum(r * x^i for i, r in fold) / D, where ``fold`` lists the pairs
     (i, -D*c_i) with c_i != 0 and ``fold_den`` is D.
     """
 
-    __slots__ = ("field", "m", "one", "fold", "fold_den", "index", "zero_element", "one_element", "zeros")
+    __slots__ = ("field", "m", "one", "fold", "fold_den", "index", "zeros")
 
     def __init__(self, field):
         self.field = field
@@ -772,8 +747,6 @@ class _RationalKernel:
         den = self.fold_den = lcm(*[c.denominator for c in coeffs])
         self.fold = tuple((i, -c.numerator * (den // c.denominator)) for i, c in enumerate(coeffs) if c)
         self.index = self
-        self.zero_element = field.zero()
-        self.one_element = field.one()
         self.zeros = (0,) * self.m
 
     def __getitem__(self, p):
@@ -825,15 +798,6 @@ class _RationalKernel:
         if not a or not b:
             return 0
         return _rational_code(*self._product(a, b))
-
-    def mul_payloads(self, a, b):
-        return self.payload(self.mul(self[a], self[b]))
-
-    def inv_payload(self, a):
-        c = self[a]
-        if not c:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.payload(self.inv(c))
 
     def inv(self, a):
         """1/a for a nonzero code a, by one fraction-free solve of M(A) v = e_0.
@@ -910,21 +874,6 @@ class _RationalKernel:
         """Q-codes (n, d) as the codes (n, 0, ..., 0, d) of their embeddings."""
         pad = self.zeros[1:]
         return tuple([(e[0], *pad, e[1]) if e else 0 for e in row])
-
-    def decode_rows(self, codes) -> tuple:
-        """Rows of codes as tuples of elements of this kernel's field."""
-        field = self.field
-        memo = {0: self.zero_element, self.one: self.one_element}
-        out = []
-        for row in codes:
-            elems = []
-            for c in row:
-                e = memo.get(c)
-                if e is None:
-                    e = memo[c] = FieldElement(field, self.payload(c))
-                elems.append(e)
-            out.append(tuple(elems))
-        return tuple(out)
 
 
 class _QKernel(_RationalKernel):

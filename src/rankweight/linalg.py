@@ -17,9 +17,11 @@ canonical rows in element codes (``Subspace._codes``).  A reduction encodes
 its element inputs once, eliminates on codes and keeps the result coded;
 ``dim``, equality, hashing, pickling, ``contains``, ``contains_space``,
 sums, intersections, orthogonal complements and subspace enumeration work
-on the codes, and ``Subspace.from_codes`` builds from rows of codes.
-``Subspace.rows`` is a cache, decoded on its first read through the
-subspace's own field object, so its entries are elements of that object.
+on the codes, and ``Subspace.from_codes`` reduces rows of codes.
+``_encode`` is the package's one path from elements to codes and
+``decode_rows`` its one path back; kernels themselves never build an
+element.  ``Subspace.rows`` is a cache, decoded on its first read through
+the subspace's own field object, so its entries are elements of that object.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class Subspace:
     def rows(self) -> tuple:
         rows = self._rows
         if rows is None:
-            rows = self._rows = self.field._kernel().decode_rows(self._codes)
+            rows = self._rows = decode_rows(self.field, self._codes)
         return rows
 
     @classmethod
@@ -106,15 +108,9 @@ class Subspace:
         return _span(field, ambient_dim, vectors)
 
     @classmethod
-    def from_codes(cls, field: Field, ambient_dim: int, codes, canonical: bool = False) -> "Subspace":
-        """The span of rows of codes of field's kernel.
-
-        With canonical set, ``codes`` is already the canonical basis, a tuple
-        of tuples, and is kept as it is; otherwise it is reduced.
-        """
-        if not canonical:
-            codes, _ = _rref_coded(field._kernel(), list(codes), ambient_dim)
-        return cls(field, ambient_dim, codes)
+    def from_codes(cls, field: Field, ambient_dim: int, codes) -> "Subspace":
+        """The span of rows of codes of field's kernel, reduced to its canonical basis."""
+        return cls(field, ambient_dim, _rref_coded(field._kernel(), list(codes), ambient_dim)[0])
 
     @property
     def dim(self) -> int:
@@ -165,6 +161,25 @@ def _encode(kern, rows, num_cols: int) -> list:
     return work
 
 
+def decode_rows(field: Field, codes) -> tuple:
+    """Rows of codes of field's kernel as tuples of elements of field.
+
+    Each distinct code is decoded once per call; rows of a reduction repeat
+    zero and one.
+    """
+    payload, memo = field._kernel().payload, {}
+    out = []
+    for row in codes:
+        elems = []
+        for c in row:
+            e = memo.get(c)
+            if e is None:
+                e = memo[c] = FieldElement(field, payload(c))
+            elems.append(e)
+        out.append(tuple(elems))
+    return tuple(out)
+
+
 def _span(field: Field, ambient_dim: int, vectors) -> Subspace:
     """The canonical subspace spanned by vectors of elements."""
     return Subspace.from_codes(field, ambient_dim, _encode(field._kernel(), vectors, ambient_dim))
@@ -174,7 +189,7 @@ def _rref_rows(field: Field, rows: Sequence, num_cols: int):
     """Gaussian elimination to unique RREF; returns (rows, pivot_cols), rows as tuples of elements."""
     kern = field._kernel()
     reduced, pivot_cols = _rref_coded(kern, _encode(kern, rows, num_cols), num_cols)
-    return list(kern.decode_rows(reduced)), pivot_cols
+    return list(decode_rows(field, reduced)), pivot_cols
 
 
 def _rref_coded(kern, work: list, num_cols: int):

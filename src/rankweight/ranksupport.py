@@ -39,6 +39,7 @@ from .fields import ExtensionTower, FieldElement, is_separable_tower
 from .linalg import (
     Matrix,
     Subspace,
+    _encode,
     enumerate_subspaces,
     gaussian_binomial,
     orthogonal_complement,
@@ -203,15 +204,11 @@ def _coded_expansion(kern, codes) -> list:
     return [row for c in codes for row in zip(*map(expand, c))]
 
 
-def rank_support_vec(tower: ExtensionTower, c: Sequence[FieldElement], basis=None) -> KSubspace:
+def rank_support_vec(tower: ExtensionTower, c: Sequence[FieldElement]) -> KSubspace:
     """Rank support of a vector: the k-row space of its expansion matrix."""
     _check_vector(tower, c)
-    n = len(c)
-    if basis is not None:
-        rows = [list(r) for r in expand_vector(tower, c, basis).rows]
-        return KSubspace(tower, n, Subspace.from_vectors(tower.k, n, rows))
-    kern = tower.L._kernel()
-    rows = _coded_expansion(kern, [[kern.index[e.payload] for e in c]])
+    n, kern = len(c), tower.L._kernel()
+    rows = _coded_expansion(kern, _encode(kern, [c], n))
     return KSubspace(tower, n, Subspace.from_codes(tower.k, n, rows))
 
 
@@ -271,8 +268,7 @@ def extend_to_L(D: KSubspace) -> LinearCode:
     """
     t, n = D.tower, D.length
     embed_row = t.L._kernel().embed_row
-    codes = tuple(embed_row(row) for row in D.space._codes)
-    return LinearCode(t, n, Subspace.from_codes(t.L, n, codes, canonical=True))
+    return LinearCode(t, n, Subspace(t.L, n, tuple(embed_row(row) for row in D.space._codes)))
 
 
 def is_extended(C: LinearCode) -> bool:
@@ -292,7 +288,7 @@ def trace_image(C: LinearCode) -> KSubspace:
         raise InseparableTower(f"trace image needs a separable extension, got {t}")
     kern = t.L._kernel()
     n, trace = C.length, _coded_trace(t, kern)
-    powers = [kern.index[alpha.payload] for alpha in t.basis]
+    (powers,) = _encode(kern, [t.basis], t.degree)
     rows = [tuple([trace(kern.mul(p, x)) for x in g]) for g in C.space._codes for p in powers]
     return KSubspace(t, n, Subspace.from_codes(t.k, n, rows))
 
@@ -305,10 +301,10 @@ def _coded_trace(t: ExtensionTower, kern):
     built.  Over Q(θ) it is sum_l n_l * Tr(w^l) / d, read off a code's
     numerators n_l and its denominator d.
     """
-    traces = [t.trace(alpha).payload for alpha in t.basis]
+    kk = t.k._kernel()
+    (trace_codes,) = _encode(kk, [[t.trace(alpha) for alpha in t.basis]], t.degree)
     if t.L.order is not None:
-        kk = t.k._kernel()
-        expand, add, mul, trace_codes = kern.expand, kk.add, kk.mul, [kk.index[x] for x in traces]
+        expand, add, mul = kern.expand, kk.add, kk.mul
 
         def finite_trace(c):
             acc = 0
@@ -318,8 +314,8 @@ def _coded_trace(t: ExtensionTower, kern):
             return acc
 
         return finite_trace
-    den = lcm(*[x.denominator for x in traces])
-    scaled = [x.numerator * (den // x.denominator) for x in traces]  # Tr(w^l) * den
+    den = lcm(*[x[1] for x in trace_codes if x])  # Q-codes (n, d), and 0 for zero
+    scaled = [x[0] * (den // x[1]) if x else 0 for x in trace_codes]  # Tr(w^l) * den
 
     def trace(c):
         if not c:

@@ -34,6 +34,7 @@ from .documents import build_tower, document_from_code, document_to_json, tower_
 from .errors import InfiniteField, InternalInvariantError, RankWeightError, SearchExhausted
 from .fields import random_rational_element
 from .linalg import (
+    decode_rows,
     enumerate_subspaces,
     gaussian_binomial,
     orthogonal_complement,
@@ -138,16 +139,15 @@ def random_codes(tower, max_n: int, count: int, rng: random.Random, height: int 
     """Seeded random codes; dimensions <= 2 over infinite bases to keep exactness cheap."""
     out = []
     finite = tower.L.order is not None
-    pool = list(tower.L.elements()) if finite else None
+    # L's codes in element order, so a draw picks what choice(list(L.elements())) would
+    pool = range(tower.L.order) if finite else None
     while len(out) < count:
         n = rng.randint(1, max_n)
         dim = rng.randint(0, n if finite else min(n, 2))
-        gens = []
-        for _ in range(dim):
-            if finite:
-                gens.append([rng.choice(pool) for _ in range(n)])
-            else:
-                gens.append([random_rational_element(tower, rng, height) for _ in range(n)])
+        if finite:
+            gens = decode_rows(tower.L, [[rng.choice(pool) for _ in range(n)] for _ in range(dim)])
+        else:
+            gens = [[random_rational_element(tower, rng, height) for _ in range(n)] for _ in range(dim)]
         out.append(LinearCode.from_generators(tower, n, gens))
     return out
 

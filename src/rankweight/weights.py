@@ -48,7 +48,7 @@ from .errors import (
     ZeroCode,
 )
 from .fields import ExtensionTower, FieldElement, random_rational_element
-from .linalg import Subspace, _rref_coded, enumerate_subspaces, subspace_sum
+from .linalg import Subspace, _encode, _rref_coded, decode_rows, enumerate_subspaces, subspace_sum
 from .ranksupport import (
     KSubspace,
     LinearCode,
@@ -94,9 +94,9 @@ def _codewords(tower: ExtensionTower, gens):
     coefficient is 1 and the later ones run through L in element order, the
     last fastest, so each nonzero codeword appears once up to an L^x
     multiple, which has the same rank weight.  c is a tuple of element codes
-    (``_decode`` turns it into elements), built from precomputed multiples
-    of the generators, and its weight is the rank over k of the entries'
-    k-coordinates.
+    (``decode_rows`` turns it into elements), built from precomputed
+    multiples of the generators, and its weight is the rank over k of the
+    entries' k-coordinates.
     """
     kern = tower.L._kernel()
     add = kern.add
@@ -124,11 +124,6 @@ def _rank_gf2(vectors) -> int:
         if v:
             basis.append(v)
     return len(basis)
-
-
-def _decode(L, c) -> list:
-    """A vector of codes of L's kernel as a list of elements of L."""
-    return list(L._kernel().decode_rows([c])[0])
 
 
 def _least(values, floor: int) -> int:
@@ -166,7 +161,7 @@ def _subcodes(C: LinearCode, r: int):
                     term = g if a == 1 else scale(g, a)
                     acc = term if acc is None else tuple(map(add, acc, term))
             rows.append(tuple(acc))  # an RREF row is nonzero
-        yield LinearCode(t, n, Subspace.from_codes(L, n, tuple(rows), canonical=True))
+        yield LinearCode(t, n, Subspace(L, n, tuple(rows)))
 
 
 def _require_finite(C: LinearCode, what: str):
@@ -282,8 +277,8 @@ def _witness_extended(C: LinearCode) -> Optional[list]:
         return None
     space = extend_to_L(res).space
     kern = t.L._kernel()
-    basis = [kern.index[b.payload] for b in t.basis]
-    c = _decode(t.L, _combine_codes(kern, basis, space._codes, C.length))
+    (basis,) = _encode(kern, [t.basis], t.degree)
+    c = list(decode_rows(t.L, [_combine_codes(kern, basis, space._codes, C.length)])[0])
     if not verify_witness(C, c):
         raise InternalInvariantError("constructive extended witness failed verification")
     return c
@@ -342,7 +337,7 @@ def _witness_exhaustive(C: LinearCode) -> Optional[list]:
     target = rank_support_code(C).dim
     for w, c in _codewords(t, C.space._codes):
         if w == target:
-            c = _decode(t.L, c)
+            c = list(decode_rows(t.L, [c])[0])
             if verify_witness(C, c):
                 return c
     return None
@@ -358,7 +353,7 @@ def _witness_random(C: LinearCode, rng: random.Random, height: int, rounds: int)
     L = t.L
     target = rank_support_code(C).dim
     kern = L._kernel()
-    gens, weight, index = C.space._codes, _coded_weight(t, kern), kern.index
+    gens, weight = C.space._codes, _coded_weight(t, kern)
     # a finite L's codes in element order, so a draw picks what choice(L.elements()) would
     finite_pool = range(kern.q) if L.order is not None else None
 
@@ -368,13 +363,13 @@ def _witness_random(C: LinearCode, rng: random.Random, height: int, rounds: int)
             if finite_pool is not None:
                 coeffs = [rng.choice(finite_pool) for _ in range(C.dim)]
             else:
-                coeffs = [index[random_rational_element(t, rng, h).payload] for _ in range(C.dim)]
+                (coeffs,) = _encode(kern, [[random_rational_element(t, rng, h) for _ in range(C.dim)]], C.dim)
             if not any(coeffs):
                 continue
             c = _combine_codes(kern, coeffs, gens, n)
             if weight(c) != target:
                 continue
-            c = _decode(L, c)
+            c = list(decode_rows(L, [c])[0])
             if verify_witness(C, c):
                 return c
         h *= 2

@@ -232,6 +232,28 @@ def test_random_codes_seeded():
     assert a == b
 
 
+def test_random_codes_draw_codes_not_elements(monkeypatch):
+    import random
+
+    from rankweight.fields import Field
+    from rankweight.ranksupport import LinearCode
+
+    t = TowerTask(3, (1, 0, 1), max_n=3).build()
+    # the reference draws from a pool of every element of L, as random_codes once did
+    rng, pool, expected = random.Random(9), list(t.L.elements()), []
+    while len(expected) < 40:
+        n = rng.randint(1, 3)
+        gens = [[rng.choice(pool) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        expected.append(LinearCode.from_generators(t, n, gens))
+
+    def no_pool(field):
+        raise RuntimeError(f"random_codes enumerated {field}")
+
+    monkeypatch.setattr(Field, "elements", no_pool)
+    codes = random_codes(t, 3, 40, random.Random(9))
+    assert [(c.length, c.space._codes) for c in codes] == [(c.length, c.space._codes) for c in expected]
+
+
 def test_equivdef_random_over_q_is_inapplicable():
     plan = VerifyPlan(
         towers=[TowerTask(0, (-2, 0, 0, 1), max_n=2)],

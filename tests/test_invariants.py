@@ -236,6 +236,91 @@ def test_field_element_gate_flags_each_kind():
     assert flagged == [True] * 10 + [False] * 4
 
 
+# the kernel classes and their builder: they compute on codes and payloads only
+KERNEL_DEFS = {"_FiniteKernel", "_Kernel", "_RationalKernel", "_QKernel", "_make_kernel"}
+
+
+def _kernel_element_offences(source):
+    """Where a definition of KERNEL_DEFS in source brings FieldElement in, or is missing."""
+    defs = [node for node in ast.parse(source).body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in KERNEL_DEFS]
+    offences = [f"no {name}" for name in sorted(KERNEL_DEFS - {d.name for d in defs})]
+    return offences + [f"{d.name}:{node.lineno}" for d in defs for node in ast.walk(d) if _uses_field_element(node)]
+
+
+def test_kernels_never_build_elements():
+    """Kernels take and return codes and payloads; elements are built in linalg.decode_rows."""
+    assert _kernel_element_offences((PACKAGE_DIR / "fields.py").read_text()) == []
+
+
+def test_kernel_element_gate_flags_each_kind():
+    clean = "".join(f"class {name}:\n    one = 1\n" for name in sorted(KERNEL_DEFS - {"_make_kernel"}))
+    clean += "def _make_kernel(field):\n    return _Kernel(field)\n"
+    flagged = [
+        bool(_kernel_element_offences(src))
+        for src in (
+            clean,
+            clean.replace("class _QKernel:", "class _QKernelOld:"),
+            clean.replace("class _Kernel:\n    one = 1", "class _Kernel:\n    def d(self, c):\n        return FieldElement(self.field, c)"),
+            clean.replace("return _Kernel(field)", "return _Kernel(field, field.zero())"),
+            clean.replace("class _RationalKernel:\n    one = 1", "class _RationalKernel:\n    from .fields import FieldElement"),
+            clean + "def decode(field, c):\n    return FieldElement(field, c)\n",
+        )
+    ]
+    assert flagged == [False, True, True, True, True, False]
+
+
+# what a kernel no longer offers: elements are coded by linalg._encode and decoded by linalg.decode_rows
+KERNEL_BRIDGES = {"decode_rows", "mul_payloads", "inv_payload"}
+
+
+def _kernel_bridge_offences(source):
+    """Where source codes or decodes by hand instead of through linalg.
+
+    It reads a ``.index`` table (a subscript or an alias of it; a call such
+    as ``row.index(one)`` is a sequence method), or names decode_rows,
+    mul_payloads or inv_payload on anything but the ``linalg`` module.
+    """
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    offences = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "index" and id(node) not in called:
+            offences.append(f"{node.lineno}: reads .index")
+        if isinstance(node, ast.Attribute) and node.attr in KERNEL_BRIDGES and getattr(node.value, "id", None) != "linalg":
+            offences.append(f"{node.lineno}: names .{node.attr}")
+    return offences
+
+
+def test_only_linalg_codes_and_decodes_elements():
+    offenders = [
+        f"{name}:{offence}"
+        for name in ("ranksupport.py", "weights.py", "verify.py")
+        for offence in _kernel_bridge_offences((PACKAGE_DIR / name).read_text())
+    ]
+    assert offenders == []
+
+
+def test_kernel_bridge_gate_flags_each_kind():
+    flagged = [
+        bool(_kernel_bridge_offences(src))
+        for src in (
+            "c = kern.index[x.payload]",
+            "codes = [t.L._kernel().index[b.payload] for b in basis]",
+            "index = kern.index\nc = index[p]",
+            "rows = kern.decode_rows(codes)",
+            "c = L._kernel().mul_payloads(a, b)",
+            "p = kern.inv_payload(a)",
+            "rows = decode_rows(L, codes)",
+            "rows = linalg.decode_rows(L, codes)",
+            "p = row.index(one)",
+            "(c,) = _encode(kern, [v], n)",
+            "s = 'mul_payloads'",
+        )
+    ]
+    assert flagged == [True] * 6 + [False] * 5
+
+
 # what closure_oracle is checked against; it must reach none of them
 ORACLE_BANNED = {"closure", "rank_support_code", "restriction", "extend_to_L"}
 
