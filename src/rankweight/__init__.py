@@ -40,7 +40,6 @@ from .fields import (
     PrimeField,
     Rationals,
     build_base_field,
-    enumerate_elements,
     format_element,
     is_separable_tower,
     make_tower,
@@ -72,12 +71,10 @@ from .ranksupport import (
     rank_support_vec,
     restriction,
     trace_image,
-    weight_of_vector,
 )
 from .weights import (
     WeightReport,
     WeightRow,
-    extend_witness_by_rational,
     find_witness,
     maxwt,
     rank_distance,

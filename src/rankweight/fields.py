@@ -1181,13 +1181,6 @@ def is_separable_tower(tower: ExtensionTower) -> bool:
     return tower._separable
 
 
-def enumerate_elements(tower: ExtensionTower) -> Iterator[FieldElement]:
-    """All elements of L, lexicographic on coordinates with coords[0] fastest."""
-    if tower.L.order is None:
-        raise InfiniteField(f"{tower.L} is infinite")
-    return tower.L.elements()
-
-
 def random_rational_element(tower: ExtensionTower, rng, height: int) -> FieldElement:
     """An element of L over Q with coordinates a/b, |a| <= height, 1 <= b <= height.
 

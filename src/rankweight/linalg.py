@@ -185,16 +185,11 @@ def _span(field: Field, ambient_dim: int, vectors) -> Subspace:
     return Subspace.from_codes(field, ambient_dim, _encode(field._kernel(), vectors, ambient_dim))
 
 
-def _rref_rows(field: Field, rows: Sequence, num_cols: int):
-    """Gaussian elimination to unique RREF; returns (rows, pivot_cols), rows as tuples of elements."""
-    kern = field._kernel()
-    reduced, pivot_cols = _rref_coded(kern, _encode(kern, rows, num_cols), num_cols)
-    return list(decode_rows(field, reduced)), pivot_cols
-
-
 def _rref_coded(kern, work: list, num_cols: int):
-    """_rref_rows on kernel codes; ``work`` is reduced in place, and the
-    reduced rows come back as a tuple of tuples."""
+    """Gaussian elimination to unique RREF on kernel codes: (rows, pivot_cols).
+
+    ``work`` is reduced in place, and the reduced rows come back as a tuple
+    of tuples."""
     one = kern.one
     pivot_cols: List[int] = []
     r = 0
@@ -362,21 +357,4 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
     return num // den
-
-
-def invert(m: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises ValueError when singular."""
-    n = m.num_cols
-    if m.num_rows != n:
-        raise ValueError("only square matrices can be inverted")
-    field = m.field
-    zero, one = field.zero(), field.one()
-    augmented = [
-        list(row) + [one if i == j else zero for j in range(n)]
-        for i, row in enumerate(m.rows)
-    ]
-    reduced, pivots = _rref_rows(field, augmented, 2 * n)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return Matrix(field, [list(row[n:]) for row in reduced], n)
 

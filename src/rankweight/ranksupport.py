@@ -24,22 +24,24 @@ Every field has a kernel (``fields``), and these work on the codes that
 its coordinates (``kern.expand``), a k-code embeds as an L-code
 (``kern.embed_row``; over a finite L the same int), and
 ``rank_support_code``, ``restriction``, ``extend_to_L`` and ``trace_image``
-reduce those codes without building elements.  Only ``closure_oracle``
-stays on elements, embedding and reducing literally.
+reduce those codes without building elements.  ``_coded_expansion`` is the
+one expansion: ``rank_support_vec`` encodes its vector once and reduces the
+expansion's codes, and ``expand_vector`` decodes them.  Only
+``closure_oracle`` stays on elements, embedding and reducing literally.
 """
 
 from __future__ import annotations
 
 import operator
 from math import gcd, lcm
-from typing import List, Sequence
+from typing import Sequence
 
 from .errors import InfiniteField, InseparableTower, InternalInvariantError, TowerMismatch
 from .fields import ExtensionTower, FieldElement, is_separable_tower
 from .linalg import (
-    Matrix,
     Subspace,
     _encode,
+    decode_rows,
     enumerate_subspaces,
     gaussian_binomial,
     orthogonal_complement,
@@ -152,45 +154,12 @@ def _check_vector(tower: ExtensionTower, c: Sequence[FieldElement]):
             raise TowerMismatch("vector entry outside the tower's extension field")
 
 
-def expansion_rows(tower: ExtensionTower, c: Sequence[FieldElement]) -> List[list]:
-    """The m rows of the expansion matrix of c, as vectors over k (power basis)."""
-    k = tower.k
-    return [
-        [FieldElement(k, x.payload[i]) for x in c]
-        for i in range(tower.degree)
-    ]
-
-
-def expand_vector(tower: ExtensionTower, c: Sequence[FieldElement], basis=None) -> ExpandedMatrix:
-    """Expansion matrix of c; ``basis`` may name an alternative k-basis of L.
-
-    The alternative-basis route exists for the basis-independence harness:
-    coordinates are obtained by inverting the transition matrix from the
-    power basis.
-    """
+def expand_vector(tower: ExtensionTower, c: Sequence[FieldElement]) -> ExpandedMatrix:
+    """Expansion matrix of c over the power basis, its rows decoded from ``_coded_expansion``."""
     _check_vector(tower, c)
-    if basis is None:
-        return ExpandedMatrix(tower, tuple(tuple(r) for r in expansion_rows(tower, c)))
-    if len(basis) != tower.degree:
-        raise ValueError(f"a k-basis of L has exactly {tower.degree} elements")
-    from .linalg import invert
-
-    k = tower.k
-    transition = Matrix(
-        k,
-        [[FieldElement(k, b.payload[i]) for b in basis] for i in range(tower.degree)],
-        tower.degree,
-    )
-    tinv = invert(transition)  # ValueError when the family is not a basis
-    power = expansion_rows(tower, c)
-    rows = [
-        [
-            sum((tinv.rows[i][l] * power[l][j] for l in range(tower.degree)), k.zero())
-            for j in range(len(c))
-        ]
-        for i in range(tower.degree)
-    ]
-    return ExpandedMatrix(tower, tuple(tuple(r) for r in rows))
+    kern = tower.L._kernel()
+    rows = decode_rows(tower.k, _coded_expansion(kern, _encode(kern, [c], len(c))))
+    return ExpandedMatrix(tower, rows or ((),) * tower.degree)  # no entries: m empty rows
 
 
 def _coded_expansion(kern, codes) -> list:
@@ -210,11 +179,6 @@ def rank_support_vec(tower: ExtensionTower, c: Sequence[FieldElement]) -> KSubsp
     n, kern = len(c), tower.L._kernel()
     rows = _coded_expansion(kern, _encode(kern, [c], n))
     return KSubspace(tower, n, Subspace.from_codes(tower.k, n, rows))
-
-
-def weight_of_vector(tower: ExtensionTower, c: Sequence[FieldElement]) -> int:
-    """Rank weight wt_R(c) = dim Rsupp(c) <= min(m, n)."""
-    return rank_support_vec(tower, c).dim
 
 
 def rank_support_code(C: LinearCode) -> KSubspace:

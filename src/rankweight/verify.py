@@ -34,7 +34,7 @@ from .documents import build_tower, document_from_code, document_to_json, tower_
 from .errors import InfiniteField, InternalInvariantError, RankWeightError, SearchExhausted
 from .fields import random_rational_element
 from .linalg import (
-    decode_rows,
+    Subspace,
     enumerate_subspaces,
     gaussian_binomial,
     orthogonal_complement,
@@ -145,10 +145,11 @@ def random_codes(tower, max_n: int, count: int, rng: random.Random, height: int 
         n = rng.randint(1, max_n)
         dim = rng.randint(0, n if finite else min(n, 2))
         if finite:
-            gens = decode_rows(tower.L, [[rng.choice(pool) for _ in range(n)] for _ in range(dim)])
+            space = Subspace.from_codes(tower.L, n, [[rng.choice(pool) for _ in range(n)] for _ in range(dim)])
         else:
             gens = [[random_rational_element(tower, rng, height) for _ in range(n)] for _ in range(dim)]
-        out.append(LinearCode.from_generators(tower, n, gens))
+            space = Subspace.from_vectors(tower.L, n, gens)
+        out.append(LinearCode(tower, n, space))
     return out
 
 

@@ -22,14 +22,14 @@ distance, maxwt, exhaustive witness search) goes through ``_codewords``,
 which walks codewords as tuples of element codes and takes each rank weight
 on ints: over GF(2) a code's bits are its k-coordinates, so the weight is
 the rank of the entries packed one per int; otherwise it eliminates the
-entries' k-coordinates over k's kernel.  Only a candidate of the target
-weight in witness search is decoded to elements.
+entries' k-coordinates over k's kernel.
 
 Witness search is constructive-first: extended codes get the explicit
 sum-of-basis witness, codes with rational directions get the split-lemma
 extension, and only the remainder falls back to exhaustive (finite base) or
-randomized (infinite base) search.  Every candidate from every path is
-verified through the closure criterion C ⊆ (Lc)*.
+randomized (infinite base) search.  Every candidate from every path is a
+vector of codes, verified through the closure criterion C ⊆ (Lc)* on codes
+(``_is_witness``); ``find_witness`` decodes the witness it returns, once.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .errors import (
+    AmbientMismatch,
     BadR,
     EquivalenceViolation,
     InfiniteField,
@@ -48,17 +49,23 @@ from .errors import (
     ZeroCode,
 )
 from .fields import ExtensionTower, FieldElement, random_rational_element
-from .linalg import Subspace, _encode, _rref_coded, decode_rows, enumerate_subspaces, subspace_sum
+from .linalg import (
+    Subspace,
+    _encode,
+    _reduces_to_zero,
+    _rref_coded,
+    decode_rows,
+    enumerate_subspaces,
+    subspace_sum,
+)
 from .ranksupport import (
     KSubspace,
     LinearCode,
+    _coded_expansion,
     closure,
-    embed_vector,
     extend_to_L,
-    expansion_rows,
     is_rank_degenerate,
     rank_support_code,
-    rank_support_vec,
     restriction,
 )
 
@@ -93,10 +100,9 @@ def _codewords(tower: ExtensionTower, gens):
     ``gens`` are rows of codes of a finite L's kernel.  The first nonzero
     coefficient is 1 and the later ones run through L in element order, the
     last fastest, so each nonzero codeword appears once up to an L^x
-    multiple, which has the same rank weight.  c is a tuple of element codes
-    (``decode_rows`` turns it into elements), built from precomputed
-    multiples of the generators, and its weight is the rank over k of the
-    entries' k-coordinates.
+    multiple, which has the same rank weight.  c is a tuple of element codes,
+    built from precomputed multiples of the generators, and its weight is the
+    rank over k of the entries' k-coordinates.
     """
     kern = tower.L._kernel()
     add = kern.add
@@ -235,36 +241,49 @@ def weight_values(C: LinearCode, r: int) -> tuple:
     return weight_dRr(C, r), weight_Mr(C, r), weight_OSr(C, r), weight_Dr(C, r)
 
 
+def _is_witness(C: LinearCode, c) -> bool:
+    """The closure criterion on a coded vector c: c ∈ C and C ⊆ (Lc)*."""
+    t, n = C.tower, C.length
+    kern = t.L._kernel()
+    if not _reduces_to_zero(kern, C.space._codes, [c]):
+        return False
+    support = KSubspace(t, n, Subspace.from_codes(t.k, n, _coded_expansion(kern, [c])))
+    return extend_to_L(support).space.contains_space(C.space)
+
+
 def verify_witness(C: LinearCode, c: Sequence[FieldElement]) -> bool:
     """Closure criterion: c is a support witness iff c ∈ C and C ⊆ (Lc)*."""
-    if not C.space.contains(c):
-        return False
-    star = extend_to_L(rank_support_vec(C.tower, c)).space
-    return star.contains_space(C.space)
+    n = C.length
+    if len(c) != n:
+        raise AmbientMismatch(f"vector has length {len(c)}, ambient is {n}")
+    (codes,) = _encode(C.tower.L._kernel(), [c], n)
+    return _is_witness(C, codes)
 
 
 def extend_witness_by_rational(tower: ExtensionTower, c, e) -> list:
     """Split-lemma step: turn a witness of D into one of D + L·e for rational e.
 
-    ``e`` is a vector over k.  When e already lies in Rsupp(c) the witness is
-    returned unchanged; otherwise some expansion row of c is a combination of
-    the others (wt_R(c) < m required), and adding basis[l] * e writes e into
-    that row without disturbing the support: Rsupp(c') = Rsupp(c) + k·e.
+    ``c`` is a vector of codes of L's kernel and ``e`` one of codes of k's.
+    When e already lies in Rsupp(c) the witness is returned unchanged;
+    otherwise some expansion row of c is a combination of the others
+    (wt_R(c) < m required), and adding basis[l] * e writes e into that row
+    without disturbing the support: Rsupp(c') = Rsupp(c) + k·e.
     """
     k, n, m = tower.k, len(c), tower.degree
-    rows = expansion_rows(tower, c)
-    sup = Subspace.from_vectors(k, n, rows)
-    if sup.contains(e):
+    kern = tower.L._kernel()
+    rows = _coded_expansion(kern, [c])
+    sup = Subspace.from_codes(k, n, rows)
+    if _reduces_to_zero(k._kernel(), sup._codes, [e]):
         return list(c)
     if sup.dim >= m:
         raise ValueError("no spare expansion row: wt_R(c) = m already")
     for l in range(m):
-        if Subspace.from_vectors(k, n, rows[:l] + rows[l + 1 :]).dim == sup.dim:
+        if Subspace.from_codes(k, n, rows[:l] + rows[l + 1 :]).dim == sup.dim:
             break
     else:
         raise InternalInvariantError("unreachable: rank < m forces a dependent row")
-    add = [tower.basis[l] * x for x in embed_vector(tower, e)]
-    return [a + b for a, b in zip(c, add)]
+    (basis,) = _encode(kern, [tower.basis], m)
+    return kern.sub_scaled(c, kern.neg(basis[l]), kern.embed_row(e))
 
 
 def _witness_extended(C: LinearCode) -> Optional[list]:
@@ -278,8 +297,8 @@ def _witness_extended(C: LinearCode) -> Optional[list]:
     space = extend_to_L(res).space
     kern = t.L._kernel()
     (basis,) = _encode(kern, [t.basis], t.degree)
-    c = list(decode_rows(t.L, [_combine_codes(kern, basis, space._codes, C.length)])[0])
-    if not verify_witness(C, c):
+    c = _combine_codes(kern, basis, space._codes, C.length)
+    if not _is_witness(C, c):
         raise InternalInvariantError("constructive extended witness failed verification")
     return c
 
@@ -297,49 +316,45 @@ def _witness_split(C: LinearCode, seed, height: int, rounds: int) -> Optional[li
     res = restriction(C)
     if res.dim == 0:
         return None
-    res_l = extend_to_L(res).space
-    cur = res_l
+    L, kern = t.L, t.L._kernel()
+    cur = extend_to_L(res).space
     c1_gens = []
-    for g in C.space.rows:
-        if not cur.contains(g):
+    for g in C.space._codes:
+        if not _reduces_to_zero(kern, cur._codes, [g]):
             c1_gens.append(g)
-            cur = subspace_sum(cur, Subspace.from_vectors(t.L, n, [g]))
+            cur = Subspace.from_codes(L, n, [*cur._codes, g])
     if c1_gens:
-        c1_code = LinearCode.from_generators(t, n, c1_gens)
-        fallback = "exhaustive" if t.L.order is not None else "random"
+        c1_code = LinearCode(t, n, Subspace.from_codes(L, n, c1_gens))
         try:
-            c = find_witness(c1_code, strategy=fallback, seed=seed, height=height, rounds=rounds)
+            c = _search(c1_code, seed, height, rounds)
         except SearchExhausted:
             return None
         if c is None:
             return None
         cur = c1_code.space
     else:
-        c = [t.L.zero()] * n
-        cur = Subspace.zero(t.L, n)
-    for e in res.space.rows:
-        e_l = embed_vector(t, e)
-        if cur.contains(e_l):
+        c = [0] * n
+        cur = Subspace.zero(L, n)
+    for e in res.space._codes:
+        e_l = kern.embed_row(e)
+        if _reduces_to_zero(kern, cur._codes, [e_l]):
             continue
         c = extend_witness_by_rational(t, c, e)
-        cur = subspace_sum(cur, Subspace.from_vectors(t.L, n, [e_l]))
+        cur = Subspace.from_codes(L, n, [*cur._codes, e_l])
     if cur != C.space:
         raise InternalInvariantError("split decomposition did not rebuild C")
-    if not verify_witness(C, c):
+    if not _is_witness(C, c):
         raise InternalInvariantError("split witness failed verification")
     return c
 
 
-def _witness_exhaustive(C: LinearCode) -> Optional[list]:
+def _witness_exhaustive(C: LinearCode) -> Optional[tuple]:
     """Scan projective points of C; None proves no witness exists."""
     _require_finite(C, "exhaustive witness search")
-    t = C.tower
     target = rank_support_code(C).dim
-    for w, c in _codewords(t, C.space._codes):
-        if w == target:
-            c = list(decode_rows(t.L, [c])[0])
-            if verify_witness(C, c):
-                return c
+    for w, c in _codewords(C.tower, C.space._codes):
+        if w == target and _is_witness(C, c):
+            return c
     return None
 
 
@@ -367,15 +382,19 @@ def _witness_random(C: LinearCode, rng: random.Random, height: int, rounds: int)
             if not any(coeffs):
                 continue
             c = _combine_codes(kern, coeffs, gens, n)
-            if weight(c) != target:
-                continue
-            c = list(decode_rows(L, [c])[0])
-            if verify_witness(C, c):
+            if weight(c) == target and _is_witness(C, c):
                 return c
         h *= 2
     raise SearchExhausted(
         f"no witness found after {rounds} rounds of {_RANDOM_TRIES_PER_ROUND} samples"
     )
+
+
+def _search(C: LinearCode, seed, height: int, rounds: int):
+    """The fallback search on codes: exhaustive over a finite L, else randomized."""
+    if C.tower.L.order is not None:
+        return _witness_exhaustive(C)
+    return _witness_random(C, random.Random(seed), height, rounds)
 
 
 def find_witness(
@@ -392,7 +411,8 @@ def find_witness(
     and "random" force one path.  Randomized search raises SearchExhausted
     rather than claim nonexistence.  A None return is a proof: either the
     support dimension exceeds m (an expansion matrix only has m rows) or a
-    finite exhaustive scan came up empty.
+    finite exhaustive scan came up empty.  Every path works on codes, and
+    the witness is decoded to elements here, once.
     """
     t = C.tower
     if C.dim == 0:
@@ -403,16 +423,17 @@ def find_witness(
         c = _witness_extended(C)
         if c is None:
             c = _witness_split(C, seed, height, rounds)
-        if c is not None:
-            return c
-        if strategy == "constructive":
+        if c is None and strategy == "constructive":
             raise SearchExhausted("constructive strategies do not apply to this code")
-        strategy = "exhaustive" if t.L.order is not None else "random"
-    if strategy == "exhaustive":
-        return _witness_exhaustive(C)
-    if strategy == "random":
-        return _witness_random(C, random.Random(seed), height, rounds)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        if c is None:
+            c = _search(C, seed, height, rounds)
+    elif strategy == "exhaustive":
+        c = _witness_exhaustive(C)
+    elif strategy == "random":
+        c = _witness_random(C, random.Random(seed), height, rounds)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return None if c is None else list(decode_rows(t.L, [c])[0])
 
 
 @dataclass

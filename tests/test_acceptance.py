@@ -174,6 +174,7 @@ def test_criterion_6_trace_identity():
 
 
 def test_criterion_7_constructive_witness_paths():
+    from rankweight.linalg import decode_rows
     from rankweight.weights import _witness_extended, _witness_split
 
     # (a): every extended code with dim <= m gets a search-free witness
@@ -184,7 +185,7 @@ def test_criterion_7_constructive_witness_paths():
                 continue
             w = _witness_extended(c)
             assert w is not None
-            assert verify_witness(c, w)
+            assert verify_witness(c, decode_rows(tower.L, [w])[0])
             extended_checked += 1
 
     # (b): 100 constructed splittings C = C1 (+) L c2 with c2 rational
@@ -215,7 +216,7 @@ def test_criterion_7_constructive_witness_paths():
             continue  # the lemma needs dim C* <= m
         w = _witness_split(total, seed=0, height=5, rounds=4)
         assert w is not None
-        assert verify_witness(total, w)
+        assert verify_witness(total, decode_rows(tower.L, [w])[0])
         built += 1
     print(
         f"PASS criterion 7: constructive paths ({extended_checked} extended codes via (a), "

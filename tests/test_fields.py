@@ -17,7 +17,6 @@ from rankweight.fields import (
     Rationals,
     _FiniteKernel,
     build_base_field,
-    enumerate_elements,
     format_element,
     is_separable_tower,
     make_tower,
@@ -92,7 +91,7 @@ def test_coords_qtheta_basis_element():
 
 def test_coords_roundtrip():
     for t in (gf4(), gf8(), gf9()):
-        for x in enumerate_elements(t):
+        for x in t.L.elements():
             assert t.element_from_coords(t.coords(x)) == x
 
 
@@ -109,7 +108,7 @@ def test_trace_values():
 def test_trace_is_k_linear_and_scales_constants():
     rng = random.Random(7)
     for t in (gf4(), gf8(), gf9()):
-        elems = list(enumerate_elements(t))
+        elems = list(t.L.elements())
         kelems = list(t.k.elements())
         for _ in range(200):
             x, y = rng.choice(elems), rng.choice(elems)
@@ -123,7 +122,7 @@ def test_trace_is_k_linear_and_scales_constants():
 def test_coords_k_linear():
     rng = random.Random(11)
     for t in (gf4(), gf8(), gf9()):
-        elems = list(enumerate_elements(t))
+        elems = list(t.L.elements())
         kelems = list(t.k.elements())
         for _ in range(200):
             x, y = rng.choice(elems), rng.choice(elems)
@@ -142,24 +141,24 @@ def test_separability():
     bogus = ExtensionTower(BaseFieldDescriptor(2), k, ExtensionField(k, (0, 0, 1)))
     assert not is_separable_tower(bogus)
     # trace is identically zero exactly in the inseparable case
-    assert all(not bogus.trace(x) for x in enumerate_elements(bogus))
-    assert any(gf8().trace(x) for x in enumerate_elements(gf8()))
+    assert all(not bogus.trace(x) for x in bogus.L.elements())
+    assert any(gf8().trace(x) for x in gf8().L.elements())
 
 
 def test_enumeration_order_and_counts():
     t = gf4()
-    names = [format_element(x) for x in enumerate_elements(t)]
+    names = [format_element(x) for x in t.L.elements()]
     assert names == ["0", "1", "w", "w+1"]
-    assert len(list(enumerate_elements(gf8()))) == 8
-    assert len(list(enumerate_elements(gf9()))) == 9
+    assert len(list(gf8().L.elements())) == 8
+    assert len(list(gf9().L.elements())) == 9
     with pytest.raises(InfiniteField):
-        list(enumerate_elements(qtheta()))
+        list(qtheta().L.elements())
 
 
 def test_enumeration_is_deterministic_and_exhaustive():
     for t in (gf4(), gf8(), gf9()):
-        first = [x.payload for x in enumerate_elements(t)]
-        second = [x.payload for x in enumerate_elements(t)]
+        first = [x.payload for x in t.L.elements()]
+        second = [x.payload for x in t.L.elements()]
         assert first == second
         assert len(set(first)) == t.L.order
 
@@ -174,7 +173,7 @@ def test_field_axioms_random_triples():
     rng = random.Random(2024)
     towers = [gf4(), gf8(), gf9(), qtheta(), gf16_over_gf4()]
     for t in towers:
-        elems = list(enumerate_elements(t)) if t.L.order is not None else None
+        elems = list(t.L.elements()) if t.L.order is not None else None
         one = t.L.one()
         for _ in range(10000):
             x = _random_element(rng, t, elems)
@@ -202,7 +201,7 @@ def test_nested_base_field():
     assert t.L.order == 16
     assert t.k.order == 4
     assert t.degree == 2
-    elems = list(enumerate_elements(t))
+    elems = list(t.L.elements())
     assert len(set(e.payload for e in elems)) == 16
     # trace of L/k maps into k and is nonzero somewhere (separable)
     traces = {t.trace(e).payload for e in elems}

@@ -377,6 +377,104 @@ def test_oracle_gate_flags_each_kind():
     assert flagged == [False, False, True, True, True, True, True, True]
 
 
+# the element helpers that witness search must not go back to
+WITNESS_BANNED = {"embed_vector", "expansion_rows", "rank_support_vec"}
+
+
+def _witness_offences(source):
+    """Where witness search in source leaves codes before find_witness returns.
+
+    ``decode_rows`` may be named only inside find_witness (importing it is
+    fine), no helper of WITNESS_BANNED is imported or named, and no
+    ``from_vectors`` call builds a subspace from elements.
+    """
+    tree = ast.parse(source)
+    finder = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "find_witness"]
+    if not finder:
+        return ["no find_witness"]
+    inside = {id(node) for node in ast.walk(finder[0])}
+    offences = []
+    for node in ast.walk(tree):
+        names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+        ident = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if ident == "decode_rows" and id(node) not in inside:
+            offences.append(f"{node.lineno}: decode_rows outside find_witness")
+        offences += [f"{node.lineno}: names {name}" for name in [ident, *names] if name in WITNESS_BANNED]
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "from_vectors":
+            offences.append(f"{node.lineno}: calls from_vectors")
+    return offences
+
+
+def test_witness_search_stays_on_codes():
+    assert _witness_offences((PACKAGE_DIR / "weights.py").read_text()) == []
+
+
+def test_witness_gate_flags_each_kind():
+    clean = "from .linalg import decode_rows\n" \
+            "def find_witness(C):\n    return decode_rows(L, [_search(C)])[0]\n" \
+            "def _search(C):\n    return C.space._codes[0]\n"
+    flagged = [
+        bool(_witness_offences(src))
+        for src in (
+            clean,
+            clean.replace("return C.space._codes[0]", "return decode_rows(L, C.space._codes)[0]"),
+            clean.replace("return C.space._codes[0]", "return linalg.decode_rows(L, C.space._codes)[0]"),
+            clean + "from .ranksupport import rank_support_vec\n",
+            clean.replace("decode_rows\n", "decode_rows, expansion_rows\n"),
+            clean.replace("return C.space._codes[0]", "return ranksupport.embed_vector(t, e)"),
+            clean.replace("return C.space._codes[0]", "return Subspace.from_vectors(L, n, rows)"),
+            clean.replace("def find_witness(C)", "def find(C)"),
+            clean + "s = 'decode_rows'\n",
+        )
+    ]
+    assert flagged == [False] + [True] * 7 + [False]
+
+
+def _unreferenced_private(sources):
+    """The private top-level functions and classes of sources (module name ->
+    source) that no code in sources names outside their own definition."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    defs = [(name, node) for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+    unused = []
+    for module, definition in defs:
+        own = {id(node) for node in ast.walk(definition)}
+        used = any(
+            (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) == definition.name
+            or isinstance(node, ast.ImportFrom) and any(a.name == definition.name for a in node.names)
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if id(node) not in own
+        )
+        if not used:
+            unused.append(f"{module}.{definition.name}")
+    return unused
+
+
+def test_every_private_definition_is_used():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert _unreferenced_private(sources) == []
+
+
+def test_private_gate_flags_each_kind():
+    linalg_src = "def _rref_coded(k, w, n):\n    return w\n" \
+                 "def _rref_rows(f, rows, n):\n    return _rref_coded(f, rows, n)\n"
+    cases = [
+        {"linalg": linalg_src},  # _rref_rows left behind
+        {"linalg": linalg_src + "def invert(m):\n    return _rref_rows(m.field, m.rows, 2)\n"},
+        {"linalg": "def _walk(n):\n    return _walk(n - 1) if n else 0\n"},  # only calls itself
+        {"linalg": "class _Kernel:\n    pass\n"},
+        {"linalg": "def _helper():\n    return 1\n", "weights": "from .linalg import _helper\n"},
+        {"linalg": "def _helper():\n    return 1\n", "weights": "x = linalg._helper()\n"},
+        {"linalg": "def public():\n    def _inner():\n        return 1\n    return 2\n"},
+        {"linalg": "def __getattr__(name):\n    return name\n"},
+        {"linalg": "def _helper():\n    return 1\n", "weights": "s = '_helper'\n"},
+    ]
+    assert [bool(_unreferenced_private(c)) for c in cases] == [True, False, True, True, False, False,
+                                                               False, False, True]
+
+
 def _zero_restriction(monkeypatch):
     monkeypatch.setattr(
         ranksupport,

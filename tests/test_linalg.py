@@ -13,7 +13,6 @@ from rankweight.linalg import (
     contains,
     enumerate_subspaces,
     gaussian_binomial,
-    invert,
     kernel,
     orthogonal_complement,
     rref_canonical,
@@ -254,14 +253,6 @@ def test_gaussian_binomial_larger_fields():
             assert gaussian_binomial(n, n, q) == 1
             if n >= 1:
                 assert gaussian_binomial(n, 1, q) == (q**n - 1) // (q - 1)
-
-
-def test_invert():
-    m = Matrix(QQ, vecs(QQ, [[1, 2], [3, 4]]))
-    inv = invert(m)
-    assert inv.rows[0][0].payload == -2
-    with pytest.raises(ValueError):
-        invert(Matrix(QQ, vecs(QQ, [[1, 2], [2, 4]])))
 
 
 def test_zero_dimensional_spaces_are_first_class():

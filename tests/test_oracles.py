@@ -8,7 +8,7 @@ tricks anywhere; agreement with the library is a genuine two-route check.
 import itertools
 import random
 
-from helpers import all_codes, gf4, gf8
+from helpers import all_codes, expansion, gf4, gf8
 from rankweight.linalg import (
     Matrix,
     Subspace,
@@ -19,7 +19,6 @@ from rankweight.linalg import (
 from rankweight.ranksupport import (
     LinearCode,
     closure,
-    expansion_rows,
     rank_support_code,
     restriction,
     trace_image,
@@ -114,7 +113,7 @@ def test_support_against_literal_row_spans():
         for code in all_codes(tower, n):
             rows = []
             for cw in all_codewords(code):
-                rows.extend(expansion_rows(tower, list(cw)))
+                rows.extend(expansion(tower, list(cw)))
             assert subspace_as_set(rank_support_code(code).space) == span_set(tower.k, rows, n)
 
 
@@ -145,7 +144,7 @@ def test_closure_against_literal_superspace_intersection():
 
 
 def _wt(tower, cw):
-    return set_dim(tower.k, span_set(tower.k, expansion_rows(tower, list(cw)), len(cw)))
+    return set_dim(tower.k, span_set(tower.k, expansion(tower, list(cw)), len(cw)))
 
 
 def test_weights_against_literal_minimizations():
@@ -166,7 +165,7 @@ def test_weights_against_literal_minimizations():
                     tower.k,
                     span_set(
                         tower.k,
-                        [row for cw in sub for row in expansion_rows(tower, list(cw))],
+                        [row for cw in sub for row in expansion(tower, list(cw))],
                         n,
                     ),
                 )

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     all_codes,
     all_vectors,
+    expansion,
     gf3_degree_one,
     gf4,
     gf8,
@@ -19,6 +20,7 @@ from helpers import (
     random_q_codes,
     rational_part,
     reassemble,
+    rref_reference,
     vec,
 )
 from rankweight import ranksupport
@@ -46,7 +48,6 @@ from rankweight.ranksupport import (
     rank_support_vec,
     restriction,
     trace_image,
-    weight_of_vector,
 )
 from rankweight.verify import check_delsarte, check_trace, check_witness
 
@@ -72,6 +73,7 @@ def test_expand_zero_and_rational():
     assert all(not e for row in m.rows for e in row)
     m = expand_vector(t, vec(t, 1, 1, 0))
     assert [[e.payload for e in row] for row in m.rows] == [[1, 1, 0], [0, 0, 0]]
+    assert expand_vector(t, []).rows == ((), ())  # m rows with no columns
 
 
 def test_expand_reassembles():
@@ -94,7 +96,7 @@ def test_rank_support_vec_examples():
     w = t.generator()
     s = rank_support_vec(t, vec(t, 1, w))
     assert s.space == Subspace.full(t.k, 2)
-    assert weight_of_vector(t, vec(t, 1, w)) == 2
+    assert rank_support_vec(t, vec(t, 1, w)).dim == 2
     s = rank_support_vec(t, vec(t, 1, 1, 0))
     assert s == k_space(t, 3, [[1, 1, 0]])
 
@@ -133,7 +135,7 @@ def test_weight_one_iff_rational_multiple():
             if not any(c):
                 continue
             scalable = any(rational_part(t, [lam * x for x in c]) is not None for lam in nonzero)
-            assert (weight_of_vector(t, c) == 1) == scalable
+            assert (rank_support_vec(t, c).dim == 1) == scalable
 
 
 def test_rank_support_code_examples():
@@ -376,6 +378,24 @@ def test_closure_oracle_streams_above_the_bound(monkeypatch):
     assert len(calls) == 2 + 3 * len(codes)
 
 
+def _expansion_in_basis(t, c, basis):
+    """The rows over k of c's coordinates in another k-basis of L.
+
+    Column i of the transition matrix T holds basis[i]'s power-basis
+    coordinates, so the rows are T^-1 times c's power-basis expansion; T^-1
+    is read off the RREF of [T | I].
+    """
+    k, m = t.k, t.degree
+    transition = expansion(t, basis)
+    identity = [[k.one() if i == j else k.zero() for j in range(m)] for i in range(m)]
+    reduced, pivots = rref_reference(k, [row + eye for row, eye in zip(transition, identity)], 2 * m)
+    assert pivots == list(range(m)), "the family is not a basis"
+    inverse = [row[m:] for row in reduced]
+    power = expansion(t, c)
+    return [[sum((inverse[i][l] * power[l][j] for l in range(m)), k.zero()) for j in range(len(c))]
+            for i in range(m)]
+
+
 def test_basis_independence_of_rank_support():
     t4, t8 = gf4(), gf8()
     w4 = t4.generator()
@@ -387,7 +407,7 @@ def test_basis_independence_of_rank_support():
     for t, n in ((t4, 1), (t4, 2), (t8, 2)):
         for basis in alt_bases[id(t)]:
             for c in all_vectors(t, n):
-                assert Subspace.from_vectors(t.k, n, expand_vector(t, c, basis).rows) == rank_support_vec(t, c).space
+                assert Subspace.from_vectors(t.k, n, _expansion_in_basis(t, c, basis)) == rank_support_vec(t, c).space
 
     q = qtheta()
     theta = q.generator()
@@ -397,16 +417,7 @@ def test_basis_independence_of_rank_support():
 
     for _ in range(25):
         c = random_rational_vector(rng, q, 3)
-        assert Subspace.from_vectors(q.k, 3, expand_vector(q, c, basis).rows) == rank_support_vec(q, c).space
-
-
-def test_alt_basis_must_be_a_basis():
-    t = gf4()
-    w = t.generator()
-    with pytest.raises(ValueError):
-        expand_vector(t, vec(t, 1, w), basis=[t.L.one(), t.L.one()])  # dependent family
-    with pytest.raises(ValueError):
-        expand_vector(t, vec(t, 1, w), basis=[t.L.one()])  # wrong size
+        assert Subspace.from_vectors(q.k, 3, _expansion_in_basis(q, c, basis)) == rank_support_vec(q, c).space
 
 
 def _sweep_properties(t, codes):

@@ -4,10 +4,23 @@ import random
 
 import pytest
 
-from helpers import all_codes, gf4, gf8, gf9, gf16_over_gf4, qtheta, random_q_codes, vec
+from helpers import (
+    all_codes,
+    gf4,
+    gf8,
+    gf9,
+    gf16_over_gf2,
+    gf16_over_gf4,
+    is_witness_reference,
+    qtheta,
+    random_q_codes,
+    random_rational_vector,
+    vec,
+)
 from rankweight import weights
-from rankweight.errors import BadR, InfiniteField, SearchExhausted, ZeroCode
-from rankweight.linalg import Subspace, gaussian_binomial
+from rankweight.errors import AmbientMismatch, BadR, FieldMismatch, InfiniteField, SearchExhausted, ZeroCode
+from rankweight.fields import FieldElement
+from rankweight.linalg import Subspace, _encode, decode_rows, gaussian_binomial
 from rankweight.ranksupport import (
     LinearCode,
     embed_vector,
@@ -170,11 +183,14 @@ def test_extend_witness_step_direct():
     w = t.generator()
     c1 = vec(t, 1, w, 0)
     e = [t.k.from_int(x) for x in (0, 0, 1)]
-    c = extend_witness_by_rational(t, c1, e)
-    assert c == vec(t, 1, w, w * w)
+    # the step works on codes: c1 over L's kernel, e over k's
+    (c1_codes,) = _encode(t.L._kernel(), [c1], 3)
+    (e_codes,) = _encode(t.k._kernel(), [e], 3)
+    c = extend_witness_by_rational(t, c1_codes, e_codes)
+    assert list(decode_rows(t.L, [c])[0]) == vec(t, 1, w, w * w)
     # absorbing a direction already in the support leaves the witness alone
-    e2 = [t.k.from_int(x) for x in (1, 0, 0)]
-    assert extend_witness_by_rational(t, c1, e2) == c1
+    (e2_codes,) = _encode(t.k._kernel(), [[t.k.from_int(x) for x in (1, 0, 0)]], 3)
+    assert list(decode_rows(t.L, [extend_witness_by_rational(t, c1_codes, e2_codes)])[0]) == c1
 
 
 def test_zero_code_witness_and_report():
@@ -334,3 +350,88 @@ def test_q_theta_witness_population():
         assert w is not None
         assert verify_witness(c, w)
         assert rank_support_vec(c.tower, w) == rank_support_code(c)
+
+
+# the FieldElement operators that compute; witness search must reach none of them
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__", "__truediv__", "inverse")
+STRATEGIES = ("auto", "constructive", "exhaustive", "random")
+
+
+class ElementArithmetic(Exception):
+    pass
+
+
+def _split_codes(rng, t, count):
+    """count codes C = C1 + L·e with e rational, not extended and with Res(C) != 0:
+    the codes that reach the split lemma rather than the extended-code path.
+
+    Such a code has a witness only when dim C <= m - 1, so t needs m >= 3.
+    """
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 3)
+        if t.L.order is None:
+            c1 = random_rational_vector(rng, t, n)
+            e = [t.embed(t.k.from_int(rng.randint(-3, 3))) for _ in range(n)]
+        else:
+            pool, kpool = list(t.L.elements()), list(t.k.elements())
+            c1 = [rng.choice(pool) for _ in range(n)]
+            e = [t.embed(rng.choice(kpool)) for _ in range(n)]
+        C = LinearCode.from_generators(t, n, [c1, e])
+        if (C.dim == 2 and not is_extended(C) and restriction(C).dim
+                and rank_support_code(C).dim <= t.degree):
+            out.append(C)
+    return out
+
+
+def test_witness_search_builds_no_element_arithmetic(monkeypatch):
+    rng = random.Random(16)
+    codes = [c for t in (gf4(), gf9(), gf16_over_gf4()) for n in (1, 2) for c in all_codes(t, n)]
+    codes += random_q_codes(20, seed=16)
+    split = [c for t in (gf8(), gf16_over_gf2(), qtheta()) for c in _split_codes(rng, t, 6)]
+    codes += split
+
+    def refuse(*args):
+        raise ElementArithmetic("witness search used FieldElement arithmetic")
+
+    split_answers = []
+    found = []
+    with monkeypatch.context() as mp:
+        for attr in ARITHMETIC:
+            mp.setattr(FieldElement, attr, refuse)
+        split_path = weights._witness_split
+
+        def spy(*args, **kwargs):
+            out = split_path(*args, **kwargs)
+            split_answers.append(out is not None)
+            return out
+
+        mp.setattr(weights, "_witness_split", spy)
+        for c in codes:
+            for strategy in STRATEGIES:
+                try:
+                    w = find_witness(c, strategy=strategy, seed=5)
+                except (SearchExhausted, InfiniteField):
+                    continue  # the strategy does not apply; only arithmetic is an error
+                found.append((c, strategy, w))
+        del split_answers[:]
+        for c in split:
+            assert find_witness(c, seed=5) is not None
+        assert split_answers == [True] * len(split)  # each went through the split lemma
+    assert {s for _, s, _ in found} == set(STRATEGIES)
+    for c, strategy, w in found:
+        assert w is not None, (c, strategy)  # m >= n on all of them
+        assert is_witness_reference(c, w), (c, strategy)
+
+
+def test_verify_witness_refuses_wrong_length_and_foreign_entries():
+    t = gf4()
+    w = t.generator()
+    c = code(t, 2, (1, w))
+    with pytest.raises(AmbientMismatch):
+        verify_witness(c, vec(t, 1))
+    with pytest.raises(FieldMismatch):
+        verify_witness(c, vec(gf8(), 1, gf8().generator()))
+    with pytest.raises(FieldMismatch):
+        verify_witness(c, [1, 0])
+    assert verify_witness(c, vec(t, w, w * w)) and not verify_witness(c, vec(t, 1, 1))
