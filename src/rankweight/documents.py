@@ -23,8 +23,9 @@ names included, same length and the same rows in the same order.
 ``build_tower`` is the one reader of a tower description, for documents and
 for verify's ``TowerTask`` alike.
 
-The element parser evaluates on payloads with each field's raw operations
-and wraps one FieldElement per element string, at the end.
+The element parser evaluates on codes in each field's kernel, so parsing
+builds the kernels of the fields it reads, and wraps one FieldElement per
+element string, at the end.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .fields import (
     FieldElement,
     PrimeField,
     Rationals,
+    _element,
     build_base_field,
     format_element,
     make_tower,
@@ -76,8 +78,8 @@ def _tokenize(text: str):
 class _ElementParser:
     """Recursive-descent parser for polynomial element strings.
 
-    Evaluation runs on payloads with each field's raw operations; only the
-    final value is wrapped as a FieldElement.
+    Evaluation runs on codes in each field's kernel; only the final value
+    is wrapped as a FieldElement.
     """
 
     def __init__(self, field: Field, tokens, text: str):
@@ -101,9 +103,10 @@ class _ElementParser:
         value = self.expression(self.field)
         if self.pos != len(self.tokens):
             self.fail(f"trailing input at token {self.pos}")
-        return FieldElement(self.field, value)
+        return _element(self.field, value)
 
     def expression(self, fld: Field):
+        kern = fld._kernel()
         sign = 1
         kind, val = self.peek()
         if kind == "sym" and val in "+-":
@@ -111,13 +114,13 @@ class _ElementParser:
             sign = -1 if val == "-" else 1
         acc = self.term(fld)
         if sign < 0:
-            acc = fld._neg(acc)
+            acc = kern.neg(acc)
         while True:
             kind, val = self.peek()
             if kind == "sym" and val in "+-":
                 self.take()
                 nxt = self.term(fld)
-                acc = fld._add(acc, fld._neg(nxt) if val == "-" else nxt)
+                acc = kern.add(acc, kern.neg(nxt) if val == "-" else nxt)
             else:
                 return acc
 
@@ -127,7 +130,7 @@ class _ElementParser:
             kind, val = self.peek()
             if kind == "sym" and val == "*":
                 self.take()
-                acc = fld._mul(acc, self.factor(fld))
+                acc = fld._kernel().mul(acc, self.factor(fld))
             else:
                 return acc
 
@@ -139,17 +142,19 @@ class _ElementParser:
             kind, exp = self.take()
             if kind != "num":
                 self.fail("exponent must be a nonnegative integer")
-            result = fld._one
+            kern = fld._kernel()
+            result = kern.one
             while exp:
                 if exp & 1:
-                    result = fld._mul(result, base)
+                    result = kern.mul(result, base)
                 exp >>= 1
                 if exp:
-                    base = fld._mul(base, base)
+                    base = kern.mul(base, base)
             return result
         return base
 
     def atom(self, fld: Field):
+        kern = fld._kernel()
         kind, val = self.take()
         if kind == "num":
             nxt_kind, nxt_val = self.peek()
@@ -158,13 +163,13 @@ class _ElementParser:
                 dkind, den = self.take()
                 if dkind != "num":
                     self.fail("denominator must be an integer")
-                denom = fld._from_int(den)
-                if fld._is_zero(denom):
+                denom = kern.int_code(den)
+                if not denom:
                     self.fail(f"denominator {den} vanishes in {fld}")
                 if fld.characteristic == 0:
-                    return fld._from_fraction(Fraction(val, den))
-                return fld._mul(fld._from_int(val), fld._inv(denom))
-            return fld._from_int(val)
+                    return kern.fraction_code(Fraction(val, den))
+                return kern.mul(kern.int_code(val), kern.inv(denom))
+            return kern.int_code(val)
         if kind == "name":
             resolved = _resolve_name(fld, val)
             if resolved is not None:
@@ -177,20 +182,20 @@ class _ElementParser:
             kind, val = self.take()
             if not (kind == "sym" and val == ")"):
                 self.fail("unbalanced parentheses")
-            return (inner,) + (fld.base._zero,) * (fld.degree - 1)
+            return kern.embed_row((inner,))[0]
         self.fail(f"unexpected token {val!r}")
 
 
 def _resolve_name(fld: Field, val: str):
-    """The payload of a generator name anywhere down the base chain, embedded upward."""
+    """The code of a generator name anywhere down the base chain, embedded upward."""
     if not isinstance(fld, ExtensionField):
         return None
     if val == fld.symbol:
-        return fld._generator_payload()
+        return fld.generator().code
     inner = _resolve_name(fld.base, val)
     if inner is None:
         return None
-    return (inner,) + (fld.base._zero,) * (fld.degree - 1)
+    return fld._kernel().embed_row((inner,))[0]
 
 
 def parse_element(fld: Field, text: str) -> FieldElement:

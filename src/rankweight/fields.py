@@ -2,11 +2,10 @@
 
 Three backends share one element interface:
 
-* ``Rationals`` -- characteristic 0, elements carried as ``fractions.Fraction``
-  (always reduced, exact).
-* ``PrimeField(p)`` -- GF(p), elements carried as integers in [0, p).
-* ``ExtensionField(base, modulus)`` -- base[x]/(f) for a monic irreducible f,
-  elements carried as length-m coordinate tuples over the base with respect
+* ``Rationals`` -- characteristic 0; its payloads are ``fractions.Fraction``.
+* ``PrimeField(p)`` -- GF(p); its payloads are integers in [0, p).
+* ``ExtensionField(base, modulus)`` -- base[x]/(f) for a monic irreducible f;
+  its payloads are length-m coordinate tuples of base payloads with respect
   to the power basis 1, w, ..., w^(m-1) of the class w of x.
 
 Bases may nest: GF(p^a) with a > 1 is an ``ExtensionField`` over GF(p), and a
@@ -14,35 +13,36 @@ tower over it reduces coefficients through the base modulus automatically.
 An extension of Q takes Q itself as its base; a base that is an extension of
 Q is refused with ``BadBase``.
 
-``FieldElement`` wraps (field, payload) and overloads the ring operators, so
+Every field a tower can hold has a private int-coded kernel
+(``Field._kernel``), built on its first use and never at import, and the
+kernel is the field's one arithmetic.  A ``FieldElement`` is (field, code):
+``FieldElement(field, payload)`` codes the payload it is built from, its
+``payload`` reads the payload back, and its operators are the kernel's, so
 vectors and matrices elsewhere in the package are ordinary Python sequences
-of elements.  Fields compare structurally (same construction data), hence
-elements surviving a pickle round-trip still compare equal.  Everything is
+of elements.  Fields compare structurally (same construction data) and codes
+depend on that data alone, hence elements of separately built equal fields,
+and elements surviving a pickle round-trip, compare equal.  Everything is
 immutable after construction; all operations are pure.
 
 ``ExtensionTower`` bundles the base field k, the extension L, and the
 coordinate map between them; ``make_tower`` is the validated constructor.
+It builds k's kernel, in which its irreducibility test runs, and none for L.
 
-Every field a tower can hold has a private int-coded kernel
-(``Field._kernel``), built on its first use and never at import.
-``make_tower`` builds none for L; over a nested base such as GF(4) its gcd
-irreducibility test multiplies in k, which builds k's.
-
-* In a finite ring, an element's code is its index in ``_payloads()``
-  order, so 0 is zero and 1 is one, and the base-p digits of a code are the
-  element's prime-field coordinates, nested bases included: in
-  characteristic 2 addition is XOR, and otherwise it adds digits mod p.
-  Every finite quotient gets a table-free ``_FiniteKernel``: ``index`` and
-  ``payload`` convert through the digits, and products and inverses go
-  through the field's own ``_mul_raw`` and ``_inv_raw``, so a quotient that
-  is not a field raises ZeroDivisionError on a zero divisor.  A finite field
-  of order q <= 4096 gets its subclass ``_Kernel`` instead, with the same
-  codes: odd-characteristic addition goes through Zech logarithms, and
-  products and inverses through exp/log tables of one primitive element
-  (Lidl-Niederreiter, *Finite Fields*, ch. 9).  Building one costs log_p(q)
-  field multiplications per candidate primitive element, O(q) integer
-  operations and O(q) memory; there are no q-by-q tables and no product or
-  inverse caches.
+* In a finite ring, the base-p digits of a code are the element's
+  prime-field coordinates, nested bases included, lowest first, so 0 is zero
+  and 1 is one: in characteristic 2 addition is XOR, and otherwise it adds
+  digits mod p.  Every finite quotient gets a table-free ``_FiniteKernel``:
+  ``index`` and ``payload`` convert through the digits, a product is the
+  schoolbook product of the digit tuples folded by the modulus, and an
+  inverse is extended Euclid against the modulus, both in the base's kernel,
+  so a quotient that is not a field raises ZeroDivisionError on a zero
+  divisor.  A finite field of order q <= 4096 gets its subclass ``_Kernel``
+  instead, with the same codes: odd-characteristic addition goes through
+  Zech logarithms, and products and inverses through exp/log tables of one
+  primitive element (Lidl-Niederreiter, *Finite Fields*, ch. 9).  Building
+  one costs log_p(q) table-free products per candidate primitive element,
+  O(q) integer operations and O(q) memory; there are no q-by-q tables and
+  no product or inverse caches.
 * Over Q and Q[x]/(f), a nonzero element's code is its integer coordinates
   over one positive denominator, divided by their common gcd, so equal
   elements get equal codes (the representation of FLINT's ``fmpq_poly``);
@@ -51,18 +51,15 @@ irreducibility test multiplies in k, which builds k's.
   an inverse is one fraction-free solve of the multiplication matrix
   (Bareiss, Math. Comp. 1968); a zero divisor raises ZeroDivisionError.
 
-A kernel takes and returns codes and payloads only, and never builds a
-``FieldElement``.  ``ExtensionField._mul`` and ``_inv`` are the one bridge
-from payloads to it: ``index`` codes the operands, ``mul`` or ``inv``
-computes, and ``payload`` reads the result back.  ``linalg``, ``ranksupport``
-and ``weights`` run on codes alone; ``linalg._encode`` is the one path from
-elements to codes and ``linalg.decode_rows`` the one path back, so payloads
-keep their usual form (``Fraction`` coordinates over Q) at the boundary.
-Codes are the stored form of every ``linalg.Subspace``; its element rows
-are decoded on first read.  ``expand`` gives an L-code's k-coordinates as
-k-codes without elements: over a finite field they are the base-|k| digits
-of the code, lowest first, and over Q[x]/(f) the numerators over the common
-denominator, each reduced.
+A kernel takes and returns codes only, and never builds a ``FieldElement``;
+``index`` and ``payload`` convert between codes and payloads at the
+boundary.  ``linalg``, ``ranksupport`` and ``weights`` run on codes alone;
+``linalg._encode`` reads the codes of rows of elements and
+``linalg.decode_rows`` wraps rows of codes.  Codes are the stored form of
+every ``linalg.Subspace``; its element rows are wrapped on first read.
+``expand`` gives an L-code's k-coordinates as k-codes: over a finite field
+they are the base-|k| digits of the code, lowest first, and over Q[x]/(f)
+the numerators over the common denominator, each reduced.
 ``embed_row`` gives the L-codes of embedded k-codes: over a finite field a
 k-code is also the L-code of its embedding, and over Q the code (n, d)
 becomes (n, 0, ..., 0, d).  A kernel lives on its field object and is left
@@ -74,7 +71,6 @@ cached hash, and for the superspaces ``closure_oracle`` keeps on an
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from fractions import Fraction
 from math import gcd, lcm
@@ -93,71 +89,80 @@ _KERNEL_LIMIT = 4096  # finite fields up to this order get exp/log tables
 
 
 class FieldElement:
-    """An element of some backend field; arithmetic stays inside that field."""
+    """An element of some backend field, stored as its code in the field's kernel.
 
-    __slots__ = ("field", "payload")
+    Arithmetic stays inside the field and runs in its kernel.
+    """
+
+    __slots__ = ("field", "code")
 
     def __init__(self, field, payload):
         self.field = field
-        self.payload = payload
+        self.code = field._kernel().index[payload]
+
+    @property
+    def payload(self):
+        """What the element is built from and read back as: a Fraction, an int or a coordinate tuple."""
+        return self.field._kernel().payload(self.code)
 
     def _coerce(self, other):
+        """other's code in this element's field, or None when other is not an element of it."""
         if isinstance(other, FieldElement):
             if other.field is self.field or other.field == self.field:
-                return other
+                return other.code
             raise FieldMismatch(f"cannot mix elements of {self.field} and {other.field}")
         if isinstance(other, int):
-            return self.field.from_int(other)
+            return self.field._kernel().int_code(other)
         if isinstance(other, Fraction) and self.field.characteristic == 0:
-            return FieldElement(self.field, self.field._from_fraction(other))
+            return self.field._kernel().fraction_code(other)
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._add(self.payload, other.payload))
+        return _element(self.field, self.field._kernel().add(self.code, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, self.field._neg(self.payload))
+        return _element(self.field, self.field._kernel().neg(self.code))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        return FieldElement(
-            self.field, self.field._add(self.payload, self.field._neg(other.payload))
-        )
+        kern = self.field._kernel()
+        return _element(self.field, kern.add(self.code, kern.neg(b)))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        return other - self
+        return _element(self.field, b) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._mul(self.payload, other.payload))
+        return _element(self.field, self.field._kernel().mul(self.code, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        return FieldElement(
-            self.field, self.field._mul(self.payload, self.field._inv(other.payload))
-        )
+        if not b:
+            raise ZeroDivisionError("0 has no inverse")
+        kern = self.field._kernel()
+        return _element(self.field, kern.mul(self.code, kern.inv(b)))
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        return other / self
+        return _element(self.field, b) / self
 
     def __pow__(self, e: int):
         if e < 0:
@@ -172,25 +177,33 @@ class FieldElement:
         return result
 
     def inverse(self):
-        return FieldElement(self.field, self.field._inv(self.payload))
+        if not self.code:
+            raise ZeroDivisionError("0 has no inverse")
+        return _element(self.field, self.field._kernel().inv(self.code))
 
     def __bool__(self):
-        return not self.field._is_zero(self.payload)
+        return bool(self.code)  # zero is the code 0 in every kernel
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return (
-                other.field is self.field or other.field == self.field
-            ) and self.payload == other.payload
+            return (other.field is self.field or other.field == self.field) and self.code == other.code
         if isinstance(other, int):
-            return self.payload == self.field._from_int(other)
+            return self.code == self.field._kernel().int_code(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.payload))
+        return hash((self.field, self.code))
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.field}>"
+
+
+def _element(field, code) -> FieldElement:
+    """The element of field with the given code of its kernel."""
+    x = object.__new__(FieldElement)
+    x.field = field
+    x.code = code
+    return x
 
 
 class Field:
@@ -237,27 +250,27 @@ class Field:
         return h
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, self._zero)
+        return _element(self, 0)
 
     def one(self) -> FieldElement:
-        return FieldElement(self, self._one)
+        return _element(self, self._kernel().one)
 
     def from_int(self, n: int) -> FieldElement:
-        return FieldElement(self, self._from_int(n))
+        return _element(self, self._kernel().int_code(n))
 
     def element(self, payload) -> FieldElement:
         return FieldElement(self, payload)
 
     def elements(self) -> Iterator[FieldElement]:
-        """All field elements in canonical order; finite fields only."""
+        """All field elements in canonical order, the code order; finite fields only."""
         if self.order is None:
             raise InfiniteField(f"{self} is infinite")
-        for payload in self._payloads():
-            yield FieldElement(self, payload)
+        for code in range(self.order):
+            yield _element(self, code)
 
 
 class Rationals(Field):
-    """The field Q with exact Fraction payloads."""
+    """The field Q; its payloads are Fractions."""
 
     characteristic = 0
     order = None
@@ -267,45 +280,12 @@ class Rationals(Field):
     def _identity(self):
         return ("Q",)
 
-    @staticmethod
-    def _from_fraction(fr):
-        return fr
-
-    @staticmethod
-    def _add(a, b):
-        return a + b
-
-    @staticmethod
-    def _neg(a):
-        return -a
-
-    @staticmethod
-    def _mul(a, b):
-        return a * b
-
-    @staticmethod
-    def _inv(a):
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return 1 / a
-
-    @staticmethod
-    def _is_zero(a):
-        return a == 0
-
-    @staticmethod
-    def _from_int(n):
-        return Fraction(n)
-
-    def _payloads(self):
-        raise InfiniteField("Q is infinite")
-
     def __repr__(self):
         return "Q"
 
 
 class PrimeField(Field):
-    """GF(p) with integer payloads reduced mod p."""
+    """GF(p); its payloads are integers reduced mod p."""
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -319,39 +299,12 @@ class PrimeField(Field):
     def _identity(self):
         return ("GF", self.p)
 
-    def _add(self, a, b):
-        return (a + b) % self.p
-
-    def _neg(self, a):
-        return -a % self.p
-
-    def _mul(self, a, b):
-        return (a * b) % self.p
-
-    _mul_raw = _mul  # what a kernel builds its tables with
-
-    def _inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
-
-    _inv_raw = _inv
-
-    def _is_zero(self, a):
-        return a == 0
-
-    def _from_int(self, n):
-        return n % self.p
-
-    def _payloads(self):
-        return range(self.p)
-
     def __repr__(self):
         return f"GF({self.p})"
 
 
 class ExtensionField(Field):
-    """base[x]/(modulus) with coordinate-tuple payloads in the power basis."""
+    """base[x]/(modulus); its payloads are coordinate tuples in the power basis."""
 
     def __init__(self, base: Field, modulus: Sequence, symbol: str = "w"):
         # modulus: payload coefficients, low to high, monic, degree >= 1
@@ -365,94 +318,19 @@ class ExtensionField(Field):
         self.symbol = symbol
         self.characteristic = base.characteristic
         self.order = None if base.order is None else base.order**self.degree
-        # x^m = -(c_0 + c_1 x + ... + c_{m-1} x^{m-1})
-        self._fold = tuple(base._neg(c) for c in self.modulus[:-1])
         self._zero = (base._zero,) * self.degree
         self._one = (base._one,) + (base._zero,) * (self.degree - 1)
 
     def _identity(self):
         return ("ext", self.base._identity(), self.modulus)
 
-    def _add(self, a, b):
-        base = self.base
-        return tuple(base._add(x, y) for x, y in zip(a, b))
-
-    def _neg(self, a):
-        base = self.base
-        return tuple(base._neg(x) for x in a)
-
-    def _mul_raw(self, a, b):
-        base = self.base
-        m = self.degree
-        if m == 1:
-            return (base._mul(a[0], b[0]),)
-        prod = [base._zero] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if base._is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] = base._add(prod[i + j], base._mul(x, y))
-        for d in range(2 * m - 2, m - 1, -1):
-            c = prod[d]
-            if base._is_zero(c):
-                continue
-            prod[d] = base._zero
-            for i, r in enumerate(self._fold):
-                if not base._is_zero(r):
-                    prod[d - m + i] = base._add(prod[d - m + i], base._mul(c, r))
-        return tuple(prod[:m])
-
-    # the one bridge from payloads to the kernel: code, compute, decode
-    def _mul(self, a, b):
-        kern = self._kern or self._kernel()
-        index = kern.index
-        return kern.payload(kern.mul(index[a], index[b]))
-
-    def _inv(self, a):
-        kern = self._kern or self._kernel()
-        c = kern.index[a]
-        if not c:
-            raise ZeroDivisionError("0 has no inverse")
-        return kern.payload(kern.inv(c))
-
-    def _inv_raw(self, a):
-        # extended Euclid in base[x] against the modulus, for a table-free kernel
-        base = self.base
-        r0, r1 = list(self.modulus), polys.normalize(base, a)
-        s0, s1 = [], [base._one]
-        while polys.degree(r1) > 0:
-            q, r = polys.divmod_poly(base, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, polys.sub(base, s0, polys.mul(base, q, s1))
-        if not r1:
-            raise ZeroDivisionError("element is a zero divisor; modulus not irreducible?")
-        out = polys.scale(base, s1, base._inv(r1[0]))
-        out += [base._zero] * (self.degree - len(out))
-        return tuple(out)
-
-    def _is_zero(self, a):
-        base = self.base
-        return all(base._is_zero(c) for c in a)
-
-    def _from_int(self, n):
-        return (self.base._from_int(n),) + (self.base._zero,) * (self.degree - 1)
-
-    def _from_fraction(self, fr):
-        return (self.base._from_fraction(fr),) + (self.base._zero,) * (self.degree - 1)
-
-    def _payloads(self):
-        base_payloads = list(self.base._payloads())
-        for combo in itertools.product(base_payloads, repeat=self.degree):
-            yield combo[::-1]  # lowest coordinate varies fastest
-
-    def _generator_payload(self):
-        # class of x: (0, 1, 0, ..., 0), or -c0 when the extension has degree 1
-        if self.degree == 1:
-            return (self.base._neg(self.modulus[0]),)
-        return (self.base._zero, self.base._one) + (self.base._zero,) * (self.degree - 2)
-
     def generator(self) -> FieldElement:
-        return FieldElement(self, self._generator_payload())
+        """The class w of x: (0, 1, 0, ..., 0), or -c0 when the extension has degree 1."""
+        if self.degree == 1:
+            kern = self._kernel()
+            return _element(self, kern.neg(kern.index[self.modulus[:1]]))
+        zero = self.base._zero
+        return FieldElement(self, (zero, self.base._one) + (zero,) * (self.degree - 2))
 
     def __repr__(self):
         if self.order is not None:
@@ -480,27 +358,31 @@ class _FiniteKernel:
 
     ``add`` adds two codes; ``mul``, ``neg``, ``inv``, ``scale``,
     ``sub_scaled``, ``expand`` and ``embed_row`` work on codes and rows of
-    codes, as in ``_RationalKernel``, and ``multiples(x)`` lists a * x for
-    every code a.  ``field`` is the field object the kernel belongs to and
-    ``q`` its order.  ``index[p]`` (the kernel itself) is the code of the
-    payload p and ``payload`` goes back, through ``base``, the kernel of an
-    extension's base (None for a prime field), whose order ``bq`` is the
-    radix of the digits; ``m`` is the number of digits, and ``units`` lists
-    the codes p^i below q, the prime-field basis.  ``mul`` and ``inv`` go through payloads and the
-    field's ``_mul_raw`` and ``_inv_raw``, so no table of size q is built.
+    codes, as in ``_RationalKernel``, ``int_code(n)`` is the code of n * 1
+    and ``multiples(x)`` lists a * x for every code a.  ``field`` is the
+    field object the kernel belongs to and ``q`` its order.  ``index[p]``
+    (the kernel itself) is the code of the payload p and ``payload`` goes
+    back, through ``base``, the kernel of an extension's base (None for a
+    prime field), whose order ``bq`` is the radix of the digits; ``m`` is the
+    number of digits, and ``units`` lists the codes p^i below q, the
+    prime-field basis.  For an extension, ``modulus`` holds the base codes
+    of the modulus and ``fold`` those of -c_0, ..., -c_(m-1), so that
+    x^m = sum(fold[i] * x^i).
     """
 
-    __slots__ = ("field", "q", "p", "m", "bq", "base", "add", "index", "units")
+    __slots__ = ("field", "q", "p", "m", "bq", "base", "add", "index", "units", "modulus", "fold")
     one = 1
 
     def __init__(self, field):
         self.field = field
         self.q = field.order
         self.p = field.characteristic
+        self.m, self.bq, self.base = 1, field.order, None
         if isinstance(field, ExtensionField):
-            self.m, self.bq, self.base = field.degree, field.base.order, field.base._kernel()
-        else:
-            self.m, self.bq, self.base = 1, field.order, None
+            base = self.base = field.base._kernel()
+            self.m, self.bq = field.degree, field.base.order
+            self.modulus = [base[c] for c in field.modulus]
+            self.fold = [base.neg(c) for c in self.modulus[:-1]]
         self.add = operator.xor if self.p == 2 else functools.partial(_add_digits, self.p)
         self.index = self
         self.units = [1]
@@ -510,10 +392,17 @@ class _FiniteKernel:
     def __getitem__(self, payload) -> int:
         """The code of a payload: the base codes of its coordinates as digits, lowest first."""
         if self.base is None:
-            return payload
-        index, code = self.base.index, 0
-        for c in reversed(payload):
-            code = code * self.bq + index[c]
+            if isinstance(payload, int) and 0 <= payload < self.q:
+                return payload
+        elif len(payload) == self.m:
+            return self._join([self.base[c] for c in payload])
+        raise FieldMismatch(f"payload {payload!r} is not in {self.field}")
+
+    def _join(self, digits) -> int:
+        """The code whose base-|base| digits, lowest first, are the given base codes."""
+        code = 0
+        for d in reversed(digits):
+            code = code * self.bq + d
         return code
 
     def expand(self, c) -> tuple:
@@ -528,6 +417,10 @@ class _FiniteKernel:
         if self.base is None:
             return c
         return tuple(map(self.base.payload, self.expand(c)))
+
+    def int_code(self, n: int) -> int:
+        """The code of n * 1: n mod p, the lowest digit."""
+        return n % self.p
 
     @staticmethod
     def embed_row(row) -> tuple:
@@ -546,13 +439,43 @@ class _FiniteKernel:
         return out
 
     def mul(self, a: int, b: int) -> int:
+        """a * b: the schoolbook product of the digits in the base kernel, folded by the modulus."""
         if not a or not b:
             return 0
-        return self[self.field._mul_raw(self.payload(a), self.payload(b))]
+        base = self.base
+        if base is None:
+            return a * b % self.p
+        m, add, bmul = self.m, base.add, base.mul
+        prod = [0] * (2 * m - 1)
+        y = self.expand(b)
+        for i, x in enumerate(self.expand(a)):
+            if x:
+                for j, z in enumerate(y):
+                    if z:
+                        prod[i + j] = add(prod[i + j], bmul(x, z))
+        for d in range(2 * m - 2, m - 1, -1):  # x^d = x^(d-m) * x^m, from the top down
+            c = prod[d]
+            if c:
+                for i, r in enumerate(self.fold):
+                    if r:
+                        prod[d - m + i] = add(prod[d - m + i], bmul(c, r))
+        return self._join(prod[:m])
 
     def inv(self, a: int) -> int:
-        """1/a for a nonzero code a; ZeroDivisionError for a zero divisor."""
-        return self[self.field._inv_raw(self.payload(a))]
+        """1/a for a nonzero code a, by extended Euclid against the modulus in the base kernel;
+        ZeroDivisionError for a zero divisor."""
+        base = self.base
+        if base is None:
+            return pow(a, self.p - 2, self.p)
+        r0, r1 = self.modulus, polys.normalize(base, self.expand(a))
+        s0, s1 = [], [base.one]
+        while polys.degree(r1) > 0:
+            q, r = polys.divmod_poly(base, r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, polys.sub(base, s0, polys.mul(base, q, s1))
+        if not r1:
+            raise ZeroDivisionError("element is a zero divisor; modulus not irreducible?")
+        return self._join(polys.scale(base, s1, base.inv(r1[0])))
 
     def scale(self, row, a: int) -> list:
         """a * row."""
@@ -572,10 +495,8 @@ class _FiniteKernel:
 class _Kernel(_FiniteKernel):
     """_FiniteKernel of a finite field of order <= _KERNEL_LIMIT, with tables.
 
-    The codes are those of _FiniteKernel, and ``index`` becomes a dict from
-    payload to code and ``payload`` reads the field's payloads by code; for
-    an extension ``coords[c]`` (also ``expand(c)``) holds the base-field
-    codes of the coordinates of c (None for a prime field).
+    The codes are those of _FiniteKernel, and ``coords[c]`` (also
+    ``expand(c)``) holds the base-field codes of the coordinates of c.
 
     With n1 = q - 1 and g the primitive element, ``exp[e]`` is the code of
     g^e for 0 <= e < 2*n1 (the powers twice over, so a sum of two logs needs
@@ -584,19 +505,17 @@ class _Kernel(_FiniteKernel):
     is the log of -1.
     """
 
-    __slots__ = ("n1", "exp", "log", "neg_log", "payload", "coords", "expand")
+    __slots__ = ("n1", "exp", "log", "neg_log", "coords", "expand")
 
-    def __init__(self, field, exp, log, neg_log, add, index, payloads, coords):
+    def __init__(self, field, exp, log, neg_log, add, coords):
         super().__init__(field)
         self.n1 = self.q - 1
         self.exp = exp
         self.log = log
         self.neg_log = neg_log
         self.add = add
-        self.index = index
-        self.payload = payloads.__getitem__
         self.coords = coords
-        self.expand = coords.__getitem__ if coords is not None else None
+        self.expand = coords.__getitem__
 
     def neg(self, a: int) -> int:
         """-a; log[0] lands among the zeros of exp, so 0 needs no test."""
@@ -668,13 +587,11 @@ def _make_kernel(field: Field):
     if q > _KERNEL_LIMIT:
         return free
     p, n1 = field.characteristic, q - 1
-    payloads = list(field._payloads())
-    index = {x: i for i, x in enumerate(payloads)}
     # the codes below the base order are the base field, a proper subfield
     # when the degree is above 1, so none of them is primitive
-    for g in payloads[free.bq if free.m > 1 else min(2, n1):]:
+    for g in range(free.bq if free.m > 1 else min(2, n1), q):
         # times_g[c] is the code of (element c) * g
-        times_g = _linear_table(p, free.add, [index[field._mul_raw(payloads[u], g)] for u in free.units])
+        times_g = _linear_table(p, free.add, [free.mul(u, g) for u in free.units])
         powers = [1]
         x = times_g[1]
         while x != 1 and len(powers) < n1:
@@ -703,11 +620,7 @@ def _make_kernel(field: Field):
             return exp[la + zech[log[b] - la]]  # a negative index wraps mod n1
 
         neg_log = n1 // 2
-    coords = None
-    if isinstance(field, ExtensionField):
-        # the same digit order as _payloads: the lowest coordinate varies fastest
-        coords = [c[::-1] for c in itertools.product(range(field.base.order), repeat=field.degree)]
-    return _Kernel(field, exp, log, neg_log, add, index, payloads, coords)
+    return _Kernel(field, exp, log, neg_log, add, [free.expand(c) for c in range(q)])
 
 
 def _rational_code(nums, den: int):
@@ -726,8 +639,9 @@ class _RationalKernel:
     A nonzero element with coordinates n_i/d is coded as the tuple
     (n_0, ..., n_(m-1), d) with d > 0 and gcd(n_0, ..., n_(m-1), d) = 1, so
     equal elements get equal codes; zero is coded as 0.  ``mul``, ``neg``,
-    ``inv``, ``scale`` and ``sub_scaled`` work on codes and rows of codes,
-    skipping zero entries.  ``expand`` gives the Q-codes of a code's
+    ``inv``, ``add``, ``scale`` and ``sub_scaled`` work on codes and rows of
+    codes, skipping zero entries, and ``fraction_code`` (also ``int_code``)
+    codes a rational number.  ``expand`` gives the Q-codes of a code's
     coordinates, n_i/d as (n_i/g, d/g) with g = gcd(n_i, d), and
     ``embed_row`` turns Q-codes (n, d) into the codes (n, 0, ..., 0, d) of
     their embeddings.  ``index[p]`` (the kernel itself) is the code of the
@@ -768,6 +682,21 @@ class _RationalKernel:
             return self.field._zero
         zero, d = Rationals._zero, c[-1]
         return tuple([Fraction(n, d) if n else zero for n in c[:-1]])
+
+    def fraction_code(self, fr):
+        """The code of the rational number fr (an int or a Fraction), embedded."""
+        n = fr.numerator
+        return (n, *self.zeros[1:], fr.denominator) if n else 0
+
+    int_code = fraction_code
+
+    def add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        m, da, db = self.m, a[-1], b[-1]
+        return _rational_code([x * db + y * da for x, y in zip(a[:m], b[:m])], da * db)
 
     def _product(self, a, b):
         """(nums, den) of a*b for nonzero codes, not yet normalized."""
@@ -827,10 +756,7 @@ class _RationalKernel:
         da = a[m]
         return _rational_code([da * s * v for s, v in zip(scales, y)], det)
 
-    def scale(self, row, a) -> list:
-        """a * row."""
-        mul = self.mul
-        return [mul(a, x) for x in row]
+    scale = _FiniteKernel.scale  # a * row, by one mul per entry
 
     def sub_scaled(self, row, a, other) -> list:
         """row - a * other."""
@@ -1010,14 +936,15 @@ def build_base_field(desc: BaseFieldDescriptor, symbol: str = "u") -> Field:
     prime = PrimeField(desc.characteristic)
     if desc.base_degree == 1:
         return prime
-    coeffs = [prime._from_int(c) for c in desc.base_modulus]
+    kern = prime._kernel()
+    coeffs = [kern.int_code(c) for c in desc.base_modulus]  # a prime field's codes are its payloads
     if len(coeffs) - 1 != desc.base_degree:
         raise BadModulus(
             f"base modulus has degree {len(coeffs) - 1}, descriptor says {desc.base_degree}"
         )
-    if coeffs[-1] != prime._one:
+    if coeffs[-1] != kern.one:
         raise BadModulus("base modulus must be monic")
-    if not polys.is_irreducible_bruteforce(prime, coeffs):
+    if not polys.is_irreducible_bruteforce(kern, coeffs):
         raise NotIrreducible(f"base modulus is reducible over GF({desc.characteristic})")
     return ExtensionField(prime, coeffs, symbol=symbol)
 
@@ -1025,31 +952,37 @@ def build_base_field(desc: BaseFieldDescriptor, symbol: str = "u") -> Field:
 class ExtensionTower:
     """A finite extension L = k[x]/(f) with its power basis and coordinate map."""
 
-    __slots__ = ("base_descriptor", "k", "L", "degree", "basis", "_separable", "_traces", "_superspaces")
+    __slots__ = ("base_descriptor", "k", "L", "degree", "_basis", "_separable", "_traces", "_superspaces")
 
     def __init__(self, base_descriptor, k, L):
         self.base_descriptor = base_descriptor
         self.k = k
         self.L = L
         self.degree = L.degree
-        # power basis 1, w, ..., w^(m-1): the unit coordinate vectors
-        m = self.degree
-        self.basis = tuple(
-            FieldElement(L, tuple(k._one if j == i else k._zero for j in range(m)))
-            for i in range(m)
-        )
+        self._basis = None  # basis fills it on first use
         self._separable = None  # is_separable_tower fills it on first use
-        self._traces = None  # trace fills it with the k-payloads of Tr(w^i) on first use
+        self._traces = None  # _trace_codes fills it with the k-codes of Tr(w^i) on first use
         self._superspaces = None  # ranksupport.closure_oracle: n -> every W_L of k^n, on first use
 
     def __getstate__(self):
-        # the oracle's superspaces are rebuilt where the copy is loaded
-        return None, {s: getattr(self, s) for s in self.__slots__ if s != "_superspaces"}
+        # the basis and the oracle's superspaces are rebuilt where the copy is loaded
+        return None, {s: getattr(self, s) for s in self.__slots__ if s not in ("_basis", "_superspaces")}
 
     def __setstate__(self, state):
         for s, value in state[1].items():
             setattr(self, s, value)
-        self._superspaces = None
+        self._basis = self._superspaces = None
+
+    @property
+    def basis(self) -> tuple:
+        """The power basis 1, w, ..., w^(m-1): the unit coordinate vectors."""
+        if self._basis is None:
+            k, m = self.k, self.degree
+            self._basis = tuple(
+                FieldElement(self.L, tuple(k._one if j == i else k._zero for j in range(m)))
+                for i in range(m)
+            )
+        return self._basis
 
     @property
     def modulus(self):
@@ -1063,21 +996,22 @@ class ExtensionTower:
         """Coordinates of x over k in the power basis; sum(coords[i]*basis[i]) == x."""
         if not (x.field is self.L or x.field == self.L):
             raise FieldMismatch(f"element of {x.field} is not in {self.L}")
-        return [FieldElement(self.k, c) for c in x.payload]
+        return [_element(self.k, c) for c in self.L._kernel().expand(x.code)]
 
     def element_from_coords(self, coords) -> FieldElement:
+        k = self.k
         payload = []
         for c in coords:
             if isinstance(c, FieldElement):
-                if not (c.field is self.k or c.field == self.k):
+                if not (c.field is k or c.field == k):
                     raise FieldMismatch("coordinates must lie in the base field")
-                payload.append(c.payload)
             elif isinstance(c, int):
-                payload.append(self.k._from_int(c))
-            elif isinstance(c, Fraction) and self.k.characteristic == 0:
-                payload.append(self.k._from_fraction(c))
+                c = k.from_int(c)
+            elif isinstance(c, Fraction) and k.characteristic == 0:
+                c = k.element(c)
             else:
                 raise FieldMismatch(f"cannot interpret coordinate {c!r}")
+            payload.append(c.payload)
         if len(payload) != self.degree:
             raise ValueError(f"need exactly {self.degree} coordinates")
         return FieldElement(self.L, tuple(payload))
@@ -1086,36 +1020,36 @@ class ExtensionTower:
         """Embed an element of k into L as (c, 0, ..., 0)."""
         if not (c.field is self.k or c.field == self.k):
             raise FieldMismatch("embed expects a base-field element")
-        return FieldElement(self.L, (c.payload,) + (self.k._zero,) * (self.degree - 1))
+        return _element(self.L, self.L._kernel().embed_row((c.code,))[0])
 
     def trace(self, x: FieldElement) -> FieldElement:
-        """Field trace L -> k, by linearity: sum(x_i * Tr(w^i)).
-
-        Tr(w^i) is the trace of the multiplication-by-w^i matrix, computed
-        for each i once per tower, on first use.
-        """
+        """Field trace L -> k, by linearity on codes (``_code_trace``)."""
         if not (x.field is self.L or x.field == self.L):
             raise FieldMismatch(f"element of {x.field} is not in {self.L}")
-        k = self.k
-        if self._traces is None:
-            self._traces = tuple(self._matrix_trace(b) for b in self.basis)
-        acc = k._zero
-        for c, t in zip(x.payload, self._traces):
-            if not k._is_zero(c) and not k._is_zero(t):
-                acc = k._add(acc, k._mul(c, t))
-        return FieldElement(k, acc)
+        return _element(self.k, self._code_trace(x.code))
 
-    def _matrix_trace(self, x: FieldElement):
-        """The k-payload of the trace of the multiplication-by-x matrix: sum_i (x*w^i)_i."""
-        k = self.k
-        acc = k._zero
-        y = x
-        w = self.generator()
-        for i in range(self.degree):
-            acc = k._add(acc, y.payload[i])
-            if i + 1 < self.degree:
-                y = y * w
+    def _code_trace(self, c):
+        """Tr(c) for a code c of L's kernel, as a code of k's: sum_i c_i * Tr(w^i) over the
+        k-codes c_i of c's coordinates."""
+        kk = self.k._kernel()
+        acc = 0
+        for x, tr in zip(self.L._kernel().expand(c), self._trace_codes()):
+            if x and tr:
+                acc = kk.add(acc, kk.mul(x, tr))
         return acc
+
+    def _trace_codes(self) -> tuple:
+        """The k-codes of Tr(w^i), the traces sum_j (w^(i+j))_j of the
+        multiplication-by-w^i matrices, computed on codes once per tower."""
+        if self._traces is None:
+            kern, add, m = self.L._kernel(), self.k._kernel().add, self.degree
+            powers, w = [kern.one], self.generator().code
+            while len(powers) < 2 * m - 1:
+                powers.append(kern.mul(powers[-1], w))
+            self._traces = tuple(
+                functools.reduce(add, [kern.expand(powers[i + j])[j] for j in range(m)], 0) for i in range(m)
+            )
+        return self._traces
 
     def __eq__(self, other):
         if not isinstance(other, ExtensionTower):
@@ -1140,31 +1074,33 @@ def make_tower(base, modulus, symbol: str = "w", base_symbol: str = "u") -> Exte
     elif not isinstance(base, BaseFieldDescriptor):
         raise BadBase(f"expected a BaseFieldDescriptor, got {base!r}")
     k = build_base_field(base, symbol=base_symbol)
-    coeffs = []
+    kern = k._kernel()
+    coeffs = []  # codes of k's kernel
     for c in modulus:
         if isinstance(c, FieldElement):
             if not (c.field is k or c.field == k):
                 raise BadModulus("modulus coefficient from a foreign field")
-            coeffs.append(c.payload)
+            coeffs.append(c.code)
         elif isinstance(c, int):
-            coeffs.append(k._from_int(c))
+            coeffs.append(kern.int_code(c))
         elif isinstance(c, Fraction) and k.characteristic == 0:
-            coeffs.append(c)
+            coeffs.append(kern.fraction_code(c))
         else:
             raise BadModulus(f"cannot interpret modulus coefficient {c!r}")
-    while coeffs and k._is_zero(coeffs[-1]):
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     if len(coeffs) < 2:
         raise BadModulus("extension modulus must have degree >= 1")
-    if coeffs[-1] != k._one:
+    if coeffs[-1] != kern.one:
         raise BadModulus("extension modulus must be monic")
+    payloads = tuple(map(kern.payload, coeffs))
     if k.order is None:
-        if not polys.is_irreducible_rationals(coeffs):
+        if not polys.is_irreducible_rationals(payloads):
             raise NotIrreducible("extension modulus is reducible over Q")
     else:
-        if not polys.is_irreducible_gcd(k, coeffs):
+        if not polys.is_irreducible_gcd(kern, coeffs):
             raise NotIrreducible(f"extension modulus is reducible over {k}")
-    L = ExtensionField(k, tuple(coeffs), symbol=symbol)
+    L = ExtensionField(k, payloads, symbol=symbol)
     return ExtensionTower(base, k, L)
 
 
@@ -1174,10 +1110,10 @@ def is_separable_tower(tower: ExtensionTower) -> bool:
     Computed once per tower, on first use.
     """
     if tower._separable is None:
-        k = tower.k
-        f = list(tower.L.modulus)
-        fprime = polys.derivative(k, f)
-        tower._separable = polys.degree(polys.gcd(k, f, fprime)) == 0
+        kern = tower.k._kernel()
+        f = [kern.index[c] for c in tower.L.modulus]
+        fprime = polys.derivative(kern, f)
+        tower._separable = polys.degree(polys.gcd(kern, f, fprime)) == 0
     return tower._separable
 
 
@@ -1192,14 +1128,6 @@ def random_rational_element(tower: ExtensionTower, rng, height: int) -> FieldEle
     )
 
 
-def _is_scalar_payload(field: Field, payload) -> bool:
-    """True when the payload sits in the prime subfield (renders as a number)."""
-    if not isinstance(field, ExtensionField):
-        return True
-    base = field.base
-    return all(base._is_zero(c) for c in payload[1:]) and _is_scalar_payload(base, payload[0])
-
-
 def format_element(x: FieldElement) -> str:
     """Canonical string form: '3/2', '2', 'w^2+w+1', '(u+1)*w', '-1/2*w+3'."""
     field = x.field
@@ -1209,18 +1137,20 @@ def format_element(x: FieldElement) -> str:
         raise TypeError(f"cannot format an element of {field!r}")
     base = field.base
     sym = field.symbol
+    coords, one = field._kernel().expand(x.code), base._kernel().one
     terms = []
     for i in range(field.degree - 1, -1, -1):
-        c = x.payload[i]
-        if base._is_zero(c):
+        c = coords[i]
+        if not c:
             continue
-        cs = format_element(FieldElement(base, c))
-        plain = _is_scalar_payload(base, c)
+        cs = format_element(_element(base, c))
+        # a coordinate in the prime subfield renders as a number: over Q always, else a code below p
+        plain = not isinstance(base, ExtensionField) or c < base.characteristic
         if i == 0:
             terms.append(cs if plain else f"({cs})")
             continue
         power = sym if i == 1 else f"{sym}^{i}"
-        if c == base._one:
+        if c == one:
             terms.append(power)
         elif plain:
             terms.append(f"{cs}*{power}")

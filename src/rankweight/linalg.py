@@ -12,16 +12,16 @@ left half and the canonical basis of a ∩ b in the right halves of the rest.
 once, ordered by pivot profile and then lexicographically on the free
 entries; the census equals the Gaussian binomial coefficient.
 
-Every field has a kernel (``fields``), and a subspace is stored as its
-canonical rows in element codes (``Subspace._codes``).  A reduction encodes
-its element inputs once, eliminates on codes and keeps the result coded;
-``dim``, equality, hashing, pickling, ``contains``, ``contains_space``,
-sums, intersections, orthogonal complements and subspace enumeration work
-on the codes, and ``Subspace.from_codes`` reduces rows of codes.
-``_encode`` is the package's one path from elements to codes and
-``decode_rows`` its one path back; kernels themselves never build an
-element.  ``Subspace.rows`` is a cache, decoded on its first read through
-the subspace's own field object, so its entries are elements of that object.
+An element is (field, code) in its field's kernel (``fields``), and a
+subspace is stored as its canonical rows in codes (``Subspace._codes``).  A
+reduction reads the codes of its element inputs once, eliminates on codes
+and keeps the result coded; ``dim``, equality, hashing, pickling,
+``contains``, ``contains_space``, sums, intersections, orthogonal
+complements and subspace enumeration work on the codes, and
+``Subspace.from_codes`` reduces rows of codes.  ``_encode`` is the
+package's one path from elements to codes and ``decode_rows`` its one path
+back; kernels never build an element.  ``Subspace.rows`` is a cache, wrapped
+on its first read with the subspace's own field object.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import itertools
 from typing import Iterator, List, Sequence
 
 from .errors import AmbientMismatch, FieldMismatch, InfiniteField
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, _element
 
 
 class Matrix:
@@ -68,10 +68,10 @@ class Subspace:
     The constructor trusts its input, the canonical rows as a tuple of
     tuples of codes; build through ``rref_canonical`` or the classmethods
     unless the rows are canonical by construction.  A code depends only on
-    its element's payload, so the codes serve every equal field object, and
-    canonical codes are unique, so ``==``, the hash and the pickle read
-    them.  ``rows`` decodes them to elements on its first read and keeps
-    the result.
+    the field's construction data, so the codes serve every equal field
+    object, and canonical codes are unique, so ``==``, the hash and the
+    pickle read them.  ``rows`` wraps them as elements on its first read and
+    keeps the result.
     """
 
     __slots__ = ("field", "ambient_dim", "_codes", "_rows")
@@ -136,48 +136,30 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.field}^{self.ambient_dim})"
 
 
-def _payload_in(field: Field, e):
-    """e's payload when e lies in a field equal to field, else FieldMismatch.
-
-    Callers test ``e.field is field`` first and come here only on a miss, so
-    an equal field built separately (other symbols included) still passes.
-    """
-    if getattr(e, "field", None) != field:
-        raise FieldMismatch("row entry from a foreign field")
-    return e.payload
-
-
 def _encode(kern, rows, num_cols: int) -> list:
-    """Rows of elements of the kernel's field as tuples of kernel codes, in a list."""
-    field, index = kern.field, kern.index
+    """Rows of elements of the kernel's field as tuples of their codes, in a list.
+
+    An entry of an equal field built separately (other symbols included)
+    has the same code; any other entry raises FieldMismatch.
+    """
+    field = kern.field
     work = []
     for r in rows:
         if len(r) != num_cols:
             raise ValueError(f"row of length {len(r)} in an ambient of {num_cols}")
         try:
-            work.append(tuple([index[e.payload if e.field is field else _payload_in(field, e)] for e in r]))
-        except (KeyError, TypeError, AttributeError):
-            raise FieldMismatch("row entry from a foreign field") from None
+            codes = tuple([e.code for e in r if e.field is field or e.field == field])
+        except AttributeError:
+            codes = ()
+        if len(codes) != num_cols:
+            raise FieldMismatch("row entry from a foreign field")
+        work.append(codes)
     return work
 
 
 def decode_rows(field: Field, codes) -> tuple:
-    """Rows of codes of field's kernel as tuples of elements of field.
-
-    Each distinct code is decoded once per call; rows of a reduction repeat
-    zero and one.
-    """
-    payload, memo = field._kernel().payload, {}
-    out = []
-    for row in codes:
-        elems = []
-        for c in row:
-            e = memo.get(c)
-            if e is None:
-                e = memo[c] = FieldElement(field, payload(c))
-            elems.append(e)
-        out.append(tuple(elems))
-    return tuple(out)
+    """Rows of codes of field's kernel as tuples of elements of field."""
+    return tuple(tuple([_element(field, c) for c in row]) for row in codes)
 
 
 def _span(field: Field, ambient_dim: int, vectors) -> Subspace:

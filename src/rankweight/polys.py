@@ -1,11 +1,11 @@
 """Dense univariate polynomial helpers over an arbitrary exact field.
 
-Polynomials are plain Python lists of field payloads (the raw values a field
-object computes on: ints mod p, Fractions, coordinate tuples), lowest degree
-first, normalized so the last entry is nonzero; ``[]`` is the zero
-polynomial.  Every function takes the coefficient field explicitly, and all
-coefficient arithmetic goes through its raw operations (``_add``, ``_neg``,
-``_mul``, ``_inv``, ``_is_zero``), so no element object is built on the way.
+Polynomials are plain Python lists of codes of a field's kernel (see
+``fields``), lowest degree first, normalized so the last entry is nonzero;
+``[]`` is the zero polynomial.  Every function takes the coefficient field's
+kernel explicitly, and all coefficient arithmetic goes through its
+operations (``add``, ``neg``, ``mul``, ``inv``, ``int_code``); zero is the
+code 0 and one is ``k.one``, so no element object is built on the way.
 
 The irreducibility tests live here as well:
 
@@ -26,10 +26,10 @@ import math
 from .errors import BadModulus, InfiniteField
 
 
-def normalize(field, coeffs):
+def normalize(k, coeffs):
     """Strip trailing zeros; [] is the zero polynomial."""
     coeffs = list(coeffs)
-    while coeffs and field._is_zero(coeffs[-1]):
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
 
@@ -39,110 +39,110 @@ def degree(p):
     return len(p) - 1
 
 
-def add(field, p, q):
+def add(k, p, q):
     if len(p) < len(q):
         p, q = q, p
     out = list(p)
     for i, c in enumerate(q):
-        out[i] = field._add(out[i], c)
-    return normalize(field, out)
+        out[i] = k.add(out[i], c)
+    return normalize(k, out)
 
 
-def neg(field, p):
-    return [field._neg(c) for c in p]
+def neg(k, p):
+    return [k.neg(c) for c in p]
 
 
-def sub(field, p, q):
-    return add(field, p, neg(field, q))
+def sub(k, p, q):
+    return add(k, p, neg(k, q))
 
 
-def scale(field, p, c):
-    if field._is_zero(c):
+def scale(k, p, c):
+    if not c:
         return []
-    return normalize(field, [field._mul(a, c) for a in p])
+    return normalize(k, [k.mul(a, c) for a in p])
 
 
-def mul(field, p, q):
+def mul(k, p, q):
     if not p or not q:
         return []
-    fadd, fmul, is_zero = field._add, field._mul, field._is_zero
-    out = [field._zero] * (len(p) + len(q) - 1)
+    kadd, kmul = k.add, k.mul
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if is_zero(a):
+        if not a:
             continue
         for j, b in enumerate(q):
-            out[i + j] = fadd(out[i + j], fmul(a, b))
-    return normalize(field, out)
+            out[i + j] = kadd(out[i + j], kmul(a, b))
+    return normalize(k, out)
 
 
-def divmod_poly(field, p, q):
+def divmod_poly(k, p, q):
     """Quotient and remainder of p by q (q nonzero)."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    fadd, fneg, fmul, is_zero = field._add, field._neg, field._mul, field._is_zero
+    kadd, kneg, kmul = k.add, k.neg, k.mul
     rem = list(p)
     dq = degree(q)
-    lead_inv = field._inv(q[-1])
-    quot = [field._zero] * max(0, len(p) - dq)
+    lead_inv = k.inv(q[-1])
+    quot = [0] * max(0, len(p) - dq)
     for d in range(degree(p), dq - 1, -1):
         c = rem[d]
-        if is_zero(c):
+        if not c:
             continue
-        factor = fmul(c, lead_inv)
+        factor = kmul(c, lead_inv)
         quot[d - dq] = factor
-        minus = fneg(factor)
+        minus = kneg(factor)
         for i, b in enumerate(q):
-            rem[d - dq + i] = fadd(rem[d - dq + i], fmul(minus, b))
-    return normalize(field, quot), normalize(field, rem)
+            rem[d - dq + i] = kadd(rem[d - dq + i], kmul(minus, b))
+    return normalize(k, quot), normalize(k, rem)
 
 
-def mod(field, p, q):
-    return divmod_poly(field, p, q)[1]
+def mod(k, p, q):
+    return divmod_poly(k, p, q)[1]
 
 
-def monic(field, p):
+def monic(k, p):
     if not p:
         return []
-    return scale(field, p, field._inv(p[-1]))
+    return scale(k, p, k.inv(p[-1]))
 
 
-def gcd(field, p, q):
+def gcd(k, p, q):
     """Monic gcd; gcd(p, 0) = monic(p)."""
     while q:
-        p, q = q, mod(field, p, q)
-    return monic(field, p)
+        p, q = q, mod(k, p, q)
+    return monic(k, p)
 
 
-def derivative(field, p):
-    return normalize(field, [field._mul(c, field._from_int(i)) for i, c in enumerate(p)][1:])
+def derivative(k, p):
+    return normalize(k, [k.mul(c, k.int_code(i)) for i, c in enumerate(p)][1:])
 
 
-def evaluate(field, p, x):
-    acc = field._zero
+def evaluate(k, p, x):
+    acc = 0
     for c in reversed(p):
-        acc = field._add(field._mul(acc, x), c)
+        acc = k.add(k.mul(acc, x), c)
     return acc
 
 
-def pow_mod(field, p, e, modulus):
+def pow_mod(k, p, e, modulus):
     """p^e mod modulus by square and multiply (e >= 0)."""
-    result = [field._one]
-    base = mod(field, p, modulus)
+    result = [k.one]
+    base = mod(k, p, modulus)
     while e > 0:
         if e & 1:
-            result = mod(field, mul(field, result, base), modulus)
-        base = mod(field, mul(field, base, base), modulus)
+            result = mod(k, mul(k, result, base), modulus)
+        base = mod(k, mul(k, base, base), modulus)
         e >>= 1
     return result
 
 
-def x_poly(field):
-    return [field._zero, field._one]
+def x_poly(k):
+    return [0, k.one]
 
 
-def is_irreducible_gcd(field, p):
+def is_irreducible_gcd(k, p):
     """Finite-field irreducibility via gcd(f, x^(q^i) - x) for i <= deg/2."""
-    q = field.order
+    q = k.field.order
     if q is None:
         raise InfiniteField("gcd-based irreducibility test needs a finite field")
     m = degree(p)
@@ -150,38 +150,36 @@ def is_irreducible_gcd(field, p):
         raise BadModulus("irreducibility is about polynomials of degree >= 1")
     if m == 1:
         return True
-    x = x_poly(field)
+    x = x_poly(k)
     h = x
     for _ in range(m // 2):
-        h = pow_mod(field, h, q, p)
-        if degree(gcd(field, p, sub(field, h, x))) != 0:
+        h = pow_mod(k, h, q, p)
+        if degree(gcd(k, p, sub(k, h, x))) != 0:
             return False
     return True
 
 
-def _monic_polys(field, d):
+def _monic_polys(k, d):
     """All monic degree-d polynomials over a finite field."""
-    elems = list(field._payloads())
-    one = field._one
-    for lower in itertools.product(elems, repeat=d):
-        yield list(lower) + [one]
+    for lower in itertools.product(range(k.field.order), repeat=d):
+        yield list(lower) + [k.one]
 
 
-def is_irreducible_bruteforce(field, p):
+def is_irreducible_bruteforce(k, p):
     """Exhaustive root/factor search; independent of the gcd criterion."""
-    if field.order is None:
+    if k.field.order is None:
         raise InfiniteField("brute-force irreducibility test needs a finite field")
     m = degree(p)
     if m < 1:
         raise BadModulus("irreducibility is about polynomials of degree >= 1")
     if m == 1:
         return True
-    for x in field._payloads():
-        if field._is_zero(evaluate(field, p, x)):
+    for x in range(k.field.order):
+        if not evaluate(k, p, x):
             return False
     for d in range(2, m // 2 + 1):
-        for cand in _monic_polys(field, d):
-            if not mod(field, p, cand):
+        for cand in _monic_polys(k, d):
+            if not mod(k, p, cand):
                 return False
     return True
 

@@ -251,33 +251,25 @@ def trace_image(C: LinearCode) -> KSubspace:
     if not is_separable_tower(t):
         raise InseparableTower(f"trace image needs a separable extension, got {t}")
     kern = t.L._kernel()
-    n, trace = C.length, _coded_trace(t, kern)
+    n, trace = C.length, _coded_trace(t)
     (powers,) = _encode(kern, [t.basis], t.degree)
     rows = [tuple([trace(kern.mul(p, x)) for x in g]) for g in C.space._codes for p in powers]
     return KSubspace(t, n, Subspace.from_codes(t.k, n, rows))
 
 
-def _coded_trace(t: ExtensionTower, kern):
-    """Tr: L -> k on codes of kern, L's kernel, by linearity: sum_l x_l * Tr(w^l).
+def _coded_trace(t: ExtensionTower):
+    """Tr: L -> k on codes of L's kernel, by linearity: sum_l x_l * Tr(w^l).
 
-    Over a finite L the k-codes x_l are the digits ``kern.expand`` reads off
-    a code, multiplied and added in k's kernel, so no table of size |L| is
-    built.  Over Q(θ) it is sum_l n_l * Tr(w^l) / d, read off a code's
-    numerators n_l and its denominator d.
+    Over a finite L it is the tower's own sum on codes
+    (``ExtensionTower._code_trace``): the k-codes x_l are the digits
+    ``kern.expand`` reads off a code, multiplied and added in k's kernel, so
+    no table of size |L| is built.  Over Q(θ) it is
+    sum_l n_l * Tr(w^l) / d, read off a code's numerators n_l and its
+    denominator d.
     """
-    kk = t.k._kernel()
-    (trace_codes,) = _encode(kk, [[t.trace(alpha) for alpha in t.basis]], t.degree)
     if t.L.order is not None:
-        expand, add, mul = kern.expand, kk.add, kk.mul
-
-        def finite_trace(c):
-            acc = 0
-            for x, tr in zip(expand(c), trace_codes):
-                if x and tr:
-                    acc = add(acc, mul(x, tr))
-            return acc
-
-        return finite_trace
+        return t._code_trace
+    trace_codes = t._trace_codes()
     den = lcm(*[x[1] for x in trace_codes if x])  # Q-codes (n, d), and 0 for zero
     scaled = [x[0] * (den // x[1]) if x else 0 for x in trace_codes]  # Tr(w^l) * den
 

@@ -1,5 +1,6 @@
 """Towers, code populations and vector pools shared across the test modules,
-and literal element references for the coded computations of the package."""
+literal element references for the coded computations of the package, and
+a payload arithmetic of its own for checking the kernels against."""
 
 import functools
 import itertools
@@ -8,6 +9,8 @@ import random
 from rankweight.fields import (
     BaseFieldDescriptor,
     FieldElement,
+    PrimeField,
+    Rationals,
     build_base_field,
     make_tower,
     random_rational_element,
@@ -88,12 +91,12 @@ def reassemble(expanded):
 
 def rational_part(tower, v):
     """The k-vector equal to v when v lies in k^n, else None."""
-    k = tower.k
     out = []
     for x in v:
-        if any(not k._is_zero(c) for c in x.payload[1:]):
+        coords = tower.coords(x)
+        if any(coords[1:]):
             return None
-        out.append(FieldElement(k, x.payload[0]))
+        out.append(coords[0])
     return out
 
 
@@ -218,10 +221,17 @@ def closure_reference(code):
     return span_reference(t.L, [[t.embed(x) for x in row] for row in support_reference(code)], code.length)
 
 
+def trace_literal(tower, x):
+    """Tr(x), the trace of the multiplication-by-x matrix: the sum over j of
+    coordinate j of x * w^j, read off payloads."""
+    k = tower.k
+    return sum((FieldElement(k, (x * b).payload[j]) for j, b in enumerate(tower.basis)), k.zero())
+
+
 def trace_reference(code):
     """Tr(C): the k-span of Tr(alpha * g) over the basis alpha and the generators g."""
     t = code.tower
-    return span_reference(t.k, [[t.trace(alpha * x) for x in g] for g in code.generators for alpha in t.basis],
+    return span_reference(t.k, [[trace_literal(t, alpha * x) for x in g] for g in code.generators for alpha in t.basis],
                           code.length)
 
 
@@ -230,3 +240,84 @@ def is_witness_reference(code, c):
     t, n = code.tower, code.length
     return (span_reference(t.L, list(code.generators) + [c], n) == code.generators
             and span_reference(t.k, expansion(t, c), n) == support_reference(code))
+
+
+# ---------------------------------------------------------------------------
+# payload references: the arithmetic of payloads, written out for the kernels to match
+# ---------------------------------------------------------------------------
+
+
+def payloads_in_order(field):
+    """Every payload of a finite field in code order: the lowest coordinate varies fastest."""
+    if isinstance(field, PrimeField):
+        return list(range(field.p))
+    base = payloads_in_order(field.base)
+    return [combo[::-1] for combo in itertools.product(base, repeat=field.degree)]
+
+
+def ref_add(field, a, b):
+    """a + b: Fractions over Q, mod p over GF(p), coordinate-wise over an extension."""
+    if isinstance(field, Rationals):
+        return a + b
+    if isinstance(field, PrimeField):
+        return (a + b) % field.p
+    return tuple(ref_add(field.base, x, y) for x, y in zip(a, b))
+
+
+def ref_neg(field, a):
+    if isinstance(field, Rationals):
+        return -a
+    if isinstance(field, PrimeField):
+        return -a % field.p
+    return tuple(ref_neg(field.base, x) for x in a)
+
+
+def ref_mul(field, a, b):
+    """a * b; over an extension the schoolbook product, reduced by the monic modulus."""
+    if isinstance(field, Rationals):
+        return a * b
+    if isinstance(field, PrimeField):
+        return a * b % field.p
+    base, m = field.base, field.degree
+    prod = [base._zero] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = ref_add(base, prod[i + j], ref_mul(base, x, y))
+    for d in range(2 * m - 2, m - 1, -1):  # x^d = -x^(d-m) * (c_0 + ... + c_(m-1) x^(m-1))
+        for i, c in enumerate(field.modulus[:-1]):
+            prod[d - m + i] = ref_add(base, prod[d - m + i], ref_neg(base, ref_mul(base, prod[d], c)))
+    return tuple(prod[:m])
+
+
+def ref_inv(field, a):
+    """1/a; over an extension by extended Euclid in base[x] against the modulus,
+    keeping s_i * a = r_i mod the modulus."""
+    if isinstance(field, Rationals):
+        return 1 / a
+    if isinstance(field, PrimeField):
+        return pow(a, field.p - 2, field.p)
+    base, zero = field.base, field.base._zero
+
+    def trimmed(p):
+        p = list(p)
+        while p and p[-1] == zero:
+            p.pop()
+        return p
+
+    def minus_shifted(p, c, shift, q):
+        """p - c * x^shift * q."""
+        out = list(p) + [zero] * max(0, len(q) + shift - len(p))
+        for i, y in enumerate(q):
+            out[i + shift] = ref_add(base, out[i + shift], ref_neg(base, ref_mul(base, c, y)))
+        return trimmed(out)
+
+    r0, r1, s0, s1 = list(field.modulus), trimmed(a), [], [base._one]
+    while len(r1) > 1:
+        while len(r0) >= len(r1):
+            c, shift = ref_mul(base, r0[-1], ref_inv(base, r1[-1])), len(r0) - len(r1)
+            r0, s0 = minus_shifted(r0, c, shift, r1), minus_shifted(s0, c, shift, s1)
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    if not r1:
+        raise ZeroDivisionError("a zero divisor")
+    c = ref_inv(base, r1[0])
+    return tuple(ref_mul(base, c, y) for y in s1) + (zero,) * (field.degree - len(s1))

@@ -1,6 +1,8 @@
-"""Tower construction, coordinates, trace, enumeration, field axioms."""
+"""Tower construction, coordinates, trace, enumeration, field axioms, and elements
+as (field, code): the payload an element is built from reads back."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,6 +24,8 @@ from rankweight.fields import (
     make_tower,
     random_rational_element,
 )
+
+from helpers import gf8192, gf4099_squared, payloads_in_order, ref_add, ref_inv, ref_mul
 
 
 def gf4():
@@ -227,7 +231,7 @@ def test_trace_form_nondegenerate_on_separable_towers():
 
 
 def test_irreducibility_methods_agree():
-    # polys works on payload lists; GF(4) is the base of GF(16)/GF(4).
+    # polys works on lists of kernel codes; GF(4) is the base of GF(16)/GF(4).
     # The counts are the monic irreducibles, (1/n) * sum_{d | n} mu(d) q^(n/d).
     census = {
         "GF(2)": (PrimeField(2), {2: 1, 3: 2, 4: 3}),
@@ -235,19 +239,19 @@ def test_irreducibility_methods_agree():
         "GF(4)": (gf16_over_gf4().k, {2: 6, 3: 20}),
     }
     for name, (k, expected) in census.items():
-        payloads = list(k._payloads())
+        kern = k._kernel()
         for deg, count in expected.items():
             irreducible = 0
-            for lower in itertools.product(payloads, repeat=deg):
-                poly = list(lower) + [k._one]
-                verdict = polys.is_irreducible_gcd(k, poly)
-                assert verdict == polys.is_irreducible_bruteforce(k, poly), (name, poly)
+            for lower in itertools.product(range(k.order), repeat=deg):
+                poly = list(lower) + [kern.one]
+                verdict = polys.is_irreducible_gcd(kern, poly)
+                assert verdict == polys.is_irreducible_bruteforce(kern, poly), (name, poly)
                 irreducible += verdict
             assert irreducible == count, (name, deg)
 
 
 def test_inverse_by_euclid_in_table_free_kernels():
-    # _inv_raw, the one polys caller inside the arithmetic, runs in the table-free kernel
+    # the table-free kernel inverts by extended Euclid in polys, on base codes
     gf8192 = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1, 1] + [0] * 8 + [1]).L
     gf4099_squared = make_tower(BaseFieldDescriptor(4099), [1, 0, 1]).L
     rng = random.Random(13)
@@ -258,13 +262,14 @@ def test_inverse_by_euclid_in_table_free_kernels():
         kern = field._kernel()
         assert type(kern) is _FiniteKernel
         for _ in range(25):
-            x = draw()
-            if field._is_zero(x):
+            x = field.element(draw())
+            if not x:
                 continue
-            inv = field._inv_raw(x)
-            assert field._mul(x, inv) == field._one
-            assert field.element(x) * field.element(x).inverse() == field.one()
-            assert kern.mul(kern.index[x], kern.inv(kern.index[x])) == kern.one
+            inv = kern.inv(x.code)
+            assert kern.payload(inv) == ref_inv(field, x.payload)
+            assert ref_mul(field, x.payload, kern.payload(inv)) == field._one
+            assert x * x.inverse() == field.one()
+            assert kern.mul(x.code, inv) == kern.one
         with pytest.raises(ZeroDivisionError):
             field.zero().inverse()
 
@@ -321,3 +326,80 @@ def test_degree_one_tower():
     w = t.generator()
     assert w == t.L.one()  # class of x is -1 = 1
     assert t.trace(w).payload == 1
+
+
+# ---------------------------------------------------------------------------
+# an element is (field, code): the payload it is built from reads back, and
+# equal fields built apart share codes
+# ---------------------------------------------------------------------------
+
+
+def _boundary_fields():
+    """(name, builder of a fresh field, payload sample or None for every payload) for every kind of field."""
+
+    def fresh(char, modulus):
+        return lambda: make_tower(BaseFieldDescriptor(char), modulus).L
+
+    exhaustive = [
+        ("GF(2)", lambda: PrimeField(2)), ("GF(3)", lambda: PrimeField(3)), ("GF(4)", lambda: gf4().L),
+        ("GF(8)", lambda: gf8().L), ("GF(9)", lambda: gf9().L), ("GF(25)", fresh(5, [3, 0, 1])),
+        ("GF(27)", fresh(3, [1, 2, 0, 1])), ("GF(16)/GF(2)", fresh(2, [1, 1, 0, 0, 1])),
+        ("GF(16)/GF(4)", lambda: gf16_over_gf4().L),
+    ]
+    rng = random.Random(17)
+    return [(name, make, None) for name, make in exhaustive] + [
+        ("GF(2^13)", lambda: gf8192.__wrapped__().L,
+         [tuple(rng.randrange(2) for _ in range(13)) for _ in range(200)]),
+        ("GF(4099^2)", lambda: gf4099_squared.__wrapped__().L,
+         [(rng.randrange(4099), rng.randrange(4099)) for _ in range(200)]),
+        ("Q(t)", lambda: qtheta().L,
+         [tuple(Fraction(0) if rng.random() < 0.3 else Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+                for _ in range(3)) for _ in range(200)]),
+    ]
+
+
+BOUNDARY_FIELDS = _boundary_fields()
+
+
+@pytest.mark.parametrize("name,make,sample", BOUNDARY_FIELDS, ids=[n for n, _, _ in BOUNDARY_FIELDS])
+def test_payload_reads_back_what_the_element_was_built_from(name, make, sample):
+    field = make()
+    for p in payloads_in_order(field) if sample is None else sample:
+        x = FieldElement(field, p)
+        assert x.payload == p and type(x.payload) is type(p), (name, p)
+        assert bool(x) == (p != field._zero)
+
+
+@pytest.mark.parametrize("name,make,sample", BOUNDARY_FIELDS, ids=[n for n, _, _ in BOUNDARY_FIELDS])
+def test_equal_fields_built_apart_give_equal_elements(name, make, sample):
+    first, second = make(), make()
+    assert first == second and first is not second
+    payloads = payloads_in_order(first) if sample is None else sample
+    for p, q in zip(payloads, payloads[1:] + payloads[:1]):
+        x, y = FieldElement(first, p), FieldElement(second, p)
+        loaded = pickle.loads(pickle.dumps(x))
+        assert x == y == loaded and hash(x) == hash(y) == hash(loaded), (name, p)
+        assert loaded.field == second and loaded.payload == p
+        assert (x != FieldElement(second, q)) == (p != q)
+        assert x * FieldElement(second, q) == y * FieldElement(first, q)
+
+
+@pytest.mark.parametrize("make", [gf8192, gf4099_squared])
+def test_large_field_arithmetic_reads_no_payload(make, monkeypatch):
+    """Sums, products and inverses above 4096 elements run on codes alone."""
+    field = make.__wrapped__().L
+    rng = random.Random(23)
+    q, kern = field.order, field._kernel()
+    pairs = [(kern.payload(rng.randrange(1, q)), kern.payload(rng.randrange(1, q))) for _ in range(40)]
+    expected = [(ref_add(field, a, b), ref_mul(field, a, b), ref_inv(field, a)) for a, b in pairs]
+    elements = [(field.element(a), field.element(b)) for a, b in pairs]
+
+    def refuse(self, c):
+        raise AssertionError("a payload was read")
+
+    monkeypatch.setattr(_FiniteKernel, "payload", refuse)
+    got = [(x + y, x * y, x.inverse(), x / y, x - y) for x, y in elements]
+    monkeypatch.undo()
+    for (x, y), (s, m, i, d, diff), (ws, wm, wi) in zip(elements, got, expected):
+        assert (s.payload, m.payload, i.payload) == (ws, wm, wi)
+        assert d * y == x and diff + y == x and x * i == field.one()

@@ -211,16 +211,32 @@ def _uses_field_element(node):
     return False
 
 
-def test_polys_works_on_payloads_only():
-    """polys computes with a field's raw operations: it neither imports nor names FieldElement,
-    nor calls the methods that build one."""
-    path = PACKAGE_DIR / "polys.py"
-    offenders = [
-        f"{path.name}:{node.lineno}"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if _uses_field_element(node)
+# what a field offers on payloads: polys computes on kernel codes and reads none of it
+PAYLOAD_NAMES = {"payload", "_zero", "_one", "_payloads", "_add", "_neg", "_mul", "_inv", "_is_zero",
+                 "_from_int", "_from_fraction", "_mul_raw", "_inv_raw"}
+
+
+def _polys_offences(source):
+    """Where source brings FieldElement in, or reads a payload or a field's payload operation."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if _uses_field_element(node) or isinstance(node, ast.Attribute) and node.attr in PAYLOAD_NAMES]
+
+
+def test_polys_works_on_codes_only():
+    """polys computes with a kernel's operations on codes: it neither imports nor names
+    FieldElement, nor calls the methods that build one, nor reads a payload."""
+    assert _polys_offences((PACKAGE_DIR / "polys.py").read_text()) == []
+
+
+def test_polys_gate_flags_each_kind():
+    flagged = [
+        bool(_polys_offences(src))
+        for src in ("from .fields import FieldElement", "z = field.zero()", "z = field._mul(a, b)",
+                    "o = field._one", "e = field._is_zero(c)", "n = field._from_int(3)", "p = x.payload",
+                    "xs = list(field._payloads())",
+                    "z = k.mul(a, b)", "o = k.one", "n = k.int_code(3)", "e = not c", "s = '_mul'")
     ]
-    assert offenders == []
+    assert flagged == [True] * 8 + [False] * 5
 
 
 def test_field_element_gate_flags_each_kind():
@@ -231,9 +247,52 @@ def test_field_element_gate_flags_each_kind():
                     "x = FieldElement(k, 1)", "y = fields.FieldElement", "isinstance(c, FieldElement)",
                     "z = field.zero()", "inv = q[-1].inverse()", "e = list(field.elements())",
                     "z = field._mul(a, b)", "o = field._one", "from .errors import BadModulus",
-                    "s = 'FieldElement'")
+                    "s = 'FieldElement'", "n = kern.int_code(3)", "o = kern.one")
     ]
-    assert flagged == [True] * 10 + [False] * 4
+    assert flagged == [True] * 10 + [False] * 6
+
+
+# the payload arithmetic the field classes carried beside their kernels
+PAYLOAD_ARITHMETIC = {"_add", "_neg", "_mul", "_inv", "_is_zero", "_from_int", "_from_fraction", "_mul_raw",
+                      "_inv_raw", "_payloads"}
+
+
+def _payload_arithmetic_offences(source):
+    """Where a class of source defines a name of PAYLOAD_ARITHMETIC, as a method or a
+    class attribute, or FieldElement's ``__slots__`` names payload, or there is no FieldElement."""
+    classes = [node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)]
+    offences = [] if any(c.name == "FieldElement" for c in classes) else ["no FieldElement"]
+    for cls in classes:
+        for node in cls.body:
+            names = [node.name] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            offences += [f"{cls.name}.{name}" for name in names if name in PAYLOAD_ARITHMETIC]
+            if cls.name == "FieldElement" and "__slots__" in names and "payload" in ast.literal_eval(node.value):
+                offences.append("FieldElement.__slots__ holds payload")
+    return offences
+
+
+def test_fields_carry_one_arithmetic():
+    """An element is its kernel code: no field class keeps a payload arithmetic beside the kernel."""
+    assert _payload_arithmetic_offences((PACKAGE_DIR / "fields.py").read_text()) == []
+
+
+def test_payload_arithmetic_gate_flags_each_kind():
+    clean = 'class FieldElement:\n    __slots__ = ("field", "code")\n' \
+            "class PrimeField:\n    def __init__(self, p):\n        self.p = p\n" \
+            "def _add_digits(p, a, b):\n    return a\n"
+    offending = [clean.replace("def __init__(self, p)", f"def {name}(self, p)") for name in sorted(PAYLOAD_ARITHMETIC)]
+    offending += [
+        clean + "class ExtensionField:\n    @staticmethod\n    def _is_zero(a):\n        return not a\n",
+        clean.replace("self.p = p\n", "self.p = p\n    _mul_raw = __init__\n"),
+        clean.replace('("field", "code")', '("field", "payload")'),
+        clean.replace("class FieldElement:", "class Element:"),
+    ]
+    innocent = [clean, clean.replace("def __init__(self, p)", "def _mul_table(self, p)"),
+                clean + "def _inv(a):\n    return a\n", clean + "s = '_mul_raw'\n"]
+    assert [bool(_payload_arithmetic_offences(src)) for src in offending] == [True] * len(offending)
+    assert [bool(_payload_arithmetic_offences(src)) for src in innocent] == [False] * len(innocent)
 
 
 # the kernel classes and their builder: they compute on codes and payloads only
