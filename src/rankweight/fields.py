@@ -64,8 +64,14 @@ the numerators over the common denominator, each reduced.
 k-code is also the L-code of its embedding, and over Q the code (n, d)
 becomes (n, 0, ..., 0, d).  A kernel lives on its field object and is left
 out of the pickle, so a worker process rebuilds it; the same holds for the
-cached hash, and for the superspaces ``closure_oracle`` keeps on an
-``ExtensionTower``.
+cached hash.  An ``ExtensionTower`` also leaves its power basis and four
+memos out of the pickle, so a copy starts them empty, as a tower built apart
+does: two lists of the W_L of every W ⊆ k^n per n, one for
+``closure_oracle`` and one for ``weight_Mr``, each kept only while k^n has
+at most ``_SUPERSPACE_LIMIT`` subspaces, D_r's maxwt per extended
+code (one entry per k-subspace of k^n at most), and the table of one
+``LinearCode`` per distinct code (``ranksupport._code``), whose weak
+references keep no more than the codes still in use.
 """
 
 from __future__ import annotations
@@ -952,7 +958,8 @@ def build_base_field(desc: BaseFieldDescriptor, symbol: str = "u") -> Field:
 class ExtensionTower:
     """A finite extension L = k[x]/(f) with its power basis and coordinate map."""
 
-    __slots__ = ("base_descriptor", "k", "L", "degree", "_basis", "_separable", "_traces", "_superspaces")
+    __slots__ = ("base_descriptor", "k", "L", "degree", "_basis", "_separable", "_traces", "_superspaces",
+                 "_extensions", "_closure_maxwt", "_code_table")
 
     def __init__(self, base_descriptor, k, L):
         self.base_descriptor = base_descriptor
@@ -962,16 +969,23 @@ class ExtensionTower:
         self._basis = None  # basis fills it on first use
         self._separable = None  # is_separable_tower fills it on first use
         self._traces = None  # _trace_codes fills it with the k-codes of Tr(w^i) on first use
-        self._superspaces = None  # ranksupport.closure_oracle: n -> every W_L of k^n, on first use
+        # ranksupport.closure_oracle: n -> every W_L of k^n; weights.weight_Mr: (n, d) -> the
+        # W_L of dim d, as far as scans have read; each kept while k^n has <= _SUPERSPACE_LIMIT subspaces
+        self._superspaces = self._extensions = None
+        # weights.weight_Dr: (n, codes of a closure W_L) -> maxwt(W_L), one entry per W ⊆ k^n at most
+        self._closure_maxwt = None
+        # ranksupport._code: (n, codes) -> the one LinearCode, held weakly: at most the live codes
+        self._code_table = None
 
     def __getstate__(self):
-        # the basis and the oracle's superspaces are rebuilt where the copy is loaded
-        return None, {s: getattr(self, s) for s in self.__slots__ if s not in ("_basis", "_superspaces")}
+        # the basis and the four memos are rebuilt where the copy is loaded
+        lazy = ("_basis", "_superspaces", "_extensions", "_closure_maxwt", "_code_table")
+        return None, {s: getattr(self, s) for s in self.__slots__ if s not in lazy}
 
     def __setstate__(self, state):
         for s, value in state[1].items():
             setattr(self, s, value)
-        self._basis = self._superspaces = None
+        self._basis = self._superspaces = self._extensions = self._closure_maxwt = self._code_table = None
 
     @property
     def basis(self) -> tuple:

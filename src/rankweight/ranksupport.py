@@ -10,9 +10,14 @@ vectors of k^n that contains C; it equals the L-extension of the rank
 support, and ``closure_oracle`` recomputes it literally as the intersection
 of all extended superspaces for cross-checking on finite fields.
 
-Rsupp(C), C^perp and Res(C) are computed once per code: ``rank_support_code``,
-``dual`` and ``restriction`` fill write-once slots on the ``LinearCode`` the
-first time they are asked, and return the stored value after that.
+Rsupp(C), C^perp and Res(C) are computed once per distinct code per tower:
+``rank_support_code``, ``dual`` and ``restriction`` fill write-once slots on
+the ``LinearCode`` the first time they are asked, and return the stored value
+after that, and the tower keeps one ``LinearCode`` per distinct code
+(``_code``).  The verify populations and the subcodes of the weight
+definitions are made through that table, so a subcode met again, in another
+code or as a code of the population, brings its slots with it.  The table
+holds its codes weakly: a code no caller keeps leaves it.
 ``restriction`` reads Res(C) = C ∩ k^n off one reduction of the canonical
 generators' coordinates; it never touches C^perp or a rank support.  The
 Delsarte identity Res(C)^perp = Rsupp(C^perp) therefore compares two
@@ -33,6 +38,7 @@ expansion's codes, and ``expand_vector`` decodes them.  Only
 from __future__ import annotations
 
 import operator
+import weakref
 from math import gcd, lcm
 from typing import Sequence
 
@@ -90,7 +96,7 @@ class LinearCode:
     compares two independent computations.
     """
 
-    __slots__ = ("tower", "length", "space", "_rsupp", "_dual", "_res")
+    __slots__ = ("tower", "length", "space", "_rsupp", "_dual", "_res", "__weakref__")
 
     def __init__(self, tower: ExtensionTower, length: int, space: Subspace):
         if space.ambient_dim != length or space.field != tower.L:
@@ -136,6 +142,42 @@ class LinearCode:
 
     def __repr__(self):
         return f"LinearCode(dim {self.dim} of L^{self.length} over {self.tower})"
+
+
+def _code(tower: ExtensionTower, length: int, space: Subspace, keep: bool = True) -> LinearCode:
+    """The tower's one ``LinearCode`` with this space, made on a miss.
+
+    The table (``ExtensionTower._code_table``) maps the length and the
+    canonical codes to a ``_Entry``, a weak reference that drops itself from
+    the table when its code is freed, so the table keeps no code its callers
+    have dropped.  A ``weakref.WeakValueDictionary`` does the same at twice
+    the cost per lookup, which a cold CLI ``weights`` call, making each
+    subcode once, shows.  A code made on a miss is entered only when ``keep``
+    is set; a caller whose codes seldom recur (the pair sums of
+    ``check_closure_pair``) only looks up.
+    """
+    table = tower._code_table
+    if table is None:
+        table = tower._code_table = {}
+    key = length, space._codes
+    entry = table.get(key)
+    code = None if entry is None else entry()
+    if code is None:
+        code = LinearCode(tower, length, space)
+        if keep:
+            entry = table[key] = _Entry(code, _Entry.drop)
+            entry.table, entry.key = table, key
+    return code
+
+
+class _Entry(weakref.ref):
+    """A weak reference to a code in a tower's code table, with its place there."""
+
+    __slots__ = ("table", "key")
+
+    def drop(self):
+        """The callback when the code is freed: its entry leaves the table."""
+        self.table.pop(self.key, None)
 
 
 class ExpandedMatrix:
@@ -298,10 +340,11 @@ def closure(C: LinearCode) -> LinearCode:
     return extend_to_L(rank_support_code(C))
 
 
-# closure_oracle keeps every W_L of k^n on the tower while there are at most
-# this many subspaces W; above it, they are built again for each code.  A
-# kept W_L takes about 0.8 KB (2,825 of them, all of GF(2)^6 in GF(8)^6,
-# take 2.4 MB), so the list stays under about 3.5 MB per (tower, n).
+# closure_oracle and weights.weight_Mr each keep every W_L of k^n on the tower
+# while there are at most this many subspaces W; above it, they are built
+# again for each code.  A kept W_L takes about 0.5 KB (2,825 of them, all of
+# GF(2)^6 in GF(8)^6, take 1.3 MB in either list), so each list stays under
+# about 2 MB per (tower, n).
 _SUPERSPACE_LIMIT = 4096
 
 

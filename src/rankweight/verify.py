@@ -42,6 +42,7 @@ from .linalg import (
 )
 from .ranksupport import (
     LinearCode,
+    _code,
     closure,
     closure_oracle,
     dual,
@@ -124,11 +125,12 @@ def standard_plan(theorem: str = "all", workers: int = 1, seed: int = 0) -> Veri
 
 
 def exhaustive_codes(tower, n: int) -> List[LinearCode]:
-    """Every L-subspace of L^n; the census is checked against Gaussian binomials."""
+    """Every L-subspace of L^n, each the tower's one code for it (``ranksupport._code``);
+    the census is checked against Gaussian binomials."""
     out = []
     for r in range(n + 1):
         for s in enumerate_subspaces(tower.L, n, r):
-            out.append(LinearCode(tower, n, s))
+            out.append(_code(tower, n, s))
     expected = sum(gaussian_binomial(n, r, tower.L.order) for r in range(n + 1))
     if len(out) != expected:
         raise InternalInvariantError("subspace census disagrees with the Gaussian binomials")
@@ -136,7 +138,8 @@ def exhaustive_codes(tower, n: int) -> List[LinearCode]:
 
 
 def random_codes(tower, max_n: int, count: int, rng: random.Random, height: int = 5) -> List[LinearCode]:
-    """Seeded random codes; dimensions <= 2 over infinite bases to keep exactness cheap."""
+    """Seeded random codes, each the tower's one code for its space (``ranksupport._code``);
+    dimensions <= 2 over infinite bases to keep exactness cheap."""
     out = []
     finite = tower.L.order is not None
     # L's codes in element order, so a draw picks what choice(list(L.elements())) would
@@ -149,7 +152,7 @@ def random_codes(tower, max_n: int, count: int, rng: random.Random, height: int 
         else:
             gens = [[random_rational_element(tower, rng, height) for _ in range(n)] for _ in range(dim)]
             space = Subspace.from_vectors(tower.L, n, gens)
-        out.append(LinearCode(tower, n, space))
+        out.append(_code(tower, n, space))
     return out
 
 
@@ -240,7 +243,8 @@ def check_closure(code: LinearCode, params) -> int:
 def check_closure_pair(codes, params) -> int:
     a, b = codes
     t, n = a.tower, a.length
-    total = LinearCode(t, n, subspace_sum(a.space, b.space))
+    # a sum already in the population is found with its rank support; a new one is not kept
+    total = _code(t, n, subspace_sum(a.space, b.space), keep=False)
     lhs = closure(total).space
     rhs = subspace_sum(closure(a).space, closure(b).space)
     if lhs != rhs:

@@ -16,6 +16,22 @@ elementary bounds: a minimum stops at wt_R(D) = dim D for d_Rr, at weight 1
 (a nonzero codeword has weight >= 1) for the rank distance, OS_r and D_r,
 and at dim V = r for M_r; a maxwt scan stops at wt_R(c) = min(m, n).
 
+Three things are kept per tower, so that a sweep does each piece of work
+once:
+
+* subcodes come from the tower's table of codes (``ranksupport._code``), so
+  a subcode met again brings the rank support, dual and restriction it has;
+* ``weight_Mr`` reads the W_L per length and dim W from lists extended as
+  far as a scan has read (``_extensions``).  They are not
+  ``closure_oracle``'s list, which embeds and reduces each W_L literally at
+  three times the cost of ``extend_to_L``, a cost a single CLI query would
+  pay for every W it reads;
+* ``weight_Dr`` keeps maxwt of each closure in a memo of its own
+  (``ExtensionTower._closure_maxwt``), so each distinct closure is walked
+  once per tower.  The value is the literal codeword walk of ``maxwt``,
+  never maxwt(W_L) = min(m, dim W), and no other definition reads the memo:
+  OS_r walks every subcode it meets.
+
 Every field has a kernel (see ``fields``), and subcodes, codeword scans and
 witness candidates are built on its codes.  Every codeword scan (rank
 distance, maxwt, exhaustive witness search) goes through ``_codewords``,
@@ -56,11 +72,14 @@ from .linalg import (
     _rref_coded,
     decode_rows,
     enumerate_subspaces,
+    gaussian_binomial,
     subspace_sum,
 )
 from .ranksupport import (
     KSubspace,
     LinearCode,
+    _SUPERSPACE_LIMIT,
+    _code,
     _coded_expansion,
     closure,
     extend_to_L,
@@ -167,7 +186,7 @@ def _subcodes(C: LinearCode, r: int):
                     term = g if a == 1 else scale(g, a)
                     acc = term if acc is None else tuple(map(add, acc, term))
             rows.append(tuple(acc))  # an RREF row is nonzero
-        yield LinearCode(t, n, Subspace(L, n, tuple(rows)))
+        yield _code(t, n, Subspace(L, n, tuple(rows)))
 
 
 def _require_finite(C: LinearCode, what: str):
@@ -209,17 +228,61 @@ def weight_dRr(C: LinearCode, r: int) -> int:
 
 
 def weight_Mr(C: LinearCode, r: int) -> int:
-    """Min dimension of an extended subspace meeting C in dimension >= r."""
+    """Min dimension of an extended subspace meeting C in dimension >= r.
+
+    The W_L are read from the tower's lists (``_extensions``).
+    """
     _check_r(C, r)
     _require_finite(C, "weight_Mr")
     t, n = C.tower, C.length
     for d in range(r, n + 1):  # dim(C ∩ V) <= dim V, so start at r
-        for w in enumerate_subspaces(t.k, n, d):
-            v = extend_to_L(KSubspace(t, n, w)).space
-            meet_dim = C.dim + d - subspace_sum(C.space, v).dim
-            if meet_dim >= r:
+        for v in _extensions(t, n, d):
+            if C.dim + d - subspace_sum(C.space, v).dim >= r:
                 return d
     raise InternalInvariantError("unreachable: the full space always meets C in dim C")
+
+
+def _extensions(t: ExtensionTower, n: int, d: int):
+    """extend_to_L(W) for every d-dimensional W ⊆ k^n, in enumeration order.
+
+    While k^n has at most _SUPERSPACE_LIMIT subspaces, as for
+    ``closure_oracle``'s list, they are kept on the tower per (n, d)
+    (``ExtensionTower._extensions``), each extended when a scan first reaches
+    it, since M_r's scan stops at its first hit; above that each scan
+    extends them again.
+    """
+    memo = t._extensions
+    if memo is None:
+        memo = t._extensions = {}
+    spaces = memo.get((n, d))
+    if spaces is None:
+        source = (extend_to_L(KSubspace(t, n, w)).space for w in enumerate_subspaces(t.k, n, d))
+        if sum(gaussian_binomial(n, e, t.k.order) for e in range(n + 1)) > _SUPERSPACE_LIMIT:
+            return source
+        spaces = memo[n, d] = _Grown(source)
+    return spaces.read()
+
+
+class _Grown(list):
+    """The items an iterator has given so far, read on into it on demand."""
+
+    __slots__ = ("source",)
+
+    def __init__(self, source):
+        super().__init__()
+        self.source = source
+
+    def read(self):
+        """Every item in order, taking from the iterator those no read has reached yet."""
+        i = 0
+        while True:
+            if i == len(self):
+                item = next(self.source, self)  # self marks the end
+                if item is self:
+                    return
+                self.append(item)
+            yield self[i]
+            i += 1
 
 
 def weight_OSr(C: LinearCode, r: int) -> int:
@@ -230,10 +293,26 @@ def weight_OSr(C: LinearCode, r: int) -> int:
 
 
 def weight_Dr(C: LinearCode, r: int) -> int:
-    """Min over r-dimensional subcodes of the maximum weight of the closure."""
+    """Min over r-dimensional subcodes of the maximum weight of the closure.
+
+    maxwt of a closure is walked once per tower and then read from the
+    tower's memo, keyed by the length and the closure's canonical codes.
+    """
     _check_r(C, r)
     _require_finite(C, "weight_Dr")
-    return _least((maxwt(closure(D)) for D in _subcodes(C, r)), 1)
+    t, n = C.tower, C.length
+    memo = t._closure_maxwt
+    if memo is None:
+        memo = t._closure_maxwt = {}
+
+    def closure_maxwt(D):
+        star = closure(D)
+        key = n, star.space._codes
+        if key not in memo:
+            memo[key] = maxwt(star)
+        return memo[key]
+
+    return _least(map(closure_maxwt, _subcodes(C, r)), 1)
 
 
 def weight_values(C: LinearCode, r: int) -> tuple:

@@ -3,11 +3,12 @@
 import ast
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
 import rankweight
-from rankweight import cli, ranksupport, verify
+from rankweight import cli, ranksupport, verify, weights
 from rankweight.documents import document_from_code, document_to_json
 from rankweight.linalg import Subspace, subspace_sum
 from rankweight.ranksupport import KSubspace, is_extended, rank_support_code, restriction
@@ -489,6 +490,71 @@ def test_witness_gate_flags_each_kind():
     assert flagged == [False] + [True] * 7 + [False]
 
 
+DR_MEMO = "_closure_maxwt"
+# what weight_Dr would name to read maxwt(W_L) = min(m, dim W) off the closure instead of walking it
+DR_BANNED = {"min", "len", "dim", "degree", "rank_support_code", "restriction"}
+
+
+def _dr_memo_offences(sources):
+    """Where D_r's memo of maxwt per closure reaches past weight_Dr, or D_r stops walking.
+
+    Across sources (module name -> source) only ``weight_Dr`` of weights.py
+    names DR_MEMO, as an attribute, a name or a string, besides the class
+    ``ExtensionTower`` of fields.py that declares it; ``weight_Dr`` calls
+    ``maxwt`` and names none of DR_BANNED.
+    """
+    owners = {("weights", "weight_Dr"), ("fields", "ExtensionTower")}
+    offences, walker = [], None
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        allowed = set()
+        for node in tree.body:
+            if (module, getattr(node, "name", None)) in owners:
+                allowed |= {id(inner) for inner in ast.walk(node)}
+                if module == "weights":
+                    walker = node
+        for node in ast.walk(tree):
+            ident = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if ident == DR_MEMO or isinstance(node, ast.Constant) and node.value == DR_MEMO:
+                if id(node) not in allowed:
+                    offences.append(f"{module}:{node.lineno} names {DR_MEMO}")
+    if walker is None:
+        return offences + ["no weight_Dr"]
+    walks = False
+    for node in ast.walk(walker):
+        ident = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if ident in DR_BANNED:
+            offences.append(f"weight_Dr:{node.lineno} names {ident}")
+        walks |= isinstance(node, ast.Call) and getattr(node.func, "id", None) == "maxwt"
+    if not walks:
+        offences.append("weight_Dr calls no maxwt")
+    return offences
+
+
+def test_only_weight_Dr_reads_its_memo_and_it_walks_every_closure():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert _dr_memo_offences(sources) == []
+
+
+def test_dr_memo_gate_flags_each_kind():
+    tower = "class ExtensionTower:\n    __slots__ = ('_closure_maxwt',)\n"
+    clean = "def weight_Dr(C, r):\n    memo = C.tower._closure_maxwt\n" \
+            "    return _least(memo.setdefault(key, maxwt(closure(D))) for D in subs)\n"
+    cases = [
+        {"fields": tower, "weights": clean},
+        {"weights": clean + "def weight_OSr(C, r):\n    return C.tower._closure_maxwt[key]\n"},
+        {"weights": clean, "ranksupport": "memo = getattr(t, '_closure_maxwt')\n"},
+        {"weights": clean, "fields": "def reset(t):\n    t._closure_maxwt = {}\n"},
+        {"weights": clean.replace("maxwt(closure(D))", "min(t.degree, closure(D).dim) or maxwt(closure(D))")},
+        {"weights": clean.replace("maxwt(closure(D))", "len(closure(D).space._codes) or maxwt(closure(D))")},
+        {"weights": clean.replace("maxwt(closure(D))", "rank_support_code(D).dim")},
+        {"weights": clean.replace("maxwt(closure(D))", "walk(closure(D))")},
+        {"weights": clean.replace("def weight_Dr", "def weight_D")},
+        {"weights": clean + "note = 'the _closure_maxwt memo'\n"},  # prose, not the name
+    ]
+    assert [bool(_dr_memo_offences(c)) for c in cases] == [False] + [True] * 8 + [False]
+
+
 def _unreferenced_private(sources):
     """The private top-level functions and classes of sources (module name ->
     source) that no code in sources names outside their own definition."""
@@ -557,6 +623,33 @@ def test_wrong_restriction_fails_delsarte_suite(monkeypatch):
         assert entry["failures"] == len(docs) > 0
         assert entry["assertions"] == entry["items"] - len(docs)
         assert {f["message"] for f in rep["failures"]} == {"Res(C)^perp != Rsupp(C^perp)"}
+        assert [f["documents"][0] for f in rep["failures"]] == docs
+
+
+def test_wrong_maxwt_fails_equivdef_suite(monkeypatch):
+    """maxwt made one too large: OS_r and D_r then read d_Rr + 1 at r = 1 for every nonzero code.
+
+    A run before the patch fills every memo it can reach.  D_r failing with
+    the wrong value after it shows that no memo carries a maxwt from one run
+    into the next.
+    """
+    assert run_verify(standard_plan(theorem="equivdef"))["ok"]
+    expected = []
+    for task in standard_plan().towers:
+        tower = task.build()
+        codes = [c for n in range(1, task.max_n + 1) for c in exhaustive_codes(tower, n)]
+        expected.append([document_to_json(document_from_code(c)) for c in codes if c.dim])
+    real = weights.maxwt
+    monkeypatch.setattr(weights, "maxwt", lambda D: real(D) + 1)
+    summary = run_verify(standard_plan(theorem="equivdef"))
+    assert not summary["ok"]
+    pattern = re.compile(r"four definitions disagree at r=1: \(d_Rr, M_r, OS_r, D_r\) = \((\d+), (\d+), (\d+), (\d+)\)")
+    for rep, docs in zip(summary["towers"], expected):
+        entry = rep["checks"]["equivdef"]
+        assert entry["failures"] == len(docs) > 0 and entry["assertions"] == 0
+        for failure in rep["failures"]:
+            d_rr, m_r, os_r, d_r = map(int, pattern.fullmatch(failure["message"]).groups())
+            assert d_rr == m_r and os_r == d_r == d_rr + 1
         assert [f["documents"][0] for f in rep["failures"]] == docs
 
 

@@ -4,6 +4,7 @@ multi-vector membership; codes as the stored form of a subspace, against
 towers with their tables off and against the literal element references of
 ``helpers``, on small towers and on towers above 4096 elements."""
 
+import gc
 import itertools
 import pickle
 import random
@@ -33,6 +34,7 @@ from rankweight.linalg import (
     Subspace,
     contains,
     enumerate_subspaces,
+    gaussian_binomial,
     kernel,
     orthogonal_complement,
     subspace_intersection,
@@ -53,8 +55,8 @@ from rankweight.ranksupport import (
     restriction,
     trace_image,
 )
-from rankweight.verify import check_closure_pair
-from rankweight.weights import _codewords, _subcodes, find_witness, rank_distance
+from rankweight.verify import check_closure_pair, exhaustive_codes
+from rankweight.weights import _codewords, _subcodes, find_witness, rank_distance, weight_Dr, weight_Mr
 
 from helpers import (
     all_codes,
@@ -252,10 +254,22 @@ def test_pickle_leaves_the_kernel_out():
     rank_support_code(code)
     closure_oracle(code)
     hash(warm.L)
+    population = exhaustive_codes(warm, 2)
+    assert weight_Dr(population[-1], 1) == weight_Mr(population[-1], 1) == 1
     assert warm.L._kern and warm.k._kern and warm._superspaces
+    assert warm._extensions and warm._closure_maxwt and warm._code_table
     assert pickle.dumps(warm) == pickle.dumps(cold)
     loaded = pickle.loads(pickle.dumps(warm))
     assert loaded.L._kern is None and loaded._superspaces is None and loaded == warm
+    assert loaded._extensions is None and loaded._closure_maxwt is None and loaded._code_table is None
+    # an equal tower built apart has memos of its own, and a population of its own codes
+    assert cold == warm and cold._extensions is None and cold._closure_maxwt is None and cold._code_table is None
+    assert all(a == b and a is not b for a, b in zip(exhaustive_codes(cold, 2), population))
+    # the table holds its codes weakly: once the caller drops them, they leave it
+    assert len(warm._code_table) == len(population) == gaussian_binomial(2, 1, 16) + 2
+    del population
+    gc.collect()
+    assert len(warm._code_table) == 0
     assert closure_oracle(LinearCode(loaded, 2, code.space)) == closure_oracle(code)
     again = LinearCode.from_generators(loaded, 2, [[loaded.L.one(), loaded.generator()]])
     assert again.space == code.space and rank_distance(again) == rank_distance(code)

@@ -19,10 +19,11 @@ from helpers import (
 )
 from rankweight import weights
 from rankweight.errors import AmbientMismatch, BadR, FieldMismatch, InfiniteField, SearchExhausted, ZeroCode
-from rankweight.fields import FieldElement
+from rankweight.fields import BaseFieldDescriptor, FieldElement, make_tower
 from rankweight.linalg import Subspace, _encode, decode_rows, gaussian_binomial
 from rankweight.ranksupport import (
     LinearCode,
+    closure,
     embed_vector,
     is_extended,
     rank_support_code,
@@ -287,6 +288,76 @@ def test_each_weight_is_computed_without_the_other_three(monkeypatch):
                     mp.setattr(weights, other, refuse)
             fn = getattr(weights, name)
             assert [fn(c, r) for c, r in cases] == expected[name], name
+
+
+def _count_maxwt(monkeypatch):
+    """Rebind weights.maxwt to record (length, space) of every code it walks."""
+    walked, real = [], weights.maxwt
+
+    def counted(D):
+        walked.append((D.length, D.space))
+        return real(D)
+
+    monkeypatch.setattr(weights, "maxwt", counted)
+    return walked
+
+
+def test_weight_Dr_walks_each_distinct_closure_once_per_tower(monkeypatch):
+    # built apart from helpers.gf8, so its D_r memo starts empty
+    fresh = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
+    codes = [c for n in range(1, 4) for c in all_codes(fresh, n)]
+    cases = [(c, r) for c in codes for r in range(1, c.dim + 1)]
+    closures = {(c.length, closure(D).space) for c, r in cases for D in _subcodes(c, r)}
+    # a closure is W_L for a W ⊆ k^n of dim >= 1: 1, 3 + 1 and 7 + 7 + 1 of them for n = 1, 2, 3
+    assert len(closures) == sum(gaussian_binomial(n, d, 2) for n in range(1, 4) for d in range(1, n + 1))
+    walked = _count_maxwt(monkeypatch)
+    values = [weight_Dr(c, r) for c, r in cases]
+    assert len(walked) == len(set(walked)) and set(walked) <= closures
+    assert values == [weight_dRr(c, r) for c, r in cases]  # n <= m: the theorem
+    walked.clear()
+    assert [weight_Dr(c, r) for c, r in cases] == values and walked == []
+
+
+def test_weight_OSr_keeps_walking_after_weight_Dr(monkeypatch):
+    fresh = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
+    cases = [(c, r) for n in (1, 2) for c in all_codes(fresh, n) for r in range(1, c.dim + 1)]
+    for c, r in cases:
+        weight_Dr(c, r)
+    assert fresh._closure_maxwt
+    walked = _count_maxwt(monkeypatch)
+    for c, r in cases:
+        subcodes = list(_subcodes(c, r))
+        weights_of = [maxwt(D) for D in subcodes]  # the unpatched maxwt, imported before the patch
+        stop = weights_of.index(1) + 1 if 1 in weights_of else len(subcodes)  # _least stops at 1
+        walked.clear()
+        assert weight_OSr(c, r) == min(weights_of)
+        assert walked == [(D.length, D.space) for D in subcodes[:stop]]
+
+
+def test_weight_Mr_extends_each_W_once_per_tower(monkeypatch):
+    fresh = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
+    cases = [(c, r) for n in range(1, 4) for c in all_codes(fresh, n) for r in range(1, c.dim + 1)]
+    expected = [weight_dRr(c, r) for c, r in cases]  # n <= m: the theorem
+    extended, real = [], weights.extend_to_L
+    monkeypatch.setattr(weights, "extend_to_L", lambda W: extended.append((W.length, W.space)) or real(W))
+    assert [weight_Mr(c, r) for c, r in cases] == expected
+    subspaces = sum(gaussian_binomial(n, d, 2) for n in range(1, 4) for d in range(1, n + 1))
+    assert len(extended) == len(set(extended)) <= subspaces
+    # above the bound nothing is kept, and every scan extends again
+    again = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
+    monkeypatch.setattr(weights, "_SUPERSPACE_LIMIT", 1)
+    extended.clear()
+    cases = [(c, r) for n in range(1, 4) for c in all_codes(again, n) for r in range(1, c.dim + 1)]
+    assert [weight_Mr(c, r) for c, r in cases] == expected
+    assert again._extensions == {} and len(extended) > subspaces
+
+
+def test_grown_list_keeps_order_when_reads_interleave():
+    grown = weights._Grown(iter(range(5)))
+    a, b = grown.read(), grown.read()
+    assert [next(a), next(a), next(b), next(b), next(b), next(a), next(a)] == [0, 1, 0, 1, 2, 2, 3]
+    assert list(b) == [3, 4] and list(a) == [4] and grown == [0, 1, 2, 3, 4]
+    assert list(weights._Grown(iter(())).read()) == []
 
 
 def test_witness_sweep_small_towers():
