@@ -52,27 +52,21 @@ from .fields import (
 from .ranksupport import LinearCode
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
-_KINDS = (None, "num", "name", "sym")  # by the index of the group that matched
+_TOKENS = re.compile(f"(?:{_TOKEN.pattern})*")  # a run of tokens from the start
 
 
 def _tokenize(text: str):
-    """(kind, value) tokens, read in one pass.
+    """(kind, value) tokens: one anchored match finds how far tokens cover
+    the text, and ``findall`` reads them.
 
     An error gives the offset where the rest that no token covers begins,
     its leading whitespace included.
     """
-    tokens = []
-    pos = 0
-    for m in _TOKEN.finditer(text):
-        if m.start() != pos:
-            break
-        kind = _KINDS[m.lastindex]
-        value = m.group(m.lastindex)
-        tokens.append((kind, int(value) if kind == "num" else value))
-        pos = m.end()
+    pos = _TOKENS.match(text).end()
     if pos != len(text):
         raise ParseError(f"cannot tokenize element string {text!r} at offset {pos}")
-    return tokens
+    return [("num", int(num)) if num else ("name", name) if name else ("sym", sym)
+            for num, name, sym in _TOKEN.findall(text)]
 
 
 class _ElementParser:

@@ -64,13 +64,15 @@ the numerators over the common denominator, each reduced.
 k-code is also the L-code of its embedding, and over Q the code (n, d)
 becomes (n, 0, ..., 0, d).  A kernel lives on its field object and is left
 out of the pickle, so a worker process rebuilds it; the same holds for the
-cached hash.  An ``ExtensionTower`` also leaves its power basis and four
+cached hash.  An ``ExtensionTower`` also leaves its power basis and six
 memos out of the pickle, so a copy starts them empty, as a tower built apart
 does: two lists of the W_L of every W ⊆ k^n per n, one for
 ``closure_oracle`` and one for ``weight_Mr``, each kept only while k^n has
-at most ``_SUPERSPACE_LIMIT`` subspaces, D_r's maxwt per extended
-code (one entry per k-subspace of k^n at most), and the table of one
-``LinearCode`` per distinct code (``ranksupport._code``), whose weak
+at most ``_SUPERSPACE_LIMIT`` subspaces; the coefficient matrices of the
+subcodes per (dim C, r), kept by the same rule for L^(dim C); D_r's maxwt
+per extended code (one entry per k-subspace of k^n at most); the closure
+sums C* + C'* of the sum rule, one per pair of closures; and the table of
+one ``LinearCode`` per distinct code (``ranksupport._code``), whose weak
 references keep no more than the codes still in use.
 """
 
@@ -959,7 +961,7 @@ class ExtensionTower:
     """A finite extension L = k[x]/(f) with its power basis and coordinate map."""
 
     __slots__ = ("base_descriptor", "k", "L", "degree", "_basis", "_separable", "_traces", "_superspaces",
-                 "_extensions", "_closure_maxwt", "_code_table")
+                 "_extensions", "_subcode_coeffs", "_closure_maxwt", "_closure_sums", "_code_table")
 
     def __init__(self, base_descriptor, k, L):
         self.base_descriptor = base_descriptor
@@ -970,22 +972,27 @@ class ExtensionTower:
         self._separable = None  # is_separable_tower fills it on first use
         self._traces = None  # _trace_codes fills it with the k-codes of Tr(w^i) on first use
         # ranksupport.closure_oracle: n -> every W_L of k^n; weights.weight_Mr: (n, d) -> the
-        # W_L of dim d, as far as scans have read; each kept while k^n has <= _SUPERSPACE_LIMIT subspaces
-        self._superspaces = self._extensions = None
+        # W_L of dim d, and weights._subcodes: (dim C, r) -> the codes of the r-dim subspaces of
+        # L^(dim C), as far as scans have read; each kept while the space has <= _SUPERSPACE_LIMIT subspaces
+        self._superspaces = self._extensions = self._subcode_coeffs = None
         # weights.weight_Dr: (n, codes of a closure W_L) -> maxwt(W_L), one entry per W ⊆ k^n at most
         self._closure_maxwt = None
+        # verify.check_closure_pair: (n, codes of C*, codes of C'*) -> C* + C'*, one entry per pair of closures
+        self._closure_sums = None
         # ranksupport._code: (n, codes) -> the one LinearCode, held weakly: at most the live codes
         self._code_table = None
 
     def __getstate__(self):
-        # the basis and the four memos are rebuilt where the copy is loaded
-        lazy = ("_basis", "_superspaces", "_extensions", "_closure_maxwt", "_code_table")
+        # the basis and the six memos are rebuilt where the copy is loaded
+        lazy = ("_basis", "_superspaces", "_extensions", "_subcode_coeffs", "_closure_maxwt", "_closure_sums",
+                "_code_table")
         return None, {s: getattr(self, s) for s in self.__slots__ if s not in lazy}
 
     def __setstate__(self, state):
         for s, value in state[1].items():
             setattr(self, s, value)
-        self._basis = self._superspaces = self._extensions = self._closure_maxwt = self._code_table = None
+        self._basis = self._superspaces = self._extensions = self._subcode_coeffs = None
+        self._closure_maxwt = self._closure_sums = self._code_table = None
 
     @property
     def basis(self) -> tuple:

@@ -285,16 +285,29 @@ def contains(a: Subspace, *vectors: Sequence[FieldElement]) -> bool:
 
 def _reduces_to_zero(kern, rows, vectors) -> bool:
     """True iff every coded vector reduces to zero against coded canonical rows."""
+    return not _residues(kern, rows, vectors, 1)
+
+
+def _residues(kern, rows, vectors, limit=None) -> list:
+    """The nonzero residues of coded vectors reduced against coded canonical rows.
+
+    A residue is zero in every pivot column of the rows, so the residues
+    span (span(rows) + span(vectors)) / span(rows) in the columns off the
+    pivots.  The scan stops once ``limit`` nonzero residues are found.
+    """
     one = kern.one  # a canonical row's first nonzero entry, its pivot, is one
     rows = [(row.index(one), row) for row in rows]
+    out = []
     for residue in vectors:
         for pivot, row in rows:
             c = residue[pivot]
             if c:
                 residue = kern.sub_scaled(residue, c, row)
         if any(residue):
-            return False
-    return True
+            out.append(residue)
+            if len(out) == limit:
+                break
+    return out
 
 
 def enumerate_subspaces(field: Field, ambient_dim: int, dim: int) -> Iterator[Subspace]:

@@ -10,14 +10,17 @@ vectors of k^n that contains C; it equals the L-extension of the rank
 support, and ``closure_oracle`` recomputes it literally as the intersection
 of all extended superspaces for cross-checking on finite fields.
 
-Rsupp(C), C^perp and Res(C) are computed once per distinct code per tower:
-``rank_support_code``, ``dual`` and ``restriction`` fill write-once slots on
-the ``LinearCode`` the first time they are asked, and return the stored value
-after that, and the tower keeps one ``LinearCode`` per distinct code
-(``_code``).  The verify populations and the subcodes of the weight
-definitions are made through that table, so a subcode met again, in another
-code or as a code of the population, brings its slots with it.  The table
-holds its codes weakly: a code no caller keeps leaves it.
+Rsupp(C), C^perp, Res(C) and C* are computed once per distinct code per
+tower: ``rank_support_code``, ``dual``, ``restriction`` and ``closure`` fill
+write-once slots on the ``LinearCode`` the first time they are asked, and
+return the stored value after that, and the tower keeps one ``LinearCode``
+per distinct code (``_code``).  The verify populations, the subcodes of the
+weight definitions and the closures are made through that table, so a code
+met again, as a subcode, a closure or a code of the population, brings its
+slots with it.  The table holds its codes weakly: a code no caller keeps
+leaves it.  An extended code is its own closure; the cycle this makes is
+freed by the garbage collector, and there is at most one such code per
+k-subspace in the table.
 ``restriction`` reads Res(C) = C ∩ k^n off one reduction of the canonical
 generators' coordinates; it never touches C^perp or a rank support.  The
 Delsarte identity Res(C)^perp = Rsupp(C^perp) therefore compares two
@@ -88,15 +91,16 @@ class LinearCode:
     """An L-linear subspace C of L^n in canonical reduced echelon form.
 
     A code is immutable: ``tower``, ``length`` and ``space`` fix it, and only
-    they take part in equality and hashing.  The slots ``_rsupp``, ``_dual``
-    and ``_res`` hold Rsupp(C), C^perp and Res(C); each is None until
-    ``rank_support_code``, ``dual`` or ``restriction`` first computes it, and
-    is never written again after that.  Res(C) is computed from ``space``
-    alone, never from ``_dual`` or ``_rsupp``, so Res(C)^perp = Rsupp(C^perp)
-    compares two independent computations.
+    they take part in equality and hashing.  The slots ``_rsupp``, ``_dual``,
+    ``_res`` and ``_closure`` hold Rsupp(C), C^perp, Res(C) and C*; each is
+    None until ``rank_support_code``, ``dual``, ``restriction`` or
+    ``closure`` first computes it, and is never written again after that.
+    Res(C) is computed from ``space`` alone, never from ``_dual`` or
+    ``_rsupp``, so Res(C)^perp = Rsupp(C^perp) compares two independent
+    computations.
     """
 
-    __slots__ = ("tower", "length", "space", "_rsupp", "_dual", "_res", "__weakref__")
+    __slots__ = ("tower", "length", "space", "_rsupp", "_dual", "_res", "_closure", "__weakref__")
 
     def __init__(self, tower: ExtensionTower, length: int, space: Subspace):
         if space.ambient_dim != length or space.field != tower.L:
@@ -104,7 +108,7 @@ class LinearCode:
         self.tower = tower
         self.length = length
         self.space = space
-        self._rsupp = self._dual = self._res = None
+        self._rsupp = self._dual = self._res = self._closure = None
 
     @classmethod
     def from_generators(cls, tower: ExtensionTower, length: int, vectors) -> "LinearCode":
@@ -336,15 +340,24 @@ def is_rank_degenerate(C: LinearCode) -> bool:
 
 
 def closure(C: LinearCode) -> LinearCode:
-    """C* = Rsupp(C)_L: the smallest extended L-subspace containing C."""
-    return extend_to_L(rank_support_code(C))
+    """C* = Rsupp(C)_L: the smallest extended L-subspace containing C.
+
+    Computed once per code: the slot ``_closure`` keeps C itself when C is
+    extended, else the tower's one code for C* (``_code``), which brings its
+    own slots.
+    """
+    if C._closure is None:
+        space = extend_to_L(rank_support_code(C)).space
+        C._closure = C if space == C.space else _code(C.tower, C.length, space)
+    return C._closure
 
 
 # closure_oracle and weights.weight_Mr each keep every W_L of k^n on the tower
 # while there are at most this many subspaces W; above it, they are built
 # again for each code.  A kept W_L takes about 0.5 KB (2,825 of them, all of
 # GF(2)^6 in GF(8)^6, take 1.3 MB in either list), so each list stays under
-# about 2 MB per (tower, n).
+# about 2 MB per (tower, n).  weights._subcodes keeps the coefficient
+# matrices of the subspaces of L^(dim C) by the same rule.
 _SUPERSPACE_LIMIT = 4096
 
 
@@ -363,11 +376,11 @@ def closure_oracle(C: LinearCode) -> LinearCode:
     if t.k.order is None:
         raise InfiniteField("closure_oracle enumerates k-subspaces; k is infinite")
     n = C.length
-    result = Subspace.full(t.L, n)
+    result = None
     for wl in _extended_superspaces(t, n):
         if wl.contains_space(C.space):
-            result = subspace_intersection(result, wl)
-    return LinearCode(t, n, result)
+            result = wl if result is None else subspace_intersection(result, wl)
+    return LinearCode(t, n, result)  # the last W_L, L^n itself, contains C
 
 
 def _extended_superspaces(t: ExtensionTower, n: int):

@@ -15,7 +15,9 @@ Suites:
 * ``delsarte``  -- Res(C)^perp = Rsupp(C^perp), comparing the direct Res(C)
   of ``restriction`` with the rank support of ``dual``;
 * ``closure``   -- closure laws including the literal-intersection oracle and
-  the sum rule on pairs;
+  the sum rule (C + C')* = C* + C'* on pairs.  The right-hand side is summed
+  once per pair of closures per tower (``ExtensionTower._closure_sums``,
+  left out of the pickle); (C + C')* is computed for every pair;
 * ``trace``     -- Tr(C) = Rsupp(C) and the Res(C) = Tr(C) criterion;
 * ``all``       -- everything above.
 
@@ -246,7 +248,15 @@ def check_closure_pair(codes, params) -> int:
     # a sum already in the population is found with its rank support; a new one is not kept
     total = _code(t, n, subspace_sum(a.space, b.space), keep=False)
     lhs = closure(total).space
-    rhs = subspace_sum(closure(a).space, closure(b).space)
+    # C* + C'* is summed once per pair of closures per tower; only this side reads the memo
+    sums = t._closure_sums
+    if sums is None:
+        sums = t._closure_sums = {}
+    a_star, b_star = closure(a).space, closure(b).space
+    key = n, a_star._codes, b_star._codes
+    rhs = sums.get(key)
+    if rhs is None:
+        rhs = sums[key] = subspace_sum(a_star, b_star)
     if lhs != rhs:
         raise CheckFailure("(C+C')* != C* + C'*", [a, b])
     return 1

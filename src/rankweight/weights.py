@@ -16,16 +16,23 @@ elementary bounds: a minimum stops at wt_R(D) = dim D for d_Rr, at weight 1
 (a nonzero codeword has weight >= 1) for the rank distance, OS_r and D_r,
 and at dim V = r for M_r; a maxwt scan stops at wt_R(c) = min(m, n).
 
-Three things are kept per tower, so that a sweep does each piece of work
+Four things are kept per tower, so that a sweep does each piece of work
 once:
 
 * subcodes come from the tower's table of codes (``ranksupport._code``), so
-  a subcode met again brings the rank support, dual and restriction it has;
-* ``weight_Mr`` reads the W_L per length and dim W from lists extended as
-  far as a scan has read (``_extensions``).  They are not
-  ``closure_oracle``'s list, which embeds and reduces each W_L literally at
-  three times the cost of ``extend_to_L``, a cost a single CLI query would
-  pay for every W it reads;
+  a subcode met again brings the rank support, dual, restriction and
+  closure it has;
+* the RREF coefficient matrices of the r-dim subspaces of L^(dim C), which
+  d_R,r, OS_r and D_r combine with C's rows into subcodes, come from lists
+  per (dim C, r) extended as far as a scan has read (``_coefficients``);
+* ``weight_Mr`` reads the W_L per length and dim W from such lists too
+  (``_extensions``).  They are not ``closure_oracle``'s list, which embeds
+  and reduces each W_L literally at three times the cost of
+  ``extend_to_L``, a cost a single CLI query would pay for every W it
+  reads.  Both kinds of list follow one rule (``_kept``).  M_r tests each
+  W_L by rank: dim(C ∩ W_L) >= r iff C's canonical rows, reduced modulo
+  W_L's, leave residues of rank <= dim C - r (``_meets``), so C + W_L is
+  never built;
 * ``weight_Dr`` keeps maxwt of each closure in a memo of its own
   (``ExtensionTower._closure_maxwt``), so each distinct closure is walked
   once per tower.  The value is the literal codeword walk of ``maxwt``,
@@ -69,11 +76,11 @@ from .linalg import (
     Subspace,
     _encode,
     _reduces_to_zero,
+    _residues,
     _rref_coded,
     decode_rows,
     enumerate_subspaces,
     gaussian_binomial,
-    subspace_sum,
 )
 from .ranksupport import (
     KSubspace,
@@ -171,15 +178,16 @@ def _subcodes(C: LinearCode, r: int):
     starts with a 1 in column q_(p_i), and column q_(p_j) of SG is column p_j
     of S, which is zero outside row j.  So SG is again in canonical RREF.
     The rows of SG are combined on codes, read straight off the coded
-    coefficient subspaces.
+    coefficient matrices, which the tower lists once per (dim C, r)
+    (``_coefficients``).
     """
     t, n = C.tower, C.length
     L = t.L
     kern, G = L._kernel(), C.space._codes
     add, scale = kern.add, kern.scale
-    for s in enumerate_subspaces(L, C.dim, r):
+    for s in _coefficients(t, C.dim, r):
         rows = []
-        for coeffs in s._codes:
+        for coeffs in s:
             acc = None
             for a, g in zip(coeffs, G):
                 if a:
@@ -187,6 +195,18 @@ def _subcodes(C: LinearCode, r: int):
                     acc = term if acc is None else tuple(map(add, acc, term))
             rows.append(tuple(acc))  # an RREF row is nonzero
         yield _code(t, n, Subspace(L, n, tuple(rows)))
+
+
+def _coefficients(t: ExtensionTower, dim: int, r: int):
+    """The canonical codes of every r-dim subspace of L^dim, in enumeration order.
+
+    Kept on the tower per (dim, r) (``ExtensionTower._subcode_coeffs``) by
+    the rule of ``_kept``.
+    """
+    memo = t._subcode_coeffs
+    if memo is None:
+        memo = t._subcode_coeffs = {}
+    return _kept(memo, (dim, r), t.L, dim, lambda: (s._codes for s in enumerate_subspaces(t.L, dim, r)))
 
 
 def _require_finite(C: LinearCode, what: str):
@@ -230,37 +250,60 @@ def weight_dRr(C: LinearCode, r: int) -> int:
 def weight_Mr(C: LinearCode, r: int) -> int:
     """Min dimension of an extended subspace meeting C in dimension >= r.
 
-    The W_L are read from the tower's lists (``_extensions``).
+    The W_L are read from the tower's lists (``_extensions``), and each is
+    tested by rank (``_meets``), without building C + W_L.
     """
     _check_r(C, r)
     _require_finite(C, "weight_Mr")
     t, n = C.tower, C.length
+    kern, G = t.L._kernel(), C.space._codes
     for d in range(r, n + 1):  # dim(C ∩ V) <= dim V, so start at r
         for v in _extensions(t, n, d):
-            if C.dim + d - subspace_sum(C.space, v).dim >= r:
+            if _meets(kern, G, v._codes, C.dim - r):
                 return d
     raise InternalInvariantError("unreachable: the full space always meets C in dim C")
+
+
+def _meets(kern, G, v, slack: int) -> bool:
+    """dim(C ∩ V) >= dim C - slack, for C and V given by their canonical rows G and v.
+
+    dim(C ∩ V) = dim C - the rank of the residues of G modulo v, so C + V is
+    never built, and the residues are eliminated only when their count
+    alone does not decide.
+    """
+    residues = _residues(kern, v, G)
+    count = len(residues)
+    return count <= slack or count > 1 and len(_rref_coded(kern, residues, len(G[0]))[0]) <= slack
 
 
 def _extensions(t: ExtensionTower, n: int, d: int):
     """extend_to_L(W) for every d-dimensional W ⊆ k^n, in enumeration order.
 
-    While k^n has at most _SUPERSPACE_LIMIT subspaces, as for
-    ``closure_oracle``'s list, they are kept on the tower per (n, d)
-    (``ExtensionTower._extensions``), each extended when a scan first reaches
-    it, since M_r's scan stops at its first hit; above that each scan
-    extends them again.
+    Kept on the tower per (n, d) (``ExtensionTower._extensions``) by the
+    rule of ``_kept``: each W is extended when a scan first reaches it, since
+    M_r's scan stops at its first hit.
     """
     memo = t._extensions
     if memo is None:
         memo = t._extensions = {}
-    spaces = memo.get((n, d))
-    if spaces is None:
-        source = (extend_to_L(KSubspace(t, n, w)).space for w in enumerate_subspaces(t.k, n, d))
-        if sum(gaussian_binomial(n, e, t.k.order) for e in range(n + 1)) > _SUPERSPACE_LIMIT:
-            return source
-        spaces = memo[n, d] = _Grown(source)
-    return spaces.read()
+    return _kept(memo, (n, d), t.k, n,
+                 lambda: (extend_to_L(KSubspace(t, n, w)).space for w in enumerate_subspaces(t.k, n, d)))
+
+
+def _kept(memo: dict, key, field, n: int, make):
+    """The items of make() in order, kept in memo[key] while field^n has at
+    most _SUPERSPACE_LIMIT subspaces, as for ``closure_oracle``'s list.
+
+    A kept list is a ``_Grown``, read into make()'s iterator only as far as
+    some read has reached; above the bound nothing is kept, and every read
+    makes the items again.
+    """
+    items = memo.get(key)
+    if items is None:
+        if sum(gaussian_binomial(n, e, field.order) for e in range(n + 1)) > _SUPERSPACE_LIMIT:
+            return make()
+        items = memo[key] = _Grown(make())
+    return items.read()
 
 
 class _Grown(list):

@@ -12,7 +12,7 @@ from rankweight import cli, ranksupport, verify, weights
 from rankweight.documents import document_from_code, document_to_json
 from rankweight.linalg import Subspace, subspace_sum
 from rankweight.ranksupport import KSubspace, is_extended, rank_support_code, restriction
-from rankweight.verify import exhaustive_codes, run_verify, standard_plan
+from rankweight.verify import TowerTask, VerifyPlan, exhaustive_codes, run_verify, standard_plan
 
 PACKAGE_DIR = pathlib.Path(rankweight.__file__).resolve().parent
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
@@ -721,4 +721,23 @@ def test_wrong_closure_fails_the_closure_suite_on_the_oracle(monkeypatch):
 
 def test_closure_summaries_match_across_workers():
     summaries = [run_verify(standard_plan(theorem="closure", workers=w)) for w in (1, 2)]
+    assert summaries[0]["ok"] and json.dumps(summaries[0]) == json.dumps(summaries[1])
+
+
+# the benchmark's finite plan: the standard plan, a nested base and a tower with m > n
+FINITE_PLAN = [
+    TowerTask(2, (1, 1, 1), max_n=2),
+    TowerTask(2, (1, 1, 0, 1), max_n=3),
+    TowerTask(3, (1, 0, 1), max_n=2),
+    TowerTask(2, ("u", "1", "1"), base_degree=2, base_modulus=(1, 1, 1), max_n=2),
+    TowerTask(2, (1, 1, 0, 0, 1), max_n=2),
+]
+
+
+def test_finite_summaries_match_across_workers():
+    """Every per-tower memo follows its tower object.  A pool worker loads a
+    fresh tower for each chunk, often where a freed one lived, so a memo
+    keyed by anything that outlives the tower, such as its id, hands a
+    later chunk another tower's values, and the summaries differ."""
+    summaries = [run_verify(VerifyPlan(FINITE_PLAN, theorem="all", workers=w, force=True)) for w in (1, 2)]
     assert summaries[0]["ok"] and json.dumps(summaries[0]) == json.dumps(summaries[1])

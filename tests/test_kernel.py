@@ -55,7 +55,7 @@ from rankweight.ranksupport import (
     restriction,
     trace_image,
 )
-from rankweight.verify import check_closure_pair, exhaustive_codes
+from rankweight.verify import check_closure_pair, check_equivdef, exhaustive_codes
 from rankweight.weights import _codewords, _subcodes, find_witness, rank_distance, weight_Dr, weight_Mr
 
 from helpers import (
@@ -256,14 +256,16 @@ def test_pickle_leaves_the_kernel_out():
     hash(warm.L)
     population = exhaustive_codes(warm, 2)
     assert weight_Dr(population[-1], 1) == weight_Mr(population[-1], 1) == 1
-    assert warm.L._kern and warm.k._kern and warm._superspaces
-    assert warm._extensions and warm._closure_maxwt and warm._code_table
+    # every closure slot filled: extended codes keep themselves, the rest a code of the table
+    assert all(check_closure_pair(pair, {}) == 1 for pair in itertools.product(population, repeat=2))
+    assert all(closure(c)._closure is closure(c) for c in population)
+    memos = ("_superspaces", "_extensions", "_subcode_coeffs", "_closure_maxwt", "_closure_sums", "_code_table")
+    assert warm.L._kern and warm.k._kern and all(getattr(warm, memo) for memo in memos)
     assert pickle.dumps(warm) == pickle.dumps(cold)
     loaded = pickle.loads(pickle.dumps(warm))
-    assert loaded.L._kern is None and loaded._superspaces is None and loaded == warm
-    assert loaded._extensions is None and loaded._closure_maxwt is None and loaded._code_table is None
+    assert loaded.L._kern is None and loaded == warm and all(getattr(loaded, memo) is None for memo in memos)
     # an equal tower built apart has memos of its own, and a population of its own codes
-    assert cold == warm and cold._extensions is None and cold._closure_maxwt is None and cold._code_table is None
+    assert cold == warm and all(getattr(cold, memo) is None for memo in memos)
     assert all(a == b and a is not b for a, b in zip(exhaustive_codes(cold, 2), population))
     # the table holds its codes weakly: once the caller drops them, they leave it
     assert len(warm._code_table) == len(population) == gaussian_binomial(2, 1, 16) + 2
@@ -274,6 +276,23 @@ def test_pickle_leaves_the_kernel_out():
     again = LinearCode.from_generators(loaded, 2, [[loaded.L.one(), loaded.generator()]])
     assert again.space == code.space and rank_distance(again) == rank_distance(code)
     assert all(x.field is loaded.L for x in again.space.rows[0])
+
+
+def test_a_tower_loaded_where_a_freed_one_lived_starts_cold():
+    """A pool worker loads a tower per chunk, often at the address of one it
+    has freed; the memos belong to the tower object, so nothing carries over.
+    Equal codes of different towers share their ints, so a memo keyed by the
+    address would hand the later tower wrong closure sums and weights."""
+    memos = ("_subcode_coeffs", "_closure_maxwt", "_closure_sums", "_code_table")
+    blobs = [pickle.dumps(build()) for build in (gf4, gf8, gf9, gf16_over_gf2)]
+    for blob in blobs * 2:
+        t = pickle.loads(blob)
+        assert all(getattr(t, memo) is None for memo in memos)
+        codes = exhaustive_codes(t, 2)
+        assert [check_equivdef(c, {}) for c in codes] == [c.dim for c in codes]
+        assert all(check_closure_pair(pair, {}) == 1 for pair in itertools.product(codes, repeat=2))
+        del t, codes
+        gc.collect()
 
 
 def test_separability_is_computed_once_per_tower(monkeypatch):

@@ -23,7 +23,7 @@ from helpers import (
     rref_reference,
     vec,
 )
-from rankweight import ranksupport
+from rankweight import ranksupport, verify
 from rankweight.errors import InseparableTower, TowerMismatch
 from rankweight.fields import (
     BaseFieldDescriptor,
@@ -49,7 +49,7 @@ from rankweight.ranksupport import (
     restriction,
     trace_image,
 )
-from rankweight.verify import check_delsarte, check_trace, check_witness
+from rankweight.verify import check_closure_pair, check_delsarte, check_trace, check_witness
 
 SMALL_SWEEPS = [(gf4, 1), (gf4, 2), (gf8, 1), (gf8, 2), (gf9, 1), (gf9, 2)]
 
@@ -328,6 +328,40 @@ def test_closure_examples():
     assert closure_oracle(c) == LinearCode.full(t, 2)
     assert closure_oracle(ext) == ext
     assert closure_oracle(z) == z
+
+
+def test_closure_takes_each_rank_support_once_per_tower(monkeypatch):
+    # built apart from helpers.gf8, so its code table starts empty
+    fresh = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
+    codes = [c for n in range(1, 4) for c in all_codes(fresh, n)]
+    asked = _count_calls(monkeypatch, "rank_support_code")
+    closures = [closure(c) for c in codes]
+    assert [closure(c) for c in codes] == closures and all(closure(s) is s for s in closures)
+    # an extended code is its own closure, and every closure is the population's one code for it
+    ids = {id(c) for c in codes}
+    assert all(id(s) in ids for s in closures)
+    assert [closure(c) is c for c in codes] == [is_extended(c) for c in codes]
+    assert len(asked) == len(codes) and {id(args[0]) for args in asked} == ids
+    assert all(closure_oracle(c) == s for c, s in zip(codes, closures))
+    # an equal code built apart finds the same closure, or keeps itself when it is extended
+    for c, s in zip(codes, closures):
+        apart = LinearCode(fresh, c.length, c.space)
+        assert closure(apart) is (apart if s is c else s)
+
+
+def test_closure_sums_are_summed_once_per_pair_of_closures(monkeypatch):
+    # GF(16)/GF(2) at n = 2: 19 codes, and 5 closures, one per W ⊆ GF(2)^2
+    fresh = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 0, 1])
+    pairs = list(itertools.product(all_codes(fresh, 2), repeat=2))
+    star_pairs = {(closure(a).space, closure(b).space) for a, b in pairs}
+    summed, real = [], verify.subspace_sum
+    monkeypatch.setattr(verify, "subspace_sum", lambda a, b: summed.append((a, b)) or real(a, b))
+    assert all(check_closure_pair(pair, {}) == 1 for pair in pairs)
+    # C + C' for every pair, and C* + C'* once per distinct pair of closures
+    assert len(pairs) == 19 * 19 and len(star_pairs) == 5 * 5
+    assert len(summed) == len(pairs) + len(star_pairs) and len(fresh._closure_sums) == len(star_pairs)
+    summed.clear()
+    assert all(check_closure_pair(pair, {}) == 1 for pair in pairs) and len(summed) == len(pairs)
 
 
 def _count_k_enumerations(monkeypatch, tower):

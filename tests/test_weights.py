@@ -20,11 +20,13 @@ from helpers import (
 from rankweight import weights
 from rankweight.errors import AmbientMismatch, BadR, FieldMismatch, InfiniteField, SearchExhausted, ZeroCode
 from rankweight.fields import BaseFieldDescriptor, FieldElement, make_tower
-from rankweight.linalg import Subspace, _encode, decode_rows, gaussian_binomial
+from rankweight.linalg import Subspace, _encode, decode_rows, enumerate_subspaces, gaussian_binomial, subspace_sum
 from rankweight.ranksupport import (
+    KSubspace,
     LinearCode,
     closure,
     embed_vector,
+    extend_to_L,
     is_extended,
     rank_support_code,
     rank_support_vec,
@@ -350,6 +352,47 @@ def test_weight_Mr_extends_each_W_once_per_tower(monkeypatch):
     cases = [(c, r) for n in range(1, 4) for c in all_codes(again, n) for r in range(1, c.dim + 1)]
     assert [weight_Mr(c, r) for c, r in cases] == expected
     assert again._extensions == {} and len(extended) > subspaces
+
+
+def test_subcode_coefficients_are_enumerated_once_per_tower(monkeypatch):
+    fresh = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
+    cases = [(c, r) for n in range(1, 4) for c in all_codes(fresh, n) for r in range(1, c.dim + 1)]
+    enumerated, real = [], weights.enumerate_subspaces
+
+    def counting(field, ambient_dim, dim):
+        if field is fresh.L:
+            enumerated.append((ambient_dim, dim))
+        return real(field, ambient_dim, dim)
+
+    monkeypatch.setattr(weights, "enumerate_subspaces", counting)
+    kept = {name: [getattr(weights, name)(c, r) for c, r in cases] for name in WEIGHT_NAMES}
+    kept_subcodes = [[D.space for D in _subcodes(c, r)] for c, r in cases]
+    # one enumeration of L^(dim C) per (dim C, r), read by d_R,r, OS_r and D_r alike
+    assert sorted(enumerated) == sorted({(c.dim, r) for c, r in cases})
+    assert len(set(enumerated)) == len(enumerated)
+    assert set(fresh._subcode_coeffs) == set(enumerated)
+    # above the bound nothing is kept: every scan enumerates again, and finds the same subcodes in order
+    again = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
+    monkeypatch.setattr(weights, "_SUPERSPACE_LIMIT", 1)
+    cases = [(c, r) for n in range(1, 4) for c in all_codes(again, n) for r in range(1, c.dim + 1)]
+    assert [[D.space for D in _subcodes(c, r)] for c, r in cases] == kept_subcodes
+    assert {name: [getattr(weights, name)(c, r) for c, r in cases] for name in WEIGHT_NAMES} == kept
+    assert again._subcode_coeffs == {}
+
+
+def test_weight_Mr_rank_test_matches_the_literal_sum():
+    # dim(C ∩ W_L) = dim C + dim W - dim(C + W_L), for every code, W_L and r
+    for build in (gf4, gf8, gf9, gf16_over_gf4):
+        t = build()
+        kern = t.L._kernel()
+        for n in range(1, 4):
+            spaces = [extend_to_L(KSubspace(t, n, w)).space
+                      for d in range(n + 1) for w in enumerate_subspaces(t.k, n, d)]
+            for c in all_codes(t, n):
+                for v in spaces:
+                    meet = c.dim + v.dim - subspace_sum(c.space, v).dim
+                    for r in range(1, c.dim + 1):
+                        assert weights._meets(kern, c.space._codes, v._codes, c.dim - r) == (meet >= r)
 
 
 def test_grown_list_keeps_order_when_reads_interleave():
