@@ -45,9 +45,9 @@ from .fields import (
     PrimeField,
     Rationals,
     _element,
+    _tower_over,
     build_base_field,
     format_element,
-    make_tower,
 )
 from .ranksupport import LinearCode
 
@@ -229,7 +229,7 @@ def build_tower(
     coeffs = [
         _parse_coefficient(k, c, f"tower.extension_modulus[{i}]") for i, c in enumerate(extension_modulus)
     ]
-    return make_tower(desc, coeffs, symbol=symbol, base_symbol=base_symbol)
+    return _tower_over(desc, k, coeffs, symbol)
 
 
 def _render_coefficient(k: Field, c):

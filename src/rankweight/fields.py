@@ -26,7 +26,9 @@ immutable after construction; all operations are pure.
 
 ``ExtensionTower`` bundles the base field k, the extension L, and the
 coordinate map between them; ``make_tower`` is the validated constructor.
-It builds k's kernel, in which its irreducibility test runs, and none for L.
+It builds k's kernel, in which its irreducibility test runs, and none for L;
+``documents.build_tower`` hands the k it parsed the modulus in to the same
+checks (``_tower_over``), so k is built once per tower.
 
 * In a finite ring, the base-p digits of a code are the element's
   prime-field coordinates, nested bases included, lowest first, so 0 is zero
@@ -63,10 +65,11 @@ the numerators over the common denominator, each reduced.
 ``embed_row`` gives the L-codes of embedded k-codes: over a finite field a
 k-code is also the L-code of its embedding, and over Q the code (n, d)
 becomes (n, 0, ..., 0, d).  A kernel lives on its field object and is left
-out of the pickle, so a worker process rebuilds it; the same holds for the
-cached hash.  An ``ExtensionTower`` also leaves its power basis and six
-memos out of the pickle, so a copy starts them empty, as a tower built apart
-does: two lists of the W_L of every W ⊆ k^n per n, one for
+out of the pickle, so a process that loads a pickled field, such as a
+spawned pool worker, rebuilds it (a forked one inherits the parent's); the
+same holds for the cached hash.  An ``ExtensionTower`` also leaves its power
+basis and six memos out of the pickle, so a copy starts them empty, as a
+tower built apart does: two lists of the W_L of every W ⊆ k^n per n, one for
 ``closure_oracle`` and one for ``weight_Mr``, each kept only while k^n has
 at most ``_SUPERSPACE_LIMIT`` subspaces; the coefficient matrices of the
 subcodes per (dim C, r), kept by the same rule for L^(dim C); D_r's maxwt
@@ -1094,7 +1097,11 @@ def make_tower(base, modulus, symbol: str = "w", base_symbol: str = "u") -> Exte
         base = BaseFieldDescriptor(*base)
     elif not isinstance(base, BaseFieldDescriptor):
         raise BadBase(f"expected a BaseFieldDescriptor, got {base!r}")
-    k = build_base_field(base, symbol=base_symbol)
+    return _tower_over(base, build_base_field(base, symbol=base_symbol), modulus, symbol)
+
+
+def _tower_over(base: BaseFieldDescriptor, k: Field, modulus, symbol: str) -> ExtensionTower:
+    """``make_tower`` over k, the field already built from the descriptor base."""
     kern = k._kernel()
     coeffs = []  # codes of k's kernel
     for c in modulus:
@@ -1144,9 +1151,14 @@ def random_rational_element(tower: ExtensionTower, rng, height: int) -> FieldEle
     Draws rng.randint for a, then for b, coordinate by coordinate, so a seeded
     generator always yields the same sequence of elements.
     """
-    return tower.element_from_coords(
-        [Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(tower.degree)]
-    )
+    return _element(tower.L, _random_rational_code(tower, rng, height))
+
+
+def _random_rational_code(tower: ExtensionTower, rng, height: int):
+    """The L-code of ``random_rational_element``'s draw, by the same rng calls."""
+    return tower.L._kernel().index[
+        tuple([Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(tower.degree)])
+    ]
 
 
 def format_element(x: FieldElement) -> str:

@@ -5,6 +5,8 @@ source.  The harness materializes the full code population up front (and all
 random draws, from one seeded generator), so results are independent of the
 worker count: items are dispatched in order, reduced in order, and the
 summary is bit-reproducible for a fixed seed across 1, 2 or 8 workers.
+A pool worker adopts the item list once, when it starts, and is then sent
+item indices only (``_execute``).
 
 Suites:
 
@@ -34,7 +36,7 @@ from typing import List, Optional
 
 from .documents import build_tower, document_from_code, document_to_json, tower_to_json
 from .errors import InfiniteField, InternalInvariantError, RankWeightError, SearchExhausted
-from .fields import random_rational_element
+from .fields import _random_rational_code
 from .linalg import (
     Subspace,
     enumerate_subspaces,
@@ -149,12 +151,9 @@ def random_codes(tower, max_n: int, count: int, rng: random.Random, height: int 
     while len(out) < count:
         n = rng.randint(1, max_n)
         dim = rng.randint(0, n if finite else min(n, 2))
-        if finite:
-            space = Subspace.from_codes(tower.L, n, [[rng.choice(pool) for _ in range(n)] for _ in range(dim)])
-        else:
-            gens = [[random_rational_element(tower, rng, height) for _ in range(n)] for _ in range(dim)]
-            space = Subspace.from_vectors(tower.L, n, gens)
-        out.append(_code(tower, n, space))
+        rows = [[rng.choice(pool) if finite else _random_rational_code(tower, rng, height) for _ in range(n)]
+                for _ in range(dim)]
+        out.append(_code(tower, n, Subspace.from_codes(tower.L, n, rows)))
     return out
 
 
@@ -363,14 +362,36 @@ def resolve_workers(requested: Optional[int] = None) -> int:
     return os.cpu_count() or 1
 
 
+_ITEMS = None  # the plan's items, set by _adopt in pool workers only
+
+
+def _adopt(items):
+    """Pool initializer: keep the items for the life of the worker."""
+    global _ITEMS
+    _ITEMS = items
+
+
+def _run_index(i):
+    # _run_item is read at call time, so a rebinding of it on the module reaches the workers
+    return _run_item(_ITEMS[i])
+
+
 def _execute(items, workers: int):
+    """The results of _run_item on items, in item order.
+
+    A pool worker adopts the items once, at start-up, and is sent only their
+    indices, in chunks of consecutive ones.  Under ``fork`` nothing is
+    pickled on the way in: every worker works on the parent's towers, with
+    their kernels and code table built, and keeps its memos across its
+    chunks.  Under ``spawn`` the items are pickled once per worker.
+    """
     if workers <= 1 or len(items) < 2:
         return [_run_item(it) for it in items]
     from multiprocessing import get_context
 
     chunk = max(1, len(items) // (workers * 4))
-    with get_context().Pool(workers) as pool:
-        return pool.map(_run_item, items, chunksize=chunk)
+    with get_context().Pool(workers, initializer=_adopt, initargs=(items,)) as pool:
+        return pool.map(_run_index, range(len(items)), chunksize=chunk)
 
 
 def run_verify(plan: VerifyPlan) -> dict:

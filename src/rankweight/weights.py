@@ -71,7 +71,7 @@ from .errors import (
     SearchExhausted,
     ZeroCode,
 )
-from .fields import ExtensionTower, FieldElement, random_rational_element
+from .fields import ExtensionTower, FieldElement, _random_rational_code
 from .linalg import (
     Subspace,
     _encode,
@@ -500,7 +500,7 @@ def _witness_random(C: LinearCode, rng: random.Random, height: int, rounds: int)
             if finite_pool is not None:
                 coeffs = [rng.choice(finite_pool) for _ in range(C.dim)]
             else:
-                (coeffs,) = _encode(kern, [[random_rational_element(t, rng, h) for _ in range(C.dim)]], C.dim)
+                coeffs = [_random_rational_code(t, rng, h) for _ in range(C.dim)]
             if not any(coeffs):
                 continue
             c = _combine_codes(kern, coeffs, gens, n)

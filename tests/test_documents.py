@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import gf4, gf8, gf9, gf16_over_gf2, gf16_over_gf4, qtheta, random_rational_vector, vec
-from rankweight import cli
+from rankweight import cli, documents, fields
 from rankweight.documents import (
     build_tower,
     document_from_code,
@@ -286,6 +286,24 @@ def test_build_tower_coefficient_forms():
     assert TowerTask(2, ("u", "1", 1), base_degree=2, base_modulus=(1, 1, 1)).build() == nested
     with pytest.raises(ParseError, match=r"tower.extension_modulus\[1\]: expected integer or string"):
         build_tower(2, (1, None, 1))
+
+
+def test_build_tower_builds_its_base_field_once(monkeypatch):
+    """The k that parses the modulus is the tower's k: one build_base_field per build_tower
+    (GF(16)/GF(4) would otherwise test the base modulus and build k's kernels twice)."""
+    expected = gf16_over_gf4()
+    real, calls = fields.build_base_field, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in (documents, fields):
+        monkeypatch.setattr(module, "build_base_field", counted)
+    nested = build_tower(2, ("u", "1", 1), base_degree=2, base_modulus=(1, 1, 1))
+    assert nested == expected and calls == [nested.base_descriptor]
+    assert fields.make_tower(nested.base_descriptor, [nested.k.generator(), 1, 1]) == nested
+    assert len(calls) == 2
 
 
 def test_boolean_modulus_coefficient_is_rejected(tmp_path, capsys):

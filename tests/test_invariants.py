@@ -2,13 +2,16 @@
 
 import ast
 import json
+import multiprocessing
 import pathlib
 import re
 import subprocess
 import sys
 
+import pytest
+
 import rankweight
-from rankweight import cli, ranksupport, verify, weights
+from rankweight import cli, fields, ranksupport, verify, weights
 from rankweight.documents import document_from_code, document_to_json
 from rankweight.linalg import Subspace, subspace_sum
 from rankweight.ranksupport import KSubspace, is_extended, rank_support_code, restriction
@@ -37,10 +40,25 @@ print(json.dumps(run_verify(standard_plan(theorem="delsarte"))))
 """
 
 
+SPAWNED_SUMMARIES = """
+import json
+import multiprocessing
+from rankweight.verify import run_verify, standard_plan
+
+multiprocessing.set_start_method("spawn")
+print(json.dumps([run_verify(standard_plan(workers=w)) for w in (1, 2)]))
+"""
+
+
 def run_optimized(script):
     """Run a script under `python -O` against the source tree under test."""
+    return run_script(script, "-O")
+
+
+def run_script(script, *options):
+    """Run a script in a fresh interpreter against the source tree under test."""
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
+        [sys.executable, *options, "-c", script],
         capture_output=True,
         text=True,
         env={
@@ -735,9 +753,44 @@ FINITE_PLAN = [
 
 
 def test_finite_summaries_match_across_workers():
-    """Every per-tower memo follows its tower object.  A pool worker loads a
-    fresh tower for each chunk, often where a freed one lived, so a memo
-    keyed by anything that outlives the tower, such as its id, hands a
-    later chunk another tower's values, and the summaries differ."""
+    """The benchmark's finite plan: five towers, each with its memos, in one
+    item list.  A pool worker holds all five at once and runs items of any of
+    them in any of its chunks, so a memo that strayed from its tower would
+    hand a code another tower's values, and the summaries would differ.
+    (``test_a_tower_loaded_where_a_freed_one_lived_starts_cold`` guards memos
+    keyed by a tower's id.)"""
     summaries = [run_verify(VerifyPlan(FINITE_PLAN, theorem="all", workers=w, force=True)) for w in (1, 2)]
     assert summaries[0]["ok"] and json.dumps(summaries[0]) == json.dumps(summaries[1])
+
+
+# a pool worker inherits the parent's towers, and any patch on a module, only under fork
+fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="pool workers inherit the parent's state only under fork")
+
+
+@fork_only
+def test_forked_workers_pickle_no_tower(monkeypatch):
+    """Under fork, a pool worker adopts the parent's items as they are: no
+    tower is pickled on the way in, and none is rebuilt cold."""
+
+    def refuse(self):
+        raise RuntimeError("tower pickled")
+
+    monkeypatch.setattr(fields.ExtensionTower, "__getstate__", refuse)
+    summaries = [json.dumps(run_verify(standard_plan(workers=w))) for w in (1, 2)]
+    assert json.loads(summaries[0])["ok"] and summaries[0] == summaries[1]
+
+
+@fork_only
+def test_failing_summaries_match_across_workers(monkeypatch):
+    """A worker reports each failure, reproducer documents included, as the parent does."""
+    _zero_restriction(monkeypatch)
+    summaries = [json.dumps(run_verify(standard_plan(theorem="delsarte", workers=w))) for w in (1, 2)]
+    assert not json.loads(summaries[0])["ok"] and summaries[0] == summaries[1]
+
+
+def test_summaries_match_across_workers_under_spawn():
+    """spawn, the default start method on macOS and Windows: each worker
+    unpickles the items once and rebuilds the towers' kernels and memos."""
+    one, two = (json.dumps(s) for s in json.loads(run_script(SPAWNED_SUMMARIES)))
+    assert json.loads(one)["ok"] and one == two

@@ -279,8 +279,8 @@ def test_pickle_leaves_the_kernel_out():
 
 
 def test_a_tower_loaded_where_a_freed_one_lived_starts_cold():
-    """A pool worker loads a tower per chunk, often at the address of one it
-    has freed; the memos belong to the tower object, so nothing carries over.
+    """A loaded tower, as in a spawned pool worker, often lands at the address
+    of one that was freed; the memos belong to the tower object, so nothing carries over.
     Equal codes of different towers share their ints, so a memo keyed by the
     address would hand the later tower wrong closure sums and weights."""
     memos = ("_subcode_coeffs", "_closure_maxwt", "_closure_sums", "_code_table")
