@@ -67,16 +67,11 @@ k-code is also the L-code of its embedding, and over Q the code (n, d)
 becomes (n, 0, ..., 0, d).  A kernel lives on its field object and is left
 out of the pickle, so a process that loads a pickled field, such as a
 spawned pool worker, rebuilds it (a forked one inherits the parent's); the
-same holds for the cached hash.  An ``ExtensionTower`` also leaves its power
-basis and six memos out of the pickle, so a copy starts them empty, as a
-tower built apart does: two lists of the W_L of every W ⊆ k^n per n, one for
-``closure_oracle`` and one for ``weight_Mr``, each kept only while k^n has
-at most ``_SUPERSPACE_LIMIT`` subspaces; the coefficient matrices of the
-subcodes per (dim C, r), kept by the same rule for L^(dim C); D_r's maxwt
-per extended code (one entry per k-subspace of k^n at most); the closure
-sums C* + C'* of the sum rule, one per pair of closures; and the table of
-one ``LinearCode`` per distinct code (``ranksupport._code``), whose weak
-references keep no more than the codes still in use.
+same holds for the cached hash.  Everything an ``ExtensionTower`` derives
+lives in its one ``_TowerMemo``, where each entry names the function that
+fills it, and a tower pickles as its construction data (k, L and the
+descriptor), so a loaded copy is rebuilt with an empty memo, as a tower
+built apart is.
 """
 
 from __future__ import annotations
@@ -960,53 +955,60 @@ def build_base_field(desc: BaseFieldDescriptor, symbol: str = "u") -> Field:
     return ExtensionField(prime, coeffs, symbol=symbol)
 
 
+class _TowerMemo:
+    """Everything a tower derives, kept for the tower's lifetime.
+
+    The dicts start empty and the three lazy values unset (None); each is
+    filled by the one function named beside it.  The tower's pickle leaves
+    the memo out, so a loaded copy starts with an empty one.
+    """
+
+    __slots__ = ("basis", "separable", "traces", "superspaces", "extensions", "subcode_coeffs",
+                 "closure_maxwt", "closure_sums", "codes")
+
+    def __init__(self):
+        self.basis = None  # ExtensionTower.basis: the power basis
+        self.separable = None  # is_separable_tower: gcd(f, f') = 1
+        self.traces = None  # ExtensionTower._trace_codes: the k-codes of Tr(w^i)
+        # the kept lists of ranksupport._kept, each kept while the space has <= _SUPERSPACE_LIMIT subspaces:
+        self.superspaces = {}  # ranksupport.closure_oracle: n -> every W_L of k^n
+        self.extensions = {}  # weights.weight_Mr: (n, d) -> the W_L of dim d
+        self.subcode_coeffs = {}  # weights._subcodes: (dim C, r) -> the codes of the r-dim subspaces of L^(dim C)
+        # weights.weight_Dr: (n, codes of a closure W_L) -> maxwt(W_L), one entry per W ⊆ k^n at most
+        self.closure_maxwt = {}
+        # verify.check_closure_pair: (n, codes of C*, codes of C'*) -> C* + C'*, one entry per pair of closures
+        self.closure_sums = {}
+        # ranksupport._code: (n, codes) -> the one LinearCode, held weakly: at most the live codes
+        self.codes = {}
+
+
 class ExtensionTower:
     """A finite extension L = k[x]/(f) with its power basis and coordinate map."""
 
-    __slots__ = ("base_descriptor", "k", "L", "degree", "_basis", "_separable", "_traces", "_superspaces",
-                 "_extensions", "_subcode_coeffs", "_closure_maxwt", "_closure_sums", "_code_table")
+    __slots__ = ("base_descriptor", "k", "L", "degree", "_memo")
 
     def __init__(self, base_descriptor, k, L):
         self.base_descriptor = base_descriptor
         self.k = k
         self.L = L
         self.degree = L.degree
-        self._basis = None  # basis fills it on first use
-        self._separable = None  # is_separable_tower fills it on first use
-        self._traces = None  # _trace_codes fills it with the k-codes of Tr(w^i) on first use
-        # ranksupport.closure_oracle: n -> every W_L of k^n; weights.weight_Mr: (n, d) -> the
-        # W_L of dim d, and weights._subcodes: (dim C, r) -> the codes of the r-dim subspaces of
-        # L^(dim C), as far as scans have read; each kept while the space has <= _SUPERSPACE_LIMIT subspaces
-        self._superspaces = self._extensions = self._subcode_coeffs = None
-        # weights.weight_Dr: (n, codes of a closure W_L) -> maxwt(W_L), one entry per W ⊆ k^n at most
-        self._closure_maxwt = None
-        # verify.check_closure_pair: (n, codes of C*, codes of C'*) -> C* + C'*, one entry per pair of closures
-        self._closure_sums = None
-        # ranksupport._code: (n, codes) -> the one LinearCode, held weakly: at most the live codes
-        self._code_table = None
+        self._memo = _TowerMemo()
 
-    def __getstate__(self):
-        # the basis and the six memos are rebuilt where the copy is loaded
-        lazy = ("_basis", "_superspaces", "_extensions", "_subcode_coeffs", "_closure_maxwt", "_closure_sums",
-                "_code_table")
-        return None, {s: getattr(self, s) for s in self.__slots__ if s not in lazy}
-
-    def __setstate__(self, state):
-        for s, value in state[1].items():
-            setattr(self, s, value)
-        self._basis = self._superspaces = self._extensions = self._subcode_coeffs = None
-        self._closure_maxwt = self._closure_sums = self._code_table = None
+    def __reduce__(self):
+        # a copy is rebuilt from the construction data, so it starts with an empty memo
+        return ExtensionTower, (self.base_descriptor, self.k, self.L)
 
     @property
     def basis(self) -> tuple:
         """The power basis 1, w, ..., w^(m-1): the unit coordinate vectors."""
-        if self._basis is None:
+        memo = self._memo
+        if memo.basis is None:
             k, m = self.k, self.degree
-            self._basis = tuple(
+            memo.basis = tuple(
                 FieldElement(self.L, tuple(k._one if j == i else k._zero for j in range(m)))
                 for i in range(m)
             )
-        return self._basis
+        return memo.basis
 
     @property
     def modulus(self):
@@ -1065,15 +1067,16 @@ class ExtensionTower:
     def _trace_codes(self) -> tuple:
         """The k-codes of Tr(w^i), the traces sum_j (w^(i+j))_j of the
         multiplication-by-w^i matrices, computed on codes once per tower."""
-        if self._traces is None:
+        memo = self._memo
+        if memo.traces is None:
             kern, add, m = self.L._kernel(), self.k._kernel().add, self.degree
             powers, w = [kern.one], self.generator().code
             while len(powers) < 2 * m - 1:
                 powers.append(kern.mul(powers[-1], w))
-            self._traces = tuple(
+            memo.traces = tuple(
                 functools.reduce(add, [kern.expand(powers[i + j])[j] for j in range(m)], 0) for i in range(m)
             )
-        return self._traces
+        return memo.traces
 
     def __eq__(self, other):
         if not isinstance(other, ExtensionTower):
@@ -1137,12 +1140,13 @@ def is_separable_tower(tower: ExtensionTower) -> bool:
 
     Computed once per tower, on first use.
     """
-    if tower._separable is None:
+    memo = tower._memo
+    if memo.separable is None:
         kern = tower.k._kernel()
         f = [kern.index[c] for c in tower.L.modulus]
         fprime = polys.derivative(kern, f)
-        tower._separable = polys.degree(polys.gcd(kern, f, fprime)) == 0
-    return tower._separable
+        memo.separable = polys.degree(polys.gcd(kern, f, fprime)) == 0
+    return memo.separable
 
 
 def random_rational_element(tower: ExtensionTower, rng, height: int) -> FieldElement:

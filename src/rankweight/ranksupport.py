@@ -151,7 +151,7 @@ class LinearCode:
 def _code(tower: ExtensionTower, length: int, space: Subspace, keep: bool = True) -> LinearCode:
     """The tower's one ``LinearCode`` with this space, made on a miss.
 
-    The table (``ExtensionTower._code_table``) maps the length and the
+    The table (``codes`` of the tower's ``_TowerMemo``) maps the length and the
     canonical codes to a ``_Entry``, a weak reference that drops itself from
     the table when its code is freed, so the table keeps no code its callers
     have dropped.  A ``weakref.WeakValueDictionary`` does the same at twice
@@ -160,9 +160,7 @@ def _code(tower: ExtensionTower, length: int, space: Subspace, keep: bool = True
     is set; a caller whose codes seldom recur (the pair sums of
     ``check_closure_pair``) only looks up.
     """
-    table = tower._code_table
-    if table is None:
-        table = tower._code_table = {}
+    table = tower._memo.codes
     key = length, space._codes
     entry = table.get(key)
     code = None if entry is None else entry()
@@ -352,48 +350,73 @@ def closure(C: LinearCode) -> LinearCode:
     return C._closure
 
 
-# closure_oracle and weights.weight_Mr each keep every W_L of k^n on the tower
-# while there are at most this many subspaces W; above it, they are built
-# again for each code.  A kept W_L takes about 0.5 KB (2,825 of them, all of
-# GF(2)^6 in GF(8)^6, take 1.3 MB in either list), so each list stays under
-# about 2 MB per (tower, n).  weights._subcodes keeps the coefficient
-# matrices of the subspaces of L^(dim C) by the same rule.
+# The kept lists (``_kept``): closure_oracle's and weight_Mr's W_L of every
+# W ⊆ k^n, and weights._subcodes's coefficient matrices of the subspaces of
+# L^(dim C), are each kept on the tower while the space has at most this many
+# subspaces; above it, they are made again for each code.  A kept W_L takes
+# about 0.5 KB (2,825 of them, all of GF(2)^6 in GF(8)^6, take 1.3 MB in
+# either W_L list), so each list stays under about 2 MB per (tower, n).
 _SUPERSPACE_LIMIT = 4096
+
+
+def _kept(memo: dict, key, field, n: int, make):
+    """The items of make() in order, kept in memo[key] while field^n has at
+    most _SUPERSPACE_LIMIT subspaces.
+
+    A kept list is a ``_Grown``, read into make()'s iterator only as far as
+    some read has reached; above the bound nothing is kept, and every read
+    makes the items again.
+    """
+    items = memo.get(key)
+    if items is None:
+        if sum(gaussian_binomial(n, e, field.order) for e in range(n + 1)) > _SUPERSPACE_LIMIT:
+            return make()
+        items = memo[key] = _Grown(make())
+    return items.read()
+
+
+class _Grown(list):
+    """The items an iterator has given so far, read on into it on demand."""
+
+    __slots__ = ("source",)
+
+    def __init__(self, source):
+        super().__init__()
+        self.source = source
+
+    def read(self):
+        """Every item in order, taking from the iterator those no read has reached yet."""
+        i = 0
+        while True:
+            if i == len(self):
+                item = next(self.source, self)  # self marks the end
+                if item is self:
+                    return
+                self.append(item)
+            yield self[i]
+            i += 1
 
 
 def closure_oracle(C: LinearCode) -> LinearCode:
     """Literal closure: intersect every extended superspace W_L over all W ⊆ k^n.
 
     Finite base fields only; this is the independent cross-check for
-    ``closure`` and is kept deliberately naive: it never uses a rank support
-    or ``closure``.  The list of all W_L is built once per (tower, n) and
-    held on the tower (``ExtensionTower._superspaces``, left out of the
-    pickle) while k^n has at most _SUPERSPACE_LIMIT subspaces, the sum of
-    the Gaussian binomials [n choose d]_q; above that it is streamed again
-    for each code.
+    ``closure`` and is kept deliberately naive: it never uses a rank support,
+    ``closure`` or ``extend_to_L``.  The W_L are embedded and reduced
+    literally, in a list per (tower, n) of the tower's memo
+    (``superspaces``), kept by the rule of ``_kept``.
     """
     t = C.tower
     if t.k.order is None:
         raise InfiniteField("closure_oracle enumerates k-subspaces; k is infinite")
     n = C.length
+    spaces = _kept(t._memo.superspaces, n, t.k, n, lambda: (
+        Subspace.from_vectors(t.L, n, [embed_vector(t, row) for row in w.rows])
+        for d in range(n + 1)
+        for w in enumerate_subspaces(t.k, n, d)
+    ))
     result = None
-    for wl in _extended_superspaces(t, n):
+    for wl in spaces:
         if wl.contains_space(C.space):
             result = wl if result is None else subspace_intersection(result, wl)
     return LinearCode(t, n, result)  # the last W_L, L^n itself, contains C
-
-
-def _extended_superspaces(t: ExtensionTower, n: int):
-    """W_L for every W ⊆ k^n in enumeration order, each embedded and reduced literally."""
-    if t._superspaces is None:
-        t._superspaces = {}
-    spaces = t._superspaces.get(n)
-    if spaces is None:
-        spaces = (
-            Subspace.from_vectors(t.L, n, [embed_vector(t, row) for row in w.rows])
-            for d in range(n + 1)
-            for w in enumerate_subspaces(t.k, n, d)
-        )
-        if sum(gaussian_binomial(n, d, t.k.order) for d in range(n + 1)) <= _SUPERSPACE_LIMIT:
-            spaces = t._superspaces[n] = tuple(spaces)
-    return spaces

@@ -18,8 +18,9 @@ Suites:
   of ``restriction`` with the rank support of ``dual``;
 * ``closure``   -- closure laws including the literal-intersection oracle and
   the sum rule (C + C')* = C* + C'* on pairs.  The right-hand side is summed
-  once per pair of closures per tower (``ExtensionTower._closure_sums``,
-  left out of the pickle); (C + C')* is computed for every pair;
+  once per pair of closures per tower (``closure_sums`` of the tower's
+  ``fields._TowerMemo``, which a pickled tower, rebuilt where it is loaded,
+  starts empty); (C + C')* is computed for every pair;
 * ``trace``     -- Tr(C) = Rsupp(C) and the Res(C) = Tr(C) criterion;
 * ``all``       -- everything above.
 
@@ -248,9 +249,7 @@ def check_closure_pair(codes, params) -> int:
     total = _code(t, n, subspace_sum(a.space, b.space), keep=False)
     lhs = closure(total).space
     # C* + C'* is summed once per pair of closures per tower; only this side reads the memo
-    sums = t._closure_sums
-    if sums is None:
-        sums = t._closure_sums = {}
+    sums = t._memo.closure_sums
     a_star, b_star = closure(a).space, closure(b).space
     key = n, a_star._codes, b_star._codes
     rhs = sums.get(key)

@@ -16,8 +16,8 @@ elementary bounds: a minimum stops at wt_R(D) = dim D for d_Rr, at weight 1
 (a nonzero codeword has weight >= 1) for the rank distance, OS_r and D_r,
 and at dim V = r for M_r; a maxwt scan stops at wt_R(c) = min(m, n).
 
-Four things are kept per tower, so that a sweep does each piece of work
-once:
+Four things are kept in the tower's memo (``fields._TowerMemo``), so that
+a sweep does each piece of work once:
 
 * subcodes come from the tower's table of codes (``ranksupport._code``), so
   a subcode met again brings the rank support, dual, restriction and
@@ -25,19 +25,17 @@ once:
 * the RREF coefficient matrices of the r-dim subspaces of L^(dim C), which
   d_R,r, OS_r and D_r combine with C's rows into subcodes, come from lists
   per (dim C, r) extended as far as a scan has read (``_coefficients``);
-* ``weight_Mr`` reads the W_L per length and dim W from such lists too
-  (``_extensions``).  They are not ``closure_oracle``'s list, which embeds
-  and reduces each W_L literally at three times the cost of
-  ``extend_to_L``, a cost a single CLI query would pay for every W it
-  reads.  Both kinds of list follow one rule (``_kept``).  M_r tests each
-  W_L by rank: dim(C ∩ W_L) >= r iff C's canonical rows, reduced modulo
-  W_L's, leave residues of rank <= dim C - r (``_meets``), so C + W_L is
-  never built;
-* ``weight_Dr`` keeps maxwt of each closure in a memo of its own
-  (``ExtensionTower._closure_maxwt``), so each distinct closure is walked
-  once per tower.  The value is the literal codeword walk of ``maxwt``,
-  never maxwt(W_L) = min(m, dim W), and no other definition reads the memo:
-  OS_r walks every subcode it meets.
+* ``weight_Mr`` reads the W_L = ``extend_to_L(W)`` per length and dim W from
+  such lists too (``_extensions``).  Both are kept lists of
+  ``ranksupport._kept``, as is ``closure_oracle``'s list, which makes its
+  W_L literally, at three times the cost, to stay independent of
+  ``extend_to_L``.  M_r tests each W_L by rank: dim(C ∩ W_L) >= r iff
+  C's canonical rows, reduced modulo W_L's, leave residues of rank
+  <= dim C - r (``_meets``), so C + W_L is never built;
+* ``weight_Dr`` keeps maxwt of each closure (``closure_maxwt``), so each
+  distinct closure is walked once per tower.  The value is the literal
+  codeword walk of ``maxwt``, never maxwt(W_L) = min(m, dim W), and no
+  other definition reads it: OS_r walks every subcode it meets.
 
 Every field has a kernel (see ``fields``), and subcodes, codeword scans and
 witness candidates are built on its codes.  Every codeword scan (rank
@@ -80,14 +78,13 @@ from .linalg import (
     _rref_coded,
     decode_rows,
     enumerate_subspaces,
-    gaussian_binomial,
 )
 from .ranksupport import (
     KSubspace,
     LinearCode,
-    _SUPERSPACE_LIMIT,
     _code,
     _coded_expansion,
+    _kept,
     closure,
     extend_to_L,
     is_rank_degenerate,
@@ -200,13 +197,11 @@ def _subcodes(C: LinearCode, r: int):
 def _coefficients(t: ExtensionTower, dim: int, r: int):
     """The canonical codes of every r-dim subspace of L^dim, in enumeration order.
 
-    Kept on the tower per (dim, r) (``ExtensionTower._subcode_coeffs``) by
-    the rule of ``_kept``.
+    Kept on the tower per (dim, r) (``subcode_coeffs`` of its memo) by the
+    rule of ``ranksupport._kept``.
     """
-    memo = t._subcode_coeffs
-    if memo is None:
-        memo = t._subcode_coeffs = {}
-    return _kept(memo, (dim, r), t.L, dim, lambda: (s._codes for s in enumerate_subspaces(t.L, dim, r)))
+    return _kept(t._memo.subcode_coeffs, (dim, r), t.L, dim,
+                 lambda: (s._codes for s in enumerate_subspaces(t.L, dim, r)))
 
 
 def _require_finite(C: LinearCode, what: str):
@@ -279,53 +274,12 @@ def _meets(kern, G, v, slack: int) -> bool:
 def _extensions(t: ExtensionTower, n: int, d: int):
     """extend_to_L(W) for every d-dimensional W ⊆ k^n, in enumeration order.
 
-    Kept on the tower per (n, d) (``ExtensionTower._extensions``) by the
-    rule of ``_kept``: each W is extended when a scan first reaches it, since
-    M_r's scan stops at its first hit.
+    Kept on the tower per (n, d) (``extensions`` of its memo) by the rule of
+    ``ranksupport._kept``: each W is extended when a scan first reaches it,
+    since M_r's scan stops at its first hit.
     """
-    memo = t._extensions
-    if memo is None:
-        memo = t._extensions = {}
-    return _kept(memo, (n, d), t.k, n,
+    return _kept(t._memo.extensions, (n, d), t.k, n,
                  lambda: (extend_to_L(KSubspace(t, n, w)).space for w in enumerate_subspaces(t.k, n, d)))
-
-
-def _kept(memo: dict, key, field, n: int, make):
-    """The items of make() in order, kept in memo[key] while field^n has at
-    most _SUPERSPACE_LIMIT subspaces, as for ``closure_oracle``'s list.
-
-    A kept list is a ``_Grown``, read into make()'s iterator only as far as
-    some read has reached; above the bound nothing is kept, and every read
-    makes the items again.
-    """
-    items = memo.get(key)
-    if items is None:
-        if sum(gaussian_binomial(n, e, field.order) for e in range(n + 1)) > _SUPERSPACE_LIMIT:
-            return make()
-        items = memo[key] = _Grown(make())
-    return items.read()
-
-
-class _Grown(list):
-    """The items an iterator has given so far, read on into it on demand."""
-
-    __slots__ = ("source",)
-
-    def __init__(self, source):
-        super().__init__()
-        self.source = source
-
-    def read(self):
-        """Every item in order, taking from the iterator those no read has reached yet."""
-        i = 0
-        while True:
-            if i == len(self):
-                item = next(self.source, self)  # self marks the end
-                if item is self:
-                    return
-                self.append(item)
-            yield self[i]
-            i += 1
 
 
 def weight_OSr(C: LinearCode, r: int) -> int:
@@ -343,19 +297,16 @@ def weight_Dr(C: LinearCode, r: int) -> int:
     """
     _check_r(C, r)
     _require_finite(C, "weight_Dr")
-    t, n = C.tower, C.length
-    memo = t._closure_maxwt
-    if memo is None:
-        memo = t._closure_maxwt = {}
+    n, memo = C.length, C.tower._memo.closure_maxwt
 
-    def closure_maxwt(D):
+    def star_maxwt(D):
         star = closure(D)
         key = n, star.space._codes
         if key not in memo:
             memo[key] = maxwt(star)
         return memo[key]
 
-    return _least(map(closure_maxwt, _subcodes(C, r)), 1)
+    return _least(map(star_maxwt, _subcodes(C, r)), 1)
 
 
 def weight_values(C: LinearCode, r: int) -> tuple:

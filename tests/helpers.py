@@ -68,6 +68,18 @@ def gf4099_squared():
     return make_tower(BaseFieldDescriptor(4099), [1, 0, 1])
 
 
+def memo_entries(tower) -> dict:
+    """What the tower's memo holds, by slot of ``fields._TowerMemo``."""
+    memo = tower._memo
+    return {slot: getattr(memo, slot) for slot in type(memo).__slots__}
+
+
+def assert_memo_empty(tower):
+    """A freshly built or loaded tower's memo holds nothing: every dict empty, every lazy value unset."""
+    entries = memo_entries(tower)
+    assert all(value in (None, {}) for value in entries.values()), entries
+
+
 def vec(tower, *entries):
     """Build an L-vector from ints/FieldElements; 'w' strings are not parsed here."""
     out = []

@@ -4,6 +4,7 @@ import ast
 import json
 import multiprocessing
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -508,7 +509,7 @@ def test_witness_gate_flags_each_kind():
     assert flagged == [False] + [True] * 7 + [False]
 
 
-DR_MEMO = "_closure_maxwt"
+DR_MEMO = "closure_maxwt"  # the slot of fields._TowerMemo that holds D_r's maxwt per closure
 # what weight_Dr would name to read maxwt(W_L) = min(m, dim W) off the closure instead of walking it
 DR_BANNED = {"min", "len", "dim", "degree", "rank_support_code", "restriction"}
 
@@ -518,10 +519,10 @@ def _dr_memo_offences(sources):
 
     Across sources (module name -> source) only ``weight_Dr`` of weights.py
     names DR_MEMO, as an attribute, a name or a string, besides the class
-    ``ExtensionTower`` of fields.py that declares it; ``weight_Dr`` calls
-    ``maxwt`` and names none of DR_BANNED.
+    ``_TowerMemo`` of fields.py that declares it; ``weight_Dr`` names it,
+    calls ``maxwt`` and names none of DR_BANNED.
     """
-    owners = {("weights", "weight_Dr"), ("fields", "ExtensionTower")}
+    owners = {("weights", "weight_Dr"), ("fields", "_TowerMemo")}
     offences, walker = [], None
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -538,39 +539,44 @@ def _dr_memo_offences(sources):
                     offences.append(f"{module}:{node.lineno} names {DR_MEMO}")
     if walker is None:
         return offences + ["no weight_Dr"]
-    walks = False
+    walks = reads = False
     for node in ast.walk(walker):
         ident = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
         if ident in DR_BANNED:
             offences.append(f"weight_Dr:{node.lineno} names {ident}")
+        reads |= ident == DR_MEMO
         walks |= isinstance(node, ast.Call) and getattr(node.func, "id", None) == "maxwt"
+    if not reads:
+        offences.append(f"weight_Dr names no {DR_MEMO}")
     if not walks:
         offences.append("weight_Dr calls no maxwt")
     return offences
 
 
 def test_only_weight_Dr_reads_its_memo_and_it_walks_every_closure():
+    assert DR_MEMO in fields._TowerMemo.__slots__
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert _dr_memo_offences(sources) == []
 
 
 def test_dr_memo_gate_flags_each_kind():
-    tower = "class ExtensionTower:\n    __slots__ = ('_closure_maxwt',)\n"
-    clean = "def weight_Dr(C, r):\n    memo = C.tower._closure_maxwt\n" \
+    tower = "class _TowerMemo:\n    __slots__ = ('closure_maxwt',)\n"
+    clean = "def weight_Dr(C, r):\n    memo = C.tower._memo.closure_maxwt\n" \
             "    return _least(memo.setdefault(key, maxwt(closure(D))) for D in subs)\n"
     cases = [
         {"fields": tower, "weights": clean},
-        {"weights": clean + "def weight_OSr(C, r):\n    return C.tower._closure_maxwt[key]\n"},
-        {"weights": clean, "ranksupport": "memo = getattr(t, '_closure_maxwt')\n"},
-        {"weights": clean, "fields": "def reset(t):\n    t._closure_maxwt = {}\n"},
+        {"weights": clean + "def weight_OSr(C, r):\n    return C.tower._memo.closure_maxwt[key]\n"},
+        {"weights": clean, "ranksupport": "memo = getattr(t._memo, 'closure_maxwt')\n"},
+        {"weights": clean, "fields": "def reset(t):\n    t._memo.closure_maxwt = {}\n"},
         {"weights": clean.replace("maxwt(closure(D))", "min(t.degree, closure(D).dim) or maxwt(closure(D))")},
         {"weights": clean.replace("maxwt(closure(D))", "len(closure(D).space._codes) or maxwt(closure(D))")},
         {"weights": clean.replace("maxwt(closure(D))", "rank_support_code(D).dim")},
         {"weights": clean.replace("maxwt(closure(D))", "walk(closure(D))")},
         {"weights": clean.replace("def weight_Dr", "def weight_D")},
-        {"weights": clean + "note = 'the _closure_maxwt memo'\n"},  # prose, not the name
+        {"weights": clean + "note = 'the closure_maxwt memo'\n"},  # prose, not the name
+        {"weights": clean.replace("C.tower._memo.closure_maxwt", "{}")},  # a memo of its own, or a stale name
     ]
-    assert [bool(_dr_memo_offences(c)) for c in cases] == [False] + [True] * 8 + [False]
+    assert [bool(_dr_memo_offences(c)) for c in cases] == [False] + [True] * 8 + [False] + [True]
 
 
 def _unreferenced_private(sources):
@@ -776,7 +782,9 @@ def test_forked_workers_pickle_no_tower(monkeypatch):
     def refuse(self):
         raise RuntimeError("tower pickled")
 
-    monkeypatch.setattr(fields.ExtensionTower, "__getstate__", refuse)
+    monkeypatch.setattr(fields.ExtensionTower, "__reduce__", refuse)
+    with pytest.raises(RuntimeError, match="tower pickled"):  # the trap is the hook pickling calls
+        pickle.dumps(standard_plan().towers[0].build())
     summaries = [json.dumps(run_verify(standard_plan(workers=w))) for w in (1, 2)]
     assert json.loads(summaries[0])["ok"] and summaries[0] == summaries[1]
 

@@ -18,6 +18,7 @@ from rankweight.errors import SearchExhausted
 from rankweight.fields import (
     BaseFieldDescriptor,
     ExtensionField,
+    ExtensionTower,
     FieldElement,
     PrimeField,
     Rationals,
@@ -60,6 +61,7 @@ from rankweight.weights import _codewords, _subcodes, find_witness, rank_distanc
 
 from helpers import (
     all_codes,
+    assert_memo_empty,
     closure_reference,
     combine,
     dual_reference,
@@ -72,6 +74,7 @@ from helpers import (
     gf4099_squared,
     gf8192,
     is_witness_reference,
+    memo_entries,
     payloads_in_order,
     qtheta,
     random_q_codes,
@@ -259,35 +262,45 @@ def test_pickle_leaves_the_kernel_out():
     # every closure slot filled: extended codes keep themselves, the rest a code of the table
     assert all(check_closure_pair(pair, {}) == 1 for pair in itertools.product(population, repeat=2))
     assert all(closure(c)._closure is closure(c) for c in population)
-    memos = ("_superspaces", "_extensions", "_subcode_coeffs", "_closure_maxwt", "_closure_sums", "_code_table")
-    assert warm.L._kern and warm.k._kern and all(getattr(warm, memo) for memo in memos)
+    assert warm.L._kern and warm.k._kern
+    assert all(value for value in memo_entries(warm).values() if isinstance(value, dict))
     assert pickle.dumps(warm) == pickle.dumps(cold)
     loaded = pickle.loads(pickle.dumps(warm))
-    assert loaded.L._kern is None and loaded == warm and all(getattr(loaded, memo) is None for memo in memos)
-    # an equal tower built apart has memos of its own, and a population of its own codes
-    assert cold == warm and all(getattr(cold, memo) is None for memo in memos)
+    assert loaded.L._kern is None and loaded == warm
+    assert_memo_empty(loaded)
+    # an equal tower built apart has a memo of its own, and a population of its own codes
+    assert cold == warm
+    assert_memo_empty(cold)
     assert all(a == b and a is not b for a, b in zip(exhaustive_codes(cold, 2), population))
     # the table holds its codes weakly: once the caller drops them, they leave it
-    assert len(warm._code_table) == len(population) == gaussian_binomial(2, 1, 16) + 2
+    assert len(warm._memo.codes) == len(population) == gaussian_binomial(2, 1, 16) + 2
     del population
     gc.collect()
-    assert len(warm._code_table) == 0
+    assert len(warm._memo.codes) == 0
     assert closure_oracle(LinearCode(loaded, 2, code.space)) == closure_oracle(code)
     again = LinearCode.from_generators(loaded, 2, [[loaded.L.one(), loaded.generator()]])
     assert again.space == code.space and rank_distance(again) == rank_distance(code)
     assert all(x.field is loaded.L for x in again.space.rows[0])
 
 
+def test_a_tower_keeps_what_it_derives_in_one_memo():
+    """The tower's own slots are its construction data and the memo, and it
+    pickles as its construction data: no derived state has a slot of its own."""
+    assert ExtensionTower.__slots__ == ("base_descriptor", "k", "L", "degree", "_memo")
+    assert "__getstate__" not in vars(ExtensionTower) and "__setstate__" not in vars(ExtensionTower)
+    t = make_tower(BaseFieldDescriptor(2), [1, 1, 1])
+    assert t.__reduce__() == (ExtensionTower, (t.base_descriptor, t.k, t.L))
+
+
 def test_a_tower_loaded_where_a_freed_one_lived_starts_cold():
     """A loaded tower, as in a spawned pool worker, often lands at the address
-    of one that was freed; the memos belong to the tower object, so nothing carries over.
+    of one that was freed; the memo belongs to the tower object, so nothing carries over.
     Equal codes of different towers share their ints, so a memo keyed by the
     address would hand the later tower wrong closure sums and weights."""
-    memos = ("_subcode_coeffs", "_closure_maxwt", "_closure_sums", "_code_table")
     blobs = [pickle.dumps(build()) for build in (gf4, gf8, gf9, gf16_over_gf2)]
     for blob in blobs * 2:
         t = pickle.loads(blob)
-        assert all(getattr(t, memo) is None for memo in memos)
+        assert_memo_empty(t)
         codes = exhaustive_codes(t, 2)
         assert [check_equivdef(c, {}) for c in codes] == [c.dim for c in codes]
         assert all(check_closure_pair(pair, {}) == 1 for pair in itertools.product(codes, repeat=2))
@@ -298,14 +311,14 @@ def test_a_tower_loaded_where_a_freed_one_lived_starts_cold():
 def test_separability_is_computed_once_per_tower(monkeypatch):
     t = gf16_over_gf4()
     fresh = make_tower(t.base_descriptor, [t.k.generator(), 1, 1])
-    assert fresh._separable is None
+    assert fresh._memo.separable is None
     calls = []
     gcd = polys.gcd
     monkeypatch.setattr(polys, "gcd", lambda *a: calls.append(1) or gcd(*a))
     code = LinearCode.from_generators(fresh, 2, [[fresh.L.one(), fresh.generator()]])
     first = trace_image(code)
     assert trace_image(code) == first and is_separable_tower(fresh)
-    assert len(calls) == 1 and fresh._separable is True
+    assert len(calls) == 1 and fresh._memo.separable is True
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     all_codes,
+    assert_memo_empty,
     all_vectors,
     expansion,
     gf3_degree_one,
@@ -359,7 +360,7 @@ def test_closure_sums_are_summed_once_per_pair_of_closures(monkeypatch):
     assert all(check_closure_pair(pair, {}) == 1 for pair in pairs)
     # C + C' for every pair, and C* + C'* once per distinct pair of closures
     assert len(pairs) == 19 * 19 and len(star_pairs) == 5 * 5
-    assert len(summed) == len(pairs) + len(star_pairs) and len(fresh._closure_sums) == len(star_pairs)
+    assert len(summed) == len(pairs) + len(star_pairs) and len(fresh._memo.closure_sums) == len(star_pairs)
     summed.clear()
     assert all(check_closure_pair(pair, {}) == 1 for pair in pairs) and len(summed) == len(pairs)
 
@@ -390,14 +391,15 @@ def test_closure_oracle_builds_the_superspaces_once_per_tower_and_length(monkeyp
         assert closure_oracle(c) == closure(c)
     # one enumeration per dimension d = 0..n, for n = 2 and n = 3
     assert calls == [(2, d) for d in range(3)] + [(3, d) for d in range(4)]
-    assert [len(t._superspaces[n]) for n in (2, 3)] == [1 + 3 + 1, 1 + 7 + 7 + 1]
+    assert [len(t._memo.superspaces[n]) for n in (2, 3)] == [1 + 3 + 1, 1 + 7 + 7 + 1]
     # an equal tower built apart holds its own list: the cache follows the tower object
     fresh = _fresh_gf4()
-    assert fresh == t and fresh._superspaces is None
+    assert fresh == t
+    assert_memo_empty(fresh)
     calls.clear()
     c = LinearCode(fresh, 2, codes[1].space)
     assert closure_oracle(c) == closure(c) and len(calls) == 3
-    assert fresh._superspaces[2] is not t._superspaces[2]
+    assert fresh._memo.superspaces[2] is not t._memo.superspaces[2]
 
 
 def test_closure_oracle_streams_above_the_bound(monkeypatch):
@@ -408,7 +410,7 @@ def test_closure_oracle_streams_above_the_bound(monkeypatch):
     codes = all_codes(t, 2)
     for c in all_codes(t, 1) + codes:
         assert closure_oracle(c) == closure(c)
-    assert set(t._superspaces) == {1}
+    assert set(t._memo.superspaces) == {1}
     assert len(calls) == 2 + 3 * len(codes)
 
 

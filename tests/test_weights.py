@@ -17,7 +17,7 @@ from helpers import (
     random_rational_vector,
     vec,
 )
-from rankweight import weights
+from rankweight import ranksupport, weights
 from rankweight.errors import AmbientMismatch, BadR, FieldMismatch, InfiniteField, SearchExhausted, ZeroCode
 from rankweight.fields import BaseFieldDescriptor, FieldElement, make_tower
 from rankweight.linalg import Subspace, _encode, decode_rows, enumerate_subspaces, gaussian_binomial, subspace_sum
@@ -325,7 +325,7 @@ def test_weight_OSr_keeps_walking_after_weight_Dr(monkeypatch):
     cases = [(c, r) for n in (1, 2) for c in all_codes(fresh, n) for r in range(1, c.dim + 1)]
     for c, r in cases:
         weight_Dr(c, r)
-    assert fresh._closure_maxwt
+    assert fresh._memo.closure_maxwt
     walked = _count_maxwt(monkeypatch)
     for c, r in cases:
         subcodes = list(_subcodes(c, r))
@@ -347,11 +347,11 @@ def test_weight_Mr_extends_each_W_once_per_tower(monkeypatch):
     assert len(extended) == len(set(extended)) <= subspaces
     # above the bound nothing is kept, and every scan extends again
     again = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
-    monkeypatch.setattr(weights, "_SUPERSPACE_LIMIT", 1)
+    monkeypatch.setattr(ranksupport, "_SUPERSPACE_LIMIT", 1)
     extended.clear()
     cases = [(c, r) for n in range(1, 4) for c in all_codes(again, n) for r in range(1, c.dim + 1)]
     assert [weight_Mr(c, r) for c, r in cases] == expected
-    assert again._extensions == {} and len(extended) > subspaces
+    assert again._memo.extensions == {} and len(extended) > subspaces
 
 
 def test_subcode_coefficients_are_enumerated_once_per_tower(monkeypatch):
@@ -370,14 +370,14 @@ def test_subcode_coefficients_are_enumerated_once_per_tower(monkeypatch):
     # one enumeration of L^(dim C) per (dim C, r), read by d_R,r, OS_r and D_r alike
     assert sorted(enumerated) == sorted({(c.dim, r) for c, r in cases})
     assert len(set(enumerated)) == len(enumerated)
-    assert set(fresh._subcode_coeffs) == set(enumerated)
+    assert set(fresh._memo.subcode_coeffs) == set(enumerated)
     # above the bound nothing is kept: every scan enumerates again, and finds the same subcodes in order
     again = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
-    monkeypatch.setattr(weights, "_SUPERSPACE_LIMIT", 1)
+    monkeypatch.setattr(ranksupport, "_SUPERSPACE_LIMIT", 1)
     cases = [(c, r) for n in range(1, 4) for c in all_codes(again, n) for r in range(1, c.dim + 1)]
     assert [[D.space for D in _subcodes(c, r)] for c, r in cases] == kept_subcodes
     assert {name: [getattr(weights, name)(c, r) for c, r in cases] for name in WEIGHT_NAMES} == kept
-    assert again._subcode_coeffs == {}
+    assert again._memo.subcode_coeffs == {}
 
 
 def test_weight_Mr_rank_test_matches_the_literal_sum():
@@ -396,11 +396,11 @@ def test_weight_Mr_rank_test_matches_the_literal_sum():
 
 
 def test_grown_list_keeps_order_when_reads_interleave():
-    grown = weights._Grown(iter(range(5)))
+    grown = ranksupport._Grown(iter(range(5)))
     a, b = grown.read(), grown.read()
     assert [next(a), next(a), next(b), next(b), next(b), next(a), next(a)] == [0, 1, 0, 1, 2, 2, 3]
     assert list(b) == [3, 4] and list(a) == [4] and grown == [0, 1, 2, 3, 4]
-    assert list(weights._Grown(iter(())).read()) == []
+    assert list(ranksupport._Grown(iter(())).read()) == []
 
 
 def test_witness_sweep_small_towers():
