@@ -65,6 +65,7 @@ from .ranksupport import (
     dual,
     expand_vector,
     extend_to_L,
+    galois_closure,
     is_extended,
     is_rank_degenerate,
     rank_support_code,

@@ -204,6 +204,10 @@ def _parse_csv_modulus(text: str, characteristic: int):
 
 
 def cmd_verify(args) -> int:
+    # a plan with no codes would pass vacuously
+    for flag, value in (("--max-n", args.max_n), ("--random", args.random)):
+        if value is not None and value < 1:
+            raise _UsageError(f"{flag} must be at least 1, got {value}")
     workers = resolve_workers(None)
     if args.char is not None:
         if args.ext_modulus is None:

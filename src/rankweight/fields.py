@@ -88,6 +88,7 @@ from .errors import (
     BadModulus,
     FieldMismatch,
     InfiniteField,
+    InternalInvariantError,
     NotIrreducible,
 )
 
@@ -963,15 +964,18 @@ class _TowerMemo:
     the memo out, so a loaded copy starts with an empty one.
     """
 
-    __slots__ = ("basis", "separable", "traces", "superspaces", "extensions", "subcode_coeffs",
+    __slots__ = ("basis", "separable", "traces", "frobenius", "superspaces", "extensions", "subcode_coeffs",
                  "closure_maxwt", "closure_sums", "codes")
 
     def __init__(self):
         self.basis = None  # ExtensionTower.basis: the power basis
         self.separable = None  # is_separable_tower: gcd(f, f') = 1
         self.traces = None  # ExtensionTower._trace_codes: the k-codes of Tr(w^i)
+        # ExtensionTower._frobenius: σ(x) = x^|k| on L-codes, a table when L's kernel has tables
+        # (|L| <= _KERNEL_LIMIT), else square-and-multiply per code; checked when it is made
+        self.frobenius = None
         # the kept lists of ranksupport._kept, each kept while the space has <= _SUPERSPACE_LIMIT subspaces:
-        self.superspaces = {}  # ranksupport.closure_oracle: n -> every W_L of k^n
+        self.superspaces = {}  # ranksupport.closure_oracle, the tests' reference: n -> every W_L of k^n
         self.extensions = {}  # weights.weight_Mr: (n, d) -> the W_L of dim d
         self.subcode_coeffs = {}  # weights._subcodes: (dim C, r) -> the codes of the r-dim subspaces of L^(dim C)
         # weights.weight_Dr: (n, codes of a closure W_L) -> maxwt(W_L), one entry per W ⊆ k^n at most
@@ -1078,6 +1082,31 @@ class ExtensionTower:
             )
         return memo.traces
 
+    def _frobenius(self):
+        """σ: x -> x^|k| on codes of L's kernel, the generator of Gal(L/k) over a finite k.
+
+        Made once per tower (``_frobenius_map``) and checked when it is made:
+        σ must fix every code of k (over a finite L, the codes below |k|)
+        and have order exactly m on the generator w, else
+        InternalInvariantError.  Over an infinite k there is no Frobenius.
+        """
+        memo = self._memo
+        if memo.frobenius is None:
+            q = self.k.order
+            if q is None:
+                raise InfiniteField(f"{self.k} is infinite: the tower has no Frobenius")
+            sigma = _frobenius_map(self.L._kernel(), q)
+            if any(sigma(c) != c for c in range(q)):
+                raise InternalInvariantError("Frobenius moves an element of k")
+            w, m = self.generator().code, self.degree
+            x, order = sigma(w), 1
+            while x != w and order < m:
+                x, order = sigma(x), order + 1
+            if x != w or order != m:
+                raise InternalInvariantError("Frobenius does not have order m on the generator")
+            memo.frobenius = sigma
+        return memo.frobenius
+
     def __eq__(self, other):
         if not isinstance(other, ExtensionTower):
             return NotImplemented
@@ -1088,6 +1117,28 @@ class ExtensionTower:
 
     def __repr__(self):
         return f"{self.L}/{self.k}"
+
+
+def _frobenius_map(kern, q: int):
+    """x -> x^q on the codes of a finite field's kernel, as a function of one code.
+
+    With exp/log tables it is a table read, since log(x^q) = q * log(x)
+    mod |L| - 1; without, square-and-multiply in the kernel per code.
+    """
+    if isinstance(kern, _Kernel):
+        exp, log, n1 = kern.exp, kern.log, kern.n1
+        return ([0] + [exp[log[c] * q % n1] for c in range(1, kern.q)]).__getitem__
+    mul = kern.mul
+
+    def sigma(c):
+        out, e = kern.one, q
+        while e:
+            if e & 1:
+                out = mul(out, c)
+            c, e = mul(c, c), e >> 1
+        return out
+
+    return sigma
 
 
 def make_tower(base, modulus, symbol: str = "w", base_symbol: str = "u") -> ExtensionTower:

@@ -6,9 +6,12 @@ row i, column j entry is the coefficient of basis element i in coordinate j
 (c_j = sum_i entry[i][j] * basis_i).  The rank support of c is the row space
 of that matrix; the rank support of a code is the sum of the supports of its
 generators.  The closure of C is the smallest L-subspace of L^n spanned by
-vectors of k^n that contains C; it equals the L-extension of the rank
-support, and ``closure_oracle`` recomputes it literally as the intersection
-of all extended superspaces for cross-checking on finite fields.
+vectors of k^n that contains C; ``closure`` computes it as the L-extension
+of the rank support.  Over a finite tower two more computations share no
+step with it: ``galois_closure`` sums C + σ(C) + ... until the Frobenius σ
+fixes the sum (Galois descent), and the verify sweeps check ``closure``
+against it; ``closure_oracle`` intersects every extended superspace W_L,
+literally, and is the reference that the tests hold both of them to.
 
 Rsupp(C), C^perp, Res(C) and C* are computed once per distinct code per
 tower: ``rank_support_code``, ``dual``, ``restriction`` and ``closure`` fill
@@ -55,6 +58,7 @@ from .linalg import (
     gaussian_binomial,
     orthogonal_complement,
     subspace_intersection,
+    subspace_sum,
     tail_subspace,
 )
 
@@ -350,6 +354,27 @@ def closure(C: LinearCode) -> LinearCode:
     return C._closure
 
 
+def galois_closure(C: LinearCode) -> LinearCode:
+    """C* = C + σ(C) + ... + σ^(m-1)(C) over a finite tower, σ the Frobenius x -> x^|k|.
+
+    An L-subspace is extended iff σ maps it to itself (Galois descent), so
+    the sums S = C, S + σ(S), ... reach C* at the first S with σ(S) = S,
+    after at most m - 1 sums.  σ fixes 0 and 1, so σ applied entrywise to
+    canonical RREF codes gives the canonical codes of σ(S), and σ(S) = S is
+    a tuple compare.  σ comes from the tower (``ExtensionTower._frobenius``,
+    checked when it is made); no rank support, ``closure``, restriction or
+    W_L takes part.  InfiniteField over an infinite k.
+    """
+    t, n = C.tower, C.length
+    sigma = t._frobenius()
+    space = C.space
+    while True:
+        image = tuple(tuple(map(sigma, row)) for row in space._codes)
+        if image == space._codes:
+            return LinearCode(t, n, space)
+        space = subspace_sum(space, Subspace(t.L, n, image))
+
+
 # The kept lists (``_kept``): closure_oracle's and weight_Mr's W_L of every
 # W ⊆ k^n, and weights._subcodes's coefficient matrices of the subspaces of
 # L^(dim C), are each kept on the tower while the space has at most this many
@@ -400,9 +425,10 @@ class _Grown(list):
 def closure_oracle(C: LinearCode) -> LinearCode:
     """Literal closure: intersect every extended superspace W_L over all W ⊆ k^n.
 
-    Finite base fields only; this is the independent cross-check for
-    ``closure`` and is kept deliberately naive: it never uses a rank support,
-    ``closure`` or ``extend_to_L``.  The W_L are embedded and reduced
+    Finite base fields only.  It is the tests' reference for ``closure`` and
+    ``galois_closure``, which the verify sweeps compare, and is kept
+    deliberately naive: it never uses a rank support, ``closure``,
+    ``galois_closure`` or ``extend_to_L``.  The W_L are embedded and reduced
     literally, in a list per (tower, n) of the tower's memo
     (``superspaces``), kept by the rule of ``_kept``.
     """

@@ -16,9 +16,12 @@ Suites:
   codes when m < n);
 * ``delsarte``  -- Res(C)^perp = Rsupp(C^perp), comparing the direct Res(C)
   of ``restriction`` with the rank support of ``dual``;
-* ``closure``   -- closure laws including the literal-intersection oracle and
-  the sum rule (C + C')* = C* + C'* on pairs.  The right-hand side is summed
-  once per pair of closures per tower (``closure_sums`` of the tower's
+* ``closure``   -- closure laws, C* against the Galois closure
+  C + σ(C) + ... of ``ranksupport.galois_closure`` over a finite k, and
+  the sum rule (C + C')* = C* + C'* on pairs.  The literal intersection
+  ``closure_oracle`` is the tests' reference for both closures and is not
+  run here.  The right-hand side of the sum rule is summed once per pair
+  of closures per tower (``closure_sums`` of the tower's
   ``fields._TowerMemo``, which a pickled tower, rebuilt where it is loaded,
   starts empty); (C + C')* is computed for every pair;
 * ``trace``     -- Tr(C) = Rsupp(C) and the Res(C) = Tr(C) criterion;
@@ -49,8 +52,8 @@ from .ranksupport import (
     LinearCode,
     _code,
     closure,
-    closure_oracle,
     dual,
+    galois_closure,
     is_extended,
     is_rank_degenerate,
     rank_support_code,
@@ -236,8 +239,8 @@ def check_closure(code: LinearCode, params) -> int:
         raise CheckFailure("C = C* does not match extendedness", [code])
     assertions += 5
     if code.tower.k.order is not None:
-        if closure_oracle(code) != star:
-            raise CheckFailure("closure differs from the literal intersection oracle", [code])
+        if galois_closure(code) != star:
+            raise CheckFailure("closure differs from the Galois closure C + σ(C) + …", [code])
         assertions += 1
     return assertions
 
@@ -347,7 +350,10 @@ def _build_items(plan: VerifyPlan, tower, task: TowerTask, rng: random.Random):
 
 
 def resolve_workers(requested: Optional[int] = None) -> int:
-    """Explicit request, else RANKWEIGHT_WORKERS, else available parallelism."""
+    """Explicit request, else RANKWEIGHT_WORKERS, else available parallelism.
+
+    A RANKWEIGHT_WORKERS that is not a positive integer raises ValueError.
+    """
     if requested is not None and requested > 0:
         return requested
     env = os.environ.get("RANKWEIGHT_WORKERS")
@@ -355,9 +361,10 @@ def resolve_workers(requested: Optional[int] = None) -> int:
         try:
             value = int(env)
         except ValueError:
-            raise ValueError(f"RANKWEIGHT_WORKERS must be an integer, got {env!r}")
-        if value > 0:
-            return value
+            value = 0  # not an integer: refused below, as a non-positive one is
+        if value < 1:
+            raise ValueError(f"RANKWEIGHT_WORKERS must be a positive integer, got {env!r}")
+        return value
     return os.cpu_count() or 1
 
 

@@ -184,6 +184,28 @@ def test_verify_resource_guard(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag", ["--max-n", "--random"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("tower", [(), ("--char", "2", "--ext-modulus", "1,1,1")])
+def test_verify_that_checks_no_code_is_a_usage_error(capsys, monkeypatch, flag, value, tower):
+    """A plan with no codes would print PASS having checked nothing."""
+    monkeypatch.setenv("RANKWEIGHT_WORKERS", "1")
+    code, out, err = run_cli(capsys, "verify", *tower, flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_workers_are_refused(capsys, monkeypatch, value):
+    monkeypatch.setenv("RANKWEIGHT_WORKERS", value)
+    with pytest.raises(ValueError, match="RANKWEIGHT_WORKERS must be a positive integer"):
+        resolve_workers()
+    assert resolve_workers(2) == 2  # an explicit request does not read the variable
+    code, out, err = run_cli(capsys, "verify", "--theorem", "delsarte")
+    assert (code, out) == (1, "")
+    assert err == f"error: RANKWEIGHT_WORKERS must be a positive integer, got {value!r}\n"
+
+
 def test_verify_failure_exit_2_and_reproduction(capsys, monkeypatch):
     # inject a failing check to exercise the reporting machinery end to end
     def always_fails(code, params):

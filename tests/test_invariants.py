@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import pathlib
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -12,10 +13,20 @@ import sys
 import pytest
 
 import rankweight
+from helpers import gf4099_squared, gf8192, qtheta
 from rankweight import cli, fields, ranksupport, verify, weights
 from rankweight.documents import document_from_code, document_to_json
 from rankweight.linalg import Subspace, subspace_sum
-from rankweight.ranksupport import KSubspace, is_extended, rank_support_code, restriction
+from rankweight.errors import InfiniteField, InternalInvariantError
+from rankweight.ranksupport import (
+    KSubspace,
+    closure,
+    closure_oracle,
+    galois_closure,
+    is_extended,
+    rank_support_code,
+    restriction,
+)
 from rankweight.verify import TowerTask, VerifyPlan, exhaustive_codes, run_verify, standard_plan
 
 PACKAGE_DIR = pathlib.Path(rankweight.__file__).resolve().parent
@@ -402,6 +413,30 @@ def test_kernel_bridge_gate_flags_each_kind():
 
 # what closure_oracle is checked against; it must reach none of them
 ORACLE_BANNED = {"closure", "rank_support_code", "restriction", "extend_to_L"}
+# galois_closure must share no step with closure or with the literal oracle either
+GALOIS_BANNED = ORACLE_BANNED | {"closure_oracle", "_kept"}
+
+
+def _reached_names(source, root, banned):
+    """The function root of source, with every function of the module it reaches by name:
+    (the nodes of those functions, in name order; offences, one per name in banned they use)."""
+    functions = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in functions and name not in reached:
+            reached.add(name)
+            todo += [node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)]
+    if not reached:
+        return [], [f"no {root}"]
+    nodes, offences = [], []
+    for name in sorted(reached):
+        for node in ast.walk(functions[name]):
+            ident = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if ident in banned:
+                offences.append(f"{name}:{node.lineno} names {ident}")
+            nodes.append(node)
+    return nodes, offences
 
 
 def _oracle_offences(source):
@@ -411,26 +446,20 @@ def _oracle_offences(source):
     list builder) may name none of ORACLE_BANNED, and one of them must build
     each W_L with ``Subspace.from_vectors``.
     """
-    functions = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
-    reached, todo = set(), ["closure_oracle"]
-    while todo:
-        name = todo.pop()
-        if name in functions and name not in reached:
-            reached.add(name)
-            todo += [node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)]
-    if not reached:
-        return ["no closure_oracle"]
-    offences, builds = [], False
-    for name in sorted(reached):
-        for node in ast.walk(functions[name]):
-            ident = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if ident in ORACLE_BANNED:
-                offences.append(f"{name}:{node.lineno} names {ident}")
-            if ident == "from_vectors" and isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "Subspace":
-                builds = True
-    if not builds:
+    nodes, offences = _reached_names(source, "closure_oracle", ORACLE_BANNED)
+    if nodes and not any(
+        isinstance(node, ast.Attribute) and node.attr == "from_vectors" and getattr(node.value, "id", None) == "Subspace"
+        for node in nodes
+    ):
         offences.append("no W_L is built with Subspace.from_vectors")
     return offences
+
+
+def _galois_offences(source):
+    """Where galois_closure in source stops being a third computation of C*:
+    it and every function of its module that it reaches by name may name none
+    of GALOIS_BANNED."""
+    return _reached_names(source, "galois_closure", GALOIS_BANNED)[1]
 
 
 def test_closure_oracle_stays_literal():
@@ -454,6 +483,30 @@ def test_oracle_gate_flags_each_kind():
         )
     ]
     assert flagged == [False, False, True, True, True, True, True, True]
+
+
+def test_galois_closure_stays_independent():
+    assert _galois_offences((PACKAGE_DIR / "ranksupport.py").read_text()) == []
+
+
+def test_galois_gate_flags_each_kind():
+    clean = "def galois_closure(C):\n    return _fix(C.space, C.tower._frobenius())\n" \
+            "def _fix(S, sigma):\n    return subspace_sum(S, image(S, sigma))\n"
+    flagged = [
+        bool(_galois_offences(src))
+        for src in (
+            clean,
+            clean + "def elsewhere(C):\n    return closure_oracle(C)\n",  # not reached from galois_closure
+            clean.replace("_fix(C.space", "_fix(closure(C).space"),
+            clean.replace("image(S, sigma)", "ranksupport.rank_support_code(C).space"),
+            clean.replace("image(S, sigma)", "restriction(C).space"),
+            clean.replace("image(S, sigma)", "extend_to_L(D).space"),
+            clean.replace("_fix(C.space", "_fix(closure_oracle(C).space"),
+            clean.replace("image(S, sigma)", "next(_kept(memo, n, k, n, make))"),
+            clean.replace("galois_closure", "galois"),
+        )
+    ]
+    assert flagged == [False, False] + [True] * 7
 
 
 # the element helpers that witness search must not go back to
@@ -704,7 +757,7 @@ def test_cli_maps_internal_invariant_error_to_exit_2(monkeypatch, capsys):
     assert "degeneracy criteria disagree" in capsys.readouterr().err
 
 
-ORACLE_MESSAGE = "closure differs from the literal intersection oracle"
+ORACLE_MESSAGE = "closure differs from the Galois closure C + σ(C) + …"
 EXTENDEDNESS_MESSAGE = "C = C* does not match extendedness"
 
 
@@ -716,7 +769,7 @@ def _support_plus_last_unit(C):
 
 
 def test_wrong_closure_fails_the_closure_suite_on_the_oracle(monkeypatch):
-    """closure_oracle never asks for a rank support, so it catches a closure built on a wrong one.
+    """galois_closure never asks for a rank support, so it catches a closure built on a wrong one.
 
     The wrong closure (Rsupp(C) + k·e_n)_L passes every other closure law
     checked with the same wrong support: only extendedness (for extended C)
@@ -743,6 +796,41 @@ def test_wrong_closure_fails_the_closure_suite_on_the_oracle(monkeypatch):
         assert rep["checks"]["closure_pair"]["failures"] == 0
 
 
+def test_a_closure_left_as_c_fails_the_closure_suite_on_each_code_that_is_not_extended(monkeypatch):
+    """galois_closure made to return C itself: every extended code still passes,
+    and every other code gives one counted failure, with its reproducer."""
+    expected = []
+    for task in standard_plan().towers:
+        tower = task.build()
+        codes = [c for n in range(1, task.max_n + 1) for c in exhaustive_codes(tower, n)]
+        expected.append([document_to_json(document_from_code(c)) for c in codes if not is_extended(c)])
+    monkeypatch.setattr(verify, "galois_closure", lambda C: C)
+    summary = run_verify(standard_plan(theorem="closure"))
+    assert not summary["ok"]
+    for rep, docs in zip(summary["towers"], expected):
+        entry = rep["checks"]["closure"]
+        assert entry["failures"] == len(docs) > 0
+        assert entry["assertions"] == 6 * (entry["items"] - len(docs))
+        assert {f["message"] for f in rep["failures"]} == {ORACLE_MESSAGE}
+        assert [f["documents"] for f in rep["failures"]] == [[doc] for doc in docs]
+        assert rep["checks"]["closure_pair"]["failures"] == 0
+
+
+@pytest.mark.parametrize("sigma, message", [
+    (lambda q: lambda c: c, "order m on the generator"),  # the identity: order 1
+    (lambda q: lambda c: c if c < q else 0, "order m on the generator"),  # fixes k, never returns to w
+    (lambda q: lambda c: c ^ 1, "moves an element of k"),
+])
+def test_a_wrong_frobenius_fails_the_tower_check(monkeypatch, sigma, message):
+    monkeypatch.setattr(fields, "_frobenius_map", lambda kern, q: sigma(q))
+    tower = standard_plan().towers[1].build()  # GF(8)/GF(2)
+    with pytest.raises(InternalInvariantError, match=message):
+        tower._frobenius()
+    assert tower._memo.frobenius is None  # a map that fails its check is not kept
+    with pytest.raises(InternalInvariantError):
+        galois_closure(exhaustive_codes(tower, 1)[1])
+
+
 def test_closure_summaries_match_across_workers():
     summaries = [run_verify(standard_plan(theorem="closure", workers=w)) for w in (1, 2)]
     assert summaries[0]["ok"] and json.dumps(summaries[0]) == json.dumps(summaries[1])
@@ -756,6 +844,72 @@ FINITE_PLAN = [
     TowerTask(2, ("u", "1", "1"), base_degree=2, base_modulus=(1, 1, 1), max_n=2),
     TowerTask(2, (1, 1, 0, 0, 1), max_n=2),
 ]
+
+
+# the towers on which the three computations of C* are compared: FINITE_PLAN and GF(27)/GF(3)
+GALOIS_TOWERS = FINITE_PLAN + [TowerTask(3, (2, 2, 0, 1), max_n=2)]
+
+
+def test_three_computations_of_the_closure_agree(monkeypatch):
+    """closure (from the rank support), galois_closure (C + σ(C) + ..., at
+    most m - 1 sums) and the literal closure_oracle give one C* on every code;
+    σ(C) = C exactly for the extended codes, and σ maps canonical codes to
+    canonical codes."""
+    sums = []
+    real_sum = ranksupport.subspace_sum
+    monkeypatch.setattr(ranksupport, "subspace_sum", lambda a, b: sums.append(1) or real_sum(a, b))
+    for task in GALOIS_TOWERS:
+        tower = task.build()
+        sigma, m = tower._frobenius(), tower.degree
+        for n in range(1, task.max_n + 1):
+            for code in exhaustive_codes(tower, n):
+                sums.clear()
+                assert galois_closure(code) == closure(code) == closure_oracle(code)
+                assert len(sums) <= m - 1
+                image = tuple(tuple(map(sigma, row)) for row in code.space._codes)
+                assert Subspace.from_codes(tower.L, n, image)._codes == image
+                assert (image == code.space._codes) == is_extended(code)
+
+
+def _qth_power(x, q):
+    """x·x·…·x, q factors, by repeated multiplication."""
+    power = x
+    for _ in range(q - 1):
+        power = power * x
+    return power
+
+
+def test_frobenius_is_the_qth_power():
+    for task in GALOIS_TOWERS:
+        tower = task.build()
+        sigma, q = tower._frobenius(), tower.k.order
+        assert isinstance(tower._memo.frobenius.__self__, list)  # |L| <= 4096: a table
+        for x in tower.L.elements():
+            assert sigma(x.code) == _qth_power(x, q).code
+
+
+def test_frobenius_without_tables():
+    """Above 4096 elements σ is square-and-multiply per code; the tower still
+    checks it, and galois_closure agrees with closure."""
+    rng = random.Random(5)
+    for tower, samples in ((gf8192(), 40), (gf4099_squared(), 3)):
+        sigma, q, L = tower._frobenius(), tower.k.order, tower.L
+        assert not isinstance(getattr(sigma, "__self__", None), list)
+        for _ in range(samples):
+            x = fields._element(L, rng.randrange(1, L.order))
+            assert sigma(x.code) == _qth_power(x, q).code
+        for _ in range(samples):
+            rows = [[rng.randrange(L.order) for _ in range(3)] for _ in range(rng.randint(1, 2))]
+            code = ranksupport.LinearCode(tower, 3, Subspace.from_codes(L, 3, rows))
+            assert galois_closure(code) == closure(code)
+
+
+def test_no_frobenius_over_q():
+    tower = qtheta()
+    with pytest.raises(InfiniteField):
+        tower._frobenius()
+    with pytest.raises(InfiniteField):
+        galois_closure(ranksupport.LinearCode.full(tower, 1))
 
 
 def test_finite_summaries_match_across_workers():
