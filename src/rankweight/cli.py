@@ -40,7 +40,7 @@ from .ranksupport import (
     restriction,
 )
 from .verify import THEOREMS, TowerTask, VerifyPlan, resolve_workers, run_verify, standard_plan, summary_to_text
-from .weights import find_witness, weight_report
+from .weights import STRATEGIES, find_witness, weight_report
 
 
 class _UsageError(Exception):
@@ -124,12 +124,10 @@ def cmd_analyze(args) -> int:
 def cmd_weights(args) -> int:
     code = _load(args)
     report = _header(code)
+    if args.r is not None and not 1 <= args.r <= code.dim:
+        raise BadR(f"--r {args.r} outside 1..dim C = {code.dim}")
     rep = weight_report(code, witness_seed=args.seed)
-    rows = rep.hierarchy
-    if args.r is not None:
-        if not 1 <= args.r <= code.dim:
-            raise BadR(f"--r {args.r} outside 1..dim C = {code.dim}")
-        rows = [rows[args.r - 1]]
+    rows = rep.hierarchy if args.r is None else [rep.hierarchy[args.r - 1]]
     hierarchy = []
     for row in rows:
         entry = {"r": row.r, "dRr": row.d_Rr, "Mr": row.M_r, "OSr": row.OS_r, "Dr": row.D_r}
@@ -209,7 +207,16 @@ def cmd_verify(args) -> int:
         if value is not None and value < 1:
             raise _UsageError(f"{flag} must be at least 1, got {value}")
     workers = resolve_workers(None)
-    if args.char is not None:
+    if args.char is None:
+        for name in ("ext_modulus", "base_degree", "base_modulus"):  # flags of a tower that --char names
+            if getattr(args, name) is not None:
+                raise _UsageError(f"--{name.replace('_', '-')} requires --char")
+        plan = standard_plan(theorem=args.theorem, workers=workers, seed=args.seed)
+        plan.force = args.force
+        if args.max_n is not None:
+            for t in plan.towers:
+                t.max_n = min(t.max_n, args.max_n)
+    else:
         if args.ext_modulus is None:
             raise _UsageError("--char requires --ext-modulus")
         base_modulus = None
@@ -218,7 +225,7 @@ def cmd_verify(args) -> int:
         task = TowerTask(
             characteristic=args.char,
             extension_modulus=_parse_csv_modulus(args.ext_modulus, args.char),
-            base_degree=args.base_degree,
+            base_degree=1 if args.base_degree is None else args.base_degree,
             base_modulus=base_modulus,
             max_n=args.max_n if args.max_n is not None else 2,
         )
@@ -229,12 +236,6 @@ def cmd_verify(args) -> int:
             seed=args.seed,
             force=args.force,
         )
-    else:
-        plan = standard_plan(theorem=args.theorem, workers=workers, seed=args.seed)
-        plan.force = args.force
-        if args.max_n is not None:
-            for t in plan.towers:
-                t.max_n = min(t.max_n, args.max_n)
     if args.random is not None:
         plan.source = "random"
         plan.random_count = args.random
@@ -265,7 +266,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("witness", help="find a codeword with the support of the code")
     p.add_argument("file")
-    p.add_argument("--strategy", choices=("auto", "constructive", "exhaustive", "random"), default="auto")
+    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
     p.add_argument("--seed", type=int, default=0, help="seed for the random search")
     p.add_argument("--height", type=int, default=5, help="coordinate height for random search over Q")
     add_format(p)
@@ -278,7 +279,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run theorem verification suites")
     p.add_argument("--char", type=int, default=None, help="tower characteristic (0 for Q)")
-    p.add_argument("--base-degree", type=int, default=1)
+    p.add_argument("--base-degree", type=int, default=None)
     p.add_argument("--base-modulus", default=None, help="CSV over GF(p), low to high")
     p.add_argument(
         "--ext-modulus",

@@ -45,6 +45,7 @@ from .fields import (
     PrimeField,
     Rationals,
     _element,
+    _power,
     _tower_over,
     build_base_field,
     format_element,
@@ -136,15 +137,7 @@ class _ElementParser:
             kind, exp = self.take()
             if kind != "num":
                 self.fail("exponent must be a nonnegative integer")
-            kern = fld._kernel()
-            result = kern.one
-            while exp:
-                if exp & 1:
-                    result = kern.mul(result, base)
-                exp >>= 1
-                if exp:
-                    base = kern.mul(base, base)
-            return result
+            return _power(fld._kernel(), base, exp)
         return base
 
     def atom(self, fld: Field):

@@ -55,10 +55,14 @@ checks (``_tower_over``), so k is built once per tower.
 
 A kernel takes and returns codes only, and never builds a ``FieldElement``;
 ``index`` and ``payload`` convert between codes and payloads at the
-boundary.  ``linalg``, ``ranksupport`` and ``weights`` run on codes alone;
-``linalg._encode`` reads the codes of rows of elements and
-``linalg.decode_rows`` wraps rows of codes.  Codes are the stored form of
-every ``linalg.Subspace``; its element rows are wrapped on first read.
+boundary.  Three jobs on codes have one implementation each, here:
+``_code_of`` codes an element, an int or (over Q) a Fraction; ``_power`` is
+the one square-and-multiply; and ``ExtensionTower._code_trace`` is the one
+trace, which ``ranksupport.trace_image`` also takes.  ``linalg``,
+``ranksupport`` and ``weights`` run on codes alone; ``linalg._encode`` reads
+the codes of rows of elements and ``linalg.decode_rows`` wraps rows of
+codes.  Codes are the stored form of every ``linalg.Subspace``; its element
+rows are wrapped on first read.
 ``expand`` gives an L-code's k-coordinates as k-codes: over a finite field
 they are the base-|k| digits of the code, lowest first, and over Q[x]/(f)
 the numerators over the common denominator, each reduced.
@@ -114,15 +118,10 @@ class FieldElement:
 
     def _coerce(self, other):
         """other's code in this element's field, or None when other is not an element of it."""
-        if isinstance(other, FieldElement):
-            if other.field is self.field or other.field == self.field:
-                return other.code
+        code = _code_of(self.field, other)
+        if code is None and isinstance(other, FieldElement):
             raise FieldMismatch(f"cannot mix elements of {self.field} and {other.field}")
-        if isinstance(other, int):
-            return self.field._kernel().int_code(other)
-        if isinstance(other, Fraction) and self.field.characteristic == 0:
-            return self.field._kernel().fraction_code(other)
-        return None
+        return code
 
     def __add__(self, other):
         b = self._coerce(other)
@@ -172,16 +171,8 @@ class FieldElement:
         return _element(self.field, b) / self
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        base = self.inverse() if e < 0 else self
+        return _element(self.field, _power(self.field._kernel(), base.code, abs(e)))
 
     def inverse(self):
         if not self.code:
@@ -192,10 +183,8 @@ class FieldElement:
         return bool(self.code)  # zero is the code 0 in every kernel
 
     def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return (other.field is self.field or other.field == self.field) and self.code == other.code
-        if isinstance(other, int):
-            return self.code == self.field._kernel().int_code(other)
+        if isinstance(other, (FieldElement, int)):
+            return _code_of(self.field, other) == self.code  # None, never a code, for a foreign element
         return NotImplemented
 
     def __hash__(self):
@@ -211,6 +200,30 @@ def _element(field, code) -> FieldElement:
     x.field = field
     x.code = code
     return x
+
+
+def _code_of(field, x):
+    """x's code in field's kernel, for an element of field, an int, or a Fraction in
+    characteristic 0; None for anything else, an element of another field included."""
+    if isinstance(x, FieldElement):
+        return x.code if x.field is field or x.field == field else None
+    if isinstance(x, int):
+        return field._kernel().int_code(x)
+    if isinstance(x, Fraction) and field.characteristic == 0:
+        return field._kernel().fraction_code(x)
+    return None
+
+
+def _power(kern, a, e: int):
+    """a^e for a code a of kern and e >= 0, by square and multiply, with no square after the last bit."""
+    result = kern.one
+    while e:
+        if e & 1:
+            result = kern.mul(result, a)
+        e >>= 1
+        if e:
+            a = kern.mul(a, a)
+    return result
 
 
 class Field:
@@ -959,23 +972,23 @@ def build_base_field(desc: BaseFieldDescriptor, symbol: str = "u") -> Field:
 class _TowerMemo:
     """Everything a tower derives, kept for the tower's lifetime.
 
-    The dicts start empty and the three lazy values unset (None); each is
+    The dicts start empty and the four lazy values unset (None); each is
     filled by the one function named beside it.  The tower's pickle leaves
-    the memo out, so a loaded copy starts with an empty one.
+    the memo out, so a loaded copy starts with an empty one.  The tests'
+    literal ``ranksupport.closure_oracle`` keeps nothing here.
     """
 
-    __slots__ = ("basis", "separable", "traces", "frobenius", "superspaces", "extensions", "subcode_coeffs",
-                 "closure_maxwt", "closure_sums", "codes")
+    __slots__ = ("basis", "separable", "traces", "frobenius", "extensions", "subcode_coeffs", "closure_maxwt",
+                 "closure_sums", "codes")
 
     def __init__(self):
         self.basis = None  # ExtensionTower.basis: the power basis
         self.separable = None  # is_separable_tower: gcd(f, f') = 1
-        self.traces = None  # ExtensionTower._trace_codes: the k-codes of Tr(w^i)
+        self.traces = None  # ExtensionTower._trace_codes: the k-codes of Tr(w^i); over Q(θ), D and D * Tr(w^i)
         # ExtensionTower._frobenius: σ(x) = x^|k| on L-codes, a table when L's kernel has tables
         # (|L| <= _KERNEL_LIMIT), else square-and-multiply per code; checked when it is made
         self.frobenius = None
         # the kept lists of ranksupport._kept, each kept while the space has <= _SUPERSPACE_LIMIT subspaces:
-        self.superspaces = {}  # ranksupport.closure_oracle, the tests' reference: n -> every W_L of k^n
         self.extensions = {}  # weights.weight_Mr: (n, d) -> the W_L of dim d
         self.subcode_coeffs = {}  # weights._subcodes: (dim C, r) -> the codes of the r-dim subspaces of L^(dim C)
         # weights.weight_Dr: (n, codes of a closure W_L) -> maxwt(W_L), one entry per W ⊆ k^n at most
@@ -1029,19 +1042,13 @@ class ExtensionTower:
         return [_element(self.k, c) for c in self.L._kernel().expand(x.code)]
 
     def element_from_coords(self, coords) -> FieldElement:
-        k = self.k
-        payload = []
+        kern, payload = self.k._kernel(), []
         for c in coords:
-            if isinstance(c, FieldElement):
-                if not (c.field is k or c.field == k):
-                    raise FieldMismatch("coordinates must lie in the base field")
-            elif isinstance(c, int):
-                c = k.from_int(c)
-            elif isinstance(c, Fraction) and k.characteristic == 0:
-                c = k.element(c)
-            else:
-                raise FieldMismatch(f"cannot interpret coordinate {c!r}")
-            payload.append(c.payload)
+            code = _code_of(self.k, c)
+            if code is None:
+                raise FieldMismatch("coordinates must lie in the base field" if isinstance(c, FieldElement)
+                                    else f"cannot interpret coordinate {c!r}")
+            payload.append(kern.payload(code))
         if len(payload) != self.degree:
             raise ValueError(f"need exactly {self.degree} coordinates")
         return FieldElement(self.L, tuple(payload))
@@ -1059,27 +1066,46 @@ class ExtensionTower:
         return _element(self.k, self._code_trace(x.code))
 
     def _code_trace(self, c):
-        """Tr(c) for a code c of L's kernel, as a code of k's: sum_i c_i * Tr(w^i) over the
-        k-codes c_i of c's coordinates."""
+        """Tr(c) for a code c of L's kernel, as a code of k's, by linearity: sum_i c_i * Tr(w^i).
+
+        Over a finite L the c_i are the k-codes of c's coordinates, multiplied
+        and added in k's kernel, so no table of size |L| is built.  Over Q(θ)
+        it is one dot product of c's numerators with the D * Tr(w^i), over
+        c's denominator times D, reduced by one gcd.
+        """
+        traces = self._memo.traces or self._trace_codes()
+        if self.L.order is None:
+            den, scaled = traces  # m scaled traces: the map stops before c's denominator
+            num = sum(map(operator.mul, scaled, c)) if c else 0
+            if not num:
+                return 0
+            g = gcd(num, c[-1] * den)
+            return num // g, c[-1] * den // g
         kk = self.k._kernel()
         acc = 0
-        for x, tr in zip(self.L._kernel().expand(c), self._trace_codes()):
+        for x, tr in zip(self.L._kernel().expand(c), traces):
             if x and tr:
                 acc = kk.add(acc, kk.mul(x, tr))
         return acc
 
     def _trace_codes(self) -> tuple:
-        """The k-codes of Tr(w^i), the traces sum_j (w^(i+j))_j of the
-        multiplication-by-w^i matrices, computed on codes once per tower."""
+        """What ``_code_trace`` reads, computed on codes once per tower: the k-codes
+        of Tr(w^i), the traces sum_j (w^(i+j))_j of the multiplication-by-w^i
+        matrices; over Q(θ), (D, the integers D * Tr(w^i)) with D the least
+        common denominator of the Tr(w^i)."""
         memo = self._memo
         if memo.traces is None:
             kern, add, m = self.L._kernel(), self.k._kernel().add, self.degree
             powers, w = [kern.one], self.generator().code
             while len(powers) < 2 * m - 1:
                 powers.append(kern.mul(powers[-1], w))
-            memo.traces = tuple(
+            traces = tuple(
                 functools.reduce(add, [kern.expand(powers[i + j])[j] for j in range(m)], 0) for i in range(m)
             )
+            if self.L.order is None:  # Q-codes (n, d), and 0 for zero
+                den = lcm(*[x[1] for x in traces if x])
+                traces = den, tuple([x[0] * (den // x[1]) if x else 0 for x in traces])
+            memo.traces = traces
         return memo.traces
 
     def _frobenius(self):
@@ -1123,22 +1149,12 @@ def _frobenius_map(kern, q: int):
     """x -> x^q on the codes of a finite field's kernel, as a function of one code.
 
     With exp/log tables it is a table read, since log(x^q) = q * log(x)
-    mod |L| - 1; without, square-and-multiply in the kernel per code.
+    mod |L| - 1; without, ``_power`` per code.
     """
     if isinstance(kern, _Kernel):
         exp, log, n1 = kern.exp, kern.log, kern.n1
         return ([0] + [exp[log[c] * q % n1] for c in range(1, kern.q)]).__getitem__
-    mul = kern.mul
-
-    def sigma(c):
-        out, e = kern.one, q
-        while e:
-            if e & 1:
-                out = mul(out, c)
-            c, e = mul(c, c), e >> 1
-        return out
-
-    return sigma
+    return functools.partial(_power, kern, e=q)
 
 
 def make_tower(base, modulus, symbol: str = "w", base_symbol: str = "u") -> ExtensionTower:
@@ -1159,16 +1175,11 @@ def _tower_over(base: BaseFieldDescriptor, k: Field, modulus, symbol: str) -> Ex
     kern = k._kernel()
     coeffs = []  # codes of k's kernel
     for c in modulus:
-        if isinstance(c, FieldElement):
-            if not (c.field is k or c.field == k):
-                raise BadModulus("modulus coefficient from a foreign field")
-            coeffs.append(c.code)
-        elif isinstance(c, int):
-            coeffs.append(kern.int_code(c))
-        elif isinstance(c, Fraction) and k.characteristic == 0:
-            coeffs.append(kern.fraction_code(c))
-        else:
-            raise BadModulus(f"cannot interpret modulus coefficient {c!r}")
+        code = _code_of(k, c)
+        if code is None:
+            raise BadModulus("modulus coefficient from a foreign field" if isinstance(c, FieldElement)
+                             else f"cannot interpret modulus coefficient {c!r}")
+        coeffs.append(code)
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     if len(coeffs) < 2:

@@ -11,7 +11,8 @@ of the rank support.  Over a finite tower two more computations share no
 step with it: ``galois_closure`` sums C + σ(C) + ... until the Frobenius σ
 fixes the sum (Galois descent), and the verify sweeps check ``closure``
 against it; ``closure_oracle`` intersects every extended superspace W_L,
-literally, and is the reference that the tests hold both of them to.
+built literally on each call, and is the reference that the tests hold
+both of them to.
 
 Rsupp(C), C^perp, Res(C) and C* are computed once per distinct code per
 tower: ``rank_support_code``, ``dual``, ``restriction`` and ``closure`` fill
@@ -35,17 +36,17 @@ Every field has a kernel (``fields``), and these work on the codes that
 its coordinates (``kern.expand``), a k-code embeds as an L-code
 (``kern.embed_row``; over a finite L the same int), and
 ``rank_support_code``, ``restriction``, ``extend_to_L`` and ``trace_image``
-reduce those codes without building elements.  ``_coded_expansion`` is the
-one expansion: ``rank_support_vec`` encodes its vector once and reduces the
-expansion's codes, and ``expand_vector`` decodes them.  Only
-``closure_oracle`` stays on elements, embedding and reducing literally.
+reduce those codes without building elements; ``trace_image`` takes the
+tower's one trace on codes (``ExtensionTower._code_trace``).
+``_coded_expansion`` is the one expansion: ``rank_support_vec`` encodes its
+vector once and reduces the expansion's codes, and ``expand_vector`` decodes
+them.  Only ``closure_oracle`` stays on elements, embedding and reducing
+literally.
 """
 
 from __future__ import annotations
 
-import operator
 import weakref
-from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InfiniteField, InseparableTower, InternalInvariantError, TowerMismatch
@@ -152,7 +153,7 @@ class LinearCode:
         return f"LinearCode(dim {self.dim} of L^{self.length} over {self.tower})"
 
 
-def _code(tower: ExtensionTower, length: int, space: Subspace, keep: bool = True) -> LinearCode:
+def _code(tower: ExtensionTower, length: int, space: Subspace) -> LinearCode:
     """The tower's one ``LinearCode`` with this space, made on a miss.
 
     The table (``codes`` of the tower's ``_TowerMemo``) maps the length and the
@@ -160,9 +161,7 @@ def _code(tower: ExtensionTower, length: int, space: Subspace, keep: bool = True
     the table when its code is freed, so the table keeps no code its callers
     have dropped.  A ``weakref.WeakValueDictionary`` does the same at twice
     the cost per lookup, which a cold CLI ``weights`` call, making each
-    subcode once, shows.  A code made on a miss is entered only when ``keep``
-    is set; a caller whose codes seldom recur (the pair sums of
-    ``check_closure_pair``) only looks up.
+    subcode once, shows.
     """
     table = tower._memo.codes
     key = length, space._codes
@@ -170,9 +169,8 @@ def _code(tower: ExtensionTower, length: int, space: Subspace, keep: bool = True
     code = None if entry is None else entry()
     if code is None:
         code = LinearCode(tower, length, space)
-        if keep:
-            entry = table[key] = _Entry(code, _Entry.drop)
-            entry.table, entry.key = table, key
+        entry = table[key] = _Entry(code, _Entry.drop)
+        entry.table, entry.key = table, key
     return code
 
 
@@ -293,44 +291,18 @@ def trace_image(C: LinearCode) -> KSubspace:
 
     Requires a separable tower: outside that hypothesis Tr may vanish and the
     identity with the rank support fails, so inseparable input is refused.
-    The products and traces run on codes.
+    The products run on codes, and each trace is the tower's
+    (``ExtensionTower._code_trace``), the one that ``ExtensionTower.trace``
+    takes on elements.
     """
     t = C.tower
     if not is_separable_tower(t):
         raise InseparableTower(f"trace image needs a separable extension, got {t}")
     kern = t.L._kernel()
-    n, trace = C.length, _coded_trace(t)
+    n, trace = C.length, t._code_trace
     (powers,) = _encode(kern, [t.basis], t.degree)
     rows = [tuple([trace(kern.mul(p, x)) for x in g]) for g in C.space._codes for p in powers]
     return KSubspace(t, n, Subspace.from_codes(t.k, n, rows))
-
-
-def _coded_trace(t: ExtensionTower):
-    """Tr: L -> k on codes of L's kernel, by linearity: sum_l x_l * Tr(w^l).
-
-    Over a finite L it is the tower's own sum on codes
-    (``ExtensionTower._code_trace``): the k-codes x_l are the digits
-    ``kern.expand`` reads off a code, multiplied and added in k's kernel, so
-    no table of size |L| is built.  Over Q(θ) it is
-    sum_l n_l * Tr(w^l) / d, read off a code's numerators n_l and its
-    denominator d.
-    """
-    if t.L.order is not None:
-        return t._code_trace
-    trace_codes = t._trace_codes()
-    den = lcm(*[x[1] for x in trace_codes if x])  # Q-codes (n, d), and 0 for zero
-    scaled = [x[0] * (den // x[1]) if x else 0 for x in trace_codes]  # Tr(w^l) * den
-
-    def trace(c):
-        if not c:
-            return 0
-        num, d = sum(map(operator.mul, scaled, c)), c[-1] * den  # map stops before c's d
-        if not num:
-            return 0
-        g = gcd(num, d)
-        return num // g, d // g
-
-    return trace
 
 
 def is_rank_degenerate(C: LinearCode) -> bool:
@@ -375,12 +347,12 @@ def galois_closure(C: LinearCode) -> LinearCode:
         space = subspace_sum(space, Subspace(t.L, n, image))
 
 
-# The kept lists (``_kept``): closure_oracle's and weight_Mr's W_L of every
-# W ⊆ k^n, and weights._subcodes's coefficient matrices of the subspaces of
-# L^(dim C), are each kept on the tower while the space has at most this many
-# subspaces; above it, they are made again for each code.  A kept W_L takes
-# about 0.5 KB (2,825 of them, all of GF(2)^6 in GF(8)^6, take 1.3 MB in
-# either W_L list), so each list stays under about 2 MB per (tower, n).
+# The kept lists (``_kept``): weight_Mr's W_L of every W ⊆ k^n, and
+# weights._subcodes's coefficient matrices of the subspaces of L^(dim C), are
+# each kept on the tower while the space has at most this many subspaces;
+# above it, they are made again for each code.  A kept W_L takes about 0.5 KB
+# (2,825 of them, all of GF(2)^6 in GF(8)^6, take 1.3 MB), so the W_L list
+# stays under about 2 MB per (tower, n).
 _SUPERSPACE_LIMIT = 4096
 
 
@@ -428,21 +400,17 @@ def closure_oracle(C: LinearCode) -> LinearCode:
     Finite base fields only.  It is the tests' reference for ``closure`` and
     ``galois_closure``, which the verify sweeps compare, and is kept
     deliberately naive: it never uses a rank support, ``closure``,
-    ``galois_closure`` or ``extend_to_L``.  The W_L are embedded and reduced
-    literally, in a list per (tower, n) of the tower's memo
-    (``superspaces``), kept by the rule of ``_kept``.
+    ``galois_closure`` or ``extend_to_L``, and keeps nothing on the tower.
+    Each call embeds and reduces every W_L literally.
     """
     t = C.tower
     if t.k.order is None:
         raise InfiniteField("closure_oracle enumerates k-subspaces; k is infinite")
     n = C.length
-    spaces = _kept(t._memo.superspaces, n, t.k, n, lambda: (
-        Subspace.from_vectors(t.L, n, [embed_vector(t, row) for row in w.rows])
-        for d in range(n + 1)
-        for w in enumerate_subspaces(t.k, n, d)
-    ))
     result = None
-    for wl in spaces:
-        if wl.contains_space(C.space):
-            result = wl if result is None else subspace_intersection(result, wl)
+    for d in range(n + 1):
+        for w in enumerate_subspaces(t.k, n, d):
+            wl = Subspace.from_vectors(t.L, n, [embed_vector(t, row) for row in w.rows])
+            if wl.contains_space(C.space):
+                result = wl if result is None else subspace_intersection(result, wl)
     return LinearCode(t, n, result)  # the last W_L, L^n itself, contains C

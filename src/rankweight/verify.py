@@ -248,8 +248,8 @@ def check_closure(code: LinearCode, params) -> int:
 def check_closure_pair(codes, params) -> int:
     a, b = codes
     t, n = a.tower, a.length
-    # a sum already in the population is found with its rank support; a new one is not kept
-    total = _code(t, n, subspace_sum(a.space, b.space), keep=False)
+    # a sum already in the population is found with its rank support
+    total = _code(t, n, subspace_sum(a.space, b.space))
     lhs = closure(total).space
     # C* + C'* is summed once per pair of closures per tower; only this side reads the memo
     sums = t._memo.closure_sums

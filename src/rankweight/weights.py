@@ -27,9 +27,9 @@ a sweep does each piece of work once:
   per (dim C, r) extended as far as a scan has read (``_coefficients``);
 * ``weight_Mr`` reads the W_L = ``extend_to_L(W)`` per length and dim W from
   such lists too (``_extensions``).  Both are kept lists of
-  ``ranksupport._kept``, as is ``closure_oracle``'s list, which makes its
-  W_L literally, at three times the cost, to stay independent of
-  ``extend_to_L``.  M_r tests each W_L by rank: dim(C ∩ W_L) >= r iff
+  ``ranksupport._kept``; ``closure_oracle`` keeps no list, and makes its
+  W_L literally on each call, to stay independent of ``extend_to_L``.
+  M_r tests each W_L by rank: dim(C ∩ W_L) >= r iff
   C's canonical rows, reduced modulo W_L's, leave residues of rank
   <= dim C - r (``_meets``), so C + W_L is never built;
 * ``weight_Dr`` keeps maxwt of each closure (``closure_maxwt``), so each
@@ -93,6 +93,7 @@ from .ranksupport import (
 )
 
 _RANDOM_TRIES_PER_ROUND = 200
+STRATEGIES = ("auto", "constructive", "exhaustive", "random")  # find_witness's strategies
 
 
 def _combine_codes(kern, coeffs, gens, n: int) -> list:
@@ -487,6 +488,8 @@ def find_witness(
     finite exhaustive scan came up empty.  Every path works on codes, and
     the witness is decoded to elements here, once.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     t = C.tower
     if C.dim == 0:
         return [t.L.zero()] * C.length
@@ -502,10 +505,8 @@ def find_witness(
             c = _search(C, seed, height, rounds)
     elif strategy == "exhaustive":
         c = _witness_exhaustive(C)
-    elif strategy == "random":
-        c = _witness_random(C, random.Random(seed), height, rounds)
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        c = _witness_random(C, random.Random(seed), height, rounds)
     return None if c is None else list(decode_rows(t.L, [c])[0])
 
 

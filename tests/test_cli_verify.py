@@ -92,6 +92,17 @@ def test_weights_single_row_and_bad_r(sample_file, capsys):
     assert "outside" in err
 
 
+@pytest.mark.parametrize("r", ["0", "2", "7", "-1"])
+def test_weights_refuses_r_before_computing_any_weight(sample_file, capsys, monkeypatch, r):
+    reports = []
+    real = cli.weight_report
+    monkeypatch.setattr(cli, "weight_report", lambda *a, **kw: reports.append(1) or real(*a, **kw))
+    code, out, err = run_cli(capsys, "weights", sample_file, "--r", r)
+    assert (code, out, reports) == (1, "", [])
+    assert err == f"error: --r {r} outside 1..dim C = 1\n"
+    assert run_cli(capsys, "weights", sample_file, "--r", "1")[0] == 0 and reports == [1]
+
+
 def test_weights_inapplicable_entries_over_q(q_file, capsys):
     code, out, _ = run_cli(capsys, "weights", q_file, "--format", "json")
     assert code == 0
@@ -193,6 +204,20 @@ def test_verify_that_checks_no_code_is_a_usage_error(capsys, monkeypatch, flag, 
     code, out, err = run_cli(capsys, "verify", *tower, flag, value)
     assert (code, out) == (1, "")
     assert err == f"error: {flag} must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--ext-modulus", "1,1,0,0,1"), ("--ext-modulus=-2,0,0,1", None),
+                                         ("--base-degree", "2"), ("--base-degree", "1"),
+                                         ("--base-modulus", "1,1,1")])
+def test_tower_flags_without_char_are_a_usage_error(capsys, monkeypatch, flag, value):
+    """Without --char a tower flag would be ignored, and the standard plan
+    would run and print PASS."""
+    monkeypatch.setenv("RANKWEIGHT_WORKERS", "1")
+    monkeypatch.setattr(cli, "run_verify", lambda plan: pytest.fail("a plan ran"))
+    argv = [flag] if value is None else [flag, value]
+    code, out, err = run_cli(capsys, "verify", *argv, "--max-n", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag.split('=')[0]} requires --char\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

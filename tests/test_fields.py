@@ -4,12 +4,13 @@ as (field, code): the payload an element is built from reads back."""
 import itertools
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from rankweight import polys
-from rankweight.errors import BadBase, BadModulus, InfiniteField, NotIrreducible
+from rankweight.errors import BadBase, BadModulus, FieldMismatch, InfiniteField, NotIrreducible
 from rankweight.fields import (
     BaseFieldDescriptor,
     ExtensionField,
@@ -77,6 +78,35 @@ def test_bad_inputs():
         make_tower(BaseFieldDescriptor(2), [1])  # degree 0
     with pytest.raises(BadModulus):
         make_tower(BaseFieldDescriptor(0), [Fraction(1), Fraction(2)])  # non-monic
+
+
+def test_each_caller_of_code_of_keeps_its_error():
+    """Elements, ints and (in characteristic 0) Fractions become codes through
+    fields._code_of; each caller names what it refuses in its own words."""
+    t, q = gf4(), qtheta()
+    w, u = t.generator(), gf8().generator()
+    assert w + 1 == w + t.L.one() and w * 3 == w  # an int n is n * 1
+    assert q.generator() + Fraction(1, 2) == q.generator() + q.L.one() / 2
+    with pytest.raises(FieldMismatch, match=re.escape("cannot mix elements of GF(4) and GF(8)")):
+        w + u
+    for other in ("1", Fraction(1, 2), 1.0):
+        with pytest.raises(TypeError):
+            w * other
+    assert make_tower(BaseFieldDescriptor(0), [-2, 0, Fraction(0), q.k.one()]).L == q.L
+    with pytest.raises(BadModulus, match=re.escape("modulus coefficient from a foreign field")):
+        make_tower(BaseFieldDescriptor(2), [w, 1, 1])
+    for bad in ("x", Fraction(1, 2), 1.0):
+        with pytest.raises(BadModulus, match=re.escape(f"cannot interpret modulus coefficient {bad!r}")):
+            make_tower(BaseFieldDescriptor(2), [1, bad, 1])
+    assert t.element_from_coords([1, t.k.one()]) == 1 + w
+    assert q.element_from_coords([Fraction(1, 2), 0, q.k.from_int(3)]).payload == (Fraction(1, 2), 0, 3)
+    with pytest.raises(FieldMismatch, match=re.escape("coordinates must lie in the base field")):
+        t.element_from_coords([w, 0])
+    for bad in ("1", Fraction(1, 2), None):
+        with pytest.raises(FieldMismatch, match=re.escape(f"cannot interpret coordinate {bad!r}")):
+            t.element_from_coords([0, bad])
+    with pytest.raises(ValueError, match="need exactly 2 coordinates"):
+        t.element_from_coords([1])
 
 
 def test_coords_gf4():

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -675,6 +676,93 @@ def test_private_gate_flags_each_kind():
     ]
     assert [bool(_unreferenced_private(c)) for c in cases] == [True, False, True, True, False, False,
                                                                False, False, True]
+
+
+# the square-and-multiply loops allowed: fields's one power on codes, and polys's power of polynomials
+POWER_LOOPS = {("fields", "_power"), ("polys", "pow_mod")}
+
+
+def _while_loops(tree):
+    """(name of the innermost function holding it, or None at module level; the loop) for each while loop."""
+    loops = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.While):
+                loops.append((owner, child))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(tree, None)
+    return loops
+
+
+def _is_square_and_multiply(loop):
+    """The loop tests a bit with ``& 1`` and shifts right (``>>`` or ``>>=``)."""
+    nodes = list(ast.walk(loop))
+    return any(
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+        and isinstance(node.right, ast.Constant) and node.right.value == 1
+        for node in nodes
+    ) and any(isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.RShift) for node in nodes)
+
+
+def _second_path_offences(sources):
+    """Where sources (module name -> source) hold a second trace or power on codes.
+
+    No module but fields names ``_trace_codes``; ranksupport defines no
+    function with "trace" in its name but ``trace_image``, which names the
+    tower's ``_code_trace``; and no function but those of POWER_LOOPS holds
+    a square-and-multiply while loop.
+    """
+    offences = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) == "_trace_codes" \
+                    and module != "fields":
+                offences.append(f"{module}:{node.lineno} names _trace_codes")
+        if module == "ranksupport":
+            offences += [f"ranksupport:{f.lineno} defines {f.name}" for f in functions
+                         if "trace" in f.name and f.name != "trace_image"]
+            if not any(getattr(node, "attr", None) == "_code_trace"
+                       for f in functions if f.name == "trace_image" for node in ast.walk(f)):
+                offences.append("ranksupport: trace_image does not take the tower's _code_trace")
+        offences += [f"{module}:{loop.lineno} square-and-multiply in {owner}" for owner, loop in _while_loops(tree)
+                     if _is_square_and_multiply(loop) and (module, owner) not in POWER_LOOPS]
+    return offences
+
+
+def test_one_trace_and_one_power_on_codes():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert _second_path_offences(sources) == []
+
+
+def test_second_path_gate_flags_each_kind():
+    power = "def _power(kern, a, e):\n    while e:\n        if e & 1:\n            r = kern.mul(r, a)\n" \
+            "        e >>= 1\n    return r\n"
+    clean = {
+        "fields": "def _trace_codes(t):\n    return t._memo.traces\n" + power,
+        "polys": power.replace("_power", "pow_mod"),
+        "ranksupport": "def trace_image(C):\n    trace = C.tower._code_trace\n    return [trace(c) for c in C]\n",
+    }
+    loop = "while e:\n    if e & 1:\n        r = r * a\n    e = e >> 1\n"  # square-and-multiply, unindented
+    cases = [
+        {},
+        {"ranksupport": clean["ranksupport"].replace("C.tower._code_trace", "_codes(C.tower._trace_codes())")},
+        {"weights": "def traces(t):\n    return t._trace_codes()\n"},
+        {"ranksupport": clean["ranksupport"] + "def _coded_trace(t):\n    return t._code_trace\n"},
+        {"ranksupport": clean["ranksupport"].replace("    trace = C.tower._code_trace\n",
+                                                     "    def trace(c):\n        return C.tower._code_trace(c)\n")},
+        {"ranksupport": clean["ranksupport"].replace("C.tower._code_trace", "_dot_product(C.tower)")},
+        {"documents": "def factor(r, a, e):\n" + textwrap.indent(loop, " " * 4)},
+        {"fields": clean["fields"] + "class FieldElement:\n    def __pow__(r, a, e):\n" + textwrap.indent(loop, " " * 8)},
+        {"fields": clean["fields"] + "def _frobenius_map(kern, q):\n    def sigma(a, e=q, r=1):\n"
+                   + textwrap.indent(loop, " " * 8) + "    return sigma\n"},
+        {"polys": clean["polys"] + "r, a, e = 1, 2, 5\n" + loop},  # at module level
+        {"documents": "def factor(r, a, e):\n" + textwrap.indent(loop.replace("e = e >> 1", "e //= 2"), " " * 4)},
+    ]
+    assert [bool(_second_path_offences({**clean, **case})) for case in cases] == [False] + [True] * 9 + [False]
 
 
 def _zero_restriction(monkeypatch):

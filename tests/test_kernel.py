@@ -1,11 +1,14 @@
 """The int-coded kernels (finite fields with and without tables, Q and
-Q[x]/(f)) against the payload arithmetic of ``helpers``; the trace by linearity;
+Q[x]/(f)) against the payload arithmetic of ``helpers``; the trace by linearity,
+over Q(θ) against the literal trace; the one power against repeated products;
 multi-vector membership; codes as the stored form of a subspace, against
 towers with their tables off and against the literal element references of
 ``helpers``, on small towers and on towers above 4096 elements."""
 
+import functools
 import gc
 import itertools
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -24,6 +27,9 @@ from rankweight.fields import (
     Rationals,
     _FiniteKernel,
     _Kernel,
+    _element,
+    _power,
+    _RationalKernel,
     build_base_field,
     format_element,
     is_separable_tower,
@@ -85,6 +91,7 @@ from helpers import (
     rref_reference,
     span_reference,
     support_reference,
+    trace_literal,
     trace_reference,
 )
 
@@ -477,6 +484,75 @@ def test_trace_by_linearity_over_q(make):
         x = random_rational_element(t, rng, 9)
         assert t.trace(x) == trace_by_powers(t, x)
     assert t.trace(t.L.one()) == t.k.from_int(t.degree)
+
+
+def q_cyclic_cubic():
+    return make_tower(BaseFieldDescriptor(0), [1, -3, 0, 1])
+
+
+def q_quarters():
+    # x^3 - 3/2 x^2 + 5/4: the Tr(w^i) are 3, 3/2 and 9/4, over the common denominator 4
+    return make_tower(BaseFieldDescriptor(0), [Fraction(5, 4), 0, Fraction(-3, 2), 1])
+
+
+@pytest.mark.parametrize("make", [qtheta, q_cyclic_cubic, q_third, q_quarters])
+def test_trace_over_q_theta_matches_the_literal_trace(make, monkeypatch):
+    """ExtensionTower.trace, one dot product per code, against the trace of
+    the multiplication matrix read off payloads; trace_image takes the same
+    map, once per basis multiple of each generator entry."""
+    t = make()
+    rng = random.Random(24)
+    samples = [t.L.zero(), t.L.one(), t.generator()] + [random_rational(rng, t.L) for _ in range(60)]
+    for x in samples:
+        assert t.trace(x) == trace_literal(t, x)
+    calls = []
+    real = ExtensionTower._code_trace
+    monkeypatch.setattr(ExtensionTower, "_code_trace", lambda self, c: calls.append(c) or real(self, c))
+    code = LinearCode.from_generators(t, 2, [[samples[3], samples[4]]])
+    assert trace_image(code).space.rows == trace_reference(code)
+    assert len(calls) == t.degree * 2
+    assert isinstance(t.L._kernel(), _RationalKernel) and t.trace(t.L.zero()).code == 0
+
+
+# the kernel kinds, each with its q: the field's order, the base order for
+# GF(4099^2) (whose 16.8 million elements are too many for a chain of
+# products), and 5 over Q and Q(t)
+POWER_FIELDS = [
+    ("GF(8)", lambda: gf8().L, 8),  # a _Kernel
+    ("GF(2^13)", lambda: gf8192().L, 8192),  # a _FiniteKernel over GF(2)
+    ("GF(4099^2)", lambda: gf4099_squared().L, 4099),  # a _FiniteKernel over a _FiniteKernel
+    ("Q", Rationals, 5),
+    ("Q(t)", lambda: qtheta().L, 5),
+]
+
+
+@pytest.mark.parametrize("name,make,q", POWER_FIELDS, ids=[n for n, _, _ in POWER_FIELDS])
+def test_power_matches_repeated_products(name, make, q):
+    """_power(kern, a, e) = a * a * ... * a, e factors, for e = 0, 1, q - 1, q
+    and q + 1; a^(q-1) = 1 and a^q = a when q is the field's order; and
+    FieldElement.__pow__, negative exponents included, is the same power."""
+    field = make()
+    kern = field._kernel()
+    rng = random.Random(len(name))
+    if field.order is None:
+        samples = [random_rational(rng, field, sparse=0) for _ in range(3)]
+    else:
+        samples = [field.from_int(1), _element(field, rng.randrange(2, field.order))]
+    for x in [field.zero()] + samples:
+        chain = [kern.one]
+        for _ in range(q + 1):
+            chain.append(kern.mul(chain[-1], x.code))
+        for e in (0, 1, q - 1, q, q + 1):
+            assert _power(kern, x.code, e) == chain[e]
+            assert (x ** e).code == chain[e] and (x ** e).field is field
+        if x and field.order == q:
+            assert chain[q - 1] == kern.one and chain[q] == x.code
+        if x:
+            inverse = x.inverse()
+            for e in (1, 2, 3):
+                assert x ** -e == functools.reduce(operator.mul, [inverse] * e) and x ** -e * x ** e == 1
+    with pytest.raises(ZeroDivisionError):
+        field.zero() ** -1
 
 
 MEMBERSHIP_FIELDS = [

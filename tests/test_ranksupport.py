@@ -8,7 +8,6 @@ import pytest
 
 from helpers import (
     all_codes,
-    assert_memo_empty,
     all_vectors,
     expansion,
     gf3_degree_one,
@@ -363,55 +362,6 @@ def test_closure_sums_are_summed_once_per_pair_of_closures(monkeypatch):
     assert len(summed) == len(pairs) + len(star_pairs) and len(fresh._memo.closure_sums) == len(star_pairs)
     summed.clear()
     assert all(check_closure_pair(pair, {}) == 1 for pair in pairs) and len(summed) == len(pairs)
-
-
-def _count_k_enumerations(monkeypatch, tower):
-    """Rebind ranksupport.enumerate_subspaces; the list counts its calls over tower's k."""
-    real = ranksupport.enumerate_subspaces
-    calls = []
-
-    def counting(field, ambient_dim, dim):
-        if field == tower.k:
-            calls.append((ambient_dim, dim))
-        return real(field, ambient_dim, dim)
-
-    monkeypatch.setattr(ranksupport, "enumerate_subspaces", counting)
-    return calls
-
-
-def _fresh_gf4():
-    return make_tower(BaseFieldDescriptor(2), [1, 1, 1])
-
-
-def test_closure_oracle_builds_the_superspaces_once_per_tower_and_length(monkeypatch):
-    t = _fresh_gf4()
-    calls = _count_k_enumerations(monkeypatch, t)
-    codes = all_codes(t, 2) + all_codes(t, 3)
-    for c in codes + codes:
-        assert closure_oracle(c) == closure(c)
-    # one enumeration per dimension d = 0..n, for n = 2 and n = 3
-    assert calls == [(2, d) for d in range(3)] + [(3, d) for d in range(4)]
-    assert [len(t._memo.superspaces[n]) for n in (2, 3)] == [1 + 3 + 1, 1 + 7 + 7 + 1]
-    # an equal tower built apart holds its own list: the cache follows the tower object
-    fresh = _fresh_gf4()
-    assert fresh == t
-    assert_memo_empty(fresh)
-    calls.clear()
-    c = LinearCode(fresh, 2, codes[1].space)
-    assert closure_oracle(c) == closure(c) and len(calls) == 3
-    assert fresh._memo.superspaces[2] is not t._memo.superspaces[2]
-
-
-def test_closure_oracle_streams_above_the_bound(monkeypatch):
-    t = _fresh_gf4()
-    calls = _count_k_enumerations(monkeypatch, t)
-    # GF(2)^1 has 2 subspaces, kept; GF(2)^2 has 1 + 3 + 1 = 5, streamed for each code
-    monkeypatch.setattr(ranksupport, "_SUPERSPACE_LIMIT", 4)
-    codes = all_codes(t, 2)
-    for c in all_codes(t, 1) + codes:
-        assert closure_oracle(c) == closure(c)
-    assert set(t._memo.superspaces) == {1}
-    assert len(calls) == 2 + 3 * len(codes)
 
 
 def _expansion_in_basis(t, c, basis):

@@ -181,6 +181,21 @@ def test_witness_inapplicable_constructive_raises():
         find_witness(code(q, 2, (1, theta)), strategy="exhaustive")
 
 
+@pytest.mark.parametrize("strategy", ["bogus", "", "Auto"])
+def test_an_unknown_strategy_is_refused_before_any_path_runs(monkeypatch, strategy):
+    """The zero code and a code with dim Rsupp > m have answers that need no
+    search, and an unknown strategy is refused on them too."""
+    q = qtheta()
+    theta = q.generator()
+    wide = code(q, 4, (1, theta, 0, 0), (0, 0, 1, theta))  # dim Rsupp 4 > m = 3
+    calls = []
+    monkeypatch.setattr(weights, "rank_support_code", lambda C: calls.append(C))
+    for c in (LinearCode.zero(gf4(), 2), LinearCode.zero(q, 2), wide, LinearCode.full(gf4(), 2)):
+        with pytest.raises(ValueError, match=f"unknown strategy {strategy!r}"):
+            find_witness(c, strategy=strategy)
+    assert calls == []
+
+
 def test_extend_witness_step_direct():
     t = gf8()
     w = t.generator()
