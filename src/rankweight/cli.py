@@ -206,7 +206,7 @@ def cmd_verify(args) -> int:
     for flag, value in (("--max-n", args.max_n), ("--random", args.random)):
         if value is not None and value < 1:
             raise _UsageError(f"{flag} must be at least 1, got {value}")
-    workers = resolve_workers(None)
+    workers = resolve_workers()
     if args.char is None:
         for name in ("ext_modulus", "base_degree", "base_modulus"):  # flags of a tower that --char names
             if getattr(args, name) is not None:

@@ -16,12 +16,14 @@ is canonical: descending powers, coefficient 1 omitted, '+-' folded to '-';
 parse(render(x)) == x.
 
 A parsed ``CodeDocument`` holds only the tower, the length and the rows; the
-tower block is rendered from the tower itself (``tower_to_json``), so a
-modulus written with trailing zero coefficients comes back without them.
-Two documents are equal iff they render the same: same tower, generator
-names included, same length and the same rows in the same order.
-``build_tower`` is the one reader of a tower description, for documents and
-for verify's ``TowerTask`` alike.
+tower block is rendered from the tower itself (``tower_to_json``), both
+floors included, so a modulus written with trailing zero coefficients comes
+back without them and a base modulus comes back reduced mod p
+([3, -1, 1] over GF(2) as [1, 1, 1]).  Two documents are equal iff they
+render the same: same tower, generator names included, same length and the
+same rows in the same order.  ``build_tower`` is the one reader of a tower
+description, for documents and for verify's ``TowerTask`` alike: it builds
+k once, parses the coefficients in it, and hands both to ``make_tower``.
 
 The element parser evaluates on codes in each field's kernel, so parsing
 builds the kernels of the fields it reads, and wraps one FieldElement per
@@ -46,9 +48,9 @@ from .fields import (
     Rationals,
     _element,
     _power,
-    _tower_over,
     build_base_field,
     format_element,
+    make_tower,
 )
 from .ranksupport import LinearCode
 
@@ -217,12 +219,11 @@ def build_tower(
     ``extension_modulus`` lists f's coefficients over k, low to high: ints,
     Fractions (over Q), or element strings in ``base_symbol``.
     """
-    desc = BaseFieldDescriptor(characteristic, base_degree, base_modulus)
-    k = build_base_field(desc, symbol=base_symbol)
+    k = build_base_field(BaseFieldDescriptor(characteristic, base_degree, base_modulus), symbol=base_symbol)
     coeffs = [
         _parse_coefficient(k, c, f"tower.extension_modulus[{i}]") for i, c in enumerate(extension_modulus)
     ]
-    return _tower_over(desc, k, coeffs, symbol)
+    return make_tower(k, coeffs, symbol)
 
 
 def _render_coefficient(k: Field, c):

@@ -24,11 +24,14 @@ depend on that data alone, hence elements of separately built equal fields,
 and elements surviving a pickle round-trip, compare equal.  Everything is
 immutable after construction; all operations are pure.
 
-``ExtensionTower`` bundles the base field k, the extension L, and the
-coordinate map between them; ``make_tower`` is the validated constructor.
-It builds k's kernel, in which its irreducibility test runs, and none for L;
-``documents.build_tower`` hands the k it parsed the modulus in to the same
-checks (``_tower_over``), so k is built once per tower.
+``ExtensionTower(L)`` holds L alone, k being ``L.base``, with the coordinate
+map between them; its ``base_descriptor`` is read from k, so equal towers
+describe themselves alike.  ``make_tower`` is the one validated constructor:
+its base is a descriptor or a base field already built (``documents``
+passes the k it parsed the modulus in, so k is built once per tower).  Both
+floors, GF(p^a)/GF(p) in ``build_base_field`` and L/k, are checked by one
+``_quotient``, which builds k's kernel for its irreducibility test and none
+for L.
 
 * In a finite ring, the base-p digits of a code are the element's
   prime-field coordinates, nested bases included, lowest first, so 0 is zero
@@ -56,7 +59,8 @@ checks (``_tower_over``), so k is built once per tower.
 A kernel takes and returns codes only, and never builds a ``FieldElement``;
 ``index`` and ``payload`` convert between codes and payloads at the
 boundary.  Three jobs on codes have one implementation each, here:
-``_code_of`` codes an element, an int or (over Q) a Fraction; ``_power`` is
+``_code_of`` codes an element, an int or (over Q) a Fraction, and its element
+rule ``_member_code`` is every door's membership test; ``_power`` is
 the one square-and-multiply; and ``ExtensionTower._code_trace`` is the one
 trace, which ``ranksupport.trace_image`` also takes.  ``linalg``,
 ``ranksupport`` and ``weights`` run on codes alone; ``linalg._encode`` reads
@@ -73,9 +77,8 @@ out of the pickle, so a process that loads a pickled field, such as a
 spawned pool worker, rebuilds it (a forked one inherits the parent's); the
 same holds for the cached hash.  Everything an ``ExtensionTower`` derives
 lives in its one ``_TowerMemo``, where each entry names the function that
-fills it, and a tower pickles as its construction data (k, L and the
-descriptor), so a loaded copy is rebuilt with an empty memo, as a tower
-built apart is.
+fills it, and a tower pickles as L, so a loaded copy is rebuilt with an
+empty memo, as a tower built apart is.
 """
 
 from __future__ import annotations
@@ -202,11 +205,18 @@ def _element(field, code) -> FieldElement:
     return x
 
 
+def _member_code(field, x):
+    """x's code when x is an element of field (or of an equal field built apart), else None."""
+    if isinstance(x, FieldElement) and (x.field is field or x.field == field):
+        return x.code
+    return None
+
+
 def _code_of(field, x):
     """x's code in field's kernel, for an element of field, an int, or a Fraction in
     characteristic 0; None for anything else, an element of another field included."""
     if isinstance(x, FieldElement):
-        return x.code if x.field is field or x.field == field else None
+        return _member_code(field, x)
     if isinstance(x, int):
         return field._kernel().int_code(x)
     if isinstance(x, Fraction) and field.characteristic == 0:
@@ -956,17 +966,30 @@ def build_base_field(desc: BaseFieldDescriptor, symbol: str = "u") -> Field:
     prime = PrimeField(desc.characteristic)
     if desc.base_degree == 1:
         return prime
-    kern = prime._kernel()
-    coeffs = [kern.int_code(c) for c in desc.base_modulus]  # a prime field's codes are its payloads
+    coeffs = [prime._kernel().int_code(c) for c in desc.base_modulus]
     if len(coeffs) - 1 != desc.base_degree:
         raise BadModulus(
             f"base modulus has degree {len(coeffs) - 1}, descriptor says {desc.base_degree}"
         )
-    if coeffs[-1] != kern.one:
-        raise BadModulus("base modulus must be monic")
-    if not polys.is_irreducible_bruteforce(kern, coeffs):
-        raise NotIrreducible(f"base modulus is reducible over GF({desc.characteristic})")
-    return ExtensionField(prime, coeffs, symbol=symbol)
+    return _quotient(prime, coeffs, symbol, "base")
+
+
+def _quotient(k: Field, codes: list, symbol: str, floor: str) -> ExtensionField:
+    """k[x]/(f), checked: f, given by the codes of its coefficients in k's kernel,
+    low to high, must be monic and then irreducible (``polys.is_irreducible_gcd``
+    over a finite k, ``polys.is_irreducible_rationals`` over Q).  ``floor``
+    ("base" or "extension") names f in the errors."""
+    kern = k._kernel()
+    if codes[-1] != kern.one:
+        raise BadModulus(f"{floor} modulus must be monic")
+    payloads = tuple(map(kern.payload, codes))
+    if k.order is None:
+        irreducible = polys.is_irreducible_rationals(payloads)
+    else:
+        irreducible = polys.is_irreducible_gcd(kern, codes)
+    if not irreducible:
+        raise NotIrreducible(f"{floor} modulus is reducible over {k}")
+    return ExtensionField(k, payloads, symbol=symbol)
 
 
 class _TowerMemo:
@@ -982,7 +1005,7 @@ class _TowerMemo:
                  "closure_sums", "codes")
 
     def __init__(self):
-        self.basis = None  # ExtensionTower.basis: the power basis
+        self.basis = None  # ExtensionTower._basis_codes: the L-codes of 1, w, ..., w^(m-1)
         self.separable = None  # is_separable_tower: gcd(f, f') = 1
         self.traces = None  # ExtensionTower._trace_codes: the k-codes of Tr(w^i); over Q(θ), D and D * Tr(w^i)
         # ExtensionTower._frobenius: σ(x) = x^|k| on L-codes, a table when L's kernel has tables
@@ -1000,31 +1023,46 @@ class _TowerMemo:
 
 
 class ExtensionTower:
-    """A finite extension L = k[x]/(f) with its power basis and coordinate map."""
+    """A finite extension L = k[x]/(f), held as L alone, with its power basis and coordinate map.
 
-    __slots__ = ("base_descriptor", "k", "L", "degree", "_memo")
+    ``k`` and ``degree`` are L's base and degree, kept as attributes because
+    hot loops read them.
+    """
 
-    def __init__(self, base_descriptor, k, L):
-        self.base_descriptor = base_descriptor
-        self.k = k
+    __slots__ = ("k", "L", "degree", "_memo")
+
+    def __init__(self, L: ExtensionField):
+        self.k = L.base
         self.L = L
         self.degree = L.degree
         self._memo = _TowerMemo()
 
     def __reduce__(self):
-        # a copy is rebuilt from the construction data, so it starts with an empty memo
-        return ExtensionTower, (self.base_descriptor, self.k, self.L)
+        # a copy is rebuilt from L, so it starts with an empty memo
+        return ExtensionTower, (self.L,)
+
+    @property
+    def base_descriptor(self) -> BaseFieldDescriptor:
+        """The descriptor of k, read from k: a base modulus as k holds it, reduced mod p."""
+        k = self.k
+        if isinstance(k, ExtensionField):
+            return BaseFieldDescriptor(k.characteristic, k.degree, k.modulus)
+        return BaseFieldDescriptor(k.characteristic)
 
     @property
     def basis(self) -> tuple:
         """The power basis 1, w, ..., w^(m-1): the unit coordinate vectors."""
+        return tuple([_element(self.L, c) for c in self._basis_codes()])
+
+    def _basis_codes(self) -> tuple:
+        """The L-codes of the power basis: the first m powers of w, made once per tower."""
         memo = self._memo
         if memo.basis is None:
-            k, m = self.k, self.degree
-            memo.basis = tuple(
-                FieldElement(self.L, tuple(k._one if j == i else k._zero for j in range(m)))
-                for i in range(m)
-            )
+            kern, w = self.L._kernel(), self.generator().code
+            powers = [kern.one]
+            while len(powers) < self.degree:
+                powers.append(kern.mul(powers[-1], w))
+            memo.basis = tuple(powers)
         return memo.basis
 
     @property
@@ -1037,9 +1075,7 @@ class ExtensionTower:
 
     def coords(self, x: FieldElement) -> list:
         """Coordinates of x over k in the power basis; sum(coords[i]*basis[i]) == x."""
-        if not (x.field is self.L or x.field == self.L):
-            raise FieldMismatch(f"element of {x.field} is not in {self.L}")
-        return [_element(self.k, c) for c in self.L._kernel().expand(x.code)]
+        return [_element(self.k, c) for c in self.L._kernel().expand(self._code_in_L(x))]
 
     def element_from_coords(self, coords) -> FieldElement:
         kern, payload = self.k._kernel(), []
@@ -1055,15 +1091,21 @@ class ExtensionTower:
 
     def embed(self, c: FieldElement) -> FieldElement:
         """Embed an element of k into L as (c, 0, ..., 0)."""
-        if not (c.field is self.k or c.field == self.k):
+        code = _member_code(self.k, c)
+        if code is None:
             raise FieldMismatch("embed expects a base-field element")
-        return _element(self.L, self.L._kernel().embed_row((c.code,))[0])
+        return _element(self.L, self.L._kernel().embed_row((code,))[0])
 
     def trace(self, x: FieldElement) -> FieldElement:
         """Field trace L -> k, by linearity on codes (``_code_trace``)."""
-        if not (x.field is self.L or x.field == self.L):
-            raise FieldMismatch(f"element of {x.field} is not in {self.L}")
-        return _element(self.k, self._code_trace(x.code))
+        return _element(self.k, self._code_trace(self._code_in_L(x)))
+
+    def _code_in_L(self, x):
+        """x's code when x is an element of L, else FieldMismatch."""
+        code = _member_code(self.L, x)
+        if code is None:
+            raise FieldMismatch(f"{x!r} is not an element of {self.L}")
+        return code
 
     def _code_trace(self, c):
         """Tr(c) for a code c of L's kernel, as a code of k's, by linearity: sum_i c_i * Tr(w^i).
@@ -1096,9 +1138,9 @@ class ExtensionTower:
         memo = self._memo
         if memo.traces is None:
             kern, add, m = self.L._kernel(), self.k._kernel().add, self.degree
-            powers, w = [kern.one], self.generator().code
-            while len(powers) < 2 * m - 1:
-                powers.append(kern.mul(powers[-1], w))
+            powers = list(self._basis_codes())
+            while len(powers) < 2 * m - 1:  # m >= 2 here, so powers[1] is w
+                powers.append(kern.mul(powers[-1], powers[1]))
             traces = tuple(
                 functools.reduce(add, [kern.expand(powers[i + j])[j] for j in range(m)], 0) for i in range(m)
             )
@@ -1158,21 +1200,20 @@ def _frobenius_map(kern, q: int):
 
 
 def make_tower(base, modulus, symbol: str = "w", base_symbol: str = "u") -> ExtensionTower:
-    """Validated tower constructor: checks the base, monicity, irreducibility.
+    """The one tower constructor: L = k[x]/(f), with k and f checked.
 
-    ``modulus`` is a low-to-high coefficient sequence over the base field;
-    entries may be ints, Fractions, or base-field FieldElements.
+    ``base`` names k: a ``BaseFieldDescriptor`` (or the tuple of its
+    arguments), built as ``build_base_field`` builds it with ``base_symbol``,
+    or a base field already built: Q, GF(p), or GF(p^a) over GF(p).
+    ``modulus`` lists f's coefficients over k, low to high: ints, Fractions
+    or elements of k; trailing zeros are dropped.
     """
     if isinstance(base, tuple):
         base = BaseFieldDescriptor(*base)
-    elif not isinstance(base, BaseFieldDescriptor):
+    k = build_base_field(base, symbol=base_symbol) if isinstance(base, BaseFieldDescriptor) else base
+    prime_extension = isinstance(k, ExtensionField) and isinstance(k.base, PrimeField)
+    if not (prime_extension or isinstance(k, (Rationals, PrimeField))):
         raise BadBase(f"expected a BaseFieldDescriptor, got {base!r}")
-    return _tower_over(base, build_base_field(base, symbol=base_symbol), modulus, symbol)
-
-
-def _tower_over(base: BaseFieldDescriptor, k: Field, modulus, symbol: str) -> ExtensionTower:
-    """``make_tower`` over k, the field already built from the descriptor base."""
-    kern = k._kernel()
     coeffs = []  # codes of k's kernel
     for c in modulus:
         code = _code_of(k, c)
@@ -1184,17 +1225,7 @@ def _tower_over(base: BaseFieldDescriptor, k: Field, modulus, symbol: str) -> Ex
         coeffs.pop()
     if len(coeffs) < 2:
         raise BadModulus("extension modulus must have degree >= 1")
-    if coeffs[-1] != kern.one:
-        raise BadModulus("extension modulus must be monic")
-    payloads = tuple(map(kern.payload, coeffs))
-    if k.order is None:
-        if not polys.is_irreducible_rationals(payloads):
-            raise NotIrreducible("extension modulus is reducible over Q")
-    else:
-        if not polys.is_irreducible_gcd(kern, coeffs):
-            raise NotIrreducible(f"extension modulus is reducible over {k}")
-    L = ExtensionField(k, payloads, symbol=symbol)
-    return ExtensionTower(base, k, L)
+    return ExtensionTower(_quotient(k, coeffs, symbol, "extension"))
 
 
 def is_separable_tower(tower: ExtensionTower) -> bool:

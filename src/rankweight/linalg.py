@@ -30,7 +30,7 @@ import itertools
 from typing import Iterator, List, Sequence
 
 from .errors import AmbientMismatch, FieldMismatch, InfiniteField
-from .fields import Field, FieldElement, _element
+from .fields import Field, FieldElement, _element, _member_code
 
 
 class Matrix:
@@ -48,7 +48,7 @@ class Matrix:
             if len(r) != num_cols:
                 raise ValueError("ragged matrix")
             for e in r:
-                if not (e.field is field or e.field == field):
+                if _member_code(field, e) is None:
                     raise AmbientMismatch("matrix entry from a foreign field")
         self.field = field
         self.rows = rows
@@ -147,11 +147,8 @@ def _encode(kern, rows, num_cols: int) -> list:
     for r in rows:
         if len(r) != num_cols:
             raise ValueError(f"row of length {len(r)} in an ambient of {num_cols}")
-        try:
-            codes = tuple([e.code for e in r if e.field is field or e.field == field])
-        except AttributeError:
-            codes = ()
-        if len(codes) != num_cols:
+        codes = tuple([_member_code(field, e) for e in r])
+        if None in codes:
             raise FieldMismatch("row entry from a foreign field")
         work.append(codes)
     return work

@@ -50,7 +50,7 @@ import weakref
 from typing import Sequence
 
 from .errors import InfiniteField, InseparableTower, InternalInvariantError, TowerMismatch
-from .fields import ExtensionTower, FieldElement, is_separable_tower
+from .fields import ExtensionTower, FieldElement, _member_code, is_separable_tower
 from .linalg import (
     Subspace,
     _encode,
@@ -121,7 +121,7 @@ class LinearCode:
             if len(v) != length:
                 raise TowerMismatch(f"generator has length {len(v)}, code length is {length}")
             for e in v:
-                if not isinstance(e, FieldElement) or not (e.field is tower.L or e.field == tower.L):
+                if _member_code(tower.L, e) is None:
                     raise TowerMismatch("generator entry outside the tower's extension field")
         return cls(tower, length, Subspace.from_vectors(tower.L, length, vectors))
 
@@ -196,7 +196,7 @@ class ExpandedMatrix:
 
 def _check_vector(tower: ExtensionTower, c: Sequence[FieldElement]):
     for e in c:
-        if not isinstance(e, FieldElement) or not (e.field is tower.L or e.field == tower.L):
+        if _member_code(tower.L, e) is None:
             raise TowerMismatch("vector entry outside the tower's extension field")
 
 
@@ -299,8 +299,7 @@ def trace_image(C: LinearCode) -> KSubspace:
     if not is_separable_tower(t):
         raise InseparableTower(f"trace image needs a separable extension, got {t}")
     kern = t.L._kernel()
-    n, trace = C.length, t._code_trace
-    (powers,) = _encode(kern, [t.basis], t.degree)
+    n, trace, powers = C.length, t._code_trace, t._basis_codes()
     rows = [tuple([trace(kern.mul(p, x)) for x in g]) for g in C.space._codes for p in powers]
     return KSubspace(t, n, Subspace.from_codes(t.k, n, rows))
 
@@ -357,41 +356,15 @@ _SUPERSPACE_LIMIT = 4096
 
 
 def _kept(memo: dict, key, field, n: int, make):
-    """The items of make() in order, kept in memo[key] while field^n has at
-    most _SUPERSPACE_LIMIT subspaces.
-
-    A kept list is a ``_Grown``, read into make()'s iterator only as far as
-    some read has reached; above the bound nothing is kept, and every read
-    makes the items again.
-    """
+    """The items of make() in order, kept as a list in memo[key] while field^n
+    has at most _SUPERSPACE_LIMIT subspaces; above the bound nothing is kept,
+    and every read makes the items again."""
     items = memo.get(key)
     if items is None:
         if sum(gaussian_binomial(n, e, field.order) for e in range(n + 1)) > _SUPERSPACE_LIMIT:
             return make()
-        items = memo[key] = _Grown(make())
-    return items.read()
-
-
-class _Grown(list):
-    """The items an iterator has given so far, read on into it on demand."""
-
-    __slots__ = ("source",)
-
-    def __init__(self, source):
-        super().__init__()
-        self.source = source
-
-    def read(self):
-        """Every item in order, taking from the iterator those no read has reached yet."""
-        i = 0
-        while True:
-            if i == len(self):
-                item = next(self.source, self)  # self marks the end
-                if item is self:
-                    return
-                self.append(item)
-            yield self[i]
-            i += 1
+        items = memo[key] = list(make())
+    return items
 
 
 def closure_oracle(C: LinearCode) -> LinearCode:

@@ -349,13 +349,11 @@ def _build_items(plan: VerifyPlan, tower, task: TowerTask, rng: random.Random):
     return items, total_codes
 
 
-def resolve_workers(requested: Optional[int] = None) -> int:
-    """Explicit request, else RANKWEIGHT_WORKERS, else available parallelism.
+def resolve_workers() -> int:
+    """RANKWEIGHT_WORKERS, else available parallelism.
 
     A RANKWEIGHT_WORKERS that is not a positive integer raises ValueError.
     """
-    if requested is not None and requested > 0:
-        return requested
     env = os.environ.get("RANKWEIGHT_WORKERS")
     if env:
         try:

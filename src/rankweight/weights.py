@@ -24,7 +24,7 @@ a sweep does each piece of work once:
   closure it has;
 * the RREF coefficient matrices of the r-dim subspaces of L^(dim C), which
   d_R,r, OS_r and D_r combine with C's rows into subcodes, come from lists
-  per (dim C, r) extended as far as a scan has read (``_coefficients``);
+  per (dim C, r), made whole on first use (``_coefficients``);
 * ``weight_Mr`` reads the W_L = ``extend_to_L(W)`` per length and dim W from
   such lists too (``_extensions``).  Both are kept lists of
   ``ranksupport._kept``; ``closure_oracle`` keeps no list, and makes its
@@ -276,8 +276,7 @@ def _extensions(t: ExtensionTower, n: int, d: int):
     """extend_to_L(W) for every d-dimensional W ⊆ k^n, in enumeration order.
 
     Kept on the tower per (n, d) (``extensions`` of its memo) by the rule of
-    ``ranksupport._kept``: each W is extended when a scan first reaches it,
-    since M_r's scan stops at its first hit.
+    ``ranksupport._kept``.
     """
     return _kept(t._memo.extensions, (n, d), t.k, n,
                  lambda: (extend_to_L(KSubspace(t, n, w)).space for w in enumerate_subspaces(t.k, n, d)))
@@ -356,8 +355,7 @@ def extend_witness_by_rational(tower: ExtensionTower, c, e) -> list:
             break
     else:
         raise InternalInvariantError("unreachable: rank < m forces a dependent row")
-    (basis,) = _encode(kern, [tower.basis], m)
-    return kern.sub_scaled(c, kern.neg(basis[l]), kern.embed_row(e))
+    return kern.sub_scaled(c, kern.neg(tower._basis_codes()[l]), kern.embed_row(e))
 
 
 def _witness_extended(C: LinearCode) -> Optional[list]:
@@ -370,8 +368,7 @@ def _witness_extended(C: LinearCode) -> Optional[list]:
         return None
     space = extend_to_L(res).space
     kern = t.L._kernel()
-    (basis,) = _encode(kern, [t.basis], t.degree)
-    c = _combine_codes(kern, basis, space._codes, C.length)
+    c = _combine_codes(kern, t._basis_codes(), space._codes, C.length)
     if not _is_witness(C, c):
         raise InternalInvariantError("constructive extended witness failed verification")
     return c

@@ -225,7 +225,6 @@ def test_non_positive_workers_are_refused(capsys, monkeypatch, value):
     monkeypatch.setenv("RANKWEIGHT_WORKERS", value)
     with pytest.raises(ValueError, match="RANKWEIGHT_WORKERS must be a positive integer"):
         resolve_workers()
-    assert resolve_workers(2) == 2  # an explicit request does not read the variable
     code, out, err = run_cli(capsys, "verify", "--theorem", "delsarte")
     assert (code, out) == (1, "")
     assert err == f"error: RANKWEIGHT_WORKERS must be a positive integer, got {value!r}\n"
@@ -321,14 +320,17 @@ def test_standard_plan_census():
 
 
 def test_resolve_workers(monkeypatch):
-    assert resolve_workers(4) == 4
+    """RANKWEIGHT_WORKERS when set, else the CPU count (1 when it is unknown)."""
     monkeypatch.setenv("RANKWEIGHT_WORKERS", "3")
     assert resolve_workers() == 3
     monkeypatch.setenv("RANKWEIGHT_WORKERS", "zebra")
     with pytest.raises(ValueError):
         resolve_workers()
     monkeypatch.delenv("RANKWEIGHT_WORKERS")
-    assert resolve_workers() >= 1
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 4)
+    assert resolve_workers() == 4
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
+    assert resolve_workers() == 1
 
 
 def test_console_entry_point():

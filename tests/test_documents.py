@@ -11,6 +11,7 @@ from rankweight.documents import (
     build_tower,
     document_from_code,
     document_to_json,
+    parse_code_document,
     parse_code_file,
     parse_element,
     render_code_document,
@@ -264,6 +265,25 @@ def test_trailing_zero_modulus_tower_block_is_canonical(tmp_path, capsys):
     assert cli.main(["dual", str(path)]) == 0
     dualized = json.loads(capsys.readouterr().out)
     assert analyzed["tower"] == dualized["tower"] == block
+
+
+def test_base_modulus_tower_block_is_canonical(tmp_path, capsys):
+    """The base floor is rendered from the tower too: [3, -1, 1] over GF(2) is
+    u^2 + u + 1, so it renders as [1, 1, 1], and the two documents are equal."""
+    def document(base_modulus):
+        return {"tower": {"characteristic": 2, "base_degree": 2, "base_modulus": base_modulus,
+                          "base_generator_name": "u", "extension_modulus": ["u", "1", "1"],
+                          "generator_name": "w"},
+                "length": 2, "generators": [["1", "(u)*w"]]}
+
+    odd, plain = document([3, -1, 1]), document([1, 1, 1])
+    doc = parse_code_document(odd)
+    assert doc.tower == gf16_over_gf4() and doc == parse_code_document(plain)
+    assert document_to_json(doc) == plain and tower_to_json(doc.tower)["base_modulus"] == [1, 1, 1]
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(odd))
+    assert cli.main(["dual", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["tower"] == plain["tower"]
 
 
 def test_documents_differing_in_generator_name_are_unequal():

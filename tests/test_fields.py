@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from rankweight import polys
-from rankweight.errors import BadBase, BadModulus, FieldMismatch, InfiniteField, NotIrreducible
+from rankweight.errors import AmbientMismatch, BadBase, BadModulus, FieldMismatch, InfiniteField, NotIrreducible
 from rankweight.fields import (
     BaseFieldDescriptor,
     ExtensionField,
@@ -109,6 +109,69 @@ def test_each_caller_of_code_of_keeps_its_error():
         t.element_from_coords([1])
 
 
+# (build, the error as "Type: message"); the order of the checks is pinned by
+# inputs that break more than one: the first check that fails names the error
+CONSTRUCTION_ERRORS = [
+    (lambda: build_base_field(BaseFieldDescriptor(2, 2, (1, 1, 0))), "BadModulus: base modulus must be monic"),
+    (lambda: build_base_field(BaseFieldDescriptor(2, 2, (1, 1, 0, 1))),
+     "BadModulus: base modulus has degree 3, descriptor says 2"),
+    (lambda: build_base_field(BaseFieldDescriptor(3, 2, (1, 0, 0, 2))),  # wrong degree and not monic
+     "BadModulus: base modulus has degree 3, descriptor says 2"),
+    (lambda: build_base_field(BaseFieldDescriptor(3, 2, (2, 0, 2))),  # not monic and reducible
+     "BadModulus: base modulus must be monic"),
+    (lambda: build_base_field(BaseFieldDescriptor(2, 2, (1, 0, 1))),
+     "NotIrreducible: base modulus is reducible over GF(2)"),
+    (lambda: make_tower((2, 2, (1, 0, 1)), [1, 0, 1]), "NotIrreducible: base modulus is reducible over GF(2)"),
+    (lambda: make_tower((2,), [1, 0]), "BadModulus: extension modulus must have degree >= 1"),
+    (lambda: make_tower((0,), [Fraction(1), Fraction(2)]), "BadModulus: extension modulus must be monic"),
+    (lambda: make_tower((0,), [0, 0, 2]), "BadModulus: extension modulus must be monic"),  # and reducible
+    (lambda: make_tower((2,), [1, 0, 1]), "NotIrreducible: extension modulus is reducible over GF(2)"),
+    (lambda: make_tower((0,), [-1, 0, 1]), "NotIrreducible: extension modulus is reducible over Q"),
+    (lambda: make_tower((2, 2, (1, 1, 1)), [0, 1, 1]),
+     "NotIrreducible: extension modulus is reducible over GF(4)"),
+    (lambda: make_tower(3, [1, 1]), "BadBase: expected a BaseFieldDescriptor, got 3"),
+]
+
+
+@pytest.mark.parametrize("build, error", CONSTRUCTION_ERRORS)
+def test_construction_errors_keep_their_order_and_text(build, error):
+    with pytest.raises((BadBase, BadModulus, NotIrreducible)) as caught:
+        build()
+    assert f"{type(caught.value).__name__}: {caught.value}" == error
+
+
+def test_make_tower_takes_a_built_base_field():
+    """A base field already built serves as k as it is, so both floors are
+    checked once; only Q, GF(p) and GF(p^a) over GF(p) are base fields."""
+    gf4_base = build_base_field(BaseFieldDescriptor(2, 2, (1, 1, 1)))
+    for k, modulus, expected in [
+        (Rationals(), [-2, 0, 0, 1], qtheta()),
+        (PrimeField(2), [1, 1, 0, 1], gf8()),
+        (gf4_base, [gf4_base.generator(), 1, 1], gf16_over_gf4()),
+    ]:
+        t = make_tower(k, modulus, symbol=expected.L.symbol)
+        assert t == expected and t.k is k and t.base_descriptor == expected.base_descriptor
+    for k in (qtheta().L, gf16_over_gf4().L, 2):
+        with pytest.raises(BadBase, match=re.escape(f"expected a BaseFieldDescriptor, got {k!r}")):
+            make_tower(k, [1, 1])
+
+
+def test_element_doors_refuse_non_elements():
+    """trace, coords, embed and linalg.Matrix refuse what is not an element of
+    their field, an int included, with the error they give an element of another field."""
+    from rankweight.linalg import Matrix
+
+    t, u = gf4(), gf8().generator()
+    for bad in (3, None, u):
+        for door in (t.trace, t.coords, t.embed):
+            with pytest.raises(FieldMismatch):
+                door(bad)
+        with pytest.raises(AmbientMismatch, match="matrix entry from a foreign field"):
+            Matrix(t.L, [[bad]])
+    with pytest.raises(FieldMismatch, match=re.escape("3 is not an element of GF(4)")):
+        t.trace(3)
+
+
 def test_coords_gf4():
     t = gf4()
     w = t.generator()
@@ -172,7 +235,7 @@ def test_separability():
     # no validated backend can be inseparable (finite fields and Q are perfect);
     # build a quotient with f' = 0 by hand to exercise the predicate
     k = PrimeField(2)
-    bogus = ExtensionTower(BaseFieldDescriptor(2), k, ExtensionField(k, (0, 0, 1)))
+    bogus = ExtensionTower(ExtensionField(k, (0, 0, 1)))
     assert not is_separable_tower(bogus)
     # trace is identically zero exactly in the inseparable case
     assert all(not bogus.trace(x) for x in bogus.L.elements())

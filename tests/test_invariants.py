@@ -765,6 +765,69 @@ def test_second_path_gate_flags_each_kind():
     assert [bool(_second_path_offences({**clean, **case})) for case in cases] == [False] + [True] * 9 + [False]
 
 
+CONSTRUCTORS = {"ExtensionTower", "ExtensionField"}  # called by fields alone
+
+
+def _construction_offences(sources):
+    """Where sources (module name -> source) build a tower or check a floor a second way.
+
+    No module but fields calls (or renames on import) ``ExtensionTower`` or
+    ``ExtensionField``; no module defines ``_tower_over``; and the sources
+    call ``is_irreducible_gcd`` at exactly one site, ``fields._quotient``'s,
+    and ``is_irreducible_bruteforce`` at none.
+    """
+    offences, gcd_sites = [], []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                if name in CONSTRUCTORS and module != "fields":
+                    offences.append(f"{module}:{node.lineno} calls {name}")
+                elif name == "is_irreducible_bruteforce":
+                    offences.append(f"{module}:{node.lineno} calls is_irreducible_bruteforce")
+                elif name == "is_irreducible_gcd":
+                    gcd_sites.append(f"{module}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom):
+                offences += [f"{module}:{node.lineno} imports {a.name} as {a.asname}" for a in node.names
+                             if a.name in CONSTRUCTORS and a.asname]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_tower_over":
+                offences.append(f"{module}:{node.lineno} defines _tower_over")
+    if len(gcd_sites) != 1:
+        offences.append(f"is_irreducible_gcd is called at {len(gcd_sites)} sites: {gcd_sites}")
+    return offences
+
+
+def test_one_way_to_build_a_tower():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert _construction_offences(sources) == []
+
+
+def test_construction_gate_flags_each_kind():
+    clean = {
+        "fields": "def _quotient(k, f):\n    if not polys.is_irreducible_gcd(k, f):\n        raise E\n"
+                  "    return ExtensionField(k, f)\n"
+                  "def make_tower(k, f):\n    return ExtensionTower(_quotient(k, f))\n",
+        "polys": "def is_irreducible_gcd(k, p):\n    return True\n"
+                 "def is_irreducible_bruteforce(k, p):\n    return True\n",
+        "documents": "from .fields import ExtensionTower, make_tower\n"
+                     "def build_tower(k, f):\n    return make_tower(k, f)\n",
+    }
+    cases = [
+        {},
+        {"documents": clean["documents"] + "t = ExtensionTower(L)\n"},
+        {"ranksupport": "L = fields.ExtensionField(k, (0, 0, 1))\n"},
+        {"documents": "from .fields import ExtensionTower as Tower\n"},
+        {"fields": clean["fields"] + "def _tower_over(base, k, f, s):\n    return make_tower(k, f)\n"},
+        {"documents": clean["documents"] + "def _tower_over(base, k, f, s):\n    return make_tower(k, f)\n"},
+        {"fields": clean["fields"] + "ok = polys.is_irreducible_bruteforce(k, g)\n"},
+        {"fields": clean["fields"] + "ok = polys.is_irreducible_gcd(k, g)\n"},  # a second floor check
+        {"fields": clean["fields"].replace("polys.is_irreducible_gcd(k, f)", "polys.is_irreducible_rationals(f)")},
+        {"documents": clean["documents"] + "why = 'no ExtensionTower(L) here'\n"},  # prose, not a call
+        {"verify": "def is_tower(t):\n    return isinstance(t, ExtensionTower)\n"},  # named, not called
+    ]
+    assert [bool(_construction_offences({**clean, **case})) for case in cases] == [False] + [True] * 8 + [False] * 2
+
+
 def _zero_restriction(monkeypatch):
     monkeypatch.setattr(
         ranksupport,

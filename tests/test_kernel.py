@@ -291,12 +291,15 @@ def test_pickle_leaves_the_kernel_out():
 
 
 def test_a_tower_keeps_what_it_derives_in_one_memo():
-    """The tower's own slots are its construction data and the memo, and it
-    pickles as its construction data: no derived state has a slot of its own."""
-    assert ExtensionTower.__slots__ == ("base_descriptor", "k", "L", "degree", "_memo")
+    """The tower's own slots are L, L's base and degree, and the memo, and it
+    pickles as L: no derived state has a slot of its own, and the base
+    descriptor is read from k, not stored."""
+    assert ExtensionTower.__slots__ == ("k", "L", "degree", "_memo")
     assert "__getstate__" not in vars(ExtensionTower) and "__setstate__" not in vars(ExtensionTower)
+    assert isinstance(vars(ExtensionTower)["base_descriptor"], property)
     t = make_tower(BaseFieldDescriptor(2), [1, 1, 1])
-    assert t.__reduce__() == (ExtensionTower, (t.base_descriptor, t.k, t.L))
+    assert t.__reduce__() == (ExtensionTower, (t.L,))
+    assert (t.k, t.degree) == (t.L.base, t.L.degree)
 
 
 def test_a_tower_loaded_where_a_freed_one_lived_starts_cold():

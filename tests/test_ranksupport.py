@@ -292,7 +292,7 @@ def test_trace_image_examples():
 
 def test_trace_image_refuses_inseparable():
     k = PrimeField(2)
-    bogus = ExtensionTower(BaseFieldDescriptor(2), k, ExtensionField(k, (0, 0, 1)))
+    bogus = ExtensionTower(ExtensionField(k, (0, 0, 1)))
     code = LinearCode.full(bogus, 1)
     with pytest.raises(InseparableTower):
         trace_image(code)

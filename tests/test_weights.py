@@ -410,14 +410,6 @@ def test_weight_Mr_rank_test_matches_the_literal_sum():
                         assert weights._meets(kern, c.space._codes, v._codes, c.dim - r) == (meet >= r)
 
 
-def test_grown_list_keeps_order_when_reads_interleave():
-    grown = ranksupport._Grown(iter(range(5)))
-    a, b = grown.read(), grown.read()
-    assert [next(a), next(a), next(b), next(b), next(b), next(a), next(a)] == [0, 1, 0, 1, 2, 2, 3]
-    assert list(b) == [3, 4] and list(a) == [4] and grown == [0, 1, 2, 3, 4]
-    assert list(ranksupport._Grown(iter(())).read()) == []
-
-
 def test_witness_sweep_small_towers():
     for build, n in SMALL_SWEEPS:
         t = build()
