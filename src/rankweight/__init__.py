@@ -21,7 +21,6 @@ from .errors import (
     EquivalenceViolation,
     FieldMismatch,
     InfiniteField,
-    InseparableTower,
     InternalInvariantError,
     NotIrreducible,
     ParseError,
@@ -41,7 +40,6 @@ from .fields import (
     Rationals,
     build_base_field,
     format_element,
-    is_separable_tower,
     make_tower,
 )
 from .linalg import (
@@ -57,13 +55,11 @@ from .linalg import (
     subspace_sum,
 )
 from .ranksupport import (
-    ExpandedMatrix,
     KSubspace,
     LinearCode,
     closure,
     closure_oracle,
     dual,
-    expand_vector,
     extend_to_L,
     galois_closure,
     is_extended,

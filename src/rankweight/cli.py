@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .documents import (
     document_from_code,
@@ -179,26 +178,10 @@ def cmd_closure(args) -> int:
     return _emit_code(closure(_load(args)))
 
 
-def _parse_csv_modulus(text: str, characteristic: int):
-    """CSV coefficients: ints, 'a/b' over Q, or base-generator strings like 'u'."""
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            raise _UsageError(f"empty coefficient in modulus {text!r}")
-        try:
-            out.append(int(part))
-            continue
-        except ValueError:
-            pass
-        if characteristic == 0 and "/" in part:
-            try:
-                out.append(Fraction(part))
-                continue
-            except (ValueError, ZeroDivisionError) as e:
-                raise _UsageError(f"bad modulus coefficient {part!r}: {e}")
-        out.append(part)  # element string over the base generator
-    return tuple(out)
+def _parse_csv_modulus(text: str):
+    """CSV coefficients as element strings over the base, such as '3', '-1/2' or 'u+1',
+    which ``documents.build_tower`` reads in the element grammar."""
+    return tuple(part.strip() for part in text.split(","))
 
 
 def cmd_verify(args) -> int:
@@ -224,7 +207,7 @@ def cmd_verify(args) -> int:
             base_modulus = tuple(int(c) for c in args.base_modulus.split(","))
         task = TowerTask(
             characteristic=args.char,
-            extension_modulus=_parse_csv_modulus(args.ext_modulus, args.char),
+            extension_modulus=_parse_csv_modulus(args.ext_modulus),
             base_degree=1 if args.base_degree is None else args.base_degree,
             base_modulus=base_modulus,
             max_n=args.max_n if args.max_n is not None else 2,

@@ -29,10 +29,6 @@ class TowerMismatch(RankWeightError):
     """Vector or code entries do not belong to the expected extension tower."""
 
 
-class InseparableTower(RankWeightError):
-    """Trace-based identity requested for an inseparable extension."""
-
-
 class AmbientMismatch(RankWeightError):
     """Subspace operation attempted across different ambient spaces or fields."""
 

@@ -26,22 +26,23 @@ immutable after construction; all operations are pure.
 
 ``ExtensionTower(L)`` holds L alone, k being ``L.base``, with the coordinate
 map between them; its ``base_descriptor`` is read from k, so equal towers
-describe themselves alike.  ``make_tower`` is the one validated constructor:
-its base is a descriptor or a base field already built (``documents``
-passes the k it parsed the modulus in, so k is built once per tower).  Both
-floors, GF(p^a)/GF(p) in ``build_base_field`` and L/k, are checked by one
-``_quotient``, which builds k's kernel for its irreducibility test and none
-for L.
+describe themselves alike.  ``make_tower`` is the one tower constructor: its
+base is a descriptor or a base field already built (``documents`` passes the
+k it parsed the modulus in, so k is built once per tower).  ``ExtensionField``
+checks its own modulus, monic and then irreducible, so every quotient is a
+field and both floors, GF(p^a)/GF(p) in ``build_base_field`` and L/k in
+``make_tower``, are checked once, by one test; it builds its base's kernel
+for the test and none of its own.  Finite fields and Q are perfect, so every
+tower is separable.
 
-* In a finite ring, the base-p digits of a code are the element's
+* In a finite field, the base-p digits of a code are the element's
   prime-field coordinates, nested bases included, lowest first, so 0 is zero
   and 1 is one: in characteristic 2 addition is XOR, and otherwise it adds
-  digits mod p.  Every finite quotient gets a table-free ``_FiniteKernel``:
+  digits mod p.  Every finite field gets a table-free ``_FiniteKernel``:
   ``index`` and ``payload`` convert through the digits, a product is the
   schoolbook product of the digit tuples folded by the modulus, and an
-  inverse is extended Euclid against the modulus, both in the base's kernel,
-  so a quotient that is not a field raises ZeroDivisionError on a zero
-  divisor.  A finite field of order q <= 4096 gets its subclass ``_Kernel``
+  inverse is extended Euclid against the modulus, both in the base's kernel.
+  A finite field of order q <= 4096 gets its subclass ``_Kernel``
   instead, with the same codes: odd-characteristic addition goes through
   Zech logarithms, and products and inverses through exp/log tables of one
   primitive element (Lidl-Niederreiter, *Finite Fields*, ch. 9).  Building
@@ -54,7 +55,10 @@ for L.
   zero is 0.  Products are integer polynomial products folded by the
   modulus, with the denominators of a non-integral f cleared exactly, and
   an inverse is one fraction-free solve of the multiplication matrix
-  (Bareiss, Math. Comp. 1968); a zero divisor raises ZeroDivisionError.
+  (Bareiss, Math. Comp. 1968).
+
+Both inverses raise ZeroDivisionError on a zero divisor, a guard that no
+checked field reaches.
 
 A kernel takes and returns codes only, and never builds a ``FieldElement``;
 ``index`` and ``payload`` convert between codes and payloads at the
@@ -247,8 +251,7 @@ class Field:
         """This field's kernel, built on first use.
 
         A _Kernel for a finite field of order <= 4096, a _FiniteKernel for a
-        larger one or a finite quotient that is not a field, and a
-        _RationalKernel for Q and Q[x]/(f).
+        larger one, and a _RationalKernel for Q and Q[x]/(f).
         """
         kern = self._kern
         if kern is None:
@@ -287,9 +290,6 @@ class Field:
 
     def from_int(self, n: int) -> FieldElement:
         return _element(self, self._kernel().int_code(n))
-
-    def element(self, payload) -> FieldElement:
-        return FieldElement(self, payload)
 
     def elements(self) -> Iterator[FieldElement]:
         """All field elements in canonical order, the code order; finite fields only."""
@@ -334,17 +334,31 @@ class PrimeField(Field):
 
 
 class ExtensionField(Field):
-    """base[x]/(modulus); its payloads are coordinate tuples in the power basis."""
+    """base[x]/(modulus); its payloads are coordinate tuples in the power basis.
+
+    The one check of a modulus: monic of degree >= 1, then irreducible
+    (``polys.is_irreducible_gcd`` over a finite base,
+    ``polys.is_irreducible_rationals`` over Q), so every ExtensionField is a
+    field.  The errors name the quotient by its generator symbol.
+    """
 
     def __init__(self, base: Field, modulus: Sequence, symbol: str = "w"):
-        # modulus: payload coefficients, low to high, monic, degree >= 1
+        # modulus: payload coefficients over base, low to high
         if base.characteristic == 0 and not isinstance(base, Rationals):
             raise BadBase("an extension of Q takes Q itself as its base")
+        modulus, kern = tuple(modulus), base._kernel()
+        codes = [kern.index[c] for c in modulus]
+        if len(codes) < 2 or codes[-1] != kern.one:
+            raise BadModulus(f"modulus of {symbol} must be monic of degree >= 1")
+        if base.order is None:
+            irreducible = polys.is_irreducible_rationals(modulus)
+        else:
+            irreducible = polys.is_irreducible_gcd(kern, codes)
+        if not irreducible:
+            raise NotIrreducible(f"modulus of {symbol} is reducible over {base}")
         self.base = base
-        self.modulus = tuple(modulus)
-        self.degree = len(self.modulus) - 1
-        if self.degree < 1 or self.modulus[-1] != base._one:
-            raise BadModulus("extension modulus must be monic of degree >= 1")
+        self.modulus = modulus
+        self.degree = len(modulus) - 1
         self.symbol = symbol
         self.characteristic = base.characteristic
         self.order = None if base.order is None else base.order**self.degree
@@ -384,7 +398,7 @@ def _is_prime(p: int) -> bool:
 
 
 class _FiniteKernel:
-    """Table-free int-coded arithmetic of a finite quotient; see the module docstring.
+    """Table-free int-coded arithmetic of a finite field; see the module docstring.
 
     ``add`` adds two codes; ``mul``, ``neg``, ``inv``, ``scale``,
     ``sub_scaled``, ``expand`` and ``embed_row`` work on codes and rows of
@@ -493,7 +507,7 @@ class _FiniteKernel:
 
     def inv(self, a: int) -> int:
         """1/a for a nonzero code a, by extended Euclid against the modulus in the base kernel;
-        ZeroDivisionError for a zero divisor."""
+        ZeroDivisionError for a zero divisor, a guard that no field reaches."""
         base = self.base
         if base is None:
             return pow(a, self.p - 2, self.p)
@@ -605,9 +619,8 @@ def _make_kernel(field: Field):
     under it, one multiplication each, give the code of every product by g
     (``_linear_table``).  g is primitive when its powers, walked through
     that table, first return to 1 after q - 1 steps; the candidates run in
-    code order.  No candidate passes in a quotient by a reducible modulus
-    (not a field), which keeps its _FiniteKernel, as does every larger
-    finite field.
+    code order.  Every larger finite field keeps its _FiniteKernel, and so,
+    as a guard, would a field whose candidates all failed.
     """
     if isinstance(field, Rationals):
         return _QKernel(field)
@@ -960,53 +973,34 @@ class BaseFieldDescriptor:
 
 
 def build_base_field(desc: BaseFieldDescriptor, symbol: str = "u") -> Field:
-    """Construct and validate the base field named by a descriptor."""
+    """The base field named by a descriptor; ``ExtensionField`` checks a base modulus."""
     if desc.characteristic == 0:
         return Rationals()
     prime = PrimeField(desc.characteristic)
     if desc.base_degree == 1:
         return prime
-    coeffs = [prime._kernel().int_code(c) for c in desc.base_modulus]
+    coeffs = [c % prime.p for c in desc.base_modulus]  # the payloads of GF(p) are its ints mod p
     if len(coeffs) - 1 != desc.base_degree:
         raise BadModulus(
             f"base modulus has degree {len(coeffs) - 1}, descriptor says {desc.base_degree}"
         )
-    return _quotient(prime, coeffs, symbol, "base")
-
-
-def _quotient(k: Field, codes: list, symbol: str, floor: str) -> ExtensionField:
-    """k[x]/(f), checked: f, given by the codes of its coefficients in k's kernel,
-    low to high, must be monic and then irreducible (``polys.is_irreducible_gcd``
-    over a finite k, ``polys.is_irreducible_rationals`` over Q).  ``floor``
-    ("base" or "extension") names f in the errors."""
-    kern = k._kernel()
-    if codes[-1] != kern.one:
-        raise BadModulus(f"{floor} modulus must be monic")
-    payloads = tuple(map(kern.payload, codes))
-    if k.order is None:
-        irreducible = polys.is_irreducible_rationals(payloads)
-    else:
-        irreducible = polys.is_irreducible_gcd(kern, codes)
-    if not irreducible:
-        raise NotIrreducible(f"{floor} modulus is reducible over {k}")
-    return ExtensionField(k, payloads, symbol=symbol)
+    return ExtensionField(prime, coeffs, symbol=symbol)
 
 
 class _TowerMemo:
     """Everything a tower derives, kept for the tower's lifetime.
 
-    The dicts start empty and the four lazy values unset (None); each is
+    The dicts start empty and the three lazy values unset (None); each is
     filled by the one function named beside it.  The tower's pickle leaves
     the memo out, so a loaded copy starts with an empty one.  The tests'
     literal ``ranksupport.closure_oracle`` keeps nothing here.
     """
 
-    __slots__ = ("basis", "separable", "traces", "frobenius", "extensions", "subcode_coeffs", "closure_maxwt",
+    __slots__ = ("basis", "traces", "frobenius", "extensions", "subcode_coeffs", "closure_maxwt",
                  "closure_sums", "codes")
 
     def __init__(self):
         self.basis = None  # ExtensionTower._basis_codes: the L-codes of 1, w, ..., w^(m-1)
-        self.separable = None  # is_separable_tower: gcd(f, f') = 1
         self.traces = None  # ExtensionTower._trace_codes: the k-codes of Tr(w^i); over Q(θ), D and D * Tr(w^i)
         # ExtensionTower._frobenius: σ(x) = x^|k| on L-codes, a table when L's kernel has tables
         # (|L| <= _KERNEL_LIMIT), else square-and-multiply per code; checked when it is made
@@ -1076,18 +1070,6 @@ class ExtensionTower:
     def coords(self, x: FieldElement) -> list:
         """Coordinates of x over k in the power basis; sum(coords[i]*basis[i]) == x."""
         return [_element(self.k, c) for c in self.L._kernel().expand(self._code_in_L(x))]
-
-    def element_from_coords(self, coords) -> FieldElement:
-        kern, payload = self.k._kernel(), []
-        for c in coords:
-            code = _code_of(self.k, c)
-            if code is None:
-                raise FieldMismatch("coordinates must lie in the base field" if isinstance(c, FieldElement)
-                                    else f"cannot interpret coordinate {c!r}")
-            payload.append(kern.payload(code))
-        if len(payload) != self.degree:
-            raise ValueError(f"need exactly {self.degree} coordinates")
-        return FieldElement(self.L, tuple(payload))
 
     def embed(self, c: FieldElement) -> FieldElement:
         """Embed an element of k into L as (c, 0, ..., 0)."""
@@ -1200,7 +1182,7 @@ def _frobenius_map(kern, q: int):
 
 
 def make_tower(base, modulus, symbol: str = "w", base_symbol: str = "u") -> ExtensionTower:
-    """The one tower constructor: L = k[x]/(f), with k and f checked.
+    """The one tower constructor: L = k[x]/(f), f checked by ``ExtensionField``.
 
     ``base`` names k: a ``BaseFieldDescriptor`` (or the tuple of its
     arguments), built as ``build_base_field`` builds it with ``base_symbol``,
@@ -1223,37 +1205,18 @@ def make_tower(base, modulus, symbol: str = "w", base_symbol: str = "u") -> Exte
         coeffs.append(code)
     while coeffs and not coeffs[-1]:
         coeffs.pop()
-    if len(coeffs) < 2:
-        raise BadModulus("extension modulus must have degree >= 1")
-    return ExtensionTower(_quotient(k, coeffs, symbol, "extension"))
+    return ExtensionTower(ExtensionField(k, list(map(k._kernel().payload, coeffs)), symbol=symbol))
 
 
-def is_separable_tower(tower: ExtensionTower) -> bool:
-    """True iff gcd(f, f') = 1; always true in characteristic 0 and over finite fields.
-
-    Computed once per tower, on first use.
-    """
-    memo = tower._memo
-    if memo.separable is None:
-        kern = tower.k._kernel()
-        f = [kern.index[c] for c in tower.L.modulus]
-        fprime = polys.derivative(kern, f)
-        memo.separable = polys.degree(polys.gcd(kern, f, fprime)) == 0
-    return memo.separable
-
-
-def random_rational_element(tower: ExtensionTower, rng, height: int) -> FieldElement:
-    """An element of L over Q with coordinates a/b, |a| <= height, 1 <= b <= height.
-
-    Draws rng.randint for a, then for b, coordinate by coordinate, so a seeded
-    generator always yields the same sequence of elements.
-    """
-    return _element(tower.L, _random_rational_code(tower, rng, height))
-
-
-def _random_rational_code(tower: ExtensionTower, rng, height: int):
-    """The L-code of ``random_rational_element``'s draw, by the same rng calls."""
-    return tower.L._kernel().index[
+def _random_code(tower: ExtensionTower, rng, height: int):
+    """A random L-code.  Over a finite L, ``rng.choice`` of the codes, which list
+    L's elements in order; over Q(θ), the element with coordinates a/b,
+    |a| <= height and 1 <= b <= height, drawing rng.randint for a, then for b,
+    coordinate by coordinate.  A seeded generator always yields the same codes."""
+    L = tower.L
+    if L.order is not None:
+        return rng.choice(range(L.order))
+    return L._kernel().index[
         tuple([Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(tower.degree)])
     ]
 

@@ -7,13 +7,11 @@ kernel explicitly, and all coefficient arithmetic goes through its
 operations (``add``, ``neg``, ``mul``, ``inv``, ``int_code``); zero is the
 code 0 and one is ``k.one``, so no element object is built on the way.
 
-The irreducibility tests live here as well:
+The two irreducibility tests that ``fields.ExtensionField`` checks a modulus
+by live here as well:
 
 * ``is_irreducible_gcd`` -- gcd(f, x^(q^i) - x) = 1 for i <= deg(f)/2, the
   standard finite-field criterion (Rabin; Lidl-Niederreiter, *Finite Fields*).
-* ``is_irreducible_bruteforce`` -- exhaustive root search plus trial division
-  by every monic polynomial of degree <= deg(f)/2; finite fields only, used
-  for base moduli and as an independent cross-check of the gcd method.
 * ``is_irreducible_rationals`` -- rational root test plus bounded search for
   monic integer factors after clearing denominators.
 """
@@ -113,17 +111,6 @@ def gcd(k, p, q):
     return monic(k, p)
 
 
-def derivative(k, p):
-    return normalize(k, [k.mul(c, k.int_code(i)) for i, c in enumerate(p)][1:])
-
-
-def evaluate(k, p, x):
-    acc = 0
-    for c in reversed(p):
-        acc = k.add(k.mul(acc, x), c)
-    return acc
-
-
 def pow_mod(k, p, e, modulus):
     """p^e mod modulus by square and multiply (e >= 0)."""
     result = [k.one]
@@ -156,31 +143,6 @@ def is_irreducible_gcd(k, p):
         h = pow_mod(k, h, q, p)
         if degree(gcd(k, p, sub(k, h, x))) != 0:
             return False
-    return True
-
-
-def _monic_polys(k, d):
-    """All monic degree-d polynomials over a finite field."""
-    for lower in itertools.product(range(k.field.order), repeat=d):
-        yield list(lower) + [k.one]
-
-
-def is_irreducible_bruteforce(k, p):
-    """Exhaustive root/factor search; independent of the gcd criterion."""
-    if k.field.order is None:
-        raise InfiniteField("brute-force irreducibility test needs a finite field")
-    m = degree(p)
-    if m < 1:
-        raise BadModulus("irreducibility is about polynomials of degree >= 1")
-    if m == 1:
-        return True
-    for x in range(k.field.order):
-        if not evaluate(k, p, x):
-            return False
-    for d in range(2, m // 2 + 1):
-        for cand in _monic_polys(k, d):
-            if not mod(k, p, cand):
-                return False
     return True
 
 

@@ -39,9 +39,8 @@ its coordinates (``kern.expand``), a k-code embeds as an L-code
 reduce those codes without building elements; ``trace_image`` takes the
 tower's one trace on codes (``ExtensionTower._code_trace``).
 ``_coded_expansion`` is the one expansion: ``rank_support_vec`` encodes its
-vector once and reduces the expansion's codes, and ``expand_vector`` decodes
-them.  Only ``closure_oracle`` stays on elements, embedding and reducing
-literally.
+vector once and reduces the expansion's codes.  Only ``closure_oracle``
+stays on elements, embedding and reducing literally.
 """
 
 from __future__ import annotations
@@ -49,12 +48,11 @@ from __future__ import annotations
 import weakref
 from typing import Sequence
 
-from .errors import InfiniteField, InseparableTower, InternalInvariantError, TowerMismatch
-from .fields import ExtensionTower, FieldElement, _member_code, is_separable_tower
+from .errors import InfiniteField, InternalInvariantError, TowerMismatch
+from .fields import ExtensionTower, FieldElement, _member_code
 from .linalg import (
     Subspace,
     _encode,
-    decode_rows,
     enumerate_subspaces,
     gaussian_binomial,
     orthogonal_complement,
@@ -184,28 +182,10 @@ class _Entry(weakref.ref):
         self.table.pop(self.key, None)
 
 
-class ExpandedMatrix:
-    """The coordinate expansion of one vector: m rows (basis index) by n columns."""
-
-    __slots__ = ("tower", "rows")
-
-    def __init__(self, tower: ExtensionTower, rows: tuple):
-        self.tower = tower
-        self.rows = rows
-
-
 def _check_vector(tower: ExtensionTower, c: Sequence[FieldElement]):
     for e in c:
         if _member_code(tower.L, e) is None:
             raise TowerMismatch("vector entry outside the tower's extension field")
-
-
-def expand_vector(tower: ExtensionTower, c: Sequence[FieldElement]) -> ExpandedMatrix:
-    """Expansion matrix of c over the power basis, its rows decoded from ``_coded_expansion``."""
-    _check_vector(tower, c)
-    kern = tower.L._kernel()
-    rows = decode_rows(tower.k, _coded_expansion(kern, _encode(kern, [c], len(c))))
-    return ExpandedMatrix(tower, rows or ((),) * tower.degree)  # no entries: m empty rows
 
 
 def _coded_expansion(kern, codes) -> list:
@@ -289,15 +269,13 @@ def is_extended(C: LinearCode) -> bool:
 def trace_image(C: LinearCode) -> KSubspace:
     """Tr(C) as a k-subspace, spanned by the traces of basis multiples of generators.
 
-    Requires a separable tower: outside that hypothesis Tr may vanish and the
-    identity with the rank support fails, so inseparable input is refused.
-    The products run on codes, and each trace is the tower's
+    Every tower is separable (finite fields and Q are perfect), so Tr(C) =
+    Rsupp(C), the identity the ``trace`` verify suite checks.  The products
+    run on codes, and each trace is the tower's
     (``ExtensionTower._code_trace``), the one that ``ExtensionTower.trace``
     takes on elements.
     """
     t = C.tower
-    if not is_separable_tower(t):
-        raise InseparableTower(f"trace image needs a separable extension, got {t}")
     kern = t.L._kernel()
     n, trace, powers = C.length, t._code_trace, t._basis_codes()
     rows = [tuple([trace(kern.mul(p, x)) for x in g]) for g in C.space._codes for p in powers]

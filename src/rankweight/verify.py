@@ -40,7 +40,7 @@ from typing import List, Optional
 
 from .documents import build_tower, document_from_code, document_to_json, tower_to_json
 from .errors import InfiniteField, InternalInvariantError, RankWeightError, SearchExhausted
-from .fields import _random_rational_code
+from .fields import _random_code
 from .linalg import (
     Subspace,
     enumerate_subspaces,
@@ -150,13 +150,10 @@ def random_codes(tower, max_n: int, count: int, rng: random.Random, height: int 
     dimensions <= 2 over infinite bases to keep exactness cheap."""
     out = []
     finite = tower.L.order is not None
-    # L's codes in element order, so a draw picks what choice(list(L.elements())) would
-    pool = range(tower.L.order) if finite else None
     while len(out) < count:
         n = rng.randint(1, max_n)
         dim = rng.randint(0, n if finite else min(n, 2))
-        rows = [[rng.choice(pool) if finite else _random_rational_code(tower, rng, height) for _ in range(n)]
-                for _ in range(dim)]
+        rows = [[_random_code(tower, rng, height) for _ in range(n)] for _ in range(dim)]
         out.append(_code(tower, n, Subspace.from_codes(tower.L, n, rows)))
     return out
 

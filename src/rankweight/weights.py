@@ -69,7 +69,7 @@ from .errors import (
     SearchExhausted,
     ZeroCode,
 )
-from .fields import ExtensionTower, FieldElement, _random_rational_code
+from .fields import ExtensionTower, FieldElement, _random_code
 from .linalg import (
     Subspace,
     _encode,
@@ -436,20 +436,14 @@ def _witness_random(C: LinearCode, rng: random.Random, height: int, rounds: int)
     spent.
     """
     t, n = C.tower, C.length
-    L = t.L
     target = rank_support_code(C).dim
-    kern = L._kernel()
+    kern = t.L._kernel()
     gens, weight = C.space._codes, _coded_weight(t, kern)
-    # a finite L's codes in element order, so a draw picks what choice(L.elements()) would
-    finite_pool = range(kern.q) if L.order is not None else None
 
     h = height
     for _ in range(rounds):
         for _ in range(_RANDOM_TRIES_PER_ROUND):
-            if finite_pool is not None:
-                coeffs = [rng.choice(finite_pool) for _ in range(C.dim)]
-            else:
-                coeffs = [_random_rational_code(t, rng, h) for _ in range(C.dim)]
+            coeffs = [_random_code(t, rng, h) for _ in range(C.dim)]
             if not any(coeffs):
                 continue
             c = _combine_codes(kern, coeffs, gens, n)

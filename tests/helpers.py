@@ -1,19 +1,22 @@
 """Towers, code populations and vector pools shared across the test modules,
-literal element references for the coded computations of the package, and
-a payload arithmetic of its own for checking the kernels against."""
+literal element references for the coded computations of the package, a
+payload arithmetic of its own for checking the kernels against, and a
+brute-force irreducibility test for checking the gcd criterion against."""
 
 import functools
 import itertools
 import random
 
+from rankweight import polys
 from rankweight.fields import (
     BaseFieldDescriptor,
     FieldElement,
     PrimeField,
     Rationals,
+    _element,
+    _random_code,
     build_base_field,
     make_tower,
-    random_rational_element,
 )
 from rankweight.ranksupport import LinearCode
 from rankweight.verify import exhaustive_codes
@@ -88,19 +91,6 @@ def vec(tower, *entries):
     return out
 
 
-def reassemble(expanded):
-    """Rebuild the L-vector of an ExpandedMatrix: coordinate j is sum_i rows[i][j] * basis_i."""
-    t = expanded.tower
-    n = len(expanded.rows[0]) if expanded.rows else 0
-    out = []
-    for j in range(n):
-        acc = t.L.zero()
-        for i, alpha in enumerate(t.basis):
-            acc = acc + t.embed(expanded.rows[i][j]) * alpha
-        out.append(acc)
-    return out
-
-
 def rational_part(tower, v):
     """The k-vector equal to v when v lies in k^n, else None."""
     out = []
@@ -120,6 +110,12 @@ def all_codes(tower, n):
 def all_vectors(tower, n):
     elems = list(tower.L.elements())
     return [list(v) for v in itertools.product(elems, repeat=n)]
+
+
+def random_rational_element(tower, rng, height):
+    """The element of L whose code ``fields._random_code`` draws: over Q(θ),
+    coordinates a/b with |a| <= height and 1 <= b <= height."""
+    return _element(tower.L, _random_code(tower, rng, height))
 
 
 def random_rational_vector(rng, tower, n, height=5):
@@ -333,3 +329,34 @@ def ref_inv(field, a):
         raise ZeroDivisionError("a zero divisor")
     c = ref_inv(base, r1[0])
     return tuple(ref_mul(base, c, y) for y in s1) + (zero,) * (field.degree - len(s1))
+
+
+# ---------------------------------------------------------------------------
+# brute-force irreducibility: the reference the gcd criterion is checked against
+# ---------------------------------------------------------------------------
+
+
+def evaluate(k, p, x):
+    """p(x) on codes of the kernel k, by Horner's rule."""
+    acc = 0
+    for c in reversed(p):
+        acc = k.add(k.mul(acc, x), c)
+    return acc
+
+
+def monic_polys(k, d):
+    """All monic degree-d polynomials over a finite field, as lists of codes."""
+    for lower in itertools.product(range(k.field.order), repeat=d):
+        yield list(lower) + [k.one]
+
+
+def is_irreducible_bruteforce(k, p):
+    """Exhaustive root search plus trial division by every monic polynomial of
+    degree <= deg(p)/2, over a finite field; independent of the gcd criterion."""
+    m = polys.degree(p)
+    assert m >= 1 and k.field.order is not None
+    if m == 1:
+        return True
+    if any(not evaluate(k, p, x) for x in range(k.field.order)):
+        return False
+    return all(polys.mod(k, p, cand) for d in range(2, m // 2 + 1) for cand in monic_polys(k, d))

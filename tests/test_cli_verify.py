@@ -167,6 +167,19 @@ def test_verify_cli_pass_and_inapplicable(capsys, monkeypatch):
     assert code == 3
 
 
+def test_ext_modulus_coefficients_are_read_by_the_element_grammar(capsys, monkeypatch):
+    """--ext-modulus splits into element strings over the base, which the
+    document reader parses: an int, a fraction over Q or a base-generator term."""
+    monkeypatch.setenv("RANKWEIGHT_WORKERS", "1")
+    for modulus in ("-1/2, 0, 1", "3, 0, 1", "-2,0,0,1"):
+        code, _, _ = run_cli(capsys, "verify", "--char", "0", f"--ext-modulus={modulus}", "--max-n", "1",
+                             "--random", "2", "--theorem", "trace")
+        assert code == 0, modulus
+    code, out, err = run_cli(capsys, "verify", "--char", "0", "--ext-modulus=1/0,0,1", "--max-n", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: bad element string '1/0': denominator 0 vanishes in Q\n"
+
+
 def test_verify_witness_suite_with_expected_absent_case(capsys, monkeypatch):
     # GF(4)/GF(2) up to n = 3 (m = 2 < n): the witness suite must still pass,
     # treating guaranteed absence on nondegenerate codes as the assertion

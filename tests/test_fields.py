@@ -14,19 +14,25 @@ from rankweight.errors import AmbientMismatch, BadBase, BadModulus, FieldMismatc
 from rankweight.fields import (
     BaseFieldDescriptor,
     ExtensionField,
-    ExtensionTower,
     FieldElement,
     PrimeField,
     Rationals,
     _FiniteKernel,
     build_base_field,
     format_element,
-    is_separable_tower,
     make_tower,
-    random_rational_element,
 )
 
-from helpers import gf8192, gf4099_squared, payloads_in_order, ref_add, ref_inv, ref_mul
+from helpers import (
+    gf8192,
+    gf4099_squared,
+    is_irreducible_bruteforce,
+    payloads_in_order,
+    random_rational_element,
+    ref_add,
+    ref_inv,
+    ref_mul,
+)
 
 
 def gf4():
@@ -98,37 +104,29 @@ def test_each_caller_of_code_of_keeps_its_error():
     for bad in ("x", Fraction(1, 2), 1.0):
         with pytest.raises(BadModulus, match=re.escape(f"cannot interpret modulus coefficient {bad!r}")):
             make_tower(BaseFieldDescriptor(2), [1, bad, 1])
-    assert t.element_from_coords([1, t.k.one()]) == 1 + w
-    assert q.element_from_coords([Fraction(1, 2), 0, q.k.from_int(3)]).payload == (Fraction(1, 2), 0, 3)
-    with pytest.raises(FieldMismatch, match=re.escape("coordinates must lie in the base field")):
-        t.element_from_coords([w, 0])
-    for bad in ("1", Fraction(1, 2), None):
-        with pytest.raises(FieldMismatch, match=re.escape(f"cannot interpret coordinate {bad!r}")):
-            t.element_from_coords([0, bad])
-    with pytest.raises(ValueError, match="need exactly 2 coordinates"):
-        t.element_from_coords([1])
 
 
 # (build, the error as "Type: message"); the order of the checks is pinned by
 # inputs that break more than one: the first check that fails names the error
 CONSTRUCTION_ERRORS = [
-    (lambda: build_base_field(BaseFieldDescriptor(2, 2, (1, 1, 0))), "BadModulus: base modulus must be monic"),
+    (lambda: build_base_field(BaseFieldDescriptor(2, 2, (1, 1, 0))),
+     "BadModulus: modulus of u must be monic of degree >= 1"),
     (lambda: build_base_field(BaseFieldDescriptor(2, 2, (1, 1, 0, 1))),
      "BadModulus: base modulus has degree 3, descriptor says 2"),
     (lambda: build_base_field(BaseFieldDescriptor(3, 2, (1, 0, 0, 2))),  # wrong degree and not monic
      "BadModulus: base modulus has degree 3, descriptor says 2"),
     (lambda: build_base_field(BaseFieldDescriptor(3, 2, (2, 0, 2))),  # not monic and reducible
-     "BadModulus: base modulus must be monic"),
+     "BadModulus: modulus of u must be monic of degree >= 1"),
     (lambda: build_base_field(BaseFieldDescriptor(2, 2, (1, 0, 1))),
-     "NotIrreducible: base modulus is reducible over GF(2)"),
-    (lambda: make_tower((2, 2, (1, 0, 1)), [1, 0, 1]), "NotIrreducible: base modulus is reducible over GF(2)"),
-    (lambda: make_tower((2,), [1, 0]), "BadModulus: extension modulus must have degree >= 1"),
-    (lambda: make_tower((0,), [Fraction(1), Fraction(2)]), "BadModulus: extension modulus must be monic"),
-    (lambda: make_tower((0,), [0, 0, 2]), "BadModulus: extension modulus must be monic"),  # and reducible
-    (lambda: make_tower((2,), [1, 0, 1]), "NotIrreducible: extension modulus is reducible over GF(2)"),
-    (lambda: make_tower((0,), [-1, 0, 1]), "NotIrreducible: extension modulus is reducible over Q"),
+     "NotIrreducible: modulus of u is reducible over GF(2)"),
+    (lambda: make_tower((2, 2, (1, 0, 1)), [1, 0, 1]), "NotIrreducible: modulus of u is reducible over GF(2)"),
+    (lambda: make_tower((2,), [1, 0]), "BadModulus: modulus of w must be monic of degree >= 1"),
+    (lambda: make_tower((0,), [Fraction(1), Fraction(2)]), "BadModulus: modulus of w must be monic of degree >= 1"),
+    (lambda: make_tower((0,), [0, 0, 2]), "BadModulus: modulus of w must be monic of degree >= 1"),  # and reducible
+    (lambda: make_tower((2,), [1, 0, 1]), "NotIrreducible: modulus of w is reducible over GF(2)"),
+    (lambda: make_tower((0,), [-1, 0, 1]), "NotIrreducible: modulus of w is reducible over Q"),
     (lambda: make_tower((2, 2, (1, 1, 1)), [0, 1, 1]),
-     "NotIrreducible: extension modulus is reducible over GF(4)"),
+     "NotIrreducible: modulus of w is reducible over GF(4)"),
     (lambda: make_tower(3, [1, 1]), "BadBase: expected a BaseFieldDescriptor, got 3"),
 ]
 
@@ -189,7 +187,7 @@ def test_coords_qtheta_basis_element():
 def test_coords_roundtrip():
     for t in (gf4(), gf8(), gf9()):
         for x in t.L.elements():
-            assert t.element_from_coords(t.coords(x)) == x
+            assert sum((t.embed(c) * b for c, b in zip(t.coords(x), t.basis)), t.L.zero()) == x
 
 
 def test_trace_values():
@@ -229,16 +227,17 @@ def test_coords_k_linear():
             assert lhs == rhs
 
 
-def test_separability():
-    assert is_separable_tower(gf8())
-    assert is_separable_tower(qtheta())
-    # no validated backend can be inseparable (finite fields and Q are perfect);
-    # build a quotient with f' = 0 by hand to exercise the predicate
-    k = PrimeField(2)
-    bogus = ExtensionTower(ExtensionField(k, (0, 0, 1)))
-    assert not is_separable_tower(bogus)
-    # trace is identically zero exactly in the inseparable case
-    assert all(not bogus.trace(x) for x in bogus.L.elements())
+def test_no_field_is_a_quotient_by_a_reducible_modulus():
+    """Every ExtensionField checks its own modulus, so no quotient that is not
+    a field exists to serve as k or L: not GF(2)[x]/((x+1)^2), nor the
+    GF(2)[x]/(x^2) whose f' = 0 would make a tower inseparable."""
+    for modulus in ((1, 0, 1), (0, 0, 1)):
+        with pytest.raises(NotIrreducible, match=re.escape("modulus of w is reducible over GF(2)")):
+            ExtensionField(PrimeField(2), modulus)
+    with pytest.raises(NotIrreducible, match=re.escape("modulus of s is reducible over Q")):
+        ExtensionField(Rationals(), (Fraction(-1), 0, 1), symbol="s")
+    with pytest.raises(BadModulus, match=re.escape("modulus of w must be monic of degree >= 1")):
+        ExtensionField(PrimeField(2), (1,))
     assert any(gf8().trace(x) for x in gf8().L.elements())
 
 
@@ -303,7 +302,6 @@ def test_nested_base_field():
     # trace of L/k maps into k and is nonzero somewhere (separable)
     traces = {t.trace(e).payload for e in elems}
     assert len(traces) > 1
-    assert is_separable_tower(t)
 
 
 def test_nested_base_rejects_reducible_base_modulus():
@@ -338,7 +336,7 @@ def test_irreducibility_methods_agree():
             for lower in itertools.product(range(k.order), repeat=deg):
                 poly = list(lower) + [kern.one]
                 verdict = polys.is_irreducible_gcd(kern, poly)
-                assert verdict == polys.is_irreducible_bruteforce(kern, poly), (name, poly)
+                assert verdict == is_irreducible_bruteforce(kern, poly), (name, poly)
                 irreducible += verdict
             assert irreducible == count, (name, deg)
 
@@ -355,7 +353,7 @@ def test_inverse_by_euclid_in_table_free_kernels():
         kern = field._kernel()
         assert type(kern) is _FiniteKernel
         for _ in range(25):
-            x = field.element(draw())
+            x = FieldElement(field, draw())
             if not x:
                 continue
             inv = kern.inv(x.code)
@@ -365,6 +363,8 @@ def test_inverse_by_euclid_in_table_free_kernels():
             assert kern.mul(x.code, inv) == kern.one
         with pytest.raises(ZeroDivisionError):
             field.zero().inverse()
+        with pytest.raises(ZeroDivisionError, match="zero divisor"):
+            kern.inv(0)  # the guard of extended Euclid, reached in a field by 0 alone
 
 
 def test_extensions_of_extensions_of_q_are_refused():
@@ -485,7 +485,7 @@ def test_large_field_arithmetic_reads_no_payload(make, monkeypatch):
     q, kern = field.order, field._kernel()
     pairs = [(kern.payload(rng.randrange(1, q)), kern.payload(rng.randrange(1, q))) for _ in range(40)]
     expected = [(ref_add(field, a, b), ref_mul(field, a, b), ref_inv(field, a)) for a, b in pairs]
-    elements = [(field.element(a), field.element(b)) for a, b in pairs]
+    elements = [(FieldElement(field, a), FieldElement(field, b)) for a, b in pairs]
 
     def refuse(self, c):
         raise AssertionError("a payload was read")

@@ -633,13 +633,15 @@ def test_dr_memo_gate_flags_each_kind():
     assert [bool(_dr_memo_offences(c)) for c in cases] == [False] + [True] * 8 + [False] + [True]
 
 
-def _unreferenced_private(sources):
-    """The private top-level functions and classes of sources (module name ->
-    source) that no code in sources names outside their own definition."""
+def _unreferenced(sources, wanted):
+    """The top-level functions and classes of sources (module name -> source)
+    whose names pass ``wanted`` and that no code in sources names outside their
+    own definition.  An import names what it imports, so an export from the
+    package's ``__init__`` counts; a ``cmd_*`` handler is named by its module's
+    ``"cmd_" + command`` lookup (``cli.main``)."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     defs = [(name, node) for name, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and wanted(node.name)]
     unused = []
     for module, definition in defs:
         own = {id(node) for node in ast.walk(definition)}
@@ -649,10 +651,19 @@ def _unreferenced_private(sources):
             for tree in trees.values()
             for node in ast.walk(tree)
             if id(node) not in own
-        )
+        ) or definition.name.startswith("cmd_") and any(
+            isinstance(node, ast.Constant) and node.value == "cmd_" for node in ast.walk(trees[module]))
         if not used:
             unused.append(f"{module}.{definition.name}")
     return unused
+
+
+def _unreferenced_private(sources):
+    return _unreferenced(sources, lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+def _unreferenced_public(sources):
+    return _unreferenced(sources, lambda name: not name.startswith("_"))
 
 
 def test_every_private_definition_is_used():
@@ -676,6 +687,30 @@ def test_private_gate_flags_each_kind():
     ]
     assert [bool(_unreferenced_private(c)) for c in cases] == [True, False, True, True, False, False,
                                                                False, False, True]
+
+
+def test_every_public_definition_is_used_or_exported():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert _unreferenced_public(sources) == []
+
+
+def test_public_gate_flags_each_kind():
+    polys_src = "def mod(k, p, q):\n    return p\n" \
+                "def is_irreducible_bruteforce(k, p):\n    return mod(k, p, p)\n"
+    main = "def main(argv):\n    return globals()['cmd_' + argv[0]](argv)\n"
+    cases = [
+        {"polys": polys_src},  # is_irreducible_bruteforce called by no module
+        {"polys": polys_src, "fields": "from . import polys\nok = polys.is_irreducible_bruteforce(k, f)\n"},
+        {"polys": polys_src, "__init__": "from .polys import is_irreducible_bruteforce\n"},  # exported
+        {"polys": "def walk(n):\n    return walk(n - 1) if n else 0\n"},  # only calls itself
+        {"fields": "class Helper:\n    pass\n"},
+        {"polys": polys_src, "tests": "s = 'is_irreducible_bruteforce'\n"},  # prose, not a name
+        {"cli": main + "def cmd_dual(args):\n    return 0\n", "__init__": "from .cli import main\n"},
+        {"weights": "def cmd_dual(args):\n    return 0\n"},  # no lookup names it there
+        {"fields": "def _helper():\n    return 1\n"},  # private: the other gate's
+    ]
+    assert [bool(_unreferenced_public(c)) for c in cases] == [True, False, False, True, True, True,
+                                                              False, True, False]
 
 
 # the square-and-multiply loops allowed: fields's one power on codes, and polys's power of polynomials
@@ -773,12 +808,16 @@ def _construction_offences(sources):
 
     No module but fields calls (or renames on import) ``ExtensionTower`` or
     ``ExtensionField``; no module defines ``_tower_over``; and the sources
-    call ``is_irreducible_gcd`` at exactly one site, ``fields._quotient``'s,
-    and ``is_irreducible_bruteforce`` at none.
+    call ``is_irreducible_gcd`` at exactly one site, inside
+    ``fields.ExtensionField.__init__``, and ``is_irreducible_bruteforce`` at none.
     """
     offences, gcd_sites = [], []
     for module, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        checker = {id(node) for cls in tree.body if module == "fields" and isinstance(cls, ast.ClassDef)
+                   and cls.name == "ExtensionField" for f in cls.body
+                   if isinstance(f, ast.FunctionDef) and f.name == "__init__" for node in ast.walk(f)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
                 if name in CONSTRUCTORS and module != "fields":
@@ -787,6 +826,8 @@ def _construction_offences(sources):
                     offences.append(f"{module}:{node.lineno} calls is_irreducible_bruteforce")
                 elif name == "is_irreducible_gcd":
                     gcd_sites.append(f"{module}:{node.lineno}")
+                    if id(node) not in checker:
+                        offences.append(f"{module}:{node.lineno} checks a modulus outside ExtensionField.__init__")
             elif isinstance(node, ast.ImportFrom):
                 offences += [f"{module}:{node.lineno} imports {a.name} as {a.asname}" for a in node.names
                              if a.name in CONSTRUCTORS and a.asname]
@@ -803,10 +844,10 @@ def test_one_way_to_build_a_tower():
 
 
 def test_construction_gate_flags_each_kind():
+    check = "if not polys.is_irreducible_gcd(k, f):\n    raise E\n"
     clean = {
-        "fields": "def _quotient(k, f):\n    if not polys.is_irreducible_gcd(k, f):\n        raise E\n"
-                  "    return ExtensionField(k, f)\n"
-                  "def make_tower(k, f):\n    return ExtensionTower(_quotient(k, f))\n",
+        "fields": "class ExtensionField:\n    def __init__(self, k, f):\n" + textwrap.indent(check, " " * 8)
+                  + "def make_tower(k, f):\n    return ExtensionTower(ExtensionField(k, f))\n",
         "polys": "def is_irreducible_gcd(k, p):\n    return True\n"
                  "def is_irreducible_bruteforce(k, p):\n    return True\n",
         "documents": "from .fields import ExtensionTower, make_tower\n"
@@ -822,10 +863,16 @@ def test_construction_gate_flags_each_kind():
         {"fields": clean["fields"] + "ok = polys.is_irreducible_bruteforce(k, g)\n"},
         {"fields": clean["fields"] + "ok = polys.is_irreducible_gcd(k, g)\n"},  # a second floor check
         {"fields": clean["fields"].replace("polys.is_irreducible_gcd(k, f)", "polys.is_irreducible_rationals(f)")},
+        # the one check, but in a helper of the constructor, in make_tower or in another class's __init__
+        {"fields": "class ExtensionField:\n    def __init__(self, k, f):\n        _quotient(k, f)\n"
+                   "def _quotient(k, f):\n" + textwrap.indent(check, " " * 4)},
+        {"fields": "def make_tower(k, f):\n" + textwrap.indent(check, " " * 4)
+                   + "    return ExtensionTower(ExtensionField(k, f))\n"},
+        {"fields": clean["fields"].replace("ExtensionField:", "PrimeField:")},
         {"documents": clean["documents"] + "why = 'no ExtensionTower(L) here'\n"},  # prose, not a call
         {"verify": "def is_tower(t):\n    return isinstance(t, ExtensionTower)\n"},  # named, not called
     ]
-    assert [bool(_construction_offences({**clean, **case})) for case in cases] == [False] + [True] * 8 + [False] * 2
+    assert [bool(_construction_offences({**clean, **case})) for case in cases] == [False] + [True] * 11 + [False] * 2
 
 
 def _zero_restriction(monkeypatch):
