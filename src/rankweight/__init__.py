@@ -3,10 +3,10 @@ for linear codes over arbitrary finite field extensions.
 
 Quick start::
 
-    from rankweight import BaseFieldDescriptor, make_tower, LinearCode
+    from rankweight import build_base_field, make_tower, LinearCode
     from rankweight import rank_support_code, closure, weight_report
 
-    tower = make_tower(BaseFieldDescriptor(2), [1, 1, 1])   # GF(4)/GF(2)
+    tower = make_tower(build_base_field(2), [1, 1, 1])   # GF(4)/GF(2)
     w = tower.generator()
     code = LinearCode.from_generators(tower, 2, [[tower.L.one(), w]])
     print(rank_support_code(code).dim)        # 2
@@ -32,7 +32,6 @@ from .errors import (
     ZeroCode,
 )
 from .fields import (
-    BaseFieldDescriptor,
     ExtensionField,
     ExtensionTower,
     FieldElement,

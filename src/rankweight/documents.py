@@ -10,9 +10,10 @@ A document fully determines a code:
 Moduli are low-to-high coefficient lists over the base; coefficients are
 integers, "a/b" strings, or (when base_degree > 1) polynomial strings in the
 base generator.  Elements are polynomial strings in the declared generator
-("w^2+w+1"), rationals ("3/2"), with parenthesized base coefficients such as
-"(u+1)*w" for nested bases; each parenthesis goes one base down.  Rendering
-is canonical: descending powers, coefficient 1 omitted, '+-' folded to '-';
+("w^2+w+1") and the base generator's name, which stands for its image in L,
+with rationals ("3/2") and grouping parentheses ("(w+1)^3"); nested bases
+render their coefficients parenthesized, as in "(u+1)*w".  Rendering is
+canonical: descending powers, coefficient 1 omitted, '+-' folded to '-';
 parse(render(x)) == x.
 
 A parsed ``CodeDocument`` holds only the tower, the length and the rows; the
@@ -25,9 +26,9 @@ same rows in the same order.  ``build_tower`` is the one reader of a tower
 description, for documents and for verify's ``TowerTask`` alike: it builds
 k once, parses the coefficients in it, and hands both to ``make_tower``.
 
-The element parser evaluates on codes in each field's kernel, so parsing
-builds the kernels of the fields it reads, and wraps one FieldElement per
-element string, at the end.
+The element parser evaluates on codes in the kernel of the field it reads,
+so parsing builds that kernel, and wraps one FieldElement per element
+string, at the end.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from fractions import Fraction
 
 from .errors import ParseError, RowLengthMismatch, UnknownSymbol
 from .fields import (
-    BaseFieldDescriptor,
     ExtensionField,
     ExtensionTower,
     Field,
@@ -75,12 +75,13 @@ def _tokenize(text: str):
 class _ElementParser:
     """Recursive-descent parser for polynomial element strings.
 
-    Evaluation runs on codes in each field's kernel; only the final value
-    is wrapped as a FieldElement.
+    Evaluation runs on codes in the one field's kernel; parentheses group,
+    and only the final value is wrapped as a FieldElement.
     """
 
     def __init__(self, field: Field, tokens, text: str):
         self.field = field
+        self.kern = field._kernel()
         self.tokens = tokens
         self.text = text
         self.pos = 0
@@ -97,53 +98,53 @@ class _ElementParser:
         raise ParseError(f"bad element string {self.text!r}: {why}")
 
     def parse(self) -> FieldElement:
-        value = self.expression(self.field)
+        value = self.expression()
         if self.pos != len(self.tokens):
             self.fail(f"trailing input at token {self.pos}")
         return _element(self.field, value)
 
-    def expression(self, fld: Field):
-        kern = fld._kernel()
+    def expression(self):
+        kern = self.kern
         sign = 1
         kind, val = self.peek()
         if kind == "sym" and val in "+-":
             self.take()
             sign = -1 if val == "-" else 1
-        acc = self.term(fld)
+        acc = self.term()
         if sign < 0:
             acc = kern.neg(acc)
         while True:
             kind, val = self.peek()
             if kind == "sym" and val in "+-":
                 self.take()
-                nxt = self.term(fld)
+                nxt = self.term()
                 acc = kern.add(acc, kern.neg(nxt) if val == "-" else nxt)
             else:
                 return acc
 
-    def term(self, fld: Field):
-        acc = self.factor(fld)
+    def term(self):
+        acc = self.factor()
         while True:
             kind, val = self.peek()
             if kind == "sym" and val == "*":
                 self.take()
-                acc = fld._kernel().mul(acc, self.factor(fld))
+                acc = self.kern.mul(acc, self.factor())
             else:
                 return acc
 
-    def factor(self, fld: Field):
-        base = self.atom(fld)
+    def factor(self):
+        base = self.atom()
         kind, val = self.peek()
         if kind == "sym" and val == "^":
             self.take()
             kind, exp = self.take()
             if kind != "num":
                 self.fail("exponent must be a nonnegative integer")
-            return _power(fld._kernel(), base, exp)
+            return _power(self.kern, base, exp)
         return base
 
-    def atom(self, fld: Field):
-        kern = fld._kernel()
+    def atom(self):
+        fld, kern = self.field, self.kern
         kind, val = self.take()
         if kind == "num":
             nxt_kind, nxt_val = self.peek()
@@ -165,13 +166,11 @@ class _ElementParser:
                 return resolved
             raise UnknownSymbol(f"element string {self.text!r} uses undeclared symbol {val!r}")
         if kind == "sym" and val == "(":
-            if not isinstance(fld, ExtensionField):
-                self.fail("parenthesized coefficients need an extension field")
-            inner = self.expression(fld.base)
+            inner = self.expression()
             kind, val = self.take()
             if not (kind == "sym" and val == ")"):
                 self.fail("unbalanced parentheses")
-            return kern.embed_row((inner,))[0]
+            return inner
         self.fail(f"unexpected token {val!r}")
 
 
@@ -219,7 +218,7 @@ def build_tower(
     ``extension_modulus`` lists f's coefficients over k, low to high: ints,
     Fractions (over Q), or element strings in ``base_symbol``.
     """
-    k = build_base_field(BaseFieldDescriptor(characteristic, base_degree, base_modulus), symbol=base_symbol)
+    k = build_base_field(characteristic, base_degree, base_modulus, symbol=base_symbol)
     coeffs = [
         _parse_coefficient(k, c, f"tower.extension_modulus[{i}]") for i, c in enumerate(extension_modulus)
     ]
@@ -323,11 +322,12 @@ def parse_code_file(text: str) -> CodeDocument:
 
 def tower_to_json(tower: ExtensionTower) -> dict:
     """The canonical tower block, key order fixed."""
-    desc = tower.base_descriptor
-    out = {"characteristic": desc.characteristic, "base_degree": desc.base_degree}
-    if desc.base_modulus is not None:
-        out["base_modulus"] = list(desc.base_modulus)
-        out["base_generator_name"] = tower.k.symbol
+    k = tower.k
+    if isinstance(k, ExtensionField):  # GF(p^a): its base modulus as k holds it, reduced mod p
+        out = {"characteristic": k.characteristic, "base_degree": k.degree,
+               "base_modulus": list(k.modulus), "base_generator_name": k.symbol}
+    else:
+        out = {"characteristic": k.characteristic, "base_degree": 1}
     out["extension_modulus"] = [_render_coefficient(tower.k, c) for c in tower.L.modulus]
     out["generator_name"] = tower.L.symbol
     return out

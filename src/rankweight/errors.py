@@ -6,7 +6,7 @@ class RankWeightError(Exception):
 
 
 class BadBase(RankWeightError):
-    """Base field descriptor is invalid (composite characteristic, missing modulus, ...)."""
+    """The base field k is described wrongly (composite characteristic, missing modulus, ...) or is not a base field."""
 
 
 class BadModulus(RankWeightError):

@@ -25,15 +25,15 @@ and elements surviving a pickle round-trip, compare equal.  Everything is
 immutable after construction; all operations are pure.
 
 ``ExtensionTower(L)`` holds L alone, k being ``L.base``, with the coordinate
-map between them; its ``base_descriptor`` is read from k, so equal towers
-describe themselves alike.  ``make_tower`` is the one tower constructor: its
-base is a descriptor or a base field already built (``documents`` passes the
-k it parsed the modulus in, so k is built once per tower).  ``ExtensionField``
-checks its own modulus, monic and then irreducible, so every quotient is a
-field and both floors, GF(p^a)/GF(p) in ``build_base_field`` and L/k in
-``make_tower``, are checked once, by one test; it builds its base's kernel
-for the test and none of its own.  Finite fields and Q are perfect, so every
-tower is separable.
+map between them.  k is a field and nothing else: ``build_base_field`` reads
+a description of k (characteristic, base degree, base modulus) into the
+built field, and ``make_tower``, the one tower constructor, takes that field
+(``documents`` passes the k it parsed the modulus in, so k is built once per
+tower).  ``ExtensionField`` checks its own modulus, monic and then
+irreducible, so every quotient is a field and both floors, GF(p^a)/GF(p) in
+``build_base_field`` and L/k in ``make_tower``, are checked once, by one
+test; it builds its base's kernel for the test and none of its own.  Finite
+fields and Q are perfect, so every tower is separable.
 
 * In a finite field, the base-p digits of a code are the element's
   prime-field coordinates, nested bases included, lowest first, so 0 is zero
@@ -930,60 +930,28 @@ def _bareiss_solve(rows):
     return y, prev
 
 
-class BaseFieldDescriptor:
-    """Recipe for the base field k: Q, GF(p), or GF(p^a) via its own modulus."""
+def build_base_field(characteristic: int, base_degree: int = 1, base_modulus=None, symbol: str = "u") -> Field:
+    """The base field k described as in a tower block: Q, GF(p), or GF(p^a) = GF(p)[u]/(base_modulus).
 
-    __slots__ = ("characteristic", "base_degree", "base_modulus")
-
-    def __init__(self, characteristic: int, base_degree: int = 1, base_modulus=None):
-        if characteristic != 0 and not _is_prime(characteristic):
-            raise BadBase(f"characteristic must be 0 or prime, got {characteristic}")
-        if characteristic == 0:
-            if base_degree != 1:
-                raise BadBase("characteristic 0 forces base_degree 1")
-            if base_modulus is not None:
-                raise BadBase("characteristic 0 takes no base modulus")
-        else:
-            if base_degree < 1:
-                raise BadBase("base_degree must be >= 1")
-            if (base_modulus is None) == (base_degree > 1):
-                raise BadBase("base_modulus is required exactly when base_degree > 1")
-        self.characteristic = characteristic
-        self.base_degree = base_degree
-        self.base_modulus = None if base_modulus is None else tuple(base_modulus)
-
-    def __eq__(self, other):
-        if not isinstance(other, BaseFieldDescriptor):
-            return NotImplemented
-        return (
-            self.characteristic == other.characteristic
-            and self.base_degree == other.base_degree
-            and self.base_modulus == other.base_modulus
-        )
-
-    def __hash__(self):
-        return hash((self.characteristic, self.base_degree, self.base_modulus))
-
-    def __repr__(self):
-        if self.characteristic == 0:
-            return "Q"
-        if self.base_degree == 1:
-            return f"GF({self.characteristic})"
-        return f"GF({self.characteristic}^{self.base_degree})"
-
-
-def build_base_field(desc: BaseFieldDescriptor, symbol: str = "u") -> Field:
-    """The base field named by a descriptor; ``ExtensionField`` checks a base modulus."""
-    if desc.characteristic == 0:
+    ``PrimeField`` checks that p is prime and ``ExtensionField`` checks the
+    base modulus, whose integer coefficients are read mod p.
+    """
+    if characteristic == 0:
+        if base_degree != 1:
+            raise BadBase("characteristic 0 forces base_degree 1")
+        if base_modulus is not None:
+            raise BadBase("characteristic 0 takes no base modulus")
         return Rationals()
-    prime = PrimeField(desc.characteristic)
-    if desc.base_degree == 1:
+    prime = PrimeField(characteristic)
+    if base_degree < 1:
+        raise BadBase("base_degree must be >= 1")
+    if (base_modulus is None) == (base_degree > 1):
+        raise BadBase("base_modulus is required exactly when base_degree > 1")
+    if base_degree == 1:
         return prime
-    coeffs = [c % prime.p for c in desc.base_modulus]  # the payloads of GF(p) are its ints mod p
-    if len(coeffs) - 1 != desc.base_degree:
-        raise BadModulus(
-            f"base modulus has degree {len(coeffs) - 1}, descriptor says {desc.base_degree}"
-        )
+    coeffs = [c % prime.p for c in base_modulus]  # the payloads of GF(p) are its ints mod p
+    if len(coeffs) - 1 != base_degree:
+        raise BadModulus(f"base modulus has degree {len(coeffs) - 1}, base_degree is {base_degree}")
     return ExtensionField(prime, coeffs, symbol=symbol)
 
 
@@ -1034,14 +1002,6 @@ class ExtensionTower:
     def __reduce__(self):
         # a copy is rebuilt from L, so it starts with an empty memo
         return ExtensionTower, (self.L,)
-
-    @property
-    def base_descriptor(self) -> BaseFieldDescriptor:
-        """The descriptor of k, read from k: a base modulus as k holds it, reduced mod p."""
-        k = self.k
-        if isinstance(k, ExtensionField):
-            return BaseFieldDescriptor(k.characteristic, k.degree, k.modulus)
-        return BaseFieldDescriptor(k.characteristic)
 
     @property
     def basis(self) -> tuple:
@@ -1181,21 +1141,16 @@ def _frobenius_map(kern, q: int):
     return functools.partial(_power, kern, e=q)
 
 
-def make_tower(base, modulus, symbol: str = "w", base_symbol: str = "u") -> ExtensionTower:
+def make_tower(k: Field, modulus, symbol: str = "w") -> ExtensionTower:
     """The one tower constructor: L = k[x]/(f), f checked by ``ExtensionField``.
 
-    ``base`` names k: a ``BaseFieldDescriptor`` (or the tuple of its
-    arguments), built as ``build_base_field`` builds it with ``base_symbol``,
-    or a base field already built: Q, GF(p), or GF(p^a) over GF(p).
-    ``modulus`` lists f's coefficients over k, low to high: ints, Fractions
-    or elements of k; trailing zeros are dropped.
+    ``k`` is a base field as ``build_base_field`` builds it: Q, GF(p), or
+    GF(p^a) over GF(p).  ``modulus`` lists f's coefficients over k, low to
+    high: ints, Fractions or elements of k; trailing zeros are dropped.
     """
-    if isinstance(base, tuple):
-        base = BaseFieldDescriptor(*base)
-    k = build_base_field(base, symbol=base_symbol) if isinstance(base, BaseFieldDescriptor) else base
     prime_extension = isinstance(k, ExtensionField) and isinstance(k.base, PrimeField)
     if not (prime_extension or isinstance(k, (Rationals, PrimeField))):
-        raise BadBase(f"expected a BaseFieldDescriptor, got {base!r}")
+        raise BadBase(f"expected a base field: Q, GF(p) or GF(p^a) over GF(p), got {k!r}")
     coeffs = []  # codes of k's kernel
     for c in modulus:
         code = _code_of(k, c)

@@ -92,6 +92,7 @@ from .ranksupport import (
     restriction,
 )
 
+_RANDOM_ROUNDS = 10  # the height doubles after each round
 _RANDOM_TRIES_PER_ROUND = 200
 STRATEGIES = ("auto", "constructive", "exhaustive", "random")  # find_witness's strategies
 
@@ -374,7 +375,7 @@ def _witness_extended(C: LinearCode) -> Optional[list]:
     return c
 
 
-def _witness_split(C: LinearCode, seed, height: int, rounds: int) -> Optional[list]:
+def _witness_split(C: LinearCode, seed, height: int) -> Optional[list]:
     """Split C = C1 ⊕ Res(C)_L, find a witness for C1, extend it rationally.
 
     C1 is searched with the fallback strategy directly, as the constructive
@@ -397,7 +398,7 @@ def _witness_split(C: LinearCode, seed, height: int, rounds: int) -> Optional[li
     if c1_gens:
         c1_code = LinearCode(t, n, Subspace.from_codes(L, n, c1_gens))
         try:
-            c = _search(c1_code, seed, height, rounds)
+            c = _search(c1_code, seed, height)
         except SearchExhausted:
             return None
         if c is None:
@@ -429,7 +430,7 @@ def _witness_exhaustive(C: LinearCode) -> Optional[tuple]:
     return None
 
 
-def _witness_random(C: LinearCode, rng: random.Random, height: int, rounds: int) -> list:
+def _witness_random(C: LinearCode, rng: random.Random, height: int) -> list:
     """Sample coefficient vectors of bounded height, verify exactly, retry.
 
     Never concludes nonexistence; raises SearchExhausted when the budget is
@@ -441,7 +442,7 @@ def _witness_random(C: LinearCode, rng: random.Random, height: int, rounds: int)
     gens, weight = C.space._codes, _coded_weight(t, kern)
 
     h = height
-    for _ in range(rounds):
+    for _ in range(_RANDOM_ROUNDS):
         for _ in range(_RANDOM_TRIES_PER_ROUND):
             coeffs = [_random_code(t, rng, h) for _ in range(C.dim)]
             if not any(coeffs):
@@ -451,15 +452,15 @@ def _witness_random(C: LinearCode, rng: random.Random, height: int, rounds: int)
                 return c
         h *= 2
     raise SearchExhausted(
-        f"no witness found after {rounds} rounds of {_RANDOM_TRIES_PER_ROUND} samples"
+        f"no witness found after {_RANDOM_ROUNDS} rounds of {_RANDOM_TRIES_PER_ROUND} samples"
     )
 
 
-def _search(C: LinearCode, seed, height: int, rounds: int):
+def _search(C: LinearCode, seed, height: int):
     """The fallback search on codes: exhaustive over a finite L, else randomized."""
     if C.tower.L.order is not None:
         return _witness_exhaustive(C)
-    return _witness_random(C, random.Random(seed), height, rounds)
+    return _witness_random(C, random.Random(seed), height)
 
 
 def find_witness(
@@ -467,7 +468,6 @@ def find_witness(
     strategy: str = "auto",
     seed: Optional[int] = None,
     height: int = 5,
-    rounds: int = 10,
 ) -> Optional[list]:
     """A codeword c with Rsupp(c) = Rsupp(C), or None when provably none exists.
 
@@ -489,15 +489,15 @@ def find_witness(
     if strategy in ("auto", "constructive"):
         c = _witness_extended(C)
         if c is None:
-            c = _witness_split(C, seed, height, rounds)
+            c = _witness_split(C, seed, height)
         if c is None and strategy == "constructive":
             raise SearchExhausted("constructive strategies do not apply to this code")
         if c is None:
-            c = _search(C, seed, height, rounds)
+            c = _search(C, seed, height)
     elif strategy == "exhaustive":
         c = _witness_exhaustive(C)
     else:
-        c = _witness_random(C, random.Random(seed), height, rounds)
+        c = _witness_random(C, random.Random(seed), height)
     return None if c is None else list(decode_rows(t.L, [c])[0])
 
 

@@ -9,7 +9,6 @@ import random
 
 from rankweight import polys
 from rankweight.fields import (
-    BaseFieldDescriptor,
     FieldElement,
     PrimeField,
     Rationals,
@@ -24,51 +23,51 @@ from rankweight.verify import exhaustive_codes
 
 @functools.lru_cache(maxsize=None)
 def gf4():
-    return make_tower(BaseFieldDescriptor(2), [1, 1, 1])
+    return make_tower(PrimeField(2), [1, 1, 1])
 
 
 @functools.lru_cache(maxsize=None)
 def gf8():
-    return make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
+    return make_tower(PrimeField(2), [1, 1, 0, 1])
 
 
 @functools.lru_cache(maxsize=None)
 def gf9():
-    return make_tower(BaseFieldDescriptor(3), [1, 0, 1])
+    return make_tower(PrimeField(3), [1, 0, 1])
 
 
 @functools.lru_cache(maxsize=None)
 def gf16_over_gf4():
     # nested base GF(4) = GF(2)[u]/(u^2+u+1); extension x^2 + x + u over it
-    base = BaseFieldDescriptor(2, base_degree=2, base_modulus=(1, 1, 1))
-    return make_tower(base, [build_base_field(base).generator(), 1, 1])
+    k = build_base_field(2, 2, (1, 1, 1))
+    return make_tower(k, [k.generator(), 1, 1])
 
 
 @functools.lru_cache(maxsize=None)
 def gf16_over_gf2():
-    return make_tower(BaseFieldDescriptor(2), [1, 1, 0, 0, 1])
+    return make_tower(PrimeField(2), [1, 1, 0, 0, 1])
 
 
 @functools.lru_cache(maxsize=None)
 def gf3_degree_one():
-    return make_tower(BaseFieldDescriptor(3), [1, 1])
+    return make_tower(PrimeField(3), [1, 1])
 
 
 @functools.lru_cache(maxsize=None)
 def qtheta():
-    return make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="t")
+    return make_tower(Rationals(), [-2, 0, 0, 1], symbol="t")
 
 
 @functools.lru_cache(maxsize=None)
 def gf8192():
     # x^13 + x^4 + x^3 + x + 1 over GF(2): above 4096 elements, no exp/log tables
-    return make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1, 1] + [0] * 8 + [1])
+    return make_tower(PrimeField(2), [1, 1, 0, 1, 1] + [0] * 8 + [1])
 
 
 @functools.lru_cache(maxsize=None)
 def gf4099_squared():
     # x^2 + 1 is irreducible over GF(4099) since 4099 = 3 mod 4; both fields are table-free
-    return make_tower(BaseFieldDescriptor(4099), [1, 0, 1])
+    return make_tower(PrimeField(4099), [1, 0, 1])
 
 
 def memo_entries(tower) -> dict:

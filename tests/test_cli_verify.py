@@ -180,6 +180,17 @@ def test_ext_modulus_coefficients_are_read_by_the_element_grammar(capsys, monkey
     assert err == "error: bad element string '1/0': denominator 0 vanishes in Q\n"
 
 
+def test_verify_base_field_errors_exit_1(capsys, monkeypatch):
+    """The tower flags describe k as a document does: build_base_field refuses a
+    composite characteristic and a base degree over Q, each a BadBase."""
+    monkeypatch.setenv("RANKWEIGHT_WORKERS", "1")
+    for flags, message in [
+        (("--char", "4", "--ext-modulus", "1,1,1"), "characteristic 4 is not prime"),
+        (("--char", "0", "--base-degree", "2", "--ext-modulus=-2,0,1"), "characteristic 0 forces base_degree 1"),
+    ]:
+        assert run_cli(capsys, "verify", *flags) == (1, "", f"error: {message}\n"), flags
+
+
 def test_verify_witness_suite_with_expected_absent_case(capsys, monkeypatch):
     # GF(4)/GF(2) up to n = 3 (m = 2 < n): the witness suite must still pass,
     # treating guaranteed absence on nondegenerate codes as the assertion

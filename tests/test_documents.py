@@ -124,6 +124,7 @@ def test_noncanonical_strings_match_element_operators():
         (t4, "w+w", w + w),
         (t4, "1+w^2", one + w * w),
         (t4, "(1)^3*w", w),
+        (t4, "(w+1)^3", (w + 1) * (w + 1) * (w + 1)),  # parentheses group within the field
     ]
     t9 = gf9()
     v = t9.generator()
@@ -139,7 +140,9 @@ def test_noncanonical_strings_match_element_operators():
     cases += [
         (t16, "(u+1)*w", (u + 1) * x),
         (t16, "(u)^2*w", u * u * x),
-        (t16, "((1))*w", x),  # each parenthesis goes one base down: GF(16), GF(4), GF(2)
+        (t16, "((1))*w", x),
+        (t16, "((u+1))*w", (u + 1) * x),  # u names its image in L at any depth
+        (t16, "(w+u)*(w-u)", x * x - u * u),
         (t16, "u*w+u^2", u * x + u * u),
         (t16, "w^4-w", x * x * x * x - x),
     ]
@@ -154,6 +157,7 @@ def test_noncanonical_strings_match_element_operators():
     for t, text, expected in cases:
         got = parse_element(t.L, text)
         assert got == expected and got.payload == expected.payload, text
+    assert parse_element(t4.k, "(1)") == t4.k.one()  # a prime field groups too
 
 
 def test_element_parser_error_messages():
@@ -166,10 +170,8 @@ def test_element_parser_error_messages():
         (L, "w^", ParseError, "bad element string 'w^': exponent must be a nonnegative integer"),
         (L, "(1", ParseError, "bad element string '(1': unbalanced parentheses"),
         (L, "z", UnknownSymbol, "element string 'z' uses undeclared symbol 'z'"),
-        # parentheses hold a base coefficient, so w is unknown inside them
-        (L, "(w+1)^3", UnknownSymbol, "element string '(w+1)^3' uses undeclared symbol 'w'"),
-        (gf16_over_gf4().L, "((u+1))*w", UnknownSymbol,
-         "element string '((u+1))*w' uses undeclared symbol 'u'"),
+        (L, "(w+1", ParseError, "bad element string '(w+1': unbalanced parentheses"),
+        (gf4().k, "(w+1)^3", UnknownSymbol, "element string '(w+1)^3' uses undeclared symbol 'w'"),
         (L, "w w", ParseError, "bad element string 'w w': trailing input at token 1"),
         (L, "w)", ParseError, "bad element string 'w)': trailing input at token 1"),
         (L, "w +", ParseError, "bad element string 'w +': unexpected token None"),
@@ -183,7 +185,7 @@ def test_element_parser_error_messages():
         (L, "  ", ParseError, "cannot tokenize element string '  ' at offset 0"),
         (L, " \t\n", ParseError, "cannot tokenize element string ' \\t\\n' at offset 0"),
         (L, 3, ParseError, "element must be a string, got 3"),
-        (gf4().k, "(1)", ParseError, "bad element string '(1)': parenthesized coefficients need an extension field"),
+        (gf4().k, "(1/2)", ParseError, "bad element string '(1/2)': denominator 2 vanishes in GF(2)"),
     ]
     for field, text, kind, message in cases:
         with pytest.raises(kind) as e:
@@ -310,20 +312,21 @@ def test_build_tower_coefficient_forms():
 
 def test_build_tower_builds_its_base_field_once(monkeypatch):
     """The k that parses the modulus is the tower's k: one build_base_field per build_tower
-    (GF(16)/GF(4) would otherwise test the base modulus and build k's kernels twice)."""
+    (GF(16)/GF(4) would otherwise test the base modulus and build k's kernels twice),
+    and make_tower builds no base field of its own."""
     expected = gf16_over_gf4()
     real, calls = fields.build_base_field, []
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args)
         return real(*args, **kwargs)
 
     for module in (documents, fields):
         monkeypatch.setattr(module, "build_base_field", counted)
     nested = build_tower(2, ("u", "1", 1), base_degree=2, base_modulus=(1, 1, 1))
-    assert nested == expected and calls == [nested.base_descriptor]
-    assert fields.make_tower(nested.base_descriptor, [nested.k.generator(), 1, 1]) == nested
-    assert len(calls) == 2
+    assert nested == expected and calls == [(2, 2, (1, 1, 1))]
+    assert fields.make_tower(nested.k, [nested.k.generator(), 1, 1]) == nested
+    assert len(calls) == 1
 
 
 def test_boolean_modulus_coefficient_is_rejected(tmp_path, capsys):

@@ -12,7 +12,6 @@ import pytest
 from rankweight import polys
 from rankweight.errors import AmbientMismatch, BadBase, BadModulus, FieldMismatch, InfiniteField, NotIrreducible
 from rankweight.fields import (
-    BaseFieldDescriptor,
     ExtensionField,
     FieldElement,
     PrimeField,
@@ -36,19 +35,19 @@ from helpers import (
 
 
 def gf4():
-    return make_tower(BaseFieldDescriptor(2), [1, 1, 1])
+    return make_tower(PrimeField(2), [1, 1, 1])
 
 
 def gf8():
-    return make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
+    return make_tower(PrimeField(2), [1, 1, 0, 1])
 
 
 def gf9():
-    return make_tower(BaseFieldDescriptor(3), [1, 0, 1])
+    return make_tower(PrimeField(3), [1, 0, 1])
 
 
 def qtheta():
-    return make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="t")
+    return make_tower(Rationals(), [-2, 0, 0, 1], symbol="t")
 
 
 def test_make_tower_gf4():
@@ -60,7 +59,7 @@ def test_make_tower_gf4():
 
 def test_make_tower_rejects_reducible():
     with pytest.raises(NotIrreducible):
-        make_tower(BaseFieldDescriptor(2), [1, 0, 1])  # x^2+1 = (x+1)^2 over GF(2)
+        make_tower(PrimeField(2), [1, 0, 1])  # x^2+1 = (x+1)^2 over GF(2)
 
 
 def test_make_tower_qtheta():
@@ -73,17 +72,17 @@ def test_make_tower_qtheta():
 
 def test_bad_inputs():
     with pytest.raises(BadBase):
-        BaseFieldDescriptor(4)
+        build_base_field(4)
     with pytest.raises(BadBase):
-        BaseFieldDescriptor(0, base_degree=2)
+        build_base_field(0, base_degree=2)
     with pytest.raises(BadBase):
-        BaseFieldDescriptor(2, base_degree=2)  # missing base modulus
+        build_base_field(2, base_degree=2)  # missing base modulus
     with pytest.raises(BadBase):
-        BaseFieldDescriptor(2, base_degree=1, base_modulus=(1, 1))
+        build_base_field(2, base_degree=1, base_modulus=(1, 1))
     with pytest.raises(BadModulus):
-        make_tower(BaseFieldDescriptor(2), [1])  # degree 0
+        make_tower(PrimeField(2), [1])  # degree 0
     with pytest.raises(BadModulus):
-        make_tower(BaseFieldDescriptor(0), [Fraction(1), Fraction(2)])  # non-monic
+        make_tower(Rationals(), [Fraction(1), Fraction(2)])  # non-monic
 
 
 def test_each_caller_of_code_of_keeps_its_error():
@@ -98,36 +97,43 @@ def test_each_caller_of_code_of_keeps_its_error():
     for other in ("1", Fraction(1, 2), 1.0):
         with pytest.raises(TypeError):
             w * other
-    assert make_tower(BaseFieldDescriptor(0), [-2, 0, Fraction(0), q.k.one()]).L == q.L
+    assert make_tower(Rationals(), [-2, 0, Fraction(0), q.k.one()]).L == q.L
     with pytest.raises(BadModulus, match=re.escape("modulus coefficient from a foreign field")):
-        make_tower(BaseFieldDescriptor(2), [w, 1, 1])
+        make_tower(PrimeField(2), [w, 1, 1])
     for bad in ("x", Fraction(1, 2), 1.0):
         with pytest.raises(BadModulus, match=re.escape(f"cannot interpret modulus coefficient {bad!r}")):
-            make_tower(BaseFieldDescriptor(2), [1, bad, 1])
+            make_tower(PrimeField(2), [1, bad, 1])
 
 
 # (build, the error as "Type: message"); the order of the checks is pinned by
 # inputs that break more than one: the first check that fails names the error
 CONSTRUCTION_ERRORS = [
-    (lambda: build_base_field(BaseFieldDescriptor(2, 2, (1, 1, 0))),
+    (lambda: build_base_field(4, 2), "BadBase: characteristic 4 is not prime"),  # and no base modulus
+    (lambda: build_base_field(1), "BadBase: characteristic 1 is not prime"),
+    (lambda: build_base_field(0, 2, (1, 1, 1)), "BadBase: characteristic 0 forces base_degree 1"),
+    (lambda: build_base_field(0, 1, (1, 1)), "BadBase: characteristic 0 takes no base modulus"),
+    (lambda: build_base_field(2, 0, (1, 1)), "BadBase: base_degree must be >= 1"),  # and a modulus
+    (lambda: build_base_field(2, 2), "BadBase: base_modulus is required exactly when base_degree > 1"),
+    (lambda: build_base_field(2, 1, (1, 1)), "BadBase: base_modulus is required exactly when base_degree > 1"),
+    (lambda: build_base_field(2, 2, (1, 1, 0)),
      "BadModulus: modulus of u must be monic of degree >= 1"),
-    (lambda: build_base_field(BaseFieldDescriptor(2, 2, (1, 1, 0, 1))),
-     "BadModulus: base modulus has degree 3, descriptor says 2"),
-    (lambda: build_base_field(BaseFieldDescriptor(3, 2, (1, 0, 0, 2))),  # wrong degree and not monic
-     "BadModulus: base modulus has degree 3, descriptor says 2"),
-    (lambda: build_base_field(BaseFieldDescriptor(3, 2, (2, 0, 2))),  # not monic and reducible
+    (lambda: build_base_field(2, 2, (1, 1, 0, 1)),
+     "BadModulus: base modulus has degree 3, base_degree is 2"),
+    (lambda: build_base_field(3, 2, (1, 0, 0, 2)),  # wrong degree and not monic
+     "BadModulus: base modulus has degree 3, base_degree is 2"),
+    (lambda: build_base_field(3, 2, (2, 0, 2)),  # not monic and reducible
      "BadModulus: modulus of u must be monic of degree >= 1"),
-    (lambda: build_base_field(BaseFieldDescriptor(2, 2, (1, 0, 1))),
+    (lambda: build_base_field(2, 2, (1, 0, 1)),
      "NotIrreducible: modulus of u is reducible over GF(2)"),
-    (lambda: make_tower((2, 2, (1, 0, 1)), [1, 0, 1]), "NotIrreducible: modulus of u is reducible over GF(2)"),
-    (lambda: make_tower((2,), [1, 0]), "BadModulus: modulus of w must be monic of degree >= 1"),
-    (lambda: make_tower((0,), [Fraction(1), Fraction(2)]), "BadModulus: modulus of w must be monic of degree >= 1"),
-    (lambda: make_tower((0,), [0, 0, 2]), "BadModulus: modulus of w must be monic of degree >= 1"),  # and reducible
-    (lambda: make_tower((2,), [1, 0, 1]), "NotIrreducible: modulus of w is reducible over GF(2)"),
-    (lambda: make_tower((0,), [-1, 0, 1]), "NotIrreducible: modulus of w is reducible over Q"),
-    (lambda: make_tower((2, 2, (1, 1, 1)), [0, 1, 1]),
+    (lambda: make_tower(PrimeField(2), [1, 0]), "BadModulus: modulus of w must be monic of degree >= 1"),
+    (lambda: make_tower(Rationals(), [Fraction(1), Fraction(2)]),
+     "BadModulus: modulus of w must be monic of degree >= 1"),
+    (lambda: make_tower(Rationals(), [0, 0, 2]), "BadModulus: modulus of w must be monic of degree >= 1"),  # and reducible
+    (lambda: make_tower(PrimeField(2), [1, 0, 1]), "NotIrreducible: modulus of w is reducible over GF(2)"),
+    (lambda: make_tower(Rationals(), [-1, 0, 1]), "NotIrreducible: modulus of w is reducible over Q"),
+    (lambda: make_tower(build_base_field(2, 2, (1, 1, 1)), [0, 1, 1]),
      "NotIrreducible: modulus of w is reducible over GF(4)"),
-    (lambda: make_tower(3, [1, 1]), "BadBase: expected a BaseFieldDescriptor, got 3"),
+    (lambda: make_tower(3, [1, 1]), "BadBase: expected a base field: Q, GF(p) or GF(p^a) over GF(p), got 3"),
 ]
 
 
@@ -141,16 +147,16 @@ def test_construction_errors_keep_their_order_and_text(build, error):
 def test_make_tower_takes_a_built_base_field():
     """A base field already built serves as k as it is, so both floors are
     checked once; only Q, GF(p) and GF(p^a) over GF(p) are base fields."""
-    gf4_base = build_base_field(BaseFieldDescriptor(2, 2, (1, 1, 1)))
+    gf4_base = build_base_field(2, 2, (1, 1, 1))
     for k, modulus, expected in [
         (Rationals(), [-2, 0, 0, 1], qtheta()),
         (PrimeField(2), [1, 1, 0, 1], gf8()),
         (gf4_base, [gf4_base.generator(), 1, 1], gf16_over_gf4()),
     ]:
         t = make_tower(k, modulus, symbol=expected.L.symbol)
-        assert t == expected and t.k is k and t.base_descriptor == expected.base_descriptor
-    for k in (qtheta().L, gf16_over_gf4().L, 2):
-        with pytest.raises(BadBase, match=re.escape(f"expected a BaseFieldDescriptor, got {k!r}")):
+        assert t == expected and t.k is k
+    for k in (qtheta().L, gf16_over_gf4().L, 2, (2,)):
+        with pytest.raises(BadBase, match=re.escape(f"expected a base field: Q, GF(p) or GF(p^a) over GF(p), got {k!r}")):
             make_tower(k, [1, 1])
 
 
@@ -286,10 +292,8 @@ def test_field_axioms_random_triples():
 
 def gf16_over_gf4():
     # base GF(4) = GF(2)[u]/(u^2+u+1); extension x^2 + x + u over GF(4)
-    base = BaseFieldDescriptor(2, base_degree=2, base_modulus=(1, 1, 1))
-    k = build_base_field(base)
-    u = k.generator()
-    return make_tower(base, [u, k.one(), k.one()])
+    k = build_base_field(2, base_degree=2, base_modulus=(1, 1, 1))
+    return make_tower(k, [k.generator(), k.one(), k.one()])
 
 
 def test_nested_base_field():
@@ -306,7 +310,7 @@ def test_nested_base_field():
 
 def test_nested_base_rejects_reducible_base_modulus():
     with pytest.raises(NotIrreducible):
-        build_base_field(BaseFieldDescriptor(2, base_degree=2, base_modulus=(1, 0, 1)))
+        build_base_field(2, base_degree=2, base_modulus=(1, 0, 1))
 
 
 def test_trace_form_nondegenerate_on_separable_towers():
@@ -343,8 +347,8 @@ def test_irreducibility_methods_agree():
 
 def test_inverse_by_euclid_in_table_free_kernels():
     # the table-free kernel inverts by extended Euclid in polys, on base codes
-    gf8192 = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1, 1] + [0] * 8 + [1]).L
-    gf4099_squared = make_tower(BaseFieldDescriptor(4099), [1, 0, 1]).L
+    gf8192 = make_tower(PrimeField(2), [1, 1, 0, 1, 1] + [0] * 8 + [1]).L
+    gf4099_squared = make_tower(PrimeField(4099), [1, 0, 1]).L
     rng = random.Random(13)
     for field, draw in (
         (gf8192, lambda: tuple(rng.randrange(2) for _ in range(13))),
@@ -413,7 +417,7 @@ def test_element_hash_and_pickle_equality():
 
 
 def test_degree_one_tower():
-    t = make_tower(BaseFieldDescriptor(2), [1, 1])  # L = GF(2)[x]/(x+1) = GF(2)
+    t = make_tower(PrimeField(2), [1, 1])  # L = GF(2)[x]/(x+1) = GF(2)
     assert t.degree == 1
     assert t.L.order == 2
     w = t.generator()
@@ -431,7 +435,7 @@ def _boundary_fields():
     """(name, builder of a fresh field, payload sample or None for every payload) for every kind of field."""
 
     def fresh(char, modulus):
-        return lambda: make_tower(BaseFieldDescriptor(char), modulus).L
+        return lambda: make_tower(PrimeField(char), modulus).L
 
     exhaustive = [
         ("GF(2)", lambda: PrimeField(2)), ("GF(3)", lambda: PrimeField(3)), ("GF(4)", lambda: gf4().L),

@@ -801,15 +801,20 @@ def test_second_path_gate_flags_each_kind():
 
 
 CONSTRUCTORS = {"ExtensionTower", "ExtensionField"}  # called by fields alone
+BASE_CONSTRUCTORS = {"PrimeField", "Rationals"}  # called by fields.build_base_field alone
+RETIRED = {"_tower_over", "BaseFieldDescriptor", "base_descriptor"}  # second ways to describe a tower or k
 
 
 def _construction_offences(sources):
     """Where sources (module name -> source) build a tower or check a floor a second way.
 
     No module but fields calls (or renames on import) ``ExtensionTower`` or
-    ``ExtensionField``; no module defines ``_tower_over``; and the sources
-    call ``is_irreducible_gcd`` at exactly one site, inside
-    ``fields.ExtensionField.__init__``, and ``is_irreducible_bruteforce`` at none.
+    ``ExtensionField``; ``PrimeField`` and ``Rationals`` are called only
+    inside ``fields.build_base_field``, the one reader of a description of k;
+    no module defines ``_tower_over``, ``BaseFieldDescriptor`` or
+    ``base_descriptor``; and the sources call ``is_irreducible_gcd`` at
+    exactly one site, inside ``fields.ExtensionField.__init__``, and
+    ``is_irreducible_bruteforce`` at none.
     """
     offences, gcd_sites = [], []
     for module, source in sources.items():
@@ -817,11 +822,15 @@ def _construction_offences(sources):
         checker = {id(node) for cls in tree.body if module == "fields" and isinstance(cls, ast.ClassDef)
                    and cls.name == "ExtensionField" for f in cls.body
                    if isinstance(f, ast.FunctionDef) and f.name == "__init__" for node in ast.walk(f)}
+        reader = {id(node) for f in tree.body if module == "fields" and isinstance(f, ast.FunctionDef)
+                  and f.name == "build_base_field" for node in ast.walk(f)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
                 if name in CONSTRUCTORS and module != "fields":
                     offences.append(f"{module}:{node.lineno} calls {name}")
+                elif name in BASE_CONSTRUCTORS and id(node) not in reader:
+                    offences.append(f"{module}:{node.lineno} calls {name} outside build_base_field")
                 elif name == "is_irreducible_bruteforce":
                     offences.append(f"{module}:{node.lineno} calls is_irreducible_bruteforce")
                 elif name == "is_irreducible_gcd":
@@ -831,8 +840,8 @@ def _construction_offences(sources):
             elif isinstance(node, ast.ImportFrom):
                 offences += [f"{module}:{node.lineno} imports {a.name} as {a.asname}" for a in node.names
                              if a.name in CONSTRUCTORS and a.asname]
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_tower_over":
-                offences.append(f"{module}:{node.lineno} defines _tower_over")
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in RETIRED:
+                offences.append(f"{module}:{node.lineno} defines {node.name}")
     if len(gcd_sites) != 1:
         offences.append(f"is_irreducible_gcd is called at {len(gcd_sites)} sites: {gcd_sites}")
     return offences
@@ -847,6 +856,7 @@ def test_construction_gate_flags_each_kind():
     check = "if not polys.is_irreducible_gcd(k, f):\n    raise E\n"
     clean = {
         "fields": "class ExtensionField:\n    def __init__(self, k, f):\n" + textwrap.indent(check, " " * 8)
+                  + "def build_base_field(p):\n    return PrimeField(p) if p else Rationals()\n"
                   + "def make_tower(k, f):\n    return ExtensionTower(ExtensionField(k, f))\n",
         "polys": "def is_irreducible_gcd(k, p):\n    return True\n"
                  "def is_irreducible_bruteforce(k, p):\n    return True\n",
@@ -869,10 +879,20 @@ def test_construction_gate_flags_each_kind():
         {"fields": "def make_tower(k, f):\n" + textwrap.indent(check, " " * 4)
                    + "    return ExtensionTower(ExtensionField(k, f))\n"},
         {"fields": clean["fields"].replace("ExtensionField:", "PrimeField:")},
+        # k built outside build_base_field: in another module, or in fields beside it
+        {"documents": clean["documents"] + "k = PrimeField(2)\n"},
+        {"verify": "k = fields.Rationals()\n"},
+        {"fields": clean["fields"] + "def _gf(p):\n    return PrimeField(p)\n"},
+        {"fields": clean["fields"] + "Q = Rationals()\n"},
+        # a second description of k, as a class or as a tower property
+        {"fields": clean["fields"] + "class BaseFieldDescriptor:\n    pass\n"},
+        {"documents": clean["documents"] + "class Tower:\n    @property\n    def base_descriptor(self):\n"
+                                           "        return None\n"},
         {"documents": clean["documents"] + "why = 'no ExtensionTower(L) here'\n"},  # prose, not a call
         {"verify": "def is_tower(t):\n    return isinstance(t, ExtensionTower)\n"},  # named, not called
+        {"verify": "def is_base(k):\n    return isinstance(k, (PrimeField, Rationals))\n"},
     ]
-    assert [bool(_construction_offences({**clean, **case})) for case in cases] == [False] + [True] * 11 + [False] * 2
+    assert [bool(_construction_offences({**clean, **case})) for case in cases] == [False] + [True] * 17 + [False] * 3
 
 
 def _zero_restriction(monkeypatch):

@@ -19,7 +19,6 @@ import pytest
 from rankweight import linalg
 from rankweight.errors import SearchExhausted
 from rankweight.fields import (
-    BaseFieldDescriptor,
     ExtensionField,
     ExtensionTower,
     FieldElement,
@@ -102,22 +101,21 @@ def decode_vector(L, c):
 
 
 def gf2_degree_one():
-    return make_tower(BaseFieldDescriptor(2), [1, 1])
+    return make_tower(PrimeField(2), [1, 1])
 
 
 def gf25():
     # x^2 - 2 is irreducible over GF(5): 2 is not a square mod 5
-    return make_tower(BaseFieldDescriptor(5), [3, 0, 1])
+    return make_tower(PrimeField(5), [3, 0, 1])
 
 
 def gf27():
-    return make_tower(BaseFieldDescriptor(3), [1, 2, 0, 1])
+    return make_tower(PrimeField(3), [1, 2, 0, 1])
 
 
 def nested(symbol, base_symbol):
-    base = BaseFieldDescriptor(2, base_degree=2, base_modulus=(1, 1, 1))
-    u = build_base_field(base, symbol=base_symbol).generator()
-    return make_tower(base, [u, 1, 1], symbol=symbol, base_symbol=base_symbol)
+    k = build_base_field(2, 2, (1, 1, 1), symbol=base_symbol)
+    return make_tower(k, [k.generator(), 1, 1], symbol=symbol)
 
 
 TOWERS = {
@@ -233,7 +231,7 @@ def test_large_fields_get_table_free_kernels():
 
 def test_kernel_is_built_on_first_use_not_by_make_tower():
     t = gf16_over_gf2()
-    fresh = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 0, 1])
+    fresh = make_tower(PrimeField(2), [1, 1, 0, 0, 1])
     assert fresh == t and fresh.L._kern is None
     LinearCode.from_generators(fresh, 2, [[fresh.L.one(), fresh.generator()]])
     assert fresh.L._kern
@@ -256,8 +254,8 @@ def test_kernel_belongs_to_the_callers_field_object():
 
 
 def test_pickle_leaves_the_kernel_out():
-    cold = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 0, 1])
-    warm = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 0, 1])
+    cold = make_tower(PrimeField(2), [1, 1, 0, 0, 1])
+    warm = make_tower(PrimeField(2), [1, 1, 0, 0, 1])
     code = LinearCode.from_generators(warm, 2, [[warm.L.one(), warm.generator()]])
     rank_support_code(code)
     closure_oracle(code)
@@ -290,12 +288,10 @@ def test_pickle_leaves_the_kernel_out():
 
 def test_a_tower_keeps_what_it_derives_in_one_memo():
     """The tower's own slots are L, L's base and degree, and the memo, and it
-    pickles as L: no derived state has a slot of its own, and the base
-    descriptor is read from k, not stored."""
+    pickles as L: no derived state has a slot of its own."""
     assert ExtensionTower.__slots__ == ("k", "L", "degree", "_memo")
     assert "__getstate__" not in vars(ExtensionTower) and "__setstate__" not in vars(ExtensionTower)
-    assert isinstance(vars(ExtensionTower)["base_descriptor"], property)
-    t = make_tower(BaseFieldDescriptor(2), [1, 1, 1])
+    t = make_tower(PrimeField(2), [1, 1, 1])
     assert t.__reduce__() == (ExtensionTower, (t.L,))
     assert (t.k, t.degree) == (t.L.base, t.L.degree)
 
@@ -323,11 +319,11 @@ def test_a_tower_loaded_where_a_freed_one_lived_starts_cold():
 
 def q_third():
     # x^2 - 1/3: a monic modulus whose coefficients are not all integers
-    return make_tower(BaseFieldDescriptor(0), [Fraction(-1, 3), 0, 1], symbol="s")
+    return make_tower(Rationals(), [Fraction(-1, 3), 0, 1], symbol="s")
 
 
 def q_degree_one():
-    return make_tower(BaseFieldDescriptor(0), [Fraction(-3, 2), 1], symbol="h")
+    return make_tower(Rationals(), [Fraction(-3, 2), 1], symbol="h")
 
 
 RATIONAL_FIELDS = [
@@ -423,8 +419,8 @@ def test_rational_elimination_and_membership_match_generic(name, field):
 
 
 def test_warm_rational_tower_pickles_like_a_cold_one():
-    cold = make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="t")
-    warm = make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="t")
+    cold = make_tower(Rationals(), [-2, 0, 0, 1], symbol="t")
+    warm = make_tower(Rationals(), [-2, 0, 0, 1], symbol="t")
     code = LinearCode.from_generators(warm, 2, [[warm.L.one(), warm.generator()]])
     rank_support_code(code)
     assert warm.generator() * warm.generator().inverse() == warm.L.one()
@@ -469,12 +465,12 @@ def test_trace_by_linearity_over_q(make):
 
 
 def q_cyclic_cubic():
-    return make_tower(BaseFieldDescriptor(0), [1, -3, 0, 1])
+    return make_tower(Rationals(), [1, -3, 0, 1])
 
 
 def q_quarters():
     # x^3 - 3/2 x^2 + 5/4: the Tr(w^i) are 3, 3/2 and 9/4, over the common denominator 4
-    return make_tower(BaseFieldDescriptor(0), [Fraction(5, 4), 0, Fraction(-3, 2), 1])
+    return make_tower(Rationals(), [Fraction(5, 4), 0, Fraction(-3, 2), 1])
 
 
 @pytest.mark.parametrize("make", [qtheta, q_cyclic_cubic, q_third, q_quarters])
@@ -591,8 +587,8 @@ def test_contains_encodes_the_subspace_once(monkeypatch):
 
 
 def test_rational_decode_gives_elements_of_the_callers_field_object():
-    a = make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="t")
-    b = make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="z")
+    a = make_tower(Rationals(), [-2, 0, 0, 1], symbol="t")
+    b = make_tower(Rationals(), [-2, 0, 0, 1], symbol="z")
     assert a.L == b.L and a.L is not b.L
     theta = a.generator()
     rows = [[a.L.one(), theta, theta * theta], [a.L.zero(), theta, a.L.from_int(2)]]
@@ -705,8 +701,8 @@ def test_coded_sum_and_intersection_match_the_element_reductions(make, max_n):
 
 
 def _q_towers():
-    return (make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="t"),
-            make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="z"))
+    return (make_tower(Rationals(), [-2, 0, 0, 1], symbol="t"),
+            make_tower(Rationals(), [-2, 0, 0, 1], symbol="z"))
 
 
 def _payloads(space):

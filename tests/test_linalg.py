@@ -6,7 +6,7 @@ import random
 import pytest
 
 from rankweight.errors import AmbientMismatch, FieldMismatch, InfiniteField
-from rankweight.fields import PrimeField, Rationals, BaseFieldDescriptor, make_tower
+from rankweight.fields import PrimeField, Rationals, make_tower
 from rankweight.linalg import (
     Matrix,
     Subspace,
@@ -23,9 +23,9 @@ from rankweight.linalg import (
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 QQ = Rationals()
-GF4 = make_tower(BaseFieldDescriptor(2), [1, 1, 1]).L
-GF8 = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1]).L
-GF9 = make_tower(BaseFieldDescriptor(3), [1, 0, 1]).L
+GF4 = make_tower(PrimeField(2), [1, 1, 1]).L
+GF8 = make_tower(PrimeField(2), [1, 1, 0, 1]).L
+GF9 = make_tower(PrimeField(3), [1, 0, 1]).L
 
 
 def vecs(field, rows):
@@ -265,8 +265,8 @@ def test_zero_dimensional_spaces_are_first_class():
 
 
 def test_foreign_entries_raise_field_mismatch():
-    qt = make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="t").L
-    gf8192 = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1, 1] + [0] * 8 + [1]).L
+    qt = make_tower(Rationals(), [-2, 0, 0, 1], symbol="t").L
+    gf8192 = make_tower(PrimeField(2), [1, 1, 0, 1, 1] + [0] * 8 + [1]).L
     # the rational kernel used to read the GF(8) payload's ints as coordinates
     # and return a Q(t) subspace with rows (1, 1/2*t^2)
     cases = [
@@ -285,9 +285,9 @@ def test_foreign_entries_raise_field_mismatch():
         with pytest.raises(FieldMismatch):
             Subspace.from_vectors(field, 2, [mixed])
     # an equal field built separately, other symbol included, is not foreign
-    qz = make_tower(BaseFieldDescriptor(0), [-2, 0, 0, 1], symbol="z").L
+    qz = make_tower(Rationals(), [-2, 0, 0, 1], symbol="z").L
     assert qz == qt and qz is not qt
     space = Subspace.from_vectors(qt, 2, [[qz.generator(), qz.one()]])
     assert space.dim == 1 and contains(space, [qz.generator(), qz.one()])
-    gf8192_again = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1, 1] + [0] * 8 + [1], symbol="v").L
+    gf8192_again = make_tower(PrimeField(2), [1, 1, 0, 1, 1] + [0] * 8 + [1], symbol="v").L
     assert Subspace.from_vectors(gf8192, 1, [[gf8192_again.generator()]]).dim == 1

@@ -24,7 +24,7 @@ from helpers import (
 )
 from rankweight import ranksupport, verify
 from rankweight.errors import TowerMismatch
-from rankweight.fields import BaseFieldDescriptor, _element, make_tower
+from rankweight.fields import PrimeField, _element, make_tower
 from rankweight.linalg import Subspace, enumerate_subspaces, orthogonal_complement, subspace_sum
 from rankweight.ranksupport import (
     KSubspace,
@@ -322,7 +322,7 @@ def test_closure_examples():
 
 def test_closure_takes_each_rank_support_once_per_tower(monkeypatch):
     # built apart from helpers.gf8, so its code table starts empty
-    fresh = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
+    fresh = make_tower(PrimeField(2), [1, 1, 0, 1])
     codes = [c for n in range(1, 4) for c in all_codes(fresh, n)]
     asked = _count_calls(monkeypatch, "rank_support_code")
     closures = [closure(c) for c in codes]
@@ -341,7 +341,7 @@ def test_closure_takes_each_rank_support_once_per_tower(monkeypatch):
 
 def test_closure_sums_are_summed_once_per_pair_of_closures(monkeypatch):
     # GF(16)/GF(2) at n = 2: 19 codes, and 5 closures, one per W ⊆ GF(2)^2
-    fresh = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 0, 1])
+    fresh = make_tower(PrimeField(2), [1, 1, 0, 0, 1])
     pairs = list(itertools.product(all_codes(fresh, 2), repeat=2))
     star_pairs = {(closure(a).space, closure(b).space) for a, b in pairs}
     summed, real = [], verify.subspace_sum

@@ -19,7 +19,7 @@ from helpers import (
 )
 from rankweight import ranksupport, weights
 from rankweight.errors import AmbientMismatch, BadR, FieldMismatch, InfiniteField, SearchExhausted, ZeroCode
-from rankweight.fields import BaseFieldDescriptor, FieldElement, make_tower
+from rankweight.fields import FieldElement, PrimeField, make_tower
 from rankweight.linalg import Subspace, _encode, decode_rows, enumerate_subspaces, gaussian_binomial, subspace_sum
 from rankweight.ranksupport import (
     KSubspace,
@@ -154,14 +154,15 @@ def test_witness_provable_absence_by_dimension_over_q():
     assert find_witness(c) is None
 
 
-def test_witness_random_over_q():
+def test_witness_random_over_q(monkeypatch):
     q = qtheta()
     theta = q.generator()
     c_code = code(q, 2, (1, theta))
     c = find_witness(c_code, strategy="random", seed=11)
     assert c is not None and verify_witness(c_code, c)
+    monkeypatch.setattr(weights, "_RANDOM_ROUNDS", 0)
     with pytest.raises(SearchExhausted):
-        find_witness(c_code, strategy="random", seed=11, rounds=0)
+        find_witness(c_code, strategy="random", seed=11)
 
 
 def test_witness_constructive_over_q_extended():
@@ -321,7 +322,7 @@ def _count_maxwt(monkeypatch):
 
 def test_weight_Dr_walks_each_distinct_closure_once_per_tower(monkeypatch):
     # built apart from helpers.gf8, so its D_r memo starts empty
-    fresh = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
+    fresh = make_tower(PrimeField(2), [1, 1, 0, 1])
     codes = [c for n in range(1, 4) for c in all_codes(fresh, n)]
     cases = [(c, r) for c in codes for r in range(1, c.dim + 1)]
     closures = {(c.length, closure(D).space) for c, r in cases for D in _subcodes(c, r)}
@@ -336,7 +337,7 @@ def test_weight_Dr_walks_each_distinct_closure_once_per_tower(monkeypatch):
 
 
 def test_weight_OSr_keeps_walking_after_weight_Dr(monkeypatch):
-    fresh = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
+    fresh = make_tower(PrimeField(2), [1, 1, 0, 1])
     cases = [(c, r) for n in (1, 2) for c in all_codes(fresh, n) for r in range(1, c.dim + 1)]
     for c, r in cases:
         weight_Dr(c, r)
@@ -352,7 +353,7 @@ def test_weight_OSr_keeps_walking_after_weight_Dr(monkeypatch):
 
 
 def test_weight_Mr_extends_each_W_once_per_tower(monkeypatch):
-    fresh = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
+    fresh = make_tower(PrimeField(2), [1, 1, 0, 1])
     cases = [(c, r) for n in range(1, 4) for c in all_codes(fresh, n) for r in range(1, c.dim + 1)]
     expected = [weight_dRr(c, r) for c, r in cases]  # n <= m: the theorem
     extended, real = [], weights.extend_to_L
@@ -361,7 +362,7 @@ def test_weight_Mr_extends_each_W_once_per_tower(monkeypatch):
     subspaces = sum(gaussian_binomial(n, d, 2) for n in range(1, 4) for d in range(1, n + 1))
     assert len(extended) == len(set(extended)) <= subspaces
     # above the bound nothing is kept, and every scan extends again
-    again = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
+    again = make_tower(PrimeField(2), [1, 1, 0, 1])
     monkeypatch.setattr(ranksupport, "_SUPERSPACE_LIMIT", 1)
     extended.clear()
     cases = [(c, r) for n in range(1, 4) for c in all_codes(again, n) for r in range(1, c.dim + 1)]
@@ -370,7 +371,7 @@ def test_weight_Mr_extends_each_W_once_per_tower(monkeypatch):
 
 
 def test_subcode_coefficients_are_enumerated_once_per_tower(monkeypatch):
-    fresh = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
+    fresh = make_tower(PrimeField(2), [1, 1, 0, 1])
     cases = [(c, r) for n in range(1, 4) for c in all_codes(fresh, n) for r in range(1, c.dim + 1)]
     enumerated, real = [], weights.enumerate_subspaces
 
@@ -387,7 +388,7 @@ def test_subcode_coefficients_are_enumerated_once_per_tower(monkeypatch):
     assert len(set(enumerated)) == len(enumerated)
     assert set(fresh._memo.subcode_coeffs) == set(enumerated)
     # above the bound nothing is kept: every scan enumerates again, and finds the same subcodes in order
-    again = make_tower(BaseFieldDescriptor(2), [1, 1, 0, 1])
+    again = make_tower(PrimeField(2), [1, 1, 0, 1])
     monkeypatch.setattr(ranksupport, "_SUPERSPACE_LIMIT", 1)
     cases = [(c, r) for n in range(1, 4) for c in all_codes(again, n) for r in range(1, c.dim + 1)]
     assert [[D.space for D in _subcodes(c, r)] for c, r in cases] == kept_subcodes
