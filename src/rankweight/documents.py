@@ -26,9 +26,12 @@ same rows in the same order.  ``build_tower`` is the one reader of a tower
 description, for documents and for verify's ``TowerTask`` alike: it builds
 k once, parses the coefficients in it, and hands both to ``make_tower``.
 
-The element parser evaluates on codes in the kernel of the field it reads,
-so parsing builds that kernel, and wraps one FieldElement per element
-string, at the end.
+One ``_ElementReader`` reads the element strings of one field, one reader
+per field per document: k's for the modulus coefficients, L's for the rows.
+It resolves the generator names of every floor to codes once, tokenizes each
+string with one ``findall``, evaluates on codes in the field's kernel and
+wraps one FieldElement per element string, at the end.  The grammar is
+ASCII: a digit or space of another script is no token.
 """
 
 from __future__ import annotations
@@ -54,13 +57,14 @@ from .fields import (
 )
 from .ranksupport import LinearCode
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
-_TOKENS = re.compile(f"(?:{_TOKEN.pattern})*")  # a run of tokens from the start
+# ASCII only: a digit or space of another script is no token
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[+\-*/^()])", re.ASCII)
+_TOKENS = re.compile(f"(?:{_TOKEN.pattern})*", re.ASCII)  # a run of tokens from the start
 
 
-def _tokenize(text: str):
-    """(kind, value) tokens: one anchored match finds how far tokens cover
-    the text, and ``findall`` reads them.
+def _tokenize(text: str) -> list:
+    """The tokens of text as strings: one anchored match finds how far tokens
+    cover the text, and ``findall`` reads them.
 
     An error gives the offset where the rest that no token covers begins,
     its leading whitespace included.
@@ -68,140 +72,122 @@ def _tokenize(text: str):
     pos = _TOKENS.match(text).end()
     if pos != len(text):
         raise ParseError(f"cannot tokenize element string {text!r} at offset {pos}")
-    return [("num", int(num)) if num else ("name", name) if name else ("sym", sym)
-            for num, name, sym in _TOKEN.findall(text)]
+    return _TOKEN.findall(text)
 
 
-class _ElementParser:
-    """Recursive-descent parser for polynomial element strings.
+def _generator_codes(fld: Field) -> dict:
+    """The code in fld of the generator of every floor of fld, by name, embedded
+    upward; where two floors share a name, the upper one is meant."""
+    if not isinstance(fld, ExtensionField):
+        return {}
+    embed = fld._kernel().embed_row
+    codes = {name: embed((code,))[0] for name, code in _generator_codes(fld.base).items()}
+    codes[fld.symbol] = fld.generator().code
+    return codes
 
-    Evaluation runs on codes in the one field's kernel; parentheses group,
-    and only the final value is wrapped as a FieldElement.
+
+class _ElementReader:
+    """Reads element strings of one field, on codes of its kernel.
+
+    The generator names of every floor are resolved once, when the reader
+    is made; each string is tokenized by one ``findall`` and read by
+    ``_sum``, and only its value is wrapped as a FieldElement.
     """
 
-    def __init__(self, field: Field, tokens, text: str):
+    def __init__(self, field: Field):
         self.field = field
         self.kern = field._kernel()
-        self.tokens = tokens
-        self.text = text
-        self.pos = 0
+        self.names = _generator_codes(field)
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def fail(self, why):
-        raise ParseError(f"bad element string {self.text!r}: {why}")
-
-    def parse(self) -> FieldElement:
-        value = self.expression()
-        if self.pos != len(self.tokens):
-            self.fail(f"trailing input at token {self.pos}")
+    def read(self, text) -> FieldElement:
+        if not isinstance(text, str):
+            raise ParseError(f"element must be a string, got {text!r}")
+        tokens = _tokenize(text)
+        if not tokens:
+            raise ParseError("empty element string")
+        tokens.append(None)  # the end: every read stops at it
+        value, pos = self._sum(tokens, 0, text)
+        if pos != len(tokens) - 1:
+            self._fail(text, f"trailing input at token {pos}")
         return _element(self.field, value)
 
-    def expression(self):
-        kern = self.kern
-        sign = 1
-        kind, val = self.peek()
-        if kind == "sym" and val in "+-":
-            self.take()
-            sign = -1 if val == "-" else 1
-        acc = self.term()
-        if sign < 0:
-            acc = kern.neg(acc)
+    @staticmethod
+    def _fail(text, why):
+        raise ParseError(f"bad element string {text!r}: {why}")
+
+    def _sum(self, tokens, pos, text):
+        """(code, position after it) of the sum that starts at token pos.
+
+        A sum is an optional sign and products joined by + or -, a product
+        is powers joined by *, and a power is an atom with an optional ^n.
+        An atom is n, n/d, a generator name or a sum in parentheses, the one
+        place where the reader recurses.
+        """
+        kern, names = self.kern, self.names
+        total, sign = 0, "+"
+        if tokens[pos] == "+" or tokens[pos] == "-":
+            sign, pos = tokens[pos], pos + 1
         while True:
-            kind, val = self.peek()
-            if kind == "sym" and val in "+-":
-                self.take()
-                nxt = self.term()
-                acc = kern.add(acc, kern.neg(nxt) if val == "-" else nxt)
-            else:
-                return acc
-
-    def term(self):
-        acc = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "sym" and val == "*":
-                self.take()
-                acc = self.kern.mul(acc, self.factor())
-            else:
-                return acc
-
-    def factor(self):
-        base = self.atom()
-        kind, val = self.peek()
-        if kind == "sym" and val == "^":
-            self.take()
-            kind, exp = self.take()
-            if kind != "num":
-                self.fail("exponent must be a nonnegative integer")
-            return _power(self.kern, base, exp)
-        return base
-
-    def atom(self):
-        fld, kern = self.field, self.kern
-        kind, val = self.take()
-        if kind == "num":
-            nxt_kind, nxt_val = self.peek()
-            if nxt_kind == "sym" and nxt_val == "/":
-                self.take()
-                dkind, den = self.take()
-                if dkind != "num":
-                    self.fail("denominator must be an integer")
-                denom = kern.int_code(den)
-                if not denom:
-                    self.fail(f"denominator {den} vanishes in {fld}")
-                if fld.characteristic == 0:
-                    return kern.fraction_code(Fraction(val, den))
-                return kern.mul(kern.int_code(val), kern.inv(denom))
-            return kern.int_code(val)
-        if kind == "name":
-            resolved = _resolve_name(fld, val)
-            if resolved is not None:
-                return resolved
-            raise UnknownSymbol(f"element string {self.text!r} uses undeclared symbol {val!r}")
-        if kind == "sym" and val == "(":
-            inner = self.expression()
-            kind, val = self.take()
-            if not (kind == "sym" and val == ")"):
-                self.fail("unbalanced parentheses")
-            return inner
-        self.fail(f"unexpected token {val!r}")
-
-
-def _resolve_name(fld: Field, val: str):
-    """The code of a generator name anywhere down the base chain, embedded upward."""
-    if not isinstance(fld, ExtensionField):
-        return None
-    if val == fld.symbol:
-        return fld.generator().code
-    inner = _resolve_name(fld.base, val)
-    if inner is None:
-        return None
-    return fld._kernel().embed_row((inner,))[0]
+            product = None
+            while True:
+                tok = tokens[pos]
+                pos += 1
+                if tok is None:
+                    self._fail(text, "unexpected token None")
+                if tok.isdigit():
+                    value = kern.int_code(int(tok))
+                    if tokens[pos] == "/":
+                        den = tokens[pos + 1]
+                        pos += 2
+                        if den is None or not den.isdigit():
+                            self._fail(text, "denominator must be an integer")
+                        den = int(den)
+                        denom = kern.int_code(den)
+                        if not denom:
+                            self._fail(text, f"denominator {den} vanishes in {self.field}")
+                        if self.field.characteristic == 0:
+                            value = kern.fraction_code(Fraction(int(tok), den))
+                        else:
+                            value = kern.mul(value, kern.inv(denom))
+                elif tok == "(":
+                    value, pos = self._sum(tokens, pos, text)
+                    if tokens[pos] != ")":
+                        self._fail(text, "unbalanced parentheses")
+                    pos += 1
+                elif tok in names:
+                    value = names[tok]
+                elif tok.isidentifier():
+                    raise UnknownSymbol(f"element string {text!r} uses undeclared symbol {tok!r}")
+                else:
+                    self._fail(text, f"unexpected token {tok!r}")
+                if tokens[pos] == "^":
+                    exp = tokens[pos + 1]
+                    pos += 2
+                    if exp is None or not exp.isdigit():
+                        self._fail(text, "exponent must be a nonnegative integer")
+                    value = _power(kern, value, int(exp))
+                product = value if product is None else kern.mul(product, value)
+                if tokens[pos] != "*":
+                    break
+                pos += 1
+            total = kern.add(total, kern.neg(product) if sign == "-" else product)
+            sign = tokens[pos]
+            if sign != "+" and sign != "-":
+                return total, pos
+            pos += 1
 
 
 def parse_element(fld: Field, text: str) -> FieldElement:
     """Parse one element string in the given field's generator symbols."""
-    if not isinstance(text, str):
-        raise ParseError(f"element must be a string, got {text!r}")
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty element string")
-    return _ElementParser(fld, tokens, text).parse()
+    return _ElementReader(fld).read(text)
 
 
-def _parse_coefficient(k: Field, spec, where: str):
+def _parse_coefficient(reader: _ElementReader, spec, where: str):
     """Modulus coefficient: an int or Fraction as given, or a string in k's element grammar."""
     if isinstance(spec, (int, Fraction)) and not isinstance(spec, bool):
         return spec
     if isinstance(spec, str):
-        return parse_element(k, spec)
+        return reader.read(spec)
     raise ParseError(f"{where}: expected integer or string coefficient, got {spec!r}")
 
 
@@ -219,8 +205,9 @@ def build_tower(
     Fractions (over Q), or element strings in ``base_symbol``.
     """
     k = build_base_field(characteristic, base_degree, base_modulus, symbol=base_symbol)
+    reader = _ElementReader(k)
     coeffs = [
-        _parse_coefficient(k, c, f"tower.extension_modulus[{i}]") for i, c in enumerate(extension_modulus)
+        _parse_coefficient(reader, c, f"tower.extension_modulus[{i}]") for i, c in enumerate(extension_modulus)
     ]
     return make_tower(k, coeffs, symbol)
 
@@ -299,7 +286,7 @@ def parse_code_document(data) -> CodeDocument:
     if length < 1:
         raise ParseError("document.length: must be >= 1")
     gen_spec = _expect(data, "generators", list, "document")
-    rows = []
+    rows, read = [], _ElementReader(tower.L).read
     for i, row in enumerate(gen_spec):
         if not isinstance(row, list):
             raise ParseError(f"generators[{i}]: expected a list of element strings")
@@ -307,7 +294,7 @@ def parse_code_document(data) -> CodeDocument:
             raise RowLengthMismatch(
                 f"generators[{i}] has length {len(row)}, document says {length}"
             )
-        rows.append(tuple(parse_element(tower.L, e) for e in row))
+        rows.append(tuple(map(read, row)))
     return CodeDocument(tower, length, tuple(rows))
 
 

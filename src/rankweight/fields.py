@@ -14,8 +14,9 @@ An extension of Q takes Q itself as its base; a base that is an extension of
 Q is refused with ``BadBase``.
 
 Every field a tower can hold has a private int-coded kernel
-(``Field._kernel``), built on its first use and never at import, and the
-kernel is the field's one arithmetic.  A ``FieldElement`` is (field, code):
+(``Field._kernel``), built at construction up to 4096 elements and on first
+use above them and over Q, and never at import; the kernel is the field's
+one arithmetic.  A ``FieldElement`` is (field, code):
 ``FieldElement(field, payload)`` codes the payload it is built from, its
 ``payload`` reads the payload back, and its operators are the kernel's, so
 vectors and matrices elsewhere in the package are ordinary Python sequences
@@ -31,9 +32,9 @@ built field, and ``make_tower``, the one tower constructor, takes that field
 (``documents`` passes the k it parsed the modulus in, so k is built once per
 tower).  ``ExtensionField`` checks its own modulus, monic and then
 irreducible, so every quotient is a field and both floors, GF(p^a)/GF(p) in
-``build_base_field`` and L/k in ``make_tower``, are checked once, by one
-test; it builds its base's kernel for the test and none of its own.  Finite
-fields and Q are perfect, so every tower is separable.
+``build_base_field`` and L/k in ``make_tower``, are checked once, up to 4096
+elements by the kernel's search for a primitive element (``_make_kernel``).
+Finite fields and Q are perfect, so every tower is separable.
 
 * In a finite field, the base-p digits of a code are the element's
   prime-field coordinates, nested bases included, lowest first, so 0 is zero
@@ -46,9 +47,8 @@ fields and Q are perfect, so every tower is separable.
   instead, with the same codes: odd-characteristic addition goes through
   Zech logarithms, and products and inverses through exp/log tables of one
   primitive element (Lidl-Niederreiter, *Finite Fields*, ch. 9).  Building
-  one costs log_p(q) table-free products per candidate primitive element,
-  O(q) integer operations and O(q) memory; there are no q-by-q tables and
-  no product or inverse caches.
+  one costs log_p(q) table-free products and O(q) integer operations per
+  candidate, and O(q) memory; there are no q-by-q tables and no caches.
 * Over Q and Q[x]/(f), a nonzero element's code is its integer coordinates
   over one positive denominator, divided by their common gcd, so equal
   elements get equal codes (the representation of FLINT's ``fmpq_poly``);
@@ -88,6 +88,7 @@ empty memo, as a tower built apart is.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from fractions import Fraction
 from math import gcd, lcm
@@ -245,14 +246,13 @@ class Field:
 
     characteristic: int
     order: Optional[int]
-    _kern = None  # the int-coded kernel: None until first asked for
+    _kern = None  # the int-coded kernel: None until built
 
     def _kernel(self):
-        """This field's kernel, built on first use.
-
-        A _Kernel for a finite field of order <= 4096, a _FiniteKernel for a
-        larger one, and a _RationalKernel for Q and Q[x]/(f).
-        """
+        """This field's kernel: a _Kernel for a finite field of order <= 4096,
+        built at construction, a _FiniteKernel for a larger one and a
+        _RationalKernel for Q and Q[x]/(f), both built on first use.  A field
+        loaded from a pickle builds any of them on first use."""
         kern = self._kern
         if kern is None:
             kern = self._kern = _make_kernel(self)
@@ -325,6 +325,8 @@ class PrimeField(Field):
         self.order = p
         self._zero = 0
         self._one = 1 % p
+        if p <= _KERNEL_LIMIT:
+            self._kern = _make_kernel(self)
 
     def _identity(self):
         return ("GF", self.p)
@@ -336,10 +338,11 @@ class PrimeField(Field):
 class ExtensionField(Field):
     """base[x]/(modulus); its payloads are coordinate tuples in the power basis.
 
-    The one check of a modulus: monic of degree >= 1, then irreducible
-    (``polys.is_irreducible_gcd`` over a finite base,
-    ``polys.is_irreducible_rationals`` over Q), so every ExtensionField is a
-    field.  The errors name the quotient by its generator symbol.
+    The one check of a modulus: monic of degree >= 1, then irreducible, so
+    every ExtensionField is a field: by the kernel's primitive-element search
+    up to _KERNEL_LIMIT elements (``_make_kernel``), by
+    ``polys.is_irreducible_gcd`` above, ``polys.is_irreducible_rationals``
+    over Q.  The errors name the quotient by its generator symbol.
     """
 
     def __init__(self, base: Field, modulus: Sequence, symbol: str = "w"):
@@ -350,12 +353,6 @@ class ExtensionField(Field):
         codes = [kern.index[c] for c in modulus]
         if len(codes) < 2 or codes[-1] != kern.one:
             raise BadModulus(f"modulus of {symbol} must be monic of degree >= 1")
-        if base.order is None:
-            irreducible = polys.is_irreducible_rationals(modulus)
-        else:
-            irreducible = polys.is_irreducible_gcd(kern, codes)
-        if not irreducible:
-            raise NotIrreducible(f"modulus of {symbol} is reducible over {base}")
         self.base = base
         self.modulus = modulus
         self.degree = len(modulus) - 1
@@ -364,6 +361,15 @@ class ExtensionField(Field):
         self.order = None if base.order is None else base.order**self.degree
         self._zero = (base._zero,) * self.degree
         self._one = (base._one,) + (base._zero,) * (self.degree - 1)
+        if base.order is None:
+            irreducible = polys.is_irreducible_rationals(modulus)
+        elif self.order > _KERNEL_LIMIT:
+            irreducible = polys.is_irreducible_gcd(kern, codes)
+        else:
+            self._kern = _make_kernel(self)  # None when the search meets a zero divisor
+            irreducible = self._kern is not None
+        if not irreducible:
+            raise NotIrreducible(f"modulus of {symbol} is reducible over {base}")
 
     def _identity(self):
         return ("ext", self.base._identity(), self.modulus)
@@ -612,15 +618,19 @@ def _add_digits(p: int, a: int, b: int) -> int:
 
 
 def _make_kernel(field: Field):
-    """The kernel of Q, of Q[x]/(f) or of a finite quotient.
+    """The kernel of Q, of Q[x]/(f) or of a finite quotient, or None for a
+    finite quotient with a zero divisor.
 
-    A finite field of order <= _KERNEL_LIMIT gets a _Kernel.  x -> x*g is
+    A finite quotient of order <= _KERNEL_LIMIT gets a _Kernel.  x -> x*g is
     linear over GF(p), so for a candidate g the images of the codes p^i
     under it, one multiplication each, give the code of every product by g
-    (``_linear_table``).  g is primitive when its powers, walked through
-    that table, first return to 1 after q - 1 steps; the candidates run in
-    code order.  Every larger finite field keeps its _FiniteKernel, and so,
-    as a guard, would a field whose candidates all failed.
+    (``_linear_table``).  g is a zero divisor when that table holds 0 twice,
+    and primitive when its powers, walked through it, first return to 1
+    after q - 1 steps.  The candidates run in code order over every code
+    outside the base, so the search decides irreducibility: a finite ring is
+    a field iff it has no zero divisor, and a finite field's unit group is
+    cyclic (Lidl-Niederreiter, *Finite Fields*).  Larger fields get a
+    _FiniteKernel.
     """
     if isinstance(field, Rationals):
         return _QKernel(field)
@@ -630,11 +640,13 @@ def _make_kernel(field: Field):
     if q > _KERNEL_LIMIT:
         return free
     p, n1 = field.characteristic, q - 1
-    # the codes below the base order are the base field, a proper subfield
-    # when the degree is above 1, so none of them is primitive
+    # the codes below the base order are the base field: units, and a proper
+    # subfield when the degree is above 1, so none of them is primitive
     for g in range(free.bq if free.m > 1 else min(2, n1), q):
         # times_g[c] is the code of (element c) * g
         times_g = _linear_table(p, free.add, [free.mul(u, g) for u in free.units])
+        if times_g.count(0) > 1:
+            return None
         powers = [1]
         x = times_g[1]
         while x != 1 and len(powers) < n1:
@@ -642,8 +654,8 @@ def _make_kernel(field: Field):
             x = times_g[x]
         if x == 1 and len(powers) == n1:
             break
-    else:
-        return free
+    else:  # every nonzero element a unit, yet none of order q - 1: no finite ring is such
+        raise InternalInvariantError(f"{field} has neither a zero divisor nor a primitive element")
     exp = powers + powers + [0] * (2 * n1 + 1)
     log = [2 * n1] * q
     for e, c in enumerate(powers):
@@ -663,7 +675,8 @@ def _make_kernel(field: Field):
             return exp[la + zech[log[b] - la]]  # a negative index wraps mod n1
 
         neg_log = n1 // 2
-    return _Kernel(field, exp, log, neg_log, add, [free.expand(c) for c in range(q)])
+    coords = [digits[::-1] for digits in itertools.product(range(free.bq), repeat=free.m)]
+    return _Kernel(field, exp, log, neg_log, add, coords)
 
 
 def _rational_code(nums, den: int):

@@ -7,11 +7,11 @@ kernel explicitly, and all coefficient arithmetic goes through its
 operations (``add``, ``neg``, ``mul``, ``inv``, ``int_code``); zero is the
 code 0 and one is ``k.one``, so no element object is built on the way.
 
-The two irreducibility tests that ``fields.ExtensionField`` checks a modulus
-by live here as well:
+The irreducibility tests of ``fields.ExtensionField`` beside its kernel's
+primitive-element search live here as well:
 
 * ``is_irreducible_gcd`` -- gcd(f, x^(q^i) - x) = 1 for i <= deg(f)/2, the
-  standard finite-field criterion (Rabin; Lidl-Niederreiter, *Finite Fields*).
+  finite-field criterion (Rabin; Lidl-Niederreiter), above 4096 elements.
 * ``is_irreducible_rationals`` -- rational root test plus bounded search for
   monic integer factors after clearing denominators.
 """

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import rankweight
-from rankweight import cli
+from rankweight import cli, fields
 from rankweight import verify as verify_mod
 from rankweight.documents import parse_code_file
 from rankweight.errors import InfiniteField
@@ -442,3 +442,20 @@ def test_handler_rebound_after_first_call_is_honoured(capsys, monkeypatch, sampl
     assert cli.main(["dual", sample_file]) == 0
     assert seen == [sample_file]
     assert capsys.readouterr().out.count('"generators"') == 1  # only the first call printed
+
+
+def test_no_kernel_carries_over_between_calls(capsys, monkeypatch):
+    """Every call builds its tower afresh: the second of two equal calls builds
+    as many kernels as the first, so no cache lives on between calls."""
+    path = str(pathlib.Path(__file__).resolve().parent.parent / "samples" / "gf16_over_gf4.json")
+    built = []
+    make = fields._make_kernel
+    monkeypatch.setattr(fields, "_make_kernel", lambda field: built.append(repr(field)) or make(field))
+    counts = []
+    for _ in range(2):
+        before = len(built)
+        assert cli.main(["dual", path]) == 0
+        counts.append(len(built) - before)
+    capsys.readouterr()
+    assert counts[0] == counts[1] >= 3  # GF(2), GF(4) and GF(16) at least
+    assert built[: counts[0]] == built[counts[0]:]

@@ -186,6 +186,10 @@ def test_element_parser_error_messages():
         (L, " \t\n", ParseError, "cannot tokenize element string ' \\t\\n' at offset 0"),
         (L, 3, ParseError, "element must be a string, got 3"),
         (gf4().k, "(1/2)", ParseError, "bad element string '(1/2)': denominator 2 vanishes in GF(2)"),
+        # the grammar is ASCII: an Arabic-Indic 3, a fullwidth 1 and a no-break space are no tokens
+        (gf9().L, "\u0663", ParseError, "cannot tokenize element string '\u0663' at offset 0"),
+        (gf9().L, "\uff11", ParseError, "cannot tokenize element string '\uff11' at offset 0"),
+        (gf9().L, "w\u00a0+1", ParseError, "cannot tokenize element string 'w\\xa0+1' at offset 1"),
     ]
     for field, text, kind, message in cases:
         with pytest.raises(kind) as e:

@@ -1,7 +1,6 @@
 """Tower construction, coordinates, trace, enumeration, field axioms, and elements
 as (field, code): the payload an element is built from reads back."""
 
-import itertools
 import pickle
 import random
 import re
@@ -17,6 +16,7 @@ from rankweight.fields import (
     PrimeField,
     Rationals,
     _FiniteKernel,
+    _Kernel,
     build_base_field,
     format_element,
     make_tower,
@@ -26,6 +26,7 @@ from helpers import (
     gf8192,
     gf4099_squared,
     is_irreducible_bruteforce,
+    monic_polys,
     payloads_in_order,
     random_rational_element,
     ref_add,
@@ -325,24 +326,47 @@ def test_trace_form_nondegenerate_on_separable_towers():
         assert rref_canonical(Matrix(t.k, gram, t.degree)).dim == t.degree
 
 
-def test_irreducibility_methods_agree():
+def test_irreducibility_methods_agree(monkeypatch):
     # polys works on lists of kernel codes; GF(4) is the base of GF(16)/GF(4).
     # The counts are the monic irreducibles, (1/n) * sum_{d | n} mu(d) q^(n/d).
+    # Up to 4096 elements ExtensionField's check is its kernel's primitive-element
+    # search, which must agree with both and never consult the gcd test.
+    gcd_test = polys.is_irreducible_gcd
+
+    def not_here(k, p):
+        raise AssertionError("the gcd test ran on a quotient of at most 4096 elements")
+
+    monkeypatch.setattr(polys, "is_irreducible_gcd", not_here)
     census = {
-        "GF(2)": (PrimeField(2), {2: 1, 3: 2, 4: 3}),
-        "GF(3)": (PrimeField(3), {2: 3, 3: 8, 4: 18}),
-        "GF(4)": (gf16_over_gf4().k, {2: 6, 3: 20}),
+        "GF(2)": (PrimeField(2), {1: 2, 2: 1, 3: 2, 4: 3}),
+        "GF(3)": (PrimeField(3), {1: 3, 2: 3, 3: 8, 4: 18}),
+        "GF(4)": (gf16_over_gf4().k, {1: 4, 2: 6, 3: 20}),
     }
     for name, (k, expected) in census.items():
         kern = k._kernel()
         for deg, count in expected.items():
             irreducible = 0
-            for lower in itertools.product(range(k.order), repeat=deg):
-                poly = list(lower) + [kern.one]
-                verdict = polys.is_irreducible_gcd(kern, poly)
+            for poly in monic_polys(kern, deg):
+                verdict = gcd_test(kern, poly)
                 assert verdict == is_irreducible_bruteforce(kern, poly), (name, poly)
+                try:
+                    L = ExtensionField(k, [kern.payload(c) for c in poly])
+                except NotIrreducible:
+                    assert not verdict, (name, poly)
+                else:
+                    assert verdict and type(L._kern) is _Kernel, (name, poly)
                 irreducible += verdict
             assert irreducible == count, (name, deg)
+
+
+def test_reducible_moduli_of_the_table_limit_are_refused():
+    """At 4096 elements the search walks every unit below the first zero divisor."""
+    kern = PrimeField(2)._kernel()
+    f, g = [1, 1, 0, 0, 0, 0, 1], [1, 0, 0, 1, 0, 0, 1]  # x^6+x+1 and x^6+x^3+1, both irreducible
+    for modulus in (polys.mul(kern, f, g), polys.mul(kern, f, f)):
+        assert len(modulus) == 13 and not polys.is_irreducible_gcd(kern, modulus)
+        with pytest.raises(NotIrreducible, match="modulus of w is reducible over GF\\(2\\)"):
+            ExtensionField(PrimeField(2), modulus)
 
 
 def test_inverse_by_euclid_in_table_free_kernels():

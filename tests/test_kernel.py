@@ -26,6 +26,7 @@ from rankweight.fields import (
     Rationals,
     _FiniteKernel,
     _Kernel,
+    _QKernel,
     _element,
     _power,
     _RationalKernel,
@@ -229,23 +230,35 @@ def test_large_fields_get_table_free_kernels():
     assert c == coded and decode_vector(t.L, c) == rows[0] and w == rank_support_vec(t, rows[0]).dim == 2
 
 
-def test_kernel_is_built_on_first_use_not_by_make_tower():
+def test_kernel_is_built_at_construction_up_to_the_table_limit():
+    """A finite field of order <= 4096 builds its kernel when it is made, since the
+    kernel's primitive-element search is its irreducibility test; Q, Q(θ) and
+    larger finite fields build theirs on first use."""
     t = gf16_over_gf2()
     fresh = make_tower(PrimeField(2), [1, 1, 0, 0, 1])
-    assert fresh == t and fresh.L._kern is None
-    LinearCode.from_generators(fresh, 2, [[fresh.L.one(), fresh.generator()]])
-    assert fresh.L._kern
+    assert fresh == t and type(fresh.L._kern) is _Kernel and type(fresh.k._kern) is _Kernel
+    assert type(PrimeField(4093)._kern) is _Kernel
+    assert type(build_base_field(2, 12, (1, 1, 0, 0, 1, 0, 1) + (0,) * 5 + (1,))._kern) is _Kernel
+    lazy = [Rationals(), make_tower(Rationals(), [-2, 0, 0, 1]).L, PrimeField(4099),
+            make_tower(PrimeField(2), [1, 1, 0, 1, 1] + [0] * 8 + [1]).L, make_tower(PrimeField(4099), [1, 0, 1]).L]
+    assert all(field._kern is None for field in lazy)
+    for field in lazy:
+        assert field.one() + field.one() == field.from_int(2)
+    assert [type(field._kern) for field in lazy] == [_QKernel, _RationalKernel] + [_FiniteKernel] * 3
 
 
 def test_kernel_belongs_to_the_callers_field_object():
     warm, cold = nested("w", "u"), nested("z", "v")
     assert warm.L == cold.L and warm.k == cold.k and warm.L is not cold.L
+    # each field object builds a kernel of its own when it is made
+    assert warm.L._kern and cold.L._kern and cold.L._kern is not warm.L._kern
+    assert cold.L._kern.field is cold.L and warm.L._kern.field is warm.L
     rows = lambda t: [[t.embed(t.k.generator()), t.generator()]]  # noqa: E731
     assert [format_element(x) for x in Subspace.from_vectors(warm.L, 2, rows(warm)).rows[0]] == ["1", "(u+1)*w"]
+    kern = cold.L._kern
     rank_distance(LinearCode.from_generators(warm, 2, rows(warm)))
-    assert warm.L._kern and cold.L._kern is None
     space = Subspace.from_vectors(cold.L, 2, rows(cold))
-    assert cold.L._kern and cold.L._kern is not warm.L._kern
+    assert cold.L._kern is kern  # the warm field's work built nothing for the cold one
     assert all(x.field is cold.L for x in space.rows[0])
     assert [format_element(x) for x in space.rows[0]] == ["1", "(v+1)*z"]
     assert contains(space, rows(cold)[0]) and not contains(space, [cold.L.one(), cold.L.one()])
