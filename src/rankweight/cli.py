@@ -146,6 +146,8 @@ def cmd_weights(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    if args.height < 1:  # the random search draws numerators and denominators up to it
+        raise _UsageError(f"--height must be at least 1, got {args.height}")
     code = _load(args)
     report = _header(code)
     status = "found"

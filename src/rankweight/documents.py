@@ -80,7 +80,7 @@ def _generator_codes(fld: Field) -> dict:
     upward; where two floors share a name, the upper one is meant."""
     if not isinstance(fld, ExtensionField):
         return {}
-    embed = fld._kernel().embed_row
+    embed = fld._kern.embed_row
     codes = {name: embed((code,))[0] for name, code in _generator_codes(fld.base).items()}
     codes[fld.symbol] = fld.generator().code
     return codes
@@ -96,7 +96,7 @@ class _ElementReader:
 
     def __init__(self, field: Field):
         self.field = field
-        self.kern = field._kernel()
+        self.kern = field._kern
         self.names = _generator_codes(field)
 
     def read(self, text) -> FieldElement:

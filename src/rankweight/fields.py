@@ -13,10 +13,10 @@ tower over it reduces coefficients through the base modulus automatically.
 An extension of Q takes Q itself as its base; a base that is an extension of
 Q is refused with ``BadBase``.
 
-Every field a tower can hold has a private int-coded kernel
-(``Field._kernel``), built at construction up to 4096 elements and on first
-use above them and over Q, and never at import; the kernel is the field's
-one arithmetic.  A ``FieldElement`` is (field, code):
+Every field a tower can hold has a private int-coded kernel, ``_kern``,
+built by its constructor (``_make_kernel``) and never at import, so a field
+is complete when its constructor returns; the kernel is the field's one
+arithmetic.  A ``FieldElement`` is (field, code):
 ``FieldElement(field, payload)`` codes the payload it is built from, its
 ``payload`` reads the payload back, and its operators are the kernel's, so
 vectors and matrices elsewhere in the package are ordinary Python sequences
@@ -32,9 +32,12 @@ built field, and ``make_tower``, the one tower constructor, takes that field
 (``documents`` passes the k it parsed the modulus in, so k is built once per
 tower).  ``ExtensionField`` checks its own modulus, monic and then
 irreducible, so every quotient is a field and both floors, GF(p^a)/GF(p) in
-``build_base_field`` and L/k in ``make_tower``, are checked once, up to 4096
-elements by the kernel's search for a primitive element (``_make_kernel``).
-Finite fields and Q are perfect, so every tower is separable.
+``build_base_field`` and L/k in ``make_tower``, are checked once.
+Irreducibility is decided in one place, ``_make_kernel``: up to 4096
+elements by the kernel's search for a primitive element, above them by
+``polys.is_irreducible_gcd``, and over Q by ``polys.is_irreducible_rationals``
+after, from degree 4, a certificate mod small primes.  Finite fields and Q
+are perfect, so every tower is separable.
 
 * In a finite field, the base-p digits of a code are the element's
   prime-field coordinates, nested bases included, lowest first, so 0 is zero
@@ -76,13 +79,15 @@ they are the base-|k| digits of the code, lowest first, and over Q[x]/(f)
 the numerators over the common denominator, each reduced.
 ``embed_row`` gives the L-codes of embedded k-codes: over a finite field a
 k-code is also the L-code of its embedding, and over Q the code (n, d)
-becomes (n, 0, ..., 0, d).  A kernel lives on its field object and is left
-out of the pickle, so a process that loads a pickled field, such as a
-spawned pool worker, rebuilds it (a forked one inherits the parent's); the
-same holds for the cached hash.  Everything an ``ExtensionTower`` derives
-lives in its one ``_TowerMemo``, where each entry names the function that
-fills it, and a tower pickles as L, so a loaded copy is rebuilt with an
-empty memo, as a tower built apart is.
+becomes (n, 0, ..., 0, d).  ``basis`` holds the codes of the power basis
+1, w, ..., w^(m-1): bq^i over a finite field, the unit tuples over Q[x]/(f).
+A kernel and the hash live on their field object, and a field pickles as
+its constructor's arguments, so a process that loads a pickled field, such
+as a spawned pool worker, checks it and builds both exactly as a fresh
+field does (a forked one inherits the parent's).  Everything an
+``ExtensionTower`` derives lives in its one ``_TowerMemo``, where each entry
+names the function that fills it, and a tower pickles as L, so a loaded copy
+is rebuilt with an empty memo, as a tower built apart is.
 """
 
 from __future__ import annotations
@@ -91,7 +96,7 @@ import functools
 import itertools
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterator, Optional, Sequence
 
 from . import polys
@@ -117,12 +122,12 @@ class FieldElement:
 
     def __init__(self, field, payload):
         self.field = field
-        self.code = field._kernel().index[payload]
+        self.code = field._kern.index[payload]
 
     @property
     def payload(self):
         """What the element is built from and read back as: a Fraction, an int or a coordinate tuple."""
-        return self.field._kernel().payload(self.code)
+        return self.field._kern.payload(self.code)
 
     def _coerce(self, other):
         """other's code in this element's field, or None when other is not an element of it."""
@@ -135,18 +140,18 @@ class FieldElement:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return _element(self.field, self.field._kernel().add(self.code, b))
+        return _element(self.field, self.field._kern.add(self.code, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _element(self.field, self.field._kernel().neg(self.code))
+        return _element(self.field, self.field._kern.neg(self.code))
 
     def __sub__(self, other):
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        kern = self.field._kernel()
+        kern = self.field._kern
         return _element(self.field, kern.add(self.code, kern.neg(b)))
 
     def __rsub__(self, other):
@@ -159,7 +164,7 @@ class FieldElement:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return _element(self.field, self.field._kernel().mul(self.code, b))
+        return _element(self.field, self.field._kern.mul(self.code, b))
 
     __rmul__ = __mul__
 
@@ -169,7 +174,7 @@ class FieldElement:
             return NotImplemented
         if not b:
             raise ZeroDivisionError("0 has no inverse")
-        kern = self.field._kernel()
+        kern = self.field._kern
         return _element(self.field, kern.mul(self.code, kern.inv(b)))
 
     def __rtruediv__(self, other):
@@ -180,12 +185,12 @@ class FieldElement:
 
     def __pow__(self, e: int):
         base = self.inverse() if e < 0 else self
-        return _element(self.field, _power(self.field._kernel(), base.code, abs(e)))
+        return _element(self.field, _power(self.field._kern, base.code, abs(e)))
 
     def inverse(self):
         if not self.code:
             raise ZeroDivisionError("0 has no inverse")
-        return _element(self.field, self.field._kernel().inv(self.code))
+        return _element(self.field, self.field._kern.inv(self.code))
 
     def __bool__(self):
         return bool(self.code)  # zero is the code 0 in every kernel
@@ -223,9 +228,9 @@ def _code_of(field, x):
     if isinstance(x, FieldElement):
         return _member_code(field, x)
     if isinstance(x, int):
-        return field._kernel().int_code(x)
+        return field._kern.int_code(x)
     if isinstance(x, Fraction) and field.characteristic == 0:
-        return field._kernel().fraction_code(x)
+        return field._kern.fraction_code(x)
     return None
 
 
@@ -242,28 +247,11 @@ def _power(kern, a, e: int):
 
 
 class Field:
-    """Shared structural identity and element-level conveniences."""
+    """Shared structural identity and element-level conveniences.  Each
+    constructor sets ``_kern`` and ``_hash``; ``__reduce__`` pickles a field as a call of it."""
 
     characteristic: int
     order: Optional[int]
-    _kern = None  # the int-coded kernel: None until built
-
-    def _kernel(self):
-        """This field's kernel: a _Kernel for a finite field of order <= 4096,
-        built at construction, a _FiniteKernel for a larger one and a
-        _RationalKernel for Q and Q[x]/(f), both built on first use.  A field
-        loaded from a pickle builds any of them on first use."""
-        kern = self._kern
-        if kern is None:
-            kern = self._kern = _make_kernel(self)
-        return kern
-
-    def __getstate__(self):
-        # the kernel and the hash are rebuilt where the copy is loaded
-        state = dict(self.__dict__)
-        state.pop("_kern", None)
-        state.pop("_hash", None)
-        return state
 
     def _identity(self) -> tuple:
         raise NotImplementedError
@@ -276,20 +264,16 @@ class Field:
         return self._identity() == other._identity()
 
     def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash(self._identity())
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     def zero(self) -> FieldElement:
         return _element(self, 0)
 
     def one(self) -> FieldElement:
-        return _element(self, self._kernel().one)
+        return _element(self, self._kern.one)
 
     def from_int(self, n: int) -> FieldElement:
-        return _element(self, self._kernel().int_code(n))
+        return _element(self, self._kern.int_code(n))
 
     def elements(self) -> Iterator[FieldElement]:
         """All field elements in canonical order, the code order; finite fields only."""
@@ -306,6 +290,13 @@ class Rationals(Field):
     order = None
     _zero = Fraction(0)
     _one = Fraction(1)
+
+    def __init__(self):
+        self._kern = _make_kernel(self)
+        self._hash = hash(self._identity())
+
+    def __reduce__(self):
+        return Rationals, ()
 
     def _identity(self):
         return ("Q",)
@@ -325,8 +316,11 @@ class PrimeField(Field):
         self.order = p
         self._zero = 0
         self._one = 1 % p
-        if p <= _KERNEL_LIMIT:
-            self._kern = _make_kernel(self)
+        self._kern = _make_kernel(self)
+        self._hash = hash(self._identity())
+
+    def __reduce__(self):
+        return PrimeField, (self.p,)
 
     def _identity(self):
         return ("GF", self.p)
@@ -338,18 +332,17 @@ class PrimeField(Field):
 class ExtensionField(Field):
     """base[x]/(modulus); its payloads are coordinate tuples in the power basis.
 
-    The one check of a modulus: monic of degree >= 1, then irreducible, so
-    every ExtensionField is a field: by the kernel's primitive-element search
-    up to _KERNEL_LIMIT elements (``_make_kernel``), by
-    ``polys.is_irreducible_gcd`` above, ``polys.is_irreducible_rationals``
-    over Q.  The errors name the quotient by its generator symbol.
+    The one check of a modulus: monic of degree >= 1 here, then irreducible
+    in ``_make_kernel``, which builds no kernel for a reducible one, so every
+    ExtensionField is a field.  The errors name the quotient by its
+    generator symbol.
     """
 
     def __init__(self, base: Field, modulus: Sequence, symbol: str = "w"):
         # modulus: payload coefficients over base, low to high
         if base.characteristic == 0 and not isinstance(base, Rationals):
             raise BadBase("an extension of Q takes Q itself as its base")
-        modulus, kern = tuple(modulus), base._kernel()
+        modulus, kern = tuple(modulus), base._kern
         codes = [kern.index[c] for c in modulus]
         if len(codes) < 2 or codes[-1] != kern.one:
             raise BadModulus(f"modulus of {symbol} must be monic of degree >= 1")
@@ -361,26 +354,21 @@ class ExtensionField(Field):
         self.order = None if base.order is None else base.order**self.degree
         self._zero = (base._zero,) * self.degree
         self._one = (base._one,) + (base._zero,) * (self.degree - 1)
-        if base.order is None:
-            irreducible = polys.is_irreducible_rationals(modulus)
-        elif self.order > _KERNEL_LIMIT:
-            irreducible = polys.is_irreducible_gcd(kern, codes)
-        else:
-            self._kern = _make_kernel(self)  # None when the search meets a zero divisor
-            irreducible = self._kern is not None
-        if not irreducible:
+        self._kern = _make_kernel(self)
+        if self._kern is None:
             raise NotIrreducible(f"modulus of {symbol} is reducible over {base}")
+        self._hash = hash(self._identity())
+
+    def __reduce__(self):
+        return ExtensionField, (self.base, self.modulus, self.symbol)
 
     def _identity(self):
         return ("ext", self.base._identity(), self.modulus)
 
     def generator(self) -> FieldElement:
-        """The class w of x: (0, 1, 0, ..., 0), or -c0 when the extension has degree 1."""
-        if self.degree == 1:
-            kern = self._kernel()
-            return _element(self, kern.neg(kern.index[self.modulus[:1]]))
-        zero = self.base._zero
-        return FieldElement(self, (zero, self.base._one) + (zero,) * (self.degree - 2))
+        """The class w of x: the power basis's second code, or -c0 when the extension has degree 1."""
+        kern = self._kern
+        return _element(self, kern.basis[1] if self.degree > 1 else kern.neg(kern.index[self.modulus[:1]]))
 
     def __repr__(self):
         if self.order is not None:
@@ -389,18 +377,7 @@ class ExtensionField(Field):
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 class _FiniteKernel:
@@ -414,22 +391,23 @@ class _FiniteKernel:
     (the kernel itself) is the code of the payload p and ``payload`` goes
     back, through ``base``, the kernel of an extension's base (None for a
     prime field), whose order ``bq`` is the radix of the digits; ``m`` is the
-    number of digits, and ``units`` lists the codes p^i below q, the
-    prime-field basis.  For an extension, ``modulus`` holds the base codes
-    of the modulus and ``fold`` those of -c_0, ..., -c_(m-1), so that
-    x^m = sum(fold[i] * x^i).
+    number of digits, ``units`` lists the codes p^i below q, the
+    prime-field basis, and ``basis`` the codes bq^i below q, the power basis
+    over the base.  For an extension, ``modulus`` holds the base codes of the
+    modulus and ``fold`` those of -c_0, ..., -c_(m-1), so that
+    x^m = sum(fold[i] * x^i); for a prime field both are None.
     """
 
-    __slots__ = ("field", "q", "p", "m", "bq", "base", "add", "index", "units", "modulus", "fold")
+    __slots__ = ("field", "q", "p", "m", "bq", "base", "add", "index", "units", "modulus", "fold", "basis")
     one = 1
 
     def __init__(self, field):
         self.field = field
         self.q = field.order
         self.p = field.characteristic
-        self.m, self.bq, self.base = 1, field.order, None
+        self.m, self.bq, self.base, self.modulus, self.fold = 1, field.order, None, None, None
         if isinstance(field, ExtensionField):
-            base = self.base = field.base._kernel()
+            base = self.base = field.base._kern
             self.m, self.bq = field.degree, field.base.order
             self.modulus = [base[c] for c in field.modulus]
             self.fold = [base.neg(c) for c in self.modulus[:-1]]
@@ -438,6 +416,7 @@ class _FiniteKernel:
         self.units = [1]
         while self.units[-1] * self.p < self.q:
             self.units.append(self.units[-1] * self.p)
+        self.basis = tuple([self.bq**i for i in range(self.m)])
 
     def __getitem__(self, payload) -> int:
         """The code of a payload: the base codes of its coordinates as digits, lowest first."""
@@ -545,7 +524,8 @@ class _FiniteKernel:
 class _Kernel(_FiniteKernel):
     """_FiniteKernel of a finite field of order <= _KERNEL_LIMIT, with tables.
 
-    The codes are those of _FiniteKernel, and ``coords[c]`` (also
+    It takes over the _FiniteKernel that its search ran on, so it has that
+    kernel's codes and constants, and ``coords[c]`` (also
     ``expand(c)``) holds the base-field codes of the coordinates of c.
 
     With n1 = q - 1 and g the primitive element, ``exp[e]`` is the code of
@@ -557,8 +537,10 @@ class _Kernel(_FiniteKernel):
 
     __slots__ = ("n1", "exp", "log", "neg_log", "coords", "expand")
 
-    def __init__(self, field, exp, log, neg_log, add, coords):
-        super().__init__(field)
+    def __init__(self, free, exp, log, neg_log, add, coords):
+        for slot in _FiniteKernel.__slots__:
+            setattr(self, slot, getattr(free, slot))
+        self.index = self
         self.n1 = self.q - 1
         self.exp = exp
         self.log = log
@@ -618,10 +600,19 @@ def _add_digits(p: int, a: int, b: int) -> int:
 
 
 def _make_kernel(field: Field):
-    """The kernel of Q, of Q[x]/(f) or of a finite quotient, or None for a
-    finite quotient with a zero divisor.
+    """The kernel of field, or None for a quotient with a zero divisor: the one
+    place that decides whether a modulus is irreducible.
 
-    A finite quotient of order <= _KERNEL_LIMIT gets a _Kernel.  x -> x*g is
+    Q gets a _QKernel.  Q[x]/(f) gets a _RationalKernel when f is
+    irreducible: of degree >= 4, certified when f's monic integer form
+    (``polys.monic_integer_form``) is irreducible mod some prime below 50,
+    since a factorization over Q reduces mod every prime; else, and below
+    degree 4, where a failed certificate costs more than the exact test, by
+    ``polys.is_irreducible_rationals``.  A finite field of order above
+    _KERNEL_LIMIT gets a _FiniteKernel, its modulus checked by
+    ``polys.is_irreducible_gcd``.
+
+    A finite field of order <= _KERNEL_LIMIT gets a _Kernel.  x -> x*g is
     linear over GF(p), so for a candidate g the images of the codes p^i
     under it, one multiplication each, give the code of every product by g
     (``_linear_table``).  g is a zero divisor when that table holds 0 twice,
@@ -629,16 +620,20 @@ def _make_kernel(field: Field):
     after q - 1 steps.  The candidates run in code order over every code
     outside the base, so the search decides irreducibility: a finite ring is
     a field iff it has no zero divisor, and a finite field's unit group is
-    cyclic (Lidl-Niederreiter, *Finite Fields*).  Larger fields get a
-    _FiniteKernel.
+    cyclic (Lidl-Niederreiter, *Finite Fields*).
     """
     if isinstance(field, Rationals):
         return _QKernel(field)
     if field.characteristic == 0:
-        return _RationalKernel(field)
+        if field.degree >= 4:
+            f = polys.monic_integer_form(field.modulus)
+            if any(polys.is_irreducible_gcd(build_base_field(p)._kern, [c % p for c in f])
+                   for p in filter(_is_prime, range(50))):
+                return _RationalKernel(field)
+        return _RationalKernel(field) if polys.is_irreducible_rationals(field.modulus) else None
     q, free = field.order, _FiniteKernel(field)
     if q > _KERNEL_LIMIT:
-        return free
+        return free if free.base is None or polys.is_irreducible_gcd(free.base, free.modulus) else None
     p, n1 = field.characteristic, q - 1
     # the codes below the base order are the base field: units, and a proper
     # subfield when the degree is above 1, so none of them is primitive
@@ -676,7 +671,7 @@ def _make_kernel(field: Field):
 
         neg_log = n1 // 2
     coords = [digits[::-1] for digits in itertools.product(range(free.bq), repeat=free.m)]
-    return _Kernel(field, exp, log, neg_log, add, coords)
+    return _Kernel(free, exp, log, neg_log, add, coords)
 
 
 def _rational_code(nums, den: int):
@@ -696,7 +691,8 @@ class _RationalKernel:
     (n_0, ..., n_(m-1), d) with d > 0 and gcd(n_0, ..., n_(m-1), d) = 1, so
     equal elements get equal codes; zero is coded as 0.  ``mul``, ``neg``,
     ``inv``, ``add``, ``scale`` and ``sub_scaled`` work on codes and rows of
-    codes, skipping zero entries, and ``fraction_code`` (also ``int_code``)
+    codes, skipping zero entries, ``basis`` holds the codes of the power
+    basis 1, x, ..., x^(m-1), and ``fraction_code`` (also ``int_code``)
     codes a rational number.  ``expand`` gives the Q-codes of a code's
     coordinates, n_i/d as (n_i/g, d/g) with g = gcd(n_i, d), and
     ``embed_row`` turns Q-codes (n, d) into the codes (n, 0, ..., 0, d) of
@@ -707,7 +703,7 @@ class _RationalKernel:
     (i, -D*c_i) with c_i != 0 and ``fold_den`` is D.
     """
 
-    __slots__ = ("field", "m", "one", "fold", "fold_den", "index", "zeros")
+    __slots__ = ("field", "m", "one", "fold", "fold_den", "index", "zeros", "basis")
 
     def __init__(self, field):
         self.field = field
@@ -718,6 +714,7 @@ class _RationalKernel:
         self.fold = tuple((i, -c.numerator * (den // c.denominator)) for i, c in enumerate(coeffs) if c)
         self.index = self
         self.zeros = (0,) * self.m
+        self.basis = tuple([(0,) * i + (1,) + (0,) * (self.m - 1 - i) + (1,) for i in range(self.m)])
 
     def __getitem__(self, p):
         """The code of the payload p, a tuple of m Fractions."""
@@ -971,17 +968,16 @@ def build_base_field(characteristic: int, base_degree: int = 1, base_modulus=Non
 class _TowerMemo:
     """Everything a tower derives, kept for the tower's lifetime.
 
-    The dicts start empty and the three lazy values unset (None); each is
+    The dicts start empty and the two lazy values unset (None); each is
     filled by the one function named beside it.  The tower's pickle leaves
     the memo out, so a loaded copy starts with an empty one.  The tests'
     literal ``ranksupport.closure_oracle`` keeps nothing here.
     """
 
-    __slots__ = ("basis", "traces", "frobenius", "extensions", "subcode_coeffs", "closure_maxwt",
+    __slots__ = ("traces", "frobenius", "extensions", "subcode_coeffs", "closure_maxwt",
                  "closure_sums", "codes")
 
     def __init__(self):
-        self.basis = None  # ExtensionTower._basis_codes: the L-codes of 1, w, ..., w^(m-1)
         self.traces = None  # ExtensionTower._trace_codes: the k-codes of Tr(w^i); over Q(θ), D and D * Tr(w^i)
         # ExtensionTower._frobenius: σ(x) = x^|k| on L-codes, a table when L's kernel has tables
         # (|L| <= _KERNEL_LIMIT), else square-and-multiply per code; checked when it is made
@@ -1018,19 +1014,8 @@ class ExtensionTower:
 
     @property
     def basis(self) -> tuple:
-        """The power basis 1, w, ..., w^(m-1): the unit coordinate vectors."""
-        return tuple([_element(self.L, c) for c in self._basis_codes()])
-
-    def _basis_codes(self) -> tuple:
-        """The L-codes of the power basis: the first m powers of w, made once per tower."""
-        memo = self._memo
-        if memo.basis is None:
-            kern, w = self.L._kernel(), self.generator().code
-            powers = [kern.one]
-            while len(powers) < self.degree:
-                powers.append(kern.mul(powers[-1], w))
-            memo.basis = tuple(powers)
-        return memo.basis
+        """The power basis 1, w, ..., w^(m-1): the unit coordinate vectors, L's kernel's ``basis``."""
+        return tuple([_element(self.L, c) for c in self.L._kern.basis])
 
     @property
     def modulus(self):
@@ -1042,14 +1027,14 @@ class ExtensionTower:
 
     def coords(self, x: FieldElement) -> list:
         """Coordinates of x over k in the power basis; sum(coords[i]*basis[i]) == x."""
-        return [_element(self.k, c) for c in self.L._kernel().expand(self._code_in_L(x))]
+        return [_element(self.k, c) for c in self.L._kern.expand(self._code_in_L(x))]
 
     def embed(self, c: FieldElement) -> FieldElement:
         """Embed an element of k into L as (c, 0, ..., 0)."""
         code = _member_code(self.k, c)
         if code is None:
             raise FieldMismatch("embed expects a base-field element")
-        return _element(self.L, self.L._kernel().embed_row((code,))[0])
+        return _element(self.L, self.L._kern.embed_row((code,))[0])
 
     def trace(self, x: FieldElement) -> FieldElement:
         """Field trace L -> k, by linearity on codes (``_code_trace``)."""
@@ -1078,9 +1063,9 @@ class ExtensionTower:
                 return 0
             g = gcd(num, c[-1] * den)
             return num // g, c[-1] * den // g
-        kk = self.k._kernel()
+        kk = self.k._kern
         acc = 0
-        for x, tr in zip(self.L._kernel().expand(c), traces):
+        for x, tr in zip(self.L._kern.expand(c), traces):
             if x and tr:
                 acc = kk.add(acc, kk.mul(x, tr))
         return acc
@@ -1092,8 +1077,8 @@ class ExtensionTower:
         common denominator of the Tr(w^i)."""
         memo = self._memo
         if memo.traces is None:
-            kern, add, m = self.L._kernel(), self.k._kernel().add, self.degree
-            powers = list(self._basis_codes())
+            kern, add, m = self.L._kern, self.k._kern.add, self.degree
+            powers = list(kern.basis)
             while len(powers) < 2 * m - 1:  # m >= 2 here, so powers[1] is w
                 powers.append(kern.mul(powers[-1], powers[1]))
             traces = tuple(
@@ -1118,7 +1103,7 @@ class ExtensionTower:
             q = self.k.order
             if q is None:
                 raise InfiniteField(f"{self.k} is infinite: the tower has no Frobenius")
-            sigma = _frobenius_map(self.L._kernel(), q)
+            sigma = _frobenius_map(self.L._kern, q)
             if any(sigma(c) != c for c in range(q)):
                 raise InternalInvariantError("Frobenius moves an element of k")
             w, m = self.generator().code, self.degree
@@ -1173,7 +1158,7 @@ def make_tower(k: Field, modulus, symbol: str = "w") -> ExtensionTower:
         coeffs.append(code)
     while coeffs and not coeffs[-1]:
         coeffs.pop()
-    return ExtensionTower(ExtensionField(k, list(map(k._kernel().payload, coeffs)), symbol=symbol))
+    return ExtensionTower(ExtensionField(k, list(map(k._kern.payload, coeffs)), symbol=symbol))
 
 
 def _random_code(tower: ExtensionTower, rng, height: int):
@@ -1184,7 +1169,7 @@ def _random_code(tower: ExtensionTower, rng, height: int):
     L = tower.L
     if L.order is not None:
         return rng.choice(range(L.order))
-    return L._kernel().index[
+    return L._kern.index[
         tuple([Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(tower.degree)])
     ]
 
@@ -1198,7 +1183,7 @@ def format_element(x: FieldElement) -> str:
         raise TypeError(f"cannot format an element of {field!r}")
     base = field.base
     sym = field.symbol
-    coords, one = field._kernel().expand(x.code), base._kernel().one
+    coords, one = field._kern.expand(x.code), base._kern.one
     terms = []
     for i in range(field.degree - 1, -1, -1):
         c = coords[i]

@@ -98,7 +98,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        one = field._kernel().one
+        one = field._kern.one
         return cls(field, ambient_dim, tuple(
             tuple(one if i == j else 0 for j in range(ambient_dim)) for i in range(ambient_dim)
         ))
@@ -110,7 +110,7 @@ class Subspace:
     @classmethod
     def from_codes(cls, field: Field, ambient_dim: int, codes) -> "Subspace":
         """The span of rows of codes of field's kernel, reduced to its canonical basis."""
-        return cls(field, ambient_dim, _rref_coded(field._kernel(), list(codes), ambient_dim)[0])
+        return cls(field, ambient_dim, _rref_coded(field._kern, list(codes), ambient_dim)[0])
 
     @property
     def dim(self) -> int:
@@ -122,7 +122,7 @@ class Subspace:
     def contains_space(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim or other.field != self.field:
             raise AmbientMismatch("subspaces live in different ambient spaces")
-        return _reduces_to_zero(self.field._kernel(), self._codes, other._codes)
+        return _reduces_to_zero(self.field._kern, self._codes, other._codes)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -161,7 +161,7 @@ def decode_rows(field: Field, codes) -> tuple:
 
 def _span(field: Field, ambient_dim: int, vectors) -> Subspace:
     """The canonical subspace spanned by vectors of elements."""
-    return Subspace.from_codes(field, ambient_dim, _encode(field._kernel(), vectors, ambient_dim))
+    return Subspace.from_codes(field, ambient_dim, _encode(field._kern, vectors, ambient_dim))
 
 
 def _rref_coded(kern, work: list, num_cols: int):
@@ -217,7 +217,7 @@ def _null_basis(kern, reduced, pivot_cols, n: int) -> list:
 def kernel(m: Matrix) -> Subspace:
     """{v : m v^T = 0}; dim = cols - rank."""
     field, n = m.field, m.num_cols
-    kern = field._kernel()
+    kern = field._kern
     reduced, pivot_cols = _rref_coded(kern, _encode(kern, m.rows, n), n)
     return Subspace.from_codes(field, n, _null_basis(kern, reduced, pivot_cols, n))
 
@@ -231,7 +231,7 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     field, n = s.field, s.ambient_dim
     if s.dim == 0:
         return Subspace.full(field, n)
-    kern = field._kernel()
+    kern = field._kern
     codes = s._codes
     pivot_cols = [row.index(kern.one) for row in codes]  # a canonical row's first nonzero entry is one
     return Subspace.from_codes(field, n, _null_basis(kern, codes, pivot_cols, n))
@@ -261,7 +261,7 @@ def tail_subspace(field: Field, rows, num_cols: int, start: int) -> Subspace:
     as their pivot columns are cleared in every other row, their tails are
     already the canonical basis of the result.
     """
-    reduced, pivot_cols = _rref_coded(field._kernel(), list(rows), num_cols)
+    reduced, pivot_cols = _rref_coded(field._kern, list(rows), num_cols)
     return Subspace(field, num_cols - start, tuple(row[start:] for row, p in zip(reduced, pivot_cols) if p >= start))
 
 
@@ -276,7 +276,7 @@ def contains(a: Subspace, *vectors: Sequence[FieldElement]) -> bool:
             raise AmbientMismatch(f"vector has length {len(v)}, ambient is {n}")
     if not vectors:
         return True
-    kern = a.field._kernel()
+    kern = a.field._kern
     return _reduces_to_zero(kern, a._codes, _encode(kern, vectors, n))
 
 
@@ -321,7 +321,7 @@ def enumerate_subspaces(field: Field, ambient_dim: int, dim: int) -> Iterator[Su
     if dim == 0:
         yield Subspace.zero(field, ambient_dim)
         return
-    one = field._kernel().one
+    one = field._kern.one
     for pivots in itertools.combinations(range(ambient_dim), dim):
         pivot_set = set(pivots)
         free = [

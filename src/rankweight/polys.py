@@ -7,13 +7,14 @@ kernel explicitly, and all coefficient arithmetic goes through its
 operations (``add``, ``neg``, ``mul``, ``inv``, ``int_code``); zero is the
 code 0 and one is ``k.one``, so no element object is built on the way.
 
-The irreducibility tests of ``fields.ExtensionField`` beside its kernel's
-primitive-element search live here as well:
+The irreducibility tests that ``fields._make_kernel``, their one caller,
+runs beside its primitive-element search live here as well:
 
 * ``is_irreducible_gcd`` -- gcd(f, x^(q^i) - x) = 1 for i <= deg(f)/2, the
-  finite-field criterion (Rabin; Lidl-Niederreiter), above 4096 elements.
+  finite-field criterion (Rabin; Lidl-Niederreiter), above 4096 elements,
+  and mod small primes as a certificate for a modulus over Q.
 * ``is_irreducible_rationals`` -- rational root test plus bounded search for
-  monic integer factors after clearing denominators.
+  monic integer factors of ``monic_integer_form``.
 """
 
 from __future__ import annotations
@@ -174,23 +175,26 @@ def _int_divmod_monic(p, q):
     return quot, rem
 
 
+def monic_integer_form(coeffs):
+    """D^m f(y/D) for a monic f of degree m given as Fractions, D the lcm of
+    their denominators: a monic integer polynomial with f's factorization pattern."""
+    m, den = len(coeffs) - 1, math.lcm(*[c.denominator for c in coeffs])
+    return [int(c * den ** (m - i)) for i, c in enumerate(coeffs)]
+
+
 def is_irreducible_rationals(coeffs):
     """Irreducibility over Q for a monic polynomial given as Fractions.
 
-    Substituting x -> y/D with D the lcm of the denominators turns f into a
-    monic integer polynomial with the same factorization pattern; then a
-    rational (hence integer) root test plus a bounded search for monic
-    integer factors of degree <= deg/2 decides the question exactly.
+    A rational (hence integer) root test plus a bounded search for monic
+    integer factors of degree <= deg/2 of ``monic_integer_form`` decides the
+    question exactly.
     """
     m = len(coeffs) - 1
     if m < 1:
         raise BadModulus("irreducibility is about polynomials of degree >= 1")
     if m == 1:
         return True
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    g = [int(c * den ** (m - i)) for i, c in enumerate(coeffs)]
+    g = monic_integer_form(coeffs)
     if g[0] == 0:
         return False
     for d in _int_divisors(g[0]):

@@ -202,7 +202,7 @@ def _coded_expansion(kern, codes) -> list:
 def rank_support_vec(tower: ExtensionTower, c: Sequence[FieldElement]) -> KSubspace:
     """Rank support of a vector: the k-row space of its expansion matrix."""
     _check_vector(tower, c)
-    n, kern = len(c), tower.L._kernel()
+    n, kern = len(c), tower.L._kern
     rows = _coded_expansion(kern, _encode(kern, [c], n))
     return KSubspace(tower, n, Subspace.from_codes(tower.k, n, rows))
 
@@ -211,7 +211,7 @@ def rank_support_code(C: LinearCode) -> KSubspace:
     """Rank support of a code: the k-sum of the supports of its generators."""
     if C._rsupp is None:
         t, n = C.tower, C.length
-        space = Subspace.from_codes(t.k, n, _coded_expansion(t.L._kernel(), C.space._codes))
+        space = Subspace.from_codes(t.k, n, _coded_expansion(t.L._kern, C.space._codes))
         C._rsupp = KSubspace(t, n, space)
     return C._rsupp
 
@@ -240,7 +240,7 @@ def restriction(C: LinearCode) -> KSubspace:
     """
     if C._res is None:
         t = C.tower
-        m, n, kern = t.degree, C.length, t.L._kernel()
+        m, n, kern = t.degree, C.length, t.L._kern
         expansions = [_coded_expansion(kern, [g]) for g in C.space._codes]
         flat_rows = [tuple(e for row in rows[1:] + rows[:1] for e in row) for rows in expansions]
         C._res = KSubspace(t, n, tail_subspace(t.k, flat_rows, m * n, (m - 1) * n))
@@ -257,7 +257,7 @@ def extend_to_L(D: KSubspace) -> LinearCode:
     (n, d) becomes the L-code (n, 0, ..., 0, d).
     """
     t, n = D.tower, D.length
-    embed_row = t.L._kernel().embed_row
+    embed_row = t.L._kern.embed_row
     return LinearCode(t, n, Subspace(t.L, n, tuple(embed_row(row) for row in D.space._codes)))
 
 
@@ -276,8 +276,8 @@ def trace_image(C: LinearCode) -> KSubspace:
     takes on elements.
     """
     t = C.tower
-    kern = t.L._kernel()
-    n, trace, powers = C.length, t._code_trace, t._basis_codes()
+    kern = t.L._kern
+    n, trace, powers = C.length, t._code_trace, kern.basis
     rows = [tuple([trace(kern.mul(p, x)) for x in g]) for g in C.space._codes for p in powers]
     return KSubspace(t, n, Subspace.from_codes(t.k, n, rows))
 

@@ -111,7 +111,7 @@ def _coded_weight(tower: ExtensionTower, kern):
     entries' k-coordinates."""
     if tower.k.order == 2 and tower.L.order is not None:
         return _rank_gf2  # a code's bits are its coordinates over GF(2)
-    kk, expand, m = tower.k._kernel(), kern.expand, tower.degree
+    kk, expand, m = tower.k._kern, kern.expand, tower.degree
 
     def weight(c):
         return len(_rref_coded(kk, list(map(expand, c)), m)[0])
@@ -129,7 +129,7 @@ def _codewords(tower: ExtensionTower, gens):
     built from precomputed multiples of the generators, and its weight is the
     rank over k of the entries' k-coordinates.
     """
-    kern = tower.L._kernel()
+    kern = tower.L._kern
     add = kern.add
     # multiples[i][a] = a * gens[i]; gens[0] only ever leads
     multiples = [None] + [list(zip(*map(kern.multiples, g))) for g in gens[1:]]
@@ -182,7 +182,7 @@ def _subcodes(C: LinearCode, r: int):
     """
     t, n = C.tower, C.length
     L = t.L
-    kern, G = L._kernel(), C.space._codes
+    kern, G = L._kern, C.space._codes
     add, scale = kern.add, kern.scale
     for s in _coefficients(t, C.dim, r):
         rows = []
@@ -253,7 +253,7 @@ def weight_Mr(C: LinearCode, r: int) -> int:
     _check_r(C, r)
     _require_finite(C, "weight_Mr")
     t, n = C.tower, C.length
-    kern, G = t.L._kernel(), C.space._codes
+    kern, G = t.L._kern, C.space._codes
     for d in range(r, n + 1):  # dim(C ∩ V) <= dim V, so start at r
         for v in _extensions(t, n, d):
             if _meets(kern, G, v._codes, C.dim - r):
@@ -318,7 +318,7 @@ def weight_values(C: LinearCode, r: int) -> tuple:
 def _is_witness(C: LinearCode, c) -> bool:
     """The closure criterion on a coded vector c: c ∈ C and C ⊆ (Lc)*."""
     t, n = C.tower, C.length
-    kern = t.L._kernel()
+    kern = t.L._kern
     if not _reduces_to_zero(kern, C.space._codes, [c]):
         return False
     support = KSubspace(t, n, Subspace.from_codes(t.k, n, _coded_expansion(kern, [c])))
@@ -330,7 +330,7 @@ def verify_witness(C: LinearCode, c: Sequence[FieldElement]) -> bool:
     n = C.length
     if len(c) != n:
         raise AmbientMismatch(f"vector has length {len(c)}, ambient is {n}")
-    (codes,) = _encode(C.tower.L._kernel(), [c], n)
+    (codes,) = _encode(C.tower.L._kern, [c], n)
     return _is_witness(C, codes)
 
 
@@ -344,10 +344,10 @@ def extend_witness_by_rational(tower: ExtensionTower, c, e) -> list:
     without disturbing the support: Rsupp(c') = Rsupp(c) + k·e.
     """
     k, n, m = tower.k, len(c), tower.degree
-    kern = tower.L._kernel()
+    kern = tower.L._kern
     rows = _coded_expansion(kern, [c])
     sup = Subspace.from_codes(k, n, rows)
-    if _reduces_to_zero(k._kernel(), sup._codes, [e]):
+    if _reduces_to_zero(k._kern, sup._codes, [e]):
         return list(c)
     if sup.dim >= m:
         raise ValueError("no spare expansion row: wt_R(c) = m already")
@@ -356,7 +356,7 @@ def extend_witness_by_rational(tower: ExtensionTower, c, e) -> list:
             break
     else:
         raise InternalInvariantError("unreachable: rank < m forces a dependent row")
-    return kern.sub_scaled(c, kern.neg(tower._basis_codes()[l]), kern.embed_row(e))
+    return kern.sub_scaled(c, kern.neg(kern.basis[l]), kern.embed_row(e))
 
 
 def _witness_extended(C: LinearCode) -> Optional[list]:
@@ -368,8 +368,8 @@ def _witness_extended(C: LinearCode) -> Optional[list]:
     if res.dim != C.dim:
         return None
     space = extend_to_L(res).space
-    kern = t.L._kernel()
-    c = _combine_codes(kern, t._basis_codes(), space._codes, C.length)
+    kern = t.L._kern
+    c = _combine_codes(kern, kern.basis, space._codes, C.length)
     if not _is_witness(C, c):
         raise InternalInvariantError("constructive extended witness failed verification")
     return c
@@ -388,7 +388,7 @@ def _witness_split(C: LinearCode, seed, height: int) -> Optional[list]:
     res = restriction(C)
     if res.dim == 0:
         return None
-    L, kern = t.L, t.L._kernel()
+    L, kern = t.L, t.L._kern
     cur = extend_to_L(res).space
     c1_gens = []
     for g in C.space._codes:
@@ -438,7 +438,7 @@ def _witness_random(C: LinearCode, rng: random.Random, height: int) -> list:
     """
     t, n = C.tower, C.length
     target = rank_support_code(C).dim
-    kern = t.L._kernel()
+    kern = t.L._kern
     gens, weight = C.space._codes, _coded_weight(t, kern)
 
     h = height
@@ -477,10 +477,13 @@ def find_witness(
     rather than claim nonexistence.  A None return is a proof: either the
     support dimension exceeds m (an expansion matrix only has m rows) or a
     finite exhaustive scan came up empty.  Every path works on codes, and
-    the witness is decoded to elements here, once.
+    the witness is decoded to elements here, once.  A ``height`` below 1,
+    which leaves the random search nothing to draw, is refused before any work.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if height < 1:
+        raise ValueError(f"height must be at least 1, got {height}")
     t = C.tower
     if C.dim == 0:
         return [t.L.zero()] * C.length

@@ -124,6 +124,16 @@ def test_witness_command(sample_file, q_file, capsys):
     assert json.loads(out)["status"] == "found"
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("strategy", ["random", "auto"])
+def test_witness_height_below_one_is_a_usage_error(sample_file, q_file, capsys, monkeypatch, value, strategy):
+    """Over Q(t) the random search would fail inside randrange; no tower reads the document."""
+    monkeypatch.setattr(cli, "_load", lambda args: pytest.fail("the document was read"))
+    for path in (q_file, sample_file):
+        code, out, err = run_cli(capsys, "witness", path, "--strategy", strategy, "--height", value)
+        assert (code, out, err) == (1, "", f"error: --height must be at least 1, got {value}\n")
+
+
 def test_witness_without_seed_is_reproducible_over_q(capsys):
     # the random search over Q draws from --seed, which defaults to 0
     path = str(pathlib.Path(__file__).resolve().parent.parent / "samples" / "qtheta.json")

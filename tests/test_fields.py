@@ -343,7 +343,7 @@ def test_irreducibility_methods_agree(monkeypatch):
         "GF(4)": (gf16_over_gf4().k, {1: 4, 2: 6, 3: 20}),
     }
     for name, (k, expected) in census.items():
-        kern = k._kernel()
+        kern = k._kern
         for deg, count in expected.items():
             irreducible = 0
             for poly in monic_polys(kern, deg):
@@ -361,7 +361,7 @@ def test_irreducibility_methods_agree(monkeypatch):
 
 def test_reducible_moduli_of_the_table_limit_are_refused():
     """At 4096 elements the search walks every unit below the first zero divisor."""
-    kern = PrimeField(2)._kernel()
+    kern = PrimeField(2)._kern
     f, g = [1, 1, 0, 0, 0, 0, 1], [1, 0, 0, 1, 0, 0, 1]  # x^6+x+1 and x^6+x^3+1, both irreducible
     for modulus in (polys.mul(kern, f, g), polys.mul(kern, f, f)):
         assert len(modulus) == 13 and not polys.is_irreducible_gcd(kern, modulus)
@@ -378,7 +378,7 @@ def test_inverse_by_euclid_in_table_free_kernels():
         (gf8192, lambda: tuple(rng.randrange(2) for _ in range(13))),
         (gf4099_squared, lambda: (rng.randrange(4099), rng.randrange(4099))),
     ):
-        kern = field._kernel()
+        kern = field._kern
         assert type(kern) is _FiniteKernel
         for _ in range(25):
             x = FieldElement(field, draw())
@@ -414,6 +414,41 @@ def test_rational_irreducibility_known_cases():
     assert irr([1, 0, -10, 0, 1])  # minimal polynomial of sqrt(2)+sqrt(3)
     assert not irr([0, 1, 1])  # x^2 + x
     assert irr([Fraction(1, 2), Fraction(1), Fraction(1)])  # x^2 + x + 1/2
+
+
+def test_q_moduli_of_degree_four_and_up_are_certified_mod_small_primes(monkeypatch):
+    """From degree 4, a modulus over Q irreducible mod some prime below 50 is
+    irreducible over Q, with no factor search: x^6 - 31 and x^6 - 101 (mod 7)
+    and x^6 - 1001 (mod 19) took the search seconds to minutes.  x^4 + 1 is
+    reducible mod every prime, so it and the reducible x^4 + 4 fall through to
+    the exact search; below degree 4 the certificate is never tried."""
+    search = polys.is_irreducible_rationals
+    searched = []
+
+    def counted(coeffs):
+        searched.append(len(coeffs) - 1)
+        return search(coeffs)
+
+    monkeypatch.setattr(polys, "is_irreducible_rationals", counted)
+    Q = build_base_field(0)
+    for c in (-31, -101, -1001):
+        assert make_tower(Q, [c, 0, 0, 0, 0, 0, 1]).degree == 6
+    assert make_tower(Q, [Fraction(-1, 3)] + [0] * 4 + [1]).degree == 5
+    assert searched == []
+    assert make_tower(Q, [1, 0, 0, 0, 1]).degree == 4
+    with pytest.raises(NotIrreducible, match="modulus of w is reducible over Q"):
+        make_tower(Q, [4, 0, 0, 0, 1])  # (x^2+2x+2)(x^2-2x+2)
+    assert polys.monic_integer_form([Fraction(1, 2), Fraction(0), Fraction(1)]) == [2, 0, 1]
+    assert searched == [4, 4]
+
+    def not_here(k, p):
+        raise AssertionError("a certificate was tried below degree 4")
+
+    monkeypatch.setattr(polys, "is_irreducible_gcd", not_here)
+    assert [make_tower(Q, f).degree for f in ([-2, 0, 0, 1], [1, 1, 1], [Fraction(1, 2), 1])] == [3, 2, 1]
+    with pytest.raises(NotIrreducible):
+        make_tower(Q, [-1, 0, 1])
+    assert searched == [4, 4, 3, 2, 1, 2]
 
 
 def test_format_parse_symbols():
@@ -510,7 +545,7 @@ def test_large_field_arithmetic_reads_no_payload(make, monkeypatch):
     """Sums, products and inverses above 4096 elements run on codes alone."""
     field = make.__wrapped__().L
     rng = random.Random(23)
-    q, kern = field.order, field._kernel()
+    q, kern = field.order, field._kern
     pairs = [(kern.payload(rng.randrange(1, q)), kern.payload(rng.randrange(1, q))) for _ in range(40)]
     expected = [(ref_add(field, a, b), ref_mul(field, a, b), ref_inv(field, a)) for a, b in pairs]
     elements = [(FieldElement(field, a), FieldElement(field, b)) for a, b in pairs]

@@ -143,16 +143,16 @@ FORK_NAMES = {"_rref_generic", "_finite_kernel", "_row_codes", "_combine"}
 
 
 def _is_kernel(expr, bound):
-    """A ``_kernel()`` call, or a name bound to one."""
-    if isinstance(expr, ast.Call):
-        return isinstance(expr.func, ast.Attribute) and expr.func.attr == "_kernel"
+    """A ``._kern`` read, or a name bound to one."""
+    if isinstance(expr, ast.Attribute):
+        return expr.attr == "_kern"
     return isinstance(expr, ast.Name) and expr.id in bound
 
 
 def _kernel_fork_offences(source):
     """Where source forks on whether a field has a kernel.
 
-    Every field has one, so a truth test of a ``_kernel()`` result, made
+    Every field has one, so a truth test of a ``._kern`` read, made
     directly or through a name assigned from one, picks a branch that cannot
     run; and no module names a helper of FORK_NAMES.
     """
@@ -205,19 +205,19 @@ def test_kernel_fork_gate_flags_each_kind():
     flagged = [
         bool(_kernel_fork_offences(src))
         for src in (
-            "kern = f._kernel()\nif kern:\n    pass",
-            "kern = f._kernel()\nif not kern:\n    pass",
-            "kern, g = f._kernel(), 1\nx = 1 if kern else 2",
-            "def k(f):\n    return f.order is not None and f._kernel()",
-            "if f._kernel():\n    pass",
-            "assert f._kernel() is not False",
-            "x = [r for r in rows if f._kernel()]",
+            "kern = f._kern\nif kern:\n    pass",
+            "kern = f._kern\nif not kern:\n    pass",
+            "kern, g = f._kern, 1\nx = 1 if kern else 2",
+            "def k(f):\n    return f.order is not None and f._kern",
+            "if f._kern:\n    pass",
+            "assert f._kern is not False",
+            "x = [r for r in rows if f._kern]",
             "rows, _ = _rref_generic(f, rows, n)",
             "from .linalg import _row_codes",
             "c = weights._combine(a, g, L, n)",
             "def _finite_kernel(field):\n    return field",
-            "kern = f._kernel()\nz = kern.one if x else 0",
-            "kern = f._kernel()\nif x:\n    kern.mul(a, b)",
+            "kern = f._kern\nz = kern.one if x else 0",
+            "kern = f._kern\nif x:\n    kern.mul(a, b)",
             "c = _combine_codes(kern, a, g, n)",
             "s = '_combine'",
         )
@@ -397,10 +397,10 @@ def test_kernel_bridge_gate_flags_each_kind():
         bool(_kernel_bridge_offences(src))
         for src in (
             "c = kern.index[x.payload]",
-            "codes = [t.L._kernel().index[b.payload] for b in basis]",
+            "codes = [t.L._kern.index[b.payload] for b in basis]",
             "index = kern.index\nc = index[p]",
             "rows = kern.decode_rows(codes)",
-            "c = L._kernel().mul_payloads(a, b)",
+            "c = L._kern.mul_payloads(a, b)",
             "p = kern.inv_payload(a)",
             "rows = decode_rows(L, codes)",
             "rows = linalg.decode_rows(L, codes)",
@@ -803,6 +803,7 @@ def test_second_path_gate_flags_each_kind():
 CONSTRUCTORS = {"ExtensionTower", "ExtensionField"}  # called by fields alone
 BASE_CONSTRUCTORS = {"PrimeField", "Rationals"}  # called by fields.build_base_field alone
 RETIRED = {"_tower_over", "BaseFieldDescriptor", "base_descriptor"}  # second ways to describe a tower or k
+DECIDERS = ("is_irreducible_gcd", "is_irreducible_rationals")  # called by fields._make_kernel alone
 
 
 def _construction_offences(sources):
@@ -812,16 +813,16 @@ def _construction_offences(sources):
     ``ExtensionField``; ``PrimeField`` and ``Rationals`` are called only
     inside ``fields.build_base_field``, the one reader of a description of k;
     no module defines ``_tower_over``, ``BaseFieldDescriptor`` or
-    ``base_descriptor``; and the sources call ``is_irreducible_gcd`` at
-    exactly one site, inside ``fields.ExtensionField.__init__``, and
+    ``base_descriptor``; and the sources call ``is_irreducible_gcd`` and
+    ``is_irreducible_rationals`` inside ``fields._make_kernel`` alone, the
+    one place that decides irreducibility, each at least once, and
     ``is_irreducible_bruteforce`` at none.
     """
-    offences, gcd_sites = [], []
+    offences, called = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        checker = {id(node) for cls in tree.body if module == "fields" and isinstance(cls, ast.ClassDef)
-                   and cls.name == "ExtensionField" for f in cls.body
-                   if isinstance(f, ast.FunctionDef) and f.name == "__init__" for node in ast.walk(f)}
+        decider = {id(node) for f in tree.body if module == "fields" and isinstance(f, ast.FunctionDef)
+                   and f.name == "_make_kernel" for node in ast.walk(f)}
         reader = {id(node) for f in tree.body if module == "fields" and isinstance(f, ast.FunctionDef)
                   and f.name == "build_base_field" for node in ast.walk(f)}
         for node in ast.walk(tree):
@@ -833,17 +834,16 @@ def _construction_offences(sources):
                     offences.append(f"{module}:{node.lineno} calls {name} outside build_base_field")
                 elif name == "is_irreducible_bruteforce":
                     offences.append(f"{module}:{node.lineno} calls is_irreducible_bruteforce")
-                elif name == "is_irreducible_gcd":
-                    gcd_sites.append(f"{module}:{node.lineno}")
-                    if id(node) not in checker:
-                        offences.append(f"{module}:{node.lineno} checks a modulus outside ExtensionField.__init__")
+                elif name in DECIDERS:
+                    called.add(name)
+                    if id(node) not in decider:
+                        offences.append(f"{module}:{node.lineno} decides irreducibility outside _make_kernel")
             elif isinstance(node, ast.ImportFrom):
                 offences += [f"{module}:{node.lineno} imports {a.name} as {a.asname}" for a in node.names
                              if a.name in CONSTRUCTORS and a.asname]
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in RETIRED:
                 offences.append(f"{module}:{node.lineno} defines {node.name}")
-    if len(gcd_sites) != 1:
-        offences.append(f"is_irreducible_gcd is called at {len(gcd_sites)} sites: {gcd_sites}")
+    offences += [f"{name} is called nowhere" for name in DECIDERS if name not in called]
     return offences
 
 
@@ -853,9 +853,11 @@ def test_one_way_to_build_a_tower():
 
 
 def test_construction_gate_flags_each_kind():
-    check = "if not polys.is_irreducible_gcd(k, f):\n    raise E\n"
+    check = "if not polys.is_irreducible_gcd(k, f):\n    return None\n"
+    checks = check + "if not polys.is_irreducible_rationals(f):\n    return None\n"
     clean = {
-        "fields": "class ExtensionField:\n    def __init__(self, k, f):\n" + textwrap.indent(check, " " * 8)
+        "fields": "def _make_kernel(field):\n" + textwrap.indent(checks, " " * 4)
+                  + "class ExtensionField:\n    def __init__(self, k, f):\n        self._kern = _make_kernel(self)\n"
                   + "def build_base_field(p):\n    return PrimeField(p) if p else Rationals()\n"
                   + "def make_tower(k, f):\n    return ExtensionTower(ExtensionField(k, f))\n",
         "polys": "def is_irreducible_gcd(k, p):\n    return True\n"
@@ -872,13 +874,14 @@ def test_construction_gate_flags_each_kind():
         {"documents": clean["documents"] + "def _tower_over(base, k, f, s):\n    return make_tower(k, f)\n"},
         {"fields": clean["fields"] + "ok = polys.is_irreducible_bruteforce(k, g)\n"},
         {"fields": clean["fields"] + "ok = polys.is_irreducible_gcd(k, g)\n"},  # a second floor check
+        {"fields": clean["fields"] + "ok = polys.is_irreducible_rationals(g)\n"},
         {"fields": clean["fields"].replace("polys.is_irreducible_gcd(k, f)", "polys.is_irreducible_rationals(f)")},
-        # the one check, but in a helper of the constructor, in make_tower or in another class's __init__
-        {"fields": "class ExtensionField:\n    def __init__(self, k, f):\n        _quotient(k, f)\n"
-                   "def _quotient(k, f):\n" + textwrap.indent(check, " " * 4)},
-        {"fields": "def make_tower(k, f):\n" + textwrap.indent(check, " " * 4)
+        # the checks, but in a helper of _make_kernel, in make_tower or in the constructor
+        {"fields": clean["fields"].replace("def _make_kernel(field):\n",
+                                           "def _make_kernel(field):\n    _quotient(k, f)\ndef _quotient(k, f):\n")},
+        {"fields": "def make_tower(k, f):\n" + textwrap.indent(checks, " " * 4)
                    + "    return ExtensionTower(ExtensionField(k, f))\n"},
-        {"fields": clean["fields"].replace("ExtensionField:", "PrimeField:")},
+        {"fields": "class ExtensionField:\n    def __init__(self, k, f):\n" + textwrap.indent(checks, " " * 8)},
         # k built outside build_base_field: in another module, or in fields beside it
         {"documents": clean["documents"] + "k = PrimeField(2)\n"},
         {"verify": "k = fields.Rationals()\n"},
@@ -892,7 +895,7 @@ def test_construction_gate_flags_each_kind():
         {"verify": "def is_tower(t):\n    return isinstance(t, ExtensionTower)\n"},  # named, not called
         {"verify": "def is_base(k):\n    return isinstance(k, (PrimeField, Rationals))\n"},
     ]
-    assert [bool(_construction_offences({**clean, **case})) for case in cases] == [False] + [True] * 17 + [False] * 3
+    assert [bool(_construction_offences({**clean, **case})) for case in cases] == [False] + [True] * 18 + [False] * 3
 
 
 def _zero_restriction(monkeypatch):

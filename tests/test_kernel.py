@@ -17,7 +17,7 @@ from math import gcd
 import pytest
 
 from rankweight import linalg
-from rankweight.errors import SearchExhausted
+from rankweight.errors import NotIrreducible, SearchExhausted
 from rankweight.fields import (
     ExtensionField,
     ExtensionTower,
@@ -139,7 +139,7 @@ FIELDS = [("GF(2)", PrimeField(2)), ("GF(3)", PrimeField(3))] + [
 
 @pytest.mark.parametrize("name,field", FIELDS, ids=[n for n, _ in FIELDS])
 def test_kernel_arithmetic_matches_generic(name, field):
-    kern = field._kernel()
+    kern = field._kern
     assert kern and kern.q == field.order
     elems = list(field.elements())
     (decoded,) = linalg.decode_rows(field, [range(field.order)])
@@ -162,7 +162,7 @@ def test_kernel_arithmetic_matches_generic(name, field):
             assert kern.payload(kern.inv(a)) == x.inverse().payload == ref_inv(field, x.payload)
     if isinstance(field, ExtensionField):
         for x in elems:
-            base_index = field.base._kernel().index
+            base_index = field.base._kern.index
             assert kern.coords[kern.index[x.payload]] == tuple(base_index[c] for c in x.payload)
 
 
@@ -205,7 +205,7 @@ def test_codeword_walk_matches_weight_of_vector(name):
             for tail in itertools.product(elems, repeat=len(gens) - lead - 1):
                 coeffs = (zero,) * lead + (one,) + tail
                 expected.append([sum((a * g[j] for a, g in zip(coeffs, gens)), zero) for j in range(n)])
-        coded = [tuple(L._kernel().index[x.payload] for x in g) for g in gens]
+        coded = [tuple(L._kern.index[x.payload] for x in g) for g in gens]
         walked = [(w, decode_vector(L, c)) for w, c in _codewords(t, coded)]
         assert [c for _, c in walked] == expected
         for w, c in walked:
@@ -215,36 +215,57 @@ def test_codeword_walk_matches_weight_of_vector(name):
 
 def test_large_fields_get_table_free_kernels():
     big_prime = PrimeField(4099)
-    assert type(big_prime._kernel()) is _FiniteKernel
+    assert type(big_prime._kern) is _FiniteKernel
     a = big_prime.from_int(1234)
     assert Subspace.from_vectors(big_prime, 2, [[a, a]]).rows == ((big_prime.one(), big_prime.one()),)
     t = gf8192()
-    assert t.L.order == 8192 and type(t.L._kernel()) is _FiniteKernel and type(t.k._kernel()) is _Kernel
+    assert t.L.order == 8192 and type(t.L._kern) is _FiniteKernel and type(t.k._kern) is _Kernel
     x = t.generator() + 1
     assert x * x.inverse() == t.L.one()
     rows = [[x, t.L.one()], [x * x, x]]
     assert list(Subspace.from_vectors(t.L, 2, rows).rows) == rref_reference(t.L, rows, 2)[0]
-    kern = t.L._kernel()
+    kern = t.L._kern
     coded = tuple(kern.index[e.payload] for e in rows[0])
     [(w, c)] = _codewords(t, [coded])  # one generator: one projective point
     assert c == coded and decode_vector(t.L, c) == rows[0] and w == rank_support_vec(t, rows[0]).dim == 2
 
 
-def test_kernel_is_built_at_construction_up_to_the_table_limit():
-    """A finite field of order <= 4096 builds its kernel when it is made, since the
-    kernel's primitive-element search is its irreducibility test; Q, Q(θ) and
-    larger finite fields build theirs on first use."""
+def test_every_field_holds_its_kernel_when_its_constructor_returns():
+    """Every field kind builds its kernel and its hash in its constructor: tables
+    up to 4096 elements, table-free above, and the rational kernels of Q and Q(θ)."""
     t = gf16_over_gf2()
     fresh = make_tower(PrimeField(2), [1, 1, 0, 0, 1])
     assert fresh == t and type(fresh.L._kern) is _Kernel and type(fresh.k._kern) is _Kernel
-    assert type(PrimeField(4093)._kern) is _Kernel
-    assert type(build_base_field(2, 12, (1, 1, 0, 0, 1, 0, 1) + (0,) * 5 + (1,))._kern) is _Kernel
-    lazy = [Rationals(), make_tower(Rationals(), [-2, 0, 0, 1]).L, PrimeField(4099),
-            make_tower(PrimeField(2), [1, 1, 0, 1, 1] + [0] * 8 + [1]).L, make_tower(PrimeField(4099), [1, 0, 1]).L]
-    assert all(field._kern is None for field in lazy)
-    for field in lazy:
-        assert field.one() + field.one() == field.from_int(2)
-    assert [type(field._kern) for field in lazy] == [_QKernel, _RationalKernel] + [_FiniteKernel] * 3
+    fields = [PrimeField(4093), build_base_field(2, 12, (1, 1, 0, 0, 1, 0, 1) + (0,) * 5 + (1,)),
+              Rationals(), make_tower(Rationals(), [-2, 0, 0, 1]).L, PrimeField(4099),
+              make_tower(PrimeField(2), [1, 1, 0, 1, 1] + [0] * 8 + [1]).L, make_tower(PrimeField(4099), [1, 0, 1]).L]
+    kinds = [_Kernel] * 2 + [_QKernel, _RationalKernel] + [_FiniteKernel] * 3
+    assert [type(vars(field)["_kern"]) for field in fields] == kinds
+    assert all(vars(field)["_hash"] == hash(field._identity()) for field in fields)
+    assert all(field._kern.field is field for field in fields)
+    for field in fields:
+        kern = field._kern
+        assert field.one() + field.one() == field.from_int(2) and field._kern is kern
+
+
+def test_each_finite_field_runs_one_table_free_init(monkeypatch):
+    """A _Kernel takes over the _FiniteKernel its search ran on, so every finite
+    field, with tables or without, runs _FiniteKernel.__init__ once."""
+    inits = []
+    init = _FiniteKernel.__init__
+
+    def counted(self, field):
+        inits.append(field)
+        init(self, field)
+
+    monkeypatch.setattr(_FiniteKernel, "__init__", counted)
+    k = build_base_field(2)
+    small, big = make_tower(k, [1, 1, 0, 0, 1]), make_tower(k, [1, 1, 0, 1, 1] + [0] * 8 + [1])
+    quad = build_base_field(2, 2, (1, 1, 1))
+    built = [k, small.L, big.L, quad.base, quad, build_base_field(4099)]
+    assert list(map(id, inits)) == list(map(id, built)) and all(f._kern.field is f for f in built)
+    assert [type(f._kern) for f in built] == [_Kernel, _Kernel, _FiniteKernel, _Kernel, _Kernel, _FiniteKernel]
+    assert small.L._kern.basis == (1, 2, 4, 8) and quad._kern.basis == (1, 2) and big.L._kern.basis[-1] == 2**12
 
 
 def test_kernel_belongs_to_the_callers_field_object():
@@ -266,7 +287,7 @@ def test_kernel_belongs_to_the_callers_field_object():
         assert all(x.field is cold.L for x in decode_vector(cold.L, c))
 
 
-def test_pickle_leaves_the_kernel_out():
+def test_a_loaded_tower_is_rebuilt_through_its_constructors():
     cold = make_tower(PrimeField(2), [1, 1, 0, 0, 1])
     warm = make_tower(PrimeField(2), [1, 1, 0, 0, 1])
     code = LinearCode.from_generators(warm, 2, [[warm.L.one(), warm.generator()]])
@@ -282,7 +303,10 @@ def test_pickle_leaves_the_kernel_out():
     assert all(value for value in memo_entries(warm).values() if isinstance(value, dict))
     assert pickle.dumps(warm) == pickle.dumps(cold)
     loaded = pickle.loads(pickle.dumps(warm))
-    assert loaded.L._kern is None and loaded == warm
+    assert loaded == warm and loaded.L is not warm.L and loaded.k is not warm.k
+    for fresh, used in ((loaded.L, warm.L), (loaded.k, warm.k)):  # kernels of their own, built on loading
+        assert type(fresh._kern) is _Kernel and fresh._kern is not used._kern and fresh._kern.field is fresh
+        assert fresh._kern.exp == used._kern.exp and hash(fresh) == hash(used)
     assert_memo_empty(loaded)
     # an equal tower built apart has a memo of its own, and a population of its own codes
     assert cold == warm
@@ -297,6 +321,24 @@ def test_pickle_leaves_the_kernel_out():
     again = LinearCode.from_generators(loaded, 2, [[loaded.L.one(), loaded.generator()]])
     assert again.space == code.space and rank_distance(again) == rank_distance(code)
     assert all(x.field is loaded.L for x in again.space.rows[0])
+
+
+class _Forged:
+    """Pickles as GF(2)[x]/(x^2 + 1), whose modulus (x + 1)^2 no constructor accepts."""
+
+    def __reduce__(self):
+        return ExtensionField, (build_base_field(2), (1, 0, 1), "w")
+
+
+def test_a_pickle_of_a_reducible_quotient_is_refused_when_loaded():
+    blob = pickle.dumps(_Forged())
+    with pytest.raises(NotIrreducible, match="modulus of w is reducible over GF\\(2\\)"):
+        pickle.loads(blob)
+    # every kind of field pickles as its constructor and its arguments
+    for field in (build_base_field(0), build_base_field(3), gf4().L, qtheta().L):
+        reduced = field.__reduce__()
+        assert reduced[0] is type(field) and reduced[0](*reduced[1]) == field
+    assert gf4().L.__reduce__()[1] == (gf4().k, (1, 1, 1), "w")
 
 
 def test_a_tower_keeps_what_it_derives_in_one_memo():
@@ -369,8 +411,8 @@ def assert_canonical(kern, c):
 
 @pytest.mark.parametrize("name,field", RATIONAL_FIELDS, ids=[n for n, _ in RATIONAL_FIELDS])
 def test_rational_kernel_arithmetic_matches_generic(name, field):
-    kern = field._kernel()
-    assert kern and field._kernel() is kern
+    kern = field._kern
+    assert kern and field._kern is kern
     rng = random.Random(name)
     one = field.one()
     assert kern.index[field._zero] == 0 and kern.index[field._one] == kern.one
@@ -440,7 +482,8 @@ def test_warm_rational_tower_pickles_like_a_cold_one():
     assert warm.L._kern and warm.k._kern
     assert pickle.dumps(warm) == pickle.dumps(cold)
     loaded = pickle.loads(pickle.dumps(warm))
-    assert loaded.L._kern is None and loaded.k._kern is None and loaded == warm
+    assert loaded == warm and type(loaded.L._kern) is _RationalKernel and type(loaded.k._kern) is _QKernel
+    assert loaded.L._kern is not warm.L._kern and loaded.L._kern.field is loaded.L and loaded.L.symbol == "t"
     again = LinearCode.from_generators(loaded, 2, [[loaded.L.one(), loaded.generator()]])
     assert again.space == code.space and rank_support_code(again).space == rank_support_code(code).space
     assert all(x.field is loaded.L for x in again.space.rows[0])
@@ -502,7 +545,7 @@ def test_trace_over_q_theta_matches_the_literal_trace(make, monkeypatch):
     code = LinearCode.from_generators(t, 2, [[samples[3], samples[4]]])
     assert trace_image(code).space.rows == trace_reference(code)
     assert len(calls) == t.degree * 2
-    assert isinstance(t.L._kernel(), _RationalKernel) and t.trace(t.L.zero()).code == 0
+    assert isinstance(t.L._kern, _RationalKernel) and t.trace(t.L.zero()).code == 0
 
 
 # the kernel kinds, each with its q: the field's order, the base order for
@@ -523,7 +566,7 @@ def test_power_matches_repeated_products(name, make, q):
     and q + 1; a^(q-1) = 1 and a^q = a when q is the field's order; and
     FieldElement.__pow__, negative exponents included, is the same power."""
     field = make()
-    kern = field._kernel()
+    kern = field._kern
     rng = random.Random(len(name))
     if field.order is None:
         samples = [random_rational(rng, field, sparse=0) for _ in range(3)]
@@ -620,7 +663,7 @@ def test_rational_decode_gives_elements_of_the_callers_field_object():
 def test_k_codes_are_the_l_codes_of_their_embeddings(name):
     # extend_to_L relies on it: an L-code below |k| is (k-code, 0, ..., 0)
     t = TOWERS[name]()
-    kern, k_kern = t.L._kernel(), t.k._kernel()
+    kern, k_kern = t.L._kern, t.k._kern
     for x in t.k.elements():
         a = k_kern.index[x.payload]
         assert kern.coords[a] == (a,) + (0,) * (t.degree - 1)
@@ -641,7 +684,7 @@ def test_coded_subcodes_match_the_element_combination(name):
                 expected = tuple(tuple(combine(row, code.space.rows, t.L, n)) for row in s.rows)
                 assert sub.space.rows == expected
                 assert all(x.field is t.L for row in sub.space.rows for x in row)
-                assert sub.space._codes == tuple(tuple(t.L._kernel().index[x.payload] for x in row) for row in expected)
+                assert sub.space._codes == tuple(tuple(t.L._kern.index[x.payload] for x in row) for row in expected)
 
 
 @pytest.mark.parametrize("name", list(TOWERS))
@@ -794,7 +837,7 @@ def test_code_rows_are_tuples_on_every_route(make):
     line = LinearCode.from_generators(t, 3, [[one, one, theta]])
     k_vectors = [[t.k.one(), t.k.zero(), t.k.one()]]
     k_line = KSubspace(t, 3, Subspace.from_vectors(t.k, 3, k_vectors))
-    one_code, k_one = t.L._kernel().one, t.k._kernel().one
+    one_code, k_one = t.L._kern.one, t.k._kern.one
     spaces = [
         code.space,
         Subspace.from_codes(t.L, 3, code.space._codes[::-1]),
@@ -836,8 +879,8 @@ def _codes(code):
 @pytest.mark.parametrize("make", [gf4, gf9])
 def test_coded_results_match_towers_with_tables_off(make):
     on, off = make(), _tables_off(make)
-    assert type(on.L._kernel()) is _Kernel and type(off.L._kernel()) is type(off.k._kernel()) is _FiniteKernel
-    kern, free = on.L._kernel(), off.L._kernel()
+    assert type(on.L._kern) is _Kernel and type(off.L._kern) is type(off.k._kern) is _FiniteKernel
+    kern, free = on.L._kern, off.L._kern
     for x in on.L.elements():  # the same codes, and the same arithmetic on them
         a = kern.index[x.payload]
         assert free.index[x.payload] == a and free.payload(a) == x.payload and free.expand(a) == kern.expand(a)
@@ -898,13 +941,13 @@ def _large_codes(t, seed):
     split (a rational generator beside a generic one)."""
     rng = random.Random(seed)
     L, q = t.L, t.L.order
-    kern = L._kernel()
+    kern = L._kern
 
     def element():
         return FieldElement(L, kern.payload(rng.randrange(q)))
 
     def rational():
-        return t.embed(FieldElement(t.k, t.k._kernel().payload(rng.randrange(t.k.order))))
+        return t.embed(FieldElement(t.k, t.k._kern.payload(rng.randrange(t.k.order))))
 
     codes = []
     for n in (1, 2, 3):
@@ -920,7 +963,7 @@ def _large_codes(t, seed):
 @pytest.mark.parametrize("make", [gf8192, gf4099_squared])
 def test_large_towers_are_coded_and_match_the_literal_references(make):
     t = make()
-    assert type(t.L._kernel()) is _FiniteKernel
+    assert type(t.L._kern) is _FiniteKernel
     for code in _large_codes(t, seed=5):
         assert all(type(e) is int for row in code.space._codes for e in row)
         support = _check_against_references(code)

@@ -55,7 +55,7 @@ def k_space(tower, n, rows):
 
 def expand(t, c):
     """The expansion rows of one L-vector by ``_coded_expansion``, as k-elements."""
-    return [[_element(t.k, x) for x in row] for row in _coded_expansion(t.L._kernel(), [[x.code for x in c]])]
+    return [[_element(t.k, x) for x in row] for row in _coded_expansion(t.L._kern, [[x.code for x in c]])]
 
 
 def test_expand_gf4_example():

@@ -197,18 +197,32 @@ def test_an_unknown_strategy_is_refused_before_any_path_runs(monkeypatch, strate
     assert calls == []
 
 
+@pytest.mark.parametrize("height", [0, -3])
+def test_a_height_below_one_is_refused_before_any_path_runs(monkeypatch, height):
+    """Below 1 the random search over Q would draw from an empty range; it is
+    refused on every code, the zero code and finite towers included."""
+    q = qtheta()
+    calls = []
+    monkeypatch.setattr(weights, "rank_support_code", lambda C: calls.append(C))
+    for c in (LinearCode.zero(q, 2), code(q, 2, (1, q.generator())), LinearCode.full(gf4(), 2)):
+        for strategy in ("auto", "random"):
+            with pytest.raises(ValueError, match=f"height must be at least 1, got {height}"):
+                find_witness(c, strategy=strategy, height=height)
+    assert calls == []
+
+
 def test_extend_witness_step_direct():
     t = gf8()
     w = t.generator()
     c1 = vec(t, 1, w, 0)
     e = [t.k.from_int(x) for x in (0, 0, 1)]
     # the step works on codes: c1 over L's kernel, e over k's
-    (c1_codes,) = _encode(t.L._kernel(), [c1], 3)
-    (e_codes,) = _encode(t.k._kernel(), [e], 3)
+    (c1_codes,) = _encode(t.L._kern, [c1], 3)
+    (e_codes,) = _encode(t.k._kern, [e], 3)
     c = extend_witness_by_rational(t, c1_codes, e_codes)
     assert list(decode_rows(t.L, [c])[0]) == vec(t, 1, w, w * w)
     # absorbing a direction already in the support leaves the witness alone
-    (e2_codes,) = _encode(t.k._kernel(), [[t.k.from_int(x) for x in (1, 0, 0)]], 3)
+    (e2_codes,) = _encode(t.k._kern, [[t.k.from_int(x) for x in (1, 0, 0)]], 3)
     assert list(decode_rows(t.L, [extend_witness_by_rational(t, c1_codes, e2_codes)])[0]) == c1
 
 
@@ -400,7 +414,7 @@ def test_weight_Mr_rank_test_matches_the_literal_sum():
     # dim(C ∩ W_L) = dim C + dim W - dim(C + W_L), for every code, W_L and r
     for build in (gf4, gf8, gf9, gf16_over_gf4):
         t = build()
-        kern = t.L._kernel()
+        kern = t.L._kern
         for n in range(1, 4):
             spaces = [extend_to_L(KSubspace(t, n, w)).space
                       for d in range(n + 1) for w in enumerate_subspaces(t.k, n, d)]
