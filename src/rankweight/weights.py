@@ -12,9 +12,13 @@ The four r-th weights of a code C (1 <= r <= dim C):
 All four provably coincide when n <= m; the implementations here stay
 independent of that theorem (no cross-definition shortcuts), so the
 equivalence can be checked rather than assumed.  The only short-circuits are
-elementary bounds: a minimum stops at wt_R(D) = dim D for d_Rr, at weight 1
-(a nonzero codeword has weight >= 1) for the rank distance, OS_r and D_r,
-and at dim V = r for M_r; a maxwt scan stops at wt_R(c) = min(m, n).
+elementary bounds, each a lemma about one definition and named in its
+docstring.  A minimum stops at weight 1 for the rank distance.  d_R,r and
+M_r equal r iff dim Res(C) >= r; otherwise d_R,r stops at r + 1, and M_r
+returns n - dim C + r without testing that layer.  OS_r and D_r stop at a
+counting floor, r when [n, r-1]_q < |L| and 1 otherwise, and never read
+Res(C), so a wrong Res(C) still shows in ``check_equivdef``.  A maxwt scan
+stops at wt_R(c) = min(m, n).
 
 Four things are kept in the tower's memo (``fields._TowerMemo``), so that
 a sweep does each piece of work once:
@@ -78,6 +82,7 @@ from .linalg import (
     _rref_coded,
     decode_rows,
     enumerate_subspaces,
+    gaussian_binomial,
 )
 from .ranksupport import (
     KSubspace,
@@ -238,27 +243,42 @@ def maxwt(D: LinearCode) -> int:
 
 
 def weight_dRr(C: LinearCode, r: int) -> int:
-    """Min support dimension of an r-dimensional subcode."""
+    """Min support dimension of an r-dimensional subcode.
+
+    Lemma: wt_R(D) >= dim D, since D ⊆ Rsupp(D)_L, with equality iff
+    D = Rsupp(D)_L, that is iff D = W_L for an r-dim W ⊆ C ∩ k^n = Res(C).
+    So d_R,r = r iff dim Res(C) >= r, and otherwise the scan's floor is r + 1.
+    """
     _check_r(C, r)
     _require_finite(C, "weight_dRr")
-    return _least((rank_support_code(D).dim for D in _subcodes(C, r)), r)
+    if restriction(C).dim >= r:
+        return r
+    return _least((rank_support_code(D).dim for D in _subcodes(C, r)), r + 1)
 
 
 def weight_Mr(C: LinearCode, r: int) -> int:
     """Min dimension of an extended subspace meeting C in dimension >= r.
 
-    The W_L are read from the tower's lists (``_extensions``), and each is
-    tested by rank (``_meets``), without building C + W_L.
+    Two lemmas bound the scan by dim W.  At dim W = r, meeting C in
+    dimension r means W_L ⊆ C, and W_L ⊆ C iff W ⊆ Res(C): so M_r = r iff
+    dim Res(C) >= r, and no W_L of that layer is tested.  At
+    dim W = n - dim C + r, every W_L meets C in dimension >= r by counting
+    dimensions, so that layer is not tested either.  The W_L between are read
+    from the tower's lists (``_extensions``), and each is tested by rank
+    (``_meets``), without building C + W_L.
     """
     _check_r(C, r)
     _require_finite(C, "weight_Mr")
+    if restriction(C).dim >= r:
+        return r
     t, n = C.tower, C.length
     kern, G = t.L._kern, C.space._codes
-    for d in range(r, n + 1):  # dim(C ∩ V) <= dim V, so start at r
+    top = n - C.dim + r
+    for d in range(r + 1, top):
         for v in _extensions(t, n, d):
             if _meets(kern, G, v._codes, C.dim - r):
                 return d
-    raise InternalInvariantError("unreachable: the full space always meets C in dim C")
+    return top
 
 
 def _meets(kern, G, v, slack: int) -> bool:
@@ -283,18 +303,38 @@ def _extensions(t: ExtensionTower, n: int, d: int):
                  lambda: (extend_to_L(KSubspace(t, n, w)).space for w in enumerate_subspaces(t.k, n, d)))
 
 
+def _counting_floor(C: LinearCode, r: int) -> int:
+    """r if [n, r-1]_q < |L| for q = |k|, else 1: a lower bound on maxwt(D)
+    for every r-dimensional D ⊆ L^n.
+
+    Lemma: a codeword of D of rank weight < r lies in V_L ∩ D for some
+    (r-1)-dim V ⊆ k^n, a space of dimension <= r - 1.  So at most
+    [n, r-1]_q · |L|^(r-1) of the |L|^r codewords have weight < r, fewer
+    than all of them when [n, r-1]_q < |L|.  Neither the equivalence nor
+    maxwt(W_L) = min(m, dim W) enters.
+    """
+    t = C.tower
+    return r if gaussian_binomial(C.length, r - 1, t.k.order) < t.L.order else 1
+
+
 def weight_OSr(C: LinearCode, r: int) -> int:
-    """Min over r-dimensional subcodes of the maximum codeword weight."""
+    """Min over r-dimensional subcodes of the maximum codeword weight.
+
+    The scan stops at the counting floor (``_counting_floor``): when
+    [n, r-1]_q < |L|, every r-dim subcode has a codeword of weight >= r.
+    """
     _check_r(C, r)
     _require_finite(C, "weight_OSr")
-    return _least((maxwt(D) for D in _subcodes(C, r)), 1)
+    return _least((maxwt(D) for D in _subcodes(C, r)), _counting_floor(C, r))
 
 
 def weight_Dr(C: LinearCode, r: int) -> int:
     """Min over r-dimensional subcodes of the maximum weight of the closure.
 
-    maxwt of a closure is walked once per tower and then read from the
-    tower's memo, keyed by the length and the closure's canonical codes.
+    The scan stops at the counting floor (``_counting_floor``), a bound on
+    maxwt(D) and so on maxwt(D*), as D ⊆ D*.  maxwt of a closure is walked
+    once per tower and then read from the tower's memo, keyed by the length
+    and the closure's canonical codes.
     """
     _check_r(C, r)
     _require_finite(C, "weight_Dr")
@@ -307,7 +347,7 @@ def weight_Dr(C: LinearCode, r: int) -> int:
             memo[key] = maxwt(star)
         return memo[key]
 
-    return _least(map(star_maxwt, _subcodes(C, r)), 1)
+    return _least(map(star_maxwt, _subcodes(C, r)), _counting_floor(C, r))
 
 
 def weight_values(C: LinearCode, r: int) -> tuple:

@@ -347,6 +347,21 @@ def test_equivdef_random_over_q_is_inapplicable():
         run_verify(plan)
 
 
+def test_equivdef_agrees_on_random_codes_of_length_four():
+    # GF(16)/GF(2) at n = 4: the counting floor of OS_r and D_r and both Res(C) bounds of d_R,r and M_r fire
+    plan = VerifyPlan(
+        towers=[TowerTask(2, (1, 1, 0, 0, 1), max_n=4)],
+        theorem="equivdef",
+        source="random",
+        random_count=60,
+        seed=5,
+        workers=1,
+    )
+    summary = run_verify(plan)
+    assert summary["ok"]
+    assert summary["towers"][0]["checks"]["equivdef"] == {"items": 60, "assertions": 78, "failures": 0}
+
+
 def test_standard_plan_census():
     summary = run_verify(standard_plan(theorem="delsarte", workers=1))
     per_tower = [rep["codes_checked"] for rep in summary["towers"]]

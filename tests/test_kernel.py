@@ -296,6 +296,9 @@ def test_a_loaded_tower_is_rebuilt_through_its_constructors():
     hash(warm.L)
     population = exhaustive_codes(warm, 2)
     assert weight_Dr(population[-1], 1) == weight_Mr(population[-1], 1) == 1
+    # M_r of L^2 reads Res(C) and tests no W_L; a line of L^3 with Res(C) = 0 tests the layer dim W = 2
+    w = warm.generator()
+    assert weight_Mr(LinearCode.from_generators(warm, 3, [[warm.L.one(), w, w * w]]), 1) == 3
     # every closure slot filled: extended codes keep themselves, the rest a code of the table
     assert all(check_closure_pair(pair, {}) == 1 for pair in itertools.product(population, repeat=2))
     assert all(closure(c)._closure is closure(c) for c in population)

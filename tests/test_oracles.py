@@ -23,7 +23,7 @@ from rankweight.ranksupport import (
     restriction,
     trace_image,
 )
-from rankweight.weights import maxwt, rank_distance, weight_Mr, weight_dRr
+from rankweight.weights import maxwt, rank_distance, weight_Dr, weight_Mr, weight_OSr, weight_dRr
 
 
 def span_set(field, rows, n):
@@ -147,38 +147,92 @@ def _wt(tower, cw):
     return set_dim(tower.k, span_set(tower.k, expansion(tower, list(cw)), len(cw)))
 
 
+def _span_of(field, vectors, n):
+    """The span of vectors as a set, rebuilt only when a vector lies outside it."""
+    basis, out = [], span_set(field, [], n)
+    for v in vectors:
+        if v not in out:
+            basis.append(list(v))
+            out = span_set(field, basis, n)
+    return out
+
+
+def _subspaces_within(field, vectors, r, n):
+    """Every r-dim subspace of span(vectors), as sets: the spans of r-subsets of
+    the vectors whose first nonzero entry is 1, each subset skipped once a span
+    found earlier holds it."""
+    one = field.one()
+    leads = [v for v in vectors if any(v) and next(x for x in v if x != field.zero()) == one]
+    found = []
+    for subset in itertools.combinations(leads, r):
+        if not any(all(v in s for v in subset) for s in found):
+            s = span_set(field, [list(v) for v in subset], n)
+            if set_dim(field, s) == r:
+                found.append(s)
+    return found
+
+
+def _four_weights_by_sets(tower, n, cases):
+    """(d_Rr, M_r, OS_r, D_r) of each (code, r) by literal set minimizations:
+    subcodes as spans of codewords, wt_R(D) as the dimension of the span of
+    its codewords' supports, maxwt as a max over codewords, D* as the meet of
+    every W_L containing D, and M_r over every W_L."""
+    k, L = tower.k, tower.L
+    ambient = frozenset(itertools.product(list(L.elements()), repeat=n))
+    supports = {v: span_set(k, expansion(tower, list(v)), n) for v in ambient}
+    wt = {v: set_dim(k, s) for v, s in supports.items()}
+    extended = [
+        (d, span_set(L, [[tower.embed(x) for x in v] for v in w if any(v)], n))
+        for d in range(n + 1)
+        for w in oracle_subspaces(k, n, d)
+    ]
+
+    def star(D):
+        meet = ambient
+        for _, sup in extended:
+            if D <= sup:
+                meet = meet & sup
+        return meet
+
+    out = []
+    for code, r in cases:
+        codewords = all_codewords(code)
+        subcodes = _subspaces_within(L, codewords, r, n)
+        out.append((
+            min(set_dim(k, _span_of(k, (u for cw in D for u in supports[cw]), n)) for D in subcodes),
+            min(d for d, sup in extended if set_dim(L, sup & codewords) >= r),
+            min(max(wt[cw] for cw in D) for D in subcodes),
+            min(max(wt[cw] for cw in star(D)) for D in subcodes),
+        ))
+    return out
+
+
 def test_weights_against_literal_minimizations():
     tower = gf4()
     n = 2
-    l_subspaces = {r: oracle_subspaces(tower.L, n, r) for r in range(0, n + 1)}
-    k_subspaces = {d: oracle_subspaces(tower.k, n, d) for d in range(0, n + 1)}
+    cases = []
     for code in all_codes(tower, n):
-        codewords = all_codewords(code)
-        nonzero = [cw for cw in codewords if any(cw)]
+        nonzero = [cw for cw in all_codewords(code) if any(cw)]
         if nonzero:
             assert rank_distance(code) == min(_wt(tower, cw) for cw in nonzero)
         assert maxwt(code) == max((_wt(tower, cw) for cw in nonzero), default=0)
-        for r in range(1, code.dim + 1):
-            subcodes = [s for s in l_subspaces[r] if s <= codewords]
-            brute_drr = min(
-                set_dim(
-                    tower.k,
-                    span_set(
-                        tower.k,
-                        [row for cw in sub for row in expansion(tower, list(cw))],
-                        n,
-                    ),
-                )
-                for sub in subcodes
-            )
-            assert weight_dRr(code, r) == brute_drr
-            # M_r by literal set intersection with every extended subspace
-            best = None
-            for d in range(0, n + 1):
-                for w in k_subspaces[d]:
-                    rows = [[tower.embed(x) for x in v] for v in w if any(v)]
-                    v_set = span_set(tower.L, rows, n)
-                    if set_dim(tower.L, frozenset(v_set & codewords)) >= r:
-                        if best is None or d < best:
-                            best = d
-            assert weight_Mr(code, r) == best
+        cases += [(code, r) for r in range(1, code.dim + 1)]
+    expected = _four_weights_by_sets(tower, n, cases)
+    assert [(weight_dRr(c, r), weight_Mr(c, r), weight_OSr(c, r), weight_Dr(c, r)) for c, r in cases] == expected
+
+
+def test_four_weights_against_literal_minimizations_at_length_three():
+    # GF(8)/GF(2): [3, 1]_2 = 7 < 8, so OS_2 and D_2 stop at the floor 2. L^3 has Res(C) = k^3, which
+    # decides d_R,2 and M_2; a plane with Res(C) = 0 scans d_R,r from r + 1 and ends M_r at n - dim C + r.
+    tower = gf8()
+    rational = {tuple(tower.embed(x) for x in v) for v in itertools.product(list(tower.k.elements()), repeat=3)}
+    codes = all_codes(tower, 3)
+    planes = [c for c in codes if c.dim == 2 and len(all_codewords(c) & rational) == 1]
+    assert len(planes) == 24  # 73 planes, 49 of them through one of the 7 rational lines
+    cases = [(codes[-1], 2)] + [(c, r) for c in planes for r in (1, 2)]
+    # GF(4)/GF(2): [3, 1]_2 = 7 >= 4, so OS_2 and D_2 keep the floor 1
+    small = gf4()
+    small_cases = [(c, 2) for c in all_codes(small, 3) if c.dim >= 2]
+    for t, shapes in ((tower, cases), (small, small_cases)):
+        expected = _four_weights_by_sets(t, 3, shapes)
+        assert [(weight_dRr(c, r), weight_Mr(c, r), weight_OSr(c, r), weight_Dr(c, r)) for c, r in shapes] == expected

@@ -304,10 +304,14 @@ def test_subcodes_are_canonical_and_counted():
 WEIGHT_NAMES = ("weight_dRr", "weight_Mr", "weight_OSr", "weight_Dr")
 
 
+def _independence_cases():
+    codes = [c for build, n in ((gf4, 3), (gf8, 2), (gf16_over_gf4, 2)) for c in all_codes(build(), n)]
+    return [(c, r) for c in codes for r in range(1, c.dim + 1)]
+
+
 def test_each_weight_is_computed_without_the_other_three(monkeypatch):
     # check_equivdef compares four computations only if no definition calls another
-    codes = [c for build, n in ((gf4, 3), (gf8, 2), (gf16_over_gf4, 2)) for c in all_codes(build(), n)]
-    cases = [(c, r) for c in codes for r in range(1, c.dim + 1)]
+    cases = _independence_cases()
     expected = {name: [getattr(weights, name)(c, r) for c, r in cases] for name in WEIGHT_NAMES}
 
     def refuse(*args):
@@ -320,6 +324,22 @@ def test_each_weight_is_computed_without_the_other_three(monkeypatch):
                     mp.setattr(weights, other, refuse)
             fn = getattr(weights, name)
             assert [fn(c, r) for c, r in cases] == expected[name], name
+
+
+def test_OSr_and_Dr_never_read_the_restriction(monkeypatch):
+    # d_R,r and M_r read "= r" off Res(C); a wrong Res(C) shows in check_equivdef only if OS_r and D_r do not
+    cases = _independence_cases()
+    names = ("weight_OSr", "weight_Dr")
+    expected = {name: [getattr(weights, name)(c, r) for c, r in cases] for name in names}
+
+    def refuse(C):
+        raise AssertionError("OS_r or D_r read Res(C)")
+
+    monkeypatch.setattr(weights, "restriction", refuse)
+    for name in names:
+        assert [getattr(weights, name)(c, r) for c, r in cases] == expected[name], name
+    with pytest.raises(AssertionError, match="read Res"):
+        weights.weight_Mr(cases[0][0], 1)  # the patch reaches the definitions that do read it
 
 
 def _count_maxwt(monkeypatch):
@@ -351,19 +371,28 @@ def test_weight_Dr_walks_each_distinct_closure_once_per_tower(monkeypatch):
 
 
 def test_weight_OSr_keeps_walking_after_weight_Dr(monkeypatch):
-    fresh = make_tower(PrimeField(2), [1, 1, 0, 1])
-    cases = [(c, r) for n in (1, 2) for c in all_codes(fresh, n) for r in range(1, c.dim + 1)]
+    # GF(8)/GF(2) and GF(4)/GF(2), built apart from helpers, so their D_r memos start empty
+    towers = [make_tower(PrimeField(2), [1, 1, 0, 1]), make_tower(PrimeField(2), [1, 1, 1])]
+    cases = [(c, r) for t in towers for n in (1, 2, 3) for c in all_codes(t, n) for r in range(1, c.dim + 1)]
     for c, r in cases:
         weight_Dr(c, r)
-    assert fresh._memo.closure_maxwt
+    assert all(t._memo.closure_maxwt for t in towers)
     walked = _count_maxwt(monkeypatch)
+    stops = {}
     for c, r in cases:
         subcodes = list(_subcodes(c, r))
         weights_of = [maxwt(D) for D in subcodes]  # the unpatched maxwt, imported before the patch
-        stop = weights_of.index(1) + 1 if 1 in weights_of else len(subcodes)  # _least stops at 1
+        t = c.tower
+        floor = r if gaussian_binomial(c.length, r - 1, t.k.order) < t.L.order else 1  # the counting floor
+        stop = weights_of.index(floor) + 1 if floor in weights_of else len(subcodes)  # _least stops there
         walked.clear()
         assert weight_OSr(c, r) == min(weights_of)
         assert walked == [(D.length, D.space) for D in subcodes[:stop]]
+        if (c.dim, r) == (3, 2):
+            assert 1 not in weights_of  # no subcode reaches weight 1, so only a floor of 2 ends the walk early
+            stops[t.L.order] = stop, len(subcodes)
+    # L^3 at r = 2: [3, 1]_2 = 7 is below |L| = 8, so the walk ends early; not below |L| = 4, so it goes on
+    assert stops[8][0] < stops[8][1] == 73 and stops[4][0] == stops[4][1] == 21
 
 
 def test_weight_Mr_extends_each_W_once_per_tower(monkeypatch):
