@@ -4,7 +4,7 @@ take duals and closures, and drive the verification harness.
 Exit codes: 0 success, 1 usage or input error, 2 verification failure,
 3 inapplicable request (e.g. exhaustive verification over Q).
 The environment variable RANKWEIGHT_WORKERS overrides the verify worker
-count (default: available parallelism).
+count (default: available parallelism, the CPUs this process may run on).
 """
 
 from __future__ import annotations

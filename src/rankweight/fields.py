@@ -971,7 +971,7 @@ class _TowerMemo:
     The dicts start empty and the two lazy values unset (None); each is
     filled by the one function named beside it.  The tower's pickle leaves
     the memo out, so a loaded copy starts with an empty one.  The tests'
-    literal ``ranksupport.closure_oracle`` keeps nothing here.
+    literal ``ranksupport.closure_oracle`` keeps no W_L here.
     """
 
     __slots__ = ("traces", "frobenius", "extensions", "subcode_coeffs", "closure_maxwt",
@@ -989,7 +989,7 @@ class _TowerMemo:
         self.closure_maxwt = {}
         # verify.check_closure_pair: (n, codes of C*, codes of C'*) -> C* + C'*, one entry per pair of closures
         self.closure_sums = {}
-        # ranksupport._code: (n, codes) -> the one LinearCode, held weakly: at most the live codes
+        # ranksupport.LinearCode: (n, codes) -> the one LinearCode, held weakly: at most the live codes
         self.codes = {}
 
 

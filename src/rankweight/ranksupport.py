@@ -17,14 +17,13 @@ both of them to.
 Rsupp(C), C^perp, Res(C) and C* are computed once per distinct code per
 tower: ``rank_support_code``, ``dual``, ``restriction`` and ``closure`` fill
 write-once slots on the ``LinearCode`` the first time they are asked, and
-return the stored value after that, and the tower keeps one ``LinearCode``
-per distinct code (``_code``).  The verify populations, the subcodes of the
-weight definitions and the closures are made through that table, so a code
-met again, as a subcode, a closure or a code of the population, brings its
-slots with it.  The table holds its codes weakly: a code no caller keeps
-leaves it.  An extended code is its own closure; the cycle this makes is
-freed by the garbage collector, and there is at most one such code per
-k-subspace in the table.
+return the stored value after that.  ``LinearCode(tower, n, space)`` returns
+the tower's one object for that space, from a table on the tower, so every
+way of making a code (a population, a subcode, a dual, a closure, a loaded
+pickle) meets a code again with its slots.  The table holds its codes
+weakly: a code no caller keeps leaves it.  A code and its dual, or an
+extended code and its closure (itself), make cycles that the garbage
+collector frees.
 ``restriction`` reads Res(C) = C ∩ k^n off one reduction of the canonical
 generators' coordinates; it never touches C^perp or a rank support.  The
 Delsarte identity Res(C)^perp = Rsupp(C^perp) therefore compares two
@@ -100,18 +99,41 @@ class LinearCode:
     ``closure`` first computes it, and is never written again after that.
     Res(C) is computed from ``space`` alone, never from ``_dual`` or
     ``_rsupp``, so Res(C)^perp = Rsupp(C^perp) compares two independent
-    computations.
+    computations.  The constructor returns the tower's one code for the
+    space, so two equal codes of one tower are one object.
     """
 
     __slots__ = ("tower", "length", "space", "_rsupp", "_dual", "_res", "_closure", "__weakref__")
 
-    def __init__(self, tower: ExtensionTower, length: int, space: Subspace):
+    def __new__(cls, tower: ExtensionTower, length: int, space: Subspace):
+        """The tower's one code with this space, made on a miss.
+
+        The space is checked first: the table's keys hold codes only, and a
+        k-space can have the same codes as a live L-code.  The table
+        (``codes`` of the tower's ``_TowerMemo``) maps the length and the
+        canonical codes to a ``_Entry``, a weak reference that drops itself
+        from the table when its code is freed, so the table keeps no code its
+        callers have dropped.  A ``weakref.WeakValueDictionary`` does the same
+        at twice the cost per lookup, which a cold CLI ``weights`` call,
+        making each subcode once, shows.
+        """
         if space.ambient_dim != length or space.field != tower.L:
             raise TowerMismatch("generators do not live in L^n for this tower")
-        self.tower = tower
-        self.length = length
-        self.space = space
-        self._rsupp = self._dual = self._res = self._closure = None
+        table = tower._memo.codes
+        key = length, space._codes
+        entry = table.get(key)
+        code = None if entry is None else entry()
+        if code is None:
+            code = object.__new__(cls)
+            code.tower, code.length, code.space = tower, length, space
+            code._rsupp = code._dual = code._res = code._closure = None
+            entry = table[key] = _Entry(code, _Entry.drop)
+            entry.table, entry.key = table, key
+        return code
+
+    def __reduce__(self):
+        # a loaded code is its loaded tower's one code, with empty slots
+        return LinearCode, (self.tower, self.length, self.space)
 
     @classmethod
     def from_generators(cls, tower: ExtensionTower, length: int, vectors) -> "LinearCode":
@@ -149,27 +171,6 @@ class LinearCode:
 
     def __repr__(self):
         return f"LinearCode(dim {self.dim} of L^{self.length} over {self.tower})"
-
-
-def _code(tower: ExtensionTower, length: int, space: Subspace) -> LinearCode:
-    """The tower's one ``LinearCode`` with this space, made on a miss.
-
-    The table (``codes`` of the tower's ``_TowerMemo``) maps the length and the
-    canonical codes to a ``_Entry``, a weak reference that drops itself from
-    the table when its code is freed, so the table keeps no code its callers
-    have dropped.  A ``weakref.WeakValueDictionary`` does the same at twice
-    the cost per lookup, which a cold CLI ``weights`` call, making each
-    subcode once, shows.
-    """
-    table = tower._memo.codes
-    key = length, space._codes
-    entry = table.get(key)
-    code = None if entry is None else entry()
-    if code is None:
-        code = LinearCode(tower, length, space)
-        entry = table[key] = _Entry(code, _Entry.drop)
-        entry.table, entry.key = table, key
-    return code
 
 
 class _Entry(weakref.ref):
@@ -293,13 +294,11 @@ def is_rank_degenerate(C: LinearCode) -> bool:
 def closure(C: LinearCode) -> LinearCode:
     """C* = Rsupp(C)_L: the smallest extended L-subspace containing C.
 
-    Computed once per code: the slot ``_closure`` keeps C itself when C is
-    extended, else the tower's one code for C* (``_code``), which brings its
-    own slots.
+    Computed once per code: the slot ``_closure`` keeps the tower's one code
+    for C*, which is C itself when C is extended, and brings its own slots.
     """
     if C._closure is None:
-        space = extend_to_L(rank_support_code(C)).space
-        C._closure = C if space == C.space else _code(C.tower, C.length, space)
+        C._closure = extend_to_L(rank_support_code(C))
     return C._closure
 
 
@@ -351,7 +350,7 @@ def closure_oracle(C: LinearCode) -> LinearCode:
     Finite base fields only.  It is the tests' reference for ``closure`` and
     ``galois_closure``, which the verify sweeps compare, and is kept
     deliberately naive: it never uses a rank support, ``closure``,
-    ``galois_closure`` or ``extend_to_L``, and keeps nothing on the tower.
+    ``galois_closure`` or ``extend_to_L``, and keeps no W_L on the tower.
     Each call embeds and reduces every W_L literally.
     """
     t = C.tower

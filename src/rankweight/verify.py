@@ -50,7 +50,6 @@ from .linalg import (
 )
 from .ranksupport import (
     LinearCode,
-    _code,
     closure,
     dual,
     galois_closure,
@@ -133,12 +132,12 @@ def standard_plan(theorem: str = "all", workers: int = 1, seed: int = 0) -> Veri
 
 
 def exhaustive_codes(tower, n: int) -> List[LinearCode]:
-    """Every L-subspace of L^n, each the tower's one code for it (``ranksupport._code``);
+    """Every L-subspace of L^n, each the tower's one ``LinearCode`` for it;
     the census is checked against Gaussian binomials."""
     out = []
     for r in range(n + 1):
         for s in enumerate_subspaces(tower.L, n, r):
-            out.append(_code(tower, n, s))
+            out.append(LinearCode(tower, n, s))
     expected = sum(gaussian_binomial(n, r, tower.L.order) for r in range(n + 1))
     if len(out) != expected:
         raise InternalInvariantError("subspace census disagrees with the Gaussian binomials")
@@ -146,7 +145,7 @@ def exhaustive_codes(tower, n: int) -> List[LinearCode]:
 
 
 def random_codes(tower, max_n: int, count: int, rng: random.Random, height: int = 5) -> List[LinearCode]:
-    """Seeded random codes, each the tower's one code for its space (``ranksupport._code``);
+    """Seeded random codes, each the tower's one ``LinearCode`` for its space;
     dimensions <= 2 over infinite bases to keep exactness cheap."""
     out = []
     finite = tower.L.order is not None
@@ -154,7 +153,7 @@ def random_codes(tower, max_n: int, count: int, rng: random.Random, height: int 
         n = rng.randint(1, max_n)
         dim = rng.randint(0, n if finite else min(n, 2))
         rows = [[_random_code(tower, rng, height) for _ in range(n)] for _ in range(dim)]
-        out.append(_code(tower, n, Subspace.from_codes(tower.L, n, rows)))
+        out.append(LinearCode(tower, n, Subspace.from_codes(tower.L, n, rows)))
     return out
 
 
@@ -196,7 +195,7 @@ def check_witness(code: LinearCode, params) -> int:
         if not verify_witness(code, w):
             raise CheckFailure("witness fails the closure criterion", [code])
         assertions += 3
-        if code.dim and not is_extended(code) and rank_support_code(code).dim <= m:
+        if code.dim and not is_extended(code):
             if not code.dim <= m - 1:
                 raise CheckFailure("non-extended code with a witness has dim > m-1", [code])
             assertions += 1
@@ -246,7 +245,7 @@ def check_closure_pair(codes, params) -> int:
     a, b = codes
     t, n = a.tower, a.length
     # a sum already in the population is found with its rank support
-    total = _code(t, n, subspace_sum(a.space, b.space))
+    total = LinearCode(t, n, subspace_sum(a.space, b.space))
     lhs = closure(total).space
     # C* + C'* is summed once per pair of closures per tower; only this side reads the memo
     sums = t._memo.closure_sums
@@ -341,7 +340,7 @@ def _build_items(plan: VerifyPlan, tower, task: TowerTask, rng: random.Random):
 
 
 def resolve_workers() -> int:
-    """RANKWEIGHT_WORKERS, else available parallelism.
+    """RANKWEIGHT_WORKERS, else available parallelism: the CPUs this process may run on.
 
     A RANKWEIGHT_WORKERS that is not a positive integer raises ValueError.
     """
@@ -354,6 +353,8 @@ def resolve_workers() -> int:
         if value < 1:
             raise ValueError(f"RANKWEIGHT_WORKERS must be a positive integer, got {env!r}")
         return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -23,9 +23,8 @@ stops at wt_R(c) = min(m, n).
 Four things are kept in the tower's memo (``fields._TowerMemo``), so that
 a sweep does each piece of work once:
 
-* subcodes come from the tower's table of codes (``ranksupport._code``), so
-  a subcode met again brings the rank support, dual, restriction and
-  closure it has;
+* a subcode is the tower's one ``LinearCode`` for its space, so a subcode
+  met again brings the rank support, dual, restriction and closure it has;
 * the RREF coefficient matrices of the r-dim subspaces of L^(dim C), which
   d_R,r, OS_r and D_r combine with C's rows into subcodes, come from lists
   per (dim C, r), made whole on first use (``_coefficients``);
@@ -87,7 +86,6 @@ from .linalg import (
 from .ranksupport import (
     KSubspace,
     LinearCode,
-    _code,
     _coded_expansion,
     _kept,
     closure,
@@ -198,7 +196,7 @@ def _subcodes(C: LinearCode, r: int):
                     term = g if a == 1 else scale(g, a)
                     acc = term if acc is None else tuple(map(add, acc, term))
             rows.append(tuple(acc))  # an RREF row is nonzero
-        yield _code(t, n, Subspace(L, n, tuple(rows)))
+        yield LinearCode(t, n, Subspace(L, n, tuple(rows)))
 
 
 def _coefficients(t: ExtensionTower, dim: int, r: int):
@@ -400,10 +398,8 @@ def extend_witness_by_rational(tower: ExtensionTower, c, e) -> list:
 
 
 def _witness_extended(C: LinearCode) -> Optional[list]:
-    """Constructive witness sum(basis_i * e_i) for extended C with dim <= m."""
+    """Constructive witness sum(basis_i * e_i) for extended C; dim C <= wt_R(C) <= m by ``find_witness``."""
     t = C.tower
-    if C.dim > t.degree:
-        return None
     res = restriction(C)
     if res.dim != C.dim:
         return None
@@ -420,11 +416,9 @@ def _witness_split(C: LinearCode, seed, height: int) -> Optional[list]:
 
     C1 is searched with the fallback strategy directly, as the constructive
     paths need Res(C1) != 0 and Res(C1) = 0: Res(C1) = C1 ∩ k^n lies in
-    C ∩ k^n = Res(C) ⊆ Res(C)_L, and C1 meets Res(C)_L only in 0.
+    C ∩ k^n = Res(C) ⊆ Res(C)_L, and C1 meets Res(C)_L only in 0.  wt_R(C) <= m by ``find_witness``.
     """
     t, n = C.tower, C.length
-    if rank_support_code(C).dim > t.degree:
-        return None
     res = restriction(C)
     if res.dim == 0:
         return None

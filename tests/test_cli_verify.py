@@ -1,5 +1,6 @@
 """CLI commands, exit codes, and the verification harness."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -362,6 +363,18 @@ def test_equivdef_agrees_on_random_codes_of_length_four():
     assert summary["towers"][0]["checks"]["equivdef"] == {"items": 60, "assertions": 78, "failures": 0}
 
 
+@pytest.mark.parametrize("plan, digest", [
+    (standard_plan(), "98180dae5fbf4ed44789975ad4dc700861056fe952af2a5cfe3754e710384e47"),
+    (VerifyPlan(towers=[TowerTask(0, (-2, 0, 0, 1), max_n=3)], source="random", random_count=200, seed=42),
+     "99a34eed62d3a47dd77f4689e8a4ddca5b23fe2962e61b0620f74a6b6ffac7a3"),
+    (VerifyPlan(towers=[TowerTask(2, (1, 1, 0, 1), max_n=4)], force=True),
+     "7d9a67cef5ebc68a81f97516baf715f5aefb10286b90e3bf8aa0bcd2ba74eb79"),
+], ids=["standard", "qt-random-200-seed-42", "gf8-forced-n4"])
+def test_verify_summary_is_pinned(plan, digest):
+    """The whole summary, byte for byte: a refactor keeps every count, check and census."""
+    assert hashlib.sha256(json.dumps(run_verify(plan)).encode()).hexdigest() == digest
+
+
 def test_standard_plan_census():
     summary = run_verify(standard_plan(theorem="delsarte", workers=1))
     per_tower = [rep["codes_checked"] for rep in summary["towers"]]
@@ -369,7 +382,8 @@ def test_standard_plan_census():
 
 
 def test_resolve_workers(monkeypatch):
-    """RANKWEIGHT_WORKERS when set, else the CPU count (1 when it is unknown)."""
+    """RANKWEIGHT_WORKERS when set, else the CPUs this process may use: its
+    affinity set, or the CPU count (1 when it is unknown) where there is none."""
     monkeypatch.setenv("RANKWEIGHT_WORKERS", "3")
     assert resolve_workers() == 3
     monkeypatch.setenv("RANKWEIGHT_WORKERS", "zebra")
@@ -377,6 +391,9 @@ def test_resolve_workers(monkeypatch):
         resolve_workers()
     monkeypatch.delenv("RANKWEIGHT_WORKERS")
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_workers() == 1  # pinned to one CPU of four
+    monkeypatch.delattr(verify_mod.os, "sched_getaffinity")
     assert resolve_workers() == 4
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
     assert resolve_workers() == 1

@@ -315,11 +315,15 @@ def test_a_loaded_tower_is_rebuilt_through_its_constructors():
     assert cold == warm
     assert_memo_empty(cold)
     assert all(a == b and a is not b for a, b in zip(exhaustive_codes(cold, 2), population))
-    # the table holds its codes weakly: once the caller drops them, they leave it
+    # the table holds its codes weakly: once the caller drops them, they leave it; this test's
+    # code is the population's code for its space, so it and its closure L^2 stay
     assert len(warm._memo.codes) == len(population) == gaussian_binomial(2, 1, 16) + 2
+    assert any(c is code for c in population)
     del population
     gc.collect()
-    assert len(warm._memo.codes) == 0
+    kept = [entry() for entry in warm._memo.codes.values()]
+    assert len(kept) == 2 and {id(c) for c in kept} == {id(code), id(closure(code))}
+    assert closure(code) == LinearCode.full(warm, 2)
     assert closure_oracle(LinearCode(loaded, 2, code.space)) == closure_oracle(code)
     again = LinearCode.from_generators(loaded, 2, [[loaded.L.one(), loaded.generator()]])
     assert again.space == code.space and rank_distance(again) == rank_distance(code)

@@ -24,7 +24,7 @@ from helpers import (
 )
 from rankweight import ranksupport, verify
 from rankweight.errors import TowerMismatch
-from rankweight.fields import PrimeField, _element, make_tower
+from rankweight.fields import PrimeField, Rationals, _element, make_tower
 from rankweight.linalg import Subspace, enumerate_subspaces, orthogonal_complement, subspace_sum
 from rankweight.ranksupport import (
     KSubspace,
@@ -35,6 +35,7 @@ from rankweight.ranksupport import (
     _coded_expansion,
     embed_vector,
     extend_to_L,
+    galois_closure,
     is_extended,
     is_rank_degenerate,
     rank_support_code,
@@ -266,12 +267,16 @@ def test_is_rank_degenerate_takes_one_complement_per_code(monkeypatch):
 
 
 def test_code_with_filled_slots_survives_pickle():
-    for C in _memo_codes():
+    # towers built apart from helpers.gf4 and helpers.qtheta, so their codes are codes of their own
+    apart = [make_tower(PrimeField(2), [1, 1, 1]), make_tower(Rationals(), [-2, 0, 0, 1], symbol="t")]
+    for C, tower in zip(_memo_codes(), apart):
         invariants = (rank_support_code(C), dual(C), restriction(C), is_rank_degenerate(C))
         copy = pickle.loads(pickle.dumps(C))
         assert copy == C and hash(copy) == hash(C)
+        assert copy._rsupp is copy._dual is copy._res is copy._closure is None
         assert (rank_support_code(copy), dual(copy), restriction(copy), is_rank_degenerate(copy)) == invariants
-        fresh = LinearCode(C.tower, C.length, C.space)
+        fresh = LinearCode(tower, C.length, C.space)
+        assert fresh == C and fresh is not C and fresh._rsupp is None
         assert (rank_support_code(fresh), dual(fresh), restriction(fresh)) == invariants[:3]
 
 
@@ -333,10 +338,67 @@ def test_closure_takes_each_rank_support_once_per_tower(monkeypatch):
     assert [closure(c) is c for c in codes] == [is_extended(c) for c in codes]
     assert len(asked) == len(codes) and {id(args[0]) for args in asked} == ids
     assert all(closure_oracle(c) == s for c, s in zip(codes, closures))
-    # an equal code built apart finds the same closure, or keeps itself when it is extended
+    # an equal code on a tower built apart finds an equal closure of its own tower,
+    # which is itself when it is extended
+    other = make_tower(PrimeField(2), [1, 1, 0, 1])
     for c, s in zip(codes, closures):
-        apart = LinearCode(fresh, c.length, c.space)
-        assert closure(apart) is (apart if s is c else s)
+        apart = LinearCode(other, c.length, c.space)
+        star = closure(apart)
+        assert apart is not c and star == s and star is not s
+        assert star is (apart if s is c else LinearCode(other, s.length, s.space))
+
+
+def test_one_code_per_space_per_tower():
+    # built apart from helpers.gf8, so its code table starts empty
+    t = make_tower(PrimeField(2), [1, 1, 0, 1])
+    space = Subspace.from_vectors(t.L, 2, [vec(t, 1, t.generator())])
+    assert LinearCode(t, 2, space) is LinearCode(t, 2, space)
+    codes = [c for n in range(1, 3) for c in all_codes(t, n)]
+    for C in codes:
+        assert dual(dual(C)) is C
+        assert closure(C) is extend_to_L(rank_support_code(C))
+        assert galois_closure(C) is closure(C)
+    # a code made anew, by generators or as L^n or 0, is the population's code
+    ids = {id(c) for c in codes}
+    made = [LinearCode.from_generators(t, 2, [vec(t, 1, t.generator())]), LinearCode.full(t, 2), LinearCode.zero(t, 1)]
+    assert all(id(c) in ids for c in made)
+
+
+def test_a_loaded_code_is_its_loaded_towers_one_code():
+    t = make_tower(PrimeField(2), [1, 1, 1])  # built apart from helpers.gf4
+    C = LinearCode.from_generators(t, 2, [vec(t, 1, t.generator())])
+    supp, res, perp = rank_support_code(C), restriction(C), dual(C)
+    first, second, last = pickle.loads(pickle.dumps([C, perp, C]))
+    loaded = first.tower
+    assert loaded == t and loaded is not t and second.tower is loaded
+    assert first is last and first == C and second == perp
+    assert first is LinearCode(loaded, 2, C.space) and second is LinearCode(loaded, 2, perp.space)
+    # a loaded code starts with empty slots, and its dual is the loaded dual
+    assert first._rsupp is first._dual is first._res is first._closure is None
+    assert dual(first) is second and dual(second) is first
+    assert (rank_support_code(first), restriction(first)) == (supp, res)
+
+
+def test_a_k_space_is_refused_before_the_code_table_is_read():
+    # over GF(4)/GF(2) the k-codes of GF(2)^2 are the L-codes of its embedding
+    t = make_tower(PrimeField(2), [1, 1, 1])
+    live = LinearCode.from_generators(t, 2, [vec(t, 1, 1)])
+    kspace = Subspace.from_vectors(t.k, 2, [[t.k.one(), t.k.one()]])
+    assert kspace._codes == live.space._codes
+    with pytest.raises(TowerMismatch):
+        LinearCode(t, 2, kspace)
+
+
+def test_each_restriction_runs_once_per_code_of_a_population(monkeypatch):
+    # built apart from helpers.gf8, so no code of it has a filled slot
+    t = make_tower(PrimeField(2), [1, 1, 0, 1])
+    codes = [c for n in range(1, 3) for c in all_codes(t, n)]
+    calls = _count_calls(monkeypatch, "tail_subspace")
+    for C in codes:
+        check_delsarte(C, {})
+        is_rank_degenerate(C)
+    # Res(C^perp) is the restriction of a code of the population, taken once
+    assert len(codes) == 13 and len(calls) == 13
 
 
 def test_closure_sums_are_summed_once_per_pair_of_closures(monkeypatch):
