@@ -73,7 +73,7 @@ trace, which ``ranksupport.trace_image`` also takes.  ``linalg``,
 ``ranksupport`` and ``weights`` run on codes alone; ``linalg._encode`` reads
 the codes of rows of elements and ``linalg.decode_rows`` wraps rows of
 codes.  Codes are the stored form of every ``linalg.Subspace``; its element
-rows are wrapped on first read.
+rows are decoded on each read.
 ``expand`` gives an L-code's k-coordinates as k-codes: over a finite field
 they are the base-|k| digits of the code, lowest first, and over Q[x]/(f)
 the numerators over the common denominator, each reduced.
@@ -196,8 +196,9 @@ class FieldElement:
         return bool(self.code)  # zero is the code 0 in every kernel
 
     def __eq__(self, other):
-        if isinstance(other, (FieldElement, int)):
-            return _code_of(self.field, other) == self.code  # None, never a code, for a foreign element
+        if isinstance(other, (FieldElement, int, Fraction)):
+            # None, never a code, for a foreign element and for a Fraction in characteristic p
+            return _code_of(self.field, other) == self.code
         return NotImplemented
 
     def __hash__(self):
@@ -982,7 +983,7 @@ class _TowerMemo:
         # ExtensionTower._frobenius: σ(x) = x^|k| on L-codes, a table when L's kernel has tables
         # (|L| <= _KERNEL_LIMIT), else square-and-multiply per code; checked when it is made
         self.frobenius = None
-        # the kept lists of ranksupport._kept, each kept while the space has <= _SUPERSPACE_LIMIT subspaces:
+        # the kept lists of weights._kept, each kept while the space has <= _SUPERSPACE_LIMIT subspaces:
         self.extensions = {}  # weights.weight_Mr: (n, d) -> the W_L of dim d
         self.subcode_coeffs = {}  # weights._subcodes: (dim C, r) -> the codes of the r-dim subspaces of L^(dim C)
         # weights.weight_Dr: (n, codes of a closure W_L) -> maxwt(W_L), one entry per W ⊆ k^n at most

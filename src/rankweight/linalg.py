@@ -20,8 +20,8 @@ and keeps the result coded; ``dim``, equality, hashing, pickling,
 complements and subspace enumeration work on the codes, and
 ``Subspace.from_codes`` reduces rows of codes.  ``_encode`` is the
 package's one path from elements to codes and ``decode_rows`` its one path
-back; kernels never build an element.  ``Subspace.rows`` is a cache, wrapped
-on its first read with the subspace's own field object.
+back; kernels never build an element.  ``Subspace.rows`` decodes the codes
+on each read, with the subspace's own field object.
 """
 
 from __future__ import annotations
@@ -70,27 +70,23 @@ class Subspace:
     unless the rows are canonical by construction.  A code depends only on
     the field's construction data, so the codes serve every equal field
     object, and canonical codes are unique, so ``==``, the hash and the
-    pickle read them.  ``rows`` wraps them as elements on its first read and
-    keeps the result.
+    pickle read them.  ``rows`` decodes them as elements on each read and
+    keeps nothing.
     """
 
-    __slots__ = ("field", "ambient_dim", "_codes", "_rows")
+    __slots__ = ("field", "ambient_dim", "_codes")
 
     def __init__(self, field: Field, ambient_dim: int, codes: tuple):
         self.field = field
         self.ambient_dim = ambient_dim
         self._codes = codes
-        self._rows = None
 
     def __reduce__(self):
         return type(self), (self.field, self.ambient_dim, self._codes)
 
     @property
     def rows(self) -> tuple:
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = decode_rows(self.field, self._codes)
-        return rows
+        return decode_rows(self.field, self._codes)
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -229,8 +225,6 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     their codes with no elimination of s.
     """
     field, n = s.field, s.ambient_dim
-    if s.dim == 0:
-        return Subspace.full(field, n)
     kern = field._kern
     codes = s._codes
     pivot_cols = [row.index(kern.one) for row in codes]  # a canonical row's first nonzero entry is one
@@ -274,8 +268,6 @@ def contains(a: Subspace, *vectors: Sequence[FieldElement]) -> bool:
     for v in vectors:
         if len(v) != n:
             raise AmbientMismatch(f"vector has length {len(v)}, ambient is {n}")
-    if not vectors:
-        return True
     kern = a.field._kern
     return _reduces_to_zero(kern, a._codes, _encode(kern, vectors, n))
 
@@ -318,9 +310,6 @@ def enumerate_subspaces(field: Field, ambient_dim: int, dim: int) -> Iterator[Su
         raise InfiniteField("subspace enumeration needs a finite field")
     if not 0 <= dim <= ambient_dim:
         raise ValueError(f"dimension {dim} outside 0..{ambient_dim}")
-    if dim == 0:
-        yield Subspace.zero(field, ambient_dim)
-        return
     one = field._kern.one
     for pivots in itertools.combinations(range(ambient_dim), dim):
         pivot_set = set(pivots)

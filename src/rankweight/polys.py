@@ -13,8 +13,8 @@ runs beside its primitive-element search live here as well:
 * ``is_irreducible_gcd`` -- gcd(f, x^(q^i) - x) = 1 for i <= deg(f)/2, the
   finite-field criterion (Rabin; Lidl-Niederreiter), above 4096 elements,
   and mod small primes as a certificate for a modulus over Q.
-* ``is_irreducible_rationals`` -- rational root test plus bounded search for
-  monic integer factors of ``monic_integer_form``.
+* ``is_irreducible_rationals`` -- bounded search for monic integer factors
+  of ``monic_integer_form``, from degree 1 (the rational root test) up.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ def sub(k, p, q):
 
 
 def scale(k, p, c):
-    if not c:
-        return []
     return normalize(k, [k.mul(a, c) for a in p])
 
 
@@ -136,8 +134,6 @@ def is_irreducible_gcd(k, p):
     m = degree(p)
     if m < 1:
         raise BadModulus("irreducibility is about polynomials of degree >= 1")
-    if m == 1:
-        return True
     x = x_poly(k)
     h = x
     for _ in range(m // 2):
@@ -185,9 +181,9 @@ def monic_integer_form(coeffs):
 def is_irreducible_rationals(coeffs):
     """Irreducibility over Q for a monic polynomial given as Fractions.
 
-    A rational (hence integer) root test plus a bounded search for monic
-    integer factors of degree <= deg/2 of ``monic_integer_form`` decides the
-    question exactly.
+    A bounded search for monic integer factors of degree <= deg/2 of
+    ``monic_integer_form`` decides the question exactly; its degree-1
+    factors x + c0 are the rational (hence integer) root test.
     """
     m = len(coeffs) - 1
     if m < 1:
@@ -197,16 +193,9 @@ def is_irreducible_rationals(coeffs):
     g = monic_integer_form(coeffs)
     if g[0] == 0:
         return False
-    for d in _int_divisors(g[0]):
-        for root in (d, -d):
-            acc = 0
-            for c in reversed(g):
-                acc = acc * root + c
-            if acc == 0:
-                return False
+    consts = _int_divisors(g[0])
     bound = 1 + max(abs(c) for c in g)
-    for d in range(2, m // 2 + 1):
-        consts = _int_divisors(g[0])
+    for d in range(1, m // 2 + 1):
         ranges = []
         for j in range(1, d):
             limit = math.comb(d, d - j) * bound ** (d - j)

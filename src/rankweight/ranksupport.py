@@ -53,7 +53,6 @@ from .linalg import (
     Subspace,
     _encode,
     enumerate_subspaces,
-    gaussian_binomial,
     orthogonal_complement,
     subspace_intersection,
     subspace_sum,
@@ -61,10 +60,31 @@ from .linalg import (
 )
 
 
-class KSubspace:
-    """A k-subspace of k^n attached to a tower (supports, restrictions, trace images)."""
+class _TowerSpace:
+    """A subspace of k^n or L^n attached to a tower, fixed by ``tower``,
+    ``length`` and ``space``; only they take part in equality and hashing,
+    and a space of one class never equals one of the other."""
 
     __slots__ = ("tower", "length", "space")
+
+    @property
+    def dim(self) -> int:
+        return self.space.dim
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.tower == other.tower and self.length == other.length and self.space == other.space
+
+    def __hash__(self):
+        return hash((self.tower, self.length, self.space))
+
+
+class KSubspace(_TowerSpace):
+    """A k-subspace of k^n attached to a tower (supports, restrictions, trace
+    images); equality and hashing are those of ``_TowerSpace``."""
+
+    __slots__ = ()
 
     def __init__(self, tower: ExtensionTower, length: int, space: Subspace):
         if space.ambient_dim != length or space.field != tower.k:
@@ -73,37 +93,26 @@ class KSubspace:
         self.length = length
         self.space = space
 
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def __eq__(self, other):
-        if not isinstance(other, KSubspace):
-            return NotImplemented
-        return self.tower == other.tower and self.length == other.length and self.space == other.space
-
-    def __hash__(self):
-        return hash((self.tower, self.length, self.space))
-
     def __repr__(self):
         return f"KSubspace(dim {self.dim} of k^{self.length})"
 
 
-class LinearCode:
+class LinearCode(_TowerSpace):
     """An L-linear subspace C of L^n in canonical reduced echelon form.
 
-    A code is immutable: ``tower``, ``length`` and ``space`` fix it, and only
-    they take part in equality and hashing.  The slots ``_rsupp``, ``_dual``,
-    ``_res`` and ``_closure`` hold Rsupp(C), C^perp, Res(C) and C*; each is
-    None until ``rank_support_code``, ``dual``, ``restriction`` or
-    ``closure`` first computes it, and is never written again after that.
+    A code is immutable: ``tower``, ``length`` and ``space`` fix it, and
+    equality and hashing are those of ``_TowerSpace``.  The slots
+    ``_rsupp``, ``_dual``, ``_res`` and ``_closure`` hold Rsupp(C), C^perp,
+    Res(C) and C*; each is None until ``rank_support_code``, ``dual``,
+    ``restriction`` or ``closure`` first computes it, and is never written
+    again after that.
     Res(C) is computed from ``space`` alone, never from ``_dual`` or
     ``_rsupp``, so Res(C)^perp = Rsupp(C^perp) compares two independent
     computations.  The constructor returns the tower's one code for the
     space, so two equal codes of one tower are one object.
     """
 
-    __slots__ = ("tower", "length", "space", "_rsupp", "_dual", "_res", "_closure", "__weakref__")
+    __slots__ = ("_rsupp", "_dual", "_res", "_closure", "__weakref__")
 
     def __new__(cls, tower: ExtensionTower, length: int, space: Subspace):
         """The tower's one code with this space, made on a miss.
@@ -154,20 +163,8 @@ class LinearCode:
         return cls(tower, length, Subspace.full(tower.L, length))
 
     @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    @property
     def generators(self) -> tuple:
         return self.space.rows
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearCode):
-            return NotImplemented
-        return self.tower == other.tower and self.length == other.length and self.space == other.space
-
-    def __hash__(self):
-        return hash((self.tower, self.length, self.space))
 
     def __repr__(self):
         return f"LinearCode(dim {self.dim} of L^{self.length} over {self.tower})"
@@ -321,27 +318,6 @@ def galois_closure(C: LinearCode) -> LinearCode:
         if image == space._codes:
             return LinearCode(t, n, space)
         space = subspace_sum(space, Subspace(t.L, n, image))
-
-
-# The kept lists (``_kept``): weight_Mr's W_L of every W ⊆ k^n, and
-# weights._subcodes's coefficient matrices of the subspaces of L^(dim C), are
-# each kept on the tower while the space has at most this many subspaces;
-# above it, they are made again for each code.  A kept W_L takes about 0.5 KB
-# (2,825 of them, all of GF(2)^6 in GF(8)^6, take 1.3 MB), so the W_L list
-# stays under about 2 MB per (tower, n).
-_SUPERSPACE_LIMIT = 4096
-
-
-def _kept(memo: dict, key, field, n: int, make):
-    """The items of make() in order, kept as a list in memo[key] while field^n
-    has at most _SUPERSPACE_LIMIT subspaces; above the bound nothing is kept,
-    and every read makes the items again."""
-    items = memo.get(key)
-    if items is None:
-        if sum(gaussian_binomial(n, e, field.order) for e in range(n + 1)) > _SUPERSPACE_LIMIT:
-            return make()
-        items = memo[key] = list(make())
-    return items
 
 
 def closure_oracle(C: LinearCode) -> LinearCode:

@@ -29,9 +29,9 @@ a sweep does each piece of work once:
   d_R,r, OS_r and D_r combine with C's rows into subcodes, come from lists
   per (dim C, r), made whole on first use (``_coefficients``);
 * ``weight_Mr`` reads the W_L = ``extend_to_L(W)`` per length and dim W from
-  such lists too (``_extensions``).  Both are kept lists of
-  ``ranksupport._kept``; ``closure_oracle`` keeps no list, and makes its
-  W_L literally on each call, to stay independent of ``extend_to_L``.
+  such lists too (``_extensions``).  Both are kept lists of ``_kept``;
+  ``closure_oracle`` keeps no list, and makes its W_L literally on each
+  call, to stay independent of ``extend_to_L``.
   M_r tests each W_L by rank: dim(C ∩ W_L) >= r iff
   C's canonical rows, reduced modulo W_L's, leave residues of rank
   <= dim C - r (``_meets``), so C + W_L is never built;
@@ -87,7 +87,6 @@ from .ranksupport import (
     KSubspace,
     LinearCode,
     _coded_expansion,
-    _kept,
     closure,
     extend_to_L,
     is_rank_degenerate,
@@ -199,11 +198,32 @@ def _subcodes(C: LinearCode, r: int):
         yield LinearCode(t, n, Subspace(L, n, tuple(rows)))
 
 
+# The kept lists (``_kept``): weight_Mr's W_L of every W ⊆ k^n, and
+# _subcodes's coefficient matrices of the subspaces of L^(dim C), are
+# each kept on the tower while the space has at most this many subspaces;
+# above it, they are made again for each code.  A kept W_L takes about 0.5 KB
+# (2,825 of them, all of GF(2)^6 in GF(8)^6, take 1.3 MB), so the W_L list
+# stays under about 2 MB per (tower, n).
+_SUPERSPACE_LIMIT = 4096
+
+
+def _kept(memo: dict, key, field, n: int, make):
+    """The items of make() in order, kept as a list in memo[key] while field^n
+    has at most _SUPERSPACE_LIMIT subspaces; above the bound nothing is kept,
+    and every read makes the items again."""
+    items = memo.get(key)
+    if items is None:
+        if sum(gaussian_binomial(n, e, field.order) for e in range(n + 1)) > _SUPERSPACE_LIMIT:
+            return make()
+        items = memo[key] = list(make())
+    return items
+
+
 def _coefficients(t: ExtensionTower, dim: int, r: int):
     """The canonical codes of every r-dim subspace of L^dim, in enumeration order.
 
     Kept on the tower per (dim, r) (``subcode_coeffs`` of its memo) by the
-    rule of ``ranksupport._kept``.
+    rule of ``_kept``.
     """
     return _kept(t._memo.subcode_coeffs, (dim, r), t.L, dim,
                  lambda: (s._codes for s in enumerate_subspaces(t.L, dim, r)))
@@ -295,7 +315,7 @@ def _extensions(t: ExtensionTower, n: int, d: int):
     """extend_to_L(W) for every d-dimensional W ⊆ k^n, in enumeration order.
 
     Kept on the tower per (n, d) (``extensions`` of its memo) by the rule of
-    ``ranksupport._kept``.
+    ``_kept``.
     """
     return _kept(t._memo.extensions, (n, d), t.k, n,
                  lambda: (extend_to_L(KSubspace(t, n, w)).space for w in enumerate_subspaces(t.k, n, d)))
@@ -441,12 +461,9 @@ def _witness_split(C: LinearCode, seed, height: int) -> Optional[list]:
     else:
         c = [0] * n
         cur = Subspace.zero(L, n)
-    for e in res.space._codes:
-        e_l = kern.embed_row(e)
-        if _reduces_to_zero(kern, cur._codes, [e_l]):
-            continue
+    for e in res.space._codes:  # C1 meets Res(C)_L in 0, so each e_L adds a dimension
         c = extend_witness_by_rational(t, c, e)
-        cur = Subspace.from_codes(L, n, [*cur._codes, e_l])
+        cur = Subspace.from_codes(L, n, [*cur._codes, kern.embed_row(e)])
     if cur != C.space:
         raise InternalInvariantError("split decomposition did not rebuild C")
     if not _is_witness(C, c):

@@ -369,7 +369,9 @@ def test_equivdef_agrees_on_random_codes_of_length_four():
      "99a34eed62d3a47dd77f4689e8a4ddca5b23fe2962e61b0620f74a6b6ffac7a3"),
     (VerifyPlan(towers=[TowerTask(2, (1, 1, 0, 1), max_n=4)], force=True),
      "7d9a67cef5ebc68a81f97516baf715f5aefb10286b90e3bf8aa0bcd2ba74eb79"),
-], ids=["standard", "qt-random-200-seed-42", "gf8-forced-n4"])
+    (VerifyPlan(towers=[TowerTask(2, ("u", "1", "1"), base_degree=2, base_modulus=(1, 1, 1), max_n=3)], force=True),
+     "303f4998ecda744198fdff211760f13f1fb9000f0a7af71f21718b212cde5ec9"),
+], ids=["standard", "qt-random-200-seed-42", "gf8-forced-n4", "gf16-over-gf4-forced-n3"])
 def test_verify_summary_is_pinned(plan, digest):
     """The whole summary, byte for byte: a refactor keeps every count, check and census."""
     assert hashlib.sha256(json.dumps(run_verify(plan)).encode()).hexdigest() == digest

@@ -106,6 +106,22 @@ def test_each_caller_of_code_of_keeps_its_error():
             make_tower(PrimeField(2), [1, bad, 1])
 
 
+def test_an_element_equals_the_fraction_that_arithmetic_accepts():
+    """== takes what arithmetic takes: a Fraction is coded in characteristic 0,
+    and over GF(p), where arithmetic refuses it, it equals no element."""
+    q = qtheta()
+    half = Fraction(1, 2)
+    for one in (Rationals().one(), q.k.one(), q.L.one()):
+        assert one / 2 - half == 0
+        assert one / 2 == half and half == one / 2 and not one / 2 != half
+        assert one / 3 != half and one == Fraction(1) and one.field.from_int(-3) == Fraction(-3)
+    assert q.generator() != half
+    for one in (PrimeField(3).one(), gf4().L.one()):
+        assert one != Fraction(1) and Fraction(1) != one and not one == Fraction(1)
+        with pytest.raises(TypeError):
+            one - Fraction(1)
+
+
 # (build, the error as "Type: message"); the order of the checks is pinned by
 # inputs that break more than one: the first check that fails names the error
 CONSTRUCTION_ERRORS = [
@@ -414,6 +430,13 @@ def test_rational_irreducibility_known_cases():
     assert irr([1, 0, -10, 0, 1])  # minimal polynomial of sqrt(2)+sqrt(3)
     assert not irr([0, 1, 1])  # x^2 + x
     assert irr([Fraction(1, 2), Fraction(1), Fraction(1)])  # x^2 + x + 1/2
+    # a rational root refuses each of these: the degree-1 factors of the search
+    assert not irr([Fraction(-1, 4), 0, 1])  # x^2 - 1/4
+    assert not irr([-8, 0, 0, 1])  # x^3 - 8
+    assert not irr([Fraction(-1, 2), 1, Fraction(-1, 2), 1])  # (x - 1/2)(x^2 + 1)
+    assert not irr([-3, 1, 0, 0, -3, 1])  # (x - 3)(x^4 + 1)
+    assert irr([1, 1, 0, 1])  # x^3 + x + 1, no rational root
+    assert irr([-1, -1, 0, 0, 0, 1])  # x^5 - x - 1, no rational root and no quadratic factor
 
 
 def test_q_moduli_of_degree_four_and_up_are_certified_mod_small_primes(monkeypatch):

@@ -101,6 +101,14 @@ def decode_vector(L, c):
     return list(linalg.decode_rows(L, [c])[0])
 
 
+def count_decodes(monkeypatch) -> list:
+    """The fields of every later ``linalg.decode_rows`` call, one entry per call."""
+    calls = []
+    decode = linalg.decode_rows
+    monkeypatch.setattr(linalg, "decode_rows", lambda field, codes: calls.append(field) or decode(field, codes))
+    return calls
+
+
 def gf2_degree_one():
     return make_tower(PrimeField(2), [1, 1])
 
@@ -635,13 +643,15 @@ def test_contains_encodes_the_subspace_once(monkeypatch):
     calls = []
     encode = linalg._encode
     monkeypatch.setattr(linalg, "_encode", lambda kern, rows, n: calls.append(len(rows)) or encode(kern, rows, n))
+    decodes = count_decodes(monkeypatch)
     # a subspace keeps the codes its reduction made, over a finite field and
     # over Q(t) alike, so only the vectors are encoded, and contains_space
     # reads both sides' codes
     for t, expected in ((gf16_over_gf4(), [3, 4]), (qtheta(), [3, 4])):
         one, theta = t.L.one(), t.generator()
+        decodes.clear()
         space = Subspace.from_vectors(t.L, 3, [[one, theta, one], [theta, one, theta * theta]])
-        assert space._codes is not None and space._rows is None
+        assert space._codes is not None and decodes == []
         calls.clear()
         members = [[x * a + b for a, b in zip(*space.rows)] for x in (one, theta, t.L.from_int(3))]
         assert contains(space, *members) and space.contains_space(space)
@@ -709,13 +719,14 @@ def test_coded_rank_supports_match_the_element_expansion(name):
         assert rank_support_code(code).space == Subspace.from_vectors(t.k, n, stacked)
 
 
-def test_codes_change_neither_equality_hash_nor_pickle():
-    # decoding the rows fills a cache: it changes neither ==, the hash nor the pickle
+def test_codes_change_neither_equality_hash_nor_pickle(monkeypatch):
+    # reading the rows decodes them and keeps nothing: it changes neither ==, the hash nor the pickle
     t = gf16_over_gf2()
     rows = [[t.L.one(), t.generator(), t.L.zero()], [t.L.zero(), t.L.one(), t.generator()]]
+    decodes = count_decodes(monkeypatch)
     coded = Subspace.from_vectors(t.L, 3, rows)
     decoded = Subspace.from_vectors(t.L, 3, rows[::-1])
-    assert decoded.rows and coded._rows is None
+    assert decoded.rows and decodes == [t.L]  # the one read of decoded.rows, nothing else
     assert coded == decoded and hash(coded) == hash(decoded)
     assert pickle.dumps(coded) == pickle.dumps(decoded)
     assert contains(decoded, rows[0]) and decoded._codes == coded._codes
@@ -774,34 +785,40 @@ def _payloads(space):
 
 @pytest.mark.parametrize("towers", [lambda: (nested("w", "u"), nested("z", "v")), _q_towers],
                          ids=["GF(16)/GF(4)", "Q(t)"])
-def test_lazily_decoded_rows_belong_to_the_subspaces_field_object(towers):
+def test_lazily_decoded_rows_belong_to_the_subspaces_field_object(towers, monkeypatch):
     warm, cold = towers()
     assert warm.L == cold.L and warm.L is not cold.L
     gens = [[warm.L.one(), warm.generator(), warm.L.zero()],
             [warm.L.zero(), warm.L.zero(), warm.generator() * warm.generator()]]
+    decodes = count_decodes(monkeypatch)
     space = Subspace.from_vectors(warm.L, 3, gens)
     moved = Subspace(cold.L, 3, space._codes)
-    assert space._rows is None and moved._rows is None
+    assert decodes == []
     assert all(x.field is cold.L for row in moved.rows for x in row)
     assert all(x.field is warm.L for row in space.rows for x in row)
     assert [format_element(x) for x in moved.rows[0]] == ["1", "z", "0"]
     code = LinearCode(cold, 3, moved)
-    for result, field in ((rank_support_code(code).space, cold.k), (restriction(code).space, cold.k),
-                          (dual(code).space, cold.L), (closure(code).space, cold.L),
-                          (trace_image(code).space, cold.k)):
-        assert result._rows is None and result.dim
+    decodes.clear()
+    results = ((rank_support_code(code).space, cold.k), (restriction(code).space, cold.k),
+               (dual(code).space, cold.L), (closure(code).space, cold.L),
+               (trace_image(code).space, cold.k))
+    assert decodes == [] and all(result.dim for result, _ in results)
+    for result, field in results:
         assert all(x.field is field for row in result.rows for x in row)
 
 
 @pytest.mark.parametrize("make", [gf16_over_gf4, qtheta, gf9])
-def test_coded_and_element_subspaces_are_equal_and_hash_alike(make):
+def test_coded_and_element_subspaces_are_equal_and_hash_alike(make, monkeypatch):
     t = make()
     theta, one = t.generator(), t.L.one()
     vectors = [[one, theta, theta * theta], [theta, one, theta], [one + theta, one + theta, theta * theta + theta]]
+    decodes = count_decodes(monkeypatch)
     for count in range(len(vectors) + 1):
+        decodes.clear()
         coded = Subspace.from_vectors(t.L, 3, vectors[:count])
+        assert decodes == []
         plain = Subspace.from_vectors(t.L, 3, span_reference(t.L, vectors[:count], 3))  # canonical element rows
-        assert coded._rows is None and coded.rows == plain.rows
+        assert coded.rows == plain.rows
         assert hash(coded) == hash(plain)
         assert coded == plain and plain == coded
         assert plain == Subspace(t.L, 3, coded._codes)
@@ -809,25 +826,25 @@ def test_coded_and_element_subspaces_are_equal_and_hash_alike(make):
 
 
 @pytest.mark.parametrize("make", [gf16_over_gf4, qtheta])
-def test_a_never_decoded_subspace_survives_a_pickle_round_trip(make):
+def test_a_never_decoded_subspace_survives_a_pickle_round_trip(make, monkeypatch):
     t = make()
     theta = t.generator()
+    decodes = count_decodes(monkeypatch)
     code = LinearCode.from_generators(t, 2, [[t.L.one(), theta]])
     spaces = [code.space, rank_support_code(code).space, dual(code).space, closure(code).space]
-    assert all(s._rows is None for s in spaces)
-    for s in spaces:
-        loaded = pickle.loads(pickle.dumps(s))
-        assert loaded._rows is None and loaded._codes == s._codes
+    loads = [pickle.loads(pickle.dumps(s)) for s in spaces]
+    for s, loaded in zip(spaces, loads):
+        assert loaded._codes == s._codes
         assert loaded == s and hash(loaded) == hash(s) and loaded.dim == s.dim
+    assert decodes == []
+    for loaded in loads:
         assert all(x.field is loaded.field for row in loaded.rows for x in row)
     copy = pickle.loads(pickle.dumps(code))
     assert copy == code and rank_support_code(copy) == rank_support_code(code)
 
 
 def test_closure_pair_on_q_codes_decodes_nothing(monkeypatch):
-    calls = []
-    decode = linalg.decode_rows
-    monkeypatch.setattr(linalg, "decode_rows", lambda field, codes: calls.append(field) or decode(field, codes))
+    calls = count_decodes(monkeypatch)
     codes = random_q_codes(8, seed=31)
     for a, b in zip(codes, codes[1:]):
         if a.length == b.length:
@@ -992,14 +1009,12 @@ def test_a_pickled_subspace_holds_its_codes_and_decodes_nothing(make, monkeypatc
     t = make()
     code = LinearCode.from_generators(t, 2, [[t.L.one(), t.generator()]])
     spaces = [code.space, rank_support_code(code).space, dual(code).space]
-    calls = []
-    decode = linalg.decode_rows
-    monkeypatch.setattr(linalg, "decode_rows", lambda field, codes: calls.append(field) or decode(field, codes))
+    calls = count_decodes(monkeypatch)
     for s in spaces:
         data = pickle.dumps(s)
         assert b"FieldElement" not in data
         loaded = pickle.loads(data)
-        assert loaded._rows is None and loaded._codes == s._codes
+        assert loaded._codes == s._codes
         assert loaded == s and hash(loaded) == hash(s)
     assert calls == []
     assert spaces[0].rows and calls  # decoding is counted

@@ -389,6 +389,20 @@ def test_a_k_space_is_refused_before_the_code_table_is_read():
         LinearCode(t, 2, kspace)
 
 
+def test_a_k_space_never_equals_a_code_with_its_codes():
+    # equality and hashing read the class, the tower, the length and the space
+    t, apart = make_tower(PrimeField(2), [1, 1, 1]), make_tower(PrimeField(2), [1, 1, 1])
+    live = LinearCode.from_generators(t, 2, [vec(t, 1, 1)])
+    kspace = KSubspace(t, 2, Subspace.from_vectors(t.k, 2, [[t.k.one(), t.k.one()]]))
+    assert kspace.space._codes == live.space._codes and kspace.dim == live.dim == 1
+    assert kspace != live and live != kspace and len({kspace, live}) == 2
+    assert rank_support_code(live) == kspace and extend_to_L(kspace) is live
+    twin = LinearCode.from_generators(apart, 2, [vec(apart, 1, 1)])
+    k_twin = KSubspace(apart, 2, Subspace.from_codes(apart.k, 2, kspace.space._codes))
+    assert twin is not live and twin == live and hash(twin) == hash(live)
+    assert k_twin == kspace and hash(k_twin) == hash(kspace) and k_twin != twin
+
+
 def test_each_restriction_runs_once_per_code_of_a_population(monkeypatch):
     # built apart from helpers.gf8, so no code of it has a filled slot
     t = make_tower(PrimeField(2), [1, 1, 0, 1])

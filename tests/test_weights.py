@@ -17,7 +17,7 @@ from helpers import (
     random_rational_vector,
     vec,
 )
-from rankweight import ranksupport, weights
+from rankweight import weights
 from rankweight.errors import AmbientMismatch, BadR, FieldMismatch, InfiniteField, SearchExhausted, ZeroCode
 from rankweight.fields import FieldElement, PrimeField, make_tower
 from rankweight.linalg import Subspace, _encode, decode_rows, enumerate_subspaces, gaussian_binomial, subspace_sum
@@ -406,7 +406,7 @@ def test_weight_Mr_extends_each_W_once_per_tower(monkeypatch):
     assert len(extended) == len(set(extended)) <= subspaces
     # above the bound nothing is kept, and every scan extends again
     again = make_tower(PrimeField(2), [1, 1, 0, 1])
-    monkeypatch.setattr(ranksupport, "_SUPERSPACE_LIMIT", 1)
+    monkeypatch.setattr(weights, "_SUPERSPACE_LIMIT", 1)
     extended.clear()
     cases = [(c, r) for n in range(1, 4) for c in all_codes(again, n) for r in range(1, c.dim + 1)]
     assert [weight_Mr(c, r) for c, r in cases] == expected
@@ -432,7 +432,7 @@ def test_subcode_coefficients_are_enumerated_once_per_tower(monkeypatch):
     assert set(fresh._memo.subcode_coeffs) == set(enumerated)
     # above the bound nothing is kept: every scan enumerates again, and finds the same subcodes in order
     again = make_tower(PrimeField(2), [1, 1, 0, 1])
-    monkeypatch.setattr(ranksupport, "_SUPERSPACE_LIMIT", 1)
+    monkeypatch.setattr(weights, "_SUPERSPACE_LIMIT", 1)
     cases = [(c, r) for n in range(1, 4) for c in all_codes(again, n) for r in range(1, c.dim + 1)]
     assert [[D.space for D in _subcodes(c, r)] for c, r in cases] == kept_subcodes
     assert {name: [getattr(weights, name)(c, r) for c, r in cases] for name in WEIGHT_NAMES} == kept
