@@ -238,7 +238,7 @@ class CodeDocument:
         return document_to_json(self) == document_to_json(other)
 
     def to_code(self) -> LinearCode:
-        return LinearCode.from_generators(self.tower, self.length, [list(r) for r in self.rows])
+        return LinearCode.from_generators(self.tower, self.length, self.rows)
 
 
 def _expect(mapping, key, types, where):

@@ -22,15 +22,15 @@ class InfiniteField(RankWeightError):
 
 
 class FieldMismatch(RankWeightError):
-    """Arithmetic attempted between elements of different fields."""
+    """An entry or element not of the field it is handed to, an int included, or arithmetic across fields."""
 
 
 class TowerMismatch(RankWeightError):
-    """Vector or code entries do not belong to the expected extension tower."""
+    """A ``Subspace`` handed to ``KSubspace`` or ``LinearCode`` does not live in k^n or L^n of the tower."""
 
 
 class AmbientMismatch(RankWeightError):
-    """Subspace operation attempted across different ambient spaces or fields."""
+    """A row of the wrong length (decided by ``linalg._encode``) or a subspace operation across ambient spaces."""
 
 
 class ZeroCode(RankWeightError):

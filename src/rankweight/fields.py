@@ -66,8 +66,8 @@ checked field reaches.
 A kernel takes and returns codes only, and never builds a ``FieldElement``;
 ``index`` and ``payload`` convert between codes and payloads at the
 boundary.  Three jobs on codes have one implementation each, here:
-``_code_of`` codes an element, an int or (over Q) a Fraction, and its element
-rule ``_member_code`` is every door's membership test; ``_power`` is
+``_code_of`` codes an element, an int or (over Q) a Fraction, and ``_code_in``
+is the one refusal (FieldMismatch) of a single non-element; ``_power`` is
 the one square-and-multiply; and ``ExtensionTower._code_trace`` is the one
 trace, which ``ranksupport.trace_image`` also takes.  ``linalg``,
 ``ranksupport`` and ``weights`` run on codes alone; ``linalg._encode`` reads
@@ -196,13 +196,20 @@ class FieldElement:
         return bool(self.code)  # zero is the code 0 in every kernel
 
     def __eq__(self, other):
+        """A prime-field element hashes as the number it equals (code c < p, or n/d for (n, 0, ..., 0, d)),
+        but ``PrimeField(3).one() == 4`` holds too, and no hash matches every int that is 1 mod 3."""
         if isinstance(other, (FieldElement, int, Fraction)):
             # None, never a code, for a foreign element and for a Fraction in characteristic p
             return _code_of(self.field, other) == self.code
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.code))
+        code, p = self.code, self.field.characteristic
+        if not code or (p and code < p):
+            return hash(code)
+        if not p and not any(code[1:-1]):
+            return hash(Fraction(code[0], code[-1]))
+        return hash((self.field, code))
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.field}>"
@@ -221,6 +228,14 @@ def _member_code(field, x):
     if isinstance(x, FieldElement) and (x.field is field or x.field == field):
         return x.code
     return None
+
+
+def _code_in(field, x):
+    """x's code when x is an element of field (or of an equal field built apart), else FieldMismatch."""
+    code = _member_code(field, x)
+    if code is None:
+        raise FieldMismatch(f"{x!r} is not an element of {field}")
+    return code
 
 
 def _code_of(field, x):
@@ -1028,25 +1043,15 @@ class ExtensionTower:
 
     def coords(self, x: FieldElement) -> list:
         """Coordinates of x over k in the power basis; sum(coords[i]*basis[i]) == x."""
-        return [_element(self.k, c) for c in self.L._kern.expand(self._code_in_L(x))]
+        return [_element(self.k, c) for c in self.L._kern.expand(_code_in(self.L, x))]
 
     def embed(self, c: FieldElement) -> FieldElement:
         """Embed an element of k into L as (c, 0, ..., 0)."""
-        code = _member_code(self.k, c)
-        if code is None:
-            raise FieldMismatch("embed expects a base-field element")
-        return _element(self.L, self.L._kern.embed_row((code,))[0])
+        return _element(self.L, self.L._kern.embed_row((_code_in(self.k, c),))[0])
 
     def trace(self, x: FieldElement) -> FieldElement:
         """Field trace L -> k, by linearity on codes (``_code_trace``)."""
-        return _element(self.k, self._code_trace(self._code_in_L(x)))
-
-    def _code_in_L(self, x):
-        """x's code when x is an element of L, else FieldMismatch."""
-        code = _member_code(self.L, x)
-        if code is None:
-            raise FieldMismatch(f"{x!r} is not an element of {self.L}")
-        return code
+        return _element(self.k, self._code_trace(_code_in(self.L, x)))
 
     def _code_trace(self, c):
         """Tr(c) for a code c of L's kernel, as a code of k's, by linearity: sum_i c_i * Tr(w^i).

@@ -18,10 +18,10 @@ reduction reads the codes of its element inputs once, eliminates on codes
 and keeps the result coded; ``dim``, equality, hashing, pickling,
 ``contains``, ``contains_space``, sums, intersections, orthogonal
 complements and subspace enumeration work on the codes, and
-``Subspace.from_codes`` reduces rows of codes.  ``_encode`` is the
-package's one path from elements to codes and ``decode_rows`` its one path
-back; kernels never build an element.  ``Subspace.rows`` decodes the codes
-on each read, with the subspace's own field object.
+``Subspace.from_codes`` reduces rows of codes.  ``_encode`` is the package's
+one path from elements to codes, so its one check of rows of elements, and
+``decode_rows`` its one path back; kernels never build an element.
+``Subspace.rows`` decodes the codes on each read, with its own field object.
 """
 
 from __future__ import annotations
@@ -44,12 +44,7 @@ class Matrix:
             if not rows:
                 raise ValueError("num_cols is required for a matrix with no rows")
             num_cols = len(rows[0])
-        for r in rows:
-            if len(r) != num_cols:
-                raise ValueError("ragged matrix")
-            for e in r:
-                if _member_code(field, e) is None:
-                    raise AmbientMismatch("matrix entry from a foreign field")
+        _encode(field._kern, rows, num_cols)
         self.field = field
         self.rows = rows
         self.num_cols = num_cols
@@ -135,17 +130,17 @@ class Subspace:
 def _encode(kern, rows, num_cols: int) -> list:
     """Rows of elements of the kernel's field as tuples of their codes, in a list.
 
-    An entry of an equal field built separately (other symbols included)
-    has the same code; any other entry raises FieldMismatch.
+    The one check of rows of elements: a row of another length raises AmbientMismatch, and
+    an entry that is no element of an equal field (other symbols included) FieldMismatch.
     """
     field = kern.field
     work = []
     for r in rows:
         if len(r) != num_cols:
-            raise ValueError(f"row of length {len(r)} in an ambient of {num_cols}")
+            raise AmbientMismatch(f"row of length {len(r)} in an ambient of {num_cols}")
         codes = tuple([_member_code(field, e) for e in r])
         if None in codes:
-            raise FieldMismatch("row entry from a foreign field")
+            raise FieldMismatch(f"a row entry is not an element of {field}")
         work.append(codes)
     return work
 
@@ -264,12 +259,8 @@ def contains(a: Subspace, *vectors: Sequence[FieldElement]) -> bool:
 
     Only the vectors are encoded; no vector at all gives True.
     """
-    n = a.ambient_dim
-    for v in vectors:
-        if len(v) != n:
-            raise AmbientMismatch(f"vector has length {len(v)}, ambient is {n}")
     kern = a.field._kern
-    return _reduces_to_zero(kern, a._codes, _encode(kern, vectors, n))
+    return _reduces_to_zero(kern, a._codes, _encode(kern, vectors, a.ambient_dim))
 
 
 def _reduces_to_zero(kern, rows, vectors) -> bool:

@@ -71,6 +71,7 @@ THEOREMS = ("equivdef", "witness", "delsarte", "closure", "trace", "all")
 
 GUARD_MAX_ORDER = 9
 GUARD_MAX_N = 4
+_HEIGHT = 5  # random_codes' bound on the numerators and denominators it draws over Q
 
 
 class CheckFailure(RankWeightError):
@@ -144,7 +145,7 @@ def exhaustive_codes(tower, n: int) -> List[LinearCode]:
     return out
 
 
-def random_codes(tower, max_n: int, count: int, rng: random.Random, height: int = 5) -> List[LinearCode]:
+def random_codes(tower, max_n: int, count: int, rng: random.Random) -> List[LinearCode]:
     """Seeded random codes, each the tower's one ``LinearCode`` for its space;
     dimensions <= 2 over infinite bases to keep exactness cheap."""
     out = []
@@ -152,7 +153,7 @@ def random_codes(tower, max_n: int, count: int, rng: random.Random, height: int 
     while len(out) < count:
         n = rng.randint(1, max_n)
         dim = rng.randint(0, n if finite else min(n, 2))
-        rows = [[_random_code(tower, rng, height) for _ in range(n)] for _ in range(dim)]
+        rows = [[_random_code(tower, rng, _HEIGHT) for _ in range(n)] for _ in range(dim)]
         out.append(LinearCode(tower, n, Subspace.from_codes(tower.L, n, rows)))
     return out
 

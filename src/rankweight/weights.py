@@ -64,7 +64,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .errors import (
-    AmbientMismatch,
     BadR,
     EquivalenceViolation,
     InfiniteField,
@@ -385,10 +384,7 @@ def _is_witness(C: LinearCode, c) -> bool:
 
 def verify_witness(C: LinearCode, c: Sequence[FieldElement]) -> bool:
     """Closure criterion: c is a support witness iff c ∈ C and C ⊆ (Lc)*."""
-    n = C.length
-    if len(c) != n:
-        raise AmbientMismatch(f"vector has length {len(c)}, ambient is {n}")
-    (codes,) = _encode(C.tower.L._kern, [c], n)
+    (codes,) = _encode(C.tower.L._kern, [c], C.length)
     return _is_witness(C, codes)
 
 

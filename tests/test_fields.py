@@ -122,6 +122,24 @@ def test_an_element_equals_the_fraction_that_arithmetic_accepts():
             one - Fraction(1)
 
 
+def test_a_prime_field_element_hashes_as_the_number_it_equals():
+    """A set or dict finds an element of the prime field by the int or
+    Fraction it equals, and that number by the element."""
+    q, gf3 = qtheta(), PrimeField(3)
+    cases = [
+        (Rationals().one(), 1), (Rationals().one() / 2, Fraction(1, 2)), (Rationals().zero(), 0),
+        (q.L.one(), 1), (q.L.one() / -3, Fraction(-1, 3)), (q.L.zero(), 0),
+        (gf3.one(), 1), (gf3.from_int(2), 2), (gf4().L.one(), 1), (gf4().L.zero(), 0),
+    ]
+    for x, number in cases:
+        assert x == number and hash(x) == hash(number)
+        assert number in {x} and x in {number}
+    for x in (q.generator(), gf4().generator(), gf9().generator()):
+        assert hash(x) == hash((x.field, x.code))
+    # the one case no hash can match: every int that is 1 mod 3 equals GF(3)'s one
+    assert gf3.one() == 4 and 4 not in {gf3.one()}
+
+
 # (build, the error as "Type: message"); the order of the checks is pinned by
 # inputs that break more than one: the first check that fails names the error
 CONSTRUCTION_ERRORS = [
@@ -179,7 +197,8 @@ def test_make_tower_takes_a_built_base_field():
 
 def test_element_doors_refuse_non_elements():
     """trace, coords, embed and linalg.Matrix refuse what is not an element of
-    their field, an int included, with the error they give an element of another field."""
+    their field, an int included, with FieldMismatch, the error they give an
+    element of another field."""
     from rankweight.linalg import Matrix
 
     t, u = gf4(), gf8().generator()
@@ -187,10 +206,54 @@ def test_element_doors_refuse_non_elements():
         for door in (t.trace, t.coords, t.embed):
             with pytest.raises(FieldMismatch):
                 door(bad)
-        with pytest.raises(AmbientMismatch, match="matrix entry from a foreign field"):
+        with pytest.raises(FieldMismatch, match=re.escape("a row entry is not an element of GF(4)")):
             Matrix(t.L, [[bad]])
     with pytest.raises(FieldMismatch, match=re.escape("3 is not an element of GF(4)")):
         t.trace(3)
+
+
+ELEMENT_DOORS = ("trace", "coords", "embed")
+
+
+def _row_doors(t):
+    """Each door that takes rows over GF(4)/GF(2), as a call on one row meant for L^2."""
+    from rankweight.linalg import Matrix, Subspace, contains, kernel, rref_canonical
+    from rankweight.ranksupport import LinearCode, rank_support_vec
+    from rankweight.weights import verify_witness
+
+    C = LinearCode.from_generators(t, 2, [[t.L.one(), t.generator()]])
+    return {
+        "Subspace.from_vectors": lambda v: Subspace.from_vectors(t.L, 2, [v]),
+        "rref_canonical": lambda v: rref_canonical(Matrix(t.L, [v], 2)),
+        "Matrix": lambda v: Matrix(t.L, [v], 2),
+        "kernel": lambda v: kernel(Matrix(t.L, [v], 2)),
+        "contains": lambda v: contains(Subspace.full(t.L, 2), v),
+        "LinearCode.from_generators": lambda v: LinearCode.from_generators(t, 2, [v]),
+        "rank_support_vec": lambda v: rank_support_vec(t, v),  # any length is the vector's own
+        "verify_witness": lambda v: verify_witness(C, v),
+    }
+
+
+@pytest.mark.parametrize("door", [*_row_doors(gf4()), *ELEMENT_DOORS])
+def test_every_door_refuses_a_foreign_entry_and_a_wrong_length_alike(door):
+    """A GF(8) element or an int raises FieldMismatch, and a row one entry too
+    long AmbientMismatch, whichever door takes it."""
+    t = gf4()
+    if door in ELEMENT_DOORS:
+        call = getattr(t, door)
+        call(t.k.one() if door == "embed" else t.generator())
+        for bad in (gf8().generator(), 1):
+            with pytest.raises(FieldMismatch):
+                call(bad)
+        return
+    call, one = _row_doors(t)[door], t.L.one()
+    call([one, t.generator()])
+    for bad in (gf8().generator(), 1):
+        with pytest.raises(FieldMismatch):
+            call([one, bad])
+    if door != "rank_support_vec":
+        with pytest.raises(AmbientMismatch):
+            call([one, one, one])
 
 
 def test_coords_gf4():

@@ -412,6 +412,54 @@ def test_kernel_bridge_gate_flags_each_kind():
     assert flagged == [True] * 6 + [False] * 5
 
 
+def _member_code_offences(name, source):
+    """Where module ``name`` names ``_member_code`` outside ``linalg._encode``.
+
+    ``linalg._encode`` is the one check of rows of elements and
+    ``fields._code_in`` the one check of a single element, so no other door
+    tests membership itself.  Importing the name is fine; a call or an alias
+    anywhere else is not.
+    """
+    tree = ast.parse(source)
+    inside = set()
+    if name == "linalg.py":
+        inside = {id(node) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_encode"
+                  for node in ast.walk(f)}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if "_member_code" in (getattr(node, "id", None), getattr(node, "attr", None)) and id(node) not in inside
+    ]
+
+
+def test_only_encode_tests_membership_outside_fields():
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "fields.py"
+        for line in _member_code_offences(path.name, path.read_text())
+    ]
+    assert offenders == []
+
+
+def test_member_code_gate_flags_each_kind():
+    encode = "from .fields import _member_code\n" \
+             "def _encode(kern, rows, n):\n    return [_member_code(kern.field, e) for r in rows for e in r]\n"
+    flagged = [
+        bool(_member_code_offences(name, src))
+        for name, src in (
+            ("linalg.py", encode),
+            ("linalg.py", encode.replace("_member_code(", "fields._member_code(")),
+            ("linalg.py", encode + "s = '_member_code'\n"),
+            ("linalg.py", encode + "class Matrix:\n    def __init__(self, f, e):\n        _member_code(f, e)\n"),
+            ("linalg.py", encode.replace("def _encode", "def _decode")),
+            ("ranksupport.py", encode),
+            ("weights.py", "check = fields._member_code\n"),
+        )
+    ]
+    assert flagged == [False] * 3 + [True] * 4
+
+
 # what closure_oracle is checked against; it must reach none of them
 ORACLE_BANNED = {"closure", "rank_support_code", "restriction", "extend_to_L"}
 # galois_closure must share no step with closure or with the literal oracle either

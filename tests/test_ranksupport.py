@@ -23,7 +23,7 @@ from helpers import (
     vec,
 )
 from rankweight import ranksupport, verify
-from rankweight.errors import TowerMismatch
+from rankweight.errors import FieldMismatch, TowerMismatch
 from rankweight.fields import PrimeField, Rationals, _element, make_tower
 from rankweight.linalg import Subspace, enumerate_subspaces, orthogonal_complement, subspace_sum
 from rankweight.ranksupport import (
@@ -86,7 +86,7 @@ def test_expand_reassembles():
 
 def test_rank_support_vec_rejects_foreign_entries():
     t, other = gf4(), gf8()
-    with pytest.raises(TowerMismatch):
+    with pytest.raises(FieldMismatch):
         rank_support_vec(t, vec(other, 1, 0))
 
 
