@@ -30,7 +30,9 @@ class TowerMismatch(RankWeightError):
 
 
 class AmbientMismatch(RankWeightError):
-    """A row of the wrong length (decided by ``linalg._encode``) or a subspace operation across ambient spaces."""
+    """A row of the wrong length (decided by ``linalg._encode``), a subspace operation across ambient
+    spaces, or a shape ``linalg`` cannot take: a matrix with no rows and no column count, or a
+    subspace dimension outside 0..n."""
 
 
 class ZeroCode(RankWeightError):

@@ -22,6 +22,13 @@ complements and subspace enumeration work on the codes, and
 one path from elements to codes, so its one check of rows of elements, and
 ``decode_rows`` its one path back; kernels never build an element.
 ``Subspace.rows`` decodes the codes on each read, with its own field object.
+
+``_rref_coded`` is the one elimination and ``_residues`` the one reduction,
+and both stop once the whole space is reached.  An elimination that finds a
+pivot in the last column with every earlier column pivoted returns the
+identity, the unique RREF of rank n in n columns; a reduction against n
+canonical rows of F^n returns no residue.  Over Q and its extensions, where
+each pivot costs an inverse, these are the common cases.
 """
 
 from __future__ import annotations
@@ -34,17 +41,21 @@ from .fields import Field, FieldElement, _element, _member_code
 
 
 class Matrix:
-    """Row-major grid of elements of one field; zero-row matrices are legal."""
+    """Row-major grid of elements of one field; zero-row matrices are legal.
 
-    __slots__ = ("field", "rows", "num_cols")
+    The rows are held as tuples together with their codes from the one
+    check, which ``kernel`` and ``rref_canonical`` reduce.
+    """
+
+    __slots__ = ("field", "rows", "num_cols", "_codes")
 
     def __init__(self, field: Field, rows: Sequence[Sequence[FieldElement]], num_cols: int | None = None):
-        rows = [list(r) for r in rows]
+        rows = tuple(map(tuple, rows))
         if num_cols is None:
             if not rows:
-                raise ValueError("num_cols is required for a matrix with no rows")
+                raise AmbientMismatch("num_cols is required for a matrix with no rows")
             num_cols = len(rows[0])
-        _encode(field._kern, rows, num_cols)
+        self._codes = _encode(field._kern, rows, num_cols)
         self.field = field
         self.rows = rows
         self.num_cols = num_cols
@@ -89,14 +100,11 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        one = field._kern.one
-        return cls(field, ambient_dim, tuple(
-            tuple(one if i == j else 0 for j in range(ambient_dim)) for i in range(ambient_dim)
-        ))
+        return cls(field, ambient_dim, _identity_codes(field._kern, ambient_dim))
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors) -> "Subspace":
-        return _span(field, ambient_dim, vectors)
+        return cls.from_codes(field, ambient_dim, _encode(field._kern, vectors, ambient_dim))
 
     @classmethod
     def from_codes(cls, field: Field, ambient_dim: int, codes) -> "Subspace":
@@ -150,16 +158,21 @@ def decode_rows(field: Field, codes) -> tuple:
     return tuple(tuple([_element(field, c) for c in row]) for row in codes)
 
 
-def _span(field: Field, ambient_dim: int, vectors) -> Subspace:
-    """The canonical subspace spanned by vectors of elements."""
-    return Subspace.from_codes(field, ambient_dim, _encode(field._kern, vectors, ambient_dim))
+def _identity_codes(kern, n: int) -> tuple:
+    """The canonical rows of the whole of F^n: the unit rows, in codes."""
+    one = kern.one
+    return tuple(tuple(one if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def _rref_coded(kern, work: list, num_cols: int):
     """Gaussian elimination to unique RREF on kernel codes: (rows, pivot_cols).
 
-    ``work`` is reduced in place, and the reduced rows come back as a tuple
-    of tuples."""
+    ``work`` is overwritten, and the reduced rows come back as a tuple of
+    tuples.  A pivot in the last column after every earlier column has one
+    means rank num_cols, whose unique RREF is the identity; the identity
+    comes back at once, without normalizing that pivot or clearing its
+    column, work that cannot change the result.
+    """
     one = kern.one
     pivot_cols: List[int] = []
     r = 0
@@ -169,6 +182,8 @@ def _rref_coded(kern, work: list, num_cols: int):
                 break
         else:
             continue
+        if r == col == num_cols - 1:
+            return _identity_codes(kern, num_cols), list(range(num_cols))
         work[r], work[pivot] = work[pivot], work[r]
         row = work[r]
         lead = row[col]
@@ -187,7 +202,7 @@ def _rref_coded(kern, work: list, num_cols: int):
 
 def rref_canonical(m: Matrix) -> Subspace:
     """Row space of m as a canonical subspace; idempotent."""
-    return _span(m.field, m.num_cols, m.rows)
+    return Subspace.from_codes(m.field, m.num_cols, m._codes)
 
 
 def _null_basis(kern, reduced, pivot_cols, n: int) -> list:
@@ -209,7 +224,7 @@ def kernel(m: Matrix) -> Subspace:
     """{v : m v^T = 0}; dim = cols - rank."""
     field, n = m.field, m.num_cols
     kern = field._kern
-    reduced, pivot_cols = _rref_coded(kern, _encode(kern, m.rows, n), n)
+    reduced, pivot_cols = _rref_coded(kern, list(m._codes), n)
     return Subspace.from_codes(field, n, _null_basis(kern, reduced, pivot_cols, n))
 
 
@@ -274,7 +289,11 @@ def _residues(kern, rows, vectors, limit=None) -> list:
     A residue is zero in every pivot column of the rows, so the residues
     span (span(rows) + span(vectors)) / span(rows) in the columns off the
     pivots.  The scan stops once ``limit`` nonzero residues are found.
+    When ``rows`` are as many as their columns, they span the whole space
+    and every residue is zero, so none is computed.
     """
+    if rows and len(rows) == len(rows[0]):
+        return []
     one = kern.one  # a canonical row's first nonzero entry, its pivot, is one
     rows = [(row.index(one), row) for row in rows]
     out = []
@@ -300,7 +319,7 @@ def enumerate_subspaces(field: Field, ambient_dim: int, dim: int) -> Iterator[Su
     if field.order is None:
         raise InfiniteField("subspace enumeration needs a finite field")
     if not 0 <= dim <= ambient_dim:
-        raise ValueError(f"dimension {dim} outside 0..{ambient_dim}")
+        raise AmbientMismatch(f"dimension {dim} outside 0..{ambient_dim}")
     one = field._kern.one
     for pivots in itertools.combinations(range(ambient_dim), dim):
         pivot_set = set(pivots)

@@ -6,6 +6,7 @@ brute-force irreducibility test for checking the gcd criterion against."""
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 from rankweight import polys
 from rankweight.fields import (
@@ -56,6 +57,12 @@ def gf3_degree_one():
 @functools.lru_cache(maxsize=None)
 def qtheta():
     return make_tower(Rationals(), [-2, 0, 0, 1], symbol="t")
+
+
+def q_quarters():
+    # x^3 - 3/2 x^2 + 5/4: the Tr(w^i) are 3, 3/2 and 9/4, over the common denominator 4,
+    # and the fold of x^3 has fold_den 4
+    return make_tower(Rationals(), [Fraction(5, 4), 0, Fraction(-3, 2), 1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,7 +147,10 @@ def random_q_codes(count, seed, max_n=3, max_dim=2, height=5):
 
 
 def rref_reference(field, rows, num_cols):
-    """Gaussian elimination to the unique RREF on elements: (rows as tuples, pivot columns)."""
+    """Gauss-Jordan elimination to the unique RREF on elements: (rows as tuples, pivot columns).
+
+    Literal and with no early exit: every column is searched for a pivot,
+    and every pivot is normalized and cleared from every other row."""
     work = [list(r) for r in rows]
     assert all(len(r) == num_cols for r in work)
     pivot_cols = []
@@ -160,14 +170,32 @@ def rref_reference(field, rows, num_cols):
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
         pivot_cols.append(col)
         r += 1
-        if r == len(work):
-            break
     return [tuple(row) for row in work[:r]], pivot_cols
 
 
 def span_reference(field, rows, n):
     """The canonical rows of span(rows), as a tuple of tuples of elements."""
     return tuple(rref_reference(field, rows, n)[0])
+
+
+def tail_reference(field, rows, num_cols, start):
+    """The canonical rows of the row-space vectors that vanish before column start, cut to columns start.."""
+    reduced, pivots = rref_reference(field, rows, num_cols)
+    return tuple(row[start:] for row, p in zip(reduced, pivots) if p >= start)
+
+
+def residues_reference(field, rows, vectors):
+    """The nonzero residues of vectors reduced, row by row, against canonical rows of elements."""
+    out = []
+    for v in vectors:
+        v = list(v)
+        for row in rows:
+            p = next(j for j, x in enumerate(row) if x)
+            c = v[p]
+            v = [a - c * b for a, b in zip(v, row)]
+        if any(v):
+            out.append(tuple(v))
+    return out
 
 
 def null_space_reference(field, rows, n):

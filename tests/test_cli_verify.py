@@ -5,6 +5,7 @@ import json
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -371,7 +372,14 @@ def test_equivdef_agrees_on_random_codes_of_length_four():
      "7d9a67cef5ebc68a81f97516baf715f5aefb10286b90e3bf8aa0bcd2ba74eb79"),
     (VerifyPlan(towers=[TowerTask(2, ("u", "1", "1"), base_degree=2, base_modulus=(1, 1, 1), max_n=3)], force=True),
      "303f4998ecda744198fdff211760f13f1fb9000f0a7af71f21718b212cde5ec9"),
-], ids=["standard", "qt-random-200-seed-42", "gf8-forced-n4", "gf16-over-gf4-forced-n3"])
+    (VerifyPlan(towers=[TowerTask(0, (1, -3, 0, 1), max_n=3)], source="random", random_count=200, seed=42),
+     "aeb7fa5e9ed393402bc41d04b835694d48601fb68c4f32004441fe7ef3beec3f"),
+    # x^3 - 3/2 x^2 + 5/4: a modulus with non-integral coefficients
+    (VerifyPlan(towers=[TowerTask(0, (Fraction(5, 4), 0, Fraction(-3, 2), 1), max_n=3)], source="random",
+                random_count=200, seed=42),
+     "e535ecd850cef2a2f918e59482e195556cc93a7b7683d721878d2458cf4e7a68"),
+], ids=["standard", "qt-random-200-seed-42", "gf8-forced-n4", "gf16-over-gf4-forced-n3",
+        "cyclic-cubic-random-200-seed-42", "q-quarters-random-200-seed-42"])
 def test_verify_summary_is_pinned(plan, digest):
     """The whole summary, byte for byte: a refactor keeps every count, check and census."""
     assert hashlib.sha256(json.dumps(run_verify(plan)).encode()).hexdigest() == digest

@@ -81,6 +81,7 @@ from helpers import (
     is_witness_reference,
     memo_entries,
     payloads_in_order,
+    q_quarters,
     qtheta,
     random_q_codes,
     random_rational_element,
@@ -537,11 +538,6 @@ def test_trace_by_linearity_over_q(make):
 
 def q_cyclic_cubic():
     return make_tower(Rationals(), [1, -3, 0, 1])
-
-
-def q_quarters():
-    # x^3 - 3/2 x^2 + 5/4: the Tr(w^i) are 3, 3/2 and 9/4, over the common denominator 4
-    return make_tower(Rationals(), [Fraction(5, 4), 0, Fraction(-3, 2), 1])
 
 
 @pytest.mark.parametrize("make", [qtheta, q_cyclic_cubic, q_third, q_quarters])

@@ -2,14 +2,21 @@
 
 import itertools
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
+from helpers import gf16_over_gf4, q_quarters, qtheta, residues_reference, rref_reference, tail_reference
+from rankweight import linalg
 from rankweight.errors import AmbientMismatch, FieldMismatch, InfiniteField
-from rankweight.fields import PrimeField, Rationals, make_tower
+from rankweight.fields import FieldElement, PrimeField, Rationals, make_tower
 from rankweight.linalg import (
     Matrix,
     Subspace,
+    _encode,
+    _residues,
+    _rref_coded,
     contains,
     enumerate_subspaces,
     gaussian_binomial,
@@ -18,6 +25,7 @@ from rankweight.linalg import (
     rref_canonical,
     subspace_intersection,
     subspace_sum,
+    tail_subspace,
 )
 
 GF2 = PrimeField(2)
@@ -205,6 +213,13 @@ def test_ambient_mismatch():
         subspace_sum(a, b)
     with pytest.raises(AmbientMismatch):
         subspace_intersection(a, b)
+    with pytest.raises(AmbientMismatch, match="num_cols is required for a matrix with no rows"):
+        Matrix(GF2, [])
+    assert Matrix(GF2, [], 2).num_rows == 0
+    with pytest.raises(AmbientMismatch, match=re.escape("dimension 3 outside 0..2")):
+        list(enumerate_subspaces(GF2, 2, 3))
+    with pytest.raises(AmbientMismatch, match=re.escape("dimension -1 outside 0..2")):
+        list(enumerate_subspaces(GF2, 2, -1))
 
 
 def test_enumeration_counts_match_gaussian_binomials():
@@ -291,3 +306,130 @@ def test_foreign_entries_raise_field_mismatch():
     assert space.dim == 1 and contains(space, [qz.generator(), qz.one()])
     gf8192_again = make_tower(PrimeField(2), [1, 1, 0, 1, 1] + [0] * 8 + [1], symbol="v").L
     assert Subspace.from_vectors(gf8192, 1, [[gf8192_again.generator()]]).dim == 1
+
+
+def test_a_matrix_is_encoded_once(monkeypatch):
+    """Matrix keeps the codes of its one check, and kernel and rref_canonical reduce those."""
+    calls = []
+    real = linalg._encode
+    monkeypatch.setattr(linalg, "_encode", lambda *a: calls.append(a) or real(*a))
+    for reduce in (kernel, rref_canonical):
+        calls.clear()
+        m = Matrix(GF2, vecs(GF2, [[1, 0]]))
+        space = reduce(m)
+        assert len(calls) == 1
+        assert space == Subspace.from_vectors(GF2, 2, vecs(GF2, [[0, 1]] if reduce is kernel else [[1, 0]]))
+    assert m.rows == tuple(map(tuple, vecs(GF2, [[1, 0]])))
+
+
+# ---------------------------------------------------------------------------
+# the whole-space exits of _rref_coded and _residues against a literal Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+
+REFERENCE_FIELDS = {
+    "GF(4)": lambda: GF4,
+    "GF(9)": lambda: GF9,
+    "GF(16)/GF(4)": lambda: gf16_over_gf4().L,
+    "Q": lambda: QQ,
+    "Q(t)": lambda: qtheta().L,
+    "Q(w), fold_den 4": lambda: q_quarters().L,
+}
+
+
+def random_element(rng, field):
+    """A seeded element: any element of a finite field, over Q(θ) coordinates a/b with |a|, b <= 5, some zero."""
+    if field.order is not None:
+        return rng.choice(list(field.elements()))
+
+    def coord():
+        return Fraction(0) if rng.random() < 0.3 else Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+
+    if isinstance(field, Rationals):
+        return FieldElement(field, coord())
+    return FieldElement(field, tuple(coord() for _ in range(field.degree)))
+
+
+def matrix_shapes(rng, field, n):
+    """Seeded rows of elements, (name, rows, num_cols), in every shape the exits meet."""
+    zero = field.zero()
+
+    def rows(count, cols=n):
+        return [[random_element(rng, field) for _ in range(cols)] for _ in range(count)]
+
+    square = rows(n)
+    while len(rref_reference(field, square, n)[0]) < n:
+        square = rows(n)
+    basis = rows(n - 1)
+    deficient = [[sum((random_element(rng, field) * b[j] for b in basis), zero) for j in range(n)] for _ in range(n + 1)]
+    with_zeros = rows(n - 1) + [[zero] * n] + rows(2) + [[zero] * n]
+    zero_first_column = [[zero] + r for r in rows(n + 1, n - 1)]  # the last column pivots, the first does not
+    cases = [
+        ("square full rank", square, n),
+        ("more rows than columns", rows(n + 2), n),
+        ("rank deficient", deficient, n),
+        ("zero first column", zero_first_column, n),
+        ("zero rows", with_zeros, n),
+        ("zero rows only", [[zero] * n] * 2, n),
+        ("one column", rows(3, 1), 1),
+    ]
+    for a, b in ((square, deficient), (deficient, deficient[1:]), (square, square), (zero_first_column, square),
+                 (with_zeros, [])):
+        a, b = rref_reference(field, a, n)[0], rref_reference(field, b, n)[0]
+        zassenhaus = [r + r for r in a] + [r + (zero,) * n for r in b]  # tail_subspace's input from subspace_intersection
+        cases.append((f"zassenhaus {len(a)}+{len(b)}", zassenhaus, 2 * n))
+    return cases
+
+
+@pytest.mark.parametrize("name", REFERENCE_FIELDS)
+def test_the_whole_space_exits_match_a_literal_gauss_jordan(name):
+    """_rref_coded, tail_subspace and _residues against rref_reference, which
+    has no early exit, on seeded matrices of every shape; each square full-rank
+    and taller matrix takes the identity exit, and each reduction against its
+    row space the full-space exit."""
+    field = REFERENCE_FIELDS[name]()
+    kern = field._kern
+    rng = random.Random(35)
+    for n in (1, 3, 4):
+        for shape, rows, cols in matrix_shapes(rng, field, n):
+            reduced, pivots = rref_reference(field, rows, cols)
+            codes = _encode(kern, rows, cols)
+            assert _rref_coded(kern, list(codes), cols) == (tuple(_encode(kern, reduced, cols)), pivots), shape
+            for start in {0, cols // 2, cols}:
+                tail = tail_subspace(field, codes, cols, start)
+                assert tail._codes == tuple(_encode(kern, tail_reference(field, rows, cols, start), cols - start)), shape
+            vectors = [[random_element(rng, field) for _ in range(cols)] for _ in range(3)] + list(reduced)
+            expected = residues_reference(field, reduced, vectors)
+            residues = _residues(kern, tuple(_encode(kern, reduced, cols)), _encode(kern, vectors, cols))
+            assert list(map(tuple, residues)) == _encode(kern, expected, cols), shape
+
+
+def test_a_full_rank_square_reduction_skips_the_last_inverse(monkeypatch):
+    """Over Q(t) an n x n full-rank reduction whose every pivot needs an inverse
+    inverts at most n - 1 of them: the last pivot ends at the identity."""
+    L = qtheta().L
+    n, t, one, zero = 4, L.generator(), L.one(), L.zero()
+    rows = [[t if i == j else one if j > i else zero for j in range(n)] for i in range(n)]
+    calls = []
+    kern_class = type(L._kern)  # the kernels use __slots__: patch the class
+    real = kern_class.inv
+    monkeypatch.setattr(kern_class, "inv", lambda self, a: calls.append(a) or real(self, a))
+    assert rref_canonical(Matrix(L, rows)) == Subspace.full(L, n)
+    assert 0 < len(calls) <= n - 1
+
+
+def test_reducing_against_the_whole_space_subtracts_nothing(monkeypatch):
+    """contains and contains_space against Subspace.full over Q(t) call sub_scaled zero times."""
+    L = qtheta().L
+    rng = random.Random(7)
+    full = Subspace.full(L, 3)
+    vectors = [[random_element(rng, L) for _ in range(3)] for _ in range(4)]
+    other = Subspace.from_vectors(L, 3, vectors)
+    calls = []
+    kern_class = type(L._kern)
+    real = kern_class.sub_scaled
+    monkeypatch.setattr(kern_class, "sub_scaled", lambda self, *a: calls.append(a) or real(self, *a))
+    assert contains(full, *vectors)
+    assert full.contains_space(other) and full.contains_space(full)
+    assert calls == []
+    assert not Subspace.from_vectors(L, 3, vectors[:1]).contains_space(full) and calls
