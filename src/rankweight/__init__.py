@@ -9,8 +9,8 @@ Quick start::
     tower = make_tower(build_base_field(2), [1, 1, 1])   # GF(4)/GF(2)
     w = tower.generator()
     code = LinearCode.from_generators(tower, 2, [[tower.L.one(), w]])
-    print(rank_support_code(code).dim)        # 2
-    print(weight_report(code).rank_distance)  # 2
+    print(rank_support_code(code).dim)           # 2
+    print(weight_report(code)["rank_distance"])  # 2
 """
 
 from .errors import (
@@ -69,8 +69,6 @@ from .ranksupport import (
     trace_image,
 )
 from .weights import (
-    WeightReport,
-    WeightRow,
     find_witness,
     maxwt,
     rank_distance,

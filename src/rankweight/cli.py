@@ -125,22 +125,9 @@ def cmd_weights(args) -> int:
     report = _header(code)
     if args.r is not None and not 1 <= args.r <= code.dim:
         raise BadR(f"--r {args.r} outside 1..dim C = {code.dim}")
-    rep = weight_report(code, witness_seed=args.seed)
-    rows = rep.hierarchy if args.r is None else [rep.hierarchy[args.r - 1]]
-    hierarchy = []
-    for row in rows:
-        entry = {"r": row.r, "dRr": row.d_Rr, "Mr": row.M_r, "OSr": row.OS_r, "Dr": row.D_r}
-        if not row.applicable:
-            entry["reason"] = row.reason
-        hierarchy.append(entry)
-    report["rank_distance"] = rep.rank_distance
-    if rep.rank_distance is None:
-        report["rank_distance_reason"] = rep.rank_distance_reason
-    report["hierarchy"] = hierarchy
-    report["witness"] = None if rep.witness is None else [format_element(x) for x in rep.witness]
-    if rep.witness is None:
-        report["witness_status"] = rep.witness_status
-    report["degenerate"] = rep.degenerate
+    report.update(weight_report(code, witness_seed=args.seed))
+    if args.r is not None:
+        report["hierarchy"] = [report["hierarchy"][args.r - 1]]
     print(emit_report(report, args.format))
     return 0
 

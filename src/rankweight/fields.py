@@ -990,17 +990,17 @@ class _TowerMemo:
     literal ``ranksupport.closure_oracle`` keeps no W_L here.
     """
 
-    __slots__ = ("traces", "frobenius", "extensions", "subcode_coeffs", "closure_maxwt",
-                 "closure_sums", "codes")
+    __slots__ = ("traces", "frobenius", "subspace_codes", "closure_maxwt", "closure_sums", "codes")
 
     def __init__(self):
         self.traces = None  # ExtensionTower._trace_codes: the k-codes of Tr(w^i); over Q(θ), D and D * Tr(w^i)
-        # ExtensionTower._frobenius: σ(x) = x^|k| on L-codes, a table when L's kernel has tables
-        # (|L| <= _KERNEL_LIMIT), else square-and-multiply per code; checked when it is made
+        # ExtensionTower._frobenius: σ(x) = x^|k| on L-codes, square-and-multiply per code;
+        # checked when it is made
         self.frobenius = None
-        # the kept lists of weights._kept, each kept while the space has <= _SUPERSPACE_LIMIT subspaces:
-        self.extensions = {}  # weights.weight_Mr: (n, d) -> the W_L of dim d
-        self.subcode_coeffs = {}  # weights._subcodes: (dim C, r) -> the codes of the r-dim subspaces of L^(dim C)
+        # weights._subspace_codes: (|F|, n, r) -> the canonical codes of the r-dim subspaces of F^n,
+        # for F = k (weight_Mr's W) or L (_subcodes's coefficients), kept while F^n has
+        # <= _SUPERSPACE_LIMIT subspaces
+        self.subspace_codes = {}
         # weights.weight_Dr: (n, codes of a closure W_L) -> maxwt(W_L), one entry per W ⊆ k^n at most
         self.closure_maxwt = {}
         # verify.check_closure_pair: (n, codes of C*, codes of C'*) -> C* + C'*, one entry per pair of closures
@@ -1032,10 +1032,6 @@ class ExtensionTower:
     def basis(self) -> tuple:
         """The power basis 1, w, ..., w^(m-1): the unit coordinate vectors, L's kernel's ``basis``."""
         return tuple([_element(self.L, c) for c in self.L._kern.basis])
-
-    @property
-    def modulus(self):
-        return self.L.modulus
 
     def generator(self) -> FieldElement:
         """The class w of x (equal to -c0 when the extension has degree 1)."""
@@ -1099,7 +1095,8 @@ class ExtensionTower:
     def _frobenius(self):
         """σ: x -> x^|k| on codes of L's kernel, the generator of Gal(L/k) over a finite k.
 
-        Made once per tower (``_frobenius_map``) and checked when it is made:
+        Made once per tower (``_frobenius_map``), as square-and-multiply per
+        code (``_power``) for every finite tower, and checked when it is made:
         σ must fix every code of k (over a finite L, the codes below |k|)
         and have order exactly m on the generator w, else
         InternalInvariantError.  Over an infinite k there is no Frobenius.
@@ -1134,14 +1131,8 @@ class ExtensionTower:
 
 
 def _frobenius_map(kern, q: int):
-    """x -> x^q on the codes of a finite field's kernel, as a function of one code.
-
-    With exp/log tables it is a table read, since log(x^q) = q * log(x)
-    mod |L| - 1; without, ``_power`` per code.
-    """
-    if isinstance(kern, _Kernel):
-        exp, log, n1 = kern.exp, kern.log, kern.n1
-        return ([0] + [exp[log[c] * q % n1] for c in range(1, kern.q)]).__getitem__
+    """x -> x^q on the codes of a finite field's kernel, as a function of one
+    code: ``_power`` per code."""
     return functools.partial(_power, kern, e=q)
 
 

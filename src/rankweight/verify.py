@@ -159,11 +159,13 @@ def random_codes(tower, max_n: int, count: int, rng: random.Random) -> List[Line
 
 
 # ---------------------------------------------------------------------------
-# individual checks: return the number of assertions, raise CheckFailure
+# individual checks: take a code (a pair for closure_pair) and the item's int
+# seed, which only check_witness reads; return the number of assertions, raise
+# CheckFailure
 # ---------------------------------------------------------------------------
 
 
-def check_equivdef(code: LinearCode, params) -> int:
+def check_equivdef(code: LinearCode, seed: int) -> int:
     if code.length > code.tower.degree:
         return 0  # the theorem is stated for n <= m
     assertions = 0
@@ -178,12 +180,11 @@ def check_equivdef(code: LinearCode, params) -> int:
     return assertions
 
 
-def check_witness(code: LinearCode, params) -> int:
+def check_witness(code: LinearCode, seed: int) -> int:
     tower = code.tower
     m, n = tower.degree, code.length
     assertions = 0
     finite = tower.L.order is not None
-    seed = params.get("seed", 0)
     if m >= n:
         try:
             w = find_witness(code, strategy="auto", seed=seed)
@@ -213,7 +214,7 @@ def check_witness(code: LinearCode, params) -> int:
     return assertions
 
 
-def check_delsarte(code: LinearCode, params) -> int:
+def check_delsarte(code: LinearCode, seed: int) -> int:
     lhs = orthogonal_complement(restriction(code).space)
     rhs = rank_support_code(dual(code)).space
     if lhs != rhs:
@@ -221,7 +222,7 @@ def check_delsarte(code: LinearCode, params) -> int:
     return 1
 
 
-def check_closure(code: LinearCode, params) -> int:
+def check_closure(code: LinearCode, seed: int) -> int:
     star = closure(code)
     assertions = 0
     if not star.space.contains_space(code.space):
@@ -242,7 +243,7 @@ def check_closure(code: LinearCode, params) -> int:
     return assertions
 
 
-def check_closure_pair(codes, params) -> int:
+def check_closure_pair(codes, seed: int) -> int:
     a, b = codes
     t, n = a.tower, a.length
     # a sum already in the population is found with its rank support
@@ -260,7 +261,7 @@ def check_closure_pair(codes, params) -> int:
     return 1
 
 
-def check_trace(code: LinearCode, params) -> int:
+def check_trace(code: LinearCode, seed: int) -> int:
     ti = trace_image(code)
     if ti != rank_support_code(code):
         raise CheckFailure("Tr(C) != Rsupp(C) on a separable tower", [code])
@@ -286,9 +287,9 @@ _PAIR_SAMPLE = 500
 
 
 def _run_item(item):
-    name, payload, params = item
+    name, payload, seed = item
     try:
-        return (True, _CHECKS[name](payload, params), None)
+        return (True, _CHECKS[name](payload, seed), None)
     except CheckFailure as e:
         docs = [document_to_json(document_from_code(c)) for c in e.codes]
         return (False, 0, {"check": name, "message": str(e), "documents": docs})
@@ -326,7 +327,7 @@ def _build_items(plan: VerifyPlan, tower, task: TowerTask, rng: random.Random):
         codes = per_n[n]
         for idx, code in enumerate(codes):
             for name in want:
-                items.append((name, code, {"seed": plan.seed + idx}))
+                items.append((name, code, plan.seed + idx))
         if plan.theorem in ("closure", "all"):
             if len(codes) ** 2 <= _PAIR_LIMIT:
                 pairs = [(a, b) for a in codes for b in codes]
@@ -335,7 +336,7 @@ def _build_items(plan: VerifyPlan, tower, task: TowerTask, rng: random.Random):
                     (rng.choice(codes), rng.choice(codes)) for _ in range(_PAIR_SAMPLE)
                 ]
             for pair in pairs:
-                items.append(("closure_pair", pair, {}))
+                items.append(("closure_pair", pair, 0))
     total_codes = sum(len(v) for v in per_n.values())
     return items, total_codes
 

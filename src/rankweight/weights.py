@@ -25,11 +25,12 @@ a sweep does each piece of work once:
 
 * a subcode is the tower's one ``LinearCode`` for its space, so a subcode
   met again brings the rank support, dual, restriction and closure it has;
-* the RREF coefficient matrices of the r-dim subspaces of L^(dim C), which
-  d_R,r, OS_r and D_r combine with C's rows into subcodes, come from lists
-  per (dim C, r), made whole on first use (``_coefficients``);
-* ``weight_Mr`` reads the W_L = ``extend_to_L(W)`` per length and dim W from
-  such lists too (``_extensions``).  Both are kept lists of ``_kept``;
+* the canonical codes of the subspaces of a finite field's F^n come from one
+  list per (|F|, n, dim), made whole on first use (``_subspace_codes``).
+  d_R,r, OS_r and D_r read those of L^(dim C) as RREF coefficient matrices,
+  which they combine with C's rows into subcodes.  ``weight_Mr`` reads those
+  of k^n as the W_L themselves: over a finite tower an L-code below |k| is
+  its k-code, so W's canonical codes are W_L's, as ``extend_to_L`` says.
   ``closure_oracle`` keeps no list, and makes its W_L literally on each
   call, to stay independent of ``extend_to_L``.
   M_r tests each W_L by rank: dim(C ∩ W_L) >= r iff
@@ -60,8 +61,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     BadR,
@@ -71,7 +71,7 @@ from .errors import (
     SearchExhausted,
     ZeroCode,
 )
-from .fields import ExtensionTower, FieldElement, _random_code
+from .fields import ExtensionTower, FieldElement, _random_code, format_element
 from .linalg import (
     Subspace,
     _encode,
@@ -178,14 +178,14 @@ def _subcodes(C: LinearCode, r: int):
     starts with a 1 in column q_(p_i), and column q_(p_j) of SG is column p_j
     of S, which is zero outside row j.  So SG is again in canonical RREF.
     The rows of SG are combined on codes, read straight off the coded
-    coefficient matrices, which the tower lists once per (dim C, r)
-    (``_coefficients``).
+    coefficient matrices, which the tower lists once per (|L|, dim C, r)
+    (``_subspace_codes``).
     """
     t, n = C.tower, C.length
     L = t.L
     kern, G = L._kern, C.space._codes
     add, scale = kern.add, kern.scale
-    for s in _coefficients(t, C.dim, r):
+    for s in _subspace_codes(t, L, C.dim, r):
         rows = []
         for coeffs in s:
             acc = None
@@ -197,35 +197,30 @@ def _subcodes(C: LinearCode, r: int):
         yield LinearCode(t, n, Subspace(L, n, tuple(rows)))
 
 
-# The kept lists (``_kept``): weight_Mr's W_L of every W ⊆ k^n, and
-# _subcodes's coefficient matrices of the subspaces of L^(dim C), are
+# The kept lists (``_subspace_codes``): the canonical codes of the subspaces of
+# k^n, weight_Mr's W, and of L^(dim C), _subcodes's coefficient matrices, are
 # each kept on the tower while the space has at most this many subspaces;
-# above it, they are made again for each code.  A kept W_L takes about 0.5 KB
-# (2,825 of them, all of GF(2)^6 in GF(8)^6, take 1.3 MB), so the W_L list
-# stays under about 2 MB per (tower, n).
+# above it, they are made again for each code.
 _SUPERSPACE_LIMIT = 4096
 
 
-def _kept(memo: dict, key, field, n: int, make):
-    """The items of make() in order, kept as a list in memo[key] while field^n
-    has at most _SUPERSPACE_LIMIT subspaces; above the bound nothing is kept,
-    and every read makes the items again."""
+def _subspace_codes(t: ExtensionTower, field, n: int, r: int):
+    """The canonical codes of every r-dim subspace of field^n, for field t.k or
+    t.L, in enumeration order.
+
+    Kept as a list on the tower per (|field|, n, r) (``subspace_codes`` of its
+    memo) while field^n has at most _SUPERSPACE_LIMIT subspaces; above the
+    bound nothing is kept, and every read enumerates again.  The codes depend
+    on |field|, n and r alone, so when |k| = |L| both fields read one list.
+    """
+    memo, key = t._memo.subspace_codes, (field.order, n, r)
     items = memo.get(key)
     if items is None:
+        items = (s._codes for s in enumerate_subspaces(field, n, r))
         if sum(gaussian_binomial(n, e, field.order) for e in range(n + 1)) > _SUPERSPACE_LIMIT:
-            return make()
-        items = memo[key] = list(make())
+            return items
+        items = memo[key] = list(items)
     return items
-
-
-def _coefficients(t: ExtensionTower, dim: int, r: int):
-    """The canonical codes of every r-dim subspace of L^dim, in enumeration order.
-
-    Kept on the tower per (dim, r) (``subcode_coeffs`` of its memo) by the
-    rule of ``_kept``.
-    """
-    return _kept(t._memo.subcode_coeffs, (dim, r), t.L, dim,
-                 lambda: (s._codes for s in enumerate_subspaces(t.L, dim, r)))
 
 
 def _require_finite(C: LinearCode, what: str):
@@ -281,8 +276,9 @@ def weight_Mr(C: LinearCode, r: int) -> int:
     dim Res(C) >= r, and no W_L of that layer is tested.  At
     dim W = n - dim C + r, every W_L meets C in dimension >= r by counting
     dimensions, so that layer is not tested either.  The W_L between are read
-    from the tower's lists (``_extensions``), and each is tested by rank
-    (``_meets``), without building C + W_L.
+    as the canonical codes of the W, from the tower's lists
+    (``_subspace_codes``), and each is tested by rank (``_meets``), without
+    building C + W_L.
     """
     _check_r(C, r)
     _require_finite(C, "weight_Mr")
@@ -292,8 +288,8 @@ def weight_Mr(C: LinearCode, r: int) -> int:
     kern, G = t.L._kern, C.space._codes
     top = n - C.dim + r
     for d in range(r + 1, top):
-        for v in _extensions(t, n, d):
-            if _meets(kern, G, v._codes, C.dim - r):
+        for v in _subspace_codes(t, t.k, n, d):
+            if _meets(kern, G, v, C.dim - r):
                 return d
     return top
 
@@ -308,16 +304,6 @@ def _meets(kern, G, v, slack: int) -> bool:
     residues = _residues(kern, v, G)
     count = len(residues)
     return count <= slack or count > 1 and len(_rref_coded(kern, residues, len(G[0]))[0]) <= slack
-
-
-def _extensions(t: ExtensionTower, n: int, d: int):
-    """extend_to_L(W) for every d-dimensional W ⊆ k^n, in enumeration order.
-
-    Kept on the tower per (n, d) (``extensions`` of its memo) by the rule of
-    ``_kept``.
-    """
-    return _kept(t._memo.extensions, (n, d), t.k, n,
-                 lambda: (extend_to_L(KSubspace(t, n, w)).space for w in enumerate_subspaces(t.k, n, d)))
 
 
 def _counting_floor(C: LinearCode, r: int) -> int:
@@ -551,66 +537,49 @@ def find_witness(
     return None if c is None else list(decode_rows(t.L, [c])[0])
 
 
-@dataclass
-class WeightRow:
-    r: int
-    d_Rr: Optional[int]
-    M_r: Optional[int]
-    OS_r: Optional[int]
-    D_r: Optional[int]
-    applicable: bool = True
-    reason: Optional[str] = None
-
-
-@dataclass
-class WeightReport:
-    code: LinearCode
-    rank_distance: Optional[int]
-    rank_distance_reason: Optional[str]
-    hierarchy: List[WeightRow] = field(default_factory=list)
-    witness: Optional[list] = None
-    witness_status: str = "undecided"
-    degenerate: bool = False
-
-
-def weight_report(C: LinearCode, witness_seed: int = 0) -> WeightReport:
-    """Everything at once: rank distance, the four weights per r, a witness,
-    and the degeneracy flag; entries needing finite enumeration are marked
-    inapplicable over infinite bases rather than approximated.
+def weight_report(C: LinearCode, witness_seed: int = 0) -> dict:
+    """Everything at once, as the JSON-ready dict that ``weights --format json``
+    prints after its tower/n/dim header: the rank distance (with
+    ``rank_distance_reason`` when it is None), the hierarchy of the four
+    weights per r, a witness as element strings (with ``witness_status``,
+    "none_exists" or "undecided", when it is None) and the degeneracy flag.
+    Entries needing finite enumeration are None, with a reason, over infinite
+    bases rather than approximated.
 
     When n <= m the four values are asserted equal per r; a mismatch raises
     EquivalenceViolation, which would indicate an implementation bug.
     """
     t = C.tower
     finite = t.L.order is not None
-    report = WeightReport(code=C, rank_distance=None, rank_distance_reason=None)
-    report.degenerate = is_rank_degenerate(C)
+    report = {"rank_distance": None}
     if C.dim == 0:
-        report.rank_distance_reason = "zero code: no nonzero codeword"
+        report["rank_distance_reason"] = "zero code: no nonzero codeword"
     elif not finite:
-        report.rank_distance_reason = "requires finite enumeration"
+        report["rank_distance_reason"] = "requires finite enumeration"
     else:
-        report.rank_distance = rank_distance(C)
+        report["rank_distance"] = rank_distance(C)
+    hierarchy = report["hierarchy"] = []
     for r in range(1, C.dim + 1):
         if not finite:
-            report.hierarchy.append(
-                WeightRow(r, None, None, None, None, applicable=False,
-                          reason="requires finite enumeration")
-            )
+            hierarchy.append({"r": r, "dRr": None, "Mr": None, "OSr": None, "Dr": None,
+                              "reason": "requires finite enumeration"})
             continue
         values = weight_values(C, r)
         if C.length <= t.degree and len(set(values)) != 1:
             raise EquivalenceViolation(
                 f"n = {C.length} <= m = {t.degree} but (d_Rr, M_r, OS_r, D_r) = {values} at r = {r}"
             )
-        report.hierarchy.append(WeightRow(r, *values))
-    if report.rank_distance is not None and report.hierarchy:
-        if report.rank_distance != report.hierarchy[0].d_Rr:
+        hierarchy.append(dict(zip(("r", "dRr", "Mr", "OSr", "Dr"), (r, *values))))
+    if report["rank_distance"] is not None and hierarchy:
+        if report["rank_distance"] != hierarchy[0]["dRr"]:
             raise InternalInvariantError("rank distance differs from d_R1")
     try:
         w = find_witness(C, strategy="auto", seed=witness_seed)
-        report.witness = w
-        report.witness_status = "found" if w is not None else "none_exists"
+        status = "none_exists"
     except SearchExhausted:
-        report.witness_status = "undecided"
+        w, status = None, "undecided"
+    report["witness"] = None if w is None else [format_element(x) for x in w]
+    if w is None:
+        report["witness_status"] = status
+    report["degenerate"] = is_rank_degenerate(C)
     return report

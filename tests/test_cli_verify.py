@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -511,3 +512,56 @@ def test_no_kernel_carries_over_between_calls(capsys, monkeypatch):
     capsys.readouterr()
     assert counts[0] == counts[1] >= 3  # GF(2), GF(4) and GF(16) at least
     assert built[: counts[0]] == built[counts[0]:]
+
+
+L3 = SAMPLE.replace('"length": 2, "generators": [["1", "w"]]',
+                    '"length": 3, "generators": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]')
+L3_HEAD = 'tower: {"characteristic": 2, "base_degree": 1, "extension_modulus": [1, 1, 1], "generator_name": "w"}\n' \
+          "n: 3\ndim: 3\n"
+
+
+def test_weights_and_witness_when_no_witness_exists(tmp_path, capsys):
+    """L^3 over GF(4)/GF(2) has wt_R = 3 > m = 2, so no codeword carries its support."""
+    path = tmp_path / "l3.json"
+    path.write_text(L3)
+    assert run_cli(capsys, "weights", str(path)) == (0, L3_HEAD + (
+        "rank_distance: 1\nhierarchy:\n"
+        "    r   dRr    Mr   OSr    Dr\n"
+        "    1     1     1     1     1\n"
+        "    2     2     2     2     2\n"
+        "    3     3     3     2     2\n"
+        "witness: -\nwitness_status: none_exists\ndegenerate: no\n"), "")
+    code, out, _ = run_cli(capsys, "witness", str(path), "--format", "json")
+    assert code == 0
+    assert {k: v for k, v in json.loads(out).items() if k in ("strategy", "status", "witness")} == {
+        "strategy": "auto", "status": "none_exists", "witness": None}
+
+
+def test_verify_over_a_nested_base_and_the_capped_standard_plan(capsys, monkeypatch):
+    monkeypatch.setenv("RANKWEIGHT_WORKERS", "1")
+    code, out, _ = run_cli(capsys, "verify", "--char", "2", "--base-degree", "2", "--base-modulus", "1,1,1",
+                           "--ext-modulus", "u,1,1", "--max-n", "1", "--force")
+    assert code == 0
+    assert "  char 2 base_degree 2 modulus [u,1,1] n<=1: 2 codes, 29 assertions\n" in out
+    assert out.endswith("result: PASS (2 codes checked, 29 assertions)\n")
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "1")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("  char")] == [
+        "  char 2 modulus [1,1,1] n<=1: 2 codes, 29 assertions",
+        "  char 2 modulus [1,1,0,1] n<=1: 2 codes, 29 assertions",
+        "  char 3 modulus [1,0,1] n<=1: 2 codes, 29 assertions",
+    ]
+    assert out.endswith("result: PASS (6 codes checked, 87 assertions)\n")
+    assert run_cli(capsys, "verify", "--char", "2") == (1, "", "error: --char requires --ext-modulus\n")
+
+
+def test_work_items_carry_an_int_seed():
+    """A work item is (check name, code or pair, seed): plan.seed + the code's
+    index for a code, 0 for a pair."""
+    plan = standard_plan(seed=7)
+    rng = random.Random(plan.seed)
+    for task in plan.towers:
+        items, _ = verify_mod._build_items(plan, task.build(), task, rng)
+        assert items and all(len(item) == 3 and type(item[2]) is int for item in items)
+        assert {seed for name, _, seed in items if name == "closure_pair"} == {0}
+        assert min(seed for name, _, seed in items if name != "closure_pair") == 7

@@ -356,3 +356,19 @@ def test_base_generator_name_must_be_an_identifier():
         parse_code_file(json.dumps(doc))
     doc["tower"].update(base_generator_name="u1", extension_modulus=["u1", "1", "1"])
     assert parse_code_file(json.dumps(doc)).tower.k.symbol == "u1"
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: [d], "document root must be a JSON object"),
+    (lambda d: d["tower"].update(base_degree="2") or d, "tower.base_degree: expected integer"),
+    (lambda d: d["tower"].update(base_degree=2, base_modulus=[1, "1", 1]) or d,
+     "tower.base_modulus: expected a list of integers"),
+    (lambda d: d["tower"].update(base_degree=2, base_modulus=[1, 1, 1], extension_modulus=["u", 1, 1],
+                                 generator_name="u", base_generator_name="u") or d,
+     "tower: generator_name and base_generator_name must differ"),
+    (lambda d: d.update(generators=["1, w"]) or d, "generators[0]: expected a list of element strings"),
+])
+def test_each_document_refusal_names_its_field(change, message):
+    with pytest.raises(ParseError) as e:
+        parse_code_document(change(json.loads(SAMPLE)))
+    assert str(e.value) == message

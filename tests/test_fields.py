@@ -645,3 +645,14 @@ def test_large_field_arithmetic_reads_no_payload(make, monkeypatch):
     for (x, y), (s, m, i, d, diff), (ws, wm, wi) in zip(elements, got, expected):
         assert (s.payload, m.payload, i.payload) == (ws, wm, wi)
         assert d * y == x and diff + y == x and x * i == field.one()
+
+
+def test_an_int_on_the_left_and_division_by_zero():
+    """``__rsub__`` and ``__rtruediv__`` read an int on the left as an element;
+    dividing by the zero element, from either side, raises ZeroDivisionError."""
+    t = make_tower(PrimeField(3), [1, 0, 1])  # GF(9)/GF(3), w^2 = -1
+    w, zero = t.generator(), t.L.zero()
+    assert [format_element(x) for x in (1 - w, 1 / w, 2 / (w + 1))] == ["2*w+1", "2*w", "2*w+1"]
+    for divide in (lambda: w / zero, lambda: 1 / zero):
+        with pytest.raises(ZeroDivisionError, match="^0 has no inverse$"):
+            divide()

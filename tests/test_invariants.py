@@ -463,7 +463,7 @@ def test_member_code_gate_flags_each_kind():
 # what closure_oracle is checked against; it must reach none of them
 ORACLE_BANNED = {"closure", "rank_support_code", "restriction", "extend_to_L"}
 # galois_closure must share no step with closure or with the literal oracle either
-GALOIS_BANNED = ORACLE_BANNED | {"closure_oracle", "_kept"}
+GALOIS_BANNED = ORACLE_BANNED | {"closure_oracle", "_subspace_codes"}
 
 
 def _reached_names(source, root, banned):
@@ -551,7 +551,7 @@ def test_galois_gate_flags_each_kind():
             clean.replace("image(S, sigma)", "restriction(C).space"),
             clean.replace("image(S, sigma)", "extend_to_L(D).space"),
             clean.replace("_fix(C.space", "_fix(closure_oracle(C).space"),
-            clean.replace("image(S, sigma)", "next(_kept(memo, n, k, n, make))"),
+            clean.replace("image(S, sigma)", "next(_subspace_codes(C.tower, k, n, n))"),
             clean.replace("galois_closure", "galois"),
         )
     ]
@@ -1152,7 +1152,7 @@ def test_frobenius_is_the_qth_power():
     for task in GALOIS_TOWERS:
         tower = task.build()
         sigma, q = tower._frobenius(), tower.k.order
-        assert isinstance(tower._memo.frobenius.__self__, list)  # |L| <= 4096: a table
+        assert tower._memo.frobenius is sigma  # made once per tower
         for x in tower.L.elements():
             assert sigma(x.code) == _qth_power(x, q).code
 

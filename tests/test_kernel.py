@@ -309,7 +309,7 @@ def test_a_loaded_tower_is_rebuilt_through_its_constructors():
     w = warm.generator()
     assert weight_Mr(LinearCode.from_generators(warm, 3, [[warm.L.one(), w, w * w]]), 1) == 3
     # every closure slot filled: extended codes keep themselves, the rest a code of the table
-    assert all(check_closure_pair(pair, {}) == 1 for pair in itertools.product(population, repeat=2))
+    assert all(check_closure_pair(pair, 0) == 1 for pair in itertools.product(population, repeat=2))
     assert all(closure(c)._closure is closure(c) for c in population)
     assert warm.L._kern and warm.k._kern
     assert all(value for value in memo_entries(warm).values() if isinstance(value, dict))
@@ -377,8 +377,8 @@ def test_a_tower_loaded_where_a_freed_one_lived_starts_cold():
         t = pickle.loads(blob)
         assert_memo_empty(t)
         codes = exhaustive_codes(t, 2)
-        assert [check_equivdef(c, {}) for c in codes] == [c.dim for c in codes]
-        assert all(check_closure_pair(pair, {}) == 1 for pair in itertools.product(codes, repeat=2))
+        assert [check_equivdef(c, 0) for c in codes] == [c.dim for c in codes]
+        assert all(check_closure_pair(pair, 0) == 1 for pair in itertools.product(codes, repeat=2))
         del t, codes
         gc.collect()
 
@@ -844,7 +844,7 @@ def test_closure_pair_on_q_codes_decodes_nothing(monkeypatch):
     codes = random_q_codes(8, seed=31)
     for a, b in zip(codes, codes[1:]):
         if a.length == b.length:
-            assert check_closure_pair((a, b), {}) == 1
+            assert check_closure_pair((a, b), 0) == 1
     assert calls == []
     assert rank_support_code(codes[0]).space.rows is not None and calls  # decoding is counted
 

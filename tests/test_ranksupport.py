@@ -244,13 +244,13 @@ def test_restriction_routes_run_once_per_code(monkeypatch):
     # the code C1 it splits off without restricting it, as Res(C1) = 0
     for C, eliminations in zip(_memo_codes(), (2, 2)):
         calls.clear()
-        check_witness(C, {"seed": 0})
-        check_delsarte(C, {})
-        check_trace(C, {})
+        check_witness(C, 0)
+        check_delsarte(C, 0)
+        check_trace(C, 0)
         is_rank_degenerate(C)
         assert len(calls) == eliminations
-        check_delsarte(C, {})
-        check_trace(C, {})
+        check_delsarte(C, 0)
+        check_trace(C, 0)
         is_rank_degenerate(C)
         assert restriction(C) is restriction(C)
         assert dual(C) is dual(C)
@@ -409,7 +409,7 @@ def test_each_restriction_runs_once_per_code_of_a_population(monkeypatch):
     codes = [c for n in range(1, 3) for c in all_codes(t, n)]
     calls = _count_calls(monkeypatch, "tail_subspace")
     for C in codes:
-        check_delsarte(C, {})
+        check_delsarte(C, 0)
         is_rank_degenerate(C)
     # Res(C^perp) is the restriction of a code of the population, taken once
     assert len(codes) == 13 and len(calls) == 13
@@ -422,12 +422,12 @@ def test_closure_sums_are_summed_once_per_pair_of_closures(monkeypatch):
     star_pairs = {(closure(a).space, closure(b).space) for a, b in pairs}
     summed, real = [], verify.subspace_sum
     monkeypatch.setattr(verify, "subspace_sum", lambda a, b: summed.append((a, b)) or real(a, b))
-    assert all(check_closure_pair(pair, {}) == 1 for pair in pairs)
+    assert all(check_closure_pair(pair, 0) == 1 for pair in pairs)
     # C + C' for every pair, and C* + C'* once per distinct pair of closures
     assert len(pairs) == 19 * 19 and len(star_pairs) == 5 * 5
     assert len(summed) == len(pairs) + len(star_pairs) and len(fresh._memo.closure_sums) == len(star_pairs)
     summed.clear()
-    assert all(check_closure_pair(pair, {}) == 1 for pair in pairs) and len(summed) == len(pairs)
+    assert all(check_closure_pair(pair, 0) == 1 for pair in pairs) and len(summed) == len(pairs)
 
 
 def _expansion_in_basis(t, c, basis):

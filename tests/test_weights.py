@@ -1,11 +1,13 @@
 """Rank distance, the four generalized weights, witness strategies."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from helpers import (
     all_codes,
+    gf3_degree_one,
     gf4,
     gf8,
     gf9,
@@ -231,36 +233,33 @@ def test_zero_code_witness_and_report():
     z = LinearCode.zero(t, 2)
     assert find_witness(z) == vec(t, 0, 0)
     rep = weight_report(z)
-    assert rep.rank_distance is None
-    assert rep.hierarchy == []
-    assert rep.degenerate
+    assert rep["rank_distance"] is None
+    assert rep["hierarchy"] == []
+    assert rep["degenerate"]
 
 
 def test_weight_report_examples():
     t = gf4()
     w = t.generator()
     rep = weight_report(code(t, 2, (1, w)))
-    assert rep.rank_distance == 2
-    assert len(rep.hierarchy) == 1
-    row = rep.hierarchy[0]
-    assert (row.d_Rr, row.M_r, row.OS_r, row.D_r) == (2, 2, 2, 2)
-    assert not rep.degenerate
-    assert rep.witness_status == "found"
+    assert rep["rank_distance"] == 2
+    assert rep["hierarchy"] == [{"r": 1, "dRr": 2, "Mr": 2, "OSr": 2, "Dr": 2}]
+    assert not rep["degenerate"]
+    assert rep["witness"] is not None and "witness_status" not in rep  # found
 
     rep = weight_report(code(t, 2, (1, 1)))
-    row = rep.hierarchy[0]
-    assert (row.d_Rr, row.M_r, row.OS_r, row.D_r) == (1, 1, 1, 1)
-    assert rep.degenerate
+    assert rep["hierarchy"] == [{"r": 1, "dRr": 1, "Mr": 1, "OSr": 1, "Dr": 1}]
+    assert rep["degenerate"]
 
 
 def test_weight_report_inapplicable_over_q():
     q = qtheta()
     theta = q.generator()
     rep = weight_report(code(q, 2, (1, theta)), witness_seed=5)
-    assert rep.rank_distance is None
-    assert rep.rank_distance_reason == "requires finite enumeration"
-    assert all(not row.applicable for row in rep.hierarchy)
-    assert rep.witness_status in ("found", "undecided")
+    assert rep["rank_distance"] is None
+    assert rep["rank_distance_reason"] == "requires finite enumeration"
+    assert rep["hierarchy"] and all(row["reason"] == "requires finite enumeration" for row in rep["hierarchy"])
+    assert rep["witness"] is not None or rep["witness_status"] == "undecided"
 
 
 SMALL_SWEEPS = [(gf4, 1), (gf4, 2), (gf8, 1), (gf8, 2), (gf9, 1), (gf9, 2)]
@@ -399,18 +398,25 @@ def test_weight_Mr_extends_each_W_once_per_tower(monkeypatch):
     fresh = make_tower(PrimeField(2), [1, 1, 0, 1])
     cases = [(c, r) for n in range(1, 4) for c in all_codes(fresh, n) for r in range(1, c.dim + 1)]
     expected = [weight_dRr(c, r) for c, r in cases]  # n <= m: the theorem
-    extended, real = [], weights.extend_to_L
-    monkeypatch.setattr(weights, "extend_to_L", lambda W: extended.append((W.length, W.space)) or real(W))
+    made, real = [], weights.enumerate_subspaces
+
+    def recording(field, ambient_dim, dim):
+        for s in real(field, ambient_dim, dim):
+            if field.order == 2:  # a W ⊆ k^n
+                made.append((ambient_dim, s))
+            yield s
+
+    monkeypatch.setattr(weights, "enumerate_subspaces", recording)
     assert [weight_Mr(c, r) for c, r in cases] == expected
     subspaces = sum(gaussian_binomial(n, d, 2) for n in range(1, 4) for d in range(1, n + 1))
-    assert len(extended) == len(set(extended)) <= subspaces
-    # above the bound nothing is kept, and every scan extends again
+    assert len(made) == len(set(made)) <= subspaces
+    # above the bound nothing is kept, and every scan makes its W again
     again = make_tower(PrimeField(2), [1, 1, 0, 1])
     monkeypatch.setattr(weights, "_SUPERSPACE_LIMIT", 1)
-    extended.clear()
+    made.clear()
     cases = [(c, r) for n in range(1, 4) for c in all_codes(again, n) for r in range(1, c.dim + 1)]
     assert [weight_Mr(c, r) for c, r in cases] == expected
-    assert again._memo.extensions == {} and len(extended) > subspaces
+    assert again._memo.subspace_codes == {} and len(made) > subspaces
 
 
 def test_subcode_coefficients_are_enumerated_once_per_tower(monkeypatch):
@@ -429,14 +435,55 @@ def test_subcode_coefficients_are_enumerated_once_per_tower(monkeypatch):
     # one enumeration of L^(dim C) per (dim C, r), read by d_R,r, OS_r and D_r alike
     assert sorted(enumerated) == sorted({(c.dim, r) for c, r in cases})
     assert len(set(enumerated)) == len(enumerated)
-    assert set(fresh._memo.subcode_coeffs) == set(enumerated)
+    assert {(n, d) for q, n, d in fresh._memo.subspace_codes if q == fresh.L.order} == set(enumerated)
     # above the bound nothing is kept: every scan enumerates again, and finds the same subcodes in order
     again = make_tower(PrimeField(2), [1, 1, 0, 1])
     monkeypatch.setattr(weights, "_SUPERSPACE_LIMIT", 1)
     cases = [(c, r) for n in range(1, 4) for c in all_codes(again, n) for r in range(1, c.dim + 1)]
     assert [[D.space for D in _subcodes(c, r)] for c, r in cases] == kept_subcodes
     assert {name: [getattr(weights, name)(c, r) for c, r in cases] for name in WEIGHT_NAMES} == kept
-    assert again._memo.subcode_coeffs == {}
+    assert again._memo.subspace_codes == {}
+
+
+# GF(3)/GF(3), n <= 3: (n, dim C, r) -> ((d_Rr, M_r, OS_r, D_r), number of codes)
+DEGREE_ONE_WEIGHTS = {
+    (1, 1, 1): ((1, 1, 1, 1), 1),
+    (2, 1, 1): ((1, 1, 1, 1), 4),
+    (2, 2, 1): ((1, 1, 1, 1), 1),
+    (2, 2, 2): ((2, 2, 1, 1), 1),
+    (3, 1, 1): ((1, 1, 1, 1), 13),
+    (3, 2, 1): ((1, 1, 1, 1), 13),
+    (3, 2, 2): ((2, 2, 1, 1), 13),
+    (3, 3, 1): ((1, 1, 1, 1), 1),
+    (3, 3, 2): ((2, 2, 1, 1), 1),
+    (3, 3, 3): ((3, 3, 1, 1), 1),
+}
+
+
+def test_a_degree_one_tower_keeps_one_list_for_k_and_L():
+    """|k| = |L|: the codes of k and L agree, so the two read one kept list,
+    and the four weights keep their values."""
+    t = gf3_degree_one.__wrapped__()  # a fresh tower, with an empty memo
+    values = Counter((n, c.dim, r, weights.weight_values(c, r))
+                     for n in range(1, 4) for c in all_codes(t, n) for r in range(1, c.dim + 1))
+    assert values == Counter({(*key, v): count for key, (v, count) in DEGREE_ONE_WEIGHTS.items()})
+    kept = t._memo.subspace_codes
+    assert kept and all(q == 3 for q, _, _ in kept)
+    for _, n, r in list(kept):
+        assert weights._subspace_codes(t, t.k, n, r) is weights._subspace_codes(t, t.L, n, r)
+
+
+@pytest.mark.parametrize("build, max_n", [(gf8, 3), (gf16_over_gf4, 2)])
+def test_each_kept_W_is_its_own_extension(build, max_n):
+    """weight_Mr reads the canonical codes of W as W_L's: over a finite tower
+    ``extend_to_L`` changes no code."""
+    t = build()
+    for n in range(1, max_n + 1):
+        for d in range(n + 1):
+            spaces = list(enumerate_subspaces(t.k, n, d))
+            assert list(weights._subspace_codes(t, t.k, n, d)) == [W._codes for W in spaces]
+            for W in spaces:
+                assert extend_to_L(KSubspace(t, n, W)).space._codes == W._codes
 
 
 def test_weight_Mr_rank_test_matches_the_literal_sum():
