@@ -133,16 +133,12 @@ def cmd_weights(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    if args.height < 1:  # the random search draws numerators and denominators up to it
-        raise _UsageError(f"--height must be at least 1, got {args.height}")
     code = _load(args)
     report = _header(code)
     status = "found"
     witness = None
     try:
-        witness = find_witness(
-            code, strategy=args.strategy, seed=args.seed, height=args.height
-        )
+        witness = find_witness(code, strategy=args.strategy, seed=args.seed)
         if witness is None:
             status = "none_exists"
     except SearchExhausted as e:
@@ -240,7 +236,6 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--strategy", choices=STRATEGIES, default="auto")
     p.add_argument("--seed", type=int, default=0, help="seed for the random search")
-    p.add_argument("--height", type=int, default=5, help="coordinate height for random search over Q")
     add_format(p)
 
     p = sub.add_parser("dual", help="emit the dual code as a code document")

@@ -61,7 +61,8 @@ are perfect, so every tower is separable.
   (Bareiss, Math. Comp. 1968).
 
 Both inverses raise ZeroDivisionError on a zero divisor, a guard that no
-checked field reaches.
+checked field reaches; it is the one such guard, since every polynomial
+division on the way (``polys.divmod_poly``) is by a nonzero divisor.
 
 A kernel takes and returns codes only, and never builds a ``FieldElement``;
 ``index`` and ``payload`` convert between codes and payloads at the
@@ -69,7 +70,8 @@ boundary.  Three jobs on codes have one implementation each, here:
 ``_code_of`` codes an element, an int or (over Q) a Fraction, and ``_code_in``
 is the one refusal (FieldMismatch) of a single non-element; ``_power`` is
 the one square-and-multiply; and ``ExtensionTower._code_trace`` is the one
-trace, which ``ranksupport.trace_image`` also takes.  ``linalg``,
+trace, the same sum of k-kernel products over ``expand`` on every tower,
+Q(θ) included, which ``ranksupport.trace_image`` also takes.  ``linalg``,
 ``ranksupport`` and ``weights`` run on codes alone; ``linalg._encode`` reads
 the codes of rows of elements and ``linalg.decode_rows`` wraps rows of
 codes.  Codes are the stored form of every ``linalg.Subspace``; its element
@@ -993,13 +995,13 @@ class _TowerMemo:
     __slots__ = ("traces", "frobenius", "subspace_codes", "closure_maxwt", "closure_sums", "codes")
 
     def __init__(self):
-        self.traces = None  # ExtensionTower._trace_codes: the k-codes of Tr(w^i); over Q(θ), D and D * Tr(w^i)
+        self.traces = None  # ExtensionTower._trace_codes: the k-codes of Tr(w^i)
         # ExtensionTower._frobenius: σ(x) = x^|k| on L-codes, square-and-multiply per code;
         # checked when it is made
         self.frobenius = None
         # weights._subspace_codes: (|F|, n, r) -> the canonical codes of the r-dim subspaces of F^n,
-        # for F = k (weight_Mr's W) or L (_subcodes's coefficients), kept while F^n has
-        # <= _SUPERSPACE_LIMIT subspaces
+        # for F = k (weight_Mr's W) or L (_subcodes's coefficients), kept while the list has
+        # fewer than _SUPERSPACE_LIMIT entries
         self.subspace_codes = {}
         # weights.weight_Dr: (n, codes of a closure W_L) -> maxwt(W_L), one entry per W ⊆ k^n at most
         self.closure_maxwt = {}
@@ -1052,19 +1054,11 @@ class ExtensionTower:
     def _code_trace(self, c):
         """Tr(c) for a code c of L's kernel, as a code of k's, by linearity: sum_i c_i * Tr(w^i).
 
-        Over a finite L the c_i are the k-codes of c's coordinates, multiplied
-        and added in k's kernel, so no table of size |L| is built.  Over Q(θ)
-        it is one dot product of c's numerators with the D * Tr(w^i), over
-        c's denominator times D, reduced by one gcd.
+        The c_i are the k-codes of c's coordinates (``expand``), multiplied
+        and added in k's kernel, so no table of size |L| is built; every
+        tower, Q(θ) included, takes this one sum.
         """
         traces = self._memo.traces or self._trace_codes()
-        if self.L.order is None:
-            den, scaled = traces  # m scaled traces: the map stops before c's denominator
-            num = sum(map(operator.mul, scaled, c)) if c else 0
-            if not num:
-                return 0
-            g = gcd(num, c[-1] * den)
-            return num // g, c[-1] * den // g
         kk = self.k._kern
         acc = 0
         for x, tr in zip(self.L._kern.expand(c), traces):
@@ -1075,21 +1069,16 @@ class ExtensionTower:
     def _trace_codes(self) -> tuple:
         """What ``_code_trace`` reads, computed on codes once per tower: the k-codes
         of Tr(w^i), the traces sum_j (w^(i+j))_j of the multiplication-by-w^i
-        matrices; over Q(θ), (D, the integers D * Tr(w^i)) with D the least
-        common denominator of the Tr(w^i)."""
+        matrices."""
         memo = self._memo
         if memo.traces is None:
             kern, add, m = self.L._kern, self.k._kern.add, self.degree
             powers = list(kern.basis)
             while len(powers) < 2 * m - 1:  # m >= 2 here, so powers[1] is w
                 powers.append(kern.mul(powers[-1], powers[1]))
-            traces = tuple(
+            memo.traces = tuple(
                 functools.reduce(add, [kern.expand(powers[i + j])[j] for j in range(m)], 0) for i in range(m)
             )
-            if self.L.order is None:  # Q-codes (n, d), and 0 for zero
-                den = lcm(*[x[1] for x in traces if x])
-                traces = den, tuple([x[0] * (den // x[1]) if x else 0 for x in traces])
-            memo.traces = traces
         return memo.traces
 
     def _frobenius(self):
@@ -1176,8 +1165,6 @@ def format_element(x: FieldElement) -> str:
     field = x.field
     if isinstance(field, (Rationals, PrimeField)):
         return str(x.payload)
-    if not isinstance(field, ExtensionField):
-        raise TypeError(f"cannot format an element of {field!r}")
     base = field.base
     sym = field.symbol
     coords, one = field._kern.expand(x.code), base._kern.one

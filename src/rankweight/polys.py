@@ -22,8 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import BadModulus, InfiniteField
-
 
 def normalize(k, coeffs):
     """Strip trailing zeros; [] is the zero polynomial."""
@@ -74,8 +72,6 @@ def mul(k, p, q):
 
 def divmod_poly(k, p, q):
     """Quotient and remainder of p by q (q nonzero)."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
     kadd, kneg, kmul = k.add, k.neg, k.mul
     rem = list(p)
     dq = degree(q)
@@ -98,13 +94,12 @@ def mod(k, p, q):
 
 
 def monic(k, p):
-    if not p:
-        return []
+    """p / lead(p) (p nonzero)."""
     return scale(k, p, k.inv(p[-1]))
 
 
 def gcd(k, p, q):
-    """Monic gcd; gcd(p, 0) = monic(p)."""
+    """Monic gcd; gcd(p, 0) = monic(p) (p nonzero)."""
     while q:
         p, q = q, mod(k, p, q)
     return monic(k, p)
@@ -127,16 +122,11 @@ def x_poly(k):
 
 
 def is_irreducible_gcd(k, p):
-    """Finite-field irreducibility via gcd(f, x^(q^i) - x) for i <= deg/2."""
+    """Finite-field irreducibility via gcd(f, x^(q^i) - x) for i <= deg/2 (f monic of degree >= 1)."""
     q = k.field.order
-    if q is None:
-        raise InfiniteField("gcd-based irreducibility test needs a finite field")
-    m = degree(p)
-    if m < 1:
-        raise BadModulus("irreducibility is about polynomials of degree >= 1")
     x = x_poly(k)
     h = x
-    for _ in range(m // 2):
+    for _ in range(degree(p) // 2):
         h = pow_mod(k, h, q, p)
         if degree(gcd(k, p, sub(k, h, x))) != 0:
             return False
@@ -183,11 +173,9 @@ def is_irreducible_rationals(coeffs):
 
     A bounded search for monic integer factors of degree <= deg/2 of
     ``monic_integer_form`` decides the question exactly; its degree-1
-    factors x + c0 are the rational (hence integer) root test.
+    factors x + c0 are the rational (hence integer) root test.  f has degree >= 1.
     """
     m = len(coeffs) - 1
-    if m < 1:
-        raise BadModulus("irreducibility is about polynomials of degree >= 1")
     if m == 1:
         return True
     g = monic_integer_form(coeffs)

@@ -197,7 +197,7 @@ def check_witness(code: LinearCode, seed: int) -> int:
         if not verify_witness(code, w):
             raise CheckFailure("witness fails the closure criterion", [code])
         assertions += 3
-        if code.dim and not is_extended(code):
+        if not is_extended(code):
             if not code.dim <= m - 1:
                 raise CheckFailure("non-extended code with a witness has dim > m-1", [code])
             assertions += 1
@@ -387,9 +387,8 @@ def _execute(items, workers: int):
         return [_run_item(it) for it in items]
     from multiprocessing import get_context
 
-    chunk = max(1, len(items) // (workers * 4))
     with get_context().Pool(workers, initializer=_adopt, initargs=(items,)) as pool:
-        return pool.map(_run_index, range(len(items)), chunksize=chunk)
+        return pool.map(_run_index, range(len(items)))
 
 
 def run_verify(plan: VerifyPlan) -> dict:

@@ -93,6 +93,7 @@ from .ranksupport import (
     restriction,
 )
 
+_RANDOM_HEIGHT = 5  # the random search's first coordinate height
 _RANDOM_ROUNDS = 10  # the height doubles after each round
 _RANDOM_TRIES_PER_ROUND = 200
 STRATEGIES = ("auto", "constructive", "exhaustive", "random")  # find_witness's strategies
@@ -197,11 +198,11 @@ def _subcodes(C: LinearCode, r: int):
         yield LinearCode(t, n, Subspace(L, n, tuple(rows)))
 
 
-# The kept lists (``_subspace_codes``): the canonical codes of the subspaces of
-# k^n, weight_Mr's W, and of L^(dim C), _subcodes's coefficient matrices, are
-# each kept on the tower while the space has at most this many subspaces;
-# above it, they are made again for each code.
-_SUPERSPACE_LIMIT = 4096
+# The kept lists (``_subspace_codes``): the canonical codes of the r-dim
+# subspaces of k^n, weight_Mr's W, and of L^(dim C), _subcodes's coefficient
+# matrices, are each kept on the tower while the list has fewer than this many
+# entries; a longer one is made again for each code.
+_SUPERSPACE_LIMIT = 8192
 
 
 def _subspace_codes(t: ExtensionTower, field, n: int, r: int):
@@ -209,15 +210,16 @@ def _subspace_codes(t: ExtensionTower, field, n: int, r: int):
     t.L, in enumeration order.
 
     Kept as a list on the tower per (|field|, n, r) (``subspace_codes`` of its
-    memo) while field^n has at most _SUPERSPACE_LIMIT subspaces; above the
-    bound nothing is kept, and every read enumerates again.  The codes depend
-    on |field|, n and r alone, so when |k| = |L| both fields read one list.
+    memo) while it has fewer than _SUPERSPACE_LIMIT entries, [n, r]_|field|;
+    a longer list is not kept, and every read of it enumerates again.  The
+    codes depend on |field|, n and r alone, so when |k| = |L| both fields
+    read one list.
     """
     memo, key = t._memo.subspace_codes, (field.order, n, r)
     items = memo.get(key)
     if items is None:
         items = (s._codes for s in enumerate_subspaces(field, n, r))
-        if sum(gaussian_binomial(n, e, field.order) for e in range(n + 1)) > _SUPERSPACE_LIMIT:
+        if gaussian_binomial(n, r, field.order) >= _SUPERSPACE_LIMIT:
             return items
         items = memo[key] = list(items)
     return items
@@ -413,7 +415,7 @@ def _witness_extended(C: LinearCode) -> Optional[list]:
     return c
 
 
-def _witness_split(C: LinearCode, seed, height: int) -> Optional[list]:
+def _witness_split(C: LinearCode, seed) -> Optional[list]:
     """Split C = C1 ⊕ Res(C)_L, find a witness for C1, extend it rationally.
 
     C1 is searched with the fallback strategy directly, as the constructive
@@ -434,7 +436,7 @@ def _witness_split(C: LinearCode, seed, height: int) -> Optional[list]:
     if c1_gens:
         c1_code = LinearCode(t, n, Subspace.from_codes(L, n, c1_gens))
         try:
-            c = _search(c1_code, seed, height)
+            c = _search(c1_code, seed)
         except SearchExhausted:
             return None
         if c is None:
@@ -463,18 +465,21 @@ def _witness_exhaustive(C: LinearCode) -> Optional[tuple]:
     return None
 
 
-def _witness_random(C: LinearCode, rng: random.Random, height: int) -> list:
+def _witness_random(C: LinearCode, seed) -> list:
     """Sample coefficient vectors of bounded height, verify exactly, retry.
 
+    The draws come from ``random.Random(seed)``; the height starts at
+    _RANDOM_HEIGHT and doubles after each of the _RANDOM_ROUNDS rounds.
     Never concludes nonexistence; raises SearchExhausted when the budget is
     spent.
     """
+    rng = random.Random(seed)
     t, n = C.tower, C.length
     target = rank_support_code(C).dim
     kern = t.L._kern
     gens, weight = C.space._codes, _coded_weight(t, kern)
 
-    h = height
+    h = _RANDOM_HEIGHT
     for _ in range(_RANDOM_ROUNDS):
         for _ in range(_RANDOM_TRIES_PER_ROUND):
             coeffs = [_random_code(t, rng, h) for _ in range(C.dim)]
@@ -489,18 +494,17 @@ def _witness_random(C: LinearCode, rng: random.Random, height: int) -> list:
     )
 
 
-def _search(C: LinearCode, seed, height: int):
+def _search(C: LinearCode, seed):
     """The fallback search on codes: exhaustive over a finite L, else randomized."""
     if C.tower.L.order is not None:
         return _witness_exhaustive(C)
-    return _witness_random(C, random.Random(seed), height)
+    return _witness_random(C, seed)
 
 
 def find_witness(
     C: LinearCode,
     strategy: str = "auto",
-    seed: Optional[int] = None,
-    height: int = 5,
+    seed: int = 0,
 ) -> Optional[list]:
     """A codeword c with Rsupp(c) = Rsupp(C), or None when provably none exists.
 
@@ -510,13 +514,11 @@ def find_witness(
     rather than claim nonexistence.  A None return is a proof: either the
     support dimension exceeds m (an expansion matrix only has m rows) or a
     finite exhaustive scan came up empty.  Every path works on codes, and
-    the witness is decoded to elements here, once.  A ``height`` below 1,
-    which leaves the random search nothing to draw, is refused before any work.
+    the witness is decoded to elements here, once.  ``seed`` seeds the
+    randomized search, so equal calls return equal witnesses.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if height < 1:
-        raise ValueError(f"height must be at least 1, got {height}")
     t = C.tower
     if C.dim == 0:
         return [t.L.zero()] * C.length
@@ -525,15 +527,15 @@ def find_witness(
     if strategy in ("auto", "constructive"):
         c = _witness_extended(C)
         if c is None:
-            c = _witness_split(C, seed, height)
+            c = _witness_split(C, seed)
         if c is None and strategy == "constructive":
             raise SearchExhausted("constructive strategies do not apply to this code")
         if c is None:
-            c = _search(C, seed, height)
+            c = _search(C, seed)
     elif strategy == "exhaustive":
         c = _witness_exhaustive(C)
     else:
-        c = _witness_random(C, random.Random(seed), height)
+        c = _witness_random(C, seed)
     return None if c is None else list(decode_rows(t.L, [c])[0])
 
 
@@ -570,7 +572,7 @@ def weight_report(C: LinearCode, witness_seed: int = 0) -> dict:
                 f"n = {C.length} <= m = {t.degree} but (d_Rr, M_r, OS_r, D_r) = {values} at r = {r}"
             )
         hierarchy.append(dict(zip(("r", "dRr", "Mr", "OSr", "Dr"), (r, *values))))
-    if report["rank_distance"] is not None and hierarchy:
+    if report["rank_distance"] is not None:
         if report["rank_distance"] != hierarchy[0]["dRr"]:
             raise InternalInvariantError("rank distance differs from d_R1")
     try:

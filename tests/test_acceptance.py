@@ -214,7 +214,7 @@ def test_criterion_7_constructive_witness_paths():
         )
         if rank_support_code(total).dim > tower.degree:
             continue  # the lemma needs dim C* <= m
-        w = _witness_split(total, seed=0, height=5)
+        w = _witness_split(total, seed=0)
         assert w is not None
         assert verify_witness(total, decode_rows(tower.L, [w])[0])
         built += 1

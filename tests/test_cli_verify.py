@@ -4,6 +4,7 @@ import hashlib
 import json
 import pathlib
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -127,16 +128,6 @@ def test_witness_command(sample_file, q_file, capsys):
     assert json.loads(out)["status"] == "found"
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-@pytest.mark.parametrize("strategy", ["random", "auto"])
-def test_witness_height_below_one_is_a_usage_error(sample_file, q_file, capsys, monkeypatch, value, strategy):
-    """Over Q(t) the random search would fail inside randrange; no tower reads the document."""
-    monkeypatch.setattr(cli, "_load", lambda args: pytest.fail("the document was read"))
-    for path in (q_file, sample_file):
-        code, out, err = run_cli(capsys, "witness", path, "--strategy", strategy, "--height", value)
-        assert (code, out, err) == (1, "", f"error: --height must be at least 1, got {value}\n")
-
-
 def test_witness_without_seed_is_reproducible_over_q(capsys):
     # the random search over Q draws from --seed, which defaults to 0
     path = str(pathlib.Path(__file__).resolve().parent.parent / "samples" / "qtheta.json")
@@ -145,6 +136,11 @@ def test_witness_without_seed_is_reproducible_over_q(capsys):
     assert outputs[0][0] == 0 and "status: found" in outputs[0][1]
     assert run_cli(capsys, "witness", path, "--seed", "0") == outputs[0]
 
+
+def test_witness_takes_no_height(capsys):
+    path = str(pathlib.Path(__file__).resolve().parent.parent / "samples" / "qtheta.json")
+    code, out, err = run_cli(capsys, "witness", path, "--height", "3")
+    assert (code, out) == (1, "") and "unrecognized arguments: --height 3" in err
 
 def test_dual_closure_roundtrip(sample_file, capsys):
     code, out, _ = run_cli(capsys, "dual", sample_file)
@@ -231,6 +227,22 @@ def test_verify_resource_guard(capsys, monkeypatch):
     )
     assert code == 0
 
+
+def test_a_plan_outside_the_guards_is_refused_without_force(capsys):
+    gf16 = TowerTask(2, (1, 1, 0, 0, 1))
+    with pytest.raises(ValueError, match=re.escape("|L| = 16 exceeds the resource guard 9; pass force")):
+        run_verify(VerifyPlan(towers=[gf16]))
+    with pytest.raises(ValueError, match=re.escape("max n = 5 exceeds the resource guard 4; pass force")):
+        run_verify(VerifyPlan(towers=[TowerTask(2, (1, 1, 1), max_n=5)]))
+    code, out, err = run_cli(capsys, "verify", "--char", "2", "--ext-modulus", "1,1,0,0,1")
+    assert (code, out, err) == (1, "", "error: |L| = 16 exceeds the resource guard 9; pass force\n")
+
+
+def test_a_plan_names_a_known_theorem_and_source():
+    with pytest.raises(ValueError, match=re.escape("unknown theorem selection 'x'")):
+        VerifyPlan(towers=[], theorem="x")
+    with pytest.raises(ValueError, match=re.escape("unknown code source 'x'")):
+        VerifyPlan(towers=[], source="x")
 
 @pytest.mark.parametrize("flag", ["--max-n", "--random"])
 @pytest.mark.parametrize("value", ["0", "-2"])

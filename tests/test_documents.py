@@ -1,6 +1,7 @@
 """Code-document parsing, element grammar, canonical rendering, round-trips."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,10 @@ def test_element_grammar():
     assert parse_element(q.L, "-1/2*t+3") == theta * Fraction(-1, 2) + 3
     assert parse_element(q.L, "t^2-3/2") == theta * theta - Fraction(3, 2)
 
+
+def test_an_operator_where_an_atom_belongs_is_refused():
+    with pytest.raises(ParseError, match=re.escape("bad element string '1+*w': unexpected token '*'")):
+        parse_element(gf4().L, "1+*w")
 
 def test_render_parse_roundtrip_elements():
     import random

@@ -28,6 +28,7 @@ from helpers import (
     is_irreducible_bruteforce,
     monic_polys,
     payloads_in_order,
+    q_quarters,
     random_rational_element,
     ref_add,
     ref_inv,
@@ -285,6 +286,38 @@ def test_trace_values():
     assert t.trace(t.L.one()).payload == 3
     assert t.trace(theta * theta * theta).payload == 6
 
+
+def multiplication_trace(t, x):
+    """Tr(x) as the trace of multiplication by x, in element arithmetic:
+    sum_i coords(x * w^i)_i."""
+    return sum((t.coords(x * b)[i] for i, b in enumerate(t.basis)), t.k.zero())
+
+
+@pytest.mark.parametrize("make", [
+    qtheta,
+    lambda: make_tower(Rationals(), [1, -3, 0, 1]),  # a cyclic cubic
+    q_quarters,  # fold_den 4
+    lambda: gf16_over_gf4(),  # defined below
+    gf8192,  # no exp/log tables
+], ids=["t^3-2", "x^3-3x+1", "q_quarters", "GF(16)/GF(4)", "GF(2^13)"])
+def test_the_one_trace_is_the_trace_of_multiplication(make):
+    t = make()
+    rng = random.Random(37)
+    for x in [t.L.zero(), t.L.one(), t.generator()] + [random_rational_element(t, rng, 9) for _ in range(40)]:
+        assert t.trace(x) == multiplication_trace(t, x)
+
+
+def test_a_payload_outside_the_field_is_refused():
+    k4 = build_base_field(2, base_degree=2, base_modulus=(1, 1, 1))
+    cases = [
+        (PrimeField(5), 7, "payload 7 is not in GF(5)"),
+        (k4, (1,), "payload (1,) is not in GF(4)"),
+        (k4, (1, 0, 1), "payload (1, 0, 1) is not in GF(4)"),
+        (qtheta().L, (Fraction(1), Fraction(2)), "payload of length 2 in Q(t)"),
+    ]
+    for field, payload, message in cases:
+        with pytest.raises(FieldMismatch, match=re.escape(message)):
+            FieldElement(field, payload)
 
 def test_trace_is_k_linear_and_scales_constants():
     rng = random.Random(7)

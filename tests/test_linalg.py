@@ -133,6 +133,11 @@ def test_sum_and_intersection_examples():
     )
 
 
+def test_contains_space_refuses_another_ambient():
+    for other in (Subspace.full(GF2, 3), Subspace.full(GF3, 2)):
+        with pytest.raises(AmbientMismatch, match="subspaces live in different ambient spaces"):
+            Subspace.full(GF2, 2).contains_space(other)
+
 def test_dimension_formula_random_pairs():
     rng = random.Random(41)
     for field in (GF2, GF3, GF4, QQ):

@@ -23,7 +23,7 @@ from helpers import (
     vec,
 )
 from rankweight import ranksupport, verify
-from rankweight.errors import FieldMismatch, TowerMismatch
+from rankweight.errors import FieldMismatch, InfiniteField, TowerMismatch
 from rankweight.fields import PrimeField, Rationals, _element, make_tower
 from rankweight.linalg import Subspace, enumerate_subspaces, orthogonal_complement, subspace_sum
 from rankweight.ranksupport import (
@@ -388,6 +388,16 @@ def test_a_k_space_is_refused_before_the_code_table_is_read():
     with pytest.raises(TowerMismatch):
         LinearCode(t, 2, kspace)
 
+
+def test_a_k_subspace_must_live_in_k_n():
+    t = gf4()
+    with pytest.raises(TowerMismatch, match="subspace does not live in k\\^n for this tower"):
+        KSubspace(t, 2, Subspace.full(t.L, 2))
+
+
+def test_closure_oracle_refuses_an_infinite_k():
+    with pytest.raises(InfiniteField, match="closure_oracle enumerates k-subspaces; k is infinite"):
+        closure_oracle(LinearCode.full(qtheta(), 2))
 
 def test_a_k_space_never_equals_a_code_with_its_codes():
     # equality and hashing read the class, the tower, the length and the space

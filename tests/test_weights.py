@@ -1,6 +1,7 @@
 """Rank distance, the four generalized weights, witness strategies."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -167,6 +168,33 @@ def test_witness_random_over_q(monkeypatch):
         find_witness(c_code, strategy="random", seed=11)
 
 
+def test_the_random_search_starts_at_height_5_and_doubles(monkeypatch):
+    """With round 1 refused, round 2 draws at height 10."""
+    q = qtheta()
+    c_code = code(q, 2, (1, q.generator()))
+    heights, draw, check = [], weights._random_code, weights._is_witness
+    monkeypatch.setattr(weights, "_random_code", lambda t, rng, h: heights.append(h) or draw(t, rng, h))
+    monkeypatch.setattr(weights, "_is_witness", lambda C, c: heights[-1] != 5 and check(C, c))
+    assert verify_witness(c_code, find_witness(c_code, strategy="random"))
+    first = weights._RANDOM_TRIES_PER_ROUND * c_code.dim  # round 1's draws
+    assert heights[:first] == [5] * first and set(heights[first:]) == {10}
+
+
+def test_find_witness_is_seeded_with_0_by_default():
+    q = qtheta()
+    c_code = code(q, 2, (1, q.generator()))  # neither constructive path applies: the random search runs
+    assert find_witness(c_code) == find_witness(c_code) == find_witness(c_code, seed=0)
+
+
+def test_weight_report_over_q_is_undecided_when_the_search_gives_up(monkeypatch):
+    def exhausted(*args):
+        raise SearchExhausted("budget spent")
+
+    monkeypatch.setattr(weights, "_witness_random", exhausted)
+    q = qtheta()
+    report = weight_report(code(q, 2, (1, q.generator())))
+    assert report["witness"] is None and report["witness_status"] == "undecided"
+
 def test_witness_constructive_over_q_extended():
     q = qtheta()
     c_code = code(q, 3, (1, 0, 1), (0, 1, 1))
@@ -199,20 +227,6 @@ def test_an_unknown_strategy_is_refused_before_any_path_runs(monkeypatch, strate
     assert calls == []
 
 
-@pytest.mark.parametrize("height", [0, -3])
-def test_a_height_below_one_is_refused_before_any_path_runs(monkeypatch, height):
-    """Below 1 the random search over Q would draw from an empty range; it is
-    refused on every code, the zero code and finite towers included."""
-    q = qtheta()
-    calls = []
-    monkeypatch.setattr(weights, "rank_support_code", lambda C: calls.append(C))
-    for c in (LinearCode.zero(q, 2), code(q, 2, (1, q.generator())), LinearCode.full(gf4(), 2)):
-        for strategy in ("auto", "random"):
-            with pytest.raises(ValueError, match=f"height must be at least 1, got {height}"):
-                find_witness(c, strategy=strategy, height=height)
-    assert calls == []
-
-
 def test_extend_witness_step_direct():
     t = gf8()
     w = t.generator()
@@ -227,6 +241,14 @@ def test_extend_witness_step_direct():
     (e2_codes,) = _encode(t.k._kern, [[t.k.from_int(x) for x in (1, 0, 0)]], 3)
     assert list(decode_rows(t.L, [extend_witness_by_rational(t, c1_codes, e2_codes)])[0]) == c1
 
+
+def test_extend_witness_refuses_a_c_of_rank_weight_m():
+    """wt_R(c) = m leaves no expansion row to write e into."""
+    t = gf4()
+    (c_codes,) = _encode(t.L._kern, [vec(t, 1, t.generator(), 0)], 3)
+    (e_codes,) = _encode(t.k._kern, [[t.k.from_int(x) for x in (0, 0, 1)]], 3)
+    with pytest.raises(ValueError, match=re.escape("no spare expansion row: wt_R(c) = m already")):
+        extend_witness_by_rational(t, c_codes, e_codes)
 
 def test_zero_code_witness_and_report():
     t = gf4()
