@@ -125,9 +125,7 @@ def cmd_weights(args) -> int:
     report = _header(code)
     if args.r is not None and not 1 <= args.r <= code.dim:
         raise BadR(f"--r {args.r} outside 1..dim C = {code.dim}")
-    report.update(weight_report(code, witness_seed=args.seed))
-    if args.r is not None:
-        report["hierarchy"] = [report["hierarchy"][args.r - 1]]
+    report.update(weight_report(code, witness_seed=args.seed, r=args.r))
     print(emit_report(report, args.format))
     return 0
 

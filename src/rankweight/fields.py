@@ -1151,13 +1151,14 @@ def _random_code(tower: ExtensionTower, rng, height: int):
     """A random L-code.  Over a finite L, ``rng.choice`` of the codes, which list
     L's elements in order; over Q(θ), the element with coordinates a/b,
     |a| <= height and 1 <= b <= height, drawing rng.randint for a, then for b,
-    coordinate by coordinate.  A seeded generator always yields the same codes."""
+    coordinate by coordinate, coded over the lcm of the b's with no Fraction
+    built.  A seeded generator always yields the same codes."""
     L = tower.L
     if L.order is not None:
         return rng.choice(range(L.order))
-    return L._kern.index[
-        tuple([Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(tower.degree)])
-    ]
+    pairs = [(rng.randint(-height, height), rng.randint(1, height)) for _ in range(tower.degree)]
+    den = lcm(*[b for _, b in pairs])
+    return _rational_code([a * (den // b) for a, b in pairs], den)
 
 
 def format_element(x: FieldElement) -> str:

@@ -28,11 +28,15 @@ and both stop once the whole space is reached.  An elimination that finds a
 pivot in the last column with every earlier column pivoted returns the
 identity, the unique RREF of rank n in n columns; a reduction against n
 canonical rows of F^n returns no residue.  Over Q and its extensions, where
-each pivot costs an inverse, these are the common cases.
+each pivot costs an inverse, these are the common cases.  The whole of F^n
+is one shared constant per (kernel one, n), ``_identity_codes``: that exit,
+``Subspace.full`` and every sum, kernel or complement that reaches the whole
+space return the same immutable tuple of unit rows.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator, List, Sequence
 
@@ -159,8 +163,17 @@ def decode_rows(field: Field, codes) -> tuple:
 
 
 def _identity_codes(kern, n: int) -> tuple:
-    """The canonical rows of the whole of F^n: the unit rows, in codes."""
-    one = kern.one
+    """The canonical rows of the whole of F^n: the unit rows, in codes.
+
+    One shared tuple per (``kern.one``, n), built the first time it is asked
+    for: fields whose kernels have equal ones (every finite field; Q; the
+    Q(θ) of one degree) get the very same immutable object.
+    """
+    return _unit_rows(kern.one, n)
+
+
+@functools.cache
+def _unit_rows(one, n: int) -> tuple:
     return tuple(tuple(one if i == j else 0 for j in range(n)) for i in range(n))
 
 

@@ -539,7 +539,7 @@ def find_witness(
     return None if c is None else list(decode_rows(t.L, [c])[0])
 
 
-def weight_report(C: LinearCode, witness_seed: int = 0) -> dict:
+def weight_report(C: LinearCode, witness_seed: int = 0, r: int | None = None) -> dict:
     """Everything at once, as the JSON-ready dict that ``weights --format json``
     prints after its tower/n/dim header: the rank distance (with
     ``rank_distance_reason`` when it is None), the hierarchy of the four
@@ -550,7 +550,12 @@ def weight_report(C: LinearCode, witness_seed: int = 0) -> dict:
 
     When n <= m the four values are asserted equal per r; a mismatch raises
     EquivalenceViolation, which would indicate an implementation bug.
+
+    With ``r`` (1 <= r <= dim C) the hierarchy holds row r alone, and only
+    rows 1 and r are computed: row 1 for the cross-check of the rank distance.
     """
+    if r is not None:
+        _check_r(C, r)
     t = C.tower
     finite = t.L.order is not None
     report = {"rank_distance": None}
@@ -561,20 +566,22 @@ def weight_report(C: LinearCode, witness_seed: int = 0) -> dict:
     else:
         report["rank_distance"] = rank_distance(C)
     hierarchy = report["hierarchy"] = []
-    for r in range(1, C.dim + 1):
+    for i in range(1, C.dim + 1) if r is None else sorted({1, r}):
         if not finite:
-            hierarchy.append({"r": r, "dRr": None, "Mr": None, "OSr": None, "Dr": None,
+            hierarchy.append({"r": i, "dRr": None, "Mr": None, "OSr": None, "Dr": None,
                               "reason": "requires finite enumeration"})
             continue
-        values = weight_values(C, r)
+        values = weight_values(C, i)
         if C.length <= t.degree and len(set(values)) != 1:
             raise EquivalenceViolation(
-                f"n = {C.length} <= m = {t.degree} but (d_Rr, M_r, OS_r, D_r) = {values} at r = {r}"
+                f"n = {C.length} <= m = {t.degree} but (d_Rr, M_r, OS_r, D_r) = {values} at r = {i}"
             )
-        hierarchy.append(dict(zip(("r", "dRr", "Mr", "OSr", "Dr"), (r, *values))))
+        hierarchy.append(dict(zip(("r", "dRr", "Mr", "OSr", "Dr"), (i, *values))))
     if report["rank_distance"] is not None:
         if report["rank_distance"] != hierarchy[0]["dRr"]:
             raise InternalInvariantError("rank distance differs from d_R1")
+    if r is not None:
+        del hierarchy[:-1]
     try:
         w = find_witness(C, strategy="auto", seed=witness_seed)
         status = "none_exists"

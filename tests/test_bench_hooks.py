@@ -8,8 +8,11 @@ them, and checks that the program looks exactly as before.  A rename in
 """
 
 import importlib.util
+import multiprocessing
 import pathlib
 import sys
+
+import pytest
 
 from rankweight import cli, documents, fields, linalg, polys, ranksupport, verify, weights  # noqa: F401
 
@@ -63,3 +66,15 @@ def test_tracer_installs_and_restores_every_patch():
     for name, attrs in classes.items():
         assert _changed(attrs, after_classes[name]) == [], name
     assert _changed(checks, after_checks) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_execute_runs_a_rebound_run_item_in_item_order(workers, monkeypatch):
+    """The benchmark times each verify item by rebinding ``verify._run_item``,
+    so ``_execute`` must look that name up at call time, in forked pool
+    workers too, and give back what the rebound function returns, in order."""
+    if workers > 1 and multiprocessing.get_context().get_start_method() != "fork":
+        pytest.skip("a pool worker sees a rebinding made in this process only when forked")
+    items = [("equivdef", i, 100 + i) for i in range(9)]
+    monkeypatch.setattr(verify, "_run_item", lambda item: ("rebound", item[1], item[2]))
+    assert verify._execute(items, workers) == [("rebound", i, 100 + i) for i in range(9)]

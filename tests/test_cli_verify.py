@@ -14,6 +14,7 @@ import pytest
 import rankweight
 from rankweight import cli, fields
 from rankweight import verify as verify_mod
+from rankweight import weights as weights_mod
 from rankweight.documents import parse_code_file
 from rankweight.errors import InfiniteField
 from rankweight.verify import (
@@ -105,6 +106,45 @@ def test_weights_refuses_r_before_computing_any_weight(sample_file, capsys, monk
     assert (code, out, reports) == (1, "", [])
     assert err == f"error: --r {r} outside 1..dim C = 1\n"
     assert run_cli(capsys, "weights", sample_file, "--r", "1")[0] == 0 and reports == [1]
+
+
+R_DOCUMENTS = {
+    # L^3 over GF(4) (n > m) and over GF(8) (n = m), a split GF(8) code, a nested base, and Q(t)
+    "gf4-full-n3": ({"characteristic": 2, "base_degree": 1, "extension_modulus": [1, 1, 1],
+                     "generator_name": "w"}, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+    "gf8-full-n3": ({"characteristic": 2, "base_degree": 1, "extension_modulus": [1, 1, 0, 1],
+                     "generator_name": "w"}, [["1", "0", "w"], ["0", "1", "w^2"], ["0", "0", "1"]]),
+    "gf8-split": ({"characteristic": 2, "base_degree": 1, "extension_modulus": [1, 1, 0, 1],
+                   "generator_name": "w"}, [["1", "0", "w"], ["0", "1", "1"]]),
+    "gf16-over-gf4": ({"characteristic": 2, "base_degree": 2, "base_modulus": [1, 1, 1],
+                       "base_generator_name": "u", "extension_modulus": ["u", "1", "1"],
+                       "generator_name": "w"}, [["1", "0", "u*w"], ["0", "1", "w+1"]]),
+    "qt": ({"characteristic": 0, "base_degree": 1, "extension_modulus": [-2, 0, 0, 1],
+            "generator_name": "t"}, [["1", "t", "0"], ["0", "1", "t^2"]]),
+}
+
+
+@pytest.mark.parametrize("name", R_DOCUMENTS)
+def test_weights_r_prints_row_r_of_the_full_report_from_rows_1_and_r(name, tmp_path, capsys, monkeypatch):
+    """`weights --r R` prints the full report's bytes with row R alone in the
+    hierarchy, in both formats, and weighs OS_r and D_r only at r = 1 and R."""
+    tower, generators = R_DOCUMENTS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"tower": tower, "length": len(generators[0]), "generators": generators}))
+    full = json.loads(run_cli(capsys, "weights", str(path), "--format", "json")[1])
+    dim = len(full["hierarchy"])
+    assert dim == len(generators)
+    seen = []
+    for weight in ("weight_OSr", "weight_Dr"):
+        real = getattr(weights_mod, weight)
+        monkeypatch.setattr(weights_mod, weight, lambda C, r, real=real: seen.append(r) or real(C, r))
+    for r in range(1, dim + 1):
+        expected = {**full, "hierarchy": [full["hierarchy"][r - 1]]}
+        for fmt in ("json", "text"):
+            seen.clear()
+            code, out, err = run_cli(capsys, "weights", str(path), "--r", str(r), "--format", fmt)
+            assert (code, out, err) == (0, cli.emit_report(expected, fmt) + "\n", "")
+            assert set(seen) == (set() if tower["characteristic"] == 0 else {1, r})
 
 
 def test_weights_inapplicable_entries_over_q(q_file, capsys):
@@ -391,8 +431,14 @@ def test_equivdef_agrees_on_random_codes_of_length_four():
     (VerifyPlan(towers=[TowerTask(0, (Fraction(5, 4), 0, Fraction(-3, 2), 1), max_n=3)], source="random",
                 random_count=200, seed=42),
      "e535ecd850cef2a2f918e59482e195556cc93a7b7683d721878d2458cf4e7a68"),
+    # the benchmark's verify-finite plan at seed 1: 226 codes, 2,686 items
+    (VerifyPlan(towers=[TowerTask(2, (1, 1, 1), max_n=2), TowerTask(2, (1, 1, 0, 1), max_n=3),
+                        TowerTask(3, (1, 0, 1), max_n=2),
+                        TowerTask(2, ("u", "1", "1"), base_degree=2, base_modulus=(1, 1, 1), max_n=2),
+                        TowerTask(2, (1, 1, 0, 0, 1), max_n=2)], theorem="all", seed=1, force=True),
+     "434cd68a9d0677b4f0687dfdc30ff09c3e5718f7c1925fd12bc8bc46e299eeed"),
 ], ids=["standard", "qt-random-200-seed-42", "gf8-forced-n4", "gf16-over-gf4-forced-n3",
-        "cyclic-cubic-random-200-seed-42", "q-quarters-random-200-seed-42"])
+        "cyclic-cubic-random-200-seed-42", "q-quarters-random-200-seed-42", "bench-verify-finite-seed-1"])
 def test_verify_summary_is_pinned(plan, digest):
     """The whole summary, byte for byte: a refactor keeps every count, check and census."""
     assert hashlib.sha256(json.dumps(run_verify(plan)).encode()).hexdigest() == digest

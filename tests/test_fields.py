@@ -17,6 +17,7 @@ from rankweight.fields import (
     Rationals,
     _FiniteKernel,
     _Kernel,
+    _random_code,
     build_base_field,
     format_element,
     make_tower,
@@ -689,3 +690,19 @@ def test_an_int_on_the_left_and_division_by_zero():
     for divide in (lambda: w / zero, lambda: 1 / zero):
         with pytest.raises(ZeroDivisionError, match="^0 has no inverse$"):
             divide()
+
+
+@pytest.mark.parametrize("modulus", [(-2, 0, 0, 1), (1, -3, 0, 1), (Fraction(5, 4), 0, Fraction(-3, 2), 1)],
+                         ids=["t^3 = 2", "x^3 - 3x + 1", "fold_den 4"])
+def test_a_rational_draw_codes_the_fractions_it_draws(modulus):
+    """Over Q(θ), _random_code gives the code of the Fractions a/b it draws,
+    with the same rng calls in the same order, so the generator ends where
+    the Fraction route leaves it."""
+    t = make_tower(Rationals(), modulus)
+    for seed in range(4):
+        for height in (1, 5, 9):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(300):
+                fractions = tuple(Fraction(ref.randint(-height, height), ref.randint(1, height)) for _ in range(3))
+                assert _random_code(t, rng, height) == t.L._kern.index[fractions]
+            assert rng.random() == ref.random()

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import gf16_over_gf4, q_quarters, qtheta, residues_reference, rref_reference, tail_reference
+from helpers import gf9, gf16_over_gf4, q_quarters, qtheta, residues_reference, rref_reference, tail_reference
 from rankweight import linalg
 from rankweight.errors import AmbientMismatch, FieldMismatch, InfiniteField
-from rankweight.fields import FieldElement, PrimeField, Rationals, make_tower
+from rankweight.fields import ExtensionTower, FieldElement, PrimeField, Rationals, make_tower
 from rankweight.linalg import (
     Matrix,
     Subspace,
@@ -27,6 +27,7 @@ from rankweight.linalg import (
     subspace_sum,
     tail_subspace,
 )
+from rankweight.ranksupport import LinearCode
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -438,3 +439,49 @@ def test_reducing_against_the_whole_space_subtracts_nothing(monkeypatch):
     assert full.contains_space(other) and full.contains_space(full)
     assert calls == []
     assert not Subspace.from_vectors(L, 3, vectors[:1]).contains_space(full) and calls
+
+
+# each builds a new field (or tower) on every call: the helpers' builders without their caches
+WHOLE_SPACE_KINDS = {
+    "GF(2)": lambda: PrimeField(2),
+    "GF(9)": gf9.__wrapped__,
+    "GF(16)/GF(4)": gf16_over_gf4.__wrapped__,
+    "Q": Rationals,
+    "Q(t)": qtheta.__wrapped__,
+    "Q(w), fold_den 4": q_quarters,
+}
+
+
+@pytest.mark.parametrize("name", WHOLE_SPACE_KINDS)
+def test_the_whole_space_is_one_shared_tuple(name):
+    """The whole of F^n, however it is reached and on fields built apart, is
+    one tuple object, equal to the literal unit rows."""
+    built = [WHOLE_SPACE_KINDS[name]() for _ in range(2)]
+    a, b = [getattr(x, "L", x) for x in built]  # a tower's L, or the field itself
+    assert a is not b
+    kern = a._kern
+    for n in (1, 2, 3):
+        whole = Subspace.full(a, n)._codes
+        assert whole == tuple(tuple(kern.one if i == j else 0 for j in range(n)) for i in range(n))
+        triangle = [[kern.one] * (i + 1) + [0] * (n - 1 - i) for i in range(n)]  # rank n: the identity exit
+        first, rest = Subspace.from_codes(a, n, whole[:1]), Subspace.from_codes(a, n, whole[1:])
+        reached = [
+            _rref_coded(kern, triangle, n)[0],
+            Subspace.full(b, n)._codes,
+            subspace_sum(first, rest)._codes,
+            orthogonal_complement(Subspace.zero(a, n))._codes,
+            kernel(Matrix(a, [], n))._codes,
+        ]
+        reached += [LinearCode.full(t, n).space._codes for t in built if isinstance(t, ExtensionTower)]
+        assert all(codes is whole for codes in reached)
+
+
+def test_the_shared_whole_space_is_one_per_kernel_one_and_length():
+    """Q (one (1, 1)) and cubic Q(θ) (one (1, 0, 0, 1)) get different tuples;
+    fields with equal ones, every finite field or two cubic Q(θ), share one."""
+    qt, quarters = qtheta().L, q_quarters().L
+    assert QQ._kern.one == (1, 1) and qt._kern.one == quarters._kern.one == (1, 0, 0, 1)
+    assert Subspace.full(QQ, 2)._codes != Subspace.full(qt, 2)._codes
+    assert Subspace.full(qt, 2)._codes is Subspace.full(quarters, 2)._codes
+    assert Subspace.full(GF2, 2)._codes is Subspace.full(GF9, 2)._codes is Subspace.full(GF4, 2)._codes
+    assert Subspace.full(GF2, 2)._codes is not Subspace.full(GF2, 3)._codes

@@ -284,6 +284,15 @@ def test_weight_report_inapplicable_over_q():
     assert rep["witness"] is not None or rep["witness_status"] == "undecided"
 
 
+@pytest.mark.parametrize("make", [gf4, qtheta], ids=["GF(4)", "Q(t)"])
+def test_weight_report_refuses_a_row_outside_the_hierarchy(make):
+    t = make()
+    C = code(t, 2, (1, t.generator()))
+    for r in (0, 2):
+        with pytest.raises(BadR):
+            weight_report(C, r=r)
+
+
 SMALL_SWEEPS = [(gf4, 1), (gf4, 2), (gf8, 1), (gf8, 2), (gf9, 1), (gf9, 2)]
 
 
