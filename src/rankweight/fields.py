@@ -85,7 +85,7 @@ becomes (n, 0, ..., 0, d).  ``basis`` holds the codes of the power basis
 1, w, ..., w^(m-1): bq^i over a finite field, the unit tuples over Q[x]/(f).
 A kernel and the hash live on their field object, and a field pickles as
 its constructor's arguments, so a process that loads a pickled field, such
-as a spawned pool worker, checks it and builds both exactly as a fresh
+as a spawned verify worker, checks it and builds both exactly as a fresh
 field does (a forked one inherits the parent's).  Everything an
 ``ExtensionTower`` derives lives in its one ``_TowerMemo``, where each entry
 names the function that fills it, and a tower pickles as L, so a loaded copy

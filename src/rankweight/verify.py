@@ -5,8 +5,9 @@ source.  The harness materializes the full code population up front (and all
 random draws, from one seeded generator), so results are independent of the
 worker count: items are dispatched in order, reduced in order, and the
 summary is bit-reproducible for a fixed seed across 1, 2 or 8 workers.
-A pool worker adopts the item list once, when it starts, and is then sent
-item indices only (``_execute``).
+The calling process is one of the workers: it and its children take blocks
+of consecutive items from one shared counter, blocks that shrink as the work
+runs out, and the results are put back in item order (``_execute``).
 
 Suites:
 
@@ -360,35 +361,86 @@ def resolve_workers() -> int:
     return os.cpu_count() or 1
 
 
-_ITEMS = None  # the plan's items, set by _adopt in pool workers only
+def _drain(items, taken, workers):
+    """(start, results) for each block of items this process takes from the shared
+    count ``taken``: 1 / (2 * workers) of what is left, so blocks shrink as the
+    work runs out and the processes finish close together (guided self-scheduling)."""
+    n = len(items)
+    blocks = []
+    while True:
+        with taken.get_lock():
+            start = taken.value
+            stop = min(n, start + max(1, (n - start) // (2 * workers)))
+            taken.value = stop
+        if start >= n:
+            return blocks
+        # _run_item is read at call time, so a rebinding of it on the module reaches every process
+        blocks.append((start, [_run_item(it) for it in items[start:stop]]))
 
 
-def _adopt(items):
-    """Pool initializer: keep the items for the life of the worker."""
-    global _ITEMS
-    _ITEMS = items
+def _work(items, taken, workers, conn):
+    """A child process: send back its blocks, or the exception that stopped it."""
+    try:
+        sent = _drain(items, taken, workers)
+    except Exception as exc:
+        import pickle  # here, as multiprocessing in _execute: a serial run never loads either
 
-
-def _run_index(i):
-    # _run_item is read at call time, so a rebinding of it on the module reaches the workers
-    return _run_item(_ITEMS[i])
+        with taken.get_lock():
+            taken.value = len(items)  # the others stop after their current block
+        try:
+            sent = pickle.loads(pickle.dumps(exc))
+        except Exception:
+            sent = RuntimeError(repr(exc))
+    conn.send(sent)
+    conn.close()
 
 
 def _execute(items, workers: int):
     """The results of _run_item on items, in item order.
 
-    A pool worker adopts the items once, at start-up, and is sent only their
-    indices, in chunks of consecutive ones.  Under ``fork`` nothing is
-    pickled on the way in: every worker works on the parent's towers, with
-    their kernels and code table built, and keeps its memos across its
-    chunks.  Under ``spawn`` the items are pickled once per worker.
+    The caller is one of the workers (never more than items): it starts the
+    others as children and drains blocks of items as they do (``_drain``).
+    Under ``fork`` nothing is pickled on the way in: every child works on the
+    parent's towers, with their kernels and code table built, and keeps its
+    memos across its blocks.  Under ``spawn`` the items are pickled once per
+    child.  An exception in any process is raised here once every child has ended.
     """
-    if workers <= 1 or len(items) < 2:
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [_run_item(it) for it in items]
     from multiprocessing import get_context
 
-    with get_context().Pool(workers, initializer=_adopt, initargs=(items,)) as pool:
-        return pool.map(_run_index, range(len(items)))
+    ctx = get_context()
+    taken = ctx.Value("q", 0)
+    children = []
+    try:
+        for _ in range(workers - 1):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_work, args=(items, taken, workers, send), daemon=True)
+            child.start()
+            send.close()
+            children.append((child, recv))
+        blocks = _drain(items, taken, workers)
+        for child, recv in children:
+            try:
+                sent = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a verify worker exited with code {child.exitcode} "
+                                   "before sending its results") from None
+            if isinstance(sent, BaseException):
+                raise sent
+            blocks.extend(sent)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
+    blocks.sort()  # by start: the starts differ, so no two results are compared
+    return [result for _, results in blocks for result in results]
 
 
 def run_verify(plan: VerifyPlan) -> dict:
@@ -397,7 +449,7 @@ def run_verify(plan: VerifyPlan) -> dict:
     The worker count changes only the wall time, never the summary: work is
     generated and reduced in deterministic order, with all randomness drawn
     from the plan seed before any dispatch.  The items of every tower go to
-    one ``_execute`` call, so a parallel run starts one pool.
+    one ``_execute`` call, so a parallel run starts its children once.
     """
     rng = random.Random(plan.seed)
     built = []

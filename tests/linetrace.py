@@ -10,9 +10,9 @@ recording the lines executed in the package's own files, and then prints,
 module by module, each statement line that never ran, with its source.  A statement counts as run when any
 line of its head ran: the whole of a simple statement, or a compound
 statement up to its body, decorators included.  Docstrings are not
-statements here.  Only this process is traced: lines that run only in pool
-workers (``verify`` with more than one worker) or in subprocesses (the
-console-script tests) are listed as unexecuted.
+statements here.  Only this process is traced: lines that run only in the
+child processes of ``verify`` with more than one worker, or in subprocesses
+(the console-script tests), are listed as unexecuted.
 """
 
 import ast

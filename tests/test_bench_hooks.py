@@ -9,8 +9,10 @@ them, and checks that the program looks exactly as before.  A rename in
 
 import importlib.util
 import multiprocessing
+import os
 import pathlib
 import sys
+import time
 
 import pytest
 
@@ -68,13 +70,29 @@ def test_tracer_installs_and_restores_every_patch():
     assert _changed(checks, after_checks) == []
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_execute_runs_a_rebound_run_item_in_item_order(workers, monkeypatch):
+@pytest.mark.parametrize("workers, count", [(1, 9), (2, 9), (3, 9), (3, 2)])
+def test_execute_runs_a_rebound_run_item_in_item_order(workers, count, monkeypatch):
     """The benchmark times each verify item by rebinding ``verify._run_item``,
-    so ``_execute`` must look that name up at call time, in forked pool
-    workers too, and give back what the rebound function returns, in order."""
+    so ``_execute`` must look that name up at call time, in forked children
+    too, and give back what the rebound function returns, each item once and
+    in order, also with fewer items than workers."""
     if workers > 1 and multiprocessing.get_context().get_start_method() != "fork":
-        pytest.skip("a pool worker sees a rebinding made in this process only when forked")
-    items = [("equivdef", i, 100 + i) for i in range(9)]
+        pytest.skip("a child sees a rebinding made in this process only when forked")
+    items = [("equivdef", i, 100 + i) for i in range(count)]
     monkeypatch.setattr(verify, "_run_item", lambda item: ("rebound", item[1], item[2]))
-    assert verify._execute(items, workers) == [("rebound", i, 100 + i) for i in range(9)]
+    assert verify._execute(items, workers) == [("rebound", i, 100 + i) for i in range(count)]
+    assert multiprocessing.active_children() == []
+
+
+def test_execute_runs_items_in_the_calling_process_too(monkeypatch):
+    """The caller is one of the workers: it takes blocks of items as its children do."""
+    if multiprocessing.get_context().get_start_method() != "fork":
+        pytest.skip("a child sees a rebinding made in this process only when forked")
+
+    def pid_after_a_pause(item):
+        time.sleep(0.002)
+        return os.getpid()
+
+    monkeypatch.setattr(verify, "_run_item", pid_after_a_pause)
+    pids = verify._execute([("equivdef", i, 0) for i in range(40)], 2)
+    assert len(pids) == 40 and os.getpid() in pids

@@ -3,6 +3,7 @@
 import ast
 import json
 import multiprocessing
+import os
 import pathlib
 import pickle
 import random
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -1183,8 +1185,8 @@ def test_no_frobenius_over_q():
 
 def test_finite_summaries_match_across_workers():
     """The benchmark's finite plan: five towers, each with its memos, in one
-    item list.  A pool worker holds all five at once and runs items of any of
-    them in any of its chunks, so a memo that strayed from its tower would
+    item list.  A child process holds all five at once and runs items of any
+    of them in any of its blocks, so a memo that strayed from its tower would
     hand a code another tower's values, and the summaries would differ.
     (``test_a_tower_loaded_where_a_freed_one_lived_starts_cold`` guards memos
     keyed by a tower's id.)"""
@@ -1192,14 +1194,14 @@ def test_finite_summaries_match_across_workers():
     assert summaries[0]["ok"] and json.dumps(summaries[0]) == json.dumps(summaries[1])
 
 
-# a pool worker inherits the parent's towers, and any patch on a module, only under fork
+# a child process inherits the parent's towers, and any patch on a module, only under fork
 fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                               reason="pool workers inherit the parent's state only under fork")
+                               reason="child processes inherit the parent's state only under fork")
 
 
 @fork_only
 def test_forked_workers_pickle_no_tower(monkeypatch):
-    """Under fork, a pool worker adopts the parent's items as they are: no
+    """Under fork, a child process takes the parent's items as they are: no
     tower is pickled on the way in, and none is rebuilt cold."""
 
     def refuse(self):
@@ -1218,6 +1220,71 @@ def test_failing_summaries_match_across_workers(monkeypatch):
     _zero_restriction(monkeypatch)
     summaries = [json.dumps(run_verify(standard_plan(theorem="delsarte", workers=w))) for w in (1, 2)]
     assert not json.loads(summaries[0])["ok"] and summaries[0] == summaries[1]
+
+
+def _items(count):
+    return [("equivdef", i, 0) for i in range(count)]
+
+
+@fork_only
+@pytest.mark.parametrize("portable", [True, False])
+def test_an_error_in_a_child_is_raised_in_the_caller(monkeypatch, portable):
+    """A child's exception comes back with its class and message, or, when it
+    does not pickle, as a RuntimeError carrying its repr.  It stops the run:
+    the caller takes no block after its first, and no child outlives it."""
+    error = ValueError if portable else type("Local", (Exception,), {})  # Local is not importable
+    caller, child_ran, ran = os.getpid(), multiprocessing.Event(), []
+
+    def run_item(item):
+        if os.getpid() == caller:
+            child_ran.wait(10)  # holds the caller's first block until a child has run an item
+            time.sleep(0.05)
+            ran.append(item[1])
+            return item
+        child_ran.set()
+        raise error(f"child failed on item {item[1]}")
+
+    monkeypatch.setattr(verify, "_run_item", run_item)
+    with pytest.raises(ValueError if portable else RuntimeError, match="child failed on item"):
+        verify._execute(_items(20), 2)
+    assert ran == list(range(5))  # the first block: 20 // (2 * 2) items
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_a_child_that_dies_without_sending_is_reported(monkeypatch):
+    caller = os.getpid()
+
+    def run_item(item):
+        if os.getpid() != caller:
+            os._exit(3)
+        time.sleep(0.002)
+        return item
+
+    monkeypatch.setattr(verify, "_run_item", run_item)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        verify._execute(_items(40), 2)
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_an_error_in_the_caller_ends_every_child(monkeypatch):
+    """The caller's own exception is raised at once: its children, busy with
+    long items, are terminated and joined, not waited for."""
+    caller = os.getpid()
+
+    def run_item(item):
+        if os.getpid() == caller:
+            raise ValueError("caller failed")
+        time.sleep(5)
+        return item
+
+    monkeypatch.setattr(verify, "_run_item", run_item)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="caller failed"):
+        verify._execute(_items(6), 3)
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - start < 4
 
 
 def test_summaries_match_across_workers_under_spawn():

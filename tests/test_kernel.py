@@ -368,7 +368,7 @@ def test_a_tower_keeps_what_it_derives_in_one_memo():
 
 
 def test_a_tower_loaded_where_a_freed_one_lived_starts_cold():
-    """A loaded tower, as in a spawned pool worker, often lands at the address
+    """A loaded tower, as in a spawned verify worker, often lands at the address
     of one that was freed; the memo belongs to the tower object, so nothing carries over.
     Equal codes of different towers share their ints, so a memo keyed by the
     address would hand the later tower wrong closure sums and weights."""
