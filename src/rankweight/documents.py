@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, RowLengthMismatch, UnknownSymbol
@@ -221,16 +220,18 @@ def _render_coefficient(k: Field, c):
     return format_element(FieldElement(k, c))
 
 
-@dataclass(eq=False)
 class CodeDocument:
     """One code file: its tower, length and generator rows in their original order.
 
     Two documents are equal iff they render the same, generator names included.
     """
 
-    tower: ExtensionTower
-    length: int
-    rows: tuple  # tuples of FieldElements over L
+    __slots__ = ("tower", "length", "rows")
+
+    def __init__(self, tower: ExtensionTower, length: int, rows: tuple):
+        self.tower = tower
+        self.length = length
+        self.rows = rows  # tuples of FieldElements over L
 
     def __eq__(self, other):
         if not isinstance(other, CodeDocument):

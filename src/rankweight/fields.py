@@ -97,9 +97,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterator, Optional, Sequence
 
 from . import polys
 from .errors import (
@@ -269,7 +269,7 @@ class Field:
     constructor sets ``_kern`` and ``_hash``; ``__reduce__`` pickles a field as a call of it."""
 
     characteristic: int
-    order: Optional[int]
+    order: int | None
 
     def _identity(self) -> tuple:
         raise NotImplementedError

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterator, List, Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import AmbientMismatch, FieldMismatch, InfiniteField
 from .fields import Field, FieldElement, _element, _member_code
@@ -187,7 +187,7 @@ def _rref_coded(kern, work: list, num_cols: int):
     column, work that cannot change the result.
     """
     one = kern.one
-    pivot_cols: List[int] = []
+    pivot_cols: list[int] = []
     r = 0
     for col in range(num_cols):
         for pivot in range(r, len(work)):

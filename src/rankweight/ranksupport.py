@@ -45,7 +45,7 @@ stays on elements, embedding and reducing literally.
 from __future__ import annotations
 
 import weakref
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import InfiniteField, InternalInvariantError, TowerMismatch
 from .fields import ExtensionTower, FieldElement

@@ -36,8 +36,6 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass
-from typing import List, Optional
 
 from .documents import build_tower, document_from_code, document_to_json, tower_to_json
 from .errors import InfiniteField, InternalInvariantError, RankWeightError, SearchExhausted
@@ -83,8 +81,27 @@ class CheckFailure(RankWeightError):
         self.codes = list(codes)
 
 
-@dataclass
-class TowerTask:
+class _Record:
+    """``==`` and ``repr`` over the fields named in ``__slots__``, in order."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # mutable: a plan is adjusted after construction
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class TowerTask(_Record):
     """One tower in a plan, given by characteristic and moduli.
 
     Extension-modulus coefficients may be ints, Fractions, or element strings
@@ -92,31 +109,50 @@ class TowerTask:
     irreducible modulus can require non-subfield coefficients).
     """
 
-    characteristic: int
-    extension_modulus: tuple
-    base_degree: int = 1
-    base_modulus: Optional[tuple] = None
-    max_n: int = 2
+    __slots__ = ("characteristic", "extension_modulus", "base_degree", "base_modulus", "max_n")
+
+    def __init__(
+        self,
+        characteristic: int,
+        extension_modulus: tuple,
+        base_degree: int = 1,
+        base_modulus: tuple | None = None,
+        max_n: int = 2,
+    ):
+        self.characteristic = characteristic
+        self.extension_modulus = extension_modulus
+        self.base_degree = base_degree
+        self.base_modulus = base_modulus
+        self.max_n = max_n
 
     def build(self):
         return build_tower(self.characteristic, self.extension_modulus, self.base_degree, self.base_modulus)
 
 
-@dataclass
-class VerifyPlan:
-    towers: List[TowerTask]
-    theorem: str = "all"
-    source: str = "exhaustive"  # or "random"
-    random_count: int = 200
-    seed: int = 0
-    workers: int = 1
-    force: bool = False
+class VerifyPlan(_Record):
+    __slots__ = ("towers", "theorem", "source", "random_count", "seed", "workers", "force")
 
-    def __post_init__(self):
-        if self.theorem not in THEOREMS:
-            raise ValueError(f"unknown theorem selection {self.theorem!r}")
-        if self.source not in ("exhaustive", "random"):
-            raise ValueError(f"unknown code source {self.source!r}")
+    def __init__(
+        self,
+        towers: list[TowerTask],
+        theorem: str = "all",
+        source: str = "exhaustive",  # or "random"
+        random_count: int = 200,
+        seed: int = 0,
+        workers: int = 1,
+        force: bool = False,
+    ):
+        if theorem not in THEOREMS:
+            raise ValueError(f"unknown theorem selection {theorem!r}")
+        if source not in ("exhaustive", "random"):
+            raise ValueError(f"unknown code source {source!r}")
+        self.towers = towers
+        self.theorem = theorem
+        self.source = source
+        self.random_count = random_count
+        self.seed = seed
+        self.workers = workers
+        self.force = force
 
 
 def standard_plan(theorem: str = "all", workers: int = 1, seed: int = 0) -> VerifyPlan:
@@ -133,7 +169,7 @@ def standard_plan(theorem: str = "all", workers: int = 1, seed: int = 0) -> Veri
     )
 
 
-def exhaustive_codes(tower, n: int) -> List[LinearCode]:
+def exhaustive_codes(tower, n: int) -> list[LinearCode]:
     """Every L-subspace of L^n, each the tower's one ``LinearCode`` for it;
     the census is checked against Gaussian binomials."""
     out = []
@@ -146,7 +182,7 @@ def exhaustive_codes(tower, n: int) -> List[LinearCode]:
     return out
 
 
-def random_codes(tower, max_n: int, count: int, rng: random.Random) -> List[LinearCode]:
+def random_codes(tower, max_n: int, count: int, rng: random.Random) -> list[LinearCode]:
     """Seeded random codes, each the tower's one ``LinearCode`` for its space;
     dimensions <= 2 over infinite bases to keep exactness cheap."""
     out = []

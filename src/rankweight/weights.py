@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .errors import (
     BadR,
@@ -401,7 +401,7 @@ def extend_witness_by_rational(tower: ExtensionTower, c, e) -> list:
     return kern.sub_scaled(c, kern.neg(kern.basis[l]), kern.embed_row(e))
 
 
-def _witness_extended(C: LinearCode) -> Optional[list]:
+def _witness_extended(C: LinearCode) -> list | None:
     """Constructive witness sum(basis_i * e_i) for extended C; dim C <= wt_R(C) <= m by ``find_witness``."""
     t = C.tower
     res = restriction(C)
@@ -415,7 +415,7 @@ def _witness_extended(C: LinearCode) -> Optional[list]:
     return c
 
 
-def _witness_split(C: LinearCode, seed) -> Optional[list]:
+def _witness_split(C: LinearCode, seed) -> list | None:
     """Split C = C1 ⊕ Res(C)_L, find a witness for C1, extend it rationally.
 
     C1 is searched with the fallback strategy directly, as the constructive
@@ -455,7 +455,7 @@ def _witness_split(C: LinearCode, seed) -> Optional[list]:
     return c
 
 
-def _witness_exhaustive(C: LinearCode) -> Optional[tuple]:
+def _witness_exhaustive(C: LinearCode) -> tuple | None:
     """Scan projective points of C; None proves no witness exists."""
     _require_finite(C, "exhaustive witness search")
     target = rank_support_code(C).dim
@@ -505,7 +505,7 @@ def find_witness(
     C: LinearCode,
     strategy: str = "auto",
     seed: int = 0,
-) -> Optional[list]:
+) -> list | None:
     """A codeword c with Rsupp(c) = Rsupp(C), or None when provably none exists.
 
     Strategies: "auto" tries the constructive paths, then exhaustive (finite

@@ -284,6 +284,47 @@ def test_a_plan_names_a_known_theorem_and_source():
     with pytest.raises(ValueError, match=re.escape("unknown code source 'x'")):
         VerifyPlan(towers=[], source="x")
 
+
+def test_a_plan_and_its_towers_compare_and_print_by_their_fields():
+    nested = TowerTask(2, ("u", "1", "1"), base_degree=2, base_modulus=(1, 1, 1), max_n=3)
+    qt = TowerTask(0, (Fraction(5, 4), 0, Fraction(-3, 2), 1), max_n=3)
+    assert repr(TowerTask(2, (1, 1, 1))) == (
+        "TowerTask(characteristic=2, extension_modulus=(1, 1, 1), base_degree=1, base_modulus=None, max_n=2)"
+    )
+    assert repr(qt) == (
+        "TowerTask(characteristic=0, extension_modulus=(Fraction(5, 4), 0, Fraction(-3, 2), 1),"
+        " base_degree=1, base_modulus=None, max_n=3)"
+    )
+    assert repr(VerifyPlan(towers=[nested], theorem="witness", source="random", random_count=40, seed=7,
+                           workers=2, force=True)) == (
+        "VerifyPlan(towers=[TowerTask(characteristic=2, extension_modulus=('u', '1', '1'), base_degree=2,"
+        " base_modulus=(1, 1, 1), max_n=3)], theorem='witness', source='random', random_count=40, seed=7,"
+        " workers=2, force=True)"
+    )
+    assert repr(standard_plan()).endswith(
+        "theorem='all', source='exhaustive', random_count=200, seed=0, workers=1, force=False)"
+    )
+    assert TowerTask(2, (1, 1, 1)) == TowerTask(2, (1, 1, 1), 1, None, 2)
+    assert TowerTask(2, (1, 1, 1)) != TowerTask(2, (1, 1, 1), max_n=3)
+    assert TowerTask(2, (1, 1, 1)).__eq__((2, (1, 1, 1), 1, None, 2)) is NotImplemented
+    assert standard_plan() == standard_plan() and standard_plan() != standard_plan(seed=1)
+    assert standard_plan().__eq__(TowerTask(2, (1, 1, 1))) is NotImplemented
+    for record in (qt, standard_plan()):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+
+
+def test_a_misspelled_attribute_raises():
+    plan = standard_plan()
+    with pytest.raises(AttributeError, match="random_cout"):
+        plan.random_cout = 50
+    with pytest.raises(AttributeError, match="maxn"):
+        plan.towers[0].maxn = 1
+    document = parse_code_file(SAMPLE)
+    with pytest.raises(AttributeError, match="lenght"):
+        document.lenght = 3
+    assert plan.random_count == 200 and plan.towers[0].max_n == 2 and document.length == 2
+
 @pytest.mark.parametrize("flag", ["--max-n", "--random"])
 @pytest.mark.parametrize("value", ["0", "-2"])
 @pytest.mark.parametrize("tower", [(), ("--char", "2", "--ext-modulus", "1,1,1")])

@@ -1292,3 +1292,19 @@ def test_summaries_match_across_workers_under_spawn():
     unpickles the items once and rebuilds the towers' kernels and memos."""
     one, two = (json.dumps(s) for s in json.loads(run_script(SPAWNED_SUMMARIES)))
     assert json.loads(one)["ok"] and one == two
+
+
+IMPORT_FOOTPRINT = """
+import sys
+import rankweight
+import rankweight.cli
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_import_loads_no_introspection_modules():
+    """A CLI call and every spawned worker pay ``import rankweight`` first;
+    ``-S`` keeps site-packages from preloading anything."""
+    loaded = set(run_script(IMPORT_FOOTPRINT, "-S").split())
+    heavy = sorted(loaded & {"dataclasses", "inspect", "ast", "dis", "typing"})
+    assert not heavy, f"import rankweight loads {heavy}"
