@@ -177,10 +177,9 @@ def cmd_verify(args) -> int:
         for name in ("ext_modulus", "base_degree", "base_modulus"):  # flags of a tower that --char names
             if getattr(args, name) is not None:
                 raise _UsageError(f"--{name.replace('_', '-')} requires --char")
-        plan = standard_plan(theorem=args.theorem, workers=workers, seed=args.seed)
-        plan.force = args.force
+        towers = standard_plan().towers
         if args.max_n is not None:
-            for t in plan.towers:
+            for t in towers:
                 t.max_n = min(t.max_n, args.max_n)
     else:
         if args.ext_modulus is None:
@@ -195,16 +194,9 @@ def cmd_verify(args) -> int:
             base_modulus=base_modulus,
             max_n=args.max_n if args.max_n is not None else 2,
         )
-        plan = VerifyPlan(
-            towers=[task],
-            theorem=args.theorem,
-            workers=workers,
-            seed=args.seed,
-            force=args.force,
-        )
-    if args.random is not None:
-        plan.source = "random"
-        plan.random_count = args.random
+        towers = [task]
+    source = {} if args.random is None else {"source": "random", "random_count": args.random}
+    plan = VerifyPlan(towers, theorem=args.theorem, seed=args.seed, workers=workers, force=args.force, **source)
     summary = run_verify(plan)
     if args.format == "json":
         print(json.dumps(summary, indent=2))

@@ -26,7 +26,8 @@ Suites:
   ``fields._TowerMemo``, which a pickled tower, rebuilt where it is loaded,
   starts empty); (C + C')* is computed for every pair;
 * ``trace``     -- Tr(C) = Rsupp(C) and the Res(C) = Tr(C) criterion;
-* ``all``       -- everything above.
+* ``all``       -- everything above that applies: over an infinite L every
+  suite but ``equivdef``, which ``--theorem equivdef`` refuses there.
 
 Any violation is reported with a standalone CodeDocument that reproduces it.
 """
@@ -66,7 +67,18 @@ from .weights import (
     weight_values,
 )
 
-THEOREMS = ("equivdef", "witness", "delsarte", "closure", "trace", "all")
+# Each suite, in the summary's order, by the name of its per-code check in _CHECKS:
+# (the _CHECKS name of its check on pairs of codes of one length, or None;
+#  its refusal over an infinite L, or None).  A refused suite is dropped from "all".
+_SUITES = {
+    "equivdef": (None, "the equivdef suite enumerates subcodes; base field is infinite"),
+    "witness": (None, None),
+    "delsarte": (None, None),
+    "closure": ("closure_pair", None),
+    "trace": (None, None),
+}
+
+THEOREMS = (*_SUITES, "all")
 
 GUARD_MAX_ORDER = 9
 GUARD_MAX_N = 4
@@ -142,10 +154,6 @@ class VerifyPlan(_Record):
         workers: int = 1,
         force: bool = False,
     ):
-        if theorem not in THEOREMS:
-            raise ValueError(f"unknown theorem selection {theorem!r}")
-        if source not in ("exhaustive", "random"):
-            raise ValueError(f"unknown code source {source!r}")
         self.towers = towers
         self.theorem = theorem
         self.source = source
@@ -153,6 +161,23 @@ class VerifyPlan(_Record):
         self.seed = seed
         self.workers = workers
         self.force = force
+        _check_plan(self)
+
+
+def _check_plan(plan: VerifyPlan):
+    """Refuse a plan that names an unknown theorem or code source, or that checks no code."""
+    if plan.theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem selection {plan.theorem!r}")
+    if plan.source not in ("exhaustive", "random"):
+        raise ValueError(f"unknown code source {plan.source!r}")
+    # a plan with no codes would pass vacuously
+    if not plan.towers:
+        raise ValueError("a plan needs at least one tower")
+    for task in plan.towers:
+        if task.max_n < 1:
+            raise ValueError(f"max_n must be at least 1, got {task.max_n}")
+    if plan.source == "random" and plan.random_count < 1:
+        raise ValueError(f"random_count must be at least 1, got {plan.random_count}")
 
 
 def standard_plan(theorem: str = "all", workers: int = 1, seed: int = 0) -> VerifyPlan:
@@ -316,9 +341,6 @@ _CHECKS = {
     "trace": check_trace,
 }
 
-# the per-code checks of each --theorem choice, in the summary's order: "all" runs every other choice
-_CODE_CHECKS = {**{name: (name,) for name in THEOREMS[:-1]}, "all": THEOREMS[:-1]}
-
 _PAIR_LIMIT = 2500  # all ordered pairs when |codes|^2 is at most this, else sampled
 _PAIR_SAMPLE = 500
 
@@ -354,18 +376,21 @@ def _build_items(plan: VerifyPlan, tower, task: TowerTask, rng: random.Random):
         for code in random_codes(tower, task.max_n, plan.random_count, rng):
             per_n.setdefault(code.length, []).append(code)
 
-    want = _CODE_CHECKS[plan.theorem]
-    if not finite:
-        if plan.theorem == "equivdef":
-            raise InfiniteField("the equivdef suite enumerates subcodes; base field is infinite")
-        want = tuple(name for name in want if name != "equivdef")
+    if plan.theorem == "all":
+        suites = [name for name, (_, refusal) in _SUITES.items() if finite or refusal is None]
+    else:
+        suites = [plan.theorem]
+        refusal = _SUITES[plan.theorem][1]
+        if refusal is not None and not finite:
+            raise InfiniteField(refusal)
+    pair_checks = [pair for pair, _ in map(_SUITES.get, suites) if pair is not None]
     items = []
     for n in sorted(per_n):
         codes = per_n[n]
         for idx, code in enumerate(codes):
-            for name in want:
+            for name in suites:
                 items.append((name, code, plan.seed + idx))
-        if plan.theorem in ("closure", "all"):
+        if pair_checks:
             if len(codes) ** 2 <= _PAIR_LIMIT:
                 pairs = [(a, b) for a in codes for b in codes]
             else:
@@ -373,7 +398,8 @@ def _build_items(plan: VerifyPlan, tower, task: TowerTask, rng: random.Random):
                     (rng.choice(codes), rng.choice(codes)) for _ in range(_PAIR_SAMPLE)
                 ]
             for pair in pairs:
-                items.append(("closure_pair", pair, 0))
+                for name in pair_checks:
+                    items.append((name, pair, 0))
     total_codes = sum(len(v) for v in per_n.values())
     return items, total_codes
 
@@ -486,7 +512,10 @@ def run_verify(plan: VerifyPlan) -> dict:
     generated and reduced in deterministic order, with all randomness drawn
     from the plan seed before any dispatch.  The items of every tower go to
     one ``_execute`` call, so a parallel run starts its children once.
+    The plan is checked again first, so a field assigned after construction
+    is refused as the constructor would refuse it, before any tower is built.
     """
+    _check_plan(plan)
     rng = random.Random(plan.seed)
     built = []
     for task in plan.towers:

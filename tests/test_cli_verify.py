@@ -285,6 +285,69 @@ def test_a_plan_names_a_known_theorem_and_source():
         VerifyPlan(towers=[], source="x")
 
 
+@pytest.fixture
+def no_tower_is_built(monkeypatch):
+    monkeypatch.setattr(TowerTask, "build", lambda task: pytest.fail("a tower was built"))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("source", "randm", "unknown code source 'randm'"),
+    ("theorem", "equivdeff", "unknown theorem selection 'equivdeff'"),
+])
+def test_a_plan_field_assigned_after_construction_is_checked_where_it_runs(no_tower_is_built, field, value,
+                                                                          message):
+    plan = standard_plan()
+    setattr(plan, field, value)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_verify(plan)
+
+
+def test_a_plan_without_towers_is_refused(no_tower_is_built):
+    """A plan that checks no code would report ok having checked nothing."""
+    with pytest.raises(ValueError, match="a plan needs at least one tower"):
+        run_verify(VerifyPlan(towers=[]))
+    plan = standard_plan()
+    plan.towers = []
+    with pytest.raises(ValueError, match="a plan needs at least one tower"):
+        run_verify(plan)
+
+
+def test_a_tower_of_no_lengths_is_refused(no_tower_is_built):
+    with pytest.raises(ValueError, match=re.escape("max_n must be at least 1, got 0")):
+        run_verify(VerifyPlan(towers=[TowerTask(2, (1, 1, 1), max_n=0)]))
+    plan = standard_plan()
+    plan.towers[-1].max_n = -1
+    with pytest.raises(ValueError, match=re.escape("max_n must be at least 1, got -1")):
+        run_verify(plan)
+
+
+def test_a_random_source_of_no_codes_is_refused(no_tower_is_built):
+    qt = TowerTask(0, (-2, 0, 0, 1), max_n=2)
+    with pytest.raises(ValueError, match=re.escape("random_count must be at least 1, got 0")):
+        run_verify(VerifyPlan(towers=[qt], source="random", random_count=0))
+    plan = VerifyPlan(towers=[qt], random_count=0)  # an exhaustive plan reads no random_count
+    plan.source = "random"
+    with pytest.raises(ValueError, match=re.escape("random_count must be at least 1, got 0")):
+        run_verify(plan)
+
+
+def test_the_suite_table_names_every_check_and_theorem():
+    """Each _CHECKS entry is a suite's per-code check or its pair check, and
+    each of those has one; the CLI offers the table's theorems, and `all`
+    over Q(t), t^3 = 2, runs the suites in table order without equivdef."""
+    suites = verify_mod._SUITES
+    pair_checks = [pair for pair, _ in suites.values() if pair is not None]
+    assert sorted(verify_mod._CHECKS) == sorted([*suites, *pair_checks])
+    assert verify_mod.THEOREMS == (*suites, "all")
+    commands = next(action for action in cli.build_parser()._actions if action.dest == "command")
+    theorem = next(action for action in commands.choices["verify"]._actions if action.dest == "theorem")
+    assert tuple(theorem.choices) == verify_mod.THEOREMS
+    qt = TowerTask(0, (-2, 0, 0, 1), max_n=1)
+    summary = run_verify(VerifyPlan(towers=[qt], source="random", random_count=3, seed=1))
+    assert summary["ok"]
+    assert list(summary["towers"][0]["checks"]) == ["witness", "delsarte", "closure", "trace", "closure_pair"]
+
+
 def test_a_plan_and_its_towers_compare_and_print_by_their_fields():
     nested = TowerTask(2, ("u", "1", "1"), base_degree=2, base_modulus=(1, 1, 1), max_n=3)
     qt = TowerTask(0, (Fraction(5, 4), 0, Fraction(-3, 2), 1), max_n=3)
@@ -377,6 +440,35 @@ def test_verify_failure_exit_2_and_reproduction(capsys, monkeypatch):
     failure = summary["towers"][0]["failures"][0]
     reproduced = parse_code_file(json.dumps(failure["documents"][0]))
     assert reproduced.to_code().length == 1
+
+
+# the --theorem that runs each check: a suite runs its per-code check and its pair check
+THEOREM_OF_CHECK = {name: name for name in verify_mod._SUITES}
+THEOREM_OF_CHECK.update({pair: name for name, (pair, _) in verify_mod._SUITES.items() if pair is not None})
+
+
+@pytest.mark.parametrize("name", list(verify_mod._CHECKS))
+def test_an_injected_failure_of_every_check_reaches_the_summary(capsys, monkeypatch, name):
+    """Every item of the check fails, each counted under its name with a
+    document per code that loads: two for a pair."""
+    def always_fails(payload, seed):
+        raise CheckFailure("injected failure", payload if isinstance(payload, tuple) else [payload])
+
+    monkeypatch.setenv("RANKWEIGHT_WORKERS", "1")
+    monkeypatch.setitem(verify_mod._CHECKS, name, always_fails)
+    code, out, _ = run_cli(
+        capsys, "verify", "--char", "2", "--ext-modulus", "1,1,1", "--max-n", "1",
+        "--theorem", THEOREM_OF_CHECK[name], "--format", "json",
+    )
+    assert code == 2
+    report = json.loads(out)["towers"][0]
+    entry = report["checks"][name]
+    assert entry["failures"] == entry["items"] == len(report["failures"]) > 0
+    for failure in report["failures"]:
+        assert (failure["check"], failure["message"]) == (name, "injected failure")
+        assert len(failure["documents"]) == (1 if name in verify_mod._SUITES else 2)
+        for document in failure["documents"]:
+            assert parse_code_file(json.dumps(document)).to_code().length == 1
 
 
 def test_run_verify_reproducible_across_workers():

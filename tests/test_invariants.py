@@ -1,6 +1,7 @@
 """Internal cross-checks are explicit raises, so `python -O` keeps them."""
 
 import ast
+import itertools
 import json
 import multiprocessing
 import os
@@ -18,7 +19,7 @@ import pytest
 import rankweight
 from helpers import gf4099_squared, gf8192, qtheta
 from rankweight import cli, fields, ranksupport, verify, weights
-from rankweight.documents import document_from_code, document_to_json
+from rankweight.documents import document_from_code, document_to_json, parse_code_file
 from rankweight.linalg import Subspace, subspace_sum
 from rankweight.errors import InfiniteField, InternalInvariantError
 from rankweight.ranksupport import (
@@ -1085,6 +1086,39 @@ def test_a_closure_left_as_c_fails_the_closure_suite_on_each_code_that_is_not_ex
         assert {f["message"] for f in rep["failures"]} == {ORACLE_MESSAGE}
         assert [f["documents"] for f in rep["failures"]] == [[doc] for doc in docs]
         assert rep["checks"]["closure_pair"]["failures"] == 0
+
+
+def _every_other_sum_is_its_first_summand():
+    calls = itertools.count()
+    return lambda a, b: a if next(calls) % 2 else subspace_sum(a, b)
+
+
+@pytest.mark.parametrize("theorem, name, wrong, check, message", [
+    ("trace", "trace_image", lambda: restriction, "trace", "Tr(C) != Rsupp(C) on a separable tower"),
+    ("trace", "restriction", lambda: rank_support_code, "trace", "Res(C) = Tr(C) does not match extendedness"),
+    ("closure", "subspace_sum", _every_other_sum_is_its_first_summand, "closure_pair", "(C+C')* != C* + C'*"),
+], ids=["trace_image-is-res", "restriction-is-rsupp", "every-other-sum-is-c"])
+def test_a_one_function_mutation_reaches_the_check(monkeypatch, theorem, name, wrong, check, message):
+    """One name of verify rebound, on GF(8)/GF(2), n <= 2: the check fails
+    with its message, and each failure's documents load.  Both trace
+    mutations fail on exactly the codes that are not extended, where
+    Res(C) != Rsupp(C); a wrong sum fails on some of the pairs."""
+    task = TowerTask(2, (1, 1, 0, 1), max_n=2)
+    tower = task.build()
+    codes = [c for n in range(1, task.max_n + 1) for c in exhaustive_codes(tower, n)]
+    not_extended = [[document_to_json(document_from_code(c))] for c in codes if not is_extended(c)]
+    monkeypatch.setattr(verify, name, wrong())
+    summary = run_verify(VerifyPlan(towers=[task], theorem=theorem, force=True))
+    assert not summary["ok"]
+    report = summary["towers"][0]
+    assert report["checks"][check]["failures"] == len(report["failures"]) > 0
+    assert {(f["check"], f["message"]) for f in report["failures"]} == {(check, message)}
+    if check == "trace":
+        assert [f["documents"] for f in report["failures"]] == not_extended
+    for failure in report["failures"]:
+        assert len(failure["documents"]) == (2 if check == "closure_pair" else 1)
+        for document in failure["documents"]:
+            parse_code_file(json.dumps(document)).to_code()
 
 
 @pytest.mark.parametrize("sigma, message", [
